@@ -34,8 +34,8 @@
 
 #include "coll/alltoallv.hpp"
 #include "coll/group.hpp"
-#include "coll/reduce.hpp"
 #include "core/cost_model_analysis.hpp"
+#include "core/density.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/mask.hpp"
 #include "core/ranking.hpp"
@@ -81,62 +81,15 @@ void for_each_dest_run(const dist::BlockCyclicDim& vdim, std::int64_t r0,
   }
 }
 
-/// Samples each processor's mask and agrees on a global density estimate
-/// with a 2-element all-reduce, then applies the analytical selector.
-///
-/// Sampling uses a fixed stride across the *full* local extent (~4096
-/// probes per rank), never a prefix: a dense-prefix/sparse-suffix mask
-/// would make a prefix sample report density ~1.0 and pick a compact
-/// scheme when SSS is optimal (the historical bug this replaces).  Each
-/// rank writes only its own `stats` slot, so the phase is safe under the
-/// threaded execution policy.
+/// kAuto resolution: the sampled global density (sample_density) fed to
+/// the Section 6.4 selector.
 inline PackScheme resolve_pack_scheme(sim::Machine& machine,
                                       const dist::DistArray<mask_t>& mask,
                                       PackScheme requested) {
   if (requested != PackScheme::kAuto) return requested;
-  const int P = machine.nprocs();
-  std::vector<std::vector<std::int64_t>> stats(
-      static_cast<std::size_t>(P));
-  machine.local_phase([&](int rank) {
-    const auto local = mask.local(rank);
-    constexpr std::size_t kTargetSamples = 4096;
-    const std::size_t stride =
-        local.size() <= kTargetSamples ? 1 : local.size() / kTargetSamples;
-    std::int64_t sampled = 0;
-    std::int64_t trues = 0;
-    if (stride == 1) {
-      sampled = static_cast<std::int64_t>(local.size());
-      trues = kernels::mask_count(local.data(), local.size());
-    } else {
-      for (std::size_t i = 0; i < local.size(); i += stride) {
-        trues += (local[i] != 0);
-        ++sampled;
-      }
-    }
-    stats[static_cast<std::size_t>(rank)] = {sampled, trues};
-  });
-  coll::allreduce_sum(machine, coll::Group::world(P), stats,
-                      sim::Category::kPrs);
-  const dist::index_t L = mask.dist().local_size(0);
-  const dist::index_t W0 = mask.dist().dim(0).block();
-  // Every rank applies the selector to its own (identical) all-reduced
-  // totals, mirroring how an SPMD implementation decides; the agreement
-  // check documents and enforces that the decision is global.
-  PackScheme chosen = PackScheme::kAuto;
-  for (int rank = 0; rank < P; ++rank) {
-    const auto& s = stats[static_cast<std::size_t>(rank)];
-    const double density =
-        s[0] > 0 ? static_cast<double>(s[1]) / static_cast<double>(s[0]) : 0.0;
-    const PackScheme mine = choose_pack_scheme(L, W0, density, P);
-    if (rank == 0) {
-      chosen = mine;
-    } else {
-      PUP_CHECK(mine == chosen,
-                "rank " << rank << " resolved a different pack scheme than "
-                        << "rank 0 after the density all-reduce");
-    }
-  }
-  return chosen;
+  return choose_pack_scheme(mask.dist().local_size(0),
+                            mask.dist().dim(0).block(),
+                            sample_density(machine, mask), machine.nprocs());
 }
 
 /// Redistribution stage, shared by the direct path and the plan executor:

@@ -12,6 +12,11 @@ namespace {
 
 std::atomic<std::int64_t> g_schedules_compiled{0};
 
+/// Slices narrower than the widest kernel block (32 mask bytes) are counted
+/// inline by the initial scan: mask_count would spend its whole call in the
+/// scalar tail, behind a dispatch per slice.
+constexpr dist::index_t kNarrowSlice = 32;
+
 /// prod_{k >= i} L_k (1 when i >= d).
 dist::index_t upper_extent(const RankingSchedule& s, int i) {
   dist::index_t prod = 1;
@@ -149,20 +154,56 @@ std::vector<RankingResult> rank_masks(
         const dist::index_t C = sched.slices;
         out.counts.assign(static_cast<std::size_t>(C), 0);
 
-        // Ragged 1-D extension: slice t of this processor covers global
-        // indices [t*S + p*W, ...), clipped to the array extent, so the last
-        // tile's slice may be short or empty.  In the divisible case every
-        // slice has width W_0.
-        const auto& dim0 = sched.dist.dim(0);
-        const bool ragged = !dim0.divisible();
-        const dist::index_t p0 = sched.dist.grid().coord_of(rank, 0);
+        // Slice s covers local storage [s*W_0, s*W_0 + W_0), clipped to the
+        // local extent: under the ragged 1-D extension only the last tile
+        // is partial, so the final slices may be short or empty.  In the
+        // divisible case every slice has width W_0.
+        const auto n_local = static_cast<dist::index_t>(local.size());
         auto slice_width = [&](dist::index_t s) -> dist::index_t {
-          if (!ragged) return W0;
-          const dist::index_t start = s * dim0.tile_size() + p0 * W0;
-          const dist::index_t remaining = dim0.extent() - start;
+          const dist::index_t remaining = n_local - s * W0;
           if (remaining <= 0) return 0;
           return remaining < W0 ? remaining : W0;
         };
+
+        if (!record_infos) {
+          // Counting-only scan.  Narrow slices are counted inline in one
+          // pass -- a kernel call per slice would cost more than the slice
+          // -- and W_0 = 1 is just mask[s] != 0; wide slices go to
+          // mask_count.
+          std::int64_t* ps0 = w.ps[0].data();
+          std::int32_t* counts = out.counts.data();
+          std::int64_t packed = 0;
+          if (W0 == 1) {
+            for (dist::index_t s = 0; s < n_local; ++s) {
+              const std::int64_t cnt =
+                  (local[static_cast<std::size_t>(s)] != 0);
+              ps0[s] = cnt;
+              counts[s] = static_cast<std::int32_t>(cnt);
+              packed += cnt;
+            }
+          } else {
+            for (dist::index_t s = 0; s < C; ++s) {
+              const dist::index_t width = slice_width(s);
+              if (width == 0) continue;  // a ragged tail slice counts zero
+              const mask_t* slice = local.data() + s * W0;
+              std::int64_t cnt = 0;
+              if (W0 < kNarrowSlice) {
+                for (dist::index_t off = 0; off < width; ++off) {
+                  cnt += (slice[off] != 0);
+                }
+              } else {
+                cnt = kernels::mask_count(slice,
+                                          static_cast<std::size_t>(width));
+              }
+              ps0[s] = cnt;
+              counts[s] = checked_slice_count(cnt);
+              packed += cnt;
+            }
+          }
+          out.packed = packed;
+          w.rs[0] = w.ps[0];
+          continue;
+        }
 
         // Slice-coordinate odometer: a slice s decomposes as
         // (t_0, c_1, ..., c_{d-1}) with the tile index fastest-varying; the
@@ -173,40 +214,16 @@ std::vector<RankingResult> rank_masks(
           const dist::index_t base = s * W0;
           std::int64_t cnt = 0;
           const dist::index_t width = slice_width(s);
-          if (!record_infos) {
-            // Counting-only scan: the per-slice masked count is a straight
-            // kernel call (the odometer below only matters when info words
-            // are being recorded).
-            cnt = kernels::mask_count(
-                local.data() + static_cast<std::size_t>(base),
-                static_cast<std::size_t>(width));
-            w.ps[0][static_cast<std::size_t>(s)] = cnt;
-            out.counts[static_cast<std::size_t>(s)] =
-                checked_slice_count(cnt);
-            out.packed += cnt;
-            for (int k = 0; k < d; ++k) {
-              auto& v = coords[static_cast<std::size_t>(k)];
-              const dist::index_t limit =
-                  (k == 0) ? sched.T[0]
-                           : sched.L[static_cast<std::size_t>(k)];
-              if (++v < limit) break;
-              v = 0;
-            }
-            continue;
-          }
           for (dist::index_t off = 0; off < width; ++off) {
             if (local[static_cast<std::size_t>(base + off)]) {
-              if (record_infos) {
-                // Record layout: [l_0, ..., l_{d-1}, tile_0, init_rank].
-                out.info_words.push_back(
-                    static_cast<std::int32_t>(coords[0] * W0 + off));
-                for (int k = 1; k < d; ++k) {
-                  out.info_words.push_back(
-                      coords[static_cast<std::size_t>(k)]);
-                }
-                out.info_words.push_back(coords[0]);  // tile number on dim 0
-                out.info_words.push_back(checked_slice_count(cnt));
+              // Record layout: [l_0, ..., l_{d-1}, tile_0, init_rank].
+              out.info_words.push_back(
+                  static_cast<std::int32_t>(coords[0] * W0 + off));
+              for (int k = 1; k < d; ++k) {
+                out.info_words.push_back(coords[static_cast<std::size_t>(k)]);
               }
+              out.info_words.push_back(coords[0]);  // tile number on dim 0
+              out.info_words.push_back(checked_slice_count(cnt));
               ++cnt;
             }
           }

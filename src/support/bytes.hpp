@@ -46,6 +46,16 @@ class ByteWriter {
     if (!vs.empty()) std::memcpy(bytes_.data() + off, vs.data(), vs.size_bytes());
   }
 
+  /// Extends the stream by `nbytes` and returns the new tail for the
+  /// caller to fill in place: the bulk counterpart of put(), for composers
+  /// that know a message's size before producing its elements.
+  std::span<std::byte> grow(std::size_t nbytes) {
+    ensure_backing();
+    const std::size_t off = bytes_.size();
+    bytes_.resize(off + nbytes);
+    return std::span<std::byte>(bytes_).subspan(off);
+  }
+
   std::size_t size() const { return bytes_.size(); }
   std::vector<std::byte> take() { return std::move(bytes_); }
 

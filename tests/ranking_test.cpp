@@ -6,10 +6,12 @@
 // combinations, and Size must equal the global true count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
 
+#include "core/kernels/kernels.hpp"
 #include "core/ranking.hpp"
 #include "core/mask.hpp"
 #include "dist/dist_array.hpp"
@@ -251,6 +253,62 @@ TEST(Ranking, SizeAgreesWithMaskCount) {
     auto mask = dist::DistArray<mask_t>::scatter(d, gm);
     auto ranking = rank_mask(machine, mask);
     EXPECT_EQ(ranking.size, count_true(gm));
+  }
+}
+
+TEST(Ranking, NarrowSliceScanMatchesKernelCount) {
+  // The counting-only initial scan counts slices narrower than the widest
+  // kernel block inline and hands wider ones to kernels::mask_count; both
+  // must report the kernel's per-slice count, including the short and
+  // empty slices of a ragged last tile.
+  struct Layout {
+    std::vector<dist::index_t> extents;
+    std::vector<int> procs;
+    std::vector<dist::index_t> blocks;
+  };
+  for (const dist::index_t w0 : {1, 2, 7, 33}) {
+    const std::vector<Layout> layouts = {
+        {{4 * w0 * 5}, {4}, {w0}},
+        {{2 * w0 * 3, 6}, {2, 2}, {w0, 3}},
+        {{4 * w0 * 5 + w0 + 1}, {4}, {w0}},  // ragged: procs 2, 3 short
+    };
+    for (const Layout& l : layouts) {
+      int p = 1;
+      for (const int x : l.procs) p *= x;
+      sim::Machine machine = make_machine(p);
+      const dist::Distribution d(dist::Shape(l.extents),
+                                 dist::ProcessGrid(l.procs), l.blocks);
+      const auto gm = random_mask(d.global().size(), 0.5, 1234);
+      const auto mask = dist::DistArray<mask_t>::scatter(d, gm);
+      const RankingResult counted = rank_mask(machine, mask);
+      RankingOptions infos;
+      infos.record_infos = true;
+      const RankingResult recorded = rank_mask(machine, mask, infos);
+      EXPECT_EQ(counted.size, count_true(gm));
+      for (int rank = 0; rank < p; ++rank) {
+        const auto local = mask.local(rank);
+        const auto& pr = counted.procs[static_cast<std::size_t>(rank)];
+        std::int64_t packed = 0;
+        for (dist::index_t s = 0; s < counted.slices; ++s) {
+          const auto base = static_cast<std::size_t>(s * w0);
+          const std::size_t width =
+              base >= local.size()
+                  ? 0
+                  : std::min(static_cast<std::size_t>(w0),
+                             local.size() - base);
+          const std::int64_t expect =
+              width == 0 ? 0 : kernels::mask_count(local.data() + base, width);
+          EXPECT_EQ(pr.counts[static_cast<std::size_t>(s)], expect)
+              << "W0=" << w0 << " d=" << l.extents.size() << " rank " << rank
+              << " slice " << s;
+          packed += expect;
+        }
+        EXPECT_EQ(pr.packed, packed);
+        const auto& rec = recorded.procs[static_cast<std::size_t>(rank)];
+        EXPECT_EQ(pr.counts, rec.counts);
+        EXPECT_EQ(pr.ps_f, rec.ps_f);
+      }
+    }
   }
 }
 
