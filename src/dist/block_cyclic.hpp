@@ -67,6 +67,33 @@ class BlockCyclicDim {
     return tile_of(g) * w_ + g % w_;
   }
 
+  /// One block: global indices [start, end), stored on `owner` at local
+  /// indices [local_base, local_base + end - start).
+  struct Block {
+    index_t start = 0;
+    index_t end = 0;
+    index_t local_base = 0;
+    int owner = 0;
+
+    bool contains(index_t g) const { return g >= start && g < end; }
+    index_t local_index(index_t g) const { return local_base + (g - start); }
+  };
+
+  /// The block holding global index g.  Callers that walk runs of indices
+  /// pay its division once per block instead of owner()/local_index() per
+  /// element, so the range check here is always on.
+  Block block_of(index_t g) const {
+    PUP_REQUIRE(g >= 0 && g < n_,
+                "global index " << g << " outside the extent " << n_);
+    const index_t b = g / w_;
+    Block blk;
+    blk.start = b * w_;
+    blk.end = blk.start + w_ < n_ ? blk.start + w_ : n_;
+    blk.local_base = (b / p_) * w_;
+    blk.owner = static_cast<int>(b % p_);
+    return blk;
+  }
+
   /// Global index of local index l on processor `proc`.
   index_t global_index(int proc, index_t l) const {
     PUP_DCHECK(proc >= 0 && proc < p_, "processor out of range");

@@ -72,7 +72,16 @@ TEST_P(BlockCyclicRoundTrip, GlobalLocalGlobal) {
     const index_t l = d.local_index(g);
     EXPECT_EQ(d.global_index(o, l), g);
     ++counts[static_cast<std::size_t>(o)];
+    // block_of agrees with the per-element map over its whole block.
+    const BlockCyclicDim::Block blk = d.block_of(g);
+    EXPECT_TRUE(blk.contains(g));
+    EXPECT_EQ(blk.start % w, 0);
+    EXPECT_LE(blk.end - blk.start, w);
+    EXPECT_EQ(blk.owner, o);
+    EXPECT_EQ(blk.local_index(g), l);
   }
+  EXPECT_THROW(d.block_of(-1), ContractError);
+  EXPECT_THROW(d.block_of(n), ContractError);
   // local_extent_on agrees with the actual ownership counts (ragged-aware).
   for (int proc = 0; proc < p; ++proc) {
     EXPECT_EQ(d.local_extent_on(proc), counts[static_cast<std::size_t>(proc)])
