@@ -3,10 +3,12 @@
 //
 // Local storage is row-major over the processor's local shape, tile-major
 // within each dimension (see BlockCyclicDim).  scatter()/gather() move data
-// between a global host buffer and the distributed representation; they are
-// test/verification utilities and charge no simulated time.
+// between a global host buffer and the distributed representation as bulk
+// copies over for_each_run()'s runs; they charge no simulated time and sit
+// on the service's result-digest path.  at() keeps the per-element path.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -36,31 +38,85 @@ class DistArray {
                                       << " != array size "
                                       << dist.global().size());
     DistArray arr(std::move(dist));
-    const Shape& shape = arr.dist_.global();
-    std::vector<index_t> gidx(static_cast<std::size_t>(shape.rank()), 0);
-    for (index_t lin = 0; lin < shape.size(); ++lin) {
-      const auto [owner, local] = place_cached(arr.dist_, gidx);
-      arr.locals_[static_cast<std::size_t>(owner)]
-                 [static_cast<std::size_t>(local)] =
-          global[static_cast<std::size_t>(lin)];
-      if (lin + 1 < shape.size()) next_index(shape, gidx);
-    }
+    arr.for_each_run([&](index_t g, int owner, index_t l, index_t n) {
+      std::copy_n(global.begin() + g, n,
+                  arr.locals_[static_cast<std::size_t>(owner)].begin() + l);
+    });
     return arr;
   }
 
   /// Collects the distributed data back into a global row-major buffer.
   std::vector<T> gather() const {
-    const Shape& shape = dist_.global();
-    std::vector<T> global(static_cast<std::size_t>(shape.size()));
-    std::vector<index_t> gidx(static_cast<std::size_t>(shape.rank()), 0);
-    for (index_t lin = 0; lin < shape.size(); ++lin) {
-      const auto [owner, local] = place_cached(dist_, gidx);
-      global[static_cast<std::size_t>(lin)] =
-          locals_[static_cast<std::size_t>(owner)]
-                 [static_cast<std::size_t>(local)];
-      if (lin + 1 < shape.size()) next_index(shape, gidx);
-    }
+    std::vector<T> global(static_cast<std::size_t>(dist_.global().size()));
+    for_each_run([&](index_t g, int owner, index_t l, index_t n) {
+      std::copy_n(locals_[static_cast<std::size_t>(owner)].begin() + l, n,
+                  global.begin() + g);
+    });
     return global;
+  }
+
+  /// Visits every element once, in global row-major order, as runs
+  /// f(global_start, owner, local_start, count): global linear indices
+  /// [global_start, global_start + count) live on `owner` at local indices
+  /// [local_start, local_start + count).  Runs never span a dimension-0
+  /// block; each costs O(1) after O(P_0 * rank) work per row.
+  template <typename F>
+  void for_each_run(F&& f) const {
+    const Shape& shape = dist_.global();
+    if (shape.size() == 0) return;
+    const int d = dist_.rank();
+    const int np = dist_.nprocs();
+    const auto ud = static_cast<std::size_t>(d);
+    // Each rank's local row-major strides, once.
+    std::vector<index_t> lstride;
+    lstride.reserve(static_cast<std::size_t>(np) * ud);
+    for (int r = 0; r < np; ++r) {
+      index_t acc = 1;
+      for (int k = 0; k < d; ++k) {
+        lstride.push_back(acc);
+        acc *= dist_.dim(k).local_extent_on(
+            static_cast<int>(dist_.grid().coord_of(r, k)));
+      }
+    }
+    // Dimension 0's blocks are the same in every row.
+    const BlockCyclicDim& d0 = dist_.dim(0);
+    const index_t n0 = shape.extent(0);
+    std::vector<BlockCyclicDim::Block> blocks;
+    for (index_t g = 0; g < n0; g = blocks.back().end) {
+      blocks.push_back(d0.block_of(g));
+    }
+    std::vector<index_t> outer(ud, 0);  // outer[0] stays 0
+    std::vector<index_t> row_off(static_cast<std::size_t>(d0.nprocs()));
+    for (index_t row = 0; row < shape.size(); row += n0) {
+      // Outer dimensions fix the owner's grid coordinates 1..d-1 and their
+      // share of the local offset for the whole row.
+      int base = 0;
+      index_t grid_stride = d0.nprocs();
+      for (int k = 1; k < d; ++k) {
+        const index_t i = outer[static_cast<std::size_t>(k)];
+        base += static_cast<int>(dist_.dim(k).owner(i) * grid_stride);
+        grid_stride *= dist_.grid().extent(k);
+      }
+      for (std::size_t c = 0; c < row_off.size(); ++c) {
+        const std::size_t r = (static_cast<std::size_t>(base) + c) * ud;
+        index_t off = 0;
+        for (int k = 1; k < d; ++k) {
+          const auto uk = static_cast<std::size_t>(k);
+          off += dist_.dim(k).local_index(outer[uk]) * lstride[r + uk];
+        }
+        row_off[c] = off;
+      }
+      for (const BlockCyclicDim::Block& blk : blocks) {
+        f(row + blk.start, base + blk.owner,
+          row_off[static_cast<std::size_t>(blk.owner)] + blk.local_base,
+          blk.end - blk.start);
+      }
+      for (int k = 1; k < d; ++k) {
+        auto& i = outer[static_cast<std::size_t>(k)];
+        if (++i < shape.extent(k)) break;
+        i = 0;
+      }
+    }
   }
 
   const Distribution& dist() const { return dist_; }
@@ -87,16 +143,6 @@ class DistArray {
   }
 
  private:
-  // Placement of a multi-index, avoiding the Shape allocation inside
-  // Distribution::place for the scatter/gather loops.
-  static Distribution::Placement place_cached(const Distribution& d,
-                                              std::span<const index_t> gidx) {
-    const int owner = d.owner(gidx);
-    // local_linear recomputes the owner internally; acceptable for the
-    // host-side utility paths.
-    return Distribution::Placement{owner, d.local_linear(gidx)};
-  }
-
   Distribution dist_;
   std::vector<std::vector<T>> locals_;
 };

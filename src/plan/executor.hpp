@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/pack.hpp"
@@ -27,68 +28,64 @@
 
 namespace pup::plan {
 
-namespace detail {
-
-template <typename T>
-void check_pack_request(const PackPlan& plan, const dist::DistArray<T>& array,
-                        const dist::DistArray<mask_t>& mask) {
-  PUP_REQUIRE(sizeof(T) == static_cast<std::size_t>(plan.elem_width),
-              "element width " << sizeof(T) << " does not match the plan's "
-                               << plan.elem_width);
-  PUP_REQUIRE(array.dist() == plan.dist && mask.dist() == plan.dist,
-              "array/mask are not laid out by the plan's distribution");
-}
-
-}  // namespace detail
-
-/// PACK one request with a compiled plan: ranking runs off the plan's
-/// hoisted schedule, so no geometry is recomputed.  Events and results are
-/// bit-identical to pup::pack() with the plan's (concrete) options.
-template <typename T>
-PackResult<T> pack_with_plan(sim::Machine& machine, const PackPlan& plan,
-                             const dist::DistArray<T>& array,
-                             const dist::DistArray<mask_t>& mask) {
-  detail::check_pack_request(plan, array, mask);
-  const bool sss = plan.options.scheme == PackScheme::kSimpleStorage;
-  const dist::DistArray<mask_t>* one = &mask;
-  std::vector<RankingResult> rankings = rank_masks(
-      machine, plan.schedule,
-      std::span<const dist::DistArray<mask_t>* const>(&one, 1), sss);
-  return pup::detail::pack_execute<T>(machine, array, mask, rankings[0],
-                                      plan.options.scheme, plan.result_dist,
-                                      nullptr, plan.options);
-}
-
 /// PACK B requests, fusing their PRS rounds (one tau per round instead of
-/// B; see the header comment).  masks[b] selects from arrays[b]; all share
-/// the plan's distribution.  results[b] is element-identical to an
-/// independent pack of request b.
+/// B; see the header comment).  *masks[b] selects from *arrays[b]; all
+/// share the plan's distribution.  results[b] is element-identical to an
+/// independent pack of request b.  The requests are borrowed, not copied.
 template <typename T>
-std::vector<PackResult<T>> pack_batch(sim::Machine& machine,
-                                      const PackPlan& plan,
-                                      std::span<const dist::DistArray<mask_t>> masks,
-                                      std::span<const dist::DistArray<T>> arrays) {
+std::vector<PackResult<T>> pack_batch(
+    sim::Machine& machine, const PackPlan& plan,
+    std::span<const dist::DistArray<mask_t>* const> masks,
+    std::span<const dist::DistArray<T>* const> arrays) {
   PUP_REQUIRE(masks.size() == arrays.size(),
               "pack_batch: " << masks.size() << " masks vs " << arrays.size()
                              << " arrays");
   PUP_REQUIRE(!masks.empty(), "pack_batch needs at least one request");
-  std::vector<const dist::DistArray<mask_t>*> mask_ptrs;
-  mask_ptrs.reserve(masks.size());
+  PUP_REQUIRE(sizeof(T) == static_cast<std::size_t>(plan.elem_width),
+              "element width " << sizeof(T) << " does not match the plan's "
+                               << plan.elem_width);
   for (std::size_t b = 0; b < masks.size(); ++b) {
-    detail::check_pack_request(plan, arrays[b], masks[b]);
-    mask_ptrs.push_back(&masks[b]);
+    PUP_REQUIRE(
+        arrays[b]->dist() == plan.dist && masks[b]->dist() == plan.dist,
+        "array/mask are not laid out by the plan's distribution");
   }
   const bool sss = plan.options.scheme == PackScheme::kSimpleStorage;
   std::vector<RankingResult> rankings =
-      rank_masks(machine, plan.schedule, mask_ptrs, sss);
+      rank_masks(machine, plan.schedule, masks, sss);
   std::vector<PackResult<T>> results;
   results.reserve(masks.size());
   for (std::size_t b = 0; b < masks.size(); ++b) {
     results.push_back(pup::detail::pack_execute<T>(
-        machine, arrays[b], masks[b], rankings[b], plan.options.scheme,
+        machine, *arrays[b], *masks[b], rankings[b], plan.options.scheme,
         plan.result_dist, nullptr, plan.options));
   }
   return results;
+}
+
+/// pack_batch over requests held by value: forwards their addresses.
+template <typename T>
+std::vector<PackResult<T>> pack_batch(
+    sim::Machine& machine, const PackPlan& plan,
+    std::span<const dist::DistArray<mask_t>> masks,
+    std::span<const dist::DistArray<T>> arrays) {
+  std::vector<const dist::DistArray<mask_t>*> mask_ptrs;
+  std::vector<const dist::DistArray<T>*> array_ptrs;
+  for (const auto& m : masks) mask_ptrs.push_back(&m);
+  for (const auto& a : arrays) array_ptrs.push_back(&a);
+  return pack_batch<T>(machine, plan, mask_ptrs, array_ptrs);
+}
+
+/// PACK one request with a compiled plan: a pack_batch of one.  Ranking
+/// runs off the plan's hoisted schedule, so no geometry is recomputed.
+/// Events and results are bit-identical to pup::pack() with the plan's
+/// (concrete) options.
+template <typename T>
+PackResult<T> pack_with_plan(sim::Machine& machine, const PackPlan& plan,
+                             const dist::DistArray<T>& array,
+                             const dist::DistArray<mask_t>& mask) {
+  const dist::DistArray<mask_t>* m = &mask;
+  const dist::DistArray<T>* a = &array;
+  return std::move(pack_batch<T>(machine, plan, {&m, 1}, {&a, 1})[0]);
 }
 
 /// UNPACK one request with a compiled plan.

@@ -143,11 +143,13 @@ class ResilientExecutor {
 
   /// Batched PACK (fused PRS rounds), recovering per the policy.  The whole
   /// batch is one operation: a failure in any request rolls back and
-  /// re-executes every request, keeping the fused ranking consistent.
+  /// re-executes every request, keeping the fused ranking consistent.  The
+  /// requests are borrowed, not copied.
   template <typename T>
   std::vector<PackResult<T>> pack_batch(
-      const PackPlan& plan, std::span<const dist::DistArray<mask_t>> masks,
-      std::span<const dist::DistArray<T>> arrays) {
+      const PackPlan& plan,
+      std::span<const dist::DistArray<mask_t>* const> masks,
+      std::span<const dist::DistArray<T>* const> arrays) {
     verify_debug(plan, masks.size());
     return run([&] {
       return ::pup::plan::pack_batch<T>(machine_, plan, masks, arrays);

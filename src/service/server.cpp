@@ -603,26 +603,18 @@ void Server::execute(std::vector<Pending> batch) {
           machine_.annotate_phase_end(cache_phase);
         }
         sim::PhaseScope phase(machine_, "service.execute");
-        if (n == 1) {
-          auto result =
-              exec_.pack<Element>(*plan, *batch[0].array, batch[0].mask);
-          digests[0] = result_digest(result.vector.gather(), result.size);
-          selected[0] = result.size;
-        } else {
-          std::vector<dist::DistArray<mask_t>> masks;
-          std::vector<dist::DistArray<Element>> arrays;
-          masks.reserve(n);
-          arrays.reserve(n);
-          for (const Pending& p : batch) {
-            masks.push_back(p.mask);
-            arrays.push_back(*p.array);
-          }
-          auto results = exec_.pack_batch<Element>(*plan, masks, arrays);
-          for (std::size_t i = 0; i < n; ++i) {
-            digests[i] = result_digest(results[i].vector.gather(),
-                                       results[i].size);
-            selected[i] = results[i].size;
-          }
+        std::vector<const dist::DistArray<mask_t>*> masks;
+        std::vector<const dist::DistArray<Element>*> arrays;
+        masks.reserve(n);
+        arrays.reserve(n);
+        for (const Pending& p : batch) {
+          masks.push_back(&p.mask);
+          arrays.push_back(p.array.get());
+        }
+        auto results = exec_.pack_batch<Element>(*plan, masks, arrays);
+        for (std::size_t i = 0; i < n; ++i) {
+          digests[i] = result_digest(results[i].vector, results[i].size);
+          selected[i] = results[i].size;
         }
       } else {
         UnpackOptions opt;
@@ -639,7 +631,7 @@ void Server::execute(std::vector<Pending> batch) {
         sim::PhaseScope phase(machine_, "service.execute");
         auto result = exec_.unpack<Element>(*plan, batch[0].vector,
                                             batch[0].mask, *batch[0].array);
-        digests[0] = result_digest(result.result.gather(), result.size);
+        digests[0] = result_digest(result.result, result.size);
         selected[0] = result.size;
       }
     } catch (const sim::CancelError& e) {

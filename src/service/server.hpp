@@ -24,7 +24,8 @@
 //     algorithm knobs) into one pack_batch, which pays one tau startup per
 //     PRS round instead of one per request (PR 3 measured <= 1/2 the
 //     startups for B >= 4).  Requests that fuse with nothing -- unpacks,
-//     odd layouts, window_us == 0 -- execute as singletons.  Fusion
+//     odd layouts, window_us == 0 -- execute as singletons (a pack
+//     singleton is a pack_batch of one).  Fusion
 //     reorders only across *incompatible* keys; within a key, arrival
 //     order is preserved, and every result is element-identical to a
 //     singleton execution (pack_batch's contract).

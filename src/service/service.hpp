@@ -219,9 +219,13 @@ struct ServerStats {
   std::size_t peak_bytes_in_flight = 0;
 };
 
-/// FNV-1a over a byte range; the service's result-identity hash.
+/// FNV-1a's 64-bit offset basis: the hash of zero bytes.
+inline constexpr std::uint64_t kFnv1aBasis = 0xcbf29ce484222325ULL;
+
+/// FNV-1a over a byte range; the service's result-identity hash.  Passing
+/// the previous hash as `h` continues the same byte stream.
 inline std::uint64_t fnv1a(const void* data, std::size_t n,
-                           std::uint64_t h = 0xcbf29ce484222325ULL) {
+                           std::uint64_t h = kFnv1aBasis) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) {
     h ^= p[i];
@@ -234,6 +238,20 @@ inline std::uint64_t fnv1a(const void* data, std::size_t n,
 inline std::uint64_t result_digest(const std::vector<Element>& data,
                                    std::int64_t count) {
   std::uint64_t h = fnv1a(data.data(), data.size() * sizeof(Element));
+  return fnv1a(&count, sizeof(count), h);
+}
+
+/// The same digest streamed over a distributed result's runs in global
+/// order: equal to result_digest(data.gather(), count) without building
+/// the gathered vector.
+inline std::uint64_t result_digest(const dist::DistArray<Element>& data,
+                                   std::int64_t count) {
+  std::uint64_t h = kFnv1aBasis;
+  data.for_each_run([&](dist::index_t, int owner, dist::index_t l,
+                        dist::index_t n) {
+    h = fnv1a(data.local(owner).data() + l,
+              static_cast<std::size_t>(n) * sizeof(Element), h);
+  });
   return fnv1a(&count, sizeof(count), h);
 }
 

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <random>
+#include <string>
 
 #include "dist/dist_array.hpp"
 #include "support/check.hpp"
@@ -59,6 +61,92 @@ TEST(DistArray, ScatterSizeMismatchThrows) {
   auto d = Distribution::block1d(10, 2);
   std::vector<int> wrong(9);
   EXPECT_THROW(DistArray<int>::scatter(d, wrong), pup::ContractError);
+}
+
+// Checks every run of for_each_run against the per-element reference
+// Distribution::place(): runs tile global order exactly once, and each
+// element of a run sits where place() says.  Then checks that scatter
+// stores each element where place() says and that gather inverts it.
+void expect_runs_match_place(const Distribution& d, std::uint64_t seed) {
+  const index_t size = d.global().size();
+  std::vector<std::vector<char>> seen(static_cast<std::size_t>(d.nprocs()));
+  for (int r = 0; r < d.nprocs(); ++r) {
+    seen[static_cast<std::size_t>(r)].resize(
+        static_cast<std::size_t>(d.local_size(r)));
+  }
+  DistArray<int> probe(d);
+  index_t next = 0;
+  probe.for_each_run([&](index_t g, int owner, index_t l, index_t n) {
+    ASSERT_EQ(g, next) << "runs must follow global order";
+    ASSERT_GT(n, 0);
+    for (index_t i = 0; i < n; ++i) {
+      const auto ref = d.place(g + i);
+      ASSERT_EQ(ref.owner, owner) << "global " << g + i;
+      ASSERT_EQ(ref.local, l + i) << "global " << g + i;
+      char& slot = seen[static_cast<std::size_t>(owner)]
+                       [static_cast<std::size_t>(l + i)];
+      ASSERT_FALSE(slot) << "local slot visited twice";
+      slot = true;
+    }
+    next = g + n;
+  });
+  EXPECT_EQ(next, size);
+  for (const auto& s : seen) {
+    for (char v : s) EXPECT_TRUE(v) << "local slot never visited";
+  }
+
+  std::mt19937_64 rng(seed);
+  std::vector<std::int64_t> data(static_cast<std::size_t>(size));
+  for (auto& v : data) v = static_cast<std::int64_t>(rng());
+  const auto arr = DistArray<std::int64_t>::scatter(d, data);
+  for (index_t g = 0; g < size; ++g) {
+    const auto ref = d.place(g);
+    ASSERT_EQ(arr.local(ref.owner)[static_cast<std::size_t>(ref.local)],
+              data[static_cast<std::size_t>(g)])
+        << "global " << g;
+  }
+  EXPECT_EQ(arr.gather(), data);
+}
+
+TEST(DistArray, ForEachRunMatchesPerElementPlacement) {
+  // Seeded sweep over rank 1-3, P_k in {1, 2, 3, 5, 7} (primes included),
+  // W_k in {1, 3, block}, and extents that mostly leave a ragged last tile.
+  std::mt19937_64 rng(20240613);
+  const int procs[] = {1, 2, 3, 5, 7};
+  int ragged = 0;
+  for (int c = 0; c < 90; ++c) {
+    const int rank = 1 + c % 3;
+    const int wmode = (c / 3) % 3;
+    std::vector<index_t> ext;
+    std::vector<int> grid;
+    std::vector<index_t> blocks;
+    for (int k = 0; k < rank; ++k) {
+      const int p = procs[rng() % 5];
+      const index_t n = 1 + static_cast<index_t>(rng() % (7 * p + 4));
+      ext.push_back(n);
+      grid.push_back(p);
+      blocks.push_back(wmode == 0 ? 1 : wmode == 1 ? 3 : (n + p - 1) / p);
+    }
+    const Distribution d(Shape(ext), ProcessGrid(grid), blocks);
+    if (!d.divisible()) ++ragged;
+    SCOPED_TRACE("config " + std::to_string(c));
+    expect_runs_match_place(d, static_cast<std::uint64_t>(c));
+  }
+  EXPECT_GT(ragged, 45) << "the sweep must mostly cover ragged last tiles";
+}
+
+TEST(DistArray, ForEachRunOnZeroExtentArrays) {
+  // A density-0 PACK result is block1d(0, P); a zero outer extent empties
+  // a 2-D array the same way.
+  for (const Distribution& d :
+       {Distribution::block1d(0, 4),
+        Distribution::block(Shape({5, 0}), ProcessGrid({2, 3}))}) {
+    int runs = 0;
+    DistArray<int>(d).for_each_run(
+        [&](index_t, int, index_t, index_t) { ++runs; });
+    EXPECT_EQ(runs, 0);
+    expect_runs_match_place(d, 7);
+  }
 }
 
 TEST(DistArray, RaggedBlockGather) {

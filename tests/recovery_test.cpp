@@ -432,11 +432,11 @@ TEST(ResilientExecutor, PackBatchRecoversUnderEnvFaultSchedule) {
         make_workload(1024, P, 16, 0.3 + 0.15 * static_cast<double>(b),
                       0x40 + b));
   }
-  std::vector<dist::DistArray<mask_t>> masks;
-  std::vector<dist::DistArray<std::int64_t>> arrays;
-  for (std::size_t b = 0; b < B; ++b) {
-    masks.push_back(wls[b].mask);
-    arrays.push_back(wls[b].array);
+  std::vector<const dist::DistArray<mask_t>*> masks;
+  std::vector<const dist::DistArray<std::int64_t>*> arrays;
+  for (const PackWorkload& wl : wls) {
+    masks.push_back(&wl.mask);
+    arrays.push_back(&wl.array);
   }
 
   // Fault-free reference batch.

@@ -14,6 +14,7 @@
 //     Env::override_for_testing steers the snapshot without setenv.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -106,6 +107,39 @@ void register_two_tenants(Server& server) {
   server.register_tenant("b");
   server.register_array("a", "x", make_array(d, 0));
   server.register_array("b", "x", make_array(d, 1000));
+}
+
+TEST(ServiceDigest, StreamedDigestEqualsGatheredDigest) {
+  sim::Machine machine(kProcs, sim::CostModel{10.0, 0.1, 0.01});
+  const auto d = layout();
+  const auto array = make_array(d);
+
+  // Ragged block1d PACK result: a selected count P does not divide.
+  std::vector<mask_t> host = random_mask(kN, 0.4, 0xd16e);
+  if (std::count(host.begin(), host.end(), mask_t{1}) % kProcs == 0) {
+    host[0] = host[0] != 0 ? 0 : 1;
+  }
+  const auto mask = dist::DistArray<mask_t>::scatter(d, host);
+  const auto packed = pup::pack(machine, array, mask);
+  ASSERT_NE(packed.size % kProcs, 0);
+  EXPECT_EQ(service::result_digest(packed.vector, packed.size),
+            service::result_digest(packed.vector.gather(), packed.size));
+
+  // Empty result: a density-0 PACK.
+  const auto empty = pup::pack(machine, array, make_mask_array(d, 0.0, 1));
+  ASSERT_EQ(empty.size, 0);
+  EXPECT_EQ(service::result_digest(empty.vector, 0),
+            service::result_digest(empty.vector.gather(), 0));
+
+  // Block-cyclic 2-D UNPACK result (ranking needs P_k*W_k | N_k here).
+  const auto d2 = dist::Distribution(dist::Shape({24, 16}),
+                                     dist::ProcessGrid({2, 4}), {3, 2});
+  const auto field = make_array(d2, 500);
+  const auto mask2 = make_mask_array(d2, 0.5, 0xbeef);
+  const auto v = pup::pack(machine, make_array(d2), mask2).vector;
+  const auto unpacked = pup::unpack(machine, v, mask2, field);
+  EXPECT_EQ(service::result_digest(unpacked.result, unpacked.size),
+            service::result_digest(unpacked.result.gather(), unpacked.size));
 }
 
 TEST(ServiceAdmission, RejectsOverQuotaTenantDeterministically) {
