@@ -8,9 +8,9 @@
 // sides of every speedup claim.  Before any timing, main() runs a parity
 // gate: every vector kernel must agree bit for bit with its scalar
 // reference, and an end-to-end pack must produce identical digests and
-// values across PUP_SIMD settings and backends -- a bench binary that
-// measures wrong kernels aborts instead of reporting.  `--smoke` runs the
-// gate and exits (the CI hook).
+// values across PUP_SIMD settings -- a bench binary that measures wrong
+// kernels aborts instead of reporting.  `--smoke` runs the gate and exits
+// (the CI hook).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -23,7 +23,6 @@
 #include "analysis/determinism.hpp"
 #include "core/api.hpp"
 #include "core/kernels/kernels.hpp"
-#include "support/env.hpp"
 
 namespace pup {
 namespace {
@@ -304,7 +303,7 @@ void verify_kernel_parity() {
 }
 
 // End-to-end: a CMS pack must produce identical trace digests and result
-// values whether the kernels run scalar or vectorized, on either backend.
+// values whether the kernels run scalar or vectorized.
 void verify_e2e_parity() {
   const int p = 8;
   const dist::index_t n = 1 << 12;
@@ -313,37 +312,29 @@ void verify_e2e_parity() {
     std::vector<std::int64_t> values;
   };
   std::vector<Run> runs;
-  for (const char* backend : {"sim", "threads"}) {
-    for (const bool scalar : {true, false}) {
-      support::Env::override_for_testing("PUP_BACKEND",
-                                         std::string(backend));
-      kernels::force_path_for_testing(
-          scalar ? std::optional<kernels::Path>(kernels::Path::kScalar)
-                 : std::nullopt);
-      sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
-      analysis::DigestRecorder recorder(machine);
-      auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
-                                                dist::ProcessGrid({p}), 64);
-      std::vector<std::int64_t> data(static_cast<std::size_t>(n));
-      std::iota(data.begin(), data.end(), 0);
-      auto a = dist::DistArray<std::int64_t>::scatter(d, data);
-      auto m =
-          dist::DistArray<mask_t>::scatter(d, random_mask(n, 0.37, 11));
-      PackOptions opt;
-      opt.scheme = PackScheme::kCompactMessage;
-      auto result = pack(machine, a, m, opt);
-      runs.push_back(Run{recorder.digest(), result.vector.gather()});
-    }
+  for (const bool scalar : {true, false}) {
+    kernels::force_path_for_testing(
+        scalar ? std::optional<kernels::Path>(kernels::Path::kScalar)
+               : std::nullopt);
+    sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+    analysis::DigestRecorder recorder(machine);
+    auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
+                                              dist::ProcessGrid({p}), 64);
+    std::vector<std::int64_t> data(static_cast<std::size_t>(n));
+    std::iota(data.begin(), data.end(), 0);
+    auto a = dist::DistArray<std::int64_t>::scatter(d, data);
+    auto m = dist::DistArray<mask_t>::scatter(d, random_mask(n, 0.37, 11));
+    PackOptions opt;
+    opt.scheme = PackScheme::kCompactMessage;
+    auto result = pack(machine, a, m, opt);
+    runs.push_back(Run{recorder.digest(), result.vector.gather()});
   }
   kernels::force_path_for_testing(std::nullopt);
-  support::Env::override_for_testing("PUP_BACKEND", std::nullopt);
-  for (std::size_t i = 1; i < runs.size(); ++i) {
-    if (!(runs[i].digest == runs[0].digest)) {
-      die("end-to-end digest differs across PUP_SIMD/backend");
-    }
-    if (runs[i].values != runs[0].values) {
-      die("end-to-end values differ across PUP_SIMD/backend");
-    }
+  if (!(runs[1].digest == runs[0].digest)) {
+    die("end-to-end digest differs across PUP_SIMD");
+  }
+  if (runs[1].values != runs[0].values) {
+    die("end-to-end values differ across PUP_SIMD");
   }
 }
 

@@ -2,11 +2,8 @@
 //
 // Replays one seeded open-loop Poisson arrival process -- mixed tenants,
 // two array shapes, mixed mask densities -- against a service::Server, for
-// every (backend, batching window) combination:
-//
-//   backend in {sim, threads}   (Options::backend injection, so one run
-//                                covers both regardless of PUP_BACKEND)
-//   window  in {0, kWindowUs}   (0 = FIFO singletons, the fusion baseline)
+// both batching windows, 0 (FIFO singletons, the fusion baseline) and
+// kWindowUs.
 //
 // Open loop means arrival times come from the trace, not from completions:
 // the submitting thread sleeps until each request's arrival stamp and never
@@ -34,11 +31,10 @@
 //                pre-robustness baseline).
 //
 // Exits nonzero unless (a) every request's result digest is bit-identical
-// across all plain configurations -- fusion and backend choice must never
-// change results -- (b) on each backend the windowed run charges fewer
-// modeled PRS startups than window=0 (the tau amortization a B>=4 fusable
-// workload must show), (c) the zero-overhead proof holds on both backends,
-// and (d) overload-run accounting balances exactly.
+// across both windows -- fusion must never change results -- (b) the
+// windowed run charges fewer modeled PRS startups than window=0 (the tau
+// amortization a B>=4 fusable workload must show), (c) the zero-overhead
+// proof holds, and (d) overload-run accounting balances exactly.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -125,7 +121,6 @@ TraceSpec make_trace() {
 
 /// Which server configuration / arrival process a replay uses.
 struct ReplayOpts {
-  std::string backend;
   double window_us = kWindowUs;
   double pressure = 1.0;  ///< arrival stamps divided by this (2 = 2x rate)
   bool staged = false;    ///< pre-stage the whole queue (no sleeps): makes
@@ -166,7 +161,6 @@ RunResult replay(const TraceSpec& trace, const ReplayOpts& ro) {
   opt.cost = sim::CostModel::calibrated_cm5();
   opt.window_us = ro.window_us;
   opt.max_batch = kMaxBatch;
-  opt.backend = ro.backend;
   opt.start_paused = ro.staged;
   // The plain bench measures scheduling, not admission: size the quotas so
   // the whole open-loop backlog is admissible and every digest exists.
@@ -286,16 +280,16 @@ int run() {
 
   const TraceSpec trace = make_trace();
 
-  TextTable table("Open-loop replay per (backend, window, mode)");
-  table.header({"backend", "mode", "window_us", "ops_per_s", "p50_us",
-                "p95_us", "p99_us", "fusion", "cache_hit", "prs_msgs",
-                "shed", "dl_miss"});
+  TextTable table("Open-loop replay per (window, mode)");
+  table.header({"mode", "window_us", "ops_per_s", "p50_us", "p95_us",
+                "p99_us", "fusion", "cache_hit", "prs_msgs", "shed",
+                "dl_miss"});
 
   bool ok = true;
   std::ostringstream json;
   std::vector<std::uint64_t> reference_digests;
-  const auto emit = [&](const std::string& backend, const std::string& mode,
-                        double window_us, const RunResult& r) {
+  const auto emit = [&](const std::string& mode, double window_us,
+                        const RunResult& r) {
     std::vector<double> sorted = r.latencies_us;
     std::sort(sorted.begin(), sorted.end());
     const double p50 = percentile(sorted, 0.50);
@@ -318,15 +312,15 @@ int run() {
     std::snprintf(hbuf, sizeof(hbuf), "%.2f", r.hit_rate);
     std::snprintf(sbuf, sizeof(sbuf), "%.2f", shed_rate);
     std::snprintf(dbuf, sizeof(dbuf), "%.2f", miss_rate);
-    table.row({backend, mode, std::to_string(window_us),
-               std::to_string(ops_per_s), std::to_string(p50),
-               std::to_string(p95), std::to_string(p99), std::string(fbuf),
-               std::string(hbuf), std::to_string(r.prs_msgs),
-               std::string(sbuf), std::string(dbuf)});
+    table.row({mode, std::to_string(window_us), std::to_string(ops_per_s),
+               std::to_string(p50), std::to_string(p95), std::to_string(p99),
+               std::string(fbuf), std::string(hbuf),
+               std::to_string(r.prs_msgs), std::string(sbuf),
+               std::string(dbuf)});
 
-    json << "{\"bench\":\"service_throughput\",\"backend\":\"" << backend
-         << "\",\"mode\":\"" << mode << "\",\"window_us\":" << window_us
-         << ",\"requests\":" << kRequests << ",\"completed\":" << r.completed
+    json << "{\"bench\":\"service_throughput\",\"mode\":\"" << mode
+         << "\",\"window_us\":" << window_us << ",\"requests\":" << kRequests
+         << ",\"completed\":" << r.completed
          << ",\"rejected\":" << r.rejected << ",\"ops_per_s\":" << ops_per_s
          << ",\"p50_us\":" << p50 << ",\"p95_us\":" << p95
          << ",\"p99_us\":" << p99 << ",\"fusion_rate\":" << fusion
@@ -337,98 +331,89 @@ int run() {
          << ",\"wall_us\":" << r.wall_us << "}\n";
   };
 
-  for (const std::string backend : {"sim", "threads"}) {
-    std::int64_t prs_window0 = 0;
-    for (const double window_us : {0.0, kWindowUs}) {
-      ReplayOpts ro;
-      ro.backend = backend;
-      ro.window_us = window_us;
-      RunResult r = replay(trace, ro);
-      if (r.rejected != 0) {
-        std::cerr << "FATAL: " << r.rejected
-                  << " requests rejected; the bench sizes quotas to admit "
-                     "everything\n";
-        ok = false;
-      }
-      if (reference_digests.empty()) {
-        reference_digests = r.digests;
-      } else if (r.digests != reference_digests) {
-        std::cerr << "FATAL: digests diverged on backend=" << backend
-                  << " window=" << window_us << "\n";
-        ok = false;
-      }
-      if (window_us == 0.0) {
-        prs_window0 = r.prs_msgs;
-      } else if (r.prs_msgs >= prs_window0) {
-        std::cerr << "FATAL: window=" << window_us << " charged "
-                  << r.prs_msgs << " PRS startups vs " << prs_window0
-                  << " at window=0 on backend=" << backend << "\n";
-        ok = false;
-      }
-      emit(backend, "plain", window_us, r);
+  std::int64_t prs_window0 = 0;
+  for (const double window_us : {0.0, kWindowUs}) {
+    ReplayOpts ro;
+    ro.window_us = window_us;
+    RunResult r = replay(trace, ro);
+    if (r.rejected != 0) {
+      std::cerr << "FATAL: " << r.rejected
+                << " requests rejected; the bench sizes quotas to admit "
+                   "everything\n";
+      ok = false;
     }
+    if (reference_digests.empty()) {
+      reference_digests = r.digests;
+    } else if (r.digests != reference_digests) {
+      std::cerr << "FATAL: digests diverged at window=" << window_us << "\n";
+      ok = false;
+    }
+    if (window_us == 0.0) {
+      prs_window0 = r.prs_msgs;
+    } else if (r.prs_msgs >= prs_window0) {
+      std::cerr << "FATAL: window=" << window_us << " charged "
+                << r.prs_msgs << " PRS startups vs " << prs_window0
+                << " at window=0\n";
+      ok = false;
+    }
+    emit("plain", window_us, r);
+  }
 
-    // Overload measurement: 2x admission pressure, priorities, short
-    // deadlines, tight pressure threshold.  The shed / deadline-miss /
-    // p99 columns are the robustness layer's load-shaping signature; the
-    // hard check is that the books still balance exactly.
-    {
-      ReplayOpts ro;
-      ro.backend = backend;
-      ro.pressure = 2.0;
-      ro.overload = true;
-      RunResult r = replay(trace, ro);
-      if (!r.balanced) {
-        std::cerr << "FATAL: overload-run accounting does not balance on "
-                     "backend="
-                  << backend << "\n";
-        ok = false;
-      }
-      emit(backend, "overload", kWindowUs, r);
+  // Overload measurement: 2x admission pressure, priorities, short
+  // deadlines, tight pressure threshold.  The shed / deadline-miss /
+  // p99 columns are the robustness layer's load-shaping signature; the
+  // hard check is that the books still balance exactly.
+  {
+    ReplayOpts ro;
+    ro.pressure = 2.0;
+    ro.overload = true;
+    RunResult r = replay(trace, ro);
+    if (!r.balanced) {
+      std::cerr << "FATAL: overload-run accounting does not balance\n";
+      ok = false;
     }
+    emit("overload", kWindowUs, r);
+  }
 
-    // Zero-overhead proof (in-process PR-8 baseline comparison): the
-    // plain, nothing-configured server -- byte-for-byte the pre-robustness
-    // code path -- against cancellation + watchdog + brown-out + overload
-    // armed but idle.  Pre-staged queues make batch fusion deterministic,
-    // so the modeled PRS startup counts must match *exactly*, not merely
-    // approximately.
-    {
-      ReplayOpts plain;
-      plain.backend = backend;
-      plain.staged = true;
-      ReplayOpts armed = plain;
-      armed.armed = true;
-      RunResult rp = replay(trace, plain);
-      RunResult ra = replay(trace, armed);
-      if (rp.completed != kRequests || ra.completed != kRequests) {
-        std::cerr << "FATAL: zero-overhead proof runs must complete the "
-                     "whole trace (plain "
-                  << rp.completed << ", armed " << ra.completed << ")\n";
-        ok = false;
-      }
-      if (rp.digests != ra.digests) {
-        std::cerr << "FATAL: arming deadlines/watchdog/brown-out changed "
-                     "digests on backend="
-                  << backend << "\n";
-        ok = false;
-      }
-      if (rp.prs_msgs != ra.prs_msgs) {
-        std::cerr << "FATAL: armed-but-idle robustness charged "
-                  << ra.prs_msgs << " PRS startups vs " << rp.prs_msgs
-                  << " plain on backend=" << backend << "\n";
-        ok = false;
-      }
-      emit(backend, "staged", kWindowUs, rp);
-      emit(backend, "armed", kWindowUs, ra);
+  // Zero-overhead proof (in-process PR-8 baseline comparison): the
+  // plain, nothing-configured server -- byte-for-byte the pre-robustness
+  // code path -- against cancellation + watchdog + brown-out + overload
+  // armed but idle.  Pre-staged queues make batch fusion deterministic,
+  // so the modeled PRS startup counts must match *exactly*, not merely
+  // approximately.
+  {
+    ReplayOpts plain;
+    plain.staged = true;
+    ReplayOpts armed = plain;
+    armed.armed = true;
+    RunResult rp = replay(trace, plain);
+    RunResult ra = replay(trace, armed);
+    if (rp.completed != kRequests || ra.completed != kRequests) {
+      std::cerr << "FATAL: zero-overhead proof runs must complete the "
+                   "whole trace (plain "
+                << rp.completed << ", armed " << ra.completed << ")\n";
+      ok = false;
     }
+    if (rp.digests != ra.digests) {
+      std::cerr << "FATAL: arming deadlines/watchdog/brown-out changed "
+                   "digests\n";
+      ok = false;
+    }
+    if (rp.prs_msgs != ra.prs_msgs) {
+      std::cerr << "FATAL: armed-but-idle robustness charged "
+                << ra.prs_msgs << " PRS startups vs " << rp.prs_msgs
+                << " plain\n";
+      ok = false;
+    }
+    emit("staged", kWindowUs, rp);
+    emit("armed", kWindowUs, ra);
   }
   table.print(std::cout);
   std::cout << "\n" << json.str();
 
   if (!ok) return 1;
-  std::cout << "\nservice_throughput: digests bit-identical across backends "
-               "and windows; windowed runs amortized PRS startups; "
+  std::cout << "\nservice_throughput: digests bit-identical across "
+               "windows; windowed runs amortized PRS startups; "
                "armed-but-idle robustness charged zero added modeled cost; "
                "overload accounting balanced\n";
   return 0;

@@ -121,7 +121,7 @@ void ReliableTransport::post(sim::Machine& m, sim::Message msg,
   if (m.fault_plan() != nullptr) {
     // Retransmit copy, pruned by the ack watermark.  Only a faulty network
     // can lose a frame and NAK for it; on a clean network the message
-    // travels to the backend by move with zero payload copies.
+    // travels to the mailbox by move with zero payload copies.
     ch.unacked.push_back(msg);
     ++stats_.retained_copies;
   }

@@ -28,7 +28,7 @@
 //
 // Layering (lint-enforced, "kernels-layering"): this directory may include
 // only support/ and its own headers.  Kernels know nothing of machines,
-// backends, distributions, or plans -- callers hand them raw spans.
+// distributions, or plans -- callers hand them raw spans.
 #pragma once
 
 #include <cstddef>

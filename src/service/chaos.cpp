@@ -210,7 +210,7 @@ SoakResult run_soak(const SoakConfig& cfg) {
   Server::Options ref_opt;
   ref_opt.nprocs = cfg.nprocs;
   ref_opt.cost = soak_cost();
-  ref_opt.backend = cfg.backend;
+  ref_opt.threads = cfg.threads;
   ref_opt.start_paused = true;
   ref_opt.window_us = 400.0;
   ref_opt.max_batch = 4;

@@ -11,11 +11,11 @@
 //   * a cancellation schedule: a random subset of submissions is
 //     cancelled from a client thread mid-run.
 //
-// The soak then runs the trace twice on the requested backend: once on a
-// pristine reference server (no faults, no deadlines, no cancels -- every
-// response must be kOk) and once on a chaos server with recovery,
-// cancellation, watchdog, brown-out, and (for some seeds) overload
-// shedding armed.  It asserts the robustness contract end to end:
+// The soak then runs the trace twice with the requested local-phase pool
+// size: once on a pristine reference server (no faults, no deadlines, no
+// cancels -- every response must be kOk) and once on a chaos server with
+// recovery, cancellation, watchdog, brown-out, and (for some seeds)
+// overload shedding armed.  It asserts the robustness contract end to end:
 //
 //   1. every future resolves, typed, within the wall-clock bound (a
 //      timeout is reported as a hang, never waited out),
@@ -26,7 +26,7 @@
 //      admitted + rejected, and bytes_in_flight unwinds to zero, and
 //   4. the server survives to a clean shutdown.
 //
-// tests/chaos_soak_test.cpp sweeps seeds x fault schedules x backends
+// tests/chaos_soak_test.cpp sweeps seeds x fault schedules x pool sizes
 // (ctest -L chaos); tools/chaos_soak drives arbitrary seed ranges from the
 // command line for long soaks.
 #pragma once
@@ -38,7 +38,7 @@ namespace pup::service::chaos {
 
 struct SoakConfig {
   std::uint64_t seed = 1;
-  std::string backend = "sim";  ///< "sim" or "threads"
+  int threads = 1;  ///< Server::Options::threads (1 = sequential)
   int nprocs = 4;
   int requests = 16;
   std::int64_t elements = 1024;  ///< global array size
@@ -66,7 +66,7 @@ struct SoakResult {
 
 /// Runs one seeded soak; never throws for contract violations (they come
 /// back as result.ok == false with the first error), only for harness
-/// misuse (unknown backend and the like).
+/// misuse (a non-positive thread count and the like).
 SoakResult run_soak(const SoakConfig& cfg);
 
 }  // namespace pup::service::chaos

@@ -32,19 +32,9 @@ Clock::time_point deadline_from(Clock::time_point submitted,
 
 sim::ExecPolicy resolve_exec(const std::optional<int>& threads) {
   if (!threads.has_value()) return sim::ExecPolicy::from_env();
-  return threads.value() > 1 ? sim::ExecPolicy::threaded(*threads)
-                             : sim::ExecPolicy::sequential();
-}
-
-backend::Kind resolve_backend(const std::optional<std::string>& backend) {
-  if (!backend.has_value()) return backend::kind_from_env();
-  if (*backend == "sim") return backend::Kind::kSim;
-  if (*backend == "threads" || *backend == "thread") {
-    return backend::Kind::kThreads;
-  }
-  PUP_REQUIRE(false, "Server::Options::backend must be \"sim\" or "
-                     "\"threads\", got \"" << *backend << "\"");
-  return backend::Kind::kSim;  // unreachable
+  PUP_REQUIRE(*threads >= 1,
+              "Server::Options::threads must be >= 1, got " << *threads);
+  return sim::ExecPolicy::threaded(*threads);
 }
 
 /// Payload bytes a request pins while in flight: the mask plus one element
@@ -67,11 +57,14 @@ Server::Server(Options options)
     : options_(std::move(options)),
       machine_(options_.nprocs, options_.cost,
                sim::Topology::crossbar(options_.nprocs),
-               resolve_exec(options_.threads),
-               resolve_backend(options_.backend)),
+               resolve_exec(options_.threads)),
       cache_(options_.plan_cache_capacity),
       exec_(machine_, options_.recovery),
       paused_(options_.start_paused) {
+  // The simulator is the only data path; see Options::backend.
+  PUP_REQUIRE(!options_.backend.has_value() || *options_.backend == "sim",
+              "Server::Options::backend must be \"sim\", got \""
+                  << *options_.backend << "\"");
   PUP_REQUIRE(options_.max_batch >= 1, "max_batch must be >= 1");
   PUP_REQUIRE(options_.window_us >= 0.0, "window_us must be >= 0");
   PUP_REQUIRE(options_.overload_factor >= 0.0,

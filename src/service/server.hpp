@@ -59,12 +59,11 @@
 //     silent wedge.  See DESIGN.md section 12.
 //
 // Configuration is injected through Options, never read from the process
-// environment behind the caller's back: Options::threads and
-// Options::backend override the PUP_THREADS / PUP_BACKEND snapshot
-// (support/env.hpp) per server, so two in-process servers with different
-// options coexist without touching global state (see also
-// Env::override_for_testing for tests that want to steer the snapshot
-// itself).
+// environment behind the caller's back: Options::threads overrides the
+// PUP_THREADS snapshot (support/env.hpp) per server, so two in-process
+// servers with different options coexist without touching global state
+// (see also Env::override_for_testing for tests that want to steer the
+// snapshot itself).
 //
 // Threading contract: submit(), pause/resume, drain, stats and
 // registration are safe from any thread.  The machine itself is driven
@@ -120,11 +119,14 @@ class Server {
     /// (default: disabled -- transport errors propagate as kFailed).
     RecoveryPolicy recovery{};
 
-    /// Env-independent knobs (constructor injection; see support/env.hpp):
-    /// nullopt consults the read-once PUP_THREADS / PUP_BACKEND snapshot,
-    /// a value pins this server regardless of the environment.
-    std::optional<int> threads;          ///< local-phase pool size
-    std::optional<std::string> backend;  ///< "sim" or "threads"
+    /// Local-phase pool size (constructor injection; see support/env.hpp):
+    /// nullopt consults the read-once PUP_THREADS snapshot, a value >= 1
+    /// pins this server regardless of the environment (1 = sequential).
+    std::optional<int> threads;
+    /// Compatibility field for perfbench/: only "sim" (or unset) is
+    /// accepted, anything else throws ContractError.  Goes in the next
+    /// change that may edit perfbench/.
+    std::optional<std::string> backend;
 
     /// Construct with the scheduler gated: admitted requests queue until
     /// resume().  Tests use this to make batching deterministic.

@@ -16,7 +16,7 @@
 //   * Responses identify results by an FNV-1a digest of the gathered data
 //     plus the selected count instead of shipping arrays back -- the tests
 //     compare digests for bit-identity across fusion, faults, and
-//     backends, exactly like the library's own determinism suites.
+//     thread counts, exactly like the library's own determinism suites.
 //   * All latency fields are real wall-clock microseconds (queue wait,
 //     execution, end to end); modeled tau + mu*m time stays on the
 //     server's machine where every bench already reads it.

@@ -1,12 +1,102 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <condition_variable>
+#include <cstdint>
 #include <exception>
+#include <thread>
 
 #include "sim/epoch.hpp"
 #include "sim/fault.hpp"
 
 namespace pup::sim {
+
+// Persistent worker pool for threaded local phases.
+//
+// Protocol: run() publishes the phase (fn, nranks) under `mu`, bumps
+// `generation`, and wakes the workers.  Workers and the calling thread then
+// pull rank indices from the shared atomic counter until it runs past
+// nranks; each worker reports completion by decrementing `pending` and
+// notifying `cv_done` when it hits zero.  The mutex handoffs establish
+// happens-before between the phase bodies and the caller's subsequent reads
+// of per-rank state (time buckets, result slots).
+struct Machine::ThreadPool {
+  explicit ThreadPool(int workers) {
+    threads.reserve(static_cast<std::size_t>(workers));
+    for (int i = 0; i < workers; ++i) {
+      threads.emplace_back([this] { worker_loop(); });
+    }
+  }
+
+  ~ThreadPool() {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      stop = true;
+    }
+    cv_work.notify_all();
+    for (auto& t : threads) t.join();
+  }
+
+  // Runs fn(rank) for rank in [0, nranks) across the workers plus the
+  // calling thread.  fn must capture any exception itself (see
+  // Machine::parallel_ranks); the pool only moves indices.
+  void run(int nranks, const std::function<void(int)>& fn) {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      work = &fn;
+      total = nranks;
+      next.store(0, std::memory_order_relaxed);
+      pending = static_cast<int>(threads.size());
+      ++generation;
+    }
+    cv_work.notify_all();
+    drain(fn);
+    std::unique_lock<std::mutex> lock(mu);
+    cv_done.wait(lock, [this] { return pending == 0; });
+    work = nullptr;
+  }
+
+  void worker_loop() {
+    std::uint64_t seen = 0;
+    for (;;) {
+      const std::function<void(int)>* fn = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        cv_work.wait(lock, [&] { return stop || generation != seen; });
+        if (stop) return;
+        seen = generation;
+        fn = work;
+      }
+      if (fn != nullptr) drain(*fn);
+      {
+        const std::lock_guard<std::mutex> lock(mu);
+        if (--pending == 0) cv_done.notify_one();
+      }
+    }
+  }
+
+  // Claims rank indices until none are left; the calling thread
+  // participates instead of idling.
+  void drain(const std::function<void(int)>& fn) {
+    for (;;) {
+      const int rank = next.fetch_add(1, std::memory_order_relaxed);
+      if (rank >= total) return;
+      fn(rank);
+    }
+  }
+
+  std::vector<std::thread> threads;
+  std::mutex mu;
+  std::condition_variable cv_work;
+  std::condition_variable cv_done;
+  const std::function<void(int)>* work = nullptr;
+  std::atomic<int> next{0};
+  int total = 0;
+  int pending = 0;
+  std::uint64_t generation = 0;
+  bool stop = false;
+};
 
 Machine::Machine(int nprocs, CostModel cost)
     : Machine(nprocs, cost, Topology::crossbar(nprocs),
@@ -16,16 +106,16 @@ Machine::Machine(int nprocs, CostModel cost, Topology topology)
     : Machine(nprocs, cost, std::move(topology), ExecPolicy::from_env()) {}
 
 Machine::Machine(int nprocs, CostModel cost, Topology topology,
-                 ExecPolicy exec)
-    : Machine(nprocs, cost, std::move(topology), exec,
-              backend::kind_from_env()) {}
+                 ExecPolicy exec, backend::Kind /*backend*/)
+    : Machine(nprocs, cost, std::move(topology), exec) {}
 
 Machine::Machine(int nprocs, CostModel cost, Topology topology,
-                 ExecPolicy exec, backend::Kind backend)
+                 ExecPolicy exec)
     : nprocs_(nprocs),
       cost_(cost),
       topology_(std::move(topology)),
       exec_(exec),
+      mailboxes_(static_cast<std::size_t>(nprocs)),
       times_(static_cast<std::size_t>(nprocs)),
       trace_(nprocs),
       modeled_us_(static_cast<std::size_t>(nprocs), 0.0),
@@ -36,7 +126,6 @@ Machine::Machine(int nprocs, CostModel cost, Topology topology,
                                << nprocs);
   PUP_REQUIRE(exec_.threads >= 1,
               "execution policy needs >= 1 thread, got " << exec_.threads);
-  backend_ = backend::make_backend(backend, nprocs, exec_);
   faults_ = FaultPlan::from_env();
 }
 
@@ -50,7 +139,12 @@ void Machine::parallel_ranks(const std::function<void(int)>& fn) {
   // and rethrow the lowest-rank exception so the reported failure does not
   // depend on thread scheduling.
   std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nprocs_));
-  backend_->run_ranks(nprocs_, [&](int rank) {
+  if (pool_ == nullptr) {
+    // Workers beyond nprocs-1 would never receive a rank; the calling
+    // thread itself is the final executor.
+    pool_ = std::make_unique<ThreadPool>(std::min(exec_.threads, nprocs_) - 1);
+  }
+  pool_->run(nprocs_, [&](int rank) {
     try {
       fn(rank);
     } catch (...) {
@@ -118,7 +212,7 @@ void Machine::post(Message m, Category cat) {
 
 void Machine::deliver(Message m, Category cat) {
   record_post(m, cat);
-  backend_->enqueue(std::move(m));
+  enqueue(std::move(m));
 }
 
 void Machine::record_post(const Message& m, Category cat) {
@@ -133,7 +227,7 @@ void Machine::tick_delayed() {
   if (delayed_.empty()) return;
   for (auto it = delayed_.begin(); it != delayed_.end();) {
     if (--it->ticks <= 0) {
-      backend_->enqueue(std::move(it->m));
+      enqueue(std::move(it->m));
       it = delayed_.erase(it);
     } else {
       ++it;
@@ -143,7 +237,7 @@ void Machine::tick_delayed() {
 
 void Machine::flush_delayed() {
   for (auto& d : delayed_) {
-    backend_->enqueue(std::move(d.m));
+    enqueue(std::move(d.m));
   }
   delayed_.clear();
 }
@@ -183,7 +277,7 @@ double Machine::modeled_total_us() const {
 std::shared_ptr<const EpochCheckpoint> Machine::checkpoint_epoch() {
   auto cp = std::make_shared<EpochCheckpoint>();
   cp->sequence_ = ++epochs_checkpointed_;
-  cp->mailboxes = backend_->snapshot_mailboxes();
+  cp->mailboxes = mailboxes_;
   cp->times = times_;
   cp->trace = trace_;
   cp->delayed_msgs.reserve(delayed_.size());
@@ -211,7 +305,7 @@ void Machine::rollback_epoch(const EpochCheckpoint& cp) {
               "epoch checkpoint from a machine with "
                   << cp.times.size() << " processors rolled back on one with "
                   << times_.size());
-  backend_->restore_mailboxes(cp.mailboxes);
+  mailboxes_ = cp.mailboxes;
   times_ = cp.times;
   trace_ = cp.trace;
   delayed_.clear();
@@ -264,7 +358,7 @@ void Machine::poll_cancellation_slow() {
 std::optional<Message> Machine::receive(int rank, int src, int tag) {
   PUP_REQUIRE(rank >= 0 && rank < nprocs_, "bad rank " << rank);
   tick_delayed();
-  auto m = backend_->dequeue(rank, src, tag);
+  auto m = mailboxes_[static_cast<std::size_t>(rank)].pop(src, tag);
   if (m.has_value() && observer_ != nullptr) {
     const std::lock_guard<std::mutex> lock(observer_mu_);
     observer_->on_receive(rank, *m);
@@ -281,7 +375,7 @@ Message Machine::receive_required(int rank, int src, int tag) {
 
 bool Machine::has_message(int rank, int src, int tag) const {
   PUP_REQUIRE(rank >= 0 && rank < nprocs_, "bad rank " << rank);
-  return backend_->has(rank, src, tag);
+  return mailboxes_[static_cast<std::size_t>(rank)].has(src, tag);
 }
 
 double Machine::max_us(Category cat) const {
@@ -309,7 +403,9 @@ void Machine::reset_accounting() {
 }
 
 bool Machine::mailboxes_empty() const {
-  return delayed_.empty() && backend_->all_empty();
+  return delayed_.empty() &&
+         std::all_of(mailboxes_.begin(), mailboxes_.end(),
+                     [](const Mailbox& mb) { return mb.empty(); });
 }
 
 }  // namespace pup::sim

@@ -30,15 +30,12 @@
 // serialized through an internal mutex, so an attached ProtocolValidator or
 // DigestRecorder needs no locking of its own under either policy.
 //
-// The message data path and the local-phase execution engine live behind a
-// backend::Backend (backend/backend.hpp): SimBackend is the historical
-// simulator (deque mailboxes + work-sharing pool, the oracle for model
-// time and digests); ThreadBackend is a real shared-memory transport
-// (rank-pinned threads + lock-free SPSC channels) with wall-clock metering.
-// Everything modeled -- fault injection, charges, tracing, observers,
-// epoch bookkeeping -- stays in Machine above that seam, so payloads,
-// charges, and digests are bit-identical across backends.  Constructors
-// without an explicit backend kind consult PUP_BACKEND.
+// The machine owns its data path directly: one deque Mailbox per
+// processor, matched by (src, tag) in per-destination arrival order, and
+// one work-sharing thread pool for threaded local phases, created on the
+// first threaded phase.  Everything modeled -- fault injection, charges,
+// tracing, observers, epoch bookkeeping -- happens here too, on the thread
+// that drives the schedule (DESIGN.md section 9).
 #pragma once
 
 #include <deque>
@@ -50,7 +47,6 @@
 #include <utility>
 #include <vector>
 
-#include "backend/backend.hpp"
 #include "sim/cancel.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/exec_policy.hpp"
@@ -63,6 +59,14 @@
 #include "support/arena.hpp"
 #include "support/check.hpp"
 
+// Compatibility surface for perfbench/, which passes backend::Kind::kSim to
+// the five-argument Machine constructor: the simulator data path is the only
+// one, so the enum has one value and the constructor ignores it.  Both go in
+// the next change that may edit perfbench/.
+namespace pup::backend {
+enum class Kind { kSim };
+}  // namespace pup::backend
+
 namespace pup::sim {
 
 class FaultPlan;        // sim/fault.hpp
@@ -73,11 +77,11 @@ class Machine {
   /// Creates a machine with `nprocs` processors, a cost model, and a
   /// topology (defaults to the paper's virtual crossbar).  Constructors
   /// without an explicit ExecPolicy consult the PUP_THREADS environment
-  /// variable (ExecPolicy::from_env()); constructors without an explicit
-  /// backend kind consult PUP_BACKEND (backend::kind_from_env()).
+  /// variable (ExecPolicy::from_env()).
   explicit Machine(int nprocs, CostModel cost = CostModel::calibrated_cm5());
   Machine(int nprocs, CostModel cost, Topology topology);
   Machine(int nprocs, CostModel cost, Topology topology, ExecPolicy exec);
+  /// Compatibility overload for perfbench/ (see backend::Kind above).
   Machine(int nprocs, CostModel cost, Topology topology, ExecPolicy exec,
           backend::Kind backend);
   ~Machine();
@@ -89,15 +93,6 @@ class Machine {
   const CostModel& cost() const { return cost_; }
   const Topology& topology() const { return topology_; }
   const ExecPolicy& exec() const { return exec_; }
-
-  /// The transport/execution backend this machine runs on.
-  backend::Kind backend_kind() const { return backend_->kind(); }
-  const char* backend_name() const { return backend_->name(); }
-
-  /// Real wall-clock microseconds the backend spent inside its transport
-  /// (zero for the simulator backend).  Never part of modeled time or
-  /// determinism digests.
-  double transport_wall_us() const { return backend_->transport_wall_us(); }
 
   // --- phased-SPMD execution ------------------------------------------
 
@@ -112,7 +107,7 @@ class Machine {
   template <typename F>
   void local_phase(F&& body, Category cat = Category::kLocal) {
     annotate_phase_begin("local_phase");
-    if (backend_->concurrent()) {
+    if (concurrent()) {
       parallel_ranks([&](int rank) {
         ScopedRealTimer timer(times_[static_cast<std::size_t>(rank)][cat]);
         body(rank);
@@ -351,9 +346,6 @@ class Machine {
       const std::lock_guard<std::mutex> lock(observer_mu_);
       observer_->on_round_end();
     }
-    // Every synchronized round boundary is the backend's chance to fence
-    // its transport (no-op for the simulator).
-    backend_->round_barrier();
   }
   void annotate_phase_begin(const char* name) {
     if (faults_ != nullptr) annotation_stack_.emplace_back(name);
@@ -382,9 +374,13 @@ class Machine {
     int ticks = 0;
   };
 
-  /// Runs fn(rank) for every rank on the backend's execution engine.
-  /// Blocks until all ranks finish; rethrows the lowest-rank body
-  /// exception, if any.
+  struct ThreadPool;  // machine.cpp
+
+  /// True when local phases run on the pool rather than in rank order.
+  bool concurrent() const { return exec_.is_threaded() && nprocs_ > 1; }
+
+  /// Runs fn(rank) for every rank on the local-phase pool.  Blocks until
+  /// all ranks finish; rethrows the lowest-rank body exception, if any.
   void parallel_ranks(const std::function<void(int)>& fn);
 
   /// Slow path of poll_cancellation(): evaluates the token and throws
@@ -394,6 +390,10 @@ class Machine {
   /// Trace + observer + mailbox delivery for one message (the fault-free
   /// tail of post()).
   void deliver(Message m, Category cat);
+  /// Appends `m` to its destination's mailbox (arrival order).
+  void enqueue(Message m) {
+    mailboxes_[static_cast<std::size_t>(m.dst)].push(std::move(m));
+  }
   /// Trace + observer only (used when a delayed message is recorded at post
   /// time but enqueued for later delivery).
   void record_post(const Message& m, Category cat);
@@ -426,7 +426,8 @@ class Machine {
   CostModel cost_;
   Topology topology_;
   ExecPolicy exec_;
-  std::unique_ptr<backend::Backend> backend_;
+  std::vector<Mailbox> mailboxes_;
+  std::unique_ptr<ThreadPool> pool_;  ///< created on the first threaded phase
   std::vector<TimeBreakdown> times_;
   Trace trace_;
   MachineObserver* observer_ = nullptr;

@@ -7,10 +7,18 @@
 
 #include <deque>
 #include <optional>
+#include <type_traits>
 
 #include "sim/message.hpp"
 
 namespace pup::sim {
+
+// Every hand-off into and out of a mailbox -- enqueue, container growth,
+// receive -- must move the Message, never copy its payload.  Nothrow moves
+// are what make that guarantee hold under reallocation (containers fall
+// back to copying throwing-move types).
+static_assert(std::is_nothrow_move_constructible_v<Message>,
+              "mailbox hand-off requires nothrow-movable messages");
 
 /// Wildcard for receive matching.
 inline constexpr int kAnySource = -1;
@@ -30,10 +38,6 @@ class Mailbox {
   std::size_t size() const { return queue_.size(); }
   bool empty() const { return queue_.empty(); }
   void clear() { queue_.clear(); }
-
-  /// Queued messages in arrival order.  Backends use this to rebuild their
-  /// own queue representation from an epoch-checkpoint snapshot.
-  const std::deque<Message>& contents() const { return queue_; }
 
  private:
   std::deque<Message> queue_;

@@ -34,15 +34,14 @@ struct Message {
       : src(src_), dst(dst_), tag(tag_), payload(std::move(payload_)) {}
 
   // Zero-copy contract: on a clean network a payload is composed once at
-  // the sender and every hand-off after that -- post, mailbox/channel
-  // enqueue, epoch bookkeeping, receive, decompose -- moves it.  Copies are
-  // legal only at the explicitly intentional sites (fault-injected
-  // duplicates, epoch checkpoints, the reliable layer's retained_copies,
-  // ThreadBackend checkpoint snapshots), all of which are off the clean
-  // path.  The instrumented copy operations below count every payload-
-  // carrying copy so tests/zero_copy_test.cpp can prove the clean path
-  // performs none; moves stay defaulted and noexcept so containers never
-  // silently fall back to copying.
+  // the sender and every hand-off after that -- post, mailbox enqueue,
+  // epoch bookkeeping, receive, decompose -- moves it.  Copies are legal
+  // only at the explicitly intentional sites (fault-injected duplicates,
+  // epoch checkpoints, the reliable layer's retained_copies), all of which
+  // are off the clean path.  The instrumented copy operations below count
+  // every payload-carrying copy so tests/zero_copy_test.cpp can prove the
+  // clean path performs none; moves stay defaulted and noexcept so
+  // containers never silently fall back to copying.
   Message(const Message& other)
       : src(other.src),
         dst(other.dst),

@@ -25,7 +25,6 @@ Env capture() {
   env.faults = read("PUP_FAULTS");
   env.reliable = read("PUP_RELIABLE");
   env.recovery = read("PUP_RECOVERY");
-  env.backend = read("PUP_BACKEND");
   env.simd = read("PUP_SIMD");
   return env;
 }
@@ -48,7 +47,6 @@ void Env::override_for_testing(const std::string& name,
   else if (name == "PUP_FAULTS") env.faults = std::move(value);
   else if (name == "PUP_RELIABLE") env.reliable = std::move(value);
   else if (name == "PUP_RECOVERY") env.recovery = std::move(value);
-  else if (name == "PUP_BACKEND") env.backend = std::move(value);
   else if (name == "PUP_SIMD") env.simd = std::move(value);
   else {
     PUP_REQUIRE(false, "Env::override_for_testing: unknown variable \""

@@ -1,10 +1,12 @@
 // Chaos soak (ctest -L chaos): seeded random workloads x random mixed
-// fault schedules x deadlines x cancels, on both backends.  Each seed runs
-// the full harness contract (src/service/chaos.hpp): every future resolves
-// typed within the wall bound, delivered digests are bit-identical to the
-// fault-free reference, and the accounting balances exactly.
+// fault schedules x deadlines x cancels, sequential and on a 4-thread
+// local-phase pool (so TSan races cancellation and watchdog trips against
+// concurrent rank bodies).  Each seed runs the full harness contract
+// (src/service/chaos.hpp): every future resolves typed within the wall
+// bound, delivered digests are bit-identical to the fault-free reference,
+// and the accounting balances exactly.
 //
-// The sweep is 16 seeds x {faulted, clean} x {sim, threads} = 64 soak
+// The sweep is 16 seeds x {faulted, clean} x {1, 4 threads} = 64 soak
 // combinations, sized to stay inside the ctest timeout under ASan/TSan;
 // tools/chaos_soak drives arbitrary ranges for longer campaigns.
 #include <gtest/gtest.h>
@@ -25,15 +27,15 @@ constexpr std::uint64_t kSeeds = 16;
 /// sweep, that the outcome census is diverse: the harness must actually
 /// complete work AND exercise the typed failure paths, or the soak is
 /// vacuously green.
-void sweep(const std::string& backend, bool faults) {
+void sweep(int threads, bool faults) {
   SoakResult total;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     SoakConfig cfg;
     cfg.seed = seed;
-    cfg.backend = backend;
+    cfg.threads = threads;
     cfg.faults = faults;
     const SoakResult r = service::chaos::run_soak(cfg);
-    ASSERT_TRUE(r.ok) << "seed " << seed << " [" << backend
+    ASSERT_TRUE(r.ok) << "seed " << seed << " [threads=" << threads
                       << (faults ? ", faulted" : ", clean")
                       << "]: " << r.error;
     total.completed += r.completed;
@@ -53,10 +55,10 @@ void sweep(const std::string& backend, bool faults) {
   }
 }
 
-TEST(ChaosSoak, SimBackendFaulted) { sweep("sim", true); }
-TEST(ChaosSoak, SimBackendClean) { sweep("sim", false); }
-TEST(ChaosSoak, ThreadsBackendFaulted) { sweep("threads", true); }
-TEST(ChaosSoak, ThreadsBackendClean) { sweep("threads", false); }
+TEST(ChaosSoak, SequentialFaulted) { sweep(1, true); }
+TEST(ChaosSoak, SequentialClean) { sweep(1, false); }
+TEST(ChaosSoak, PoolFaulted) { sweep(4, true); }
+TEST(ChaosSoak, PoolClean) { sweep(4, false); }
 
 }  // namespace
 }  // namespace pup

@@ -1,7 +1,7 @@
 // Operation-level recovery (plan/resilient.hpp + sim/epoch.hpp):
 //   * epoch checkpoint/rollback restores the machine bit for bit (trace,
-//     mailboxes, delayed queue, modeled charges) and survives repeated
-//     rollbacks;
+//     mailboxes in per-destination arrival order, delayed queue, modeled
+//     charges) and survives repeated rollbacks;
 //   * ResilientExecutor recovers a mid-PRS fail-stop kill and a loss burst
 //     beyond the retry budget, with the recovered output AND trace digest
 //     bit-identical to a fault-free run;
@@ -178,6 +178,42 @@ TEST(EpochCheckpoint, RollbackRestoresDelayedQueue) {
   m.flush_delayed();
   while (m.receive(1).has_value()) {
   }
+}
+
+TEST(EpochCheckpoint, RollbackRestoresQueuedMessagesInArrivalOrder) {
+  // Messages queued at checkpoint time must come back in the same
+  // per-destination arrival order after a rollback.
+  sim::Machine m = make_machine(4);
+  m.set_fault_plan(nullptr);
+  auto send = [&m](int src, int dst, int tag, std::int64_t x) {
+    m.post(sim::Message{src, dst, tag, sim::to_payload<std::int64_t>({&x, 1})},
+           sim::Category::kM2M);
+  };
+  send(0, 3, 7, 100);
+  send(1, 3, 7, 200);  // same (dst, tag), different src: order matters
+  send(2, 3, 9, 300);
+  send(0, 1, 7, 400);
+  const auto cp = m.checkpoint_epoch();
+  // Drain rank 3 completely, then roll back; the queue must be restored.
+  while (m.receive(3).has_value()) {
+  }
+  EXPECT_FALSE(m.has_message(3));
+  m.rollback_epoch(*cp);
+  std::vector<std::tuple<int, int, std::int64_t>> seen;
+  for (int rank : {1, 3}) {
+    while (auto got = m.receive(rank)) {
+      seen.emplace_back(got->src, got->tag,
+                        sim::from_payload<std::int64_t>(got->payload)[0]);
+    }
+  }
+  EXPECT_TRUE(m.mailboxes_empty());
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0], (std::tuple<int, int, std::int64_t>{0, 7, 400}));
+  // Wildcard receive respects arrival order per destination, across two
+  // sources with the same tag.
+  EXPECT_EQ(seen[1], (std::tuple<int, int, std::int64_t>{0, 7, 100}));
+  EXPECT_EQ(seen[2], (std::tuple<int, int, std::int64_t>{1, 7, 200}));
+  EXPECT_EQ(seen[3], (std::tuple<int, int, std::int64_t>{2, 9, 300}));
 }
 
 TEST(EpochCheckpoint, BoundariesAnnotateEveryPrsRound) {

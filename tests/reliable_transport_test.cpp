@@ -156,7 +156,7 @@ TEST(ReliableTransport, ZeroFaultPathIsDigestIdenticalToBaseline) {
 TEST(ReliableTransport, CleanNetworkPostsAreZeroCopy) {
   // Without a fault plan nothing can be lost, so the layer must not retain
   // a retransmit copy of any payload: every data frame travels to the
-  // backend by move.  With injection active the copies come back (pruned
+  // mailbox by move.  With injection active the copies come back (pruned
   // later by the ack watermark) -- that asymmetry is the whole point of
   // the retained_copies counter.
   const RunResult clean = run_configured(/*reliable=*/true, nullptr);

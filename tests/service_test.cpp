@@ -6,9 +6,12 @@
 //   * a kill= fault plan striking one tenant's epoch rolls back and
 //     re-executes, leaving every tenant's results bit-identical to a
 //     fault-free run;
-//   * backend parity: the same mixed multi-tenant trace produces
-//     identical digests and identical modeled traffic on SimBackend and
-//     ThreadBackend (Options::backend injection, no env mutation);
+//   * pool parity: the same mixed multi-tenant trace produces identical
+//     digests and identical modeled traffic sequentially and on a 4-thread
+//     local-phase pool (Options::threads injection, no env mutation);
+//   * Options::threads must be >= 1 and Options::backend "sim" (or
+//     unset): anything else throws ContractError instead of silently
+//     running some other configuration;
 //   * two in-process servers with different options coexist without
 //     interfering (the PR's Env-injection satellite), and
 //     Env::override_for_testing steers the snapshot without setenv.
@@ -389,51 +392,73 @@ TEST(ServiceRecovery, DisabledRecoveryFailsTypedNotCrashed) {
   server.shutdown();
 }
 
-TEST(ServiceBackend, MixedTraceParityBetweenSimAndThreads) {
+TEST(ServicePool, MixedTraceParityBetweenSequentialAndPool) {
   constexpr int kRequests = 8;
-  std::map<std::string, std::vector<Response>> responses;
-  std::map<std::string, std::int64_t> prs_msgs;
-  std::map<std::string, std::int64_t> total_msgs;
-  for (const std::string backend : {"sim", "threads"}) {
+  std::map<int, std::vector<Response>> responses;
+  std::map<int, std::int64_t> prs_msgs;
+  std::map<int, std::int64_t> total_msgs;
+  for (const int threads : {1, 4}) {
     auto opt = base_options();
     opt.window_us = 1500.0;
     opt.max_batch = 4;
-    opt.backend = backend;
+    opt.threads = threads;
     Server server(opt);
     register_two_tenants(server);
-    responses[backend] = run_trace(server, kRequests, 0x777);
-    prs_msgs[backend] =
+    responses[threads] = run_trace(server, kRequests, 0x777);
+    prs_msgs[threads] =
         server.machine().trace().messages_in(sim::Category::kPrs);
-    total_msgs[backend] = server.machine().trace().messages();
-    EXPECT_EQ(server.machine().backend_name(), backend);
+    total_msgs[threads] = server.machine().trace().messages();
+    EXPECT_EQ(server.machine().exec().threads, threads);
     server.shutdown();
   }
-  ASSERT_EQ(responses["sim"].size(), responses["threads"].size());
-  for (std::size_t i = 0; i < responses["sim"].size(); ++i) {
-    ASSERT_EQ(responses["sim"][i].status, Status::kOk);
-    ASSERT_EQ(responses["threads"][i].status, Status::kOk);
-    EXPECT_EQ(responses["sim"][i].digest, responses["threads"][i].digest);
-    EXPECT_EQ(responses["sim"][i].selected,
-              responses["threads"][i].selected);
+  ASSERT_EQ(responses[1].size(), responses[4].size());
+  for (std::size_t i = 0; i < responses[1].size(); ++i) {
+    ASSERT_EQ(responses[1][i].status, Status::kOk);
+    ASSERT_EQ(responses[4][i].status, Status::kOk);
+    EXPECT_EQ(responses[1][i].digest, responses[4][i].digest);
+    EXPECT_EQ(responses[1][i].selected, responses[4][i].selected);
   }
-  EXPECT_EQ(prs_msgs["sim"], prs_msgs["threads"]);
-  EXPECT_EQ(total_msgs["sim"], total_msgs["threads"]);
+  EXPECT_EQ(prs_msgs[1], prs_msgs[4]);
+  EXPECT_EQ(total_msgs[1], total_msgs[4]);
+}
+
+TEST(ServiceOptions, NonPositiveThreadsAndNonSimBackendThrow) {
+  // A thread count below one is a caller bug, not a request for the
+  // sequential default; only threads = 1 means sequential.
+  for (const int threads : {0, -1}) {
+    auto opt = base_options();
+    opt.threads = threads;
+    EXPECT_THROW(Server{opt}, ContractError) << "threads=" << threads;
+  }
+  {
+    auto opt = base_options();
+    opt.threads = 1;
+    Server server(opt);
+    EXPECT_FALSE(server.machine().exec().is_threaded());
+    server.shutdown();
+  }
+  // The simulator is the only data path: "threads" must fail loudly
+  // rather than silently run on the simulator.
+  auto opt = base_options();
+  opt.backend = "threads";
+  EXPECT_THROW(Server{opt}, ContractError);
+  opt.backend = "sim";
+  Server server(opt);
+  server.shutdown();
 }
 
 TEST(ServiceIsolation, TwoServersWithDifferentOptionsDoNotInterfere) {
   // Constructor injection instead of process-env mutation: one sequential
-  // simulator server and one threaded thread-backend server run
-  // concurrently in one process, serving interleaved traffic, and each
+  // server and one server on a 4-thread pool run concurrently in one
+  // process, serving interleaved traffic, and each
   // must behave per its own options -- the regression the Env satellite
   // guards (per-call getenv or env mutation would cross-contaminate).
   auto opt_a = base_options();
   opt_a.start_paused = false;
   opt_a.threads = 1;
-  opt_a.backend = "sim";
   auto opt_b = base_options();
   opt_b.start_paused = false;
   opt_b.threads = 4;
-  opt_b.backend = "threads";
   Server a(opt_a);
   Server b(opt_b);
   const auto d = layout();
@@ -441,8 +466,8 @@ TEST(ServiceIsolation, TwoServersWithDifferentOptionsDoNotInterfere) {
     s->register_tenant("t");
     s->register_array("t", "x", make_array(d));
   }
-  EXPECT_STREQ(a.machine().backend_name(), "sim");
-  EXPECT_STREQ(b.machine().backend_name(), "threads");
+  EXPECT_FALSE(a.machine().exec().is_threaded());
+  EXPECT_EQ(b.machine().exec().threads, 4);
 
   std::vector<std::future<Response>> fa;
   std::vector<std::future<Response>> fb;
@@ -535,14 +560,14 @@ TEST(ServiceShutdown, SubmitDuringShutdownStressEveryFutureResolvesTyped) {
   Server server(opt);
   register_two_tenants(server);
   const auto d = layout();
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 16;
-  std::vector<std::vector<std::future<Response>>> futs(kThreads);
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 16;
+  std::vector<std::vector<std::future<Response>>> futs(kClients);
   std::vector<std::thread> clients;
-  clients.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
+  clients.reserve(kClients);
+  for (int t = 0; t < kClients; ++t) {
     clients.emplace_back([&, t] {
-      for (int i = 0; i < kPerThread; ++i) {
+      for (int i = 0; i < kPerClient; ++i) {
         futs[static_cast<std::size_t>(t)].push_back(server.submit(pack_req(
             t % 2 == 0 ? "a" : "b", "x",
             make_mask_array(d, 0.3, 100ULL * t + i))));
@@ -572,7 +597,7 @@ TEST(ServiceShutdown, SubmitDuringShutdownStressEveryFutureResolvesTyped) {
       }
     }
   }
-  EXPECT_EQ(ok + refused, kThreads * kPerThread);
+  EXPECT_EQ(ok + refused, kClients * kPerClient);
   const auto stats = server.stats();
   EXPECT_EQ(stats.completed, ok);
   EXPECT_EQ(stats.admitted,

@@ -281,8 +281,8 @@ TEST(SimdKernels, ForceNativeRequiresSupport) {
 }
 
 // End-to-end: CMS pack and unpack produce identical digests and values
-// under every kernel path (the cross-backend axis is covered by the
-// _backend_threads / _simd_off ctest registrations of the full suites).
+// under every kernel path (the thread-count axis is covered by the
+// _threaded / _simd_off ctest registrations of the full suites).
 TEST(SimdKernels, EndToEndPackUnpackParity) {
   const int p = 8;
   const dist::index_t n = 1 << 12;

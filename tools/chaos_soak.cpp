@@ -1,11 +1,11 @@
 // chaos_soak -- command-line driver for the seeded service chaos harness.
 //
-//   chaos_soak [--seeds N] [--start S] [--backend sim|threads|both]
-//              [--requests R] [--procs P] [--elements E] [--no-faults]
-//              [--wall SECONDS]
+//   chaos_soak [--seeds N] [--start S] [--threads T] [--requests R]
+//              [--procs P] [--elements E] [--no-faults] [--wall SECONDS]
 //
-// Runs N consecutive seeds through service::chaos::run_soak on the chosen
-// backend(s), printing one census line per soak and a final summary.
+// Runs N consecutive seeds through service::chaos::run_soak with a
+// T-thread local-phase pool (default 1: sequential), printing one census
+// line per soak and a final summary.
 // Exits non-zero on the first contract violation (hang, divergent digest,
 // unbalanced accounting), making it usable as a long-soak CI job or a
 // bisection driver: `chaos_soak --start 4211 --seeds 1` replays exactly
@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "service/chaos.hpp"
 
@@ -24,9 +23,9 @@ namespace {
 [[noreturn]] void usage() {
   std::fprintf(
       stderr,
-      "usage: chaos_soak [--seeds N] [--start S] [--backend sim|threads|"
-      "both]\n                  [--requests R] [--procs P] [--elements E]"
-      " [--no-faults]\n                  [--wall SECONDS]\n");
+      "usage: chaos_soak [--seeds N] [--start S] [--threads T] "
+      "[--requests R]\n                  [--procs P] [--elements E] "
+      "[--no-faults] [--wall SECONDS]\n");
   std::exit(2);
 }
 
@@ -45,7 +44,6 @@ long long parse_ll(const char* flag, const char* value) {
 int main(int argc, char** argv) {
   std::uint64_t seeds = 16;
   std::uint64_t start = 1;
-  std::string backend = "both";
   pup::service::chaos::SoakConfig base;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -60,11 +58,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--start") {
       start = static_cast<std::uint64_t>(parse_ll("--start", value));
       ++i;
-    } else if (arg == "--backend") {
-      backend = value;
-      if (backend != "sim" && backend != "threads" && backend != "both") {
-        usage();
-      }
+    } else if (arg == "--threads") {
+      base.threads = static_cast<int>(parse_ll("--threads", value));
+      if (base.threads < 1) usage();
       ++i;
     } else if (arg == "--requests") {
       base.requests = static_cast<int>(parse_ll("--requests", value));
@@ -83,48 +79,37 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<std::string> backends;
-  if (backend == "both") {
-    backends = {"sim", "threads"};
-  } else {
-    backends = {backend};
-  }
-
   pup::service::chaos::SoakResult total;
   std::uint64_t ran = 0;
-  for (const std::string& b : backends) {
-    for (std::uint64_t seed = start; seed < start + seeds; ++seed) {
-      pup::service::chaos::SoakConfig cfg = base;
-      cfg.seed = seed;
-      cfg.backend = b;
-      const auto r = pup::service::chaos::run_soak(cfg);
-      if (!r.ok) {
-        std::fprintf(stderr,
-                     "FAIL seed=%llu backend=%s faults=[%s]: %s\n",
-                     static_cast<unsigned long long>(seed), b.c_str(),
-                     r.fault_spec.c_str(), r.error.c_str());
-        return 1;
-      }
-      std::printf(
-          "ok seed=%llu backend=%s completed=%lld failed=%lld shed=%lld "
-          "cancelled=%lld deadline=%lld watchdog=%lld restarts=%lld "
-          "faults=[%s]\n",
-          static_cast<unsigned long long>(seed), b.c_str(),
-          static_cast<long long>(r.completed),
-          static_cast<long long>(r.failed), static_cast<long long>(r.shed),
-          static_cast<long long>(r.cancelled),
-          static_cast<long long>(r.deadline_misses),
-          static_cast<long long>(r.watchdog_trips),
-          static_cast<long long>(r.restarts), r.fault_spec.c_str());
-      total.completed += r.completed;
-      total.failed += r.failed;
-      total.shed += r.shed;
-      total.cancelled += r.cancelled;
-      total.deadline_misses += r.deadline_misses;
-      total.watchdog_trips += r.watchdog_trips;
-      total.restarts += r.restarts;
-      ++ran;
+  for (std::uint64_t seed = start; seed < start + seeds; ++seed) {
+    pup::service::chaos::SoakConfig cfg = base;
+    cfg.seed = seed;
+    const auto r = pup::service::chaos::run_soak(cfg);
+    if (!r.ok) {
+      std::fprintf(stderr, "FAIL seed=%llu threads=%d faults=[%s]: %s\n",
+                   static_cast<unsigned long long>(seed), cfg.threads,
+                   r.fault_spec.c_str(), r.error.c_str());
+      return 1;
     }
+    std::printf(
+        "ok seed=%llu threads=%d completed=%lld failed=%lld shed=%lld "
+        "cancelled=%lld deadline=%lld watchdog=%lld restarts=%lld "
+        "faults=[%s]\n",
+        static_cast<unsigned long long>(seed), cfg.threads,
+        static_cast<long long>(r.completed),
+        static_cast<long long>(r.failed), static_cast<long long>(r.shed),
+        static_cast<long long>(r.cancelled),
+        static_cast<long long>(r.deadline_misses),
+        static_cast<long long>(r.watchdog_trips),
+        static_cast<long long>(r.restarts), r.fault_spec.c_str());
+    total.completed += r.completed;
+    total.failed += r.failed;
+    total.shed += r.shed;
+    total.cancelled += r.cancelled;
+    total.deadline_misses += r.deadline_misses;
+    total.watchdog_trips += r.watchdog_trips;
+    total.restarts += r.restarts;
+    ++ran;
   }
   std::printf(
       "summary soaks=%llu completed=%lld failed=%lld shed=%lld "

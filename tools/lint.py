@@ -6,9 +6,9 @@ contract decision the compiler cannot see):
 
 1. transport-encapsulation: the Mailbox and the Machine transport calls
    (post / receive / receive_required / has_message) may be used only inside
-   src/sim/, src/coll/, and src/backend/.  Everything above the collectives
-   layer moves data through annotated collectives, which is what lets the
-   protocol validator reason about message flow.
+   src/sim/ and src/coll/.  Everything above the collectives layer moves
+   data through annotated collectives, which is what lets the protocol
+   validator reason about message flow.
 
 2. api-preconditions: every header reachable from the umbrella header
    core/api.hpp must validate its public entry points -- the header (or its
@@ -40,13 +40,7 @@ contract decision the compiler cannot see):
    reference them; algorithms must not roll their own state back
    (mark_epoch_boundary, a pure annotation, stays callable from anywhere).
 
-6. backend-layering: transport internals -- the concrete backends
-   (SimBackend / ThreadBackend / SpscQueue) and the backend/ headers --
-   may be referenced only by src/backend/ and src/sim/.  Everything above
-   the machine selects a backend through the Machine constructor or
-   PUP_BACKEND and must not care which data path runs underneath.
-
-7. paired-annotation: phase annotations in src/core, src/coll, src/plan,
+6. paired-annotation: phase annotations in src/core, src/coll, src/plan,
    and src/service must be scope-balanced and use registered phase names.  The
    static verifier's trace cross-check aligns executions with compiled
    schedules by these annotations, so an unbalanced or unregistered phase
@@ -57,24 +51,22 @@ contract decision the compiler cannot see):
    name literal must appear in REGISTERED_PHASES below -- register new
    phases here when introducing them.
 
-8. service-layering: src/service/ is the topmost layer -- it may include
+7. service-layering: src/service/ is the topmost layer -- it may include
    service/, plan/, core/, dist/, coll/, sim/, and support/ headers (it
-   consumes compiled plans, the resilient executor, and the machine; it
-   selects a transport backend only through the Machine constructor /
-   PUP_BACKEND per rule 6, never by including backend internals), and
+   consumes compiled plans, the resilient executor, and the machine), and
    nothing below it -- src/ outside src/service/ -- may include a
    service/ header.  The library must stay usable without the server.
 
-9. service-event-registry: every string literal in src/ naming a
+8. service-event-registry: every string literal in src/ naming a
    service.* or plan.cancel* observer event must be registered in
    REGISTERED_PHASES, even when the name reaches annotate_phase_begin
    through a variable (the deadline/cancel/watchdog trip events are
-   selected by a ternary, which rule 7's literal check cannot see).
+   selected by a ternary, which rule 6's literal check cannot see).
 
-10. kernels-layering: src/core/kernels/ is the bottommost compute layer --
-   it may include only support/ and its own headers, never sim/, backend/,
-   dist/, coll/, or plan/.  Kernels operate on raw spans their callers hand
-   them; digests and modeled costs must stay invariant under PUP_SIMD, which
+9. kernels-layering: src/core/kernels/ is the bottommost compute layer --
+   it may include only support/ and its own headers, never sim/, dist/,
+   coll/, or plan/.  Kernels operate on raw spans their callers hand them;
+   digests and modeled costs must stay invariant under PUP_SIMD, which
    only holds if the kernels cannot reach any layer that accounts or ships
    data.
 
@@ -89,7 +81,7 @@ from pathlib import Path
 
 WAIVER = "lint: allow-no-preconditions"
 
-TRANSPORT_ALLOWED_DIRS = ("src/sim", "src/coll", "src/backend")
+TRANSPORT_ALLOWED_DIRS = ("src/sim", "src/coll")
 TRANSPORT_PATTERNS = [
     (re.compile(r'#\s*include\s*"sim/mailbox\.hpp"'), "includes sim/mailbox.hpp"),
     (re.compile(r"\bMailbox\b"), "names sim::Mailbox"),
@@ -154,7 +146,7 @@ def check_plan_layering(root: Path) -> list[str]:
         rel = path.relative_to(root).as_posix()
         # The static plan analyzer and the service layer consume compiled
         # plans by design; they are the non-plan directories allowed to
-        # see plan/ headers (src/service/ has its own stricter rule 8).
+        # see plan/ headers (src/service/ has its own stricter rule 7).
         if rel.startswith("src/service/"):
             continue
         in_plan = (rel.startswith("src/plan/")
@@ -190,7 +182,7 @@ def check_kernels_layering(root: Path) -> list[str]:
     """core/kernels/ may include only support/ and its own headers.
 
     The kernel layer operates on raw spans its callers hand it; letting it
-    see machines, distributions, backends, or plans would couple the SIMD
+    see machines, distributions, or plans would couple the SIMD
     dispatch to layers that must stay bit-identical regardless of kernel
     path.  (Rule name: kernels-layering.)
     """
@@ -285,38 +277,6 @@ def check_epoch_layering(root: Path) -> list[str]:
     return findings
 
 
-BACKEND_ALLOWED = ("src/backend/", "src/sim/")
-BACKEND_PATTERNS = [
-    (re.compile(r'#\s*include\s*"backend/'), "includes a backend/ header"),
-    (re.compile(r"\bSimBackend\b"), "names backend::SimBackend"),
-    (re.compile(r"\bThreadBackend\b"), "names backend::ThreadBackend"),
-    (re.compile(r"\bSpscQueue\b"), "names backend::SpscQueue"),
-    (re.compile(r"\bmake_backend\b"), "calls backend::make_backend"),
-]
-
-
-def check_backend_layering(root: Path) -> list[str]:
-    findings = []
-    for path in sorted((root / "src").rglob("*.[ch]pp")):
-        rel = path.relative_to(root).as_posix()
-        if any(rel.startswith(d) for d in BACKEND_ALLOWED):
-            continue
-        text = strip_block_comments(path.read_text())
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            if COMMENT_RE.match(line):
-                continue
-            code = line.split("//", 1)[0]
-            for pattern, what in BACKEND_PATTERNS:
-                if pattern.search(code):
-                    findings.append(
-                        f"{rel}:{lineno}: backend-layering: {what}; "
-                        f"transport internals are restricted to "
-                        f"src/backend/ and src/sim/ -- select a backend "
-                        f"via the Machine constructor or PUP_BACKEND"
-                    )
-    return findings
-
-
 REGISTERED_PHASES = {
     "pack.compose", "pack.decompose",
     "ranking.initial", "ranking.final",
@@ -403,9 +363,9 @@ def check_paired_annotations(root: Path) -> list[str]:
     return findings
 
 
-# Rule 10 (service-event-registry): the deadline/cancel/brown-out/watchdog
+# Rule 8 (service-event-registry): the deadline/cancel/brown-out/watchdog
 # observer events are emitted through variables (e.g. the trip-cause
-# ternary in server.cpp), which rule 7's literal-only check cannot see.
+# ternary in server.cpp), which rule 6's literal-only check cannot see.
 # This sweep closes the gap from the other side: every string literal in
 # src/ that names a service.* or plan.cancel* phase must be registered in
 # REGISTERED_PHASES, no matter how it reaches annotate_phase_begin.
@@ -513,7 +473,6 @@ def main(argv: list[str]) -> int:
     findings += check_kernels_layering(root)
     findings += check_fault_layering(root)
     findings += check_epoch_layering(root)
-    findings += check_backend_layering(root)
     findings += check_service_layering(root)
     findings += check_paired_annotations(root)
     findings += check_service_event_registry(root)

@@ -9,7 +9,7 @@
 // service can be profiled and tuned entirely from a shell.
 //
 //   $ ./pup_serviced --procs 8 --tenants 3 --clients 2 --requests 16
-//       --window-us 1500 --max-batch 8 --quota 8 --backend threads
+//       --window-us 1500 --max-batch 8 --quota 8 --threads 4
 //
 // Options (all have defaults):
 //   --procs P           simulated machine size
@@ -27,8 +27,6 @@
 //                       every tenant's traffic is mutually fusable)
 //   --density D         mask density in (0,1)
 //   --scheme sss|css|cms  pack scheme (concrete; the service rejects auto)
-//   --backend sim|threads  transport backend (constructor injection;
-//                       default consults PUP_BACKEND)
 //   --threads N         local-phase pool size (default consults PUP_THREADS)
 //   --restarts N        recovery budget (pair with --faults)
 //   --faults "SPEC"     PUP_FAULTS-grammar fault plan installed on the
@@ -86,14 +84,17 @@ int main(int argc, char** argv) {
   dist::index_t block = 64;
   double density = 0.5;
   std::string scheme_arg = "cms";
-  std::string backend;
   int threads = 0;
   int restarts = 0;
   std::string faults;
   std::uint64_t seed = 0x5eed;
 
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     const std::string key = argv[i];
+    if (i + 1 == argc) {
+      std::cerr << "missing value for " << key << "\n";
+      return 2;
+    }
     const std::string val = argv[i + 1];
     if (key == "--procs") procs = std::stoi(val);
     else if (key == "--tenants") tenants = std::stoi(val);
@@ -108,7 +109,6 @@ int main(int argc, char** argv) {
     else if (key == "--block") block = std::stoll(val);
     else if (key == "--density") density = std::stod(val);
     else if (key == "--scheme") scheme_arg = val;
-    else if (key == "--backend") backend = val;
     else if (key == "--threads") threads = std::stoi(val);
     else if (key == "--restarts") restarts = std::stoi(val);
     else if (key == "--faults") faults = val;
@@ -132,7 +132,6 @@ int main(int argc, char** argv) {
   opt.tenant_inflight_quota = quota;
   opt.byte_budget = budget_mb << 20;
   opt.recovery.max_restarts = restarts;
-  if (!backend.empty()) opt.backend = backend;
   if (threads > 0) opt.threads = threads;
   service::Server server(opt);
 
@@ -235,8 +234,7 @@ int main(int argc, char** argv) {
   const double ops_per_s =
       wall_us > 0 ? static_cast<double>(ok) * 1e6 / wall_us : 0.0;
   std::cout << "{\"server\":\"pup_serviced\",\"procs\":" << procs
-            << ",\"backend\":\"" << server.machine().backend_name()
-            << "\",\"window_us\":" << window_us
+            << ",\"window_us\":" << window_us
             << ",\"max_batch\":" << max_batch << ",\"quota\":" << quota
             << ",\"submitted\":" << ss.submitted
             << ",\"completed\":" << ss.completed
