@@ -52,14 +52,14 @@ void fusion_ablation() {
   for (int p : {8, 16, 64}) {
     for (std::size_t m_len : {16u, 1024u}) {
       using Vec = std::vector<std::int64_t>;
-      sim::Machine fused(p, sim::CostModel::cm5());
+      sim::Machine fused(p, {.cost = sim::CostModel::cm5()});
       {
         std::vector<Vec> bufs(static_cast<std::size_t>(p), Vec(m_len, 1));
         std::vector<Vec> total;
         coll::prefix_reduction_sum(fused, coll::Group::world(p),
                                    coll::PrsAlgorithm::kDirect, bufs, total);
       }
-      sim::Machine split(p, sim::CostModel::cm5());
+      sim::Machine split(p, {.cost = sim::CostModel::cm5()});
       {
         std::vector<Vec> bufs(static_cast<std::size_t>(p), Vec(m_len, 1));
         coll::exscan_sum(split, coll::Group::world(p), bufs);
@@ -91,7 +91,7 @@ void topology_ablation() {
       {"mesh 4x4", sim::Topology::mesh2d(p)},
   };
   for (const auto& nt : topos) {
-    sim::Machine machine(p, sim::CostModel::calibrated_cm5(), nt.topo);
+    sim::Machine machine(p, {.topology = nt.topo});
     PackOptions opt;
     opt.scheme = PackScheme::kCompactMessage;
     const Times t = measure(machine, [&](sim::Machine& m) {

@@ -135,7 +135,7 @@ Times measure_avg(sim::Machine& machine, Op&& op, double min_wall_ms = 2.0,
 }
 
 inline sim::Machine make_paper_machine(int p) {
-  return sim::Machine(p, sim::CostModel::calibrated_cm5());
+  return sim::Machine(p, {.cost = sim::CostModel::calibrated_cm5()});
 }
 
 /// Block-size sweep 1, 2, 4, ..., local_extent (cyclic to block).

@@ -8,7 +8,7 @@
 // sides of every speedup claim.  Before any timing, main() runs a parity
 // gate: every vector kernel must agree bit for bit with its scalar
 // reference, and an end-to-end pack must produce identical digests and
-// values across PUP_SIMD settings -- a bench binary that measures wrong
+// values across kernel paths -- a bench binary that measures wrong
 // kernels aborts instead of reporting.  `--smoke` runs the gate and exits
 // (the CI hook).
 #include <benchmark/benchmark.h>
@@ -28,16 +28,15 @@ namespace pup {
 namespace {
 
 // Pins the kernel path for one bench run: 0 forces the scalar reference,
-// 1 restores PUP_SIMD resolution (the vector path on any machine that has
-// one).
+// 1 restores the auto path (the vector path on any machine that has one).
 class PathGuard {
  public:
   explicit PathGuard(std::int64_t path) {
-    kernels::force_path_for_testing(
+    kernels::set_path(
         path == 0 ? std::optional<kernels::Path>(kernels::Path::kScalar)
                   : std::nullopt);
   }
-  ~PathGuard() { kernels::force_path_for_testing(std::nullopt); }
+  ~PathGuard() { kernels::set_path(std::nullopt); }
 };
 
 void BM_MaskScan(benchmark::State& state) {
@@ -153,7 +152,7 @@ void BM_ParallelPackEndToEnd(benchmark::State& state) {
   const int p = 16;
   const auto n = static_cast<dist::index_t>(state.range(0));
   const auto scheme = static_cast<PackScheme>(state.range(1));
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({p}), 64);
   std::vector<std::int64_t> data(static_cast<std::size_t>(n), 1);
@@ -180,7 +179,7 @@ void BM_Ranking(benchmark::State& state) {
   const int p = 16;
   const auto n = static_cast<dist::index_t>(state.range(0));
   const auto w = static_cast<dist::index_t>(state.range(1));
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({p}), w);
   auto m = dist::DistArray<mask_t>::scatter(d, random_mask(n, 0.5, 4));
@@ -200,7 +199,7 @@ void BM_PrefixReductionSum(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto m_len = static_cast<std::size_t>(state.range(1));
   const auto alg = static_cast<coll::PrsAlgorithm>(state.range(2));
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
   const coll::Group world = coll::Group::world(p);
   for (auto _ : state) {
     machine.reset_accounting();
@@ -223,7 +222,7 @@ void BM_Alltoallv(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto elems = static_cast<std::size_t>(state.range(1));
   const auto sched = static_cast<coll::M2MSchedule>(state.range(2));
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
   const coll::Group world = coll::Group::world(p);
   for (auto _ : state) {
     machine.reset_accounting();
@@ -246,7 +245,7 @@ BENCHMARK(BM_Alltoallv)
 void BM_Cshift(benchmark::State& state) {
   const int p = 16;
   const auto n = static_cast<dist::index_t>(state.range(0));
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({p}), 32);
   std::vector<std::int64_t> data(static_cast<std::size_t>(n), 1);
@@ -278,13 +277,13 @@ void verify_kernel_parity() {
           random_mask(static_cast<dist::index_t>(n), density, 99);
       std::vector<std::int64_t> values(n);
       std::iota(values.begin(), values.end(), 7);
-      kernels::force_path_for_testing(kernels::Path::kScalar);
+      kernels::set_path(kernels::Path::kScalar);
       const std::int64_t ref_count = kernels::mask_count(mask.data(), n);
       std::vector<std::int64_t> ref_out(n, -1);
       const std::size_t ref_k = kernels::mask_gather<std::int64_t>(
           mask.data(), values.data(), n, ref_out.data());
       for (const kernels::Path path : paths) {
-        kernels::force_path_for_testing(path);
+        kernels::set_path(path);
         if (kernels::mask_count(mask.data(), n) != ref_count) {
           die("mask_count mismatch");
         }
@@ -299,7 +298,7 @@ void verify_kernel_parity() {
       }
     }
   }
-  kernels::force_path_for_testing(std::nullopt);
+  kernels::set_path(std::nullopt);
 }
 
 // End-to-end: a CMS pack must produce identical trace digests and result
@@ -313,10 +312,10 @@ void verify_e2e_parity() {
   };
   std::vector<Run> runs;
   for (const bool scalar : {true, false}) {
-    kernels::force_path_for_testing(
+    kernels::set_path(
         scalar ? std::optional<kernels::Path>(kernels::Path::kScalar)
                : std::nullopt);
-    sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+    sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
     analysis::DigestRecorder recorder(machine);
     auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                               dist::ProcessGrid({p}), 64);
@@ -329,12 +328,12 @@ void verify_e2e_parity() {
     auto result = pack(machine, a, m, opt);
     runs.push_back(Run{recorder.digest(), result.vector.gather()});
   }
-  kernels::force_path_for_testing(std::nullopt);
+  kernels::set_path(std::nullopt);
   if (!(runs[1].digest == runs[0].digest)) {
-    die("end-to-end digest differs across PUP_SIMD");
+    die("end-to-end digest differs across kernel paths");
   }
   if (runs[1].values != runs[0].values) {
-    die("end-to-end values differ across PUP_SIMD");
+    die("end-to-end values differ across kernel paths");
   }
 }
 

@@ -1,11 +1,11 @@
 // Threaded-execution scaling on the Figure-4 pack workload (1-D, P=32).
 //
 // Runs the same PACK calls on two machines -- one sequential, one with the
-// thread pool (PUP_THREADS, default 4) -- and reports end-to-end wall-clock
-// time, speedup, and whether the determinism digests of the two runs match
-// (they must: threading may only change wall-clock time, never any modeled
-// quantity).  Alongside the text table, one JSON line per configuration is
-// emitted on stdout for machine consumption.
+// thread pool (PUP_THREADS when above 1, else 4 threads) -- and reports
+// end-to-end wall-clock time, speedup, and whether the determinism digests
+// of the two runs match (they must: threading may only change wall-clock
+// time, never any modeled quantity).  Alongside the text table, one JSON
+// line per configuration is emitted on stdout for machine consumption.
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -15,6 +15,7 @@
 #include "analysis/determinism.hpp"
 #include "bench_common.hpp"
 #include "sim/exec_policy.hpp"
+#include "support/env.hpp"
 
 namespace pup::bench {
 namespace {
@@ -55,11 +56,7 @@ analysis::TraceDigest digest_of(sim::Machine& machine, const Workload& wl) {
   return recorder.digest();
 }
 
-int run() {
-  const int threads = []() {
-    const auto policy = sim::ExecPolicy::from_env();
-    return policy.is_threaded() ? policy.threads : 4;
-  }();
+int run(int threads) {
   const unsigned hw = std::thread::hardware_concurrency();
 
   std::cout << "# Threading scaling: Figure-4 pack workload, P=" << kProcs
@@ -83,12 +80,8 @@ int run() {
   for (const Config& c : configs) {
     Workload wl = make_workload({kLocal * kProcs}, {kProcs}, {c.block},
                                 c.density);
-    sim::Machine seq(kProcs, sim::CostModel::calibrated_cm5(),
-                     sim::Topology::crossbar(kProcs),
-                     sim::ExecPolicy::sequential());
-    sim::Machine par(kProcs, sim::CostModel::calibrated_cm5(),
-                     sim::Topology::crossbar(kProcs),
-                     sim::ExecPolicy::threaded(threads));
+    sim::Machine seq(kProcs);
+    sim::Machine par(kProcs, {.exec = sim::ExecPolicy::threaded(threads)});
 
     // Digest cross-check first (also warms both machines' allocations).
     const auto dseq = digest_of(seq, wl);
@@ -127,4 +120,7 @@ int run() {
 }  // namespace
 }  // namespace pup::bench
 
-int main() { return pup::bench::run(); }
+int main() {
+  const auto threads = pup::support::Env::read().threads;
+  return pup::bench::run(threads.value_or(1) > 1 ? *threads : 4);
+}

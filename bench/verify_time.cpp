@@ -41,7 +41,7 @@ int run() {
   for (const int p : {8, 16, 32, 64}) {
     for (const dist::index_t local : {dist::index_t{4096},
                                       dist::index_t{65536}}) {
-      sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+      sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
       const auto d = dist::Distribution::block_cyclic(
           dist::Shape({local * p}), dist::ProcessGrid({p}), 64);
       PackOptions opt;

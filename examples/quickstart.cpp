@@ -14,18 +14,35 @@
 // absorb terminate the run with a typed error; with PUP_RECOVERY set, the
 // executor rolls back to the operation-entry checkpoint and re-executes,
 // and the recovery cost shows up in its stats instead of the answer.
+// PUP_THREADS and PUP_SIMD are honoured too.  The library itself never
+// reads the environment: main() reads it once (support/env.hpp) and hands
+// every setting to the machine explicitly.  A malformed value exits 2.
 #include <iostream>
 #include <numeric>
 
 #include "core/api.hpp"
 #include "plan/resilient.hpp"
+#include "sim/fault.hpp"
+#include "support/env.hpp"
 
 int main() {
   using namespace pup;
 
+  support::Env env;
+  try {
+    env = support::Env::read();
+  } catch (const ContractError& e) {
+    std::cerr << e.what() << "\n";
+    return 2;
+  }
+  if (!env.simd.value_or(true)) kernels::set_path(kernels::Path::kScalar);
+
   // A simulated coarse-grained machine with 16 processors (two-level cost
   // model: tau + mu*m per message, calibrated CM-5 flavour).
-  sim::Machine machine(16);
+  sim::MachineOptions options;
+  if (env.threads) options.exec = sim::ExecPolicy::threaded(*env.threads);
+  sim::Machine machine(16, options);
+  if (env.faults) machine.set_fault_plan(sim::FaultPlan::parse(*env.faults));
 
   // A(64) distributed block-cyclic(2) over 16 logical processors.
   auto layout = dist::Distribution::block_cyclic(
@@ -40,9 +57,12 @@ int main() {
   for (std::size_t i = 0; i < 64; ++i) host_mask[i] = (i % 3 == 0);
   auto m = dist::DistArray<mask_t>::scatter(layout, host_mask);
 
-  // The executor reads PUP_RECOVERY; with the default (disabled) policy it
-  // runs each operation directly and adds nothing.
-  plan::ResilientExecutor exec(machine, RecoveryPolicy::from_env());
+  // With the default (disabled) policy the executor runs each operation
+  // directly and adds nothing.
+  plan::ResilientExecutor exec(machine,
+                               env.recovery
+                                   ? RecoveryPolicy::parse(*env.recovery)
+                                   : RecoveryPolicy{});
 
   // V = PACK(A, M).  The scheme defaults to the compact message scheme;
   // PackScheme::kAuto applies the paper's analytical selector instead.

@@ -27,6 +27,7 @@
 #include <future>
 #include <iostream>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -76,28 +77,37 @@ int main(int argc, char** argv) {
   int service_requests = 0;
   double window_us = 1000.0;
 
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     const std::string key = argv[i];
+    if (i + 1 == argc) {
+      std::cerr << "missing value for " << key << "\n";
+      return 2;
+    }
     const std::string val = argv[i + 1];
-    if (key == "--shape") shape_arg = val;
-    else if (key == "--dist") dist_arg = val;
-    else if (key == "--density") density_arg = val;
-    else if (key == "--scheme") scheme_arg = val;
-    else if (key == "--seed") seed = std::stoull(val);
-    else if (key == "--repeat") repeat = std::stoi(val);
-    else if (key == "--batch") batch = std::stoi(val);
-    else if (key == "--service") {
-      const auto x = val.find('x');
-      if (x == std::string::npos) {
-        std::cerr << "--service wants NxM (clients x requests)\n";
+    try {
+      if (key == "--shape") shape_arg = val;
+      else if (key == "--dist") dist_arg = val;
+      else if (key == "--density") density_arg = val;
+      else if (key == "--scheme") scheme_arg = val;
+      else if (key == "--seed") seed = std::stoull(val);
+      else if (key == "--repeat") repeat = std::stoi(val);
+      else if (key == "--batch") batch = std::stoi(val);
+      else if (key == "--service") {
+        const auto x = val.find('x');
+        if (x == std::string::npos) {
+          std::cerr << "--service wants NxM (clients x requests)\n";
+          return 2;
+        }
+        service_clients = std::stoi(val.substr(0, x));
+        service_requests = std::stoi(val.substr(x + 1));
+      }
+      else if (key == "--window-us") window_us = std::stod(val);
+      else {
+        std::cerr << "unknown option " << key << "\n";
         return 2;
       }
-      service_clients = std::stoi(val.substr(0, x));
-      service_requests = std::stoi(val.substr(x + 1));
-    }
-    else if (key == "--window-us") window_us = std::stod(val);
-    else {
-      std::cerr << "unknown option " << key << "\n";
+    } catch (const std::logic_error&) {  // std::sto*: invalid or out of range
+      std::cerr << "bad value for " << key << "\n";
       return 2;
     }
   }

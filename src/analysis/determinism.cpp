@@ -129,10 +129,12 @@ DeterminismReport check_determinism(
 }
 
 DeterminismReport check_determinism(
-    int nprocs, sim::CostModel cost,
+    int nprocs, const sim::MachineOptions& options,
     const std::function<void(sim::Machine&)>& op) {
   return check_determinism(
-      [nprocs, cost] { return std::make_unique<sim::Machine>(nprocs, cost); },
+      [nprocs, &options] {
+        return std::make_unique<sim::Machine>(nprocs, options);
+      },
       op);
 }
 

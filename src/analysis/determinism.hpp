@@ -105,9 +105,10 @@ DeterminismReport check_determinism(
     const std::function<std::unique_ptr<sim::Machine>()>& make_machine,
     const std::function<void(sim::Machine&)>& op);
 
-/// Convenience overload: fresh `nprocs`-processor machines with `cost`.
+/// Convenience overload: fresh `nprocs`-processor machines built from
+/// `options`.
 DeterminismReport check_determinism(
-    int nprocs, sim::CostModel cost,
+    int nprocs, const sim::MachineOptions& options,
     const std::function<void(sim::Machine&)>& op);
 
 }  // namespace pup::analysis

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sim/fault.hpp"
-#include "support/env.hpp"
 
 namespace pup::coll {
 namespace {
@@ -54,13 +53,6 @@ RankFailure::RankFailure(int rank, int failed_rank, int tag, std::int64_t seq)
     : TransportError(rank_failure_message(rank, failed_rank, tag, seq), rank,
                      failed_rank, tag, seq, /*attempts=*/1) {}
 
-ReliableTransport::ReliableTransport() {
-  if (const auto& env = support::Env::get().reliable;
-      env.has_value() && !env->empty()) {
-    env_ = *env != "0";
-  }
-}
-
 ReliableTransport& ReliableTransport::of(sim::Machine& m) {
   auto& slot = m.reliable_state();
   if (slot == nullptr) {
@@ -77,9 +69,7 @@ ReliableTransport& ReliableTransport::of(sim::Machine& m) {
 }
 
 bool ReliableTransport::active(const sim::Machine& m) const {
-  if (forced_.has_value()) return *forced_;
-  if (env_.has_value()) return *env_;
-  return m.fault_plan() != nullptr;
+  return forced_.value_or(m.fault_plan() != nullptr);
 }
 
 double ReliableTransport::backoff_factor(const ReliableOptions& opts,

@@ -46,8 +46,7 @@
 // failing group position.
 //
 // Enablement: the layer activates automatically whenever the machine has a
-// fault plan installed, and can be forced on or off with the PUP_RELIABLE
-// environment variable (0 = never, anything else = always) or
+// fault plan installed, and can be forced on or off with
 // ReliableTransport::force().  When inactive, rpost/rrecv/rexpect forward
 // straight to the raw transport.
 #pragma once
@@ -148,17 +147,15 @@ struct ReliableStats {
 
 class ReliableTransport {
  public:
-  ReliableTransport();
-
   /// The per-machine instance, created on first use and stored in the
   /// machine's opaque reliable_state() slot so every collective running on
   /// one machine shares a single sequence-number space.
   static ReliableTransport& of(sim::Machine& m);
 
   /// True when frames are being stamped and recovered on this machine:
-  /// forced state if set, else PUP_RELIABLE if set, else "a fault plan is
-  /// installed".  Decide before the first post on a machine and leave it
-  /// alone; toggling mid-run desynchronizes the sequence space.
+  /// the forced state if set, else "a fault plan is installed".  Decide
+  /// before the first post on a machine and leave it alone; toggling
+  /// mid-run desynchronizes the sequence space.
   bool active(const sim::Machine& m) const;
 
   /// Overrides auto-detection (std::nullopt returns to auto).
@@ -177,7 +174,7 @@ class ReliableTransport {
   /// Posts a data frame: stamps sequence/checksum into Message::wire and
   /// forwards to Machine::post by move.  A retransmit copy of the payload
   /// is buffered only when the machine has a fault plan installed -- on a
-  /// clean network (including PUP_RELIABLE=1 forcing the layer on) no
+  /// clean network (including force(true) on a fault-free machine) no
   /// frame can be lost, so no NAK can ever request one and the copy would
   /// be pure churn.  The wire header is stamped before the move, so the
   /// checksum always describes the payload as posted; the only later
@@ -230,7 +227,6 @@ class ReliableTransport {
   }
 
   std::optional<bool> forced_;
-  std::optional<bool> env_;  ///< PUP_RELIABLE at construction
   ReliableOptions opts_;
   ReliableStats stats_;
   std::map<ChannelKey, Channel> channels_;

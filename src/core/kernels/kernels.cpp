@@ -3,8 +3,6 @@
 #include <atomic>
 #include <bit>
 
-#include "support/env.hpp"
-
 // The native path: this translation unit (alone) is compiled with -mavx2
 // when the toolchain targets x86-64 (src/CMakeLists.txt), so the intrinsics
 // below may emit AVX2 instructions -- which is why every call into them is
@@ -51,11 +49,10 @@ inline std::uint64_t load_u64(const void* p) {
 
 // --- dispatch state -------------------------------------------------------
 
-// -1 = unresolved; otherwise a Path value.  Plain relaxed atomics: the
-// value is a pure function of the env snapshot, so racing resolutions
-// compute the same answer.
+// -1 = auto; otherwise the Path pinned by set_path().  A relaxed atomic:
+// set_path() runs only in single-threaded sections, and every path
+// computes the same bytes.
 std::atomic<int> g_forced{-1};
-std::atomic<int> g_resolved{-1};
 
 bool cpu_has_native() {
 #if defined(PUP_KERNELS_AVX2)
@@ -90,39 +87,18 @@ const char* path_name(Path p) {
 
 bool native_available() { return cpu_has_native(); }
 
-bool parse_simd_flag(const std::optional<std::string>& value) {
-  if (!value.has_value()) return true;  // default auto
-  const std::string& v = *value;
-  if (v == "auto" || v == "on" || v == "1" || v == "simd") return true;
-  if (v == "off" || v == "0" || v == "scalar") return false;
-  PUP_REQUIRE(false, "PUP_SIMD=\"" << v << "\" is not recognized (use "
-                                   << "auto, on, 1, simd, off, 0, scalar)");
-  return true;  // unreachable
-}
-
 Path active_path() {
   const int forced = g_forced.load(std::memory_order_relaxed);
   if (forced >= 0) return static_cast<Path>(forced);
-  int resolved = g_resolved.load(std::memory_order_relaxed);
-  if (resolved < 0) {
-    const bool vector = parse_simd_flag(support::Env::get().simd);
-    resolved = static_cast<int>(
-        vector ? (cpu_has_native() ? Path::kNative : Path::kGeneric)
-               : Path::kScalar);
-    g_resolved.store(resolved, std::memory_order_relaxed);
-  }
-  return static_cast<Path>(resolved);
+  return cpu_has_native() ? Path::kNative : Path::kGeneric;
 }
 
-void force_path_for_testing(std::optional<Path> p) {
+void set_path(std::optional<Path> p) {
   PUP_REQUIRE(!p.has_value() || p != Path::kNative || cpu_has_native(),
-              "cannot force the native kernel path: not compiled in or not "
+              "cannot pin the native kernel path: not compiled in or not "
               "supported by this CPU");
   g_forced.store(p.has_value() ? static_cast<int>(*p) : -1,
                  std::memory_order_relaxed);
-  // Drop the cached env resolution so tests that combine
-  // Env::override_for_testing with force(nullopt) observe the new snapshot.
-  g_resolved.store(-1, std::memory_order_relaxed);
 }
 
 // --- scalar reference implementations -------------------------------------

@@ -18,12 +18,13 @@
 //   * kNative  -- AVX2 (compiled with -mavx2 into this translation unit
 //                 only, runtime-gated on cpuid) or NEON intrinsics.
 //
-// Selection: the PUP_SIMD knob from the read-once env snapshot
-// (support/env.hpp).  "off"/"0"/"scalar" forces kScalar; "on"/"1"/"simd"
-// and the default "auto" pick the best vector path.  Every kernel computes
-// exact integer (or memcpy'd) results, so the choice can never change a
-// payload byte, a modeled charge, or a trace digest -- only the real wall
-// clock charged to local computation.  tests/simd_kernels_test.cpp holds
+// Selection: set_path() pins a path; by default ("auto") kernels take the
+// best vector path.  The library never reads the environment: the entry
+// points that honour PUP_SIMD (the test main, example_quickstart) turn
+// PUP_SIMD=off into set_path(kScalar).  Every kernel computes exact
+// integer (or memcpy'd) results, so the choice can never change a payload
+// byte, a modeled charge, or a trace digest -- only the real wall clock
+// charged to local computation.  tests/simd_kernels_test.cpp holds
 // the bit-identity property; bench/micro_kernels.cpp gates the speedup.
 //
 // Layering (lint-enforced, "kernels-layering"): this directory may include
@@ -35,7 +36,6 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
-#include <string>
 #include <type_traits>
 
 #include "support/check.hpp"
@@ -57,26 +57,18 @@ const char* path_name(Path p);
 /// supports it.
 bool native_available();
 
-/// The path every kernel dispatches through: a test override when forced,
-/// else PUP_SIMD from the env snapshot ("off" -> kScalar; "on"/"auto" ->
-/// kNative when available, else kGeneric).  Unknown PUP_SIMD values throw
-/// ContractError -- an experiment must never silently run the wrong
-/// kernels.
+/// The path every kernel dispatches through: the one pinned by set_path(),
+/// else kNative when available, else kGeneric.
 Path active_path();
 
 /// True when active_path() is a vector path (callers that keep their
 /// scalar loop inline branch on this instead of duplicating dispatch).
 inline bool vectorized() { return active_path() != Path::kScalar; }
 
-/// Pins active_path() for in-process tests and benches (nullopt returns
-/// to PUP_SIMD resolution, re-reading the env snapshot).  Same
-/// thread-safety contract as support::Env::override_for_testing: call only
-/// from single-threaded sections.
-void force_path_for_testing(std::optional<Path> p);
-
-/// PUP_SIMD value -> "vector paths enabled".  Exposed for unit tests;
-/// throws ContractError on unrecognized spellings.
-bool parse_simd_flag(const std::optional<std::string>& value);
+/// Pins active_path() (nullopt returns to auto).  Throws ContractError
+/// when pinning kNative on a build or CPU without it.  Call only from
+/// single-threaded sections: no kernel may be running.
+void set_path(std::optional<Path> p);
 
 // --- masked count/scan ----------------------------------------------------
 

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace pup {
 namespace {
@@ -60,12 +59,6 @@ RecoveryPolicy RecoveryPolicy::parse(const std::string& spec) {
     }
   }
   return policy;
-}
-
-RecoveryPolicy RecoveryPolicy::from_env() {
-  const auto& env = support::Env::get().recovery;
-  if (!env.has_value() || env->empty()) return RecoveryPolicy{};
-  return parse(*env);
 }
 
 }  // namespace pup

@@ -9,9 +9,12 @@
 // penalty grows.  It lives in core/ (not plan/) so the Runtime facade can
 // own one without core depending on plan headers.
 //
-// Machines consult the PUP_RECOVERY environment variable when the caller
-// does not pass a policy explicitly.  Syntax -- whitespace- or comma-
-// separated key=value fields, or the single word "off":
+// Callers pass a policy explicitly (Runtime::recovery(),
+// Server::Options::recovery, the ResilientExecutor constructor); the
+// library never reads the environment.  Entry points that honour
+// PUP_RECOVERY (support::Env::read) parse it with parse().  Syntax --
+// whitespace- or comma-separated key=value fields, or the single word
+// "off":
 //
 //   PUP_RECOVERY="restarts=3 backoff=2.0 reseed=0"
 //   PUP_RECOVERY="off"
@@ -52,10 +55,6 @@ struct RecoveryPolicy {
   /// Parses the PUP_RECOVERY grammar; throws pup::ContractError on
   /// malformed specs, naming the offending token and its byte offset.
   static RecoveryPolicy parse(const std::string& spec);
-
-  /// Reads PUP_RECOVERY; returns the default (disabled) policy when unset
-  /// or empty.
-  static RecoveryPolicy from_env();
 };
 
 }  // namespace pup

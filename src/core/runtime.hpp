@@ -9,6 +9,7 @@
 #pragma once
 
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/array_reductions.hpp"
@@ -28,15 +29,16 @@ namespace pup {
 
 class Runtime {
  public:
-  /// A runtime over `nprocs` simulated processors with the calibrated
-  /// CM-5-flavoured cost model.
-  explicit Runtime(int nprocs) : machine_(nprocs) {}
-  Runtime(int nprocs, sim::CostModel cost) : machine_(nprocs, cost) {}
+  /// A runtime over `nprocs` simulated processors configured by `options`
+  /// (by default the calibrated CM-5-flavoured cost model, a crossbar, and
+  /// sequential local phases).
+  explicit Runtime(int nprocs, sim::MachineOptions options = {})
+      : machine_(nprocs, std::move(options)) {}
 
   sim::Machine& machine() { return machine_; }
   int nprocs() const { return machine_.nprocs(); }
 
-  /// Operation-level recovery policy (PUP_RECOVERY by default); consumed by
+  /// Operation-level recovery policy (disabled by default); consumed by
   /// plan::ResilientExecutor, which takes a Runtime directly.  Mutable so a
   /// caller can tighten or disable recovery between operations.
   RecoveryPolicy& recovery() { return recovery_; }
@@ -151,7 +153,7 @@ class Runtime {
 
  private:
   sim::Machine machine_;
-  RecoveryPolicy recovery_ = RecoveryPolicy::from_env();
+  RecoveryPolicy recovery_;
 };
 
 }  // namespace pup

@@ -12,7 +12,7 @@
 // startup-dominated) then runs per request.
 //
 // Local compute inside both stages flows through the vectorized kernel
-// layer (core/kernels/, selected by PUP_SIMD) via rank_masks() and
+// layer (core/kernels/, selected by kernels::set_path) via rank_masks() and
 // pack_execute()/unpack_execute(); compiled plans never bypass it, so
 // plan-cached and direct executions hit identical kernels and digests.
 #pragma once

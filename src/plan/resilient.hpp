@@ -68,8 +68,7 @@ class ResilientExecutor {
   ResilientExecutor(sim::Machine& machine, RecoveryPolicy policy)
       : machine_(machine), policy_(policy) {}
 
-  /// Wraps a Runtime's machine under its recovery() policy (PUP_RECOVERY
-  /// by default).
+  /// Wraps a Runtime's machine under its recovery() policy.
   explicit ResilientExecutor(Runtime& rt)
       : ResilientExecutor(rt.machine(), rt.recovery()) {}
 

@@ -179,7 +179,7 @@ SoakResult run_soak(const SoakConfig& cfg) {
   // Derive the trace.  Unpack inputs come from a standalone oracle machine
   // (a library-level pack of the same mask), so both servers receive
   // byte-identical requests.
-  sim::Machine oracle(cfg.nprocs, soak_cost());
+  sim::Machine oracle(cfg.nprocs, {.cost = soak_cost()});
   std::vector<TraceItem> trace;
   trace.reserve(static_cast<std::size_t>(cfg.requests));
   for (int i = 0; i < cfg.requests; ++i) {

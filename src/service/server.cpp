@@ -6,7 +6,6 @@
 
 #include "plan/executor.hpp"
 #include "sim/instrumentation.hpp"
-#include "sim/topology.hpp"
 
 namespace pup::service {
 namespace {
@@ -30,13 +29,6 @@ Clock::time_point deadline_from(Clock::time_point submitted,
                              deadline_us));
 }
 
-sim::ExecPolicy resolve_exec(const std::optional<int>& threads) {
-  if (!threads.has_value()) return sim::ExecPolicy::from_env();
-  PUP_REQUIRE(*threads >= 1,
-              "Server::Options::threads must be >= 1, got " << *threads);
-  return sim::ExecPolicy::threaded(*threads);
-}
-
 /// Payload bytes a request pins while in flight: the mask plus one element
 /// array the size of its layout (plus the input vector for unpack).
 std::size_t pack_bytes(const dist::Distribution& d) {
@@ -55,9 +47,9 @@ std::size_t unpack_bytes(const dist::Distribution& mask_dist,
 
 Server::Server(Options options)
     : options_(std::move(options)),
-      machine_(options_.nprocs, options_.cost,
-               sim::Topology::crossbar(options_.nprocs),
-               resolve_exec(options_.threads)),
+      machine_(options_.nprocs,
+               {.cost = options_.cost,
+                .exec = sim::ExecPolicy::threaded(options_.threads)}),
       cache_(options_.plan_cache_capacity),
       exec_(machine_, options_.recovery),
       paused_(options_.start_paused) {

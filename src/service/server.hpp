@@ -58,12 +58,9 @@
 //     (delay-fault storms) into typed kWatchdogTimeout instead of a
 //     silent wedge.  See DESIGN.md section 12.
 //
-// Configuration is injected through Options, never read from the process
-// environment behind the caller's back: Options::threads overrides the
-// PUP_THREADS snapshot (support/env.hpp) per server, so two in-process
-// servers with different options coexist without touching global state
-// (see also Env::override_for_testing for tests that want to steer the
-// snapshot itself).
+// Configuration is injected through Options and nothing else -- the server
+// never reads the process environment -- so two in-process servers with
+// different options coexist without touching global state.
 //
 // Threading contract: submit(), pause/resume, drain, stats and
 // registration are safe from any thread.  The machine itself is driven
@@ -119,10 +116,8 @@ class Server {
     /// (default: disabled -- transport errors propagate as kFailed).
     RecoveryPolicy recovery{};
 
-    /// Local-phase pool size (constructor injection; see support/env.hpp):
-    /// nullopt consults the read-once PUP_THREADS snapshot, a value >= 1
-    /// pins this server regardless of the environment (1 = sequential).
-    std::optional<int> threads;
+    /// Local-phase pool size, >= 1 (1 = sequential local phases).
+    int threads = 1;
     /// Compatibility field for perfbench/: only "sim" (or unset) is
     /// accepted, anything else throws ContractError.  Goes in the next
     /// change that may edit perfbench/.

@@ -3,20 +3,16 @@
 // A Machine runs every local phase either sequentially (one rank after the
 // other, the historical default) or on a persistent thread pool that
 // executes the per-rank bodies concurrently.  The policy is chosen per
-// machine: explicitly through the constructor, or -- for the constructors
-// that do not name a policy -- from the PUP_THREADS environment variable
-// (unset, empty, non-numeric or <= 1 all mean sequential), so whole test
-// and bench binaries can be switched without a rebuild.
+// machine through MachineOptions::exec (sim/machine.hpp); the library
+// never reads it from the environment.  Test and bench binaries that honour
+// PUP_THREADS translate it at their entry point (support::Env::read).
 //
 // Threading is a pure wall-clock optimization: every *modeled* quantity
 // (message payloads, tau + mu*m charges, trace digests) is identical under
 // both policies -- see the "Execution model" section of DESIGN.md.
 #pragma once
 
-#include <cstdlib>
-
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace pup::sim {
 
@@ -32,22 +28,6 @@ struct ExecPolicy {
   static ExecPolicy threaded(int n) {
     PUP_REQUIRE(n >= 1, "thread count must be >= 1, got " << n);
     return ExecPolicy{n};
-  }
-
-  /// Policy from the PUP_THREADS variable of the process's read-once
-  /// environment snapshot (support/env.hpp).  Lenient by design: anything
-  /// that does not parse as an integer greater than one falls back to
-  /// sequential execution, so a stray value can never change results (only
-  /// wall-clock time) and never aborts a run.
-  static ExecPolicy from_env() {
-    const auto& var = support::Env::get().threads;
-    if (!var.has_value() || var->empty()) return sequential();
-    const char* v = var->c_str();
-    char* end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || n <= 1) return sequential();
-    constexpr long kMaxThreads = 1024;  // sanity cap, not a tuning knob
-    return ExecPolicy{static_cast<int>(n < kMaxThreads ? n : kMaxThreads)};
   }
 };
 

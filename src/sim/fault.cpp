@@ -5,7 +5,6 @@
 #include <string>
 
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace pup::sim {
 namespace {
@@ -174,12 +173,6 @@ std::unique_ptr<FaultPlan> FaultPlan::parse(const std::string& spec) {
   PUP_REQUIRE(!rules.empty(),
               "PUP_FAULTS: \"" << spec << "\" defines no injection rule");
   return std::make_unique<FaultPlan>(seed, std::move(rules));
-}
-
-std::unique_ptr<FaultPlan> FaultPlan::from_env() {
-  const auto& env = support::Env::get().faults;
-  if (!env.has_value() || env->empty()) return nullptr;
-  return parse(*env);
 }
 
 FaultEvent FaultPlan::decide(const Message& m,

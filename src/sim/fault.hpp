@@ -33,9 +33,11 @@
 // exactly one draw; non-matching messages, kill countdowns, and dead-source
 // drops consume none.
 //
-// Machines constructed without an explicit plan consult the PUP_FAULTS
-// environment variable (FaultPlan::from_env).  Syntax, '|'-separated rules
-// of whitespace- or comma-separated key=value fields, first matching
+// A machine injects faults only once a plan is installed with
+// Machine::set_fault_plan(FaultPlan::parse(spec)); the library never reads
+// the environment, but the test main and example_quickstart accept the
+// same spec in PUP_FAULTS (support::Env::read).  Syntax, '|'-separated
+// rules of whitespace- or comma-separated key=value fields, first matching
 // probability rule wins:
 //
 //   PUP_FAULTS="seed=42 drop=0.02 dup=0.01 delay=0.01 ticks=2 trunc=0.005"
@@ -145,9 +147,6 @@ class FaultPlan {
   /// past 1, bad number, kill mixed with probabilities).  Every error
   /// message names the offending token and its byte offset in the spec.
   static std::unique_ptr<FaultPlan> parse(const std::string& spec);
-
-  /// Reads PUP_FAULTS; returns nullptr when unset or empty.
-  static std::unique_ptr<FaultPlan> from_env();
 
   /// Decides the fate of one posted message.  Dead-source posts short-
   /// circuit to kDeadSource.  Kill countdowns tick on every matching post

@@ -98,23 +98,16 @@ struct Machine::ThreadPool {
   bool stop = false;
 };
 
-Machine::Machine(int nprocs, CostModel cost)
-    : Machine(nprocs, cost, Topology::crossbar(nprocs),
-              ExecPolicy::from_env()) {}
-
-Machine::Machine(int nprocs, CostModel cost, Topology topology)
-    : Machine(nprocs, cost, std::move(topology), ExecPolicy::from_env()) {}
-
 Machine::Machine(int nprocs, CostModel cost, Topology topology,
                  ExecPolicy exec, backend::Kind /*backend*/)
-    : Machine(nprocs, cost, std::move(topology), exec) {}
+    : Machine(nprocs, MachineOptions{cost, std::move(topology), exec}) {}
 
-Machine::Machine(int nprocs, CostModel cost, Topology topology,
-                 ExecPolicy exec)
+Machine::Machine(int nprocs, MachineOptions options)
     : nprocs_(nprocs),
-      cost_(cost),
-      topology_(std::move(topology)),
-      exec_(exec),
+      cost_(options.cost),
+      topology_(options.topology ? std::move(*options.topology)
+                                 : Topology::crossbar(nprocs)),
+      exec_(options.exec),
       mailboxes_(static_cast<std::size_t>(nprocs)),
       times_(static_cast<std::size_t>(nprocs)),
       trace_(nprocs),
@@ -126,7 +119,6 @@ Machine::Machine(int nprocs, CostModel cost, Topology topology,
                                << nprocs);
   PUP_REQUIRE(exec_.threads >= 1,
               "execution policy needs >= 1 thread, got " << exec_.threads);
-  faults_ = FaultPlan::from_env();
 }
 
 Machine::~Machine() = default;

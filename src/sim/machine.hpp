@@ -13,7 +13,7 @@
 //   * Sequential (the default): bodies run in rank order on the calling
 //     thread.  Every execution is bit-for-bit deterministic, including the
 //     interleaving of side effects.
-//   * Threaded (ExecPolicy::threaded(n) or the PUP_THREADS env var): bodies
+//   * Threaded (MachineOptions::exec = ExecPolicy::threaded(n)): bodies
 //     run concurrently on a persistent pool of n threads.  Rank bodies must
 //     touch only rank-private state (their own slots of pre-sized
 //     containers), which every library phase already obeys.  All *modeled*
@@ -36,6 +36,12 @@
 // first threaded phase.  Everything modeled -- fault injection, charges,
 // tracing, observers, epoch bookkeeping -- happens here too, on the thread
 // that drives the schedule (DESIGN.md section 9).
+//
+// Configuration is explicit: the constructor takes MachineOptions (cost
+// model, topology, execution policy) and a fault plan is installed with
+// set_fault_plan().  The machine never reads the process environment;
+// entry points that honour PUP_THREADS / PUP_FAULTS read them with
+// support::Env::read() and pass them on.
 #pragma once
 
 #include <deque>
@@ -72,15 +78,20 @@ namespace pup::sim {
 class FaultPlan;        // sim/fault.hpp
 class EpochCheckpoint;  // sim/epoch.hpp
 
+/// Everything a Machine is built from.
+struct MachineOptions {
+  CostModel cost = CostModel::calibrated_cm5();
+  /// Interconnect; the paper's virtual crossbar when unset.
+  std::optional<Topology> topology = std::nullopt;
+  ExecPolicy exec = ExecPolicy::sequential();
+};
+
 class Machine {
  public:
-  /// Creates a machine with `nprocs` processors, a cost model, and a
-  /// topology (defaults to the paper's virtual crossbar).  Constructors
-  /// without an explicit ExecPolicy consult the PUP_THREADS environment
-  /// variable (ExecPolicy::from_env()).
-  explicit Machine(int nprocs, CostModel cost = CostModel::calibrated_cm5());
-  Machine(int nprocs, CostModel cost, Topology topology);
-  Machine(int nprocs, CostModel cost, Topology topology, ExecPolicy exec);
+  /// Creates a machine with `nprocs` processors.  Throws ContractError when
+  /// nprocs < 1, the topology's size differs from nprocs, or
+  /// exec.threads < 1.
+  explicit Machine(int nprocs, MachineOptions options = {});
   /// Compatibility overload for perfbench/ (see backend::Kind above).
   Machine(int nprocs, CostModel cost, Topology topology, ExecPolicy exec,
           backend::Kind backend);
@@ -134,7 +145,7 @@ class Machine {
   /// round structure (and therefore cost) is imposed by the collective
   /// schedules, not by the transport.  Main-thread only (never call from a
   /// local-phase body; tools/lint.py bans transport above coll/).  When a
-  /// fault plan is installed (set_fault_plan / PUP_FAULTS), injection
+  /// fault plan is installed (set_fault_plan), injection
   /// happens here: the message may be dropped, duplicated, delayed, or
   /// truncated, with a paired fault.* annotation for every injected event.
   void post(Message m, Category cat);
@@ -152,9 +163,8 @@ class Machine {
   // --- fault injection (sim/fault.hpp) ----------------------------------
 
   /// Installs a fault plan applied by post() to every subsequent message
-  /// (nullptr disables injection).  Constructors consult the PUP_FAULTS
-  /// environment variable (FaultPlan::from_env), so an explicit call here
-  /// overrides the environment.  Swapping plans mid-collective is
+  /// (nullptr disables injection; a new machine has none).  Swapping
+  /// plans mid-collective is
   /// undefined behavior as far as the reliable layer is concerned.
   void set_fault_plan(std::unique_ptr<FaultPlan> plan);
   FaultPlan* fault_plan() const { return faults_.get(); }

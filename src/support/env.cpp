@@ -1,57 +1,56 @@
 #include "support/env.hpp"
 
+#include <charconv>
 #include <cstdlib>
-#include <utility>
+#include <system_error>
 
+#include "core/recovery.hpp"
+#include "sim/fault.hpp"
 #include "support/check.hpp"
 
 namespace pup::support {
 namespace {
 
-std::optional<std::string> read(const char* name) {
-  // The process's sole std::getenv call site.  Reached only from the
-  // magic-static initializer below (exactly once, under its thread-safe
-  // guard) or from the explicitly single-threaded Env::refresh(), so the
-  // unsynchronized environment access can never race.
+std::optional<std::string> read_var(const char* name) {
+  // The library's sole std::getenv call site; Env::read() runs once at a
+  // process entry point, before any thread exists.
   // NOLINTNEXTLINE(concurrency-mt-unsafe)
   const char* v = std::getenv(name);
-  if (v == nullptr) return std::nullopt;
+  if (v == nullptr || *v == '\0') return std::nullopt;
   return std::string(v);
 }
 
-Env capture() {
-  Env env;
-  env.threads = read("PUP_THREADS");
-  env.faults = read("PUP_FAULTS");
-  env.reliable = read("PUP_RELIABLE");
-  env.recovery = read("PUP_RECOVERY");
-  env.simd = read("PUP_SIMD");
-  return env;
+int parse_threads(const std::string& v) {
+  constexpr int kMaxThreads = 1024;  // sanity cap, not a tuning knob
+  int n = 0;
+  const char* end = v.data() + v.size();
+  const auto [stop, err] = std::from_chars(v.data(), end, n);
+  PUP_REQUIRE(err == std::errc{} && stop == end && n >= 1 && n <= kMaxThreads,
+              "PUP_THREADS=\"" << v << "\" is not an integer in 1.."
+                               << kMaxThreads);
+  return n;
 }
 
-Env& instance() {
-  static Env env = capture();
-  return env;
+bool parse_simd(const std::string& v) {
+  if (v == "auto" || v == "on" || v == "1" || v == "simd") return true;
+  if (v == "off" || v == "0" || v == "scalar") return false;
+  PUP_REQUIRE(false, "PUP_SIMD=\"" << v << "\" is not recognized (use "
+                                   << "auto, on, 1, simd, off, 0, scalar)");
+  return true;  // unreachable
 }
 
 }  // namespace
 
-const Env& Env::get() { return instance(); }
-
-void Env::refresh() { instance() = capture(); }
-
-void Env::override_for_testing(const std::string& name,
-                               std::optional<std::string> value) {
-  Env& env = instance();
-  if (name == "PUP_THREADS") env.threads = std::move(value);
-  else if (name == "PUP_FAULTS") env.faults = std::move(value);
-  else if (name == "PUP_RELIABLE") env.reliable = std::move(value);
-  else if (name == "PUP_RECOVERY") env.recovery = std::move(value);
-  else if (name == "PUP_SIMD") env.simd = std::move(value);
-  else {
-    PUP_REQUIRE(false, "Env::override_for_testing: unknown variable \""
-                           << name << "\"");
-  }
+Env Env::read() {
+  Env env;
+  if (auto v = read_var("PUP_THREADS")) env.threads = parse_threads(*v);
+  if (auto v = read_var("PUP_SIMD")) env.simd = parse_simd(*v);
+  // The grammar parsers' errors already name their variable.
+  env.faults = read_var("PUP_FAULTS");
+  if (env.faults) sim::FaultPlan::parse(*env.faults);
+  env.recovery = read_var("PUP_RECOVERY");
+  if (env.recovery) RecoveryPolicy::parse(*env.recovery);
+  return env;
 }
 
 }  // namespace pup::support

@@ -1,21 +1,21 @@
-// Read-once snapshot of the PUP_* environment configuration.
+// The PUP_* environment variables, read strictly at a process entry point.
 //
-// The library is configured through a handful of environment variables
-// (PUP_THREADS, PUP_FAULTS, PUP_RELIABLE, PUP_RECOVERY, PUP_SIMD).
-// std::getenv is not guaranteed thread-safe, and machines are constructed
-// while other threads are live (a second Server next to a running one, the
-// local-phase pool workers of an earlier machine), so a per-call read would
-// race any concurrent setenv.
+// The library never reads the environment: every Machine, Runtime and
+// Server is configured by its caller (sim::MachineOptions,
+// Machine::set_fault_plan, Runtime::recovery(), Server::Options,
+// kernels::set_path).  Env::read() is the one place the variables are
+// parsed, and only process entry points call it -- the shared test main,
+// example_quickstart, and bench/threading_scaling -- once, at startup,
+// before any thread exists (std::getenv is not guaranteed thread-safe).
 //
-// Env::get() captures every variable exactly once, on first use, under the
-// thread-safe magic-static guard; afterwards the snapshot is immutable and
-// every consumer reads plain value members.  The process environment itself
-// is never touched again, so no consumer needs a concurrency waiver.
+//   PUP_THREADS   local-phase pool size, an integer in 1..1024
+//   PUP_FAULTS    a fault plan in the sim/fault.hpp grammar
+//   PUP_RECOVERY  a recovery policy in the core/recovery.hpp grammar
+//   PUP_SIMD      auto|on|1|simd (vector kernels) or off|0|scalar
 //
-// Env::refresh() re-captures the snapshot for tests that mutate the
-// environment mid-process (ScopedEnv helpers around setenv/unsetenv).  It
-// is NOT thread-safe: call it only while no machine or server is live --
-// exactly the discipline the test helpers already follow.
+// An unset or empty variable means "not configured".  Any other malformed
+// value throws pup::ContractError naming the variable, so a typo in a CI
+// step fails at startup instead of silently dropping its coverage.
 #pragma once
 
 #include <optional>
@@ -24,33 +24,13 @@
 namespace pup::support {
 
 struct Env {
-  std::optional<std::string> threads;   ///< PUP_THREADS
-  std::optional<std::string> faults;    ///< PUP_FAULTS
-  std::optional<std::string> reliable;  ///< PUP_RELIABLE
-  std::optional<std::string> recovery;  ///< PUP_RECOVERY
-  std::optional<std::string> simd;      ///< PUP_SIMD
+  std::optional<int> threads;           ///< PUP_THREADS
+  std::optional<std::string> faults;    ///< PUP_FAULTS, grammar-checked
+  std::optional<std::string> recovery;  ///< PUP_RECOVERY, grammar-checked
+  std::optional<bool> simd;             ///< PUP_SIMD; false = scalar kernels
 
-  /// The process-wide snapshot, captured on first call (thread-safe).
-  static const Env& get();
-
-  /// Re-captures the snapshot from the current environment.  Test-only:
-  /// must not race any concurrent Env::get() reader, so call it only from
-  /// a single-threaded section with no live machines or servers.
-  static void refresh();
-
-  /// Overrides one variable of the snapshot *in place*, without touching
-  /// the process environment -- the programmatic alternative to
-  /// setenv + refresh() for embedded servers and tests (process-env
-  /// mutation is exactly what the snapshot exists to avoid).  `name` is
-  /// the environment-variable spelling ("PUP_THREADS", "PUP_FAULTS",
-  /// "PUP_RELIABLE", "PUP_RECOVERY", "PUP_SIMD"); anything else throws
-  /// ContractError.  nullopt models an unset variable.  Same thread-safety
-  /// contract as refresh(); a later refresh() discards the override.
-  /// Components that take explicit configuration (e.g.
-  /// service::Server::Options) should prefer constructor injection --
-  /// this hook steers only the consumers that read the snapshot.
-  static void override_for_testing(const std::string& name,
-                                   std::optional<std::string> value);
+  /// Reads and validates the four variables from the process environment.
+  static Env read();
 };
 
 }  // namespace pup::support

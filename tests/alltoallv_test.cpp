@@ -6,13 +6,12 @@
 
 #include "coll/alltoallv.hpp"
 #include "sim/machine.hpp"
+#include "test_support.hpp"
 
 namespace pup::coll {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 std::vector<std::vector<std::vector<int>>> make_send(int p) {
   // send[i][j] = {i*100+j, i*100+j, ... (j+1 copies)} so sizes differ.
@@ -32,7 +31,7 @@ class AlltoallvTest : public ::testing::TestWithParam<
 
 TEST_P(AlltoallvTest, DeliversEverythingToTheRightPlace) {
   const auto [p, sched] = GetParam();
-  sim::Machine m = make_machine(p);
+  auto m = make_machine(p);
   auto recv = alltoallv_typed<int>(m, Group::world(p), make_send(p), sched);
   for (int i = 0; i < p; ++i) {
     for (int j = 0; j < p; ++j) {
@@ -54,7 +53,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Alltoallv, SelfMessagesBypassTheNetwork) {
   const int p = 4;
-  sim::Machine m = make_machine(p);
+  auto m = make_machine(p);
   // Only self-messages.
   std::vector<std::vector<std::vector<int>>> send(static_cast<std::size_t>(p));
   for (int i = 0; i < p; ++i) {
@@ -74,7 +73,7 @@ TEST(Alltoallv, SelfMessagesBypassTheNetwork) {
 
 TEST(Alltoallv, EmptyPayloadsCostNothing) {
   const int p = 6;
-  sim::Machine m = make_machine(p);
+  auto m = make_machine(p);
   std::vector<std::vector<std::vector<int>>> send(static_cast<std::size_t>(p));
   for (auto& row : send) row.resize(static_cast<std::size_t>(p));
   auto recv = alltoallv_typed<int>(m, Group::world(p), std::move(send));
@@ -90,8 +89,8 @@ TEST(Alltoallv, LinearPermutationCheaperThanNaiveOnFullExchange) {
   // permutation schedule overlaps each member's send and receive, so its
   // modeled time is about half the naive schedule's.
   const int p = 8;
-  sim::Machine ml = make_machine(p);
-  sim::Machine mn = make_machine(p);
+  auto ml = make_machine(p);
+  auto mn = make_machine(p);
   auto full = [&] {
     std::vector<std::vector<std::vector<int>>> send(
         static_cast<std::size_t>(p));
@@ -109,7 +108,7 @@ TEST(Alltoallv, LinearPermutationCheaperThanNaiveOnFullExchange) {
 
 TEST(Alltoallv, ChargesRequestedCategory) {
   const int p = 2;
-  sim::Machine m = make_machine(p);
+  auto m = make_machine(p);
   std::vector<std::vector<std::vector<int>>> send(static_cast<std::size_t>(p));
   for (auto& row : send) row.resize(static_cast<std::size_t>(p));
   send[0][1] = {1, 2, 3};
@@ -121,7 +120,7 @@ TEST(Alltoallv, ChargesRequestedCategory) {
 }
 
 TEST(Alltoallv, WrongBufferShapeThrows) {
-  sim::Machine m = make_machine(3);
+  auto m = make_machine(3);
   ByteBuffers bad(2);
   EXPECT_THROW(alltoallv(m, Group::world(3), std::move(bad)),
                pup::ContractError);

@@ -8,6 +8,7 @@
 #include "coll/reduce.hpp"
 #include "coll/scan.hpp"
 #include "sim/machine.hpp"
+#include "test_support.hpp"
 
 namespace pup::coll {
 namespace {
@@ -15,12 +16,10 @@ namespace {
 using Vec = std::vector<std::int64_t>;
 using Bufs = std::vector<Vec>;
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 TEST(CollectivesEdge, PrsLengthMismatchThrows) {
-  sim::Machine m = make_machine(4);
+  auto m = make_machine(4);
   Bufs bufs = {{1, 2}, {1, 2}, {1}, {1, 2}};
   Bufs total;
   EXPECT_THROW(prefix_reduction_sum(m, Group::world(4),
@@ -29,20 +28,20 @@ TEST(CollectivesEdge, PrsLengthMismatchThrows) {
 }
 
 TEST(CollectivesEdge, AllreduceLengthMismatchThrows) {
-  sim::Machine m = make_machine(3);
+  auto m = make_machine(3);
   Bufs bufs = {{1}, {1, 2}, {1}};
   EXPECT_THROW(allreduce_sum(m, Group::world(3), bufs), pup::ContractError);
 }
 
 TEST(CollectivesEdge, BroadcastBadRootThrows) {
-  sim::Machine m = make_machine(3);
+  auto m = make_machine(3);
   Bufs bufs(3);
   EXPECT_THROW(broadcast(m, Group::world(3), 3, bufs), pup::ContractError);
   EXPECT_THROW(broadcast(m, Group::world(3), -1, bufs), pup::ContractError);
 }
 
 TEST(CollectivesEdge, SingleMemberGroupIsANoopNetworkWise) {
-  sim::Machine m = make_machine(4);
+  auto m = make_machine(4);
   Group g({2});
   Bufs bufs(4);
   bufs[2] = {5, 6};
@@ -54,7 +53,7 @@ TEST(CollectivesEdge, SingleMemberGroupIsANoopNetworkWise) {
 }
 
 TEST(CollectivesEdge, EmptyVectorsAreLegal) {
-  sim::Machine m = make_machine(4);
+  auto m = make_machine(4);
   Bufs bufs(4);  // all empty
   Bufs total;
   prefix_reduction_sum(m, Group::world(4), PrsAlgorithm::kSplit, bufs, total);
@@ -66,7 +65,7 @@ TEST(CollectivesEdge, EmptyVectorsAreLegal) {
 }
 
 TEST(CollectivesEdge, GenericAllreduceMax) {
-  sim::Machine m = make_machine(5);
+  auto m = make_machine(5);
   Bufs bufs = {{3, -1}, {7, -5}, {2, -9}, {9, -2}, {1, -7}};
   allreduce(m, Group::world(5), bufs,
             [](std::int64_t a, std::int64_t b) { return a > b ? a : b; });
@@ -76,7 +75,7 @@ TEST(CollectivesEdge, GenericAllreduceMax) {
 }
 
 TEST(CollectivesEdge, ExscanOnNonContiguousGroup) {
-  sim::Machine m = make_machine(6);
+  auto m = make_machine(6);
   Group g({5, 1, 3});  // arbitrary order defines the prefix direction
   Bufs bufs(6);
   bufs[5] = {10};
@@ -92,7 +91,7 @@ TEST(CollectivesEdge, ExscanOnNonContiguousGroup) {
 
 TEST(CollectivesEdge, PrsWithVectorShorterThanGroup) {
   // M < G: split's trailing chunks are empty and must not deadlock.
-  sim::Machine m = make_machine(8);
+  auto m = make_machine(8);
   Bufs bufs(8, Vec{1, 2, 3});
   Bufs total;
   prefix_reduction_sum(m, Group::world(8), PrsAlgorithm::kSplit, bufs, total);

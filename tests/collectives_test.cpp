@@ -12,6 +12,7 @@
 #include "coll/scan.hpp"
 #include "sim/machine.hpp"
 #include "support/rng.hpp"
+#include "test_support.hpp"
 
 namespace pup::coll {
 namespace {
@@ -19,9 +20,7 @@ namespace {
 using Vec = std::vector<std::int64_t>;
 using Bufs = std::vector<Vec>;
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 Bufs make_inputs(int p, std::size_t m, std::uint64_t seed) {
   Bufs bufs(static_cast<std::size_t>(p));
@@ -52,7 +51,7 @@ Vec ref_prefix(const Bufs& in, int upto) {
 
 TEST(Broadcast, AllMembersGetRootData) {
   for (int p : {1, 2, 3, 4, 7, 8}) {
-    sim::Machine m = make_machine(p);
+    auto m = make_machine(p);
     Bufs bufs(static_cast<std::size_t>(p));
     const int root = p / 2;
     bufs[static_cast<std::size_t>(root)] = {1, 2, 3};
@@ -69,7 +68,7 @@ TEST(Broadcast, AllMembersGetRootData) {
 
 TEST(AllreduceSum, MatchesReference) {
   for (int p : {1, 2, 3, 5, 8, 16}) {
-    sim::Machine m = make_machine(p);
+    auto m = make_machine(p);
     Bufs in = make_inputs(p, 17, 99);
     const Vec want = ref_total(in);
     Bufs bufs = in;
@@ -83,7 +82,7 @@ TEST(AllreduceSum, MatchesReference) {
 
 TEST(ExscanSum, MatchesReference) {
   for (int p : {1, 2, 3, 6, 8, 13}) {
-    sim::Machine m = make_machine(p);
+    auto m = make_machine(p);
     Bufs in = make_inputs(p, 9, 7);
     Bufs bufs = in;
     exscan_sum(m, Group::world(p), bufs);
@@ -97,7 +96,7 @@ TEST(ExscanSum, MatchesReference) {
 
 TEST(ExscanSum, InclusiveOutput) {
   const int p = 5;
-  sim::Machine m = make_machine(p);
+  auto m = make_machine(p);
   Bufs in = make_inputs(p, 4, 3);
   Bufs bufs = in;
   Bufs inclusive;
@@ -112,7 +111,7 @@ class PrsTest : public ::testing::TestWithParam<
 
 TEST_P(PrsTest, PrefixAndTotalMatchReference) {
   const auto [p, m_len, alg] = GetParam();
-  sim::Machine m = make_machine(p);
+  auto m = make_machine(p);
   Bufs in = make_inputs(p, static_cast<std::size_t>(m_len), 1234);
   Bufs prefix = in;
   Bufs total;
@@ -140,7 +139,7 @@ TEST(Prs, ControlNetworkCostIsIndependentOfGroupSize) {
   // point-to-point messages, per-member cost independent of P.
   double cost4 = 0, cost16 = 0;
   for (int p : {4, 16}) {
-    sim::Machine m = make_machine(p);
+    auto m = make_machine(p);
     Bufs in = make_inputs(p, 512, 3);
     Bufs total;
     prefix_reduction_sum(m, Group::world(p), PrsAlgorithm::kControlNetwork,
@@ -159,7 +158,7 @@ TEST(Prs, ControlNetworkCostIsIndependentOfGroupSize) {
 
 TEST(Prs, DirectAndSplitAgreeOnSubgroups) {
   // Group that is a strict subset of the machine, non-contiguous ranks.
-  sim::Machine m = make_machine(8);
+  auto m = make_machine(8);
   Group g({1, 3, 5, 7});
   Bufs in = make_inputs(8, 12, 5);
   Bufs pre_d = in, pre_s = in;
@@ -188,7 +187,7 @@ TEST(Prs, AutoSelectionRule) {
 TEST(Prs, DirectPow2MessageCount) {
   // Recursive doubling: every round all G members exchange -> G*log2(G).
   const int p = 8;
-  sim::Machine m = make_machine(p);
+  auto m = make_machine(p);
   Bufs in = make_inputs(p, 10, 2);
   Bufs total;
   prefix_reduction_sum(m, Group::world(p), PrsAlgorithm::kDirect, in, total);
@@ -199,7 +198,7 @@ TEST(Prs, SplitCommunicationVolumeIsBounded) {
   // Split: each member ships ~2 vectors' worth of data regardless of G.
   const int p = 16;
   const std::size_t M = 1600;
-  sim::Machine m = make_machine(p);
+  auto m = make_machine(p);
   Bufs in = make_inputs(p, M, 2);
   Bufs total;
   prefix_reduction_sum(m, Group::world(p), PrsAlgorithm::kSplit, in, total);
@@ -220,7 +219,7 @@ namespace {
 double min_prs_us(int p, std::size_t M, PrsAlgorithm alg) {
   double best = -1.0;
   for (int rep = 0; rep < 3; ++rep) {
-    sim::Machine m = make_machine(p);
+    auto m = make_machine(p);
     Bufs in = make_inputs(p, M, 11);
     Bufs tot;
     prefix_reduction_sum(m, Group::world(p), alg, in, tot);

@@ -8,6 +8,7 @@
 #include "sim/machine.hpp"
 #include "sim/trace.hpp"
 #include "support/check.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
@@ -54,7 +55,7 @@ TEST(ContractError, IsALogicError) {
 }
 
 TEST(ContractError, ReceiveRequiredOnEmptyMailboxThrows) {
-  sim::Machine machine(2, sim::CostModel{10.0, 0.05, 0.01});
+  auto machine = test::make_machine(2, test::test_options({10.0, 0.05, 0.01}));
   EXPECT_THROW((void)machine.receive_required(0), ContractError);
   EXPECT_THROW((void)machine.receive_required(1, 0, 7), ContractError);
   // The non-throwing probe stays silent on the same empty mailbox.
@@ -63,7 +64,7 @@ TEST(ContractError, ReceiveRequiredOnEmptyMailboxThrows) {
 }
 
 TEST(ContractError, ResetAccountingWithQueuedMessageThrows) {
-  sim::Machine machine(2, sim::CostModel{10.0, 0.05, 0.01});
+  auto machine = test::make_machine(2, test::test_options({10.0, 0.05, 0.01}));
   machine.post(sim::Message{0, 1, 3, std::vector<std::byte>(8)},
                sim::Category::kM2M);
   EXPECT_FALSE(machine.mailboxes_empty());

@@ -21,16 +21,21 @@
 #include "core/api.hpp"
 #include "plan/resilient.hpp"
 #include "sim/fault.hpp"
+#include "support/env.hpp"
 #include "support/rng.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
 const sim::CostModel kCost{10.0, 0.05, 0.01};
 
+/// kCost plus the startup PUP_THREADS (the *_threaded registration).
+sim::MachineOptions opts() { return test::test_options(kCost); }
+
 TEST(Determinism, PackReplaysIdentically) {
   const dist::index_t n = 64;
-  auto report = analysis::check_determinism(4, kCost, [&](sim::Machine& m) {
+  auto report = analysis::check_determinism(4, opts(), [&](sim::Machine& m) {
     auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                               dist::ProcessGrid({4}), 4);
     std::vector<int> data(static_cast<std::size_t>(n));
@@ -47,7 +52,7 @@ TEST(Determinism, PackReplaysIdentically) {
 }
 
 TEST(Determinism, CollectivesReplayIdentically) {
-  auto report = analysis::check_determinism(4, kCost, [](sim::Machine& m) {
+  auto report = analysis::check_determinism(4, opts(), [](sim::Machine& m) {
     const auto g = coll::Group::world(4);
     std::vector<std::vector<int>> bufs(4);
     for (int r = 0; r < 4; ++r) bufs[r] = {r, r * r};
@@ -67,7 +72,7 @@ TEST(Determinism, CollectivesReplayIdentically) {
 
 TEST(Determinism, CatchesPayloadThatVariesAcrossRuns) {
   int run = 0;
-  auto report = analysis::check_determinism(2, kCost, [&](sim::Machine& m) {
+  auto report = analysis::check_determinism(2, opts(), [&](sim::Machine& m) {
     ++run;
     // A payload whose size depends on invocation count: the digest's byte
     // totals differ between the two replays.
@@ -82,7 +87,7 @@ TEST(Determinism, CatchesPayloadThatVariesAcrossRuns) {
 
 TEST(Determinism, CatchesChargeThatVariesAcrossRuns) {
   int run = 0;
-  auto report = analysis::check_determinism(2, kCost, [&](sim::Machine& m) {
+  auto report = analysis::check_determinism(2, opts(), [&](sim::Machine& m) {
     ++run;
     m.charge(0, sim::Category::kPrs, run == 1 ? 1.0 : 2.0);
   });
@@ -93,7 +98,7 @@ TEST(Determinism, CatchesChargeThatVariesAcrossRuns) {
 TEST(Determinism, DigestExcludesRealWallClockTime) {
   // local_phase charges real wall-clock time, which is never reproducible;
   // the digest must ignore it so identical logic replays identically.
-  auto report = analysis::check_determinism(2, kCost, [](sim::Machine& m) {
+  auto report = analysis::check_determinism(2, opts(), [](sim::Machine& m) {
     m.local_phase([](int rank) {
       volatile long sink = 0;
       for (long i = 0; i < 10000 * (rank + 1); ++i) sink = sink + i;
@@ -123,10 +128,8 @@ TEST(Determinism, ThreadedExecutionMatchesSequentialDigest) {
     return std::make_pair(recorder.digest(), r.vector.gather());
   };
 
-  sim::Machine seq(8, kCost, sim::Topology::crossbar(8),
-                   sim::ExecPolicy::sequential());
-  sim::Machine par(8, kCost, sim::Topology::crossbar(8),
-                   sim::ExecPolicy::threaded(4));
+  sim::Machine seq(8, {.cost = kCost});
+  sim::Machine par(8, {.cost = kCost, .exec = sim::ExecPolicy::threaded(4)});
   const auto [dseq, vseq] = run(seq);
   const auto [dpar, vpar] = run(par);
   EXPECT_EQ(dseq, dpar) << analysis::diff_digests(dseq, dpar);
@@ -198,15 +201,14 @@ Words run_all_collectives(sim::Machine& m) {
 }
 
 /// Runs `op` on a sequential and a threaded(4) machine with the given fault
-/// plan (nullptr: clean, whatever PUP_FAULTS says) and expects equal
-/// results and digests.
+/// plan (nullptr: clean) and expects equal results and digests.
 template <typename Op>
 void expect_pool_parity(const char* fault_spec, Op op) {
   auto run = [&](sim::ExecPolicy exec) {
-    sim::Machine m(kParityProcs, kCost, sim::Topology::crossbar(kParityProcs),
-                   exec);
-    m.set_fault_plan(fault_spec == nullptr ? nullptr
-                                           : sim::FaultPlan::parse(fault_spec));
+    sim::Machine m(kParityProcs, {.cost = kCost, .exec = exec});
+    if (fault_spec != nullptr) {
+      m.set_fault_plan(sim::FaultPlan::parse(fault_spec));
+    }
     analysis::DigestRecorder recorder(m);
     auto result = op(m);
     EXPECT_TRUE(m.mailboxes_empty());
@@ -287,7 +289,7 @@ TEST(Determinism, ThreadedKillRecoveryMatchesSequentialDigest) {
 }
 
 TEST(Determinism, RecorderStacksWithProtocolValidator) {
-  sim::Machine machine(4, kCost);
+  auto machine = test::make_machine(4, opts());
   analysis::ProtocolValidator validator(machine);
   analysis::DigestRecorder recorder(machine);
 
@@ -303,6 +305,17 @@ TEST(Determinism, RecorderStacksWithProtocolValidator) {
   EXPECT_EQ(digest.messages, validator.stats().posts);
   validator.finish();
   EXPECT_TRUE(validator.ok()) << validator.report();
+}
+
+TEST(TestConfig, EnvReachesHelperMachines) {
+  // Re-reads the process environment and checks that the test main passed
+  // it on: a helper machine is threaded exactly when PUP_THREADS asks for
+  // a pool and carries a fault plan exactly when PUP_FAULTS is set, so a
+  // re-run registration cannot silently lose its configuration.
+  const support::Env env = support::Env::read();
+  auto machine = test::make_machine(4);
+  EXPECT_EQ(machine.exec().is_threaded(), env.threads.value_or(1) > 1);
+  EXPECT_EQ(machine.fault_plan() != nullptr, env.faults.has_value());
 }
 
 }  // namespace

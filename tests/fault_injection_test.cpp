@@ -8,32 +8,25 @@
 //   * bit-for-bit schedule reproducibility for a fixed seed;
 //   * paired fault.* annotations reaching the MachineObserver.
 //
-// Every machine here installs its fault plan explicitly (or none), so the
-// tests are immune to the PUP_FAULTS environment the ctest fault matrix
-// exports.
+// Every machine here installs its fault plan explicitly, replacing any
+// startup PUP_FAULTS plan the CI fault steps hand make_machine().
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/fault.hpp"
 #include "sim/instrumentation.hpp"
 #include "sim/machine.hpp"
-#include "support/env.hpp"
 #include "support/check.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-// Every test installs its plan explicitly right after construction, which
-// also shields the machines from the ctest PUP_FAULTS matrix environment.
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 sim::Message make_message(int src, int dst, int tag, std::size_t n_words) {
   std::vector<std::int64_t> words(n_words);
@@ -42,37 +35,6 @@ sim::Message make_message(int src, int dst, int tag, std::size_t n_words) {
                       sim::to_payload<std::int64_t>(
                           std::span<const std::int64_t>(words))};
 }
-
-/// Saves and restores PUP_FAULTS around env-sensitive tests so the fault
-/// matrix's setting survives.
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    const char* v = std::getenv(name);
-    if (v != nullptr) saved_ = v;
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-    support::Env::refresh();
-  }
-
-  static void set(const char* name, const char* value) {
-    ::setenv(name, value, 1);
-    support::Env::refresh();
-  }
-  static void unset(const char* name) {
-    ::unsetenv(name);
-    support::Env::refresh();
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 TEST(FaultPlan, ParsesMultiRuleSpecsWithScoping) {
   auto plan = sim::FaultPlan::parse(
@@ -113,21 +75,8 @@ TEST(FaultPlan, RejectsMalformedSpecs) {
   EXPECT_THROW(sim::FaultPlan::parse("drop=0.0"), ContractError);
 }
 
-TEST(FaultPlan, FromEnvReadsPupFaults) {
-  ScopedEnv guard("PUP_FAULTS");
-  ScopedEnv::set("PUP_FAULTS", "seed=5 drop=1.0");
-  auto plan = sim::FaultPlan::from_env();
-  ASSERT_NE(plan, nullptr);
-  EXPECT_EQ(plan->seed(), 5u);
-
-  ScopedEnv::unset("PUP_FAULTS");
-  EXPECT_EQ(sim::FaultPlan::from_env(), nullptr);
-  ScopedEnv::set("PUP_FAULTS", "");
-  EXPECT_EQ(sim::FaultPlan::from_env(), nullptr);
-}
-
 TEST(FaultInjection, DropVanishesWithoutTraceOrDelivery) {
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 drop=1.0"));
   m.post(make_message(0, 1, 7, 8), sim::Category::kM2M);
 
@@ -139,7 +88,7 @@ TEST(FaultInjection, DropVanishesWithoutTraceOrDelivery) {
 }
 
 TEST(FaultInjection, DuplicateDeliversFlaggedSecondCopy) {
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 dup=1.0"));
   m.post(make_message(0, 1, 7, 8), sim::Category::kM2M);
 
@@ -155,7 +104,7 @@ TEST(FaultInjection, DuplicateDeliversFlaggedSecondCopy) {
 }
 
 TEST(FaultInjection, DelayHoldsForReceiveTicks) {
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 delay=1.0 ticks=2"));
   m.post(make_message(0, 1, 7, 8), sim::Category::kM2M);
 
@@ -172,7 +121,7 @@ TEST(FaultInjection, DelayHoldsForReceiveTicks) {
 }
 
 TEST(FaultInjection, FlushDelayedReleasesImmediately) {
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 delay=1.0 ticks=100"));
   m.post(make_message(0, 1, 7, 8), sim::Category::kM2M);
 
@@ -182,7 +131,7 @@ TEST(FaultInjection, FlushDelayedReleasesImmediately) {
 }
 
 TEST(FaultInjection, TruncateHalvesPayloadAndRecordsOriginal) {
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 trunc=1.0"));
   sim::Message sent = make_message(0, 1, 7, 8);  // 64 payload bytes
   const std::uint64_t full_checksum = sim::payload_checksum(sent.payload);
@@ -197,7 +146,7 @@ TEST(FaultInjection, TruncateHalvesPayloadAndRecordsOriginal) {
 }
 
 TEST(FaultInjection, RulesScopeBySrcTagAndOpenPhase) {
-  sim::Machine m = make_machine(4);
+  auto m = make_machine(4);
   m.set_fault_plan(
       sim::FaultPlan::parse("seed=3 drop=1.0 src=0 tag=0x42c phase=bcast"));
 
@@ -222,7 +171,7 @@ TEST(FaultInjection, RulesScopeBySrcTagAndOpenPhase) {
 
 TEST(FaultInjection, SameSeedReproducesTheSchedule) {
   auto run = [](std::uint64_t seed) {
-    sim::Machine m = make_machine(2);
+    auto m = make_machine(2);
     m.set_fault_plan(sim::FaultPlan::parse("seed=" + std::to_string(seed) +
                                            " drop=0.5"));
     std::vector<bool> delivered;
@@ -251,7 +200,7 @@ TEST(FaultInjection, InjectionEventsAnnotateTheObserver) {
     }
   };
 
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse(
       "seed=1 drop=1.0 tag=1 | dup=1.0 tag=2 | delay=1.0 tag=3 ticks=1"
       " | trunc=1.0 tag=4"));
@@ -330,7 +279,7 @@ TEST(FaultPlan, ParsesKillRules) {
 }
 
 TEST(FaultInjection, KillStopsSendingButKeepsDelivering) {
-  sim::Machine m = make_machine(3);
+  auto m = make_machine(3);
   // Rank 1 dies once two matching posts have been observed.
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 kill=1 after=2"));
 
@@ -383,7 +332,7 @@ TEST(FaultInjection, KillIsTransparentToProbabilityRules) {
   // RNG draws: the probability schedule is identical with and without the
   // kill rule present (until the kill fires, scoped here to never match).
   auto run = [](const char* spec) {
-    sim::Machine m = sim::Machine(2, sim::CostModel{10.0, 0.1, 0.01});
+    auto m = make_machine(2);
     m.set_fault_plan(sim::FaultPlan::parse(spec));
     std::int64_t delivered = 0;
     for (int i = 0; i < 64; ++i) {
@@ -409,7 +358,7 @@ TEST(FaultInjection, KillFiresEvenWhenListedAfterProbabilityRules) {
   // that, the first matching probability rule's early-out shadowed every
   // kill rule queued behind it, so a spec like "drop=... | kill=..." (the
   // shape the chaos harness derives) never fired its fail-stop.
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=4 dup=0.5 | kill=1 after=3"));
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(m.fault_plan()->is_dead(1));
@@ -422,7 +371,7 @@ TEST(FaultInjection, KillFiresEvenWhenListedAfterProbabilityRules) {
 }
 
 TEST(FaultInjection, ReviveRestoresSendingAndKeepsRuleSpent) {
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 kill=0 after=1"));
 
   m.post(make_message(0, 1, 7, 4), sim::Category::kM2M);  // fires; 0 dies

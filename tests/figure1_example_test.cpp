@@ -8,12 +8,13 @@
 #include "core/ranking.hpp"
 #include "dist/dist_array.hpp"
 #include "sim/machine.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
 TEST(Figure1, RankingOnBlockCyclic2Over4Procs) {
-  sim::Machine machine(4, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   // Global mask, 10 true values.
@@ -51,7 +52,7 @@ TEST(Figure1, RankingOnBlockCyclic2Over4Procs) {
 }
 
 TEST(Figure1, BothPrsAlgorithmsGiveTheSameBaseRanks) {
-  sim::Machine machine(4, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   const std::vector<mask_t> gm = {1, 1, 0, 1, 0, 1, 1, 0,

@@ -8,6 +8,7 @@
 
 #include "core/api.hpp"
 #include "support/rng.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
@@ -55,7 +56,7 @@ TEST_P(FuzzOracle, PackAndUnpackAgreeWithSerialSemantics) {
   const Config c = random_config(rng);
   int p = 1;
   for (int x : c.procs) p *= x;
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  auto machine = test::make_machine(p);
   auto d = dist::Distribution(dist::Shape(c.extents),
                               dist::ProcessGrid(c.procs), c.blocks);
   const auto n = d.global().size();

@@ -7,6 +7,8 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "support/env.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
@@ -20,9 +22,7 @@ struct Particle {
 };
 static_assert(std::is_trivially_copyable_v<Particle>);
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 TEST(Integration, SimulationIsBitwiseDeterministic) {
   // Two independent machines running the same PACK must agree on modeled
@@ -36,7 +36,7 @@ TEST(Integration, SimulationIsBitwiseDeterministic) {
     auto m = dist::DistArray<mask_t>::scatter(d, random_mask(256, 0.5, 77));
     return pack(machine, a, m);
   };
-  sim::Machine m1 = make_machine(8), m2 = make_machine(8);
+  auto m1 = make_machine(8), m2 = make_machine(8);
   auto r1 = run(m1);
   auto r2 = run(m2);
   EXPECT_EQ(r1.vector.gather(), r2.vector.gather());
@@ -63,12 +63,13 @@ TEST(Integration, TopologyChangesCostNotResults) {
   double crossbar_m2m = 0;
   for (auto kind : {sim::TopologyKind::kCrossbar, sim::TopologyKind::kHypercube,
                     sim::TopologyKind::kMesh2D}) {
-    sim::Topology topo = kind == sim::TopologyKind::kCrossbar
-                             ? sim::Topology::crossbar(16)
-                         : kind == sim::TopologyKind::kHypercube
-                             ? sim::Topology::hypercube(16)
-                             : sim::Topology::mesh2d(16);
-    sim::Machine machine(16, sim::CostModel{10, 0.1, 0.01}, topo);
+    auto options = test::test_options();
+    options.topology = kind == sim::TopologyKind::kCrossbar
+                           ? sim::Topology::crossbar(16)
+                       : kind == sim::TopologyKind::kHypercube
+                           ? sim::Topology::hypercube(16)
+                           : sim::Topology::mesh2d(16);
+    auto machine = make_machine(16, options);
     auto a = dist::DistArray<int>::scatter(d, data);
     auto m = dist::DistArray<mask_t>::scatter(d, gm);
     auto result = pack(machine, a, m);
@@ -89,7 +90,7 @@ TEST(Integration, SchedulesAndPrsVariantsAgreeOnData) {
   std::vector<double> data(256);
   std::iota(data.begin(), data.end(), 0.5);
   auto gm = random_mask(256, 0.6, 13);
-  sim::Machine machine = make_machine(16);
+  auto machine = make_machine(16);
   auto a = dist::DistArray<double>::scatter(d, data);
   auto m = dist::DistArray<mask_t>::scatter(d, gm);
 
@@ -113,7 +114,7 @@ TEST(Integration, SchedulesAndPrsVariantsAgreeOnData) {
 
 TEST(Integration, LargeMachine64Procs) {
   const int p = 64;
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto d = dist::Distribution::block_cyclic(dist::Shape({4096}),
                                             dist::ProcessGrid({p}), 8);
   std::vector<std::int64_t> data(4096);
@@ -127,7 +128,7 @@ TEST(Integration, LargeMachine64Procs) {
 
 TEST(Integration, Machine256ProcsTwoDimensional) {
   const int p = 256;
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto d = dist::Distribution::block_cyclic(dist::Shape({64, 64}),
                                             dist::ProcessGrid({16, 16}), 2);
   std::vector<std::int64_t> data(4096);
@@ -140,7 +141,7 @@ TEST(Integration, Machine256ProcsTwoDimensional) {
 }
 
 TEST(Integration, Rank5Array) {
-  sim::Machine machine = make_machine(8);
+  auto machine = make_machine(8);
   auto d = dist::Distribution(dist::Shape({4, 4, 2, 2, 4}),
                               dist::ProcessGrid({2, 2, 1, 1, 2}),
                               {1, 2, 2, 1, 2});
@@ -160,7 +161,7 @@ TEST(Integration, Rank5Array) {
 }
 
 TEST(Integration, StructElementType) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({64}),
                                             dist::ProcessGrid({4}), 4);
   std::vector<Particle> data(64);
@@ -179,7 +180,7 @@ TEST(Integration, StructElementType) {
 }
 
 TEST(Integration, RepeatedOperationsLeaveMachineClean) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<int> data(32, 1);
@@ -195,7 +196,7 @@ TEST(Integration, RepeatedOperationsLeaveMachineClean) {
 
 TEST(Integration, SingleProcessorMachineDegenerates) {
   // P=1: no communication at all, still correct.
-  sim::Machine machine = make_machine(1);
+  auto machine = make_machine(1);
   auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                             dist::ProcessGrid({1}), 4);
   std::vector<int> data(32);
@@ -206,6 +207,17 @@ TEST(Integration, SingleProcessorMachineDegenerates) {
   auto result = pack(machine, a, m);
   EXPECT_EQ(result.vector.gather(), serial_pack<int>(data, gm));
   EXPECT_EQ(machine.trace().messages(), 0);
+}
+
+TEST(TestConfig, EnvReachesHelperMachines) {
+  // Re-reads the process environment and checks that the test main passed
+  // it on: a helper machine is threaded exactly when PUP_THREADS asks for
+  // a pool and carries a fault plan exactly when PUP_FAULTS is set, so a
+  // re-run registration cannot silently lose its configuration.
+  const support::Env env = support::Env::read();
+  auto machine = test::make_machine(4);
+  EXPECT_EQ(machine.exec().is_threaded(), env.threads.value_or(1) > 1);
+  EXPECT_EQ(machine.fault_plan() != nullptr, env.faults.has_value());
 }
 
 }  // namespace

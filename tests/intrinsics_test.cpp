@@ -6,13 +6,12 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 // Serial oracles -----------------------------------------------------------
 
@@ -52,7 +51,7 @@ std::vector<T> serial_eoshift(const std::vector<T>& a, const dist::Shape& s,
 // MERGE ---------------------------------------------------------------------
 
 TEST(Merge, SelectsElementwise) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8, 4}),
                                             dist::ProcessGrid({2, 2}), 2);
   std::vector<int> t(32), f(32);
@@ -69,7 +68,7 @@ TEST(Merge, SelectsElementwise) {
 }
 
 TEST(Merge, IsPurelyLocal) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   dist::DistArray<int> t(d), f(d);
@@ -80,7 +79,7 @@ TEST(Merge, IsPurelyLocal) {
 }
 
 TEST(Merge, MisalignedThrows) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto d1 = dist::Distribution::block_cyclic(dist::Shape({8}),
                                              dist::ProcessGrid({2}), 2);
   auto d2 = dist::Distribution::block_cyclic(dist::Shape({8}),
@@ -93,7 +92,7 @@ TEST(Merge, MisalignedThrows) {
 // Reductions ----------------------------------------------------------------
 
 TEST(ArrayReductions, SumMatchesHost) {
-  sim::Machine machine = make_machine(8);
+  auto machine = make_machine(8);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16, 8}),
                                             dist::ProcessGrid({4, 2}), 2);
   std::vector<std::int64_t> data(128);
@@ -104,7 +103,7 @@ TEST(ArrayReductions, SumMatchesHost) {
 }
 
 TEST(ArrayReductions, MaskedSum) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                             dist::ProcessGrid({4}), 4);
   std::vector<std::int64_t> data(32);
@@ -120,7 +119,7 @@ TEST(ArrayReductions, MaskedSum) {
 }
 
 TEST(ArrayReductions, MaxvalMinval) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({24}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<double> data = {3, -7, 12, 0.5, 9, -2, 8, 1, 4, -1, 6, 2,
@@ -133,7 +132,7 @@ TEST(ArrayReductions, MaxvalMinval) {
 }
 
 TEST(ArrayReductions, EmptyMaskGivesIdentities) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<int> data(16, 5);
@@ -161,7 +160,7 @@ TEST_P(ShiftSweep, CshiftMatchesOracle) {
   const ShiftCase& c = GetParam();
   int p = 1;
   for (int x : c.procs) p *= x;
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto d = dist::Distribution(dist::Shape(c.extents),
                               dist::ProcessGrid(c.procs), c.blocks);
   std::vector<std::int64_t> data(static_cast<std::size_t>(d.global().size()));
@@ -177,7 +176,7 @@ TEST_P(ShiftSweep, EoshiftMatchesOracle) {
   const ShiftCase& c = GetParam();
   int p = 1;
   for (int x : c.procs) p *= x;
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto d = dist::Distribution(dist::Shape(c.extents),
                               dist::ProcessGrid(c.procs), c.blocks);
   std::vector<std::int64_t> data(static_cast<std::size_t>(d.global().size()));
@@ -200,7 +199,7 @@ INSTANTIATE_TEST_SUITE_P(
                       ShiftCase{{8, 6, 4}, {2, 3, 1}, {2, 1, 2}, 1, 2}));
 
 TEST(Shift, ZeroShiftIsIdentityWithNoTraffic) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 4);
   std::vector<int> data(16);
@@ -213,7 +212,7 @@ TEST(Shift, ZeroShiftIsIdentityWithNoTraffic) {
 }
 
 TEST(Shift, BadDimensionThrows) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8}),
                                             dist::ProcessGrid({2}), 2);
   dist::DistArray<int> a(d);
@@ -223,7 +222,7 @@ TEST(Shift, BadDimensionThrows) {
 
 TEST(Shift, CshiftComposesWithPack) {
   // A realistic compiler pattern: shift then pack under a mask.
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<std::int64_t> data(32);

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
@@ -57,7 +58,7 @@ TEST(DestRuns, LengthsSumToN) {
 
 TEST(WireFormat, CmsBytesMatchSegmentAccounting) {
   // CMS payload bytes == 8 * elements + 16 * segments (int64 header pair).
-  sim::Machine machine(8, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(8);
   auto d = dist::Distribution::block_cyclic(dist::Shape({512}),
                                             dist::ProcessGrid({8}), 16);
   std::vector<std::int64_t> data(512, 7);
@@ -74,7 +75,7 @@ TEST(WireFormat, CmsBytesMatchSegmentAccounting) {
 }
 
 TEST(WireFormat, PairSchemesBytesAreSixteenPerElement) {
-  sim::Machine machine(8, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(8);
   auto d = dist::Distribution::block_cyclic(dist::Shape({512}),
                                             dist::ProcessGrid({8}), 16);
   std::vector<std::int64_t> data(512, 7);
@@ -98,7 +99,7 @@ TEST(WireFormat, CmsNeverShipsMoreBytesThanPairs) {
   // element costs 24 vs 16 for a pair, so CMS *can* lose on pathological
   // masks -- but not when the result vector is block-distributed and
   // slices are dense, the regime the paper recommends it for.
-  sim::Machine machine(4, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({256}),
                                             dist::ProcessGrid({4}), 32);
   std::vector<std::int64_t> data(256, 1);
@@ -137,7 +138,7 @@ TEST(SliceScan, BothScanningMethodsProduceIdenticalResults) {
   // Paper Section 6.1 compares scanning a slice until all counted elements
   // are found (method 1) against always scanning the whole slice
   // (method 2); the data produced must be identical.
-  sim::Machine machine(4, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({128}),
                                             dist::ProcessGrid({4}), 8);
   std::vector<std::int64_t> data(128);
@@ -159,7 +160,7 @@ TEST(SliceScan, BothScanningMethodsProduceIdenticalResults) {
 }
 
 TEST(SliceScan, FullSliceWorksOnRaggedArrays) {
-  sim::Machine machine(4, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({29}),
                                             dist::ProcessGrid({4}), 4);
   std::vector<std::int64_t> data(29);
@@ -177,7 +178,7 @@ TEST(SliceScan, FullSliceWorksOnRaggedArrays) {
 TEST(Counters, RecvElementsBoundedByBlock) {
   // Each processor receives at most ceil(Size/P) elements when the result
   // vector is block-distributed (the paper's E_a).
-  sim::Machine machine(8, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(8);
   auto d = dist::Distribution::block_cyclic(dist::Shape({1024}),
                                             dist::ProcessGrid({8}), 8);
   std::vector<std::int64_t> data(1024, 1);
@@ -192,7 +193,7 @@ TEST(Counters, RecvElementsBoundedByBlock) {
 }
 
 TEST(Counters, SegmentsBoundedByMinOfSlicesTimesPAndPacked) {
-  sim::Machine machine(4, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({256}),
                                             dist::ProcessGrid({4}), 8);
   std::vector<std::int64_t> data(256, 1);

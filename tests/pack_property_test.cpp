@@ -8,13 +8,12 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 struct Case {
   std::vector<dist::index_t> extents;
@@ -44,7 +43,7 @@ TEST_P(PackSweep, MatchesOracleAndAccounting) {
   const auto& [c, scheme] = GetParam();
   int p = 1;
   for (int x : c.procs) p *= x;
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto d = dist::Distribution(dist::Shape(c.extents),
                               dist::ProcessGrid(c.procs), c.blocks);
   const auto n = d.global().size();
@@ -109,7 +108,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Pack, SchemesProduceIdenticalVectors) {
   // The three schemes differ only in cost; the result must be bitwise
   // identical, including the result distribution.
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({64}),
                                             dist::ProcessGrid({4}), 4);
   std::vector<double> data(64);
@@ -133,7 +132,7 @@ TEST(Pack, SchemesProduceIdenticalVectors) {
 }
 
 TEST(Pack, EmptyMaskYieldsEmptyVector) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<int> data(16, 5);
@@ -146,7 +145,7 @@ TEST(Pack, EmptyMaskYieldsEmptyVector) {
 }
 
 TEST(Pack, FullMaskIsARedistribution) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 1);
   std::vector<int> data(16);
@@ -161,7 +160,7 @@ TEST(Pack, FullMaskIsARedistribution) {
 
 TEST(Pack, VectorArgumentProvidesPadding) {
   // F90 PACK(ARRAY, MASK, VECTOR): trailing elements come from VECTOR.
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<int> data(16);
@@ -178,7 +177,7 @@ TEST(Pack, VectorArgumentProvidesPadding) {
 }
 
 TEST(Pack, VectorArgumentTooShortThrows) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({2}), 2);
   std::vector<int> data(16, 1);
@@ -190,7 +189,7 @@ TEST(Pack, VectorArgumentTooShortThrows) {
 }
 
 TEST(Pack, MisalignedMaskThrows) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto da = dist::Distribution::block_cyclic(dist::Shape({16}),
                                              dist::ProcessGrid({2}), 2);
   auto dm = dist::Distribution::block_cyclic(dist::Shape({16}),
@@ -201,7 +200,7 @@ TEST(Pack, MisalignedMaskThrows) {
 }
 
 TEST(Pack, ResultVectorIsBlockDistributed) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<int> data(32, 1);
@@ -218,7 +217,7 @@ TEST(Pack, ResultVectorIsBlockDistributed) {
 
 TEST(Pack, CyclicResultVectorIncreasesSegments) {
   // Section 6.2: segment counts grow as the result block size shrinks.
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({64}),
                                             dist::ProcessGrid({4}), 16);
   std::vector<int> data(64, 2);

@@ -5,13 +5,12 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 struct Case {
   std::vector<dist::index_t> extents;
@@ -26,7 +25,7 @@ TEST_P(RedSweep, MatchesDirectPack) {
   const auto& [c, scheme] = GetParam();
   int p = 1;
   for (int x : c.procs) p *= x;
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto d = dist::Distribution::cyclic(dist::Shape(c.extents),
                                       dist::ProcessGrid(c.procs));
   const auto n = d.global().size();
@@ -56,7 +55,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(PackRedistribution, WorksFromBlockCyclicToo) {
   // Not only pure-cyclic inputs benefit; any distribution is accepted.
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<int> data(32);
@@ -73,7 +72,7 @@ TEST(PackRedistribution, SelectedDataVolumeScalesWithDensity) {
   // Red1 ships only selected elements; Red2 ships everything.  At low
   // density Red1's redistribution traffic must be far smaller.
   auto traffic = [&](RedistributionScheme scheme, double density) {
-    sim::Machine machine = make_machine(4);
+    auto machine = make_machine(4);
     auto d = dist::Distribution::cyclic(dist::Shape({256}),
                                         dist::ProcessGrid({4}));
     std::vector<std::int64_t> data(256, 1);
@@ -91,7 +90,7 @@ TEST(PackRedistribution, SelectedDataVolumeScalesWithDensity) {
 }
 
 TEST(PackRedistribution, ChargesRedistCategory) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::cyclic(dist::Shape({64}),
                                       dist::ProcessGrid({4}));
   std::vector<int> data(64, 1);

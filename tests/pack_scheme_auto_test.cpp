@@ -9,13 +9,12 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 TEST(PackSchemeAuto, StridedSamplingSeesThroughDensePrefix) {
   // Adversarial half-and-half geometry: N = 64K over P = 4, block-cyclic
@@ -29,7 +28,7 @@ TEST(PackSchemeAuto, StridedSamplingSeesThroughDensePrefix) {
   const int P = 4;
   const dist::index_t n = 65536;
   const dist::index_t local = n / P;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({P}), 16);
   std::vector<std::int64_t> data(static_cast<std::size_t>(n));
@@ -60,7 +59,7 @@ TEST(PackSchemeAuto, ResolvedSchemeIsConcreteAndStable) {
   // (never kAuto) and, since its inputs are deterministic, the same one on
   // every call; the per-rank agreement PUP_CHECK inside it enforces that
   // all processors decide identically after the all-reduce.
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({256}),
                                             dist::ProcessGrid({4}), 8);
   auto m = dist::DistArray<mask_t>::scatter(d, random_mask(256, 0.6, 11));
@@ -94,7 +93,7 @@ TEST(PackSchemeAuto, AutoMatchesEveryExplicitScheme) {
       {96, 8, 0.98},
   };
   for (const Case& c : cases) {
-    sim::Machine machine = make_machine(4);
+    auto machine = make_machine(4);
     auto d = dist::Distribution::block_cyclic(dist::Shape({c.n}),
                                               dist::ProcessGrid({4}), c.block);
     std::vector<int> data(static_cast<std::size_t>(c.n));

@@ -5,17 +5,17 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  // Fixed, host-independent cost model for tests.
-  return sim::Machine(p, sim::CostModel{10.0, 0.05, 0.01});
+test::TestMachine make_machine(int p) {
+  return test::make_machine(p, test::test_options({10.0, 0.05, 0.01}));
 }
 
 TEST(PackSmoke, OneDimensionalBlockCyclic) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   const dist::index_t n = 16;
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({4}), 2);
@@ -41,7 +41,7 @@ TEST(PackSmoke, OneDimensionalBlockCyclic) {
 }
 
 TEST(PackSmoke, UnpackRoundTrip) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   const dist::index_t n = 24;
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({4}), 3);
@@ -68,7 +68,7 @@ TEST(PackSmoke, UnpackRoundTrip) {
 }
 
 TEST(PackSmoke, TwoDimensional) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8, 8}),
                                             dist::ProcessGrid({2, 2}), 2);
   std::vector<double> data(64);

@@ -24,13 +24,12 @@
 #include "plan/executor.hpp"
 #include "plan/plan_cache.hpp"
 #include "sim/fault.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 struct PackWorkload {
   dist::Distribution d;
@@ -55,7 +54,7 @@ PackWorkload make_workload(dist::index_t n, int p, dist::index_t block,
 
 TEST(Plan, CompileThenExecuteMatchesDirectPath) {
   const int P = 8;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   PackWorkload wl = make_workload(4096, P, 32, 0.4, 0xbeef);
 
   for (PackScheme s : {PackScheme::kSimpleStorage,
@@ -85,7 +84,7 @@ TEST(Plan, CompileThenExecuteMatchesDirectPath) {
 
 TEST(Plan, UnpackCompileThenExecuteMatchesDirectPath) {
   const int P = 4;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   const dist::index_t n = 1024;
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({P}), 16);
@@ -125,7 +124,7 @@ TEST(Plan, UnpackCompileThenExecuteMatchesDirectPath) {
 
 TEST(PlanCache, HitSkipsRecompilationAndIsCounted) {
   const int P = 4;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   PackWorkload wl = make_workload(512, P, 8, 0.5, 0xabc);
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
@@ -161,7 +160,7 @@ TEST(PlanCache, CacheEventsReachMachineObserver) {
   // The hit/miss/compile annotations flow through the MachineObserver
   // phase hooks; the validator's phase counter must see all of them.
   const int P = 4;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   auto d = dist::Distribution::block_cyclic(dist::Shape({256}),
                                             dist::ProcessGrid({P}), 8);
   plan::PlanCache cache(4);
@@ -178,7 +177,7 @@ TEST(PlanCache, CacheEventsReachMachineObserver) {
 
 TEST(PlanCache, EvictsLeastRecentlyUsedUnderSmallCapacity) {
   const int P = 4;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   plan::PlanCache cache(2);
   std::vector<dist::Distribution> dists;
   for (dist::index_t block : {4, 8, 16}) {
@@ -206,7 +205,7 @@ TEST(PlanCache, EvictsLeastRecentlyUsedUnderSmallCapacity) {
 
 TEST(PlanCache, PressureStatsTrackFillAndEvictionAge) {
   const int P = 4;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   plan::PlanCache cache(2);
   std::vector<dist::Distribution> dists;
   for (dist::index_t block : {4, 8, 16}) {
@@ -261,7 +260,7 @@ TEST(PlanCache, PressureStatsTrackFillAndEvictionAge) {
 
 TEST(PlanCache, InvalidationAfterRedistribution) {
   const int P = 4;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   const dist::index_t n = 512;
   auto src_d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                                 dist::ProcessGrid({P}), 4);
@@ -301,7 +300,7 @@ TEST(PlanCache, InvalidateMatchesEveryDistributionInTheKey) {
   // pinned result_dist or an unpack plan's vector_dist survived as stale
   // LRU squatters.
   const int P = 4;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   const dist::index_t n = 512;
   auto mask_d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                                  dist::ProcessGrid({P}), 8);
@@ -332,7 +331,7 @@ TEST(PlanCache, InvalidateAndClearAnnotateTheObserver) {
   // Regression: invalidate()/clear() used to drop entries silently; every
   // dropped plan must surface as one paired plan.cache.invalidate phase.
   const int P = 4;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   auto mask_d = dist::Distribution::block_cyclic(dist::Shape({256}),
                                                  dist::ProcessGrid({P}), 8);
   auto vec_d = dist::Distribution::block1d(128, P);
@@ -368,7 +367,7 @@ TEST(PlanCache, InvalidateAndClearAnnotateTheObserver) {
 }
 
 TEST(PlanCache, RejectsAutoScheme) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({256}),
                                             dist::ProcessGrid({4}), 8);
   PackOptions opt;
@@ -393,10 +392,9 @@ TEST(PlanCache, ConcurrentInvalidateAndClearStaySerialized) {
   // dropped plan, never interleaved halves.  (TSan covers the memory-order
   // side when the suite runs under the sanitizer jobs.)
   const int P = 4;
-  sim::Machine machine = make_machine(P);
   // Annotation scoping is fault-plan-only state and main-thread-only;
   // concurrent cache metadata operations require a fault-free machine.
-  machine.set_fault_plan(nullptr);
+  sim::Machine machine(P, test::test_options());
   const dist::index_t n = 256;
   constexpr int kDists = 8;
   std::vector<dist::Distribution> dists;
@@ -482,7 +480,7 @@ TEST(PackBatch, MatchesIndependentCallsAndHalvesPrsStartups) {
   }
 
   // B independent packs: reference results and the PRS startup baseline.
-  sim::Machine indep = make_machine(P);
+  auto indep = make_machine(P);
   std::vector<std::vector<std::int64_t>> expected;
   for (std::size_t b = 0; b < B; ++b) {
     auto r = pack(indep, wls[b].array, wls[b].mask, opt);
@@ -493,7 +491,7 @@ TEST(PackBatch, MatchesIndependentCallsAndHalvesPrsStartups) {
       indep.trace().messages_in(sim::Category::kPrs);
 
   // One batched pack under the protocol validator.
-  sim::Machine batched = make_machine(P);
+  auto batched = make_machine(P);
   analysis::ProtocolValidator validator(batched);
   const plan::PackPlan p =
       plan::compile_pack_plan(batched, wls[0].d, sizeof(std::int64_t), opt);
@@ -537,7 +535,7 @@ TEST(PackBatch, SssSchemeAndMultiDimGrid) {
   // 2-D grid (two PRS dimensions) with the simple storage scheme: the
   // fused path must thread record_infos through and stay element-exact.
   const int P = 8;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   const dist::index_t rows = 64, cols = 64;
   auto d = dist::Distribution::block_cyclic(
       dist::Shape({rows, cols}), dist::ProcessGrid({4, 2}), 8);
@@ -582,7 +580,7 @@ TEST(PackBatch, BatchedExecutionIsDeterministic) {
     wls.push_back(make_workload(n, P, 16, 0.5, 0x7a + b));
   }
   const auto report = analysis::check_determinism(
-      P, sim::CostModel{10.0, 0.1, 0.01}, [&](sim::Machine& machine) {
+      P, test::test_options(), [&](sim::Machine& machine) {
         const plan::PackPlan p = plan::compile_pack_plan(
             machine, wls[0].d, sizeof(std::int64_t), opt);
         std::vector<dist::DistArray<mask_t>> masks;

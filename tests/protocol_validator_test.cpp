@@ -10,6 +10,7 @@
 #include "analysis/protocol_validator.hpp"
 #include "core/api.hpp"
 #include "sim/instrumentation.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
@@ -17,8 +18,8 @@ namespace {
 using analysis::ProtocolValidator;
 using analysis::ValidatorOptions;
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.05, 0.01});
+test::TestMachine make_machine(int p) {
+  return test::make_machine(p, test::test_options({10.0, 0.05, 0.01}));
 }
 
 bool has_rule(const ProtocolValidator& v, const char* rule) {
@@ -36,7 +37,7 @@ std::vector<std::byte> payload_of(int words) {
 // --- positive: the library's own protocols validate cleanly ---------------
 
 TEST(ProtocolValidator, CleanPackRunValidates) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ProtocolValidator validator(machine);
 
   const dist::index_t n = 64;
@@ -70,7 +71,7 @@ TEST(ProtocolValidator, CleanPackRunValidates) {
 }
 
 TEST(ProtocolValidator, CleanCollectivesValidate) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ProtocolValidator validator(machine);
   const auto g = coll::Group::world(4);
 
@@ -117,7 +118,7 @@ TEST(ProtocolValidator, ValidatorDoesNotPerturbResults) {
   auto mask = random_mask(n, 0.4, 11);
 
   auto run = [&](bool validated) {
-    sim::Machine machine = make_machine(4);
+    auto machine = make_machine(4);
     std::optional<ProtocolValidator> validator;
     if (validated) validator.emplace(machine);
     auto a = dist::DistArray<double>::scatter(d, data);
@@ -139,7 +140,7 @@ TEST(ProtocolValidator, ValidatorDoesNotPerturbResults) {
 // the validator rejects.
 
 TEST(ProtocolValidator, SeededOrphanedPostSilentlyAcceptedWithoutValidator) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto seeded_bug = [](sim::Machine& m) {
     sim::CollectiveScope scope(m, "buggy", {0x777},
                                sim::RoundDiscipline::kMaxOneExchange);
@@ -154,7 +155,7 @@ TEST(ProtocolValidator, SeededOrphanedPostSilentlyAcceptedWithoutValidator) {
   EXPECT_TRUE(machine.has_message(1, 0, 0x777));
 
   // The same operation under validation is rejected as an orphaned message.
-  sim::Machine checked = make_machine(4);
+  auto checked = make_machine(4);
   {
     ProtocolValidator validator(checked, ValidatorOptions{});
     seeded_bug(checked);
@@ -170,7 +171,7 @@ TEST(ProtocolValidator, SeededOrphanedPostSilentlyAcceptedWithoutValidator) {
 }
 
 TEST(ProtocolValidator, WrongRoundExchangeRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ProtocolValidator validator(machine);
   {
     sim::CollectiveScope scope(machine, "buggy", {0x777},
@@ -195,7 +196,7 @@ TEST(ProtocolValidator, WrongRoundExchangeRejected) {
 }
 
 TEST(ProtocolValidator, MultipleSendsPerRoundRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ProtocolValidator validator(machine);
   {
     sim::CollectiveScope scope(machine, "buggy", {0x777},
@@ -218,7 +219,7 @@ TEST(ProtocolValidator, MultipleSendsPerRoundRejected) {
 }
 
 TEST(ProtocolValidator, MultipleReceivesPerRoundRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ProtocolValidator validator(machine);
   {
     sim::CollectiveScope scope(machine, "buggy", {0x777},
@@ -240,7 +241,7 @@ TEST(ProtocolValidator, MultipleReceivesPerRoundRejected) {
 }
 
 TEST(ProtocolValidator, TagDisciplineRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ProtocolValidator validator(machine);
   {
     sim::CollectiveScope scope(machine, "buggy", {0x111},
@@ -254,7 +255,7 @@ TEST(ProtocolValidator, TagDisciplineRejected) {
 }
 
 TEST(ProtocolValidator, ExchangeOutsideRoundRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ProtocolValidator validator(machine);
   {
     sim::CollectiveScope scope(machine, "buggy", {0x777},
@@ -270,7 +271,7 @@ TEST(ProtocolValidator, ExchangeOutsideRoundRejected) {
 }
 
 TEST(ProtocolValidator, UnscopedPostRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ProtocolValidator validator(machine);
   machine.post(sim::Message{0, 1, 5, payload_of(1)}, sim::Category::kM2M);
   (void)machine.receive_required(1, 0, 5);
@@ -278,7 +279,7 @@ TEST(ProtocolValidator, UnscopedPostRejected) {
   EXPECT_TRUE(has_rule(validator, "unscoped-post")) << validator.report();
 
   // The same traffic is fine when raw transport use is explicitly allowed.
-  sim::Machine permissive = make_machine(4);
+  auto permissive = make_machine(4);
   ValidatorOptions opts;
   opts.require_collective_scope = false;
   ProtocolValidator lax(permissive, opts);
@@ -289,7 +290,7 @@ TEST(ProtocolValidator, UnscopedPostRejected) {
 }
 
 TEST(ProtocolValidator, CrossPhaseLeakageRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ValidatorOptions opts;
   opts.require_collective_scope = false;
   ProtocolValidator validator(machine, opts);
@@ -305,7 +306,7 @@ TEST(ProtocolValidator, CrossPhaseLeakageRejected) {
 }
 
 TEST(ProtocolValidator, UnderchargedExchangeRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ProtocolValidator validator(machine);
   {
     sim::CollectiveScope scope(machine, "buggy", {0x777},
@@ -322,7 +323,7 @@ TEST(ProtocolValidator, UnderchargedExchangeRejected) {
 }
 
 TEST(ProtocolValidator, UnmatchedReceiveRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   // Posted before validation starts, received under validation.
   machine.post(sim::Message{0, 1, 5, payload_of(1)}, sim::Category::kM2M);
   ProtocolValidator validator(machine);
@@ -332,7 +333,7 @@ TEST(ProtocolValidator, UnmatchedReceiveRejected) {
 }
 
 TEST(ProtocolValidator, RoundOutsideCollectiveRejected) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   ProtocolValidator validator(machine);
   { sim::RoundScope round(machine); }
   validator.finish();
@@ -341,7 +342,7 @@ TEST(ProtocolValidator, RoundOutsideCollectiveRejected) {
 }
 
 TEST(ProtocolValidator, FailFastThrowsContractError) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   ValidatorOptions opts;
   opts.fail_fast = true;
   ProtocolValidator validator(machine, opts);
@@ -352,7 +353,7 @@ TEST(ProtocolValidator, FailFastThrowsContractError) {
 }
 
 TEST(ProtocolValidator, DetachRestoresPreviousObserver) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   EXPECT_EQ(machine.observer(), nullptr);
   {
     ProtocolValidator outer(machine);

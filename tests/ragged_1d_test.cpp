@@ -8,13 +8,12 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 struct Case {
   dist::index_t n;
@@ -28,7 +27,7 @@ class Ragged1DSweep
 
 TEST_P(Ragged1DSweep, PackMatchesOracle) {
   const auto& [c, scheme] = GetParam();
-  sim::Machine machine = make_machine(c.p);
+  auto machine = make_machine(c.p);
   auto d = dist::Distribution::block_cyclic(dist::Shape({c.n}),
                                             dist::ProcessGrid({c.p}), c.w);
   ASSERT_FALSE(d.divisible()) << "case should be ragged";
@@ -59,7 +58,7 @@ INSTANTIATE_TEST_SUITE_P(
                           PackScheme::kCompactMessage)));
 
 TEST(Ragged1D, UnpackMatchesOracle) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({19}),
                                             dist::ProcessGrid({4}), 2);
   auto gm = random_mask(19, 0.5, 99);
@@ -82,7 +81,7 @@ TEST(Ragged1D, UnpackMatchesOracle) {
 
 TEST(Ragged1D, PackedVectorCanBePackedAgain) {
   // The motivating use: repeated compaction without capacity tricks.
-  sim::Machine machine = make_machine(8);
+  auto machine = make_machine(8);
   auto d = dist::Distribution::block_cyclic(dist::Shape({128}),
                                             dist::ProcessGrid({8}), 4);
   std::vector<int> data(128);
@@ -103,7 +102,7 @@ TEST(Ragged1D, PackedVectorCanBePackedAgain) {
 }
 
 TEST(Ragged1D, CountWorksOnRaggedMask) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({21}),
                                             dist::ProcessGrid({4}), 2);
   auto gm = random_mask(21, 0.4, 5);
@@ -112,7 +111,7 @@ TEST(Ragged1D, CountWorksOnRaggedMask) {
 }
 
 TEST(Ragged1D, MultiDimensionalRaggedStillRejected) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({10, 8}),
                                             dist::ProcessGrid({2, 2}), 2);
   dist::DistArray<mask_t> m(d);
@@ -121,7 +120,7 @@ TEST(Ragged1D, MultiDimensionalRaggedStillRejected) {
 }
 
 TEST(Ragged1D, AllTrueRaggedIsARedistribution) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({14}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<int> data(14);

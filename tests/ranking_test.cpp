@@ -17,13 +17,12 @@
 #include "dist/dist_array.hpp"
 #include "sim/machine.hpp"
 #include "support/check.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 /// Reconstructs every selected element's global rank from a RankingResult
 /// by replaying the slice structure, and compares with the serial oracle.
@@ -79,7 +78,7 @@ TEST_P(RankingSweep, MatchesSerialOracle) {
   const Case& c = GetParam();
   int p = 1;
   for (int x : c.procs) p *= x;
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto d = dist::Distribution(dist::Shape(c.extents),
                               dist::ProcessGrid(c.procs), c.blocks);
   auto global_mask = random_mask(d.global().size(), c.density, 0xabcdef);
@@ -120,7 +119,7 @@ INSTANTIATE_TEST_SUITE_P(
         Case{{4, 4, 4, 4}, {2, 2, 1, 2}, {1, 2, 4, 1}, 0.5}));
 
 TEST(Ranking, AllTrueGivesLinearRanks) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8, 4}),
                                             dist::ProcessGrid({2, 2}), 2);
   std::vector<mask_t> all_true(32, 1);
@@ -131,7 +130,7 @@ TEST(Ranking, AllTrueGivesLinearRanks) {
 }
 
 TEST(Ranking, AllFalseGivesSizeZero) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<mask_t> none(16, 0);
@@ -143,7 +142,7 @@ TEST(Ranking, AllFalseGivesSizeZero) {
 
 TEST(Ranking, SingleTrueElementEverywhere) {
   // Sweep the position of a single true element across the whole array.
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({4, 4}),
                                             dist::ProcessGrid({2, 2}), 1);
   for (dist::index_t g = 0; g < 16; ++g) {
@@ -157,7 +156,7 @@ TEST(Ranking, SingleTrueElementEverywhere) {
 }
 
 TEST(Ranking, InfosRecordedOnlyWhenRequested) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8}),
                                             dist::ProcessGrid({2}), 2);
   auto gm = random_mask(8, 0.5, 1);
@@ -177,7 +176,7 @@ TEST(Ranking, InfosRecordedOnlyWhenRequested) {
 }
 
 TEST(Ranking, LtMask2D) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8, 8}),
                                             dist::ProcessGrid({2, 2}), 2);
   auto gm = lt_mask(d.global());
@@ -191,7 +190,7 @@ TEST(Ranking, LtMask2D) {
 TEST(Ranking, Ragged1DIsSupported) {
   // The paper assumes divisibility; the 1-D case is supported as an
   // extension (see ragged_1d_test.cpp for the full sweep).
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({10}),
                                             dist::ProcessGrid({4}), 2);
   auto gm = random_mask(10, 0.5, 3);
@@ -201,7 +200,7 @@ TEST(Ranking, Ragged1DIsSupported) {
 }
 
 TEST(Ranking, RejectsNonDivisibleMultiDimensional) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({10, 8}),
                                             dist::ProcessGrid({2, 2}), 2);
   dist::DistArray<mask_t> mask(d);
@@ -209,7 +208,7 @@ TEST(Ranking, RejectsNonDivisibleMultiDimensional) {
 }
 
 TEST(Ranking, RejectsGridMachineMismatch) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8}),
                                             dist::ProcessGrid({2}), 2);
   dist::DistArray<mask_t> mask(d);
@@ -237,7 +236,7 @@ TEST(Ranking, RejectsLocalExtentBeyondInt32) {
   // local allocations stay tiny -- rank_mask must throw on geometry before
   // touching any mask data.
   const std::int64_t big = (std::int64_t{1} << 31) + 2;
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto d = dist::Distribution::block_cyclic(dist::Shape({100}),
                                             dist::ProcessGrid({2}), big);
   dist::DistArray<mask_t> mask(d);
@@ -245,7 +244,7 @@ TEST(Ranking, RejectsLocalExtentBeyondInt32) {
 }
 
 TEST(Ranking, SizeAgreesWithMaskCount) {
-  sim::Machine machine = make_machine(8);
+  auto machine = make_machine(8);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16, 16}),
                                             dist::ProcessGrid({4, 2}), 2);
   for (double density : {0.0, 0.1, 0.5, 0.9, 1.0}) {
@@ -275,7 +274,7 @@ TEST(Ranking, NarrowSliceScanMatchesKernelCount) {
     for (const Layout& l : layouts) {
       int p = 1;
       for (const int x : l.procs) p *= x;
-      sim::Machine machine = make_machine(p);
+      auto machine = make_machine(p);
       const dist::Distribution d(dist::Shape(l.extents),
                                  dist::ProcessGrid(l.procs), l.blocks);
       const auto gm = random_mask(d.global().size(), 0.5, 1234);

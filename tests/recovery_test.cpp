@@ -13,19 +13,17 @@
 //     back and the original fault plan reinstalled;
 //   * the protocol validator stays ok through rollback + re-execution;
 //   * pack_batch and cached-plan re-execution recover under a seeded
-//     PUP_FAULTS environment schedule with digest identity (satellite S3);
+//     fault schedule with digest identity;
 //   * PUP_RECOVERY grammar parses (and rejects, naming token + byte
 //     offset);
 //   * zero faults => zero restarts, zero rollbacks, untouched digest.
 //
-// Machines that must stay fault-free install set_fault_plan(nullptr)
-// explicitly, so the suite is immune to any ambient PUP_FAULTS.
+// Machines that must stay fault-free are built from test_options(), which
+// carries the startup PUP_THREADS but never a fault plan.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <numeric>
-#include <optional>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -42,13 +40,12 @@
 #include "sim/instrumentation.hpp"
 #include "sim/machine.hpp"
 #include "support/check.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 struct PackWorkload {
   dist::Distribution d;
@@ -71,38 +68,6 @@ PackWorkload make_workload(dist::index_t n, int p, dist::index_t block,
   return wl;
 }
 
-/// Saves and restores one environment variable around env-sensitive tests.
-/// The library reads env configuration from the read-once snapshot
-/// (support/env.hpp), so every mutation re-captures it.
-class ScopedEnv {
- public:
-  explicit ScopedEnv(const char* name) : name_(name) {
-    const char* v = std::getenv(name);
-    if (v != nullptr) saved_ = v;
-  }
-  ~ScopedEnv() {
-    if (saved_.has_value()) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-    support::Env::refresh();
-  }
-
-  static void set(const char* name, const char* value) {
-    ::setenv(name, value, 1);
-    support::Env::refresh();
-  }
-  static void unset(const char* name) {
-    ::unsetenv(name);
-    support::Env::refresh();
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
-
 sim::Message make_message(int src, int dst, int tag, std::size_t n_words) {
   std::vector<std::int64_t> words(n_words);
   std::iota(words.begin(), words.end(), 1);
@@ -115,8 +80,7 @@ sim::Message make_message(int src, int dst, int tag, std::size_t n_words) {
 /// compile + pack sequence on a guaranteed-clean machine.
 std::pair<std::vector<std::int64_t>, analysis::TraceDigest> clean_reference(
     const PackWorkload& wl, int p, const PackOptions& opt) {
-  sim::Machine m = make_machine(p);
-  m.set_fault_plan(nullptr);
+  sim::Machine m(p, test::test_options());
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
   analysis::DigestRecorder rec(m);
@@ -127,8 +91,7 @@ std::pair<std::vector<std::int64_t>, analysis::TraceDigest> clean_reference(
 // --- epoch checkpoint mechanics ---------------------------------------
 
 TEST(EpochCheckpoint, RollbackRestoresMachineStateAndSurvivesReuse) {
-  sim::Machine m = make_machine(2);
-  m.set_fault_plan(nullptr);
+  sim::Machine m(2, test::test_options());
   m.charge(0, sim::Category::kM2M, 5.0);
   m.post(make_message(0, 1, 7, 4), sim::Category::kM2M);
 
@@ -162,7 +125,7 @@ TEST(EpochCheckpoint, RollbackRestoresMachineStateAndSurvivesReuse) {
 }
 
 TEST(EpochCheckpoint, RollbackRestoresDelayedQueue) {
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 delay=1.0 ticks=50"));
   m.post(make_message(0, 1, 7, 4), sim::Category::kM2M);
   ASSERT_EQ(m.delayed_pending(), 1u);
@@ -183,8 +146,7 @@ TEST(EpochCheckpoint, RollbackRestoresDelayedQueue) {
 TEST(EpochCheckpoint, RollbackRestoresQueuedMessagesInArrivalOrder) {
   // Messages queued at checkpoint time must come back in the same
   // per-destination arrival order after a rollback.
-  sim::Machine m = make_machine(4);
-  m.set_fault_plan(nullptr);
+  sim::Machine m(4, test::test_options());
   auto send = [&m](int src, int dst, int tag, std::int64_t x) {
     m.post(sim::Message{src, dst, tag, sim::to_payload<std::int64_t>({&x, 1})},
            sim::Category::kM2M);
@@ -218,8 +180,7 @@ TEST(EpochCheckpoint, RollbackRestoresQueuedMessagesInArrivalOrder) {
 
 TEST(EpochCheckpoint, BoundariesAnnotateEveryPrsRound) {
   const int P = 8;
-  sim::Machine m = make_machine(P);
-  m.set_fault_plan(nullptr);
+  sim::Machine m(P, test::test_options());
   PackWorkload wl = make_workload(1024, P, 16, 0.5, 0x5eed);
 
   struct BoundaryCounter final : sim::MachineObserver {
@@ -253,7 +214,7 @@ TEST(ResilientExecutor, RecoversMidPrsKillWithBitIdenticalDigest) {
   opt.scheme = PackScheme::kCompactMessage;
   const auto [expected, clean_digest] = clean_reference(wl, P, opt);
 
-  sim::Machine m = make_machine(P);
+  auto m = make_machine(P);
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
   m.set_fault_plan(sim::FaultPlan::parse("seed=11 kill=2 after=9 phase=prs"));
@@ -288,7 +249,7 @@ TEST(ResilientExecutor, RecoversLossBurstBeyondRetryBudget) {
   opt.scheme = PackScheme::kCompactMessage;
   const auto [expected, clean_digest] = clean_reference(wl, P, opt);
 
-  sim::Machine m = make_machine(P);
+  auto m = make_machine(P);
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
   // Total loss inside the PRS: every data frame, NAK, and retransmission
@@ -319,7 +280,7 @@ TEST(ResilientExecutor, CombinedKillAndLossScheduleIsDeterministic) {
   const auto [expected, clean_digest] = clean_reference(wl, P, opt);
 
   auto run = [&] {
-    sim::Machine m = make_machine(P);
+    auto m = make_machine(P);
     const plan::PackPlan plan =
         plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
     m.set_fault_plan(sim::FaultPlan::parse(
@@ -352,7 +313,7 @@ TEST(ResilientExecutor, DisabledPolicyPropagatesTypedRankFailure) {
   opt.scheme = PackScheme::kCompactMessage;
 
   auto run = [&]() -> std::tuple<int, int, int> {
-    sim::Machine m = make_machine(P);
+    auto m = make_machine(P);
     const plan::PackPlan plan =
         plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
     m.set_fault_plan(
@@ -379,7 +340,7 @@ TEST(ResilientExecutor, ExhaustedBudgetRethrowsWithCleanRollback) {
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
 
-  sim::Machine m = make_machine(P);
+  auto m = make_machine(P);
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
   m.set_fault_plan(sim::FaultPlan::parse("seed=7 drop=1.0 phase=prs"));
@@ -411,7 +372,7 @@ TEST(ResilientExecutor, ValidatorStaysOkThroughRollback) {
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
 
-  sim::Machine m = make_machine(P);
+  auto m = make_machine(P);
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
   m.set_fault_plan(sim::FaultPlan::parse("seed=11 kill=2 after=9 phase=prs"));
@@ -433,8 +394,7 @@ TEST(ResilientExecutor, NoFaultsMeansNoRollbacksAndUntouchedDigest) {
   opt.scheme = PackScheme::kCompactMessage;
   const auto [expected, clean_digest] = clean_reference(wl, P, opt);
 
-  sim::Machine m = make_machine(P);
-  m.set_fault_plan(nullptr);
+  sim::Machine m(P, test::test_options());
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wl.d, sizeof(std::int64_t), opt);
   analysis::DigestRecorder rec(m);
@@ -455,9 +415,9 @@ TEST(ResilientExecutor, NoFaultsMeansNoRollbacksAndUntouchedDigest) {
   EXPECT_EQ(m.epochs_checkpointed(), 1);
 }
 
-// --- satellite S3: batched + cached-plan paths under PUP_FAULTS --------
+// --- batched + cached-plan paths under a fault schedule ---------------
 
-TEST(ResilientExecutor, PackBatchRecoversUnderEnvFaultSchedule) {
+TEST(ResilientExecutor, PackBatchRecoversUnderSeededFaultSchedule) {
   const int P = 8;
   const std::size_t B = 3;
   PackOptions opt;
@@ -476,8 +436,7 @@ TEST(ResilientExecutor, PackBatchRecoversUnderEnvFaultSchedule) {
   }
 
   // Fault-free reference batch.
-  sim::Machine clean = make_machine(P);
-  clean.set_fault_plan(nullptr);
+  sim::Machine clean(P, test::test_options());
   const plan::PackPlan clean_plan =
       plan::compile_pack_plan(clean, wls[0].d, sizeof(std::int64_t), opt);
   analysis::DigestRecorder clean_rec(clean);
@@ -485,13 +444,10 @@ TEST(ResilientExecutor, PackBatchRecoversUnderEnvFaultSchedule) {
       plan::pack_batch<std::int64_t>(clean, clean_plan, masks, arrays);
   const auto clean_digest = clean_rec.digest();
 
-  // Same batch on a machine whose fault plan comes from the environment,
-  // with a deterministic mid-PRS kill plus background losses.
-  ScopedEnv guard("PUP_FAULTS");
-  ScopedEnv::set("PUP_FAULTS",
-                 "kill=1 after=13 phase=prs | seed=1234 drop=0.1 phase=prs");
-  sim::Machine m = make_machine(P);
-  ASSERT_NE(m.fault_plan(), nullptr);  // picked up from the environment
+  // Same batch under a deterministic mid-PRS kill plus background losses.
+  sim::Machine m(P, test::test_options());
+  m.set_fault_plan(sim::FaultPlan::parse(
+      "kill=1 after=13 phase=prs | seed=1234 drop=0.1 phase=prs"));
   const plan::PackPlan plan =
       plan::compile_pack_plan(m, wls[0].d, sizeof(std::int64_t), opt);
   analysis::DigestRecorder rec(m);
@@ -511,17 +467,15 @@ TEST(ResilientExecutor, PackBatchRecoversUnderEnvFaultSchedule) {
   EXPECT_GE(exec.stats().restarts, 1);  // the deterministic kill fired
 }
 
-TEST(ResilientExecutor, CachedPlanReexecutionRecoversUnderEnvFaults) {
+TEST(ResilientExecutor, CachedPlanReexecutionRecoversUnderKill) {
   const int P = 8;
   PackWorkload wl = make_workload(1024, P, 16, 0.5, 0x777);
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
   const auto [expected, clean_digest] = clean_reference(wl, P, opt);
 
-  ScopedEnv guard("PUP_FAULTS");
-  ScopedEnv::set("PUP_FAULTS", "kill=2 after=9 phase=prs");
-  sim::Machine m = make_machine(P);
-  ASSERT_NE(m.fault_plan(), nullptr);
+  sim::Machine m(P, test::test_options());
+  m.set_fault_plan(sim::FaultPlan::parse("kill=2 after=9 phase=prs"));
   plan::PlanCache cache(4);
   auto cached = cache.pack_plan(m, wl.d, sizeof(std::int64_t), opt);
   RecoveryPolicy pol;
@@ -579,26 +533,10 @@ TEST(RecoveryPolicy, RejectionsNameTokenAndByteOffset) {
   EXPECT_THROW((void)RecoveryPolicy::parse("reseed=2"), ContractError);
 }
 
-TEST(RecoveryPolicy, FromEnvReadsPupRecovery) {
-  ScopedEnv guard("PUP_RECOVERY");
-  ScopedEnv::set("PUP_RECOVERY", "restarts=5 backoff=3.0");
-  const RecoveryPolicy p = RecoveryPolicy::from_env();
-  EXPECT_EQ(p.max_restarts, 5);
-  EXPECT_DOUBLE_EQ(p.backoff, 3.0);
-
-  ScopedEnv::unset("PUP_RECOVERY");
-  EXPECT_FALSE(RecoveryPolicy::from_env().enabled());
-
-  // The Runtime facade picks the policy up on construction.
-  ScopedEnv::set("PUP_RECOVERY", "restarts=2");
-  Runtime rt(4);
-  EXPECT_EQ(rt.recovery().max_restarts, 2);
-}
-
 // --- satellite S1: delayed-queue hygiene --------------------------------
 
 TEST(DelayedQueue, UnreceivedDelayExpiresAtOutermostScopeEnd) {
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 delay=1.0 ticks=50"));
 
   struct ExpiryWatcher final : sim::MachineObserver {
@@ -635,7 +573,7 @@ TEST(DelayedQueue, NoLeakAcrossOperationsUnderPrsDelaySchedule) {
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
 
-  sim::Machine m = make_machine(P);
+  auto m = make_machine(P);
   m.set_fault_plan(
       sim::FaultPlan::parse("seed=21 delay=0.6 ticks=2 phase=prs"));
   analysis::ProtocolValidator validator(m);

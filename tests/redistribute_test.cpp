@@ -5,13 +5,12 @@
 
 #include "dist/redistribute.hpp"
 #include "sim/machine.hpp"
+#include "test_support.hpp"
 
 namespace pup::dist {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 struct Case {
   std::vector<index_t> extents;
@@ -27,7 +26,7 @@ TEST_P(RedistributeSweep, PreservesGlobalContents) {
   const auto& [c, mode] = GetParam();
   int p = 1;
   for (int x : c.procs) p *= x;
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   Shape shape(c.extents);
   ProcessGrid grid(c.procs);
   auto src_dist = Distribution(shape, grid, c.src_blocks);
@@ -58,7 +57,7 @@ INSTANTIATE_TEST_SUITE_P(
                           RedistMode::kDetectBothSides)));
 
 TEST(Redistribute, IdentityLayoutMovesNothingOffProcessor) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = Distribution::block_cyclic(Shape({32}), ProcessGrid({4}), 2);
   std::vector<int> data(32, 3);
   auto src = DistArray<int>::scatter(d, data);
@@ -72,7 +71,7 @@ TEST(Redistribute, WithIndicesDoublesPayload) {
   // kWithIndices ships an int64 index per int64 value -> 2x the bytes of
   // kDetectBothSides.
   auto run = [&](RedistMode mode) {
-    sim::Machine machine = make_machine(4);
+    auto machine = make_machine(4);
     Shape shape({32});
     auto src_dist = Distribution::cyclic(shape, ProcessGrid({4}));
     auto dst_dist = Distribution::block(shape, ProcessGrid({4}));
@@ -86,7 +85,7 @@ TEST(Redistribute, WithIndicesDoublesPayload) {
 }
 
 TEST(Redistribute, ChargesRedistCategory) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   Shape shape({8});
   auto src = DistArray<int>::scatter(
       Distribution::cyclic(shape, ProcessGrid({2})), std::vector<int>(8, 1));
@@ -97,7 +96,7 @@ TEST(Redistribute, ChargesRedistCategory) {
 }
 
 TEST(Redistribute, ShapeMismatchThrows) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   DistArray<int> a(Distribution::block1d(8, 2));
   DistArray<int> b(Distribution::block1d(9, 2));
   EXPECT_THROW(redistribute(machine, a, b), pup::ContractError);

@@ -12,8 +12,8 @@
 //   * without the reliable layer the same fault schedule is a
 //     ContractError -- the failure mode this subsystem exists to fix.
 //
-// Machines install their fault plans explicitly, so the tests behave the
-// same with and without the ctest PUP_FAULTS matrix environment.
+// Machines install their fault plans explicitly, replacing any startup
+// PUP_FAULTS plan the CI fault steps hand make_machine().
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -34,6 +34,7 @@
 #include "sim/fault.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
@@ -46,9 +47,7 @@ constexpr int kP = 8;
 const char* const kFaultSpec =
     "seed=1234 drop=0.05 dup=0.03 delay=0.04 ticks=2 trunc=0.03";
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 Bufs make_inputs(int p, std::size_t m, std::uint64_t seed) {
   Bufs bufs(static_cast<std::size_t>(p));
@@ -124,7 +123,7 @@ struct RunResult {
 /// Runs the full collective pass on a fresh machine.  `reliable` forces the
 /// layer on/off; `fault_spec` (may be null) installs a seeded plan.
 RunResult run_configured(bool reliable, const char* fault_spec) {
-  sim::Machine m = make_machine(kP);
+  auto m = make_machine(kP);
   m.set_fault_plan(fault_spec == nullptr ? nullptr
                                          : sim::FaultPlan::parse(fault_spec));
   coll::ReliableTransport::of(m).force(reliable);
@@ -205,7 +204,7 @@ TEST(ReliableTransport, CollectivesSurviveSeededFaultsBitIdentically) {
 }
 
 TEST(ReliableTransport, ValidatorHoldsUnderFaults) {
-  sim::Machine m = make_machine(kP);
+  auto m = make_machine(kP);
   m.set_fault_plan(sim::FaultPlan::parse(kFaultSpec));
   coll::ReliableTransport::of(m).force(true);
   analysis::ProtocolValidator validator(m);
@@ -217,7 +216,7 @@ TEST(ReliableTransport, ValidatorHoldsUnderFaults) {
 
 TEST(ReliableTransport, DeterminismCheckerPassesUnderFaults) {
   const auto report = analysis::check_determinism(
-      kP, sim::CostModel{10.0, 0.1, 0.01}, [](sim::Machine& m) {
+      kP, test::test_options(), [](sim::Machine& m) {
         m.set_fault_plan(sim::FaultPlan::parse(kFaultSpec));
         coll::ReliableTransport::of(m).force(true);
         (void)run_all_collectives(m);
@@ -226,7 +225,7 @@ TEST(ReliableTransport, DeterminismCheckerPassesUnderFaults) {
 }
 
 TEST(ReliableTransport, PackUnpackRoundTripUnderFaults) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   machine.set_fault_plan(sim::FaultPlan::parse(kFaultSpec));
   coll::ReliableTransport::of(machine).force(true);
 
@@ -254,7 +253,7 @@ TEST(ReliableTransport, PackUnpackRoundTripUnderFaults) {
 
 TEST(ReliableTransport, RetryExhaustionRaisesTransportErrorDeterministically) {
   auto broken_run = []() -> std::string {
-    sim::Machine m = make_machine(2);
+    auto m = make_machine(2);
     // Everything on the broadcast tag vanishes, including retransmissions,
     // so the receiver must exhaust its budget.  NAKs still flow (different
     // tag), exercising the full recovery loop before giving up.
@@ -311,7 +310,7 @@ TEST(ReliableTransport, BackoffFactorClampsInsteadOfOverflowing) {
 }
 
 TEST(ReliableTransport, WithoutRecoveryTheSameScheduleIsAContractError) {
-  sim::Machine m = make_machine(2);
+  auto m = make_machine(2);
   m.set_fault_plan(sim::FaultPlan::parse("seed=1 drop=1.0 tag=0x42c"));
   coll::ReliableTransport::of(m).force(false);  // raw transport
   Bufs bufs(2);

@@ -4,12 +4,13 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
 TEST(MaskReductions, CountMatchesHostCount) {
-  sim::Machine machine(8, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(8);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16, 8}),
                                             dist::ProcessGrid({4, 2}), 2);
   for (double density : {0.0, 0.25, 0.8, 1.0}) {
@@ -20,7 +21,7 @@ TEST(MaskReductions, CountMatchesHostCount) {
 }
 
 TEST(MaskReductions, AnyAndAll) {
-  sim::Machine machine(4, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<mask_t> none(16, 0), ones(16, 1), mixed(16, 0);
@@ -32,7 +33,7 @@ TEST(MaskReductions, AnyAndAll) {
 }
 
 TEST(MaskReductions, CountChargesPrsCategory) {
-  sim::Machine machine(4, sim::CostModel{10, 0.1, 0.01});
+  auto machine = test::make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   auto m = dist::DistArray<mask_t>::scatter(d, random_mask(16, 0.5, 3));
@@ -42,7 +43,7 @@ TEST(MaskReductions, CountChargesPrsCategory) {
 }
 
 TEST(Runtime, EndToEndPackUnpack) {
-  Runtime rt(16, sim::CostModel{10, 0.1, 0.01});
+  Runtime rt(16, test::test_options());
   std::vector<double> host(256);
   std::iota(host.begin(), host.end(), 0.0);
   auto a = rt.distribute<double>(host, {256}, {16}, {4});
@@ -59,7 +60,7 @@ TEST(Runtime, EndToEndPackUnpack) {
 
 TEST(Runtime, AutoSchemeRespectsCyclicRule) {
   // The Section 6.4 selector must pick SSS for cyclic layouts.
-  Runtime rt(8, sim::CostModel{10, 0.1, 0.01});
+  Runtime rt(8, test::test_options());
   std::vector<int> host(128, 1);
   auto a = rt.distribute<int>(host, {128}, {8}, {1});
   auto gm = random_mask(128, 0.9, 6);
@@ -70,7 +71,7 @@ TEST(Runtime, AutoSchemeRespectsCyclicRule) {
 }
 
 TEST(Runtime, AutoSchemePrefersCompactForDenseBlock) {
-  Runtime rt(8, sim::CostModel{10, 0.1, 0.01});
+  Runtime rt(8, test::test_options());
   std::vector<int> host(1024, 1);
   auto a = rt.distribute<int>(host, {1024}, {8}, {128});
   auto gm = random_mask(1024, 0.9, 6);
@@ -81,7 +82,7 @@ TEST(Runtime, AutoSchemePrefersCompactForDenseBlock) {
 }
 
 TEST(Runtime, PackViaRedistribution) {
-  Runtime rt(4, sim::CostModel{10, 0.1, 0.01});
+  Runtime rt(4, test::test_options());
   std::vector<int> host(64);
   std::iota(host.begin(), host.end(), 0);
   auto a = rt.distribute<int>(host, {64}, {4}, {1});
@@ -93,7 +94,7 @@ TEST(Runtime, PackViaRedistribution) {
 }
 
 TEST(Runtime, PackWithVectorPadding) {
-  Runtime rt(4, sim::CostModel{10, 0.1, 0.01});
+  Runtime rt(4, test::test_options());
   std::vector<int> host(32);
   std::iota(host.begin(), host.end(), 0);
   auto a = rt.distribute<int>(host, {32}, {4}, {2});
@@ -107,7 +108,7 @@ TEST(Runtime, PackWithVectorPadding) {
 }
 
 TEST(Runtime, IntrinsicsFamilyThroughFacade) {
-  Runtime rt(4, sim::CostModel{10, 0.1, 0.01});
+  Runtime rt(4, test::test_options());
   std::vector<int> t(16), f(16, -1);
   std::iota(t.begin(), t.end(), 0);
   auto ta = rt.distribute<int>(t, {16}, {4}, {2});
@@ -137,7 +138,7 @@ TEST(Runtime, IntrinsicsFamilyThroughFacade) {
 }
 
 TEST(Runtime, AccountingAccessors) {
-  Runtime rt(4, sim::CostModel{10, 0.1, 0.01});
+  Runtime rt(4, test::test_options());
   std::vector<int> host(32, 1);
   auto a = rt.distribute<int>(host, {32}, {4}, {2});
   auto m = rt.distribute<mask_t>(random_mask(32, 0.5, 1), {32}, {4}, {2});

@@ -13,8 +13,7 @@
 //     unset): anything else throws ContractError instead of silently
 //     running some other configuration;
 //   * two in-process servers with different options coexist without
-//     interfering (the PR's Env-injection satellite), and
-//     Env::override_for_testing steers the snapshot without setenv.
+//     interfering.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +29,7 @@
 #include "core/api.hpp"
 #include "service/server.hpp"
 #include "sim/fault.hpp"
-#include "support/env.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
@@ -70,6 +69,7 @@ Server::Options base_options() {
   Server::Options opt;
   opt.nprocs = kProcs;
   opt.cost = sim::CostModel{10.0, 0.1, 0.01};
+  opt.threads = test::env_threads();
   opt.start_paused = true;
   return opt;
 }
@@ -113,7 +113,7 @@ void register_two_tenants(Server& server) {
 }
 
 TEST(ServiceDigest, StreamedDigestEqualsGatheredDigest) {
-  sim::Machine machine(kProcs, sim::CostModel{10.0, 0.1, 0.01});
+  auto machine = test::make_machine(kProcs);
   const auto d = layout();
   const auto array = make_array(d);
 
@@ -451,8 +451,8 @@ TEST(ServiceIsolation, TwoServersWithDifferentOptionsDoNotInterfere) {
   // Constructor injection instead of process-env mutation: one sequential
   // server and one server on a 4-thread pool run concurrently in one
   // process, serving interleaved traffic, and each
-  // must behave per its own options -- the regression the Env satellite
-  // guards (per-call getenv or env mutation would cross-contaminate).
+  // must behave per its own options (global configuration state would
+  // cross-contaminate them).
   auto opt_a = base_options();
   opt_a.start_paused = false;
   opt_a.threads = 1;
@@ -487,22 +487,6 @@ TEST(ServiceIsolation, TwoServersWithDifferentOptionsDoNotInterfere) {
   }
   a.shutdown();
   b.shutdown();
-}
-
-TEST(ServiceIsolation, EnvOverrideSteersSnapshotWithoutSetenv) {
-  // Snapshot override without process-env mutation, and refresh() undoes
-  // it.  (Servers constructed with explicit Options never consult these;
-  // the override exists for consumers that do read the snapshot.)
-  const auto before = support::Env::get().threads;
-  support::Env::override_for_testing("PUP_THREADS", std::string("7"));
-  ASSERT_TRUE(support::Env::get().threads.has_value());
-  EXPECT_EQ(*support::Env::get().threads, "7");
-  EXPECT_EQ(sim::ExecPolicy::from_env().threads, 7);
-  support::Env::refresh();
-  EXPECT_EQ(support::Env::get().threads, before);
-  EXPECT_THROW(
-      support::Env::override_for_testing("PUP_NOPE", std::string("1")),
-      ContractError);
 }
 
 TEST(ServiceShutdown, LateSubmitsRejectShutdownAndDrainedWorkCompletes) {

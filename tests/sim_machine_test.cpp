@@ -1,21 +1,62 @@
 // Unit tests for the simulated machine substrate: cost model, topology,
-// mailboxes, message envelopes, time accounting, tracing, and the threaded
-// execution policy.
+// mailboxes, message envelopes, time accounting, tracing, the threaded
+// execution policy, MachineOptions, and the strict environment reader the
+// entry points use (the library itself never reads the environment).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "coll/reliable.hpp"
+#include "core/runtime.hpp"
+#include "service/server.hpp"
 #include "sim/exec_policy.hpp"
 #include "sim/machine.hpp"
 #include "support/check.hpp"
 #include "support/env.hpp"
+#include "test_support.hpp"
 
 namespace pup::sim {
 namespace {
+
+using test::make_machine;
+using test::test_options;
+
+constexpr const char* kPupVars[] = {"PUP_THREADS", "PUP_FAULTS",
+                                    "PUP_RECOVERY", "PUP_SIMD",
+                                    "PUP_RELIABLE"};
+
+/// Puts the PUP_* variables back as the test found them, so a test that
+/// calls setenv() leaves the process environment unchanged.
+class RestoreEnvOnExit {
+ public:
+  RestoreEnvOnExit() {
+    for (const char* name : kPupVars) {
+      const char* v = std::getenv(name);
+      saved_.emplace_back(name, v != nullptr ? std::optional<std::string>(v)
+                                             : std::nullopt);
+    }
+  }
+  RestoreEnvOnExit(const RestoreEnvOnExit&) = delete;
+  RestoreEnvOnExit& operator=(const RestoreEnvOnExit&) = delete;
+  ~RestoreEnvOnExit() {
+    for (const auto& [name, value] : saved_) {
+      if (value.has_value()) {
+        setenv(name, value->c_str(), 1);
+      } else {
+        unsetenv(name);
+      }
+    }
+  }
+
+ private:
+  std::vector<std::pair<const char*, std::optional<std::string>>> saved_;
+};
 
 TEST(CostModel, MessageTimeIsTauPlusMuM) {
   CostModel c{10.0, 0.5, 0.1};
@@ -108,10 +149,19 @@ TEST(Mailbox, WildcardsAndMisses) {
 }
 
 TEST(Machine, LocalPhaseRunsEveryRankInOrder) {
-  // Rank order is a *sequential-policy* guarantee; pin the policy so the
-  // test holds even when PUP_THREADS is set in the environment.
-  Machine m(4, CostModel{1, 1, 1}, Topology::crossbar(4),
-            ExecPolicy::sequential());
+  // Rank order is a *sequential-policy* guarantee, the default.  The
+  // other options reach the machine as given; the topology defaults to
+  // the crossbar.
+  Machine m(4, {.cost = CostModel{1, 2, 3},
+                .topology = Topology::hypercube(4),
+                .exec = ExecPolicy::sequential()});
+  EXPECT_DOUBLE_EQ(m.cost().tau_us, 1.0);
+  EXPECT_DOUBLE_EQ(m.cost().mu_us_per_byte, 2.0);
+  EXPECT_DOUBLE_EQ(m.cost().delta_us, 3.0);
+  EXPECT_EQ(m.topology().kind(), TopologyKind::kHypercube);
+  EXPECT_FALSE(m.exec().is_threaded());
+  EXPECT_EQ(Machine(4).topology().kind(), TopologyKind::kCrossbar);
+  EXPECT_EQ(Machine(4, {.exec = ExecPolicy::threaded(3)}).exec().threads, 3);
   std::vector<int> order;
   m.local_phase([&](int rank) { order.push_back(rank); });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -121,7 +171,7 @@ TEST(Machine, LocalPhaseRunsEveryRankInOrder) {
 }
 
 TEST(Machine, PostReceiveAndTrace) {
-  Machine m(3, CostModel{1, 1, 1});
+  auto m = make_machine(3, test_options({1, 1, 1}));
   m.post(Message{0, 2, 7, to_payload<int>(std::vector<int>{42})},
          Category::kM2M);
   EXPECT_TRUE(m.has_message(2, 0, 7));
@@ -138,12 +188,12 @@ TEST(Machine, PostReceiveAndTrace) {
 }
 
 TEST(Machine, ReceiveRequiredThrowsWhenMissing) {
-  Machine m(2, CostModel{1, 1, 1});
+  auto m = make_machine(2, test_options({1, 1, 1}));
   EXPECT_THROW(m.receive_required(0), pup::ContractError);
 }
 
 TEST(Machine, ChargeAndMaxAccounting) {
-  Machine m(3, CostModel{1, 1, 1});
+  auto m = make_machine(3, test_options({1, 1, 1}));
   m.charge(0, Category::kPrs, 5.0);
   m.charge(1, Category::kPrs, 8.0);
   m.charge(1, Category::kM2M, 2.0);
@@ -155,22 +205,102 @@ TEST(Machine, ChargeAndMaxAccounting) {
 }
 
 TEST(Machine, ResetWithPendingMessagesThrows) {
-  Machine m(2, CostModel{1, 1, 1});
+  auto m = make_machine(2, test_options({1, 1, 1}));
   m.post(Message{0, 1, 0, {}}, Category::kLocal);
   EXPECT_THROW(m.reset_accounting(), pup::ContractError);
 }
 
 TEST(Machine, BadRankThrows) {
-  Machine m(2, CostModel{1, 1, 1});
+  auto m = make_machine(2, test_options({1, 1, 1}));
   EXPECT_THROW(m.post(Message{0, 5, 0, {}}, Category::kLocal),
                pup::ContractError);
   EXPECT_THROW(m.receive(-1), pup::ContractError);
   EXPECT_THROW(Machine(0), pup::ContractError);
+  EXPECT_THROW(Machine(4, {.topology = Topology::crossbar(2)}),
+               pup::ContractError);
+  EXPECT_THROW(Machine(4, {.exec = ExecPolicy{0}}), pup::ContractError);
+}
+
+TEST(Machine, IgnoresProcessEnvironment) {
+  // Only entry points read the environment (support::Env::read).  Every
+  // variable set here -- including the retired PUP_RELIABLE -- must leave
+  // a Machine, a Runtime and a Server at their defaults.
+  const RestoreEnvOnExit restore;
+  setenv("PUP_THREADS", "4", 1);
+  setenv("PUP_FAULTS", "seed=1 drop=1.0", 1);
+  setenv("PUP_RECOVERY", "restarts=3", 1);
+  setenv("PUP_RELIABLE", "1", 1);
+
+  Machine m(4);
+  EXPECT_FALSE(m.exec().is_threaded());
+  EXPECT_EQ(m.fault_plan(), nullptr);
+  EXPECT_FALSE(coll::ReliableTransport::of(m).active(m));
+
+  pup::Runtime rt(4);
+  EXPECT_FALSE(rt.machine().exec().is_threaded());
+  EXPECT_EQ(rt.machine().fault_plan(), nullptr);
+  EXPECT_EQ(rt.recovery().max_restarts, 0);
+
+  service::Server server(service::Server::Options{});
+  EXPECT_FALSE(server.machine().exec().is_threaded());
+  EXPECT_EQ(server.machine().fault_plan(), nullptr);
+}
+
+TEST(Env, ReadIsStrictAndEmptyMeansUnset) {
+  // Strict on purpose (the old PUP_THREADS read was lenient): a malformed
+  // value fails at startup instead of silently running unconfigured.
+  const RestoreEnvOnExit restore;
+  for (const char* name : kPupVars) unsetenv(name);
+  support::Env env = support::Env::read();
+  EXPECT_FALSE(env.threads.has_value());
+  EXPECT_FALSE(env.faults.has_value());
+  EXPECT_FALSE(env.recovery.has_value());
+  EXPECT_FALSE(env.simd.has_value());
+
+  for (const char* name : kPupVars) setenv(name, "", 1);
+  env = support::Env::read();
+  EXPECT_FALSE(env.threads.has_value());
+  EXPECT_FALSE(env.faults.has_value());
+  EXPECT_FALSE(env.recovery.has_value());
+  EXPECT_FALSE(env.simd.has_value());
+
+  setenv("PUP_THREADS", "4", 1);
+  setenv("PUP_FAULTS", "seed=5 drop=1.0", 1);
+  setenv("PUP_RECOVERY", "restarts=5 backoff=3.0", 1);
+  setenv("PUP_SIMD", "off", 1);
+  env = support::Env::read();
+  EXPECT_EQ(env.threads, 4);
+  EXPECT_EQ(env.faults, "seed=5 drop=1.0");
+  EXPECT_EQ(env.recovery, "restarts=5 backoff=3.0");
+  EXPECT_EQ(env.simd, false);
+  setenv("PUP_THREADS", "1024", 1);
+  setenv("PUP_SIMD", "on", 1);
+  env = support::Env::read();
+  EXPECT_EQ(env.threads, 1024);
+  EXPECT_EQ(env.simd, true);
+
+  auto expect_rejected = [](const char* name, const char* value) {
+    setenv(name, value, 1);
+    try {
+      (void)support::Env::read();
+      ADD_FAILURE() << name << "=\"" << value << "\" was accepted";
+    } catch (const pup::ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+    setenv(name, "", 1);
+  };
+  for (const char* bad : {"abc", "-2", "0", "4x", "1e3", " 4", "1025"}) {
+    expect_rejected("PUP_THREADS", bad);
+  }
+  expect_rejected("PUP_SIMD", "fast");
+  expect_rejected("PUP_FAULTS", "drop=2.0");
+  expect_rejected("PUP_RECOVERY", "restarts=-1");
 }
 
 Machine make_threaded(int nprocs, int threads) {
-  return Machine(nprocs, CostModel{1, 1, 1}, Topology::crossbar(nprocs),
-                 ExecPolicy::threaded(threads));
+  return Machine(nprocs, {.cost = CostModel{1, 1, 1},
+                          .exec = ExecPolicy::threaded(threads)});
 }
 
 TEST(ExecPolicy, FactoriesAndValidation) {
@@ -179,48 +309,6 @@ TEST(ExecPolicy, FactoriesAndValidation) {
   EXPECT_FALSE(ExecPolicy::threaded(1).is_threaded());
   EXPECT_THROW(ExecPolicy::threaded(0), pup::ContractError);
   EXPECT_THROW(ExecPolicy::threaded(-3), pup::ContractError);
-}
-
-TEST(ExecPolicy, FromEnvParsesLeniently) {
-  // Save and restore PUP_THREADS: the threaded ctest registrations set it
-  // for the whole process, and this test must not clobber that.  from_env
-  // consults the read-once snapshot (support/env.hpp), so every mutation
-  // must be followed by an explicit refresh.
-  const char* prev = std::getenv("PUP_THREADS");
-  const std::string saved = prev ? prev : "";
-  auto set_threads = [](const char* v) {
-    setenv("PUP_THREADS", v, 1);
-    pup::support::Env::refresh();
-  };
-
-  unsetenv("PUP_THREADS");
-  pup::support::Env::refresh();
-  EXPECT_FALSE(ExecPolicy::from_env().is_threaded());
-  set_threads("");
-  EXPECT_FALSE(ExecPolicy::from_env().is_threaded());
-  set_threads("4");
-  EXPECT_EQ(ExecPolicy::from_env().threads, 4);
-  set_threads("1");
-  EXPECT_FALSE(ExecPolicy::from_env().is_threaded());
-  // Lenient fallbacks: junk, negatives, and trailing garbage never throw
-  // and never enable threading.
-  for (const char* bad : {"abc", "-2", "0", "4x", "1e3"}) {
-    set_threads(bad);
-    EXPECT_FALSE(ExecPolicy::from_env().is_threaded()) << bad;
-  }
-  // strtol skips leading whitespace, so a padded value still parses.
-  set_threads(" 4");
-  EXPECT_EQ(ExecPolicy::from_env().threads, 4);
-  // Absurd values are capped, not rejected.
-  set_threads("999999");
-  EXPECT_LE(ExecPolicy::from_env().threads, 1024);
-
-  if (prev != nullptr) {
-    setenv("PUP_THREADS", saved.c_str(), 1);
-  } else {
-    unsetenv("PUP_THREADS");
-  }
-  pup::support::Env::refresh();
 }
 
 TEST(MachineThreaded, LocalPhaseRunsEveryRankExactlyOnce) {
@@ -280,8 +368,7 @@ TEST(MachineThreaded, MorePoolThreadsThanRanksIsFine) {
 
 TEST(MachineThreaded, SingleProcessorFallsBackToSequential) {
   // nprocs == 1 never engages the pool regardless of policy.
-  Machine m(1, CostModel{1, 1, 1}, Topology::crossbar(1),
-            ExecPolicy::threaded(8));
+  Machine m(1, {.cost = CostModel{1, 1, 1}, .exec = ExecPolicy::threaded(8)});
   int hits = 0;
   m.local_phase([&](int) { ++hits; });
   EXPECT_EQ(hits, 1);

@@ -1,8 +1,8 @@
 // Property tests for the vectorized local kernels (core/kernels/): every
 // vector path must agree bit for bit with the scalar reference across
 // densities, lengths covering every remainder mod the widest lane (32
-// bytes, AVX2), and element widths -- plus PUP_SIMD dispatch semantics and
-// in-process end-to-end digest parity.
+// bytes, AVX2), and element widths -- plus set_path() dispatch semantics
+// and in-process end-to-end digest parity.
 #include "core/kernels/kernels.hpp"
 
 #include <gtest/gtest.h>
@@ -16,20 +16,19 @@
 
 #include "analysis/determinism.hpp"
 #include "core/api.hpp"
-#include "support/env.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
 using kernels::Path;
 
-/// Restores PUP_SIMD resolution when a test body returns or throws.
+/// Restores the startup kernel path (PUP_SIMD, read by the test main) when
+/// a test body returns or throws.
 class ForceGuard {
  public:
-  explicit ForceGuard(std::optional<Path> p) {
-    kernels::force_path_for_testing(p);
-  }
-  ~ForceGuard() { kernels::force_path_for_testing(std::nullopt); }
+  explicit ForceGuard(std::optional<Path> p) { kernels::set_path(p); }
+  ~ForceGuard() { kernels::set_path(test::startup_path()); }
 };
 
 std::vector<Path> vector_paths() {
@@ -61,7 +60,7 @@ TEST(SimdKernels, MaskCountMatchesScalarEverywhere) {
         ForceGuard ref(Path::kScalar);
         const std::int64_t expect = kernels::mask_count(mask.data(), n);
         for (const Path path : vector_paths()) {
-          kernels::force_path_for_testing(path);
+          kernels::set_path(path);
           EXPECT_EQ(kernels::mask_count(mask.data(), n), expect)
               << kernels::path_name(path) << " n=" << n << " d=" << density;
         }
@@ -83,7 +82,7 @@ void check_gather_parity() {
       const std::size_t expect_k = kernels::mask_gather<T>(
           mask.data(), values.data(), n, expect.data());
       for (const Path path : vector_paths()) {
-        kernels::force_path_for_testing(path);
+        kernels::set_path(path);
         std::vector<T> out(n, T(-2));
         const std::size_t k = kernels::mask_gather<T>(
             mask.data(), values.data(), n, out.data());
@@ -168,7 +167,7 @@ void check_expand_parity() {
           }
         }
         for (const Path path : vector_paths()) {
-          kernels::force_path_for_testing(path);
+          kernels::set_path(path);
           std::vector<E> got = init;
           ASSERT_EQ(kernels::mask_expand<E>(mask.data(), src.data(), n,
                                             got.data()),
@@ -201,7 +200,7 @@ TEST(SimdKernels, SegmentedPrefixMatchesScalar) {
       ForceGuard ref(Path::kScalar);
       kernels::segmented_exclusive_prefix(expect.data(), n, seg);
       for (const Path path : vector_paths()) {
-        kernels::force_path_for_testing(path);
+        kernels::set_path(path);
         std::vector<std::int64_t> got = input;
         kernels::segmented_exclusive_prefix(got.data(), n, seg);
         ASSERT_EQ(got, expect)
@@ -222,7 +221,7 @@ TEST(SimdKernels, AddInPlaceMatchesScalar) {
     ForceGuard ref(Path::kScalar);
     kernels::add_in_place(expect.data(), src.data(), n);
     for (const Path path : vector_paths()) {
-      kernels::force_path_for_testing(path);
+      kernels::set_path(path);
       std::vector<std::int64_t> got = dst0;
       kernels::add_in_place(got.data(), src.data(), n);
       ASSERT_EQ(got, expect) << kernels::path_name(path) << " n=" << n;
@@ -246,38 +245,21 @@ TEST(SimdKernels, RunDecodeMatchesScalar) {
   }
 }
 
-TEST(SimdKernels, ParseSimdFlag) {
-  EXPECT_TRUE(kernels::parse_simd_flag(std::nullopt));
-  for (const char* v : {"auto", "on", "1", "simd"}) {
-    EXPECT_TRUE(kernels::parse_simd_flag(std::string(v))) << v;
-  }
-  for (const char* v : {"off", "0", "scalar"}) {
-    EXPECT_FALSE(kernels::parse_simd_flag(std::string(v))) << v;
-  }
-  EXPECT_THROW(kernels::parse_simd_flag(std::string("fast")), ContractError);
-  EXPECT_THROW(kernels::parse_simd_flag(std::string("")), ContractError);
-}
-
-TEST(SimdKernels, EnvKnobSelectsPath) {
-  const std::optional<std::string> saved = support::Env::get().simd;
-  support::Env::override_for_testing("PUP_SIMD", std::string("off"));
-  kernels::force_path_for_testing(std::nullopt);  // drop cached resolution
+TEST(SimdKernels, SetPathSelectsPath) {
+  ForceGuard scalar(Path::kScalar);
   EXPECT_EQ(kernels::active_path(), Path::kScalar);
   EXPECT_FALSE(kernels::vectorized());
-  support::Env::override_for_testing("PUP_SIMD", std::string("on"));
-  kernels::force_path_for_testing(std::nullopt);
+  kernels::set_path(std::nullopt);  // auto: the best vector path
   EXPECT_NE(kernels::active_path(), Path::kScalar);
   EXPECT_TRUE(kernels::vectorized());
   if (kernels::native_available()) {
     EXPECT_EQ(kernels::active_path(), Path::kNative);
   }
-  support::Env::override_for_testing("PUP_SIMD", saved);
-  kernels::force_path_for_testing(std::nullopt);
 }
 
 TEST(SimdKernels, ForceNativeRequiresSupport) {
   if (kernels::native_available()) GTEST_SKIP() << "native path available";
-  EXPECT_THROW(kernels::force_path_for_testing(Path::kNative), ContractError);
+  EXPECT_THROW(kernels::set_path(Path::kNative), ContractError);
 }
 
 // End-to-end: CMS pack and unpack produce identical digests and values
@@ -296,7 +278,7 @@ TEST(SimdKernels, EndToEndPackUnpackParity) {
   std::vector<Run> runs;
   for (const Path path : paths) {
     ForceGuard force(path);
-    sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+    auto machine = test::make_machine(p);
     analysis::DigestRecorder recorder(machine);
     auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                               dist::ProcessGrid({p}), 64);

@@ -26,15 +26,14 @@
 #include "analysis/static/verifier.hpp"
 #include "core/api.hpp"
 #include "plan/executor.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
 namespace st = analysis::statics;
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 /// The grid/extent shapes the sweep runs.  p = 6 grids exercise the
 /// non-power-of-two direct PRS (exscan + broadcast); the 2-d grids give
@@ -86,7 +85,7 @@ std::string case_name(const GridCase& gc, int scheme, int prs, int m2m) {
 
 TEST(StaticVerifier, EveryPackPlanShapeVerifies) {
   for (const GridCase& gc : grid_cases()) {
-    sim::Machine machine = make_machine(gc.p);
+    auto machine = make_machine(gc.p);
     for (std::size_t si = 0; si < kPackSchemes.size(); ++si) {
       for (std::size_t pi = 0; pi < kPrsKnobs.size(); ++pi) {
         for (std::size_t mi = 0; mi < kM2MKnobs.size(); ++mi) {
@@ -116,7 +115,7 @@ TEST(StaticVerifier, EveryPackPlanShapeVerifies) {
 
 TEST(StaticVerifier, EveryUnpackPlanShapeVerifies) {
   for (const GridCase& gc : grid_cases()) {
-    sim::Machine machine = make_machine(gc.p);
+    auto machine = make_machine(gc.p);
     const auto vd = dist::Distribution::block1d(
         gc.dist.global().size() / 2 + 1, gc.p);
     for (std::size_t si = 0; si < kUnpackSchemes.size(); ++si) {
@@ -147,7 +146,7 @@ TEST(StaticVerifier, EveryUnpackPlanShapeVerifies) {
 // A pinned result layout changes the M2M bound arithmetic; it must verify
 // too.
 TEST(StaticVerifier, PinnedResultLayoutVerifies) {
-  sim::Machine machine = make_machine(8);
+  auto machine = make_machine(8);
   const auto d = dist::Distribution::block_cyclic(dist::Shape({1024}),
                                                   dist::ProcessGrid({8}), 8);
   const auto rd = dist::Distribution::block1d(1024, 8);
@@ -171,7 +170,7 @@ TEST(StaticVerifier, MutationHarnessHasNoEscapes) {
   };
   int seeded_total = 0;
   for (const GridCase& gc : grid_cases()) {
-    sim::Machine machine = make_machine(gc.p);
+    auto machine = make_machine(gc.p);
     for (PackScheme scheme : kPackSchemes) {
       for (coll::PrsAlgorithm prs :
            {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit}) {
@@ -219,7 +218,7 @@ std::vector<mask_t> checkered_mask(dist::index_t n, std::uint64_t seed) {
 
 TEST(StaticVerifier, PackTraceMatchesExpansion) {
   for (const GridCase& gc : grid_cases()) {
-    sim::Machine machine = make_machine(gc.p);
+    auto machine = make_machine(gc.p);
     const dist::index_t n = gc.dist.global().size();
     std::vector<double> data(static_cast<std::size_t>(n));
     std::iota(data.begin(), data.end(), 1.0);
@@ -256,7 +255,7 @@ TEST(StaticVerifier, PackTraceMatchesExpansion) {
 }
 
 TEST(StaticVerifier, BatchedPackTraceMatchesExpansion) {
-  sim::Machine machine = make_machine(8);
+  auto machine = make_machine(8);
   const auto d = dist::Distribution::block_cyclic(dist::Shape({1024}),
                                                   dist::ProcessGrid({8}), 8);
   std::vector<double> data(1024);
@@ -293,7 +292,7 @@ TEST(StaticVerifier, BatchedPackTraceMatchesExpansion) {
 
 TEST(StaticVerifier, UnpackTraceMatchesExpansion) {
   for (const GridCase& gc : grid_cases()) {
-    sim::Machine machine = make_machine(gc.p);
+    auto machine = make_machine(gc.p);
     const dist::index_t n = gc.dist.global().size();
     const auto gm = checkered_mask(n, 0xfeedbeef);
     const auto trues = static_cast<dist::index_t>(
@@ -338,7 +337,7 @@ TEST(StaticVerifier, UnpackTraceMatchesExpansion) {
 // Mailbox accounting.
 
 TEST(StaticVerifier, MailboxPeakReportedAndBudgetEnforced) {
-  sim::Machine machine = make_machine(8);
+  auto machine = make_machine(8);
   const auto d = dist::Distribution::block_cyclic(dist::Shape({1024}),
                                                   dist::ProcessGrid({8}), 8);
   PackOptions opt;
@@ -432,7 +431,7 @@ TEST(StaticVerifier, ClosedFormGroupOfOneIsFree) {
 // require_verified: the ResilientExecutor debug hook aborts with the
 // report's issues.
 TEST(StaticVerifier, RequireVerifiedThrowsWithIssues) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   const auto d = dist::Distribution::block_cyclic(dist::Shape({512}),
                                                   dist::ProcessGrid({4}), 16);
   PackOptions opt;

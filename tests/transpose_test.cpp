@@ -4,13 +4,12 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 template <typename T>
 std::vector<T> serial_permute(const std::vector<T>& a, const dist::Shape& src,
@@ -34,7 +33,7 @@ std::vector<T> serial_permute(const std::vector<T>& a, const dist::Shape& src,
 }
 
 TEST(Transpose, SquareMatrix) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8, 8}),
                                             dist::ProcessGrid({2, 2}), 2);
   std::vector<int> data(64);
@@ -49,7 +48,7 @@ TEST(Transpose, SquareMatrix) {
 }
 
 TEST(Transpose, RectangularMatrixSwapsDistribution) {
-  sim::Machine machine = make_machine(8);
+  auto machine = make_machine(8);
   auto d = dist::Distribution(dist::Shape({16, 8}), dist::ProcessGrid({4, 2}),
                               {2, 4});
   std::vector<double> data(128);
@@ -65,7 +64,7 @@ TEST(Transpose, RectangularMatrixSwapsDistribution) {
 }
 
 TEST(Transpose, ExplicitResultDistribution) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8, 4}),
                                             dist::ProcessGrid({2, 2}), 1);
   std::vector<int> data(32);
@@ -81,7 +80,7 @@ TEST(Transpose, ExplicitResultDistribution) {
 }
 
 TEST(Transpose, RequiresRank2) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8}),
                                             dist::ProcessGrid({2}), 2);
   dist::DistArray<int> a(d);
@@ -89,7 +88,7 @@ TEST(Transpose, RequiresRank2) {
 }
 
 TEST(PermuteDims, ThreeDimensionalRotation) {
-  sim::Machine machine = make_machine(8);
+  auto machine = make_machine(8);
   auto d = dist::Distribution(dist::Shape({4, 6, 8}),
                               dist::ProcessGrid({2, 2, 2}), {1, 3, 2});
   std::vector<std::int64_t> data(static_cast<std::size_t>(d.global().size()));
@@ -101,7 +100,7 @@ TEST(PermuteDims, ThreeDimensionalRotation) {
 }
 
 TEST(PermuteDims, IdentityPermutationKeepsLayout) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8, 8}),
                                             dist::ProcessGrid({2, 2}), 2);
   std::vector<int> data(64);
@@ -115,7 +114,7 @@ TEST(PermuteDims, IdentityPermutationKeepsLayout) {
 }
 
 TEST(PermuteDims, BadPermutationThrows) {
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8, 8}),
                                             dist::ProcessGrid({2, 2}), 2);
   dist::DistArray<int> a(d);
@@ -130,7 +129,7 @@ TEST(PermuteDims, BadPermutationThrows) {
 TEST(Transpose, ComposesWithPackOnLtMask) {
   // Select the strict lower triangle after transposing: equivalent to the
   // strict upper triangle of the original.
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8, 8}),
                                             dist::ProcessGrid({2, 2}), 2);
   std::vector<std::int64_t> data(64);

@@ -6,13 +6,12 @@
 #include <numeric>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 struct UnpackFixture {
   dist::DistArray<std::int64_t> a;
@@ -43,7 +42,7 @@ UnpackFixture make_setup(int p, dist::index_t n, dist::index_t w, double density
 TEST(UnpackInternals, RequestAndReplyBytesMatchFormula) {
   const int p = 8;
   UnpackFixture s = make_setup(p, 512, 8, 0.5);
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto result = unpack(machine, s.v, s.m, s.f);
   // Requests: one int64 rank per true element; replies: one int64 value.
   std::int64_t sent = 0, recv = 0, served = 0, packed = 0;
@@ -62,14 +61,14 @@ TEST(UnpackInternals, RequestAndReplyBytesMatchFormula) {
 TEST(UnpackInternals, TrafficIsRoughlyTwicePack) {
   const int p = 8;
   UnpackFixture s = make_setup(p, 4096, 16, 0.5);
-  sim::Machine pm = make_machine(p);
+  auto pm = make_machine(p);
   PackOptions popt;
   popt.scheme = PackScheme::kCompactStorage;
   (void)pack(pm, s.a, s.m, popt);
   const auto pack_bytes = pm.trace().bytes_in(sim::Category::kM2M) +
                           pm.trace().self_bytes();
 
-  sim::Machine um = make_machine(p);
+  auto um = make_machine(p);
   UnpackOptions uopt;
   uopt.scheme = UnpackScheme::kCompactStorage;
   (void)unpack(um, s.v, s.m, s.f, uopt);
@@ -91,7 +90,7 @@ TEST(UnpackInternals, SchemesShipIdenticalBytes) {
   int i = 0;
   for (UnpackScheme scheme :
        {UnpackScheme::kSimpleStorage, UnpackScheme::kCompactStorage}) {
-    sim::Machine machine = make_machine(p);
+    auto machine = make_machine(p);
     UnpackOptions opt;
     opt.scheme = scheme;
     auto result = unpack(machine, s.v, s.m, s.f, opt);
@@ -115,7 +114,7 @@ TEST(UnpackInternals, AllSelfWhenAligned) {
   dist::DistArray<std::int64_t> f(d);
   auto v = dist::DistArray<std::int64_t>::scatter(
       dist::Distribution::block1d(n, p), vhost);
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto result = unpack(machine, v, m, f);
   EXPECT_EQ(machine.trace().messages_in(sim::Category::kM2M), 0);
   EXPECT_EQ(result.result.gather(), vhost);

@@ -11,13 +11,12 @@
 #include <vector>
 
 #include "core/api.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 TEST(UnpackSchemeAuto, SelectorPicksCheaperPredictedScheme) {
   // choose_unpack_scheme is the beta_1 comparison (SSS vs CSS local cost);
@@ -53,7 +52,7 @@ TEST(UnpackSchemeAuto, DensitySweepMatchesCheaperExplicitScheme) {
   const dist::index_t block = 16;
   const dist::index_t local = n / P;
   for (double density : {0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0}) {
-    sim::Machine machine = make_machine(P);
+    auto machine = make_machine(P);
     auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                               dist::ProcessGrid({P}), block);
     auto gm = random_mask(n, density, 0xca11 + static_cast<int>(density * 10));
@@ -99,7 +98,7 @@ TEST(UnpackSchemeAuto, CyclicAlwaysResolvesSimpleStorage) {
   // W0 == 1: the paper's conclusion (and choose_unpack_scheme's fast path)
   // is simple storage, regardless of density.
   const int P = 4;
-  sim::Machine machine = make_machine(P);
+  auto machine = make_machine(P);
   auto d = dist::Distribution::cyclic(dist::Shape({512}),
                                       dist::ProcessGrid({P}));
   auto gm = random_mask(512, 0.8, 3);

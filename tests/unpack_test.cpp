@@ -13,13 +13,12 @@
 #include "sim/fault.hpp"
 #include "sim/message.hpp"
 #include "sim/observer.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-sim::Machine make_machine(int p) {
-  return sim::Machine(p, sim::CostModel{10.0, 0.1, 0.01});
-}
+using test::make_machine;
 
 struct Case {
   std::vector<dist::index_t> extents;
@@ -35,7 +34,7 @@ TEST_P(UnpackSweep, MatchesOracle) {
   const auto& [c, scheme] = GetParam();
   int p = 1;
   for (int x : c.procs) p *= x;
-  sim::Machine machine = make_machine(p);
+  auto machine = make_machine(p);
   auto d = dist::Distribution(dist::Shape(c.extents),
                               dist::ProcessGrid(c.procs), c.blocks);
   const auto n = d.global().size();
@@ -76,7 +75,7 @@ INSTANTIATE_TEST_SUITE_P(
                           UnpackScheme::kCompactStorage)));
 
 TEST(Unpack, FieldSuppliesFalsePositions) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8}),
                                             dist::ProcessGrid({2}), 2);
   std::vector<mask_t> gm = {0, 1, 0, 1, 1, 0, 0, 1};
@@ -93,7 +92,7 @@ TEST(Unpack, FieldSuppliesFalsePositions) {
 
 TEST(Unpack, PackThenUnpackRestoresSelectedElements) {
   // unpack(pack(A, M), M, A) == A  (field = A keeps the unselected ones).
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16, 8}),
                                             dist::ProcessGrid({2, 2}), 2);
   std::vector<double> data(128);
@@ -109,7 +108,7 @@ TEST(Unpack, PackThenUnpackRestoresSelectedElements) {
 
 TEST(Unpack, UnpackThenPackRestoresVector) {
   // pack(unpack(V, M, F), M) == V when |V| == count_true(M).
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                             dist::ProcessGrid({4}), 4);
   auto gm = random_mask(32, 0.6, 31);
@@ -129,7 +128,7 @@ TEST(Unpack, UnpackThenPackRestoresVector) {
 
 TEST(Unpack, OversizedVectorUsesPrefix) {
   // N' > Size: only the first Size elements of V are consumed.
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8}),
                                             dist::ProcessGrid({2}), 2);
   std::vector<mask_t> gm = {1, 0, 0, 1, 0, 0, 0, 0};
@@ -145,7 +144,7 @@ TEST(Unpack, OversizedVectorUsesPrefix) {
 }
 
 TEST(Unpack, VectorTooShortThrows) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8}),
                                             dist::ProcessGrid({2}), 2);
   std::vector<mask_t> gm(8, 1);
@@ -156,7 +155,7 @@ TEST(Unpack, VectorTooShortThrows) {
 }
 
 TEST(Unpack, MisalignedFieldThrows) {
-  sim::Machine machine = make_machine(2);
+  auto machine = make_machine(2);
   auto dm = dist::Distribution::block_cyclic(dist::Shape({8}),
                                              dist::ProcessGrid({2}), 2);
   auto df = dist::Distribution::block_cyclic(dist::Shape({8}),
@@ -169,7 +168,7 @@ TEST(Unpack, MisalignedFieldThrows) {
 
 TEST(Unpack, CyclicInputVectorWorks) {
   // The input vector need not be block-distributed.
-  sim::Machine machine = make_machine(4);
+  auto machine = make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({16}),
                                             dist::ProcessGrid({4}), 2);
   auto gm = random_mask(16, 0.5, 8);
@@ -191,7 +190,7 @@ TEST(Unpack, RequestPastVectorExtentThrows) {
   // ContractError, in every build type, not index past V's storage.
   for (const UnpackScheme scheme :
        {UnpackScheme::kCompactStorage, UnpackScheme::kSimpleStorage}) {
-    sim::Machine machine = make_machine(4);
+    auto machine = make_machine(4);
     auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                               dist::ProcessGrid({4}), 2);
     auto gm = random_mask(32, 0.5, 3);
@@ -296,9 +295,9 @@ WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
                           sim::ExecPolicy policy) {
   int p = 1;
   for (int x : layout.procs) p *= x;
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01},
-                       sim::Topology::crossbar(p), policy);
-  machine.set_fault_plan(nullptr);  // the pins are fault-free traffic
+  // Pinned: fault-free traffic under the given policy, whatever the env.
+  sim::Machine machine(
+      p, {.cost = sim::CostModel{10.0, 0.1, 0.01}, .exec = policy});
   M2mPayloadDigest wire;
   machine.set_observer(&wire);
 

@@ -12,19 +12,14 @@
 
 #include "core/api.hpp"
 #include "sim/message.hpp"
-#include "support/env.hpp"
+#include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-// These assertions hold only on clean networks: fault-injected duplicates,
-// reliable-layer retained copies, and recovery checkpoints are all
-// intentional copy sites.
-bool clean_network() {
-  const auto& env = support::Env::get();
-  return !env.faults.has_value() && !env.reliable.has_value() &&
-         !env.recovery.has_value();
-}
+// These assertions hold only on clean networks: fault-injected duplicates
+// and reliable-layer retained copies are intentional copy sites.
+bool clean_network() { return !test::startup_env().faults.has_value(); }
 
 struct Fixtures {
   dist::DistArray<std::int64_t> array;
@@ -45,9 +40,9 @@ Fixtures make_fixtures(int p, dist::index_t n) {
 }
 
 TEST(ZeroCopy, PackPerformsNoPayloadCopies) {
-  if (!clean_network()) GTEST_SKIP() << "fault/reliable env installed";
+  if (!clean_network()) GTEST_SKIP() << "PUP_FAULTS plan installed";
   const int p = 8;
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  auto machine = test::make_machine(p);
   auto fx = make_fixtures(p, 1 << 12);
   for (const PackScheme scheme :
        {PackScheme::kSimpleStorage, PackScheme::kCompactStorage,
@@ -65,9 +60,9 @@ TEST(ZeroCopy, PackPerformsNoPayloadCopies) {
 }
 
 TEST(ZeroCopy, UnpackPerformsNoPayloadCopies) {
-  if (!clean_network()) GTEST_SKIP() << "fault/reliable env installed";
+  if (!clean_network()) GTEST_SKIP() << "PUP_FAULTS plan installed";
   const int p = 8;
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  auto machine = test::make_machine(p);
   auto fx = make_fixtures(p, 1 << 12);
   auto packed = pack(machine, fx.array, fx.mask);
   machine.reset_accounting();
@@ -79,9 +74,9 @@ TEST(ZeroCopy, UnpackPerformsNoPayloadCopies) {
 }
 
 TEST(ZeroCopy, ArenaRecyclesPayloadCapacityAcrossRounds) {
-  if (!clean_network()) GTEST_SKIP() << "fault/reliable env installed";
+  if (!clean_network()) GTEST_SKIP() << "PUP_FAULTS plan installed";
   const int p = 4;
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  auto machine = test::make_machine(p);
   auto fx = make_fixtures(p, 1 << 12);
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
@@ -101,7 +96,7 @@ TEST(ZeroCopy, ArenaRecyclesPayloadCapacityAcrossRounds) {
 
 TEST(ZeroCopy, ArenaPurgesOnEpochRollback) {
   const int p = 2;
-  sim::Machine machine(p, sim::CostModel{10.0, 0.1, 0.01});
+  auto machine = test::make_machine(p);
   auto fx = make_fixtures(p, 1 << 8);
   pack(machine, fx.array, fx.mask);
   EXPECT_GT(machine.payload_arena(0).cached(), 0u);

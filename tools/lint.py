@@ -30,9 +30,10 @@ contract decision the compiler cannot see):
    the operation-level recovery executor (src/plan/resilient.*) may
    reference the fault headers or the FaultPlan type; everything else must
    stay oblivious -- recovery is the reliable/recovery layers' job, and
-   callers configure faults through Machine::set_fault_plan / PUP_FAULTS
-   only.  (The chaos-soak harness src/service/chaos.* is allowlisted: its
-   purpose is deriving and installing seeded fault schedules.)
+   callers configure faults through Machine::set_fault_plan only.  (The
+   chaos-soak harness src/service/chaos.* is allowlisted: its purpose is
+   deriving and installing seeded fault schedules.  So is the environment
+   reader src/support/env.*, which validates a PUP_FAULTS spec at startup.)
 
 5. epoch-layering: epoch checkpoints (sim/epoch.hpp, Machine::
    checkpoint_epoch / rollback_epoch) are the recovery layer's mechanism.
@@ -66,9 +67,16 @@ contract decision the compiler cannot see):
 9. kernels-layering: src/core/kernels/ is the bottommost compute layer --
    it may include only support/ and its own headers, never sim/, dist/,
    coll/, or plan/.  Kernels operate on raw spans their callers hand them;
-   digests and modeled costs must stay invariant under PUP_SIMD, which
-   only holds if the kernels cannot reach any layer that accounts or ships
-   data.
+   digests and modeled costs must stay invariant under kernels::set_path,
+   which only holds if the kernels cannot reach any layer that accounts or
+   ships data.
+
+10. env-edge: the library never reads the process environment.  Under
+   src/, only src/support/env.* -- the strict PUP_* reader that process
+   entry points (the test main, examples, benches) call once at startup --
+   may include support/env.hpp or call getenv; everything else takes its
+   configuration from its caller (MachineOptions, set_fault_plan,
+   Server::Options, kernels::set_path).
 
 Exit status 0 when clean; 1 with one "file:line: rule: message" per finding.
 """
@@ -212,10 +220,12 @@ def check_kernels_layering(root: Path) -> list[str]:
 
 # src/service/chaos.* is the seeded chaos-soak harness: deriving and
 # installing fault schedules is its entire purpose, so it joins the
-# transport-boundary layers on the fault allowlist.  The server proper
-# (src/service/server.*) stays oblivious per rule 4.
+# transport-boundary layers on the fault allowlist, as does the environment
+# reader src/support/env.*, which parses PUP_FAULTS to reject a malformed
+# spec at startup.  The server proper (src/service/server.*) stays
+# oblivious per rule 4.
 FAULT_ALLOWED = ("src/sim/", "src/coll/reliable.", "src/plan/resilient.",
-                 "src/service/chaos.")
+                 "src/service/chaos.", "src/support/env.")
 FAULT_PATTERNS = [
     (re.compile(r'#\s*include\s*"sim/fault\.hpp"'), "includes sim/fault.hpp"),
     (re.compile(r"\bFaultPlan\b"), "names sim::FaultPlan"),
@@ -249,7 +259,7 @@ def check_fault_layering(root: Path) -> list[str]:
                         f"injection may be referenced only by src/sim/, "
                         f"src/coll/reliable.*, and src/plan/resilient.* -- "
                         f"layers above configure it via "
-                        f"Machine::set_fault_plan / PUP_FAULTS"
+                        f"Machine::set_fault_plan"
                     )
     return findings
 
@@ -273,6 +283,37 @@ def check_epoch_layering(root: Path) -> list[str]:
                         f"src/sim/, src/coll/reliable.*, and "
                         f"src/plan/resilient.* -- algorithms emit "
                         f"mark_epoch_boundary() at most"
+                    )
+    return findings
+
+
+ENV_ALLOWED = "src/support/env."
+ENV_PATTERNS = [
+    (re.compile(r'#\s*include\s*"support/env\.hpp"'),
+     "includes support/env.hpp"),
+    (re.compile(r"\bgetenv\s*\("), "calls getenv"),
+]
+
+
+def check_env_edge(root: Path) -> list[str]:
+    """Only src/support/env.* may read the environment (rule 10)."""
+    findings = []
+    for path in sorted((root / "src").rglob("*.[ch]pp")):
+        rel = path.relative_to(root).as_posix()
+        if rel.startswith(ENV_ALLOWED):
+            continue
+        text = strip_block_comments(path.read_text())
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if COMMENT_RE.match(line):
+                continue
+            code = line.split("//", 1)[0]
+            for pattern, what in ENV_PATTERNS:
+                if pattern.search(code):
+                    findings.append(
+                        f"{rel}:{lineno}: env-edge: {what}; the library "
+                        f"never reads the environment -- only "
+                        f"src/support/env.* may, for process entry points "
+                        f"to call"
                     )
     return findings
 
@@ -473,6 +514,7 @@ def main(argv: list[str]) -> int:
     findings += check_kernels_layering(root)
     findings += check_fault_layering(root)
     findings += check_epoch_layering(root)
+    findings += check_env_edge(root)
     findings += check_service_layering(root)
     findings += check_paired_annotations(root)
     findings += check_service_event_registry(root)

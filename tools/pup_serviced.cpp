@@ -27,7 +27,7 @@
 //                       every tenant's traffic is mutually fusable)
 //   --density D         mask density in (0,1)
 //   --scheme sss|css|cms  pack scheme (concrete; the service rejects auto)
-//   --threads N         local-phase pool size (default consults PUP_THREADS)
+//   --threads N         local-phase pool size (default 1: sequential)
 //   --restarts N        recovery budget (pair with --faults)
 //   --faults "SPEC"     PUP_FAULTS-grammar fault plan installed on the
 //                       machine before serving (e.g. "seed=11 kill=2

@@ -3,9 +3,9 @@
 
 Every ``machine.local_phase([&](int rank) { ... })`` body runs once per
 virtual processor, possibly concurrently under the threaded execution
-policy (PUP_THREADS).  The safety contract -- previously enforced only by a
-manual audit (see DESIGN.md, "Threaded execution") -- is that each rank's
-body writes only rank-private storage:
+policy (ExecPolicy::threaded).  The safety contract -- previously enforced
+only by a manual audit (see DESIGN.md, "Threaded execution") -- is that
+each rank's body writes only rank-private storage:
 
   * locally-declared variables (including for-loop variables, inner-lambda
     parameters and structured bindings);
