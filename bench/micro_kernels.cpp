@@ -1,7 +1,8 @@
 // google-benchmark microbenches of the hot local kernels: initial mask
-// scan, segmented prefix sum, CMS run encode/decode, message composition
-// per scheme, and the serial reference, on a single virtual processor's
-// data sizes.
+// scan (counting and W_0 = 1 widening), segmented prefix sum fused with
+// the PS_i fold, the PRS payload fold, CMS run encode/decode,
+// message composition per scheme, and the serial reference, on a single
+// virtual processor's data sizes.
 //
 // Kernel benches take a trailing `path` argument (0 = forced scalar
 // reference, 1 = the active vector path) so one JSON run carries both
@@ -56,29 +57,78 @@ BENCHMARK(BM_MaskScan)
     ->Args({1 << 16, 0})
     ->Args({1 << 16, 1});
 
-void BM_SegmentedPrefix(benchmark::State& state) {
+// Ranking substeps 2.2-2.4 fused: segmented exclusive prefix over RS_i
+// folded into PS_i in one pass.  16384 entries with 128-entry segments is
+// one step-0 base-rank array of the 512 x 512 cyclic CSS unpack.
+void BM_SegmentedPrefixFold(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const std::size_t seg = 64;
-  std::vector<std::int64_t> data(n, 1);
-  // Hoisted out of the timed loop: the copy used to dominate the
-  // measurement (an O(n) allocating memcpy per iteration), understating
-  // the kernel itself.  The prefix runs in place on `work`; its input
-  // values drift across iterations, which is irrelevant to the cost of an
-  // integer prefix sum.
-  std::vector<std::int64_t> work = data;
+  // All zeros: the pass runs in place, so any other input would grow
+  // without bound across iterations (signed overflow on the scalar path),
+  // and the cost of an integer prefix does not depend on the values.
+  std::vector<std::int64_t> rs(n, 0);
+  std::vector<std::int64_t> ps(n, 0);
   PathGuard guard(state.range(1));
   for (auto _ : state) {
-    kernels::segmented_exclusive_prefix(work.data(), n, seg);
-    benchmark::DoNotOptimize(work.data());
+    kernels::segmented_prefix_fold(rs.data(), ps.data(), n, 128);
+    benchmark::DoNotOptimize(rs.data());
+    benchmark::DoNotOptimize(ps.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_SegmentedPrefix)
-    ->Args({1 << 12, 0})
-    ->Args({1 << 12, 1})
-    ->Args({1 << 16, 0})
-    ->Args({1 << 16, 1});
+BENCHMARK(BM_SegmentedPrefixFold)->Args({1 << 14, 0})->Args({1 << 14, 1});
+
+// W_0 = 1 initial scan: PS_0 and the slice counts in one widening pass.
+void BM_MaskWiden(benchmark::State& state) {
+  const auto n = static_cast<dist::index_t>(state.range(0));
+  auto mask = random_mask(n, 0.5, 1);
+  std::vector<std::int64_t> ps(static_cast<std::size_t>(n));
+  std::vector<std::int32_t> counts(static_cast<std::size_t>(n));
+  PathGuard guard(state.range(1));
+  for (auto _ : state) {
+    const std::int64_t k = kernels::mask_widen(
+        mask.data(), mask.size(), ps.data(), counts.data());
+    benchmark::DoNotOptimize(k);
+    benchmark::DoNotOptimize(ps.data());
+    benchmark::DoNotOptimize(counts.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(kernels::path_name(kernels::active_path()));
+}
+BENCHMARK(BM_MaskWiden)->Args({1 << 14, 0})->Args({1 << 14, 1});
+
+// A PRS round's fold of a received payload into the total (and, with the
+// third argument 1, into the prefix too), read in place from a byte
+// buffer one byte off alignment.
+void BM_AddFromBytes(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  // Zero bytes, so the in-place sums cannot overflow across iterations.
+  std::vector<std::byte> payload(n * sizeof(std::int64_t) + 1);
+  const std::byte* src = payload.data() + 1;
+  std::vector<std::int64_t> tot(n, 0);
+  std::vector<std::int64_t> pre(n, 0);
+  const bool both = state.range(2) != 0;
+  PathGuard guard(state.range(1));
+  for (auto _ : state) {
+    if (both) {
+      kernels::add_from_bytes(tot.data(), pre.data(), src, n);
+    } else {
+      kernels::add_from_bytes(tot.data(), src, n);
+    }
+    benchmark::DoNotOptimize(tot.data());
+    benchmark::DoNotOptimize(pre.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetLabel(kernels::path_name(kernels::active_path()));
+}
+BENCHMARK(BM_AddFromBytes)
+    ->Args({1 << 14, 0, 0})
+    ->Args({1 << 14, 1, 0})
+    ->Args({1 << 14, 0, 1})
+    ->Args({1 << 14, 1, 1});
 
 // CMS run-length encode: gather a slice's selected values into a compact
 // run payload.  Density 0.5 is the paper's standard working point; the
@@ -277,16 +327,49 @@ void verify_kernel_parity() {
           random_mask(static_cast<dist::index_t>(n), density, 99);
       std::vector<std::int64_t> values(n);
       std::iota(values.begin(), values.end(), 7);
+      // A payload one byte off alignment, for the unaligned folds.
+      std::vector<std::byte> payload(n * sizeof(std::int64_t) + 1);
+      if (n > 0) {
+        std::memcpy(payload.data() + 1, values.data(),
+                    n * sizeof(std::int64_t));
+      }
       kernels::set_path(kernels::Path::kScalar);
       const std::int64_t ref_count = kernels::mask_count(mask.data(), n);
       std::vector<std::int64_t> ref_out(n, -1);
       const std::size_t ref_k = kernels::mask_gather<std::int64_t>(
           mask.data(), values.data(), n, ref_out.data());
+      std::vector<std::int64_t> ref_ps(n);
+      std::vector<std::int32_t> ref_counts(n);
+      kernels::mask_widen(mask.data(), n, ref_ps.data(), ref_counts.data());
+      std::vector<std::int64_t> ref_rs = values;
+      std::vector<std::int64_t> ref_fold = values;
+      kernels::segmented_prefix_fold(ref_rs.data(), ref_fold.data(), n, 5);
+      std::vector<std::int64_t> ref_a = values;
+      std::vector<std::int64_t> ref_b(n, 3);
+      kernels::add_from_bytes(ref_a.data(), ref_b.data(),
+                              payload.data() + 1, n);
       for (const kernels::Path path : paths) {
         kernels::set_path(path);
         if (kernels::mask_count(mask.data(), n) != ref_count) {
           die("mask_count mismatch");
         }
+        std::vector<std::int64_t> ps(n, -1);
+        std::vector<std::int32_t> counts(n, -1);
+        if (kernels::mask_widen(mask.data(), n, ps.data(), counts.data()) !=
+                ref_count ||
+            ps != ref_ps || counts != ref_counts) {
+          die("mask_widen mismatch");
+        }
+        std::vector<std::int64_t> rs = values;
+        std::vector<std::int64_t> fold = values;
+        kernels::segmented_prefix_fold(rs.data(), fold.data(), n, 5);
+        if (rs != ref_rs || fold != ref_fold) {
+          die("segmented_prefix_fold mismatch");
+        }
+        std::vector<std::int64_t> a = values;
+        std::vector<std::int64_t> b(n, 3);
+        kernels::add_from_bytes(a.data(), b.data(), payload.data() + 1, n);
+        if (a != ref_a || b != ref_b) die("add_from_bytes mismatch");
         std::vector<std::int64_t> out(n, -2);
         const std::size_t k = kernels::mask_gather<std::int64_t>(
             mask.data(), values.data(), n, out.data());

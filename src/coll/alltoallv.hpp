@@ -60,9 +60,9 @@ std::vector<std::vector<std::vector<T>>> alltoallv_typed(
   for (int i = 0; i < G; ++i) {
     out[static_cast<std::size_t>(i)].resize(static_cast<std::size_t>(G));
     for (int j = 0; j < G; ++j) {
-      out[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-          sim::from_payload<T>(
-              got[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
+      sim::read_payload<T>(
+          got[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
+          out[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)]);
     }
   }
   return out;

@@ -16,9 +16,9 @@ namespace pup::coll {
 
 /// Broadcasts bufs[g.rank_at(root_index)] to every group member.  `bufs` is
 /// indexed by machine rank; only group members' entries are touched.
-template <typename T>
+template <typename T, typename A>
 void broadcast(sim::Machine& m, const Group& g, int root_index,
-               std::vector<std::vector<T>>& bufs,
+               std::vector<std::vector<T, A>>& bufs,
                sim::Category cat = sim::Category::kPrs) {
   const int G = g.size();
   PUP_REQUIRE(root_index >= 0 && root_index < G, "root index out of range");
@@ -51,8 +51,7 @@ void broadcast(sim::Machine& m, const Group& g, int root_index,
         const int src = g.rank_at(idx_of(rel - mask));
         const int dst = g.rank_at(idx);
         auto msg = rrecv(m, dst, src, kTag, cat);
-        bufs[static_cast<std::size_t>(dst)] =
-            sim::from_payload<T>(msg.payload);
+        sim::read_payload<T>(msg.payload, bufs[static_cast<std::size_t>(dst)]);
       }
     }
   }

@@ -1,4 +1,5 @@
-// Cost-charging helpers shared by the collective implementations.
+// Cost-charging and payload-folding helpers shared by the collective
+// implementations.
 //
 // All collectives are round-synchronized: in each round a processor sends at
 // most one (coalesced) message and receives at most one.  Under the
@@ -8,8 +9,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <type_traits>
+#include <vector>
 
+#include "core/kernels/kernels.hpp"
 #include "sim/machine.hpp"
+#include "support/check.hpp"
 
 namespace pup::coll {
 
@@ -31,6 +38,35 @@ inline void charge_exchange(sim::Machine& m, int rank, int peer_out,
   const double out_us = sent > 0 ? m.message_us(rank, peer_out, sent) : 0.0;
   const double in_us = recv > 0 ? m.message_us(peer_in, rank, recv) : 0.0;
   m.charge(rank, cat, out_us > in_us ? out_us : in_us);
+}
+
+/// Element-wise acc[j] += V[j], where V is the vector of `n` T elements
+/// carried by a received payload, read where it lies (no decode copy).
+/// A non-null `acc2` is updated in the same pass.  int64 vectors -- every
+/// ranking PRS -- go through kernels::add_from_bytes; other element types
+/// memcpy one element at a time.
+template <typename T>
+void fold_payload(const std::vector<std::byte>& payload, std::size_t n,
+                  T* acc, T* acc2 = nullptr) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  PUP_CHECK(payload.size() == n * sizeof(T),
+            "collective payload of " << payload.size() << " bytes, expected "
+                                     << n * sizeof(T));
+  const std::byte* src = payload.data();
+  if constexpr (std::is_same_v<T, std::int64_t>) {
+    if (acc2 != nullptr) {
+      kernels::add_from_bytes(acc, acc2, src, n);
+    } else {
+      kernels::add_from_bytes(acc, src, n);
+    }
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      T v;
+      std::memcpy(&v, src + j * sizeof(T), sizeof(T));
+      acc[j] += v;
+      if (acc2 != nullptr) acc2[j] += v;
+    }
+  }
 }
 
 }  // namespace pup::coll

@@ -26,7 +26,10 @@
 //    SPLIT otherwise.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "coll/broadcast.hpp"
@@ -65,19 +68,18 @@ namespace detail {
 constexpr bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 
 /// Recursive-doubling fused exscan+allreduce; requires power-of-two G.
-template <typename T>
+template <typename T, typename A>
 void prs_direct_pow2(sim::Machine& m, const Group& g,
-                     std::vector<std::vector<T>>& prefix,
-                     std::vector<std::vector<T>>& total, sim::Category cat) {
+                     std::vector<std::vector<T, A>>& prefix,
+                     std::vector<std::vector<T, A>>& total, sim::Category cat) {
   const int G = g.size();
-  // Seed: total accumulates the subcube sum, prefix the in-subcube
-  // lower-rank sum.
-  std::vector<std::vector<T>> tot(prefix.size());
+  // Seed: total accumulates the subcube sum, starting from the input
+  // (moved, not copied); prefix the in-subcube lower-rank sum, from zero.
+  std::vector<std::vector<T, A>> tot(prefix.size());
   for (int i = 0; i < G; ++i) {
-    const int r = g.rank_at(i);
-    tot[static_cast<std::size_t>(r)] = prefix[static_cast<std::size_t>(r)];
-    auto& pre = prefix[static_cast<std::size_t>(r)];
-    std::fill(pre.begin(), pre.end(), T{});
+    const auto r = static_cast<std::size_t>(g.rank_at(i));
+    tot[r] = std::move(prefix[r]);
+    prefix[r].assign(tot[r].size(), T{});
   }
 
   constexpr int kTag = 0xdc1;
@@ -102,15 +104,12 @@ void prs_direct_pow2(sim::Machine& m, const Group& g,
                         tot[static_cast<std::size_t>(rank)].size() * sizeof(T),
                         msg.payload.size(), cat);
         m.timed(rank, cat, [&] {
-          const auto recv = sim::from_payload<T>(msg.payload);
           auto& t = tot[static_cast<std::size_t>(rank)];
-          auto& p = prefix[static_cast<std::size_t>(rank)];
-          if (partner < idx) {
-            // The partner's whole subcube ranks below us: it joins the
-            // prefix.
-            for (std::size_t j = 0; j < p.size(); ++j) p[j] += recv[j];
-          }
-          for (std::size_t j = 0; j < t.size(); ++j) t[j] += recv[j];
+          // When the partner's whole subcube ranks below us it joins the
+          // prefix too, in the same pass over the payload.
+          T* p = partner < idx ? prefix[static_cast<std::size_t>(rank)].data()
+                               : nullptr;
+          fold_payload<T>(msg.payload, t.size(), t.data(), p);
         });
       }
     }
@@ -128,13 +127,13 @@ void prs_direct_pow2(sim::Machine& m, const Group& g,
 }
 
 /// Dissemination exscan plus total-broadcast; any G.
-template <typename T>
+template <typename T, typename A>
 void prs_direct_general(sim::Machine& m, const Group& g,
-                        std::vector<std::vector<T>>& prefix,
-                        std::vector<std::vector<T>>& total,
+                        std::vector<std::vector<T, A>>& prefix,
+                        std::vector<std::vector<T, A>>& total,
                         sim::Category cat) {
   const int G = g.size();
-  std::vector<std::vector<T>> inclusive;
+  std::vector<std::vector<T, A>> inclusive;
   exscan_sum(m, g, prefix, &inclusive, cat);
   // The last member's inclusive prefix is the reduction; broadcast it.
   const int last = g.rank_at(G - 1);
@@ -150,10 +149,10 @@ void prs_direct_general(sim::Machine& m, const Group& g,
 /// Control-network model: the combine hardware streams every member's
 /// vector through the network once; each member is busy for tau + mu*M and
 /// no point-to-point messages exist.  Results are computed directly.
-template <typename T>
+template <typename T, typename A>
 void prs_control_network(sim::Machine& m, const Group& g,
-                         std::vector<std::vector<T>>& prefix,
-                         std::vector<std::vector<T>>& total,
+                         std::vector<std::vector<T, A>>& prefix,
+                         std::vector<std::vector<T, A>>& total,
                          sim::Category cat) {
   const int G = g.size();
   const std::size_t M = prefix[static_cast<std::size_t>(g.rank_at(0))].size();
@@ -161,7 +160,7 @@ void prs_control_network(sim::Machine& m, const Group& g,
   for (int i = 0; i < G; ++i) {
     m.charge(g.rank_at(i), cat, m.cost().message_us(M * sizeof(T)));
   }
-  std::vector<T> running(M, T{});
+  std::vector<T, A> running(M, T{});
   for (int i = 0; i < G; ++i) {
     const int r = g.rank_at(i);
     m.timed(r, cat, [&] {
@@ -179,10 +178,10 @@ void prs_control_network(sim::Machine& m, const Group& g,
 }
 
 /// Transpose-based split algorithm; any G.
-template <typename T>
+template <typename T, typename A>
 void prs_split(sim::Machine& m, const Group& g,
-               std::vector<std::vector<T>>& prefix,
-               std::vector<std::vector<T>>& total, sim::Category cat) {
+               std::vector<std::vector<T, A>>& prefix,
+               std::vector<std::vector<T, A>>& total, sim::Category cat) {
   const int G = g.size();
   const std::size_t M = prefix[static_cast<std::size_t>(g.rank_at(0))].size();
   auto chunk_lo = [&](int c) { return (M * static_cast<std::size_t>(c)) / static_cast<std::size_t>(G); };
@@ -194,17 +193,12 @@ void prs_split(sim::Machine& m, const Group& g,
                              sim::RoundDiscipline::kMaxOneExchange);
 
   // Phase 1: member i ships chunk c of its own vector to member c, one
-  // destination per linear-permutation round.
-  std::vector<std::vector<std::vector<T>>> rows(
-      static_cast<std::size_t>(G));  // rows[c][i] = V_i[chunk c]
+  // destination per linear-permutation round.  Received chunks stay in
+  // their payloads until the local phase folds them.
+  std::vector<std::vector<std::vector<std::byte>>> rows(
+      static_cast<std::size_t>(G));  // rows[c][i] = V_i[chunk c], as bytes
   for (int c = 0; c < G; ++c) {
     rows[static_cast<std::size_t>(c)].resize(static_cast<std::size_t>(G));
-  }
-  for (int i = 0; i < G; ++i) {
-    const auto& own = prefix[static_cast<std::size_t>(g.rank_at(i))];
-    rows[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)].assign(
-        own.begin() + static_cast<std::ptrdiff_t>(chunk_lo(i)),
-        own.begin() + static_cast<std::ptrdiff_t>(chunk_lo(i + 1)));
   }
   for (int r = 1; r < G; ++r) {
     {
@@ -215,10 +209,10 @@ void prs_split(sim::Machine& m, const Group& g,
         const int src = g.rank_at(i);
         const int dst = g.rank_at(c);
         const auto& own = prefix[static_cast<std::size_t>(src)];
-        std::vector<T> chunk(
-            own.begin() + static_cast<std::ptrdiff_t>(chunk_lo(c)),
-            own.begin() + static_cast<std::ptrdiff_t>(chunk_lo(c + 1)));
-        rpost(m, sim::Message{src, dst, kTagGather, sim::to_payload<T>(chunk)},
+        rpost(m,
+              sim::Message{src, dst, kTagGather,
+                           sim::to_payload<T>(std::span<const T>(
+                               own.data() + chunk_lo(c), chunk_len(c)))},
               cat);
       }
       for (int i = 0; i < G; ++i) {
@@ -232,7 +226,7 @@ void prs_split(sim::Machine& m, const Group& g,
         if (recv > 0) {
           auto msg = rrecv(m, rank, g.rank_at(from), kTagGather, cat);
           rows[static_cast<std::size_t>(i)][static_cast<std::size_t>(from)] =
-              sim::from_payload<T>(msg.payload);
+              std::move(msg.payload);
         }
       }
     }
@@ -240,7 +234,8 @@ void prs_split(sim::Machine& m, const Group& g,
   }
 
   // Local phase: member c computes, for its chunk, every member's exclusive
-  // prefix and the total.
+  // prefix and the total.  Other members' chunks fold straight from their
+  // payloads; its own from its input vector.
   std::vector<std::vector<std::vector<T>>> pre_rows(
       static_cast<std::size_t>(G));  // pre_rows[c][i] = F_i[chunk c]
   std::vector<std::vector<T>> chunk_total(static_cast<std::size_t>(G));
@@ -253,9 +248,15 @@ void prs_split(sim::Machine& m, const Group& g,
       std::vector<T> running(chunk_len(c), T{});
       for (int i = 0; i < G; ++i) {
         pr[static_cast<std::size_t>(i)] = running;
-        const auto& row =
-            rows[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)];
-        for (std::size_t j = 0; j < running.size(); ++j) running[j] += row[j];
+        if (i == c) {
+          const T* own =
+              prefix[static_cast<std::size_t>(rank)].data() + chunk_lo(c);
+          for (std::size_t j = 0; j < running.size(); ++j) running[j] += own[j];
+        } else {
+          fold_payload<T>(
+              rows[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)],
+              running.size(), running.data());
+        }
       }
       chunk_total[static_cast<std::size_t>(c)] = std::move(running);
     });
@@ -274,14 +275,18 @@ void prs_split(sim::Machine& m, const Group& g,
         const int i = (c + r) % G;
         const int src = g.rank_at(c);
         const int dst = g.rank_at(i);
-        std::vector<T> payload =
-            pre_rows[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)];
-        payload.insert(payload.end(),
-                       chunk_total[static_cast<std::size_t>(c)].begin(),
-                       chunk_total[static_cast<std::size_t>(c)].end());
-        rpost(m,
-              sim::Message{src, dst, kTagReturn, sim::to_payload<T>(payload)},
-              cat);
+        // Composed once: F_i[chunk c] then the chunk total, appended into
+        // one reserved payload.
+        const auto pre = std::as_bytes(std::span<const T>(
+            pre_rows[static_cast<std::size_t>(c)]
+                    [static_cast<std::size_t>(i)]));
+        const auto tot = std::as_bytes(
+            std::span<const T>(chunk_total[static_cast<std::size_t>(c)]));
+        std::vector<std::byte> payload;
+        payload.reserve(pre.size() + tot.size());
+        payload.insert(payload.end(), pre.begin(), pre.end());
+        payload.insert(payload.end(), tot.begin(), tot.end());
+        rpost(m, sim::Message{src, dst, kTagReturn, std::move(payload)}, cat);
       }
       for (int i = 0; i < G; ++i) {
         // Member i acts as the owner of chunk i (sending to (i+r)%G) and as
@@ -296,14 +301,19 @@ void prs_split(sim::Machine& m, const Group& g,
         if (chunk_len(c_in) > 0) {
           auto msg = rrecv(m, rank, g.rank_at(c_in), kTagReturn, cat);
           m.timed(rank, cat, [&] {
-            const auto data = sim::from_payload<T>(msg.payload);
-            const std::size_t len = chunk_len(c_in);
-            auto& pre = prefix[static_cast<std::size_t>(rank)];
-            auto& tot = total[static_cast<std::size_t>(rank)];
-            for (std::size_t j = 0; j < len; ++j) {
-              pre[chunk_lo(c_in) + j] = data[j];
-              tot[chunk_lo(c_in) + j] = data[len + j];
-            }
+            // Both halves copy straight into place.
+            const std::size_t len_bytes = chunk_len(c_in) * sizeof(T);
+            PUP_CHECK(msg.payload.size() == 2 * len_bytes,
+                      "PRS return payload of " << msg.payload.size()
+                                               << " bytes, expected "
+                                               << 2 * len_bytes);
+            const std::byte* data = msg.payload.data();
+            std::memcpy(prefix[static_cast<std::size_t>(rank)].data() +
+                            chunk_lo(c_in),
+                        data, len_bytes);
+            std::memcpy(total[static_cast<std::size_t>(rank)].data() +
+                            chunk_lo(c_in),
+                        data + len_bytes, len_bytes);
           });
         }
       }
@@ -322,10 +332,9 @@ void prs_split(sim::Machine& m, const Group& g,
       const auto& mine =
           pre_rows[static_cast<std::size_t>(i)][static_cast<std::size_t>(i)];
       const auto& ct = chunk_total[static_cast<std::size_t>(i)];
-      for (std::size_t j = 0; j < chunk_len(i); ++j) {
-        pre[chunk_lo(i) + j] = mine[j];
-        tot[chunk_lo(i) + j] = ct[j];
-      }
+      const auto at = static_cast<std::ptrdiff_t>(chunk_lo(i));
+      std::copy(mine.begin(), mine.end(), pre.begin() + at);
+      std::copy(ct.begin(), ct.end(), tot.begin() + at);
     });
   }
 }
@@ -335,11 +344,13 @@ void prs_split(sim::Machine& m, const Group& g,
 /// Fused exclusive-prefix + reduction.  `prefix` is indexed by machine rank
 /// and holds V_i on entry, F_i on return; `total` receives R in every
 /// member.  Returns the algorithm actually used (after AUTO resolution).
-template <typename T>
+/// The vectors may use any allocator (the ranking passes
+/// support::UninitVector).
+template <typename T, typename A>
 PrsAlgorithm prefix_reduction_sum(sim::Machine& m, const Group& g,
                                   PrsAlgorithm alg,
-                                  std::vector<std::vector<T>>& prefix,
-                                  std::vector<std::vector<T>>& total,
+                                  std::vector<std::vector<T, A>>& prefix,
+                                  std::vector<std::vector<T, A>>& total,
                                   sim::Category cat = sim::Category::kPrs) {
   const int G = g.size();
   const std::size_t M = prefix[static_cast<std::size_t>(g.rank_at(0))].size();
@@ -350,10 +361,9 @@ PrsAlgorithm prefix_reduction_sum(sim::Machine& m, const Group& g,
   if (total.size() < prefix.size()) total.resize(prefix.size());
 
   if (G == 1) {
-    const int r = g.rank_at(0);
-    total[static_cast<std::size_t>(r)] = prefix[static_cast<std::size_t>(r)];
-    auto& pre = prefix[static_cast<std::size_t>(r)];
-    std::fill(pre.begin(), pre.end(), T{});
+    const auto r = static_cast<std::size_t>(g.rank_at(0));
+    total[r] = std::move(prefix[r]);
+    prefix[r].assign(M, T{});
     return PrsAlgorithm::kDirect;
   }
 

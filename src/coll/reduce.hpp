@@ -5,6 +5,7 @@
 // first member followed by a binomial broadcast.  Works for any group size.
 #pragma once
 
+#include <cstring>
 #include <vector>
 
 #include "coll/broadcast.hpp"
@@ -54,10 +55,18 @@ void allreduce(sim::Machine& m, const Group& g,
         const int src = g.rank_at(idx + mask);
         auto msg = rrecv(m, dst, src, kTag, cat);
         m.timed(dst, cat, [&] {
-          const auto recv = sim::from_payload<T>(msg.payload);
+          // The op is generic, so each element is memcpy'd out of the
+          // payload where it lies and folded.
           auto& acc = bufs[static_cast<std::size_t>(dst)];
+          PUP_CHECK(msg.payload.size() == acc.size() * sizeof(T),
+                    "allreduce payload of " << msg.payload.size()
+                                            << " bytes, expected "
+                                            << acc.size() * sizeof(T));
+          const std::byte* src = msg.payload.data();
           for (std::size_t j = 0; j < acc.size(); ++j) {
-            acc[j] = op(acc[j], recv[j]);
+            T v;
+            std::memcpy(&v, src + j * sizeof(T), sizeof(T));
+            acc[j] = op(acc[j], v);
           }
         });
       }

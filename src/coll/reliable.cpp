@@ -1,6 +1,7 @@
 #include "coll/reliable.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -240,7 +241,8 @@ void ReliableTransport::service_naks(sim::Machine& m, int sender,
       annotate_event(m, "reliable.corrupt");
       continue;
     }
-    const auto body = sim::from_payload<std::int64_t>(nak.payload);
+    std::int64_t body[2];
+    std::memcpy(body, nak.payload.data(), sizeof(body));
     const int tag = static_cast<int>(body[0]);
     const std::int64_t seq = body[1];
     const auto it = channels_.find({sender, nak.src, tag});

@@ -21,10 +21,10 @@ namespace pup::coll {
 /// F_i[j] = sum_{k<i} V_k[j]; member 0 holds zeros.  When `inclusive_out`
 /// is non-null, member i's inclusive prefix (sum_{k<=i}) is stored there as
 /// well (indexed by machine rank).
-template <typename T>
+template <typename T, typename A>
 void exscan_sum(sim::Machine& m, const Group& g,
-                std::vector<std::vector<T>>& bufs,
-                std::vector<std::vector<T>>* inclusive_out = nullptr,
+                std::vector<std::vector<T, A>>& bufs,
+                std::vector<std::vector<T, A>>* inclusive_out = nullptr,
                 sim::Category cat = sim::Category::kPrs) {
   const int G = g.size();
   const std::size_t M = bufs[static_cast<std::size_t>(g.rank_at(0))].size();
@@ -34,7 +34,7 @@ void exscan_sum(sim::Machine& m, const Group& g,
   }
 
   // Running (inclusive) accumulator per member, seeded with the input.
-  std::vector<std::vector<T>> inc(bufs.size());
+  std::vector<std::vector<T, A>> inc(bufs.size());
   for (int i = 0; i < G; ++i) {
     const int r = g.rank_at(i);
     inc[static_cast<std::size_t>(r)] = bufs[static_cast<std::size_t>(r)];
@@ -61,9 +61,8 @@ void exscan_sum(sim::Machine& m, const Group& g,
         const int src = g.rank_at(idx - offset);
         auto msg = rrecv(m, dst, src, kTag, cat);
         m.timed(dst, cat, [&] {
-          const auto recv = sim::from_payload<T>(msg.payload);
           auto& acc = inc[static_cast<std::size_t>(dst)];
-          for (std::size_t j = 0; j < acc.size(); ++j) acc[j] += recv[j];
+          fold_payload<T>(msg.payload, acc.size(), acc.data());
         });
       }
     }

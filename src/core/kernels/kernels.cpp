@@ -15,17 +15,6 @@
 #define PUP_KERNELS_NEON 1
 #endif
 
-// Compiler-vectorization hint for the generic loops: promises there is no
-// loop-carried dependence, which is what the unit tests assert by comparing
-// the generic path against the scalar reference bit for bit.
-#if defined(__clang__)
-#define PUP_KERNELS_IVDEP _Pragma("clang loop vectorize(enable) interleave(enable)")
-#elif defined(__GNUC__)
-#define PUP_KERNELS_IVDEP _Pragma("GCC ivdep")
-#else
-#define PUP_KERNELS_IVDEP
-#endif
-
 namespace pup::kernels {
 namespace {
 
@@ -44,6 +33,13 @@ inline std::uint64_t zero_byte_flags(std::uint64_t x) {
 inline std::uint64_t load_u64(const void* p) {
   std::uint64_t x;
   std::memcpy(&x, p, sizeof(x));
+  return x;
+}
+
+// The e-th int64 of an unaligned byte stream (a received payload).
+inline std::int64_t load_i64(const std::byte* src, std::size_t e) {
+  std::int64_t x;
+  std::memcpy(&x, src + e * sizeof(x), sizeof(x));
   return x;
 }
 
@@ -127,6 +123,38 @@ void segmented_exclusive_prefix(std::int64_t* data, std::size_t n,
 
 void add_in_place(std::int64_t* dst, const std::int64_t* src, std::size_t n) {
   for (std::size_t e = 0; e < n; ++e) dst[e] += src[e];
+}
+
+// The historical two passes: substeps 2.2-2.3, then 2.4.
+void segmented_prefix_fold(std::int64_t* rs, std::int64_t* ps, std::size_t n,
+                           std::size_t seg_len) {
+  segmented_exclusive_prefix(rs, n, seg_len);
+  add_in_place(ps, rs, n);
+}
+
+std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
+                        std::int64_t* ps, std::int32_t* counts) {
+  std::int64_t c = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t v = (mask[i] != 0);
+    ps[i] = v;
+    counts[i] = static_cast<std::int32_t>(v);
+    c += v;
+  }
+  return c;
+}
+
+void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n) {
+  for (std::size_t e = 0; e < n; ++e) dst[e] += load_i64(src, e);
+}
+
+void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
+                    const std::byte* src, std::size_t n) {
+  for (std::size_t e = 0; e < n; ++e) {
+    const std::int64_t v = load_i64(src, e);
+    dst[e] += v;
+    dst2[e] += v;
+  }
 }
 
 std::size_t gather(const std::uint8_t* mask, const std::byte* values,
@@ -225,57 +253,208 @@ std::int64_t mask_count_neon(const std::uint8_t* mask, std::size_t n) {
 #endif
 
 // Unrolled prefix: the dependence chain (one add per element in program
-// order), not vector width, bounds this kernel, so "vectorizing" means
-// breaking the chain -- compute four rotated partial sums per step.  Exact
-// integer adds in the same association order as the reference (running +
-// v0 + v1 ... left to right), so results are bit-identical.
-void segmented_exclusive_prefix_unrolled(std::int64_t* data, std::size_t n,
-                                         std::size_t seg_len) {
+// order), not vector width, bounds a scalar prefix, so the generic path
+// breaks the chain -- four rotated partial sums per step.  Exact integer
+// adds in the reference's association order (running + v0 + v1 ... left
+// to right), so results are bit-identical.  Each prefix value is added
+// into ps as it is produced: substeps 2.2-2.4 in one pass, not two.
+void segmented_prefix_fold_unrolled(std::int64_t* rs, std::int64_t* ps,
+                                    std::size_t n, std::size_t seg_len) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   for (std::size_t s = 0; s < n; s += seg_len) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
     std::int64_t running = 0;
     std::size_t e = s;
     for (; e + 4 <= end; e += 4) {
-      const std::int64_t v0 = data[e];
-      const std::int64_t v1 = data[e + 1];
-      const std::int64_t v2 = data[e + 2];
-      const std::int64_t v3 = data[e + 3];
-      data[e] = running;
-      data[e + 1] = running + v0;
-      data[e + 2] = running + v0 + v1;
-      data[e + 3] = running + v0 + v1 + v2;
+      const std::int64_t v0 = rs[e];
+      const std::int64_t v1 = rs[e + 1];
+      const std::int64_t v2 = rs[e + 2];
+      const std::int64_t v3 = rs[e + 3];
+      const std::int64_t p1 = running + v0;
+      const std::int64_t p2 = p1 + v1;
+      const std::int64_t p3 = p2 + v2;
+      rs[e] = running;
+      rs[e + 1] = p1;
+      rs[e + 2] = p2;
+      rs[e + 3] = p3;
+      ps[e] += running;
+      ps[e + 1] += p1;
+      ps[e + 2] += p2;
+      ps[e + 3] += p3;
       running += v0 + v1 + v2 + v3;
     }
     for (; e < end; ++e) {
-      const std::int64_t v = data[e];
-      data[e] = running;
+      const std::int64_t v = rs[e];
+      rs[e] = running;
+      ps[e] += running;
       running += v;
     }
   }
 }
 
-void add_in_place_generic(std::int64_t* dst, const std::int64_t* src,
-                          std::size_t n) {
-  PUP_KERNELS_IVDEP
-  for (std::size_t e = 0; e < n; ++e) dst[e] += src[e];
+// SWAR widening: eight mask bytes become eight 0/1 flags per word, then
+// eight int64 and eight int32 stores with no data-dependent branch.
+std::int64_t mask_widen_generic(const std::uint8_t* mask, std::size_t n,
+                                std::int64_t* ps, std::int32_t* counts) {
+  std::int64_t count = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    // 0x01 in each byte whose mask byte is nonzero.
+    const std::uint64_t flags =
+        (~zero_byte_flags(load_u64(mask + i)) & kHigh) >> 7;
+    for (unsigned b = 0; b < 8; ++b) {
+      const auto v = static_cast<std::int64_t>((flags >> (8 * b)) & 1);
+      ps[i + b] = v;
+      counts[i + b] = static_cast<std::int32_t>(v);
+    }
+    count += std::popcount(flags);
+  }
+  for (; i < n; ++i) {
+    const std::int64_t v = (mask[i] != 0);
+    ps[i] = v;
+    counts[i] = static_cast<std::int32_t>(v);
+    count += v;
+  }
+  return count;
+}
+
+template <bool kTwo>
+void add_from_bytes_generic(std::int64_t* dst, std::int64_t* dst2,
+                            const std::byte* src, std::size_t n) {
+  std::size_t e = 0;
+  for (; e + 4 <= n; e += 4) {
+    const std::int64_t v0 = load_i64(src, e);
+    const std::int64_t v1 = load_i64(src, e + 1);
+    const std::int64_t v2 = load_i64(src, e + 2);
+    const std::int64_t v3 = load_i64(src, e + 3);
+    dst[e] += v0;
+    dst[e + 1] += v1;
+    dst[e + 2] += v2;
+    dst[e + 3] += v3;
+    if constexpr (kTwo) {
+      dst2[e] += v0;
+      dst2[e + 1] += v1;
+      dst2[e + 2] += v2;
+      dst2[e + 3] += v3;
+    }
+  }
+  for (; e < n; ++e) {
+    const std::int64_t v = load_i64(src, e);
+    dst[e] += v;
+    if constexpr (kTwo) dst2[e] += v;
+  }
 }
 
 #if defined(PUP_KERNELS_AVX2)
-void add_in_place_avx2(std::int64_t* dst, const std::int64_t* src,
-                       std::size_t n) {
+// Four lanes at a time: an in-register inclusive scan (two shift-adds
+// across the 128-bit halves), minus the input for the exclusive prefix,
+// plus the carried running sum.  The loop-carried chain is one add per
+// block of four.
+void segmented_prefix_fold_avx2(std::int64_t* rs, std::int64_t* ps,
+                                std::size_t n, std::size_t seg_len) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  const __m256i zero = _mm256_setzero_si256();
+  for (std::size_t s = 0; s < n; s += seg_len) {
+    const std::size_t end = s + seg_len < n ? s + seg_len : n;
+    __m256i running = zero;
+    std::size_t e = s;
+    for (; e + 4 <= end; e += 4) {
+      const __m256i x =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rs + e));
+      // [0, v0, v1, v2], then [0, 0, v0, v0 + v1].
+      const __m256i x1 = _mm256_add_epi64(
+          x, _mm256_blend_epi32(
+                 _mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 0)), zero,
+                 0x03));
+      const __m256i inc = _mm256_add_epi64(
+          x1, _mm256_blend_epi32(
+                  _mm256_permute4x64_epi64(x1, _MM_SHUFFLE(1, 0, 0, 0)),
+                  zero, 0x0f));
+      const __m256i excl =
+          _mm256_add_epi64(_mm256_sub_epi64(inc, x), running);
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(rs + e), excl);
+      const __m256i p =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ps + e));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(ps + e),
+                          _mm256_add_epi64(p, excl));
+      running = _mm256_add_epi64(
+          running, _mm256_permute4x64_epi64(inc, _MM_SHUFFLE(3, 3, 3, 3)));
+    }
+    std::int64_t carry = _mm256_extract_epi64(running, 0);
+    for (; e < end; ++e) {
+      const std::int64_t v = rs[e];
+      rs[e] = carry;
+      ps[e] += carry;
+      carry += v;
+    }
+  }
+}
+
+// Sixteen mask bytes per step: min(byte, 1) gives the 0/1 flags, which
+// widen to four int64 and two int32 vector stores.
+std::int64_t mask_widen_avx2(const std::uint8_t* mask, std::size_t n,
+                             std::int64_t* ps, std::int32_t* counts) {
+  std::int64_t count = 0;
+  std::size_t i = 0;
+  const __m128i one = _mm_set1_epi8(1);
+  const __m128i zero = _mm_setzero_si128();
+  for (; i + 16 <= n; i += 16) {
+    const __m128i m =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask + i));
+    const __m128i f = _mm_min_epu8(m, one);
+    auto* out = reinterpret_cast<__m256i*>(ps + i);
+    _mm256_storeu_si256(out, _mm256_cvtepu8_epi64(f));
+    _mm256_storeu_si256(out + 1, _mm256_cvtepu8_epi64(_mm_srli_si128(f, 4)));
+    _mm256_storeu_si256(out + 2, _mm256_cvtepu8_epi64(_mm_srli_si128(f, 8)));
+    _mm256_storeu_si256(out + 3, _mm256_cvtepu8_epi64(_mm_srli_si128(f, 12)));
+    auto* cnt = reinterpret_cast<__m256i*>(counts + i);
+    _mm256_storeu_si256(cnt, _mm256_cvtepu8_epi32(f));
+    _mm256_storeu_si256(cnt + 1, _mm256_cvtepu8_epi32(_mm_srli_si128(f, 8)));
+    count += 16 - std::popcount(static_cast<std::uint32_t>(
+                      _mm_movemask_epi8(_mm_cmpeq_epi8(m, zero))));
+  }
+  for (; i < n; ++i) {
+    const std::int64_t v = (mask[i] != 0);
+    ps[i] = v;
+    counts[i] = static_cast<std::int32_t>(v);
+    count += v;
+  }
+  return count;
+}
+
+template <bool kTwo>
+void add_from_bytes_avx2(std::int64_t* dst, std::int64_t* dst2,
+                         const std::byte* src, std::size_t n) {
   std::size_t e = 0;
   for (; e + 4 <= n; e += 4) {
-    const __m256i a =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst + e));
-    const __m256i b =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + e));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + e),
-                        _mm256_add_epi64(a, b));
+    const __m256i v = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(src + e * sizeof(std::int64_t)));
+    auto* a = reinterpret_cast<__m256i*>(dst + e);
+    _mm256_storeu_si256(a, _mm256_add_epi64(_mm256_loadu_si256(a), v));
+    if constexpr (kTwo) {
+      auto* b = reinterpret_cast<__m256i*>(dst2 + e);
+      _mm256_storeu_si256(b, _mm256_add_epi64(_mm256_loadu_si256(b), v));
+    }
   }
-  for (; e < n; ++e) dst[e] += src[e];
+  for (; e < n; ++e) {
+    const std::int64_t v = load_i64(src, e);
+    dst[e] += v;
+    if constexpr (kTwo) dst2[e] += v;
+  }
 }
 #endif
+
+template <bool kTwo>
+void add_from_bytes_vector(std::int64_t* dst, std::int64_t* dst2,
+                           const std::byte* src, std::size_t n) {
+#if defined(PUP_KERNELS_AVX2)
+  if (active_path() == Path::kNative) {
+    add_from_bytes_avx2<kTwo>(dst, dst2, src, n);
+    return;
+  }
+#endif
+  add_from_bytes_generic<kTwo>(dst, dst2, src, n);
+}
 
 // Block-classified gather: skip all-zero mask blocks, bulk-copy all-ones
 // blocks, and walk mixed blocks branchlessly (speculative store, masked
@@ -322,6 +501,25 @@ std::size_t gather_generic(const std::uint8_t* mask, const std::byte* values,
 }
 
 #if defined(PUP_KERNELS_AVX2)
+// Left-pack table for 8-byte elements: for a 4-lane selection nibble, the
+// _mm256_permutevar8x32_epi32 indices that move the selected 64-bit lanes,
+// in order, to the front (the unused tail lanes repeat lane 0).
+struct LeftPack64 {
+  alignas(32) std::uint32_t idx[16][8] = {};
+  constexpr LeftPack64() {
+    for (unsigned nib = 0; nib < 16; ++nib) {
+      unsigned o = 0;
+      for (unsigned lane = 0; lane < 4; ++lane) {
+        if (((nib >> lane) & 1U) == 0) continue;
+        idx[nib][2 * o] = 2 * lane;
+        idx[nib][2 * o + 1] = 2 * lane + 1;
+        ++o;
+      }
+    }
+  }
+};
+constexpr LeftPack64 kLeftPack64{};
+
 template <std::size_t W>
 std::size_t gather_avx2(const std::uint8_t* mask, const std::byte* values,
                         std::size_t n, std::byte* out) {
@@ -338,6 +536,22 @@ std::size_t gather_avx2(const std::uint8_t* mask, const std::byte* values,
     if (sel == 0xffffffffU) {
       std::memcpy(out + k * W, values + i * W, 32 * W);
       k += 32;
+      continue;
+    }
+    if constexpr (W == 8) {
+      // Mixed block of 8-byte elements: four lanes at a time, permute the
+      // selected ones to the front and store all four (the out-capacity
+      // contract covers the speculative tail: k <= i, so k + 4 <= n).
+      for (unsigned q = 0; q < 8; ++q) {
+        const unsigned nib = (sel >> (4 * q)) & 0xfU;
+        const __m256i x = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i*>(values + (i + 4 * q) * W));
+        const __m256i to_front = _mm256_load_si256(
+            reinterpret_cast<const __m256i*>(kLeftPack64.idx[nib]));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + k * W),
+                            _mm256_permutevar8x32_epi32(x, to_front));
+        k += static_cast<std::size_t>(std::popcount(nib));
+      }
       continue;
     }
     for (unsigned b = 0; b < 32; ++b) {
@@ -506,30 +720,56 @@ std::int64_t mask_count(const std::uint8_t* mask, std::size_t n) {
   return scalar::mask_count(mask, n);
 }
 
-void segmented_exclusive_prefix(std::int64_t* data, std::size_t n,
-                                std::size_t seg_len) {
-  if (active_path() == Path::kScalar) {
-    scalar::segmented_exclusive_prefix(data, n, seg_len);
-  } else {
-    segmented_exclusive_prefix_unrolled(data, n, seg_len);
-  }
-}
-
-void add_in_place(std::int64_t* dst, const std::int64_t* src, std::size_t n) {
+void segmented_prefix_fold(std::int64_t* rs, std::int64_t* ps, std::size_t n,
+                           std::size_t seg_len) {
   switch (active_path()) {
     case Path::kScalar:
-      scalar::add_in_place(dst, src, n);
+      scalar::segmented_prefix_fold(rs, ps, n, seg_len);
       return;
     case Path::kNative:
 #if defined(PUP_KERNELS_AVX2)
-      add_in_place_avx2(dst, src, n);
+      segmented_prefix_fold_avx2(rs, ps, n, seg_len);
       return;
 #else
       [[fallthrough]];
 #endif
     case Path::kGeneric:
-      add_in_place_generic(dst, src, n);
+      segmented_prefix_fold_unrolled(rs, ps, n, seg_len);
       return;
+  }
+}
+
+std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
+                        std::int64_t* ps, std::int32_t* counts) {
+  switch (active_path()) {
+    case Path::kScalar:
+      return scalar::mask_widen(mask, n, ps, counts);
+    case Path::kNative:
+#if defined(PUP_KERNELS_AVX2)
+      return mask_widen_avx2(mask, n, ps, counts);
+#else
+      [[fallthrough]];
+#endif
+    case Path::kGeneric:
+      return mask_widen_generic(mask, n, ps, counts);
+  }
+  return scalar::mask_widen(mask, n, ps, counts);
+}
+
+void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n) {
+  if (active_path() == Path::kScalar) {
+    scalar::add_from_bytes(dst, src, n);
+  } else {
+    add_from_bytes_vector<false>(dst, nullptr, src, n);
+  }
+}
+
+void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
+                    const std::byte* src, std::size_t n) {
+  if (active_path() == Path::kScalar) {
+    scalar::add_from_bytes(dst, dst2, src, n);
+  } else {
+    add_from_bytes_vector<true>(dst, dst2, src, n);
   }
 }
 

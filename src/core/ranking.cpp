@@ -1,5 +1,6 @@
 #include "core/ranking.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <utility>
 
@@ -24,10 +25,14 @@ dist::index_t upper_extent(const RankingSchedule& s, int i) {
   return prod;
 }
 
+/// A base-rank array.  Allocated without a zero-fill: every buffer that is
+/// resize()d is written in full before it is read.
+using BaseRanks = support::UninitVector<std::int64_t>;
+
 /// Per-processor working state: the 2d base-rank arrays.
 struct Workspace {
-  std::vector<std::vector<std::int64_t>> ps;  // ps[i], size level_size(i)
-  std::vector<std::vector<std::int64_t>> rs;
+  std::vector<BaseRanks> ps;  // ps[i], size level_size(i)
+  std::vector<BaseRanks> rs;
   std::int64_t size_partial = 0;  // step d-1, substep 2.1
   std::int64_t size = 0;          // step d-1, substep 3
 };
@@ -138,6 +143,8 @@ std::vector<RankingResult> rank_masks(
       B, std::vector<Workspace>(static_cast<std::size_t>(P)));
 
   // ----- Initial step: local scan over slices (Section 5.2) ---------------
+  // Only PS_0 is written: RS_0 = PS_0 on entry to step 0, and its PRS takes
+  // PS_0 alone and hands RS_0 back as the reduction.
   {
     sim::PhaseScope initial_phase(machine, "ranking.initial");
     machine.local_phase([&](int rank) {
@@ -147,61 +154,65 @@ std::vector<RankingResult> rank_masks(
         auto& out = results[b].procs[static_cast<std::size_t>(rank)];
         w.ps.resize(static_cast<std::size_t>(d));
         w.rs.resize(static_cast<std::size_t>(d));
-        w.ps[0].assign(static_cast<std::size_t>(sched.slices), 0);
 
         const std::span<const mask_t> local = mask.local(rank);
         const dist::index_t W0 = sched.W[0];
         const dist::index_t C = sched.slices;
-        out.counts.assign(static_cast<std::size_t>(C), 0);
+        const auto n_local = static_cast<dist::index_t>(local.size());
 
         // Slice s covers local storage [s*W_0, s*W_0 + W_0), clipped to the
         // local extent: under the ragged 1-D extension only the last tile
         // is partial, so the final slices may be short or empty.  In the
         // divisible case every slice has width W_0.
-        const auto n_local = static_cast<dist::index_t>(local.size());
         auto slice_width = [&](dist::index_t s) -> dist::index_t {
           const dist::index_t remaining = n_local - s * W0;
           if (remaining <= 0) return 0;
           return remaining < W0 ? remaining : W0;
         };
 
+        if (!record_infos && W0 == 1) {
+          // W_0 = 1: PS_0 and the counts are mask[s] != 0, written once by
+          // one widening pass into storage that was not zero-filled.  Under
+          // the ragged 1-D extension the slices past the local extent hold
+          // no element: they are written as zeros here, since no fill did.
+          PUP_DCHECK(n_local <= C, "more local elements than slices");
+          auto& ps0 = w.ps[0];
+          ps0.resize(static_cast<std::size_t>(C));
+          out.counts.resize(static_cast<std::size_t>(C));
+          out.packed = kernels::mask_widen(local.data(),
+                                           static_cast<std::size_t>(n_local),
+                                           ps0.data(), out.counts.data());
+          std::fill(ps0.begin() + n_local, ps0.end(), 0);
+          std::fill(out.counts.begin() + n_local, out.counts.end(), 0);
+          continue;
+        }
+
+        w.ps[0].assign(static_cast<std::size_t>(C), 0);
+        out.counts.assign(static_cast<std::size_t>(C), 0);
         if (!record_infos) {
           // Counting-only scan.  Narrow slices are counted inline in one
           // pass -- a kernel call per slice would cost more than the slice
-          // -- and W_0 = 1 is just mask[s] != 0; wide slices go to
-          // mask_count.
+          // -- and wide slices go to mask_count.
           std::int64_t* ps0 = w.ps[0].data();
           std::int32_t* counts = out.counts.data();
           std::int64_t packed = 0;
-          if (W0 == 1) {
-            for (dist::index_t s = 0; s < n_local; ++s) {
-              const std::int64_t cnt =
-                  (local[static_cast<std::size_t>(s)] != 0);
-              ps0[s] = cnt;
-              counts[s] = static_cast<std::int32_t>(cnt);
-              packed += cnt;
-            }
-          } else {
-            for (dist::index_t s = 0; s < C; ++s) {
-              const dist::index_t width = slice_width(s);
-              if (width == 0) continue;  // a ragged tail slice counts zero
-              const mask_t* slice = local.data() + s * W0;
-              std::int64_t cnt = 0;
-              if (W0 < kNarrowSlice) {
-                for (dist::index_t off = 0; off < width; ++off) {
-                  cnt += (slice[off] != 0);
-                }
-              } else {
-                cnt = kernels::mask_count(slice,
-                                          static_cast<std::size_t>(width));
+          for (dist::index_t s = 0; s < C; ++s) {
+            const dist::index_t width = slice_width(s);
+            if (width == 0) continue;  // a ragged tail slice counts zero
+            const mask_t* slice = local.data() + s * W0;
+            std::int64_t cnt = 0;
+            if (W0 < kNarrowSlice) {
+              for (dist::index_t off = 0; off < width; ++off) {
+                cnt += (slice[off] != 0);
               }
-              ps0[s] = cnt;
-              counts[s] = checked_slice_count(cnt);
-              packed += cnt;
+            } else {
+              cnt = kernels::mask_count(slice, static_cast<std::size_t>(width));
             }
+            ps0[s] = cnt;
+            counts[s] = checked_slice_count(cnt);
+            packed += cnt;
           }
           out.packed = packed;
-          w.rs[0] = w.ps[0];
           continue;
         }
 
@@ -240,7 +251,6 @@ std::vector<RankingResult> rank_masks(
             v = 0;
           }
         }
-        w.rs[0] = w.ps[0];
       }
     });
   }
@@ -255,10 +265,8 @@ std::vector<RankingResult> rank_masks(
     // runs *one* PRS of length B*size_i: int64 element-wise sums commute
     // with concatenation, and with B == 1 this is the plain move-in/move-
     // out of the unbatched algorithm.
-    std::vector<std::vector<std::int64_t>> prefix_bufs(
-        static_cast<std::size_t>(P));
-    std::vector<std::vector<std::int64_t>> total_bufs(
-        static_cast<std::size_t>(P));
+    std::vector<BaseRanks> prefix_bufs(static_cast<std::size_t>(P));
+    std::vector<BaseRanks> total_bufs(static_cast<std::size_t>(P));
     for (int rank = 0; rank < P; ++rank) {
       auto& buf = prefix_bufs[static_cast<std::size_t>(rank)];
       if (B == 1) {
@@ -334,18 +342,15 @@ std::vector<RankingResult> rank_masks(
           w.size_partial = rs[static_cast<std::size_t>(size_i - 1)];
         }
 
-        // Substeps 2.2-2.3: segmented exclusive prefix over RS_i.  A
-        // segment spans one block of dimension i+1: W_{i+1} rows of T_i
-        // tile entries.  On the last step there is a single segment.
+        // Substeps 2.2-2.4, one pass: segmented exclusive prefix over
+        // RS_i, folded into PS_i as it is produced.  A segment spans one
+        // block of dimension i+1: W_{i+1} rows of T_i tile entries.  On
+        // the last step there is a single segment.
         const dist::index_t seg_len = step.seg_len;
         PUP_DCHECK(size_i % seg_len == 0, "segment length must tile RS_i");
-        kernels::segmented_exclusive_prefix(rs.data(),
-                                            static_cast<std::size_t>(size_i),
-                                            static_cast<std::size_t>(seg_len));
-
-        // Substep 2.4: fold into PS_i.
-        kernels::add_in_place(ps.data(), rs.data(),
-                              static_cast<std::size_t>(size_i));
+        kernels::segmented_prefix_fold(rs.data(), ps.data(),
+                                       static_cast<std::size_t>(size_i),
+                                       static_cast<std::size_t>(seg_len));
 
         // Substep 3: complete the seeds of PS_{i+1}/RS_{i+1} (or Size).
         if (!last_step) {

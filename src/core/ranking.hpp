@@ -35,6 +35,7 @@
 #include "dist/dist_array.hpp"
 #include "sim/machine.hpp"
 #include "support/check.hpp"
+#include "support/uninit.hpp"
 
 namespace pup {
 
@@ -102,9 +103,9 @@ constexpr int sss_info_stride(int rank) { return rank + 2; }
 struct ProcRanking {
   /// Final base-rank array PS_f: for slice s, the global rank of the first
   /// selected element of that slice.  Size C.
-  std::vector<std::int64_t> ps_f;
+  support::UninitVector<std::int64_t> ps_f;
   /// Slice counter array PS_c: selected elements per slice.  Size C.
-  std::vector<std::int32_t> counts;
+  support::UninitVector<std::int32_t> counts;
   /// Simple-storage-scheme records (empty unless record_infos): packed
   /// (d+2)-word records, sss_info_stride(d) words each, in scan order.
   std::vector<std::int32_t> info_words;

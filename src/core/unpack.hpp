@@ -112,16 +112,20 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
   UnpackResult<T> out;
   out.size = ranking.size;
   out.scheme = scheme;
-  out.result = dist::DistArray<T>(mask.dist());
   out.counters.resize(static_cast<std::size_t>(P));
 
   // Field transfer: purely local (paper Section 4.2).  True positions are
-  // overwritten below, so copying everything is correct and branch-free.
-  machine.local_phase([&](int rank) {
-    auto dst = out.result.local(rank);
-    const auto src = field.local(rank);
-    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = src[i];
-  });
+  // overwritten below, so copying everything is correct and branch-free:
+  // one bulk copy per processor into fresh storage.
+  {
+    std::vector<std::vector<T>> locals(static_cast<std::size_t>(P));
+    machine.local_phase([&](int rank) {
+      const auto src = field.local(rank);
+      locals[static_cast<std::size_t>(rank)].assign(src.begin(), src.end());
+    });
+    out.result =
+        dist::DistArray<T>::from_locals(mask.dist(), std::move(locals));
+  }
 
   // Each processor's request runs, in scan order: cut in phase A, replayed
   // against the reply streams in phase C.
@@ -143,9 +147,12 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
     ctr.packed = pr.packed;
     const auto packed = static_cast<std::size_t>(pr.packed);
 
-    // One spare slot: the W_0 = 1 loop below stores before it advances.
+    // CSS with W_0 = 1 gathers PS_f under the local mask, and mask_gather
+    // needs room for every local element, not just the selected ones.
+    const bool gather_w1 = !sss && W0 == 1;
+    const std::size_t n_local = mask.local(rank).size();
     const auto ranks = std::make_unique_for_overwrite<std::int64_t[]>(
-        packed + 1);
+        gather_w1 ? n_local : packed);
     std::size_t n = 0;
     if (sss) {
       const dist::Shape lshape = mask.dist().local_shape(rank);
@@ -158,12 +165,13 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
         ranks[n++] =
             rec.init_rank + pr.ps_f[static_cast<std::size_t>(rec.slice)];
       }
-    } else if (W0 == 1) {
-      // Every slice holds at most one element: a branch-free compaction.
-      for (dist::index_t s = 0; s < C; ++s) {
-        ranks[n] = pr.ps_f[static_cast<std::size_t>(s)];
-        n += static_cast<std::size_t>(pr.counts[static_cast<std::size_t>(s)]);
-      }
+    } else if (gather_w1) {
+      // Slice s is local element s: its rank is PS_f[s] when selected.
+      // (Ragged 1-D slices past the local extent are empty.)
+      PUP_CHECK(pr.ps_f.size() >= n_local, "PS_f shorter than the mask");
+      n = kernels::mask_gather<std::int64_t>(mask.local(rank).data(),
+                                             pr.ps_f.data(), n_local,
+                                             ranks.get());
     } else {
       for (dist::index_t s = 0; s < C; ++s) {
         const std::int32_t cnt = pr.counts[static_cast<std::size_t>(s)];

@@ -31,6 +31,27 @@ class DistArray {
     }
   }
 
+  /// Adopts per-processor local storage built by the caller (moved in, so
+  /// storage filled by one bulk copy is never zero-filled first).
+  /// locals[r] must hold exactly dist.local_size(r) elements.
+  static DistArray from_locals(Distribution dist,
+                               std::vector<std::vector<T>> locals) {
+    PUP_REQUIRE(static_cast<int>(locals.size()) == dist.nprocs(),
+                locals.size() << " local buffers for " << dist.nprocs()
+                              << " processors");
+    for (int r = 0; r < dist.nprocs(); ++r) {
+      const std::size_t n = locals[static_cast<std::size_t>(r)].size();
+      PUP_REQUIRE(static_cast<index_t>(n) == dist.local_size(r),
+                  "local buffer of processor " << r << " holds " << n
+                                               << " elements, expected "
+                                               << dist.local_size(r));
+    }
+    DistArray arr;
+    arr.dist_ = std::move(dist);
+    arr.locals_ = std::move(locals);
+    return arr;
+  }
+
   /// Builds a distributed array from a global row-major buffer.
   static DistArray scatter(Distribution dist, std::span<const T> global) {
     PUP_REQUIRE(static_cast<index_t>(global.size()) == dist.global().size(),

@@ -2,7 +2,8 @@
 //
 // Payloads are opaque byte vectors; typed helpers (de)serialize spans of
 // trivially-copyable element types, which is all the pack/unpack runtime
-// ever ships over the wire.
+// ever ships over the wire.  Payload bytes carry no alignment guarantee:
+// readers memcpy or load them unaligned, never reinterpret them as T*.
 #pragma once
 
 #include <atomic>
@@ -34,8 +35,11 @@ struct Message {
       : src(src_), dst(dst_), tag(tag_), payload(std::move(payload_)) {}
 
   // Zero-copy contract: on a clean network a payload is composed once at
-  // the sender and every hand-off after that -- post, mailbox enqueue,
-  // epoch bookkeeping, receive, decompose -- moves it.  Copies are legal
+  // the sender (to_payload, or a ByteWriter) and every hand-off after that
+  // -- post, mailbox enqueue, epoch bookkeeping, receive -- moves it.  The
+  // receiver consumes the bytes where they lie: folds read them in place
+  // (kernels::add_from_bytes), and decodes copy each element once, straight
+  // into its destination (read_payload, ByteReader).  Copies are legal
   // only at the explicitly intentional sites (fault-injected duplicates,
   // epoch checkpoints, the reliable layer's retained_copies), all of which
   // are off the clean path.  The instrumented copy operations below count
@@ -120,32 +124,29 @@ inline std::uint64_t payload_checksum(std::span<const std::byte> bytes) {
   return h;
 }
 
-/// Serializes a span of trivially-copyable values into a payload.
+/// Serializes a span of trivially-copyable values into a payload: the
+/// vector is built from the source bytes in one pass (no zero-fill first).
 template <typename T>
 std::vector<std::byte> to_payload(std::span<const T> values) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "message payloads must be trivially copyable");
-  std::vector<std::byte> bytes(values.size_bytes());
-  if (!values.empty()) {
-    std::memcpy(bytes.data(), values.data(), values.size_bytes());
-  }
-  return bytes;
+  const auto* first = reinterpret_cast<const std::byte*>(values.data());
+  return std::vector<std::byte>(first, first + values.size_bytes());
 }
 
-/// Deserializes a payload into a vector of T; the payload size must be a
-/// multiple of sizeof(T).
-template <typename T>
-std::vector<T> from_payload(std::span<const std::byte> bytes) {
+/// Copies a payload of whole T elements straight into `out`, resized to
+/// the element count: the receive side's one copy, with no intermediate
+/// vector.  Collectives that only fold a payload read it where it lies
+/// instead (kernels::add_from_bytes).
+template <typename T, typename A>
+void read_payload(std::span<const std::byte> bytes, std::vector<T, A>& out) {
   static_assert(std::is_trivially_copyable_v<T>,
                 "message payloads must be trivially copyable");
   PUP_REQUIRE(bytes.size() % sizeof(T) == 0,
               "payload of " << bytes.size() << " bytes is not a multiple of "
                             << sizeof(T));
-  std::vector<T> values(bytes.size() / sizeof(T));
-  if (!values.empty()) {
-    std::memcpy(values.data(), bytes.data(), bytes.size());
-  }
-  return values;
+  out.resize(bytes.size() / sizeof(T));
+  if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
 }
 
 }  // namespace pup::sim

@@ -8,6 +8,7 @@
 #include "core/ranking.hpp"
 #include "dist/dist_array.hpp"
 #include "sim/machine.hpp"
+#include "support/uninit.hpp"
 #include "test_support.hpp"
 
 namespace pup {
@@ -33,12 +34,12 @@ TEST(Figure1, RankingOnBlockCyclic2Over4Procs) {
   // entry is the number of trues before that start.
   // P0: starts 0, 8  -> 0, 5        P1: starts 2, 10 -> 2, 7
   // P2: starts 4, 12 -> 3, 8        P3: starts 6, 14 -> 4, 9
-  const std::vector<std::vector<std::int64_t>> expected_psf = {
+  const std::vector<support::UninitVector<std::int64_t>> expected_psf = {
       {0, 5}, {2, 7}, {3, 8}, {4, 9}};
   // Per-slice true counts from the mask blocks:
   // P0: (1,1),(1,1) -> 2,2   P1: (0,1),(1,0) -> 1,1
   // P2: (0,1),(0,1) -> 1,1   P3: (1,0),(1,0) -> 1,1
-  const std::vector<std::vector<std::int32_t>> expected_counts = {
+  const std::vector<support::UninitVector<std::int32_t>> expected_counts = {
       {2, 2}, {1, 1}, {1, 1}, {1, 1}};
 
   for (int p = 0; p < 4; ++p) {

@@ -10,7 +10,10 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <string>
 
+#include "core/api.hpp"
 #include "core/kernels/kernels.hpp"
 #include "core/ranking.hpp"
 #include "core/mask.hpp"
@@ -306,6 +309,123 @@ TEST(Ranking, NarrowSliceScanMatchesKernelCount) {
         const auto& rec = recorded.procs[static_cast<std::size_t>(rank)];
         EXPECT_EQ(pr.counts, rec.counts);
         EXPECT_EQ(pr.ps_f, rec.ps_f);
+      }
+    }
+  }
+}
+
+TEST(Ranking, WriteOnceW1MatchesReference) {
+  // With W_0 = 1 the counting scan writes PS_0 and the slice counts in one
+  // widening pass, with no zero-fill before it.  Two traps: under the
+  // ragged 1-D extension a processor can have fewer local elements than
+  // slices (those slices must still count zero), and a mask byte may be
+  // any nonzero value (it must count one, not its value).  Each layout is
+  // checked, on every kernel path, against the pre-change scan (the
+  // record_infos path, which never takes the W_0 = 1 shortcut), the serial
+  // rank oracle, and end to end against serial_pack / serial_unpack.
+  struct Layout {
+    std::vector<dist::index_t> extents;
+    std::vector<int> procs;
+    std::vector<dist::index_t> blocks;
+  };
+  const std::vector<Layout> layouts = {
+      {{37}, {4}, {1}},         // ragged: ranks 1-3 are one element short
+      {{5}, {8}, {1}},          // ragged: ranks 5-7 hold nothing at all
+      {{1001}, {6}, {1}},       // ragged
+      {{64}, {4}, {1}},         // divisible
+      {{24, 20}, {4, 2}, {1, 1}},  // 2-D cyclic
+      {{16, 12}, {2, 3}, {1, 2}},  // 2-D, cyclic on dimension 0 only
+  };
+  const mask_t kTrue[] = {1, 2, 255};
+  std::vector<kernels::Path> paths = {kernels::Path::kScalar,
+                                      kernels::Path::kGeneric};
+  if (kernels::native_available()) paths.push_back(kernels::Path::kNative);
+  struct PathGuard {
+    ~PathGuard() { kernels::set_path(test::startup_path()); }
+  } restore;
+
+  for (const Layout& l : layouts) {
+    int p = 1;
+    for (const int x : l.procs) p *= x;
+    const dist::Distribution d(dist::Shape(l.extents),
+                               dist::ProcessGrid(l.procs), l.blocks);
+    const auto n = static_cast<std::size_t>(d.global().size());
+    for (const double density : {0.0, 0.3, 0.5, 1.0}) {
+      // Selected bytes cycle through 1, 2 and 255.
+      std::vector<mask_t> gm = random_mask(d.global().size(), density, 2024);
+      for (std::size_t g = 0; g < n; ++g) {
+        if (gm[g] != 0) gm[g] = kTrue[g % 3];
+      }
+      std::vector<std::int64_t> oracle(n, -1);
+      std::int64_t selected = 0;
+      for (std::size_t g = 0; g < n; ++g) {
+        if (gm[g] != 0) oracle[g] = selected++;
+      }
+      const auto mask = dist::DistArray<mask_t>::scatter(d, gm);
+      std::vector<std::int64_t> data(n);
+      for (std::size_t g = 0; g < n; ++g) {
+        data[g] = static_cast<std::int64_t>(g) * 3 + 1;
+      }
+      const auto array = dist::DistArray<std::int64_t>::scatter(d, data);
+      std::vector<std::int64_t> field(n, -5);
+      const auto field_arr = dist::DistArray<std::int64_t>::scatter(d, field);
+      std::vector<std::int64_t> vhost(static_cast<std::size_t>(selected) + 3);
+      std::iota(vhost.begin(), vhost.end(), 1000);
+      const auto v = dist::DistArray<std::int64_t>::scatter(
+          dist::Distribution::block1d(
+              static_cast<dist::index_t>(vhost.size()), p),
+          vhost);
+
+      for (const kernels::Path path : paths) {
+        kernels::set_path(path);
+        const std::string what =
+            "extents[0]=" + std::to_string(l.extents[0]) + " d=" +
+            std::to_string(l.extents.size()) + " density=" +
+            std::to_string(density) + " path=" + kernels::path_name(path);
+        auto machine = make_machine(p);
+        const RankingResult counted = rank_mask(machine, mask);
+        RankingOptions infos;
+        infos.record_infos = true;
+        const RankingResult recorded = rank_mask(machine, mask, infos);
+        ASSERT_EQ(counted.size, selected) << what;
+        for (int rank = 0; rank < p; ++rank) {
+          const auto local = mask.local(rank);
+          const auto& pr = counted.procs[static_cast<std::size_t>(rank)];
+          const auto& rec = recorded.procs[static_cast<std::size_t>(rank)];
+          ASSERT_EQ(static_cast<dist::index_t>(pr.counts.size()),
+                    counted.slices)
+              << what;
+          std::int64_t packed = 0;
+          for (dist::index_t s = 0; s < counted.slices; ++s) {
+            const auto us = static_cast<std::size_t>(s);
+            const bool sel = us < local.size() && local[us] != 0;
+            // ASSERT: garbage counts would derail the pack/unpack below.
+            ASSERT_EQ(pr.counts[us], sel ? 1 : 0)
+                << what << " rank " << rank << " slice " << s;
+            if (sel) {
+              const auto g = d.global().linear(d.global_of_local(rank, s));
+              EXPECT_EQ(pr.ps_f[us], oracle[static_cast<std::size_t>(g)])
+                  << what << " rank " << rank << " slice " << s;
+            }
+            packed += sel ? 1 : 0;
+          }
+          ASSERT_EQ(pr.packed, packed) << what << " rank " << rank;
+          ASSERT_EQ(pr.counts, rec.counts) << what << " rank " << rank;
+          ASSERT_EQ(pr.ps_f, rec.ps_f) << what << " rank " << rank;
+        }
+
+        PackOptions popt;
+        popt.scheme = PackScheme::kCompactStorage;
+        const auto packed = pack(machine, array, mask, popt);
+        EXPECT_EQ(packed.vector.gather(),
+                  serial_pack<std::int64_t>(data, gm))
+            << what;
+        UnpackOptions uopt;
+        uopt.scheme = UnpackScheme::kCompactStorage;
+        const auto unpacked = unpack(machine, v, mask, field_arr, uopt);
+        EXPECT_EQ(unpacked.result.gather(),
+                  serial_unpack<std::int64_t>(vhost, gm, field))
+            << what;
       }
     }
   }

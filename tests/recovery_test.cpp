@@ -164,8 +164,9 @@ TEST(EpochCheckpoint, RollbackRestoresQueuedMessagesInArrivalOrder) {
   std::vector<std::tuple<int, int, std::int64_t>> seen;
   for (int rank : {1, 3}) {
     while (auto got = m.receive(rank)) {
-      seen.emplace_back(got->src, got->tag,
-                        sim::from_payload<std::int64_t>(got->payload)[0]);
+      std::vector<std::int64_t> body;
+      sim::read_payload<std::int64_t>(got->payload, body);
+      seen.emplace_back(got->src, got->tag, body.at(0));
     }
   }
   EXPECT_TRUE(m.mailboxes_empty());

@@ -110,16 +110,33 @@ TEST(Topology, MeshAddsPerHopLatency) {
   EXPECT_DOUBLE_EQ(t.message_us(c, 0, 15, 0), 10.0 + 5 * 2.0);
 }
 
+/// The first T carried by a payload.
+template <typename T>
+T first_of(const std::vector<std::byte>& payload) {
+  std::vector<T> values;
+  read_payload<T>(payload, values);
+  return values.at(0);
+}
+
 TEST(Message, PayloadRoundTrip) {
   std::vector<std::int64_t> vals = {1, -2, 3};
   auto bytes = to_payload<std::int64_t>(vals);
   EXPECT_EQ(bytes.size(), 24u);
-  EXPECT_EQ(from_payload<std::int64_t>(bytes), vals);
+  // read_payload resizes its destination to the payload, up or down.
+  std::vector<std::int64_t> back(5, 7);
+  read_payload<std::int64_t>(bytes, back);
+  EXPECT_EQ(back, vals);
+  back.clear();
+  read_payload<std::int64_t>(bytes, back);
+  EXPECT_EQ(back, vals);
+  read_payload<std::int64_t>({}, back);
+  EXPECT_TRUE(back.empty());
 }
 
 TEST(Message, PayloadSizeMismatchThrows) {
   std::vector<std::byte> bytes(7);
-  EXPECT_THROW(from_payload<std::int32_t>(bytes), pup::ContractError);
+  std::vector<std::int32_t> out;
+  EXPECT_THROW(read_payload<std::int32_t>(bytes, out), pup::ContractError);
 }
 
 TEST(Mailbox, FifoPerSenderAndTag) {
@@ -130,9 +147,9 @@ TEST(Mailbox, FifoPerSenderAndTag) {
 
   auto a = mb.pop(0, 5);
   ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(from_payload<int>(a->payload)[0], 1);
+  EXPECT_EQ(first_of<int>(a->payload), 1);
   auto b = mb.pop(0, 5);
-  EXPECT_EQ(from_payload<int>(b->payload)[0], 3);
+  EXPECT_EQ(first_of<int>(b->payload), 3);
   auto c = mb.pop();
   EXPECT_EQ(c->src, 2);
   EXPECT_TRUE(mb.empty());
@@ -183,7 +200,7 @@ TEST(Machine, PostReceiveAndTrace) {
   EXPECT_EQ(m.trace().recv_bytes(2), 4);
 
   auto msg = m.receive_required(2, 0, 7);
-  EXPECT_EQ(from_payload<int>(msg.payload)[0], 42);
+  EXPECT_EQ(first_of<int>(msg.payload), 42);
   EXPECT_TRUE(m.mailboxes_empty());
 }
 

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -188,43 +189,129 @@ TEST(SimdKernels, ExpandMatchesScalarForWidths1To16) {
   }(std::make_index_sequence<16>{});
 }
 
-TEST(SimdKernels, SegmentedPrefixMatchesScalar) {
-  for (const std::size_t n : interesting_lengths()) {
-    for (std::size_t seg : {std::size_t{1}, std::size_t{3}, std::size_t{64},
-                            n == 0 ? std::size_t{1} : n}) {
-      std::vector<std::int64_t> input(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        input[i] = static_cast<std::int64_t>((i * 2654435761U) % 1000) - 500;
-      }
-      std::vector<std::int64_t> expect = input;
-      ForceGuard ref(Path::kScalar);
-      kernels::segmented_exclusive_prefix(expect.data(), n, seg);
-      for (const Path path : vector_paths()) {
-        kernels::set_path(path);
-        std::vector<std::int64_t> got = input;
-        kernels::segmented_exclusive_prefix(got.data(), n, seg);
-        ASSERT_EQ(got, expect)
-            << kernels::path_name(path) << " n=" << n << " seg=" << seg;
+/// Lengths 0..67 (every remainder of every lane width, plus a few full
+/// blocks) and one local extent of the benchmark's CSS unpack.
+std::vector<std::size_t> fold_lengths() {
+  std::vector<std::size_t> lens(68);
+  std::iota(lens.begin(), lens.end(), std::size_t{0});
+  lens.push_back(16384);
+  return lens;
+}
+
+/// All kernel paths, reference first.
+std::vector<Path> all_paths() {
+  std::vector<Path> paths = {Path::kScalar};
+  for (const Path p : vector_paths()) paths.push_back(p);
+  return paths;
+}
+
+std::vector<std::int64_t> mixed_values(std::size_t n, std::uint64_t salt) {
+  std::vector<std::int64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::int64_t>(((i + salt) * 2654435761U) % 100003) -
+           50000;
+  }
+  return v;
+}
+
+TEST(SimdKernels, AddFromBytesMatchesReferenceAtEveryOffset) {
+  // The source is a byte stream at offsets 0..7 from an aligned buffer, so
+  // a path that reinterprets it as int64_t* performs misaligned loads (a
+  // UBSan finding in the sanitizer job) instead of unaligned ones.
+  for (const std::size_t n : fold_lengths()) {
+    const auto values = mixed_values(n, 3);
+    const auto dst0 = mixed_values(n, 11);
+    const auto dst20 = mixed_values(n, 19);
+    std::vector<std::int64_t> expect = dst0;
+    std::vector<std::int64_t> expect2 = dst20;
+    for (std::size_t e = 0; e < n; ++e) {
+      expect[e] += values[e];
+      expect2[e] += values[e];
+    }
+    std::vector<std::int64_t> storage(n + 2);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      auto* src = reinterpret_cast<std::byte*>(storage.data()) + offset;
+      if (n > 0) std::memcpy(src, values.data(), n * sizeof(std::int64_t));
+      for (const Path path : all_paths()) {
+        ForceGuard force(path);
+        std::vector<std::int64_t> one = dst0;
+        kernels::add_from_bytes(one.data(), src, n);
+        ASSERT_EQ(one, expect) << kernels::path_name(path) << " n=" << n
+                               << " offset=" << offset;
+        std::vector<std::int64_t> a = dst0;
+        std::vector<std::int64_t> b = dst20;
+        kernels::add_from_bytes(a.data(), b.data(), src, n);
+        ASSERT_EQ(a, expect) << kernels::path_name(path) << " n=" << n
+                             << " offset=" << offset << " (two dst)";
+        ASSERT_EQ(b, expect2) << kernels::path_name(path) << " n=" << n
+                              << " offset=" << offset << " (two dst)";
       }
     }
   }
 }
 
-TEST(SimdKernels, AddInPlaceMatchesScalar) {
-  for (const std::size_t n : interesting_lengths()) {
-    std::vector<std::int64_t> dst0(n), src(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      dst0[i] = static_cast<std::int64_t>(i * 31);
-      src[i] = static_cast<std::int64_t>(1000 - static_cast<std::int64_t>(i));
+TEST(SimdKernels, MaskWidenMatchesReferenceAtEveryOffset) {
+  // Mask bytes are 0, 1, 2 and 255: any nonzero byte widens to one.  The
+  // outputs are pre-filled with garbage, so a slot the kernel skips shows.
+  const std::uint8_t kBytes[] = {0, 1, 2, 255};
+  for (const double density : kDensities) {
+    for (const std::size_t n : fold_lengths()) {
+      const auto sel = random_mask(static_cast<dist::index_t>(n), density, 9);
+      std::vector<std::uint8_t> storage(n + 8);
+      std::vector<std::int64_t> want_ps(n);
+      std::vector<std::int32_t> want_counts(n);
+      std::int64_t want = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        want_ps[i] = sel[i] != 0 ? 1 : 0;
+        want_counts[i] = static_cast<std::int32_t>(want_ps[i]);
+        want += want_ps[i];
+      }
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        std::uint8_t* mask = storage.data() + offset;
+        for (std::size_t i = 0; i < n; ++i) {
+          mask[i] = sel[i] == 0 ? 0 : kBytes[1 + (i * 7 + offset) % 3];
+        }
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          std::vector<std::int64_t> ps(n, -7);
+          std::vector<std::int32_t> counts(n, -7);
+          ASSERT_EQ(kernels::mask_widen(mask, n, ps.data(), counts.data()),
+                    want)
+              << kernels::path_name(path) << " n=" << n << " d=" << density;
+          ASSERT_EQ(ps, want_ps) << kernels::path_name(path) << " n=" << n
+                                 << " offset=" << offset;
+          ASSERT_EQ(counts, want_counts)
+              << kernels::path_name(path) << " n=" << n
+              << " offset=" << offset;
+        }
+      }
     }
-    std::vector<std::int64_t> expect = dst0;
-    ForceGuard ref(Path::kScalar);
-    kernels::add_in_place(expect.data(), src.data(), n);
-    for (const Path path : vector_paths()) {
-      kernels::set_path(path);
-      std::vector<std::int64_t> got = dst0;
-      kernels::add_in_place(got.data(), src.data(), n);
-      ASSERT_EQ(got, expect) << kernels::path_name(path) << " n=" << n;
+  }
+}
+
+TEST(SimdKernels, SegmentedPrefixFoldMatchesTwoPassReference) {
+  // The fused pass must equal substeps 2.2-2.4 as two passes: the
+  // segmented exclusive prefix over rs, then ps += rs.
+  for (const std::size_t n : fold_lengths()) {
+    for (const std::size_t seg :
+         {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{5},
+          std::size_t{64}, std::size_t{128}, n == 0 ? std::size_t{1} : n}) {
+      const auto rs0 = mixed_values(n, 5);
+      const auto ps0 = mixed_values(n, 23);
+      std::vector<std::int64_t> want_rs = rs0;
+      std::vector<std::int64_t> want_ps = ps0;
+      kernels::scalar::segmented_exclusive_prefix(want_rs.data(), n, seg);
+      kernels::scalar::add_in_place(want_ps.data(), want_rs.data(), n);
+      for (const Path path : all_paths()) {
+        ForceGuard force(path);
+        std::vector<std::int64_t> rs = rs0;
+        std::vector<std::int64_t> ps = ps0;
+        kernels::segmented_prefix_fold(rs.data(), ps.data(), n, seg);
+        ASSERT_EQ(rs, want_rs)
+            << kernels::path_name(path) << " n=" << n << " seg=" << seg;
+        ASSERT_EQ(ps, want_ps)
+            << kernels::path_name(path) << " n=" << n << " seg=" << seg;
+      }
     }
   }
 }
