@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,17 +46,17 @@ struct TraceDigest {
 };
 
 /// Observer that accumulates the modeled time charges of a run; combined
-/// with the machine's Trace it yields the run's TraceDigest.  Forwards all
-/// events to a previously attached observer, so it stacks with (e.g.) a
-/// ProtocolValidator.
+/// with the machine's Trace it yields the run's TraceDigest.  It attaches
+/// itself on construction and detaches on destruction, so it stacks with
+/// (e.g.) a ProtocolValidator on the same machine.
 ///
 /// Epoch rollback awareness: the machine's trace is restored by
 /// Machine::rollback_epoch, but the recorder's charge accumulators live
 /// outside the machine, so the recorder mirrors the same protocol -- it
-/// parks a copy of its accumulators on the paired "epoch.checkpoint"
-/// annotation and restores it on "epoch.rollback".  Without this, charges
-/// of an aborted, rolled-back attempt would stick to the digest and break
-/// the recovered-run == fault-free-run identity.
+/// parks a copy of its accumulators on on_checkpoint and restores it on
+/// on_rollback.  Without this, charges of an aborted, rolled-back attempt
+/// would stick to the digest and break the recovered-run == fault-free-run
+/// identity.
 class DigestRecorder final : public sim::MachineObserver {
  public:
   explicit DigestRecorder(sim::Machine& machine);
@@ -68,25 +69,17 @@ class DigestRecorder final : public sim::MachineObserver {
   TraceDigest digest() const;
 
   void on_charge(int rank, sim::Category cat, double us) override;
-  void on_post(const sim::Message& m, sim::Category cat) override;
-  void on_receive(int rank, const sim::Message& m) override;
-  void on_expire(const sim::Message& m) override;
-  void on_collective_begin(const sim::CollectiveInfo& info) override;
-  void on_round_begin() override;
-  void on_round_end() override;
-  void on_collective_end() override;
-  void on_phase_begin(const char* name) override;
-  void on_phase_end(const char* name) override;
-  void on_reset() override;
+  void on_checkpoint() override;
+  void on_rollback() override;
 
  private:
+  using Charges = std::vector<std::array<double, sim::kNumCategories>>;
+
   sim::Machine& machine_;
-  sim::MachineObserver* prev_ = nullptr;
-  std::vector<std::array<double, sim::kNumCategories>> charged_;
-  /// Accumulators parked at the last "epoch.checkpoint" marker; restored
-  /// on every "epoch.rollback" (empty = no checkpoint seen).
-  std::vector<std::array<double, sim::kNumCategories>> epoch_charged_;
-  bool epoch_valid_ = false;
+  Charges charged_;
+  /// Accumulators parked at the last on_checkpoint; restored on every
+  /// on_rollback.
+  std::optional<Charges> epoch_charged_;
 };
 
 /// Human-readable first-difference description; "" when the digests match.

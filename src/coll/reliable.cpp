@@ -141,14 +141,14 @@ sim::Message ReliableTransport::recv(sim::Machine& m, int rank, int src,
       if (!intact(msg)) {
         // Truncated/corrupt frame: discard and recover like a drop.
         ++stats_.corrupt_discarded;
-        annotate_event(m, "reliable.corrupt");
+        m.annotate_event("reliable.corrupt");
         continue;
       }
       if (msg.wire.seq < want) {
         // A fault duplicate, late delayed copy, or redundant retransmission
         // of a frame already delivered.
         ++stats_.dedup_discarded;
-        annotate_event(m, "reliable.dedup");
+        m.annotate_event("reliable.dedup");
         continue;
       }
       if (msg.wire.seq > want) {
@@ -162,7 +162,7 @@ sim::Message ReliableTransport::recv(sim::Machine& m, int rank, int src,
                 .second;
         if (!parked) {
           ++stats_.dedup_discarded;
-          annotate_event(m, "reliable.dedup");
+          m.annotate_event("reliable.dedup");
         }
         continue;
       }
@@ -189,7 +189,7 @@ sim::Message ReliableTransport::recv(sim::Machine& m, int rank, int src,
       // modeled heartbeat timeout detects the death; the typed failure
       // lets the operation-level recovery layer roll back and re-execute.
       ++stats_.heartbeat_timeouts;
-      annotate_event(m, "reliable.heartbeat");
+      m.annotate_event("reliable.heartbeat");
       m.charge(rank, cat, m.cost().tau_us * opts_.heartbeat_factor);
       throw RankFailure(rank, src, tag, want);
     }
@@ -213,7 +213,7 @@ void ReliableTransport::send_nak(sim::Machine& m, int rank, int src, int tag,
   nak.wire.orig_bytes = nak.payload.size();
   nak.wire.checksum = sim::payload_checksum(nak.payload);
   ++stats_.naks;
-  annotate_event(m, "reliable.nak");
+  m.annotate_event("reliable.nak");
   // Control traffic pays the same two-level cost as data.
   const double us = m.message_us(rank, src, nak.payload.size());
   m.charge(rank, cat, us);
@@ -238,7 +238,7 @@ void ReliableTransport::service_naks(sim::Machine& m, int sender,
     // cycle sends another.
     if (!intact(nak) || nak.payload.size() != 2 * sizeof(std::int64_t)) {
       ++stats_.corrupt_discarded;
-      annotate_event(m, "reliable.corrupt");
+      m.annotate_event("reliable.corrupt");
       continue;
     }
     std::int64_t body[2];
@@ -259,7 +259,7 @@ void ReliableTransport::service_naks(sim::Machine& m, int sender,
       copy.wire.delayed = false;
       copy.wire.truncated = false;
       ++stats_.retransmits;
-      annotate_event(m, "reliable.retransmit");
+      m.annotate_event("reliable.retransmit");
       const double us = m.message_us(sender, nak.src, copy.payload.size());
       m.charge(sender, cat, us);
       m.charge(nak.src, cat, us);
@@ -290,7 +290,7 @@ void ReliableTransport::drain(sim::Machine& m) {
     while (auto nak =
                m.receive(rank, sim::kAnySource, sim::kReliableNakTag)) {
       ++stats_.drained;
-      annotate_event(m, "reliable.drain");
+      m.annotate_event("reliable.drain");
     }
   }
   for (auto& [key, ch] : channels_) {
@@ -303,7 +303,7 @@ void ReliableTransport::drain(sim::Machine& m) {
                     << " tag=" << tag
                     << ") swept at collective drain -- protocol bug");
       ++stats_.drained;
-      annotate_event(m, "reliable.drain");
+      m.annotate_event("reliable.drain");
     }
   }
 }

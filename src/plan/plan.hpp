@@ -73,8 +73,8 @@ struct UnpackPlan {
 /// Compiles a PACK plan for arrays laid out by `dist` with sizeof(T) ==
 /// elem_width.  `options.scheme` must be concrete (not kAuto); the optional
 /// `result_dist` fixes the result-vector layout (rank one, and its extent
-/// bounds the packable count).  Emits a "plan.compile" phase annotation
-/// pair through the machine's observer hooks.
+/// bounds the packable count).  Runs inside a "plan.compile" phase
+/// scope, closed on every exit, throws included.
 PackPlan compile_pack_plan(sim::Machine& machine,
                            const dist::Distribution& dist, int elem_width,
                            const PackOptions& options = {},

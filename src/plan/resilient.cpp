@@ -17,8 +17,7 @@ void ResilientExecutor::on_cancel(const sim::EpochCheckpoint& cp,
   // its RNG stream intact.  Dead ranks stay dead -- cancellation is not
   // recovery, so nothing is revived.
   if (held_plan_ != nullptr) machine_.set_fault_plan(std::move(held_plan_));
-  machine_.annotate_phase_begin("plan.cancel.rollback");
-  machine_.annotate_phase_end("plan.cancel.rollback");
+  machine_.annotate_event("plan.cancel.rollback");
 }
 
 void ResilientExecutor::on_success() {

@@ -223,14 +223,12 @@ void Server::note_queue_wait_locked(double wait_us) {
   if (!brownout_ && p95 > options_.brownout_p95_us) {
     brownout_ = true;
     ++stats_.brownouts;
-    machine_.annotate_phase_begin("service.brownout.enter");
-    machine_.annotate_phase_end("service.brownout.enter");
+    machine_.annotate_event("service.brownout.enter");
   } else if (brownout_ && p95 < options_.brownout_p95_us / 2.0) {
     // Hysteresis: fusion resumes only once the p95 has clearly recovered,
     // so the window does not flap around the bound.
     brownout_ = false;
-    machine_.annotate_phase_begin("service.brownout.exit");
-    machine_.annotate_phase_end("service.brownout.exit");
+    machine_.annotate_event("service.brownout.exit");
   }
 }
 
@@ -581,11 +579,10 @@ void Server::execute(std::vector<Pending> batch) {
         cache_hit = cache_.stats().hits > before.hits;
         // Per-request cache attribution, observer-visible alongside the
         // cache's own plan.cache.* events.
-        const char* cache_phase =
+        const char* cache_event =
             cache_hit ? "service.cache.hit" : "service.cache.miss";
         for (std::size_t i = 0; i < n; ++i) {
-          machine_.annotate_phase_begin(cache_phase);
-          machine_.annotate_phase_end(cache_phase);
+          machine_.annotate_event(cache_event);
         }
         sim::PhaseScope phase(machine_, "service.execute");
         std::vector<const dist::DistArray<mask_t>*> masks;
@@ -609,10 +606,9 @@ void Server::execute(std::vector<Pending> batch) {
                                        batch.front().vector.dist(),
                                        sizeof(Element), opt);
         cache_hit = cache_.stats().hits > before.hits;
-        const char* cache_phase =
+        const char* cache_event =
             cache_hit ? "service.cache.hit" : "service.cache.miss";
-        machine_.annotate_phase_begin(cache_phase);
-        machine_.annotate_phase_end(cache_phase);
+        machine_.annotate_event(cache_event);
         sim::PhaseScope phase(machine_, "service.execute");
         auto result = exec_.unpack<Element>(*plan, batch[0].vector,
                                             batch[0].mask, *batch[0].array);
@@ -637,8 +633,7 @@ void Server::execute(std::vector<Pending> batch) {
           trip == sim::StopCause::kWatchdog    ? "service.watchdog.trip"
           : trip == sim::StopCause::kDeadline  ? "service.deadline.miss"
                                                : "service.cancelled";
-      machine_.annotate_phase_begin(event);
-      machine_.annotate_phase_end(event);
+      machine_.annotate_event(event);
     }
 
     const std::lock_guard<std::mutex> lock(mu_);

@@ -15,9 +15,9 @@
 //   * real wall-clock buckets are restored along with the modeled ones
 //     (they live in the same TimeBreakdown), which is fine: determinism
 //     digests exclude them by construction.
-//   * the attached observer: validators and digest recorders live outside
-//     the epoch and learn about rollbacks through the paired
-//     "epoch.checkpoint" / "epoch.rollback" annotations instead.
+//   * the attached observers: validators and digest recorders live
+//     outside the epoch and learn about it through the typed
+//     MachineObserver::on_checkpoint / on_rollback hooks instead.
 //
 // Checkpoints are snapshots, not journals: taking one is O(state), rolling
 // back is O(state), and one checkpoint survives any number of rollbacks
@@ -31,7 +31,7 @@
 // Layering: this header may be included only by src/sim/, the reliable
 // layer (src/coll/reliable.*), and the recovery executor
 // (src/plan/resilient.*) -- enforced by tools/lint.py.  Everything else
-// observes epochs through annotations.
+// observes epochs through the observer hooks.
 #pragma once
 
 #include <cstdint>

@@ -60,8 +60,8 @@
 // spec -- an env-driven typo must fail loudly and precisely, not run a
 // silently fault-free experiment.
 //
-// Every injected event is reported through the MachineObserver as a paired
-// phase annotation ("fault.drop", "fault.duplicate", "fault.delay",
+// Every injected event is reported through the MachineObserver as a point
+// event (on_event: "fault.drop", "fault.duplicate", "fault.delay",
 // "fault.truncate", "fault.kill", "fault.dead", "fault.delay.expired") so
 // validators and traces can see exactly where the schedule fired.
 // Injection alone provides no recovery: run the collectives with the

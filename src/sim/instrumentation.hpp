@@ -3,9 +3,11 @@
 // A MachineObserver receives every transport event (post, receive, modeled
 // charge) plus *annotations*: collectives declare a scope with their allowed
 // tags and round discipline, round-synchronized schedules bracket each round,
-// and algorithm stages bracket named phases.  The default implementation of
-// every hook is a no-op, and a machine without an observer pays only a null
-// check per event, so production runs are unaffected.
+// and algorithm stages bracket named phases.  Outside src/sim/, the scopes
+// below are the only way library code opens and closes them; point events
+// with no extent go through Machine::annotate_event instead.  The default implementation of
+// every hook is a no-op, and a machine with no observers attached pays only
+// an empty-list check per event, so production runs are unaffected.
 //
 // The annotations are emitted by the library itself (coll/ wraps every
 // collective, core/ names its algorithm phases, Machine::local_phase marks
@@ -19,7 +21,6 @@
 #pragma once
 
 #include <initializer_list>
-#include <vector>
 
 #include "sim/machine.hpp"
 #include "sim/observer.hpp"
@@ -27,15 +28,15 @@
 namespace pup::sim {
 
 /// RAII annotation for one collective operation.  Declares the tags the
-/// collective is allowed to use and its round discipline.
+/// collective is allowed to use and its round discipline; the machine
+/// builds the observers' CollectiveInfo only when one is attached.
 class CollectiveScope {
  public:
   CollectiveScope(Machine& m, const char* name,
                   std::initializer_list<int> tags,
                   RoundDiscipline discipline = RoundDiscipline::kMaxOneExchange)
       : machine_(m) {
-    machine_.annotate_collective_begin(
-        CollectiveInfo{name, std::vector<int>(tags), discipline});
+    machine_.annotate_collective_begin(name, tags, discipline);
   }
 
   CollectiveScope(const CollectiveScope&) = delete;

@@ -156,7 +156,7 @@ void Machine::post(Message m, Category cat) {
     const FaultEvent ev = faults_->decide(m, annotation_stack_);
     if (ev.killed_rank >= 0) {
       // A kill rule's countdown expired on this post: the rank is dead
-      // from this moment on (fail-stop).  The annotation is the only
+      // from this moment on (fail-stop).  The event is the only
       // externally visible record of the death itself; detection is the
       // reliable layer's heartbeat timeout.
       annotate_event("fault.kill");
@@ -209,10 +209,7 @@ void Machine::deliver(Message m, Category cat) {
 
 void Machine::record_post(const Message& m, Category cat) {
   trace_.record_message(m.src, m.dst, m.size_bytes(), cat);
-  if (observer_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(observer_mu_);
-    observer_->on_post(m, cat);
-  }
+  notify(&MachineObserver::on_post, m, cat);
 }
 
 void Machine::tick_delayed() {
@@ -244,8 +241,7 @@ std::unique_ptr<FaultPlan> Machine::take_fault_plan() {
 }
 
 void Machine::expire_delayed() {
-  // Swap the queue out first: the annotations below re-enter the
-  // annotation machinery and must see an empty queue.
+  // Swap the queue out first so observers see an empty queue.
   std::deque<DelayedMessage> expired;
   expired.swap(delayed_);
   if (faults_ != nullptr) {
@@ -253,10 +249,7 @@ void Machine::expire_delayed() {
   }
   for (auto& d : expired) {
     annotate_event("fault.delay.expired");
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_expire(d.m);
-    }
+    notify(&MachineObserver::on_expire, d.m);
   }
 }
 
@@ -286,9 +279,9 @@ std::shared_ptr<const EpochCheckpoint> Machine::checkpoint_epoch() {
               "cloner");
     cp->reliable = reliable_cloner_(reliable_state_.get());
   }
-  // Emitted after capture so an observer's own snapshot (taken on the
-  // paired end annotation) corresponds to the captured machine state.
-  annotate_event("epoch.checkpoint");
+  // Notified after capture so an observer's own snapshot corresponds to
+  // the captured machine state.
+  notify(&MachineObserver::on_checkpoint);
   return cp;
 }
 
@@ -320,15 +313,15 @@ void Machine::rollback_epoch(const EpochCheckpoint& cp) {
     reliable_state_.reset();
   }
   ++epochs_rolled_back_;
-  // Emitted after the restore so observers resync against restored state.
-  annotate_event("epoch.rollback");
+  // Notified after the restore so observers resync against restored state.
+  notify(&MachineObserver::on_rollback);
 }
 
 void Machine::mark_epoch_boundary() {
   ++epoch_boundaries_;
   annotate_event("epoch.boundary");
   // Boundary = consistent cut = safe throw point.  The poll runs after the
-  // boundary's own (paired) annotation so a trip never leaves it half-open.
+  // boundary's own event, so observers see the boundary before a trip.
   poll_cancellation();
 }
 
@@ -336,7 +329,7 @@ void Machine::poll_cancellation_slow() {
   const double elapsed_us = modeled_total_us() - cancel_entry_us_;
   const StopCause cause = cancel_token_->tripped(elapsed_us);
   if (cause == StopCause::kNone) return;
-  // The paired trip event fires before the throw so observers see why the
+  // The trip event fires before the throw so observers see why the
   // operation is about to unwind; the token is removed so the rollback /
   // drain code the exception runs through cannot re-trip.
   annotate_event("cancel.trip");
@@ -351,10 +344,7 @@ std::optional<Message> Machine::receive(int rank, int src, int tag) {
   PUP_REQUIRE(rank >= 0 && rank < nprocs_, "bad rank " << rank);
   tick_delayed();
   auto m = mailboxes_[static_cast<std::size_t>(rank)].pop(src, tag);
-  if (m.has_value() && observer_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(observer_mu_);
-    observer_->on_receive(rank, *m);
-  }
+  if (m.has_value()) notify(&MachineObserver::on_receive, rank, *m);
   return m;
 }
 
@@ -385,10 +375,7 @@ double Machine::max_total_us() const {
 void Machine::reset_accounting() {
   PUP_CHECK(mailboxes_empty(),
             "reset_accounting with undelivered messages in flight");
-  if (observer_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(observer_mu_);
-    observer_->on_reset();
-  }
+  notify(&MachineObserver::on_reset);
   for (auto& t : times_) t.reset();
   trace_.reset();
   std::fill(modeled_us_.begin(), modeled_us_.end(), 0.0);

@@ -26,9 +26,10 @@
 //     construction (analysis/determinism.hpp).
 //
 // Collectives and the transport (post/receive/charge) always run on the
-// calling thread, outside any parallel region.  Observer callbacks are
-// serialized through an internal mutex, so an attached ProtocolValidator or
-// DigestRecorder needs no locking of its own under either policy.
+// calling thread, outside any parallel region.  Observers form one list,
+// notified in attach order, and every callback is serialized through an
+// internal mutex, so an attached ProtocolValidator or DigestRecorder needs
+// no locking of its own under either policy.
 //
 // The machine owns its data path directly: one deque Mailbox per
 // processor, matched by (src, tag) in per-destination arrival order, and
@@ -46,6 +47,7 @@
 
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -66,9 +68,12 @@
 #include "support/check.hpp"
 
 // Compatibility surface for perfbench/, which passes backend::Kind::kSim to
-// the five-argument Machine constructor: the simulator data path is the only
-// one, so the enum has one value and the constructor ignores it.  Both go in
-// the next change that may edit perfbench/.
+// the five-argument Machine constructor and attaches its span recorder
+// through the one-slot observer setter in Machine's instrumentation
+// section: the simulator data path is the only one, so the enum has one
+// value and the constructor ignores it, and the setter replaces the
+// observer list with one entry.  All three go in the next change that may
+// edit perfbench/.
 namespace pup::backend {
 enum class Kind { kSim };
 }  // namespace pup::backend
@@ -147,7 +152,7 @@ class Machine {
   /// local-phase body; tools/lint.py bans transport above coll/).  When a
   /// fault plan is installed (set_fault_plan), injection
   /// happens here: the message may be dropped, duplicated, delayed, or
-  /// truncated, with a paired fault.* annotation for every injected event.
+  /// truncated, with a fault.* point event for every injected fault.
   void post(Message m, Category cat);
 
   /// Receives the first queued message matching (src, tag) at `rank`.
@@ -190,20 +195,19 @@ class Machine {
 
   /// Captures the machine's modeled state (mailboxes, clocks, trace,
   /// delayed queue, reliable-transport channel state, modeled-charge
-  /// totals) into an immutable snapshot and emits a paired
-  /// "epoch.checkpoint" annotation.  The fault plan is deliberately NOT
-  /// captured (see sim/epoch.hpp).  O(state); free of modeled cost.
+  /// totals) into an immutable snapshot, then notifies on_checkpoint.  The
+  /// fault plan is deliberately NOT captured (see sim/epoch.hpp).
+  /// O(state); free of modeled cost.
   std::shared_ptr<const EpochCheckpoint> checkpoint_epoch();
 
-  /// Restores the machine to `cp` bit for bit and emits a paired
-  /// "epoch.rollback" annotation (after the restore, so observers resync
-  /// against the restored state).  A checkpoint survives any number of
-  /// rollbacks.
+  /// Restores the machine to `cp` bit for bit, then notifies on_rollback
+  /// (after the restore, so observers resync against the restored state).
+  /// A checkpoint survives any number of rollbacks.
   void rollback_epoch(const EpochCheckpoint& cp);
 
   /// Marks a PRS-round epoch boundary: a consistent cut where a rolled-
-  /// back re-execution may resynchronize.  Emits a paired "epoch.boundary"
-  /// annotation and counts it; no modeled cost, no state change.
+  /// back re-execution may resynchronize.  Emits an "epoch.boundary" point
+  /// event and counts it; no modeled cost, no state change.
   void mark_epoch_boundary();
 
   std::int64_t epochs_checkpointed() const { return epochs_checkpointed_; }
@@ -228,8 +232,8 @@ class Machine {
   /// tripped (no-op without a token).  Called from mark_epoch_boundary()
   /// and from the collectives' round loops as a *plain statement* -- never
   /// from an annotation/RAII destructor, where a throw would terminate.
-  /// An untripped poll makes no modeled charges and emits no annotations,
-  /// so armed runs stay bit-identical to unarmed ones.
+  /// An untripped poll makes no modeled charges and emits no events, so
+  /// armed runs stay bit-identical to unarmed ones.
   void poll_cancellation() {
     if (cancel_token_ == nullptr) return;
     poll_cancellation_slow();
@@ -270,14 +274,11 @@ class Machine {
 
   /// Charges modeled communication time to one processor.  Safe to call
   /// concurrently for *distinct* ranks (each rank's buckets are private);
-  /// observer forwarding is serialized.
+  /// observer notification is serialized.
   void charge(int rank, Category cat, double us) {
     times_[static_cast<std::size_t>(rank)][cat] += us;
     modeled_us_[static_cast<std::size_t>(rank)] += us;
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_charge(rank, cat, us);
-    }
+    notify(&MachineObserver::on_charge, rank, cat, us);
   }
 
   /// Modeled time for a message of `bytes` between two ranks under the
@@ -313,66 +314,62 @@ class Machine {
 
   // --- instrumentation --------------------------------------------------
 
-  /// Attaches an observer (non-owning; nullptr detaches).  Returns the
-  /// previously attached observer so instrumentation can nest and restore.
-  /// Must not be called while a local phase is running.
-  MachineObserver* set_observer(MachineObserver* obs) {
-    MachineObserver* prev = observer_;
-    observer_ = obs;
-    return prev;
+  /// Appends a non-owning observer to the notification list.  Observers
+  /// are notified in attach order: the oldest handles each event first, so
+  /// one that throws (a fail-fast validator) never hides an event from an
+  /// observer attached before it.  Must not be called while a local phase
+  /// is running.
+  void add_observer(MachineObserver* obs) { observers_.push_back(obs); }
+  /// Detaches `obs`; the others keep their order.  No-op when absent.
+  void remove_observer(MachineObserver* obs) { std::erase(observers_, obs); }
+  /// perfbench/ compatibility (see backend::Kind above): replaces the list
+  /// with {obs}, or empties it for nullptr.
+  void set_observer(MachineObserver* obs) {
+    observers_.clear();
+    if (obs != nullptr) observers_.push_back(obs);
   }
-  MachineObserver* observer() const { return observer_; }
 
-  /// Annotation entry points, forwarded to the observer when attached.
-  /// Library code emits these through the RAII scopes of
-  /// sim/instrumentation.hpp rather than calling them directly.  All
-  /// forwarding is serialized through one mutex, so observers see a
-  /// sequential event stream under either execution policy.
-  void annotate_collective_begin(const CollectiveInfo& info) {
-    if (faults_ != nullptr) annotation_stack_.emplace_back(info.name);
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_collective_begin(info);
+  /// Annotation entry points, forwarded to the observers.  Library code
+  /// brackets collectives, rounds and phases through the RAII scopes of
+  /// sim/instrumentation.hpp rather than calling the begin/end pairs
+  /// directly.  While a fault plan is installed the open collective and
+  /// phase names form the stack FaultRule phase scoping matches, and the
+  /// close of the outermost scope expires leftover delayed messages.
+  void annotate_collective_begin(const char* name,
+                                 std::initializer_list<int> tags,
+                                 RoundDiscipline discipline) {
+    if (faults_ != nullptr) annotation_stack_.emplace_back(name);
+    if (!observers_.empty()) {  // build the tag vector only for observers
+      notify(&MachineObserver::on_collective_begin,
+             CollectiveInfo{name, std::vector<int>(tags), discipline});
     }
   }
   void annotate_collective_end() {
     if (faults_ != nullptr && !annotation_stack_.empty()) {
       annotation_stack_.pop_back();
     }
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_collective_end();
-    }
+    notify(&MachineObserver::on_collective_end);
     maybe_expire_delayed();
   }
-  void annotate_round_begin() {
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_round_begin();
-    }
-  }
-  void annotate_round_end() {
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_round_end();
-    }
-  }
+  void annotate_round_begin() { notify(&MachineObserver::on_round_begin); }
+  void annotate_round_end() { notify(&MachineObserver::on_round_end); }
   void annotate_phase_begin(const char* name) {
     if (faults_ != nullptr) annotation_stack_.emplace_back(name);
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_phase_begin(name);
-    }
+    notify(&MachineObserver::on_phase_begin, name);
   }
   void annotate_phase_end(const char* name) {
     if (faults_ != nullptr && !annotation_stack_.empty()) {
       annotation_stack_.pop_back();
     }
-    if (observer_ != nullptr) {
-      const std::lock_guard<std::mutex> lock(observer_mu_);
-      observer_->on_phase_end(name);
-    }
+    notify(&MachineObserver::on_phase_end, name);
     maybe_expire_delayed();
+  }
+  /// A point event (fault.*, reliable.*, epoch.boundary, cancel.trip,
+  /// plan.*, service.*): one on_event call.  It opens no fault scope and
+  /// drains nothing, so it may be emitted anywhere, mid-round included.
+  /// `name` must outlive the call; string literals are the intended use.
+  void annotate_event(const char* name) {
+    notify(&MachineObserver::on_event, name);
   }
 
  private:
@@ -394,7 +391,7 @@ class Machine {
   void parallel_ranks(const std::function<void(int)>& fn);
 
   /// Slow path of poll_cancellation(): evaluates the token and throws
-  /// CancelError on a trip (after emitting a paired "cancel.trip" event).
+  /// CancelError on a trip (after emitting a "cancel.trip" event).
   void poll_cancellation_slow();
 
   /// Trace + observer + mailbox delivery for one message (the fault-free
@@ -413,23 +410,22 @@ class Machine {
   /// Discards delay-faulted messages still queued when the outermost
   /// annotation scope closes: a delayed message the operation never
   /// received must not leak into the next operation.  Each discarded
-  /// message is reported via MachineObserver::on_expire plus a paired
-  /// "fault.delay.expired" annotation.
+  /// message is reported as a "fault.delay.expired" event followed by
+  /// MachineObserver::on_expire.
   void maybe_expire_delayed() {
-    if (faults_ != nullptr && !in_event_annotation_ &&
-        annotation_stack_.empty() && !delayed_.empty()) {
+    if (faults_ != nullptr && annotation_stack_.empty() && !delayed_.empty()) {
       expire_delayed();
     }
   }
   void expire_delayed();
-  /// Emits a paired fault.*/epoch.* phase annotation.  The guard keeps the
-  /// event's own end annotation from re-triggering the end-of-scope
-  /// delayed-queue drain.
-  void annotate_event(const char* name) {
-    in_event_annotation_ = true;
-    annotate_phase_begin(name);
-    annotate_phase_end(name);
-    in_event_annotation_ = false;
+
+  /// Calls `hook` on every attached observer, in attach order, under the
+  /// observer mutex.  An empty list costs one check.
+  template <typename... Params, typename... Args>
+  void notify(void (MachineObserver::*hook)(Params...), Args&&... args) {
+    if (observers_.empty()) return;
+    const std::lock_guard<std::mutex> lock(observer_mu_);
+    for (MachineObserver* obs : observers_) (obs->*hook)(args...);
   }
 
   int nprocs_;
@@ -440,7 +436,7 @@ class Machine {
   std::unique_ptr<ThreadPool> pool_;  ///< created on the first threaded phase
   std::vector<TimeBreakdown> times_;
   Trace trace_;
-  MachineObserver* observer_ = nullptr;
+  std::vector<MachineObserver*> observers_;  ///< attach order
   std::mutex observer_mu_;
   bool in_parallel_phase_ = false;
   std::unique_ptr<FaultPlan> faults_;
@@ -448,7 +444,6 @@ class Machine {
   /// Open collective/phase annotation names, maintained only while a fault
   /// plan is installed (FaultRule phase scoping needs it).
   std::vector<std::string> annotation_stack_;
-  bool in_event_annotation_ = false;
   std::shared_ptr<void> reliable_state_;
   ReliableCloner reliable_cloner_;
   /// Modeled charges per rank (charge() only; no wall-clock), summed by

@@ -3,10 +3,18 @@
 // Split from sim/instrumentation.hpp (which provides the RAII annotation
 // scopes) so that Machine can depend on the observer type without a header
 // cycle.  Every hook has an empty default body: observers override only what
-// they need, and the machine forwards events only while an observer is
-// attached.
+// they need.  A machine holds a list of observers (Machine::add_observer)
+// and notifies them in attach order, so the oldest observer handles each
+// event first; with none attached it forwards nothing.
 //
-// Thread-safety contract: the Machine serializes all observer forwarding
+// Events come in three shapes: scoped annotations (collective, round and
+// phase begin/end pairs), point events (on_event: one call per injected
+// fault, reliable-transport action, cache lookup, service trip, ...), and
+// the typed epoch hooks (on_checkpoint / on_rollback), which fire after the
+// machine has captured or restored its state so an observer can snapshot
+// or restore its own.
+//
+// Thread-safety contract: the Machine serializes all observer notification
 // through one internal mutex, so hook implementations never run
 // concurrently with each other and need no locking of their own -- this
 // holds under both the sequential and the threaded execution policy
@@ -64,7 +72,18 @@ class MachineObserver {
   virtual void on_collective_end() {}
   virtual void on_phase_begin(const char* /*name*/) {}
   virtual void on_phase_end(const char* /*name*/) {}
+  /// A named point event with no extent (e.g. "fault.drop",
+  /// "reliable.nak", "plan.cache.hit", "service.deadline.miss").  Never a
+  /// phase boundary: it may arrive mid-round with messages in flight.
+  virtual void on_event(const char* /*name*/) {}
   virtual void on_reset() {}
+
+  // --- epochs (sim/epoch.hpp) -------------------------------------------
+  /// The machine captured an epoch checkpoint.
+  virtual void on_checkpoint() {}
+  /// The machine restored an epoch checkpoint; observer state kept outside
+  /// the machine should return to what it was at the last on_checkpoint.
+  virtual void on_rollback() {}
 };
 
 }  // namespace pup::sim

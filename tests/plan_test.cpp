@@ -24,6 +24,7 @@
 #include "plan/executor.hpp"
 #include "plan/plan_cache.hpp"
 #include "sim/fault.hpp"
+#include "sim/instrumentation.hpp"
 #include "test_support.hpp"
 
 namespace pup {
@@ -157,22 +158,32 @@ TEST(PlanCache, HitSkipsRecompilationAndIsCounted) {
 }
 
 TEST(PlanCache, CacheEventsReachMachineObserver) {
-  // The hit/miss/compile annotations flow through the MachineObserver
-  // phase hooks; the validator's phase counter must see all of them.
+  // The hit/miss lookups are point events (on_event); only the compile on
+  // a miss is a phase, so the validator's phase counter sees plan.compile
+  // alone while an event recorder beside it sees every lookup.
   const int P = 4;
   auto machine = make_machine(P);
   auto d = dist::Distribution::block_cyclic(dist::Shape({256}),
                                             dist::ProcessGrid({P}), 8);
   plan::PlanCache cache(4);
+  struct EventLog final : sim::MachineObserver {
+    std::vector<std::string> names;
+    void on_event(const char* name) override { names.emplace_back(name); }
+  };
+  EventLog log;
+  machine.add_observer(&log);
   analysis::ProtocolValidator validator(machine);
   const std::int64_t before = validator.stats().phases;
   (void)cache.pack_plan(machine, d, sizeof(std::int64_t));  // miss + compile
   const std::int64_t after_miss = validator.stats().phases;
-  EXPECT_EQ(after_miss, before + 2);  // plan.cache.miss + plan.compile
+  EXPECT_EQ(after_miss, before + 1);  // plan.compile
   (void)cache.pack_plan(machine, d, sizeof(std::int64_t));  // hit
-  EXPECT_EQ(validator.stats().phases, after_miss + 1);  // plan.cache.hit
+  EXPECT_EQ(validator.stats().phases, after_miss);
+  EXPECT_EQ(log.names, (std::vector<std::string>{"plan.cache.miss",
+                                                  "plan.cache.hit"}));
   validator.finish();
   EXPECT_TRUE(validator.ok()) << validator.report();
+  machine.remove_observer(&log);
 }
 
 TEST(PlanCache, EvictsLeastRecentlyUsedUnderSmallCapacity) {
@@ -329,7 +340,7 @@ TEST(PlanCache, InvalidateMatchesEveryDistributionInTheKey) {
 
 TEST(PlanCache, InvalidateAndClearAnnotateTheObserver) {
   // Regression: invalidate()/clear() used to drop entries silently; every
-  // dropped plan must surface as one paired plan.cache.invalidate phase.
+  // dropped plan must surface as one plan.cache.invalidate event.
   const int P = 4;
   auto machine = make_machine(P);
   auto mask_d = dist::Distribution::block_cyclic(dist::Shape({256}),
@@ -339,31 +350,66 @@ TEST(PlanCache, InvalidateAndClearAnnotateTheObserver) {
   (void)cache.unpack_plan(machine, mask_d, vec_d, sizeof(double));
   (void)cache.pack_plan(machine, mask_d, sizeof(double));
 
-  struct PhaseCounter final : sim::MachineObserver {
-    std::int64_t invalidate_begins = 0;
-    std::int64_t invalidate_ends = 0;
-    void on_phase_begin(const char* name) override {
-      if (std::string(name) == "plan.cache.invalidate") ++invalidate_begins;
-    }
-    void on_phase_end(const char* name) override {
-      if (std::string(name) == "plan.cache.invalidate") ++invalidate_ends;
+  struct EventCounter final : sim::MachineObserver {
+    std::int64_t invalidates = 0;
+    void on_event(const char* name) override {
+      if (std::string(name) == "plan.cache.invalidate") ++invalidates;
     }
   };
-  PhaseCounter counter;
-  auto* prev = machine.set_observer(&counter);
+  EventCounter counter;
+  machine.add_observer(&counter);
 
   EXPECT_EQ(cache.invalidate(machine, vec_d), 1u);  // the unpack plan
-  EXPECT_EQ(counter.invalidate_begins, 1);
-  EXPECT_EQ(counter.invalidate_ends, 1);
+  EXPECT_EQ(counter.invalidates, 1);
 
   EXPECT_EQ(cache.size(), 1u);
-  cache.clear(machine);  // the remaining pack plan, same annotation
-  EXPECT_EQ(counter.invalidate_begins, 2);
-  EXPECT_EQ(counter.invalidate_ends, 2);
+  cache.clear(machine);  // the remaining pack plan, same event
+  EXPECT_EQ(counter.invalidates, 2);
   EXPECT_EQ(cache.stats().invalidations, 2);
   EXPECT_EQ(cache.size(), 0u);
 
-  machine.set_observer(prev);
+  machine.remove_observer(&counter);
+}
+
+TEST(PlanCompile, PhaseClosesWhenCompileThrows) {
+  // Regression: compile_pack_plan / compile_unpack_plan opened
+  // "plan.compile" with a raw begin/end pair, so a ContractError from the
+  // ranking schedule (here: a grid of 8 on a 4-processor machine) left the
+  // phase open.  Observers saw an unmatched begin, and the stale fault
+  // scope made phase=plan rules match every later post.
+  const int P = 4;
+  sim::Machine machine(P, test::test_options());
+  machine.set_fault_plan(sim::FaultPlan::parse("seed=1 drop=1.0 phase=plan"));
+  struct PhaseCounter final : sim::MachineObserver {
+    std::int64_t begins = 0;
+    std::int64_t ends = 0;
+    void on_phase_begin(const char* name) override {
+      if (std::string(name) == "plan.compile") ++begins;
+    }
+    void on_phase_end(const char* name) override {
+      if (std::string(name) == "plan.compile") ++ends;
+    }
+  };
+  PhaseCounter counter;
+  machine.add_observer(&counter);
+
+  const auto wrong = dist::Distribution::block1d(256, 2 * P);
+  EXPECT_THROW((void)plan::compile_pack_plan(machine, wrong, 8), ContractError);
+  EXPECT_THROW((void)plan::compile_unpack_plan(
+                   machine, wrong, dist::Distribution::block1d(128, P), 8),
+               ContractError);
+  EXPECT_EQ(counter.begins, 2);
+  EXPECT_EQ(counter.ends, 2);
+
+  // No "plan" scope is left open, so the phase=plan rule stays idle.
+  {
+    sim::CollectiveScope scope(machine, "probe", {7},
+                               sim::RoundDiscipline::kUnordered);
+    machine.post(sim::Message{0, 1, 7, {}}, sim::Category::kM2M);
+    EXPECT_TRUE(machine.receive(1, 0, 7).has_value());
+  }
+  EXPECT_EQ(machine.fault_plan()->stats().drops, 0);
+  machine.remove_observer(&counter);
 }
 
 TEST(PlanCache, RejectsAutoScheme) {
@@ -387,9 +433,9 @@ TEST(PlanCache, ConcurrentInvalidateAndClearStaySerialized) {
   // with no synchronization, so a maintenance thread invalidating plans
   // after a redistribution could race another thread's lookup bookkeeping
   // and corrupt the cache.  All public operations now serialize on one
-  // internal mutex, and annotations ride the machine's serialized-observer
-  // discipline -- the observer must see exactly one paired annotation per
-  // dropped plan, never interleaved halves.  (TSan covers the memory-order
+  // internal mutex, and events ride the machine's serialized-observer
+  // discipline -- the observer must see exactly one event per dropped
+  // plan.  (TSan covers the memory-order
   // side when the suite runs under the sanitizer jobs.)
   const int P = 4;
   // Annotation scoping is fault-plan-only state and main-thread-only;
@@ -403,18 +449,14 @@ TEST(PlanCache, ConcurrentInvalidateAndClearStaySerialized) {
         dist::Shape({n}), dist::ProcessGrid({P}), i + 1));
   }
 
-  struct PhaseCounter final : sim::MachineObserver {
-    std::int64_t begins = 0;
-    std::int64_t ends = 0;
-    void on_phase_begin(const char* name) override {
-      if (std::string(name) == "plan.cache.invalidate") ++begins;
-    }
-    void on_phase_end(const char* name) override {
-      if (std::string(name) == "plan.cache.invalidate") ++ends;
+  struct EventCounter final : sim::MachineObserver {
+    std::int64_t invalidates = 0;
+    void on_event(const char* name) override {
+      if (std::string(name) == "plan.cache.invalidate") ++invalidates;
     }
   };
-  PhaseCounter counter;
-  auto* prev = machine.set_observer(&counter);
+  EventCounter counter;
+  machine.add_observer(&counter);
 
   // Compiles drive the machine's collectives and stay on this thread; the
   // threads below only exercise the metadata surface.
@@ -444,8 +486,7 @@ TEST(PlanCache, ConcurrentInvalidateAndClearStaySerialized) {
   EXPECT_EQ(dropped.load(), static_cast<std::size_t>(kDists));
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().invalidations, kDists);
-  EXPECT_EQ(counter.begins, kDists);
-  EXPECT_EQ(counter.ends, kDists);
+  EXPECT_EQ(counter.invalidates, kDists);
 
   // Racing clears: exactly one drops the repopulated entries, the rest see
   // an empty cache; the counters never double-count.
@@ -460,10 +501,9 @@ TEST(PlanCache, ConcurrentInvalidateAndClearStaySerialized) {
   for (auto& th : clearers) th.join();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().invalidations, 2 * kDists);
-  EXPECT_EQ(counter.begins, 2 * kDists);
-  EXPECT_EQ(counter.ends, 2 * kDists);
+  EXPECT_EQ(counter.invalidates, 2 * kDists);
 
-  machine.set_observer(prev);
+  machine.remove_observer(&counter);
 }
 
 TEST(PackBatch, MatchesIndependentCallsAndHalvesPrsStartups) {

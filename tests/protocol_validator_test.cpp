@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "analysis/protocol_validator.hpp"
@@ -352,19 +353,86 @@ TEST(ProtocolValidator, FailFastThrowsContractError) {
   (void)machine.receive(1, 0, 5);
 }
 
-TEST(ProtocolValidator, DetachRestoresPreviousObserver) {
-  auto machine = make_machine(2);
-  EXPECT_EQ(machine.observer(), nullptr);
-  {
-    ProtocolValidator outer(machine);
-    EXPECT_EQ(machine.observer(), &outer);
-    {
-      ProtocolValidator inner(machine);
-      EXPECT_EQ(machine.observer(), &inner);
+TEST(ProtocolValidator, LeakageAcrossPointEventReportedAtNextBoundary) {
+  // Point events are not phase boundaries, so a message in flight across
+  // one is fine at the event itself -- and still caught at the next phase
+  // or collective begin.
+  for (const bool next_is_phase : {true, false}) {
+    // Pinned fault-free: the checks below count exact deliveries.
+    sim::Machine machine(4, test::test_options());
+    ValidatorOptions opts;
+    opts.require_collective_scope = false;
+    ProtocolValidator validator(machine, opts);
+
+    machine.post(sim::Message{0, 1, 5, payload_of(1)}, sim::Category::kM2M);
+    machine.annotate_event("plan.cache.hit");
+    EXPECT_TRUE(validator.ok()) << validator.report();
+    if (next_is_phase) {
+      machine.local_phase([](int) {});
+      (void)machine.receive_required(1, 0, 5);
+    } else {
+      sim::CollectiveScope scope(machine, "probe", {5},
+                                 sim::RoundDiscipline::kUnordered);
+      (void)machine.receive_required(1, 0, 5);
     }
-    EXPECT_EQ(machine.observer(), &outer);
+
+    validator.finish();
+    EXPECT_TRUE(has_rule(validator, "cross-phase-leakage"))
+        << validator.report();
   }
-  EXPECT_EQ(machine.observer(), nullptr);
+}
+
+TEST(ProtocolValidator, ObserversFanOutInAttachOrder) {
+  // Pinned fault-free: the checks below count exact posts.
+  sim::Machine machine(2, test::test_options());
+  struct Recorder final : sim::MachineObserver {
+    Recorder(std::vector<std::string>& log, std::string tag)
+        : log(log), tag(std::move(tag)) {}
+    void on_post(const sim::Message& /*m*/, sim::Category /*cat*/) override {
+      log.push_back(tag + ":post");
+    }
+    void on_phase_begin(const char* name) override {
+      log.push_back(tag + ":" + name);
+    }
+    void on_event(const char* name) override {
+      log.push_back(tag + ":" + name);
+    }
+    std::vector<std::string>& log;
+    std::string tag;
+  };
+  using Log = std::vector<std::string>;
+  Log log;
+  Recorder first(log, "first");
+  Recorder second(log, "second");
+  machine.add_observer(&first);
+  machine.add_observer(&second);
+  ValidatorOptions opts;
+  opts.fail_fast = true;
+  ProtocolValidator validator(machine, opts);
+
+  // Every event reaches every observer once, oldest first.
+  machine.annotate_event("plan.cache.hit");
+  { sim::PhaseScope phase(machine, "unpack.place"); }
+  EXPECT_EQ(log, (Log{"first:plan.cache.hit", "second:plan.cache.hit",
+                      "first:unpack.place", "second:unpack.place"}));
+  EXPECT_EQ(validator.stats().phases, 1);
+
+  // Removing the middle observer leaves the other two attached.
+  machine.remove_observer(&second);
+  log.clear();
+  { sim::PhaseScope phase(machine, "unpack.place"); }
+  EXPECT_EQ(log, Log{"first:unpack.place"});
+  EXPECT_EQ(validator.stats().phases, 2);
+
+  // The validator, attached last, throws on an unscoped post; the observer
+  // attached before it has already seen that post.
+  log.clear();
+  EXPECT_THROW(machine.post(sim::Message{0, 1, 5, payload_of(1)},
+                            sim::Category::kM2M),
+               ContractError);
+  EXPECT_EQ(log, Log{"first:post"});
+  EXPECT_EQ(validator.stats().posts, 1);
+  machine.remove_observer(&first);
 }
 
 }  // namespace

@@ -185,25 +185,20 @@ TEST(EpochCheckpoint, BoundariesAnnotateEveryPrsRound) {
   PackWorkload wl = make_workload(1024, P, 16, 0.5, 0x5eed);
 
   struct BoundaryCounter final : sim::MachineObserver {
-    std::int64_t begins = 0;
-    std::int64_t ends = 0;
-    void on_phase_begin(const char* name) override {
-      if (std::string(name) == "epoch.boundary") ++begins;
-    }
-    void on_phase_end(const char* name) override {
-      if (std::string(name) == "epoch.boundary") ++ends;
+    std::int64_t events = 0;
+    void on_event(const char* name) override {
+      if (std::string(name) == "epoch.boundary") ++events;
     }
   };
   BoundaryCounter counter;
-  auto* prev = m.set_observer(&counter);
+  m.add_observer(&counter);
   PackOptions opt;
   opt.scheme = PackScheme::kCompactMessage;
   (void)pack(m, wl.array, wl.mask, opt);
-  m.set_observer(prev);
+  m.remove_observer(&counter);
 
-  EXPECT_GT(counter.begins, 0);           // every PRS round marks a cut
-  EXPECT_EQ(counter.begins, counter.ends);  // paired
-  EXPECT_EQ(m.epoch_boundaries(), counter.begins);
+  EXPECT_GT(counter.events, 0);  // every PRS round marks a cut
+  EXPECT_EQ(m.epoch_boundaries(), counter.events);
 }
 
 // --- recovery end to end ----------------------------------------------
@@ -544,18 +539,18 @@ TEST(DelayedQueue, UnreceivedDelayExpiresAtOutermostScopeEnd) {
     std::int64_t expired = 0;
     std::int64_t annotations = 0;
     void on_expire(const sim::Message&) override { ++expired; }
-    void on_phase_begin(const char* name) override {
+    void on_event(const char* name) override {
       if (std::string(name) == "fault.delay.expired") ++annotations;
     }
   };
   ExpiryWatcher watcher;
-  auto* prev = m.set_observer(&watcher);
+  m.add_observer(&watcher);
   {
     sim::PhaseScope scope(m, "op");
     m.post(make_message(0, 1, 7, 4), sim::Category::kM2M);
     EXPECT_EQ(m.delayed_pending(), 1u);
   }  // outermost scope closed: the leftover delay must not leak onward
-  m.set_observer(prev);
+  m.remove_observer(&watcher);
 
   EXPECT_EQ(m.delayed_pending(), 0u);
   EXPECT_TRUE(m.mailboxes_empty());

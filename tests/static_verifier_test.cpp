@@ -239,9 +239,9 @@ TEST(StaticVerifier, PackTraceMatchesExpansion) {
               st::expand_pack_plan(plan, machine.cost());
 
           st::ScheduleRecorder recorder;
-          sim::MachineObserver* prev = machine.set_observer(&recorder);
+          machine.add_observer(&recorder);
           (void)plan::pack_with_plan(machine, plan, array, mask);
-          machine.set_observer(prev);
+          machine.remove_observer(&recorder);
 
           const st::TraceCheckResult check =
               st::check_trace(recorder, expanded.schedule);
@@ -279,9 +279,9 @@ TEST(StaticVerifier, BatchedPackTraceMatchesExpansion) {
         st::expand_pack_plan(plan, machine.cost(), B);
 
     st::ScheduleRecorder recorder;
-    sim::MachineObserver* prev = machine.set_observer(&recorder);
+    machine.add_observer(&recorder);
     (void)plan::pack_batch<double>(machine, plan, masks, arrays);
-    machine.set_observer(prev);
+    machine.remove_observer(&recorder);
 
     const st::TraceCheckResult check =
         st::check_trace(recorder, expanded.schedule);
@@ -318,9 +318,9 @@ TEST(StaticVerifier, UnpackTraceMatchesExpansion) {
               st::expand_unpack_plan(plan, machine.cost());
 
           st::ScheduleRecorder recorder;
-          sim::MachineObserver* prev = machine.set_observer(&recorder);
+          machine.add_observer(&recorder);
           (void)plan::unpack_with_plan(machine, plan, v, mask, field);
-          machine.set_observer(prev);
+          machine.remove_observer(&recorder);
 
           const st::TraceCheckResult check =
               st::check_trace(recorder, expanded.schedule);

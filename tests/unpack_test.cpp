@@ -299,7 +299,7 @@ WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
   sim::Machine machine(
       p, {.cost = sim::CostModel{10.0, 0.1, 0.01}, .exec = policy});
   M2mPayloadDigest wire;
-  machine.set_observer(&wire);
+  machine.add_observer(&wire);
 
   const auto d = dist::Distribution(dist::Shape(layout.extents),
                                     dist::ProcessGrid(layout.procs),
@@ -324,7 +324,7 @@ WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
   UnpackOptions opt;
   opt.scheme = scheme;
   const auto result = unpack(machine, v, m, f, opt).result.gather();
-  machine.set_observer(nullptr);
+  machine.remove_observer(&wire);
   EXPECT_EQ(result, serial_unpack<std::int32_t>(vhost, gm, fhost));
   EXPECT_TRUE(machine.mailboxes_empty());
 

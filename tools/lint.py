@@ -42,15 +42,17 @@ contract decision the compiler cannot see):
    (mark_epoch_boundary, a pure annotation, stays callable from anywhere).
 
 6. paired-annotation: phase annotations in src/core, src/coll, src/plan,
-   and src/service must be scope-balanced and use registered phase names.  The
+   and src/service must be scope-balanced and use registered names.  The
    static verifier's trace cross-check aligns executions with compiled
    schedules by these annotations, so an unbalanced or unregistered phase
    breaks the alignment invisibly.  Concretely: (a) a PhaseScope must be a
    named local (a temporary closes its phase on the same statement);
    (b) raw annotate_phase_begin/annotate_phase_end calls must balance in
-   LIFO order with matching arguments within each file; (c) every phase
-   name literal must appear in REGISTERED_PHASES below -- register new
-   phases here when introducing them.
+   LIFO order with matching arguments within each file (library code
+   outside src/sim/ uses PhaseScope, so there should be none); (c) every
+   phase name literal, and every string literal passed to the point-event
+   entry Machine::annotate_event, must appear in REGISTERED_PHASES below --
+   register new phases and events here when introducing them.
 
 7. service-layering: src/service/ is the topmost layer -- it may include
    service/, plan/, core/, dist/, coll/, sim/, and support/ headers (it
@@ -60,9 +62,9 @@ contract decision the compiler cannot see):
 
 8. service-event-registry: every string literal in src/ naming a
    service.* or plan.cancel* observer event must be registered in
-   REGISTERED_PHASES, even when the name reaches annotate_phase_begin
-   through a variable (the deadline/cancel/watchdog trip events are
-   selected by a ternary, which rule 6's literal check cannot see).
+   REGISTERED_PHASES, even when the name reaches annotate_event through a
+   variable (the cache hit/miss and deadline/cancel/watchdog trip events
+   are selected by a ternary, which rule 6's literal check cannot see).
 
 9. kernels-layering: src/core/kernels/ is the bottommost compute layer --
    it may include only support/ and its own headers, never sim/, dist/,
@@ -79,12 +81,15 @@ contract decision the compiler cannot see):
    Server::Options, kernels::set_path).
 
 Exit status 0 when clean; 1 with one "file:line: rule: message" per finding.
+`lint.py --selftest` seeds one violation per rule-6 defect class into a
+temporary tree and checks each is reported.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 WAIVER = "lint: allow-no-preconditions"
@@ -327,6 +332,8 @@ REGISTERED_PHASES = {
     "plan.cache.invalidate",
     "plan.verify",
     "plan.cancel.rollback",
+    "reliable.corrupt", "reliable.dedup", "reliable.drain",
+    "reliable.heartbeat", "reliable.nak", "reliable.retransmit",
     "service.execute",
     "service.cache.hit", "service.cache.miss",
     "service.brownout.enter", "service.brownout.exit",
@@ -340,6 +347,7 @@ PHASE_SCOPE_NAMED_RE = re.compile(
 PHASE_SCOPE_TEMP_RE = re.compile(r"PhaseScope\s*[({]")
 PHASE_BEGIN_RE = re.compile(r"annotate_phase_begin\s*\(\s*([^)]*?)\s*\)")
 PHASE_END_RE = re.compile(r"annotate_phase_end\s*\(\s*([^)]*?)\s*\)")
+EVENT_LITERAL_RE = re.compile(r'annotate_event\s*\(\s*"([^"]*)"\s*\)')
 
 
 def check_paired_annotations(root: Path) -> list[str]:
@@ -368,6 +376,13 @@ def check_paired_annotations(root: Path) -> list[str]:
                         f"PhaseScope closes its phase on the same "
                         f"statement; bind it to a named local"
                     )
+                for m in EVENT_LITERAL_RE.finditer(code):
+                    if m.group(1) not in REGISTERED_PHASES:
+                        findings.append(
+                            f"{rel}:{lineno}: paired-annotation: event "
+                            f"\"{m.group(1)}\" is not registered; add it "
+                            f"to REGISTERED_PHASES in tools/lint.py"
+                        )
                 for m in PHASE_BEGIN_RE.finditer(code):
                     arg = m.group(1).strip()
                     lit = re.fullmatch(r'"([^"]*)"', arg)
@@ -409,7 +424,7 @@ def check_paired_annotations(root: Path) -> list[str]:
 # ternary in server.cpp), which rule 6's literal-only check cannot see.
 # This sweep closes the gap from the other side: every string literal in
 # src/ that names a service.* or plan.cancel* phase must be registered in
-# REGISTERED_PHASES, no matter how it reaches annotate_phase_begin.
+# REGISTERED_PHASES, no matter how it reaches annotate_event.
 SERVICE_EVENT_LITERAL_RE = re.compile(
     r'"((?:service|plan\.cancel)(?:\.[a-z_]+)+)"')
 
@@ -504,7 +519,47 @@ def check_api_preconditions(root: Path) -> list[str]:
     return findings
 
 
+def selftest() -> int:
+    """Seeds one violation per rule-6 defect class into a temporary tree
+    and checks each is reported exactly once, and a clean file not at all
+    (mutation testing for the checker itself)."""
+    cases = [
+        ("event.cpp",
+         'void f(sim::Machine& m) { m.annotate_event("core.bogus"); }',
+         'event "core.bogus" is not registered'),
+        ("raw.cpp",
+         'void f(sim::Machine& m) { m.annotate_phase_begin("pack.compose"); }',
+         'annotate_phase_begin("pack.compose") is never closed'),
+        ("temp.cpp",
+         'void f(sim::Machine& m) { sim::PhaseScope(m, "pack.compose"); }',
+         "temporary PhaseScope"),
+        ("clean.cpp",
+         'void f(sim::Machine& m) {\n'
+         '  sim::PhaseScope phase(m, "pack.compose");\n'
+         '  m.annotate_event("reliable.nak");\n}',
+         None),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for d in PHASE_DIRS:
+            (Path(tmp) / d).mkdir(parents=True)
+        for name, code, _ in cases:
+            (Path(tmp) / "src" / "core" / name).write_text(code + "\n")
+        findings = check_paired_annotations(Path(tmp))
+    bad = 0
+    for name, _, want in cases:
+        got = [f for f in findings if f.startswith(f"src/core/{name}:")]
+        ok = (len(got) == 1 and want in got[0]) if want else not got
+        if not ok:
+            bad += 1
+            print(f"selftest MISMATCH: {name}: want {want!r}, got {got}")
+    print(f"lint selftest: {'FAILED' if bad else 'passed'} -- "
+          f"{len(cases)} case(s), {bad} mismatch(es)")
+    return 1 if bad else 0
+
+
 def main(argv: list[str]) -> int:
+    if argv[1:] == ["--selftest"]:
+        return selftest()
     root = Path(argv[1]).resolve() if len(argv) > 1 else Path(
         __file__).resolve().parent.parent
     findings = []
