@@ -1,8 +1,8 @@
 // google-benchmark microbenches of the hot local kernels: initial mask
-// scan (counting and W_0 = 1 widening), segmented prefix sum fused with
-// the PS_i fold, the PRS payload fold, CMS run encode/decode,
-// message composition per scheme, and the serial reference, on a single
-// virtual processor's data sizes.
+// scan (counting and W_0 = 1 widening), the ranking's segment totals and
+// final-step fold, the PRS payload fold, CMS run encode/decode, UNPACK's
+// merged placement, message composition per scheme, and the serial
+// reference, on a single virtual processor's data sizes.
 //
 // Kernel benches take a trailing `path` argument (0 = forced scalar
 // reference, 1 = the active vector path) so one JSON run carries both
@@ -57,20 +57,36 @@ BENCHMARK(BM_MaskScan)
     ->Args({1 << 16, 0})
     ->Args({1 << 16, 1});
 
-// Ranking substeps 2.2-2.4 fused: segmented exclusive prefix over RS_i
-// folded into PS_i in one pass.  16384 entries with 128-entry segments is
-// one step-0 base-rank array of the 512 x 512 cyclic CSS unpack.
-void BM_SegmentedPrefixFold(benchmark::State& state) {
+// The ranking's per-level passes on one step-0 base-rank array of the
+// 512 x 512 cyclic CSS unpack (16384 entries, 128-entry segments): the
+// intermediate step's segment totals, and the final step's fold of the
+// segmented exclusive prefix plus the per-segment addend into PS_i.
+void BM_SegmentSums(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  // All zeros: the pass runs in place, so any other input would grow
-  // without bound across iterations (signed overflow on the scalar path),
-  // and the cost of an integer prefix does not depend on the values.
-  std::vector<std::int64_t> rs(n, 0);
-  std::vector<std::int64_t> ps(n, 0);
+  std::vector<std::int64_t> rs(n, 1);
+  std::vector<std::int64_t> sums(n / 128);
   PathGuard guard(state.range(1));
   for (auto _ : state) {
-    kernels::segmented_prefix_fold(rs.data(), ps.data(), n, 128);
-    benchmark::DoNotOptimize(rs.data());
+    kernels::segment_sums(rs.data(), n, 128, sums.data());
+    benchmark::DoNotOptimize(sums.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetLabel(kernels::path_name(kernels::active_path()));
+}
+BENCHMARK(BM_SegmentSums)->Args({1 << 14, 0})->Args({1 << 14, 1});
+
+void BM_SegmentedPrefixFold(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  // All zeros: ps accumulates across iterations, so any other input would
+  // grow without bound (signed overflow on the scalar path), and the cost
+  // of an integer prefix does not depend on the values.
+  std::vector<std::int64_t> rs(n, 0);
+  std::vector<std::int64_t> ps(n, 0);
+  std::vector<std::int64_t> add(n / 128, 0);
+  PathGuard guard(state.range(1));
+  for (auto _ : state) {
+    kernels::segmented_prefix_fold(rs.data(), ps.data(), n, 128, add.data());
     benchmark::DoNotOptimize(ps.data());
     benchmark::ClobberMemory();
   }
@@ -79,25 +95,50 @@ void BM_SegmentedPrefixFold(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentedPrefixFold)->Args({1 << 14, 0})->Args({1 << 14, 1});
 
-// W_0 = 1 initial scan: PS_0 and the slice counts in one widening pass.
+// W_0 = 1 initial scan: PS_0 in one widening pass.
 void BM_MaskWiden(benchmark::State& state) {
   const auto n = static_cast<dist::index_t>(state.range(0));
   auto mask = random_mask(n, 0.5, 1);
   std::vector<std::int64_t> ps(static_cast<std::size_t>(n));
-  std::vector<std::int32_t> counts(static_cast<std::size_t>(n));
   PathGuard guard(state.range(1));
   for (auto _ : state) {
-    const std::int64_t k = kernels::mask_widen(
-        mask.data(), mask.size(), ps.data(), counts.data());
+    const std::int64_t k =
+        kernels::mask_widen(mask.data(), mask.size(), ps.data());
     benchmark::DoNotOptimize(k);
     benchmark::DoNotOptimize(ps.data());
-    benchmark::DoNotOptimize(counts.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
 BENCHMARK(BM_MaskWiden)->Args({1 << 14, 0})->Args({1 << 14, 1});
+
+// UNPACK's CSS placement: one rank's 16384 int64 slots of the 512 x 512
+// cyclic unpack, each written once from the value stream or the field.
+void BM_MaskMerge(benchmark::State& state) {
+  const auto n = static_cast<dist::index_t>(state.range(0));
+  const double density = static_cast<double>(state.range(2)) / 100.0;
+  auto mask = random_mask(n, density, 6);
+  std::vector<std::int64_t> src(static_cast<std::size_t>(count_true(mask)), 5);
+  std::vector<std::int64_t> field(static_cast<std::size_t>(n), 7);
+  std::vector<std::int64_t> out(static_cast<std::size_t>(n));
+  PathGuard guard(state.range(1));
+  for (auto _ : state) {
+    const std::size_t k = kernels::mask_merge<std::int64_t>(
+        mask.data(), src.data(), field.data(), static_cast<std::size_t>(n),
+        out.data());
+    benchmark::DoNotOptimize(k);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+  state.SetLabel(kernels::path_name(kernels::active_path()));
+}
+BENCHMARK(BM_MaskMerge)
+    ->Args({1 << 14, 0, 50})
+    ->Args({1 << 14, 1, 50})
+    ->Args({1 << 14, 0, 10})
+    ->Args({1 << 14, 1, 10});
 
 // A PRS round's fold of a received payload into the total (and, with the
 // third argument 1, into the prefix too), read in place from a byte
@@ -339,11 +380,53 @@ void verify_kernel_parity() {
       const std::size_t ref_k = kernels::mask_gather<std::int64_t>(
           mask.data(), values.data(), n, ref_out.data());
       std::vector<std::int64_t> ref_ps(n);
-      std::vector<std::int32_t> ref_counts(n);
-      kernels::mask_widen(mask.data(), n, ref_ps.data(), ref_counts.data());
-      std::vector<std::int64_t> ref_rs = values;
+      kernels::mask_widen(mask.data(), n, ref_ps.data());
+      // Segments of 5, the last one partial unless 5 divides n.
+      const std::size_t segs = (n + 4) / 5;
+      std::vector<std::int64_t> ref_sums(segs);
+      kernels::segment_sums(values.data(), n, 5, ref_sums.data());
+      const std::vector<std::int64_t> addends(ref_sums.rbegin(),
+                                              ref_sums.rend());
       std::vector<std::int64_t> ref_fold = values;
-      kernels::segmented_prefix_fold(ref_rs.data(), ref_fold.data(), n, 5);
+      kernels::segmented_prefix_fold(values.data(), ref_fold.data(), n, 5,
+                                     addends.data());
+      // The reference against the definitions: the totals cover every
+      // value once, and a segment's first slot gains only its addend.
+      if (std::accumulate(ref_sums.begin(), ref_sums.end(), std::int64_t{0}) !=
+          std::accumulate(values.begin(), values.end(), std::int64_t{0})) {
+        die("scalar segment_sums is wrong");
+      }
+      for (std::size_t e = 0; e < n; e += 5) {
+        if (ref_fold[e] != values[e] + addends[e / 5]) {
+          die("scalar segmented_prefix_fold is wrong");
+        }
+      }
+      // The stream holds exactly the selected count, so an over-read is an
+      // ASan finding.
+      const std::vector<std::int64_t> stream(values.begin(),
+                                             values.begin() +
+                                                 static_cast<long>(ref_k));
+      const std::vector<std::int64_t> field(n, -4);
+      std::vector<std::int64_t> ref_merged(n, -1);
+      std::vector<std::int64_t> regathered(n);
+      if (kernels::mask_merge<std::int64_t>(mask.data(), stream.data(),
+                                            field.data(), n,
+                                            ref_merged.data()) != ref_k ||
+          kernels::mask_gather<std::int64_t>(mask.data(), ref_merged.data(), n,
+                                             regathered.data()) != ref_k ||
+          !std::equal(stream.begin(), stream.end(), regathered.begin())) {
+        die("scalar mask_merge does not invert mask_gather");
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (mask[i] == 0 && ref_merged[i] != -4) {
+          die("scalar mask_merge lost a field slot");
+        }
+      }
+      // The request-run scan: the first value outside [7, 7 + n / 2).
+      const auto half = static_cast<std::int64_t>(n / 2);
+      const std::size_t ref_run =
+          kernels::prefix_in_range(values.data(), n, 7, 7 + half);
+      if (ref_run != n / 2) die("scalar prefix_in_range is wrong");
       std::vector<std::int64_t> ref_a = values;
       std::vector<std::int64_t> ref_b(n, 3);
       kernels::add_from_bytes(ref_a.data(), ref_b.data(),
@@ -354,17 +437,27 @@ void verify_kernel_parity() {
           die("mask_count mismatch");
         }
         std::vector<std::int64_t> ps(n, -1);
-        std::vector<std::int32_t> counts(n, -1);
-        if (kernels::mask_widen(mask.data(), n, ps.data(), counts.data()) !=
-                ref_count ||
-            ps != ref_ps || counts != ref_counts) {
+        if (kernels::mask_widen(mask.data(), n, ps.data()) != ref_count ||
+            ps != ref_ps) {
           die("mask_widen mismatch");
         }
-        std::vector<std::int64_t> rs = values;
+        std::vector<std::int64_t> sums(segs, -1);
+        kernels::segment_sums(values.data(), n, 5, sums.data());
+        if (sums != ref_sums) die("segment_sums mismatch");
         std::vector<std::int64_t> fold = values;
-        kernels::segmented_prefix_fold(rs.data(), fold.data(), n, 5);
-        if (rs != ref_rs || fold != ref_fold) {
-          die("segmented_prefix_fold mismatch");
+        kernels::segmented_prefix_fold(values.data(), fold.data(), n, 5,
+                                       addends.data());
+        if (fold != ref_fold) die("segmented_prefix_fold mismatch");
+        std::vector<std::int64_t> merged(n, -2);
+        if (kernels::mask_merge<std::int64_t>(mask.data(), stream.data(),
+                                              field.data(), n,
+                                              merged.data()) != ref_k ||
+            merged != ref_merged) {
+          die("mask_merge mismatch");
+        }
+        if (kernels::prefix_in_range(values.data(), n, 7, 7 + half) !=
+            ref_run) {
+          die("prefix_in_range mismatch");
         }
         std::vector<std::int64_t> a = values;
         std::vector<std::int64_t> b(n, 3);

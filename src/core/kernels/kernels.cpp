@@ -107,41 +107,42 @@ std::int64_t mask_count(const std::uint8_t* mask, std::size_t n) {
   return c;
 }
 
-void segmented_exclusive_prefix(std::int64_t* data, std::size_t n,
-                                std::size_t seg_len) {
-  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
-  for (std::size_t s = 0; s < n; s += seg_len) {
-    const std::size_t end = s + seg_len < n ? s + seg_len : n;
-    std::int64_t running = 0;
-    for (std::size_t e = s; e < end; ++e) {
-      const std::int64_t v = data[e];
-      data[e] = running;
-      running += v;
-    }
-  }
-}
-
-void add_in_place(std::int64_t* dst, const std::int64_t* src, std::size_t n) {
-  for (std::size_t e = 0; e < n; ++e) dst[e] += src[e];
-}
-
-// The historical two passes: substeps 2.2-2.3, then 2.4.
-void segmented_prefix_fold(std::int64_t* rs, std::int64_t* ps, std::size_t n,
-                           std::size_t seg_len) {
-  segmented_exclusive_prefix(rs, n, seg_len);
-  add_in_place(ps, rs, n);
-}
-
 std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
-                        std::int64_t* ps, std::int32_t* counts) {
+                        std::int64_t* ps) {
   std::int64_t c = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t v = (mask[i] != 0);
     ps[i] = v;
-    counts[i] = static_cast<std::int32_t>(v);
     c += v;
   }
   return c;
+}
+
+void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
+                  std::int64_t* sums) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
+    const std::size_t end = s + seg_len < n ? s + seg_len : n;
+    std::int64_t total = 0;
+    for (std::size_t e = s; e < end; ++e) total += rs[e];
+    sums[g] = total;
+  }
+}
+
+// The definition, element by element: the segment's running exclusive
+// prefix plus the segment's addend.
+void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
+                           std::size_t n, std::size_t seg_len,
+                           const std::int64_t* seg_add) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
+    const std::size_t end = s + seg_len < n ? s + seg_len : n;
+    std::int64_t running = 0;
+    for (std::size_t e = s; e < end; ++e) {
+      ps[e] += running + seg_add[g];
+      running += rs[e];
+    }
+  }
 }
 
 void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n) {
@@ -155,6 +156,13 @@ void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
     dst[e] += v;
     dst2[e] += v;
   }
+}
+
+std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
+                            std::int64_t lo, std::int64_t hi) {
+  std::size_t i = 0;
+  while (i < n && v[i] >= lo && v[i] < hi) ++i;
+  return i;
 }
 
 std::size_t gather(const std::uint8_t* mask, const std::byte* values,
@@ -182,13 +190,16 @@ std::size_t gather_first_n(const std::uint8_t* mask, const std::byte* values,
   return k;
 }
 
-std::size_t expand(const std::uint8_t* mask, const std::byte* src,
-                   std::size_t n, std::size_t width, std::byte* out) {
+std::size_t merge(const std::uint8_t* mask, const std::byte* src,
+                  const std::byte* field, std::size_t n, std::size_t width,
+                  std::byte* out) {
   std::size_t k = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (mask[i] != 0) {
       std::memcpy(out + i * width, src + k * width, width);
       ++k;
+    } else {
+      std::memcpy(out + i * width, field + i * width, width);
     }
   }
   return k;
@@ -255,15 +266,16 @@ std::int64_t mask_count_neon(const std::uint8_t* mask, std::size_t n) {
 // Unrolled prefix: the dependence chain (one add per element in program
 // order), not vector width, bounds a scalar prefix, so the generic path
 // breaks the chain -- four rotated partial sums per step.  Exact integer
-// adds in the reference's association order (running + v0 + v1 ... left
-// to right), so results are bit-identical.  Each prefix value is added
-// into ps as it is produced: substeps 2.2-2.4 in one pass, not two.
-void segmented_prefix_fold_unrolled(std::int64_t* rs, std::int64_t* ps,
-                                    std::size_t n, std::size_t seg_len) {
+// adds, so any association gives the reference's values; the running sum
+// starts at the segment's addend, so each prefix value is already the
+// amount to add into ps.
+void segmented_prefix_fold_unrolled(const std::int64_t* rs, std::int64_t* ps,
+                                    std::size_t n, std::size_t seg_len,
+                                    const std::int64_t* seg_add) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
-  for (std::size_t s = 0; s < n; s += seg_len) {
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
-    std::int64_t running = 0;
+    std::int64_t running = seg_add[g];
     std::size_t e = s;
     for (; e + 4 <= end; e += 4) {
       const std::int64_t v0 = rs[e];
@@ -273,10 +285,6 @@ void segmented_prefix_fold_unrolled(std::int64_t* rs, std::int64_t* ps,
       const std::int64_t p1 = running + v0;
       const std::int64_t p2 = p1 + v1;
       const std::int64_t p3 = p2 + v2;
-      rs[e] = running;
-      rs[e + 1] = p1;
-      rs[e + 2] = p2;
-      rs[e + 3] = p3;
       ps[e] += running;
       ps[e + 1] += p1;
       ps[e + 2] += p2;
@@ -284,18 +292,56 @@ void segmented_prefix_fold_unrolled(std::int64_t* rs, std::int64_t* ps,
       running += v0 + v1 + v2 + v3;
     }
     for (; e < end; ++e) {
-      const std::int64_t v = rs[e];
-      rs[e] = running;
       ps[e] += running;
-      running += v;
+      running += rs[e];
     }
   }
 }
 
+// Four independent partial sums per segment, combined at its end.
+void segment_sums_unrolled(const std::int64_t* rs, std::size_t n,
+                           std::size_t seg_len, std::int64_t* sums) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
+    const std::size_t end = s + seg_len < n ? s + seg_len : n;
+    std::int64_t a0 = 0, a1 = 0, a2 = 0, a3 = 0;
+    std::size_t e = s;
+    for (; e + 4 <= end; e += 4) {
+      a0 += rs[e];
+      a1 += rs[e + 1];
+      a2 += rs[e + 2];
+      a3 += rs[e + 3];
+    }
+    for (; e < end; ++e) a0 += rs[e];
+    sums[g] = (a0 + a1) + (a2 + a3);
+  }
+}
+
+// Range test without a branch per bound: v is in [lo, hi) iff v - lo,
+// taken unsigned, is below hi - lo.  Four lanes are tested per step and
+// the block holding the exit is finished element by element.
+std::size_t prefix_in_range_generic(const std::int64_t* v, std::size_t n,
+                                    std::int64_t lo, std::int64_t hi) {
+  const std::uint64_t ulo = static_cast<std::uint64_t>(lo);
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - ulo;
+  auto outside = [&](std::int64_t x) {
+    return static_cast<std::uint64_t>(x) - ulo >= span;
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    if (outside(v[i]) | outside(v[i + 1]) | outside(v[i + 2]) |
+        outside(v[i + 3])) {
+      break;
+    }
+  }
+  while (i < n && !outside(v[i])) ++i;
+  return i;
+}
+
 // SWAR widening: eight mask bytes become eight 0/1 flags per word, then
-// eight int64 and eight int32 stores with no data-dependent branch.
+// eight int64 stores with no data-dependent branch.
 std::int64_t mask_widen_generic(const std::uint8_t* mask, std::size_t n,
-                                std::int64_t* ps, std::int32_t* counts) {
+                                std::int64_t* ps) {
   std::int64_t count = 0;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -303,16 +349,13 @@ std::int64_t mask_widen_generic(const std::uint8_t* mask, std::size_t n,
     const std::uint64_t flags =
         (~zero_byte_flags(load_u64(mask + i)) & kHigh) >> 7;
     for (unsigned b = 0; b < 8; ++b) {
-      const auto v = static_cast<std::int64_t>((flags >> (8 * b)) & 1);
-      ps[i + b] = v;
-      counts[i + b] = static_cast<std::int32_t>(v);
+      ps[i + b] = static_cast<std::int64_t>((flags >> (8 * b)) & 1);
     }
     count += std::popcount(flags);
   }
   for (; i < n; ++i) {
     const std::int64_t v = (mask[i] != 0);
     ps[i] = v;
-    counts[i] = static_cast<std::int32_t>(v);
     count += v;
   }
   return count;
@@ -348,15 +391,16 @@ void add_from_bytes_generic(std::int64_t* dst, std::int64_t* dst2,
 #if defined(PUP_KERNELS_AVX2)
 // Four lanes at a time: an in-register inclusive scan (two shift-adds
 // across the 128-bit halves), minus the input for the exclusive prefix,
-// plus the carried running sum.  The loop-carried chain is one add per
-// block of four.
-void segmented_prefix_fold_avx2(std::int64_t* rs, std::int64_t* ps,
-                                std::size_t n, std::size_t seg_len) {
+// plus the carried running sum, which starts at the segment's addend.  The
+// loop-carried chain is one add per block of four.
+void segmented_prefix_fold_avx2(const std::int64_t* rs, std::int64_t* ps,
+                                std::size_t n, std::size_t seg_len,
+                                const std::int64_t* seg_add) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   const __m256i zero = _mm256_setzero_si256();
-  for (std::size_t s = 0; s < n; s += seg_len) {
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
-    __m256i running = zero;
+    __m256i running = _mm256_set1_epi64x(seg_add[g]);
     std::size_t e = s;
     for (; e + 4 <= end; e += 4) {
       const __m256i x =
@@ -372,28 +416,65 @@ void segmented_prefix_fold_avx2(std::int64_t* rs, std::int64_t* ps,
                   zero, 0x0f));
       const __m256i excl =
           _mm256_add_epi64(_mm256_sub_epi64(inc, x), running);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(rs + e), excl);
-      const __m256i p =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ps + e));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(ps + e),
-                          _mm256_add_epi64(p, excl));
+      auto* p = reinterpret_cast<__m256i*>(ps + e);
+      _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), excl));
       running = _mm256_add_epi64(
           running, _mm256_permute4x64_epi64(inc, _MM_SHUFFLE(3, 3, 3, 3)));
     }
     std::int64_t carry = _mm256_extract_epi64(running, 0);
     for (; e < end; ++e) {
-      const std::int64_t v = rs[e];
-      rs[e] = carry;
       ps[e] += carry;
-      carry += v;
+      carry += rs[e];
     }
   }
 }
 
+// Four lanes of partial sums per segment, reduced at its end.
+void segment_sums_avx2(const std::int64_t* rs, std::size_t n,
+                       std::size_t seg_len, std::int64_t* sums) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
+    const std::size_t end = s + seg_len < n ? s + seg_len : n;
+    __m256i acc = _mm256_setzero_si256();
+    std::size_t e = s;
+    for (; e + 4 <= end; e += 4) {
+      acc = _mm256_add_epi64(
+          acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rs + e)));
+    }
+    const __m128i half = _mm_add_epi64(_mm256_castsi256_si128(acc),
+                                       _mm256_extracti128_si256(acc, 1));
+    std::int64_t total =
+        _mm_cvtsi128_si64(half) + _mm_extract_epi64(half, 1);
+    for (; e < end; ++e) total += rs[e];
+    sums[g] = total;
+  }
+}
+
+// Four lanes per step: a lane is outside when lo > v or hi <= v; the first
+// such lane of the first block that has one ends the prefix.
+std::size_t prefix_in_range_avx2(const std::int64_t* v, std::size_t n,
+                                 std::int64_t lo, std::int64_t hi) {
+  const __m256i vlo = _mm256_set1_epi64x(lo);
+  const __m256i vhi = _mm256_set1_epi64x(hi);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i x =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(v + i));
+    // hi > x in range lanes, so in = (hi > x) & ~(lo > x).
+    const __m256i in = _mm256_andnot_si256(_mm256_cmpgt_epi64(vlo, x),
+                                           _mm256_cmpgt_epi64(vhi, x));
+    const auto out = static_cast<unsigned>(
+        ~_mm256_movemask_pd(_mm256_castsi256_pd(in)) & 0xf);
+    if (out != 0) return i + static_cast<std::size_t>(std::countr_zero(out));
+  }
+  while (i < n && v[i] >= lo && v[i] < hi) ++i;
+  return i;
+}
+
 // Sixteen mask bytes per step: min(byte, 1) gives the 0/1 flags, which
-// widen to four int64 and two int32 vector stores.
+// widen to four int64 vector stores.
 std::int64_t mask_widen_avx2(const std::uint8_t* mask, std::size_t n,
-                             std::int64_t* ps, std::int32_t* counts) {
+                             std::int64_t* ps) {
   std::int64_t count = 0;
   std::size_t i = 0;
   const __m128i one = _mm_set1_epi8(1);
@@ -407,16 +488,12 @@ std::int64_t mask_widen_avx2(const std::uint8_t* mask, std::size_t n,
     _mm256_storeu_si256(out + 1, _mm256_cvtepu8_epi64(_mm_srli_si128(f, 4)));
     _mm256_storeu_si256(out + 2, _mm256_cvtepu8_epi64(_mm_srli_si128(f, 8)));
     _mm256_storeu_si256(out + 3, _mm256_cvtepu8_epi64(_mm_srli_si128(f, 12)));
-    auto* cnt = reinterpret_cast<__m256i*>(counts + i);
-    _mm256_storeu_si256(cnt, _mm256_cvtepu8_epi32(f));
-    _mm256_storeu_si256(cnt + 1, _mm256_cvtepu8_epi32(_mm_srli_si128(f, 8)));
     count += 16 - std::popcount(static_cast<std::uint32_t>(
                       _mm_movemask_epi8(_mm_cmpeq_epi8(m, zero))));
   }
   for (; i < n; ++i) {
     const std::int64_t v = (mask[i] != 0);
     ps[i] = v;
-    counts[i] = static_cast<std::int32_t>(v);
     count += v;
   }
   return count;
@@ -580,23 +657,19 @@ std::size_t gather_vector(const std::uint8_t* mask, const std::byte* values,
   return gather_generic<W>(mask, values, n, out);
 }
 
-// Block-classified expand, the mirror of gather_blocks: all-zero mask
-// blocks are skipped, all-ones blocks take one bulk copy, and mixed blocks
-// visit only their selected lanes, lowest first (count-trailing-zeros over
-// the block's selection bits).  Per element that is a copy with no
-// data-dependent branch -- the only misprediction is each block loop's
-// exit -- and unselected slots are never read or written, nor is src read
-// past the selected count.  Against a branch-free select of every lane
-// (copy the next value or the slot itself), this measured 2x faster at 50%
-// density and 9x at 10% (AVX2, int64, 16384 elements, 4-vCPU x86-64 VM).
+// Block-classified merge, the mirror of gather_blocks: all-zero mask
+// blocks take one bulk copy of the field, all-ones blocks one bulk copy of
+// the stream, and mixed blocks copy the field and then overwrite only
+// their selected lanes, lowest first (count-trailing-zeros over the
+// block's selection bits).  src is never read past the selected count.
 template <std::size_t W>
-std::size_t expand_generic(const std::uint8_t* mask, const std::byte* src,
-                           std::size_t n, std::byte* out) {
+std::size_t merge_generic(const std::uint8_t* mask, const std::byte* src,
+                          const std::byte* field, std::size_t n,
+                          std::byte* out) {
   std::size_t k = 0;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const std::uint64_t x = load_u64(mask + i);
-    if (x == 0) continue;
     // 0x80 in each byte whose mask byte is nonzero.
     std::uint64_t sel = ~zero_byte_flags(x) & kHigh;
     if (sel == kHigh) {
@@ -604,6 +677,7 @@ std::size_t expand_generic(const std::uint8_t* mask, const std::byte* src,
       k += 8;
       continue;
     }
+    std::memcpy(out + i * W, field + i * W, 8 * W);
     for (; sel != 0; sel &= sel - 1) {
       const auto b = static_cast<std::size_t>(std::countr_zero(sel) / 8);
       std::memcpy(out + (i + b) * W, src + k * W, W);
@@ -611,21 +685,41 @@ std::size_t expand_generic(const std::uint8_t* mask, const std::byte* src,
     }
   }
   for (; i < n; ++i) {
-    if (mask[i] != 0) {
-      std::memcpy(out + i * W, src + k * W, W);
-      ++k;
-    }
+    const std::byte* from = mask[i] != 0 ? src + (k++) * W : field + i * W;
+    std::memcpy(out + i * W, from, W);
   }
   return k;
 }
 
 #if defined(PUP_KERNELS_AVX2)
+// Expand-permute table for 8-byte elements: for a 4-lane selection nibble,
+// the _mm256_permutevar8x32_epi32 indices that move the j-th stream lane to
+// the j-th selected lane (unselected lanes take lane 0; the blend discards
+// them).
+struct Expand64 {
+  alignas(32) std::uint32_t idx[16][8] = {};
+  constexpr Expand64() {
+    for (unsigned nib = 0; nib < 16; ++nib) {
+      unsigned j = 0;
+      for (unsigned lane = 0; lane < 4; ++lane) {
+        if (((nib >> lane) & 1U) == 0) continue;
+        idx[nib][2 * lane] = 2 * j;
+        idx[nib][2 * lane + 1] = 2 * j + 1;
+        ++j;
+      }
+    }
+  }
+};
+constexpr Expand64 kExpand64{};
+
 template <std::size_t W>
-std::size_t expand_avx2(const std::uint8_t* mask, const std::byte* src,
-                        std::size_t n, std::byte* out) {
+std::size_t merge_avx2(const std::uint8_t* mask, const std::byte* src,
+                       const std::byte* field, std::size_t n, std::byte* out) {
   std::size_t k = 0;
   std::size_t i = 0;
   const __m256i zero = _mm256_setzero_si256();
+  const __m256i lane_bit = _mm256_setr_epi64x(1, 2, 4, 8);
+  const __m256i lane_no = _mm256_setr_epi64x(0, 1, 2, 3);
   for (; i + 32 <= n; i += 32) {
     const __m256i v = _mm256_loadu_si256(
         reinterpret_cast<const __m256i*>(mask + i));
@@ -637,6 +731,37 @@ std::size_t expand_avx2(const std::uint8_t* mask, const std::byte* src,
       k += 32;
       continue;
     }
+    if (sel == 0) {
+      std::memcpy(out + i * W, field + i * W, 32 * W);
+      continue;
+    }
+    if constexpr (W == 8) {
+      // Mixed block of 8-byte elements, four lanes at a time: a masked
+      // load of the next popcount(nib) stream values (no lane past them is
+      // read), a permute that spreads them over the selected lanes, and a
+      // blend with the field.
+      for (unsigned q = 0; q < 8; ++q) {
+        const unsigned nib = (sel >> (4 * q)) & 0xfU;
+        const auto c = static_cast<long long>(std::popcount(nib));
+        const __m256i take =
+            _mm256_cmpgt_epi64(_mm256_set1_epi64x(c), lane_no);
+        const __m256i stream = _mm256_maskload_epi64(
+            reinterpret_cast<const long long*>(src + k * W), take);
+        const __m256i spread = _mm256_permutevar8x32_epi32(
+            stream, _mm256_load_si256(
+                        reinterpret_cast<const __m256i*>(kExpand64.idx[nib])));
+        const __m256i selected = _mm256_cmpeq_epi64(
+            _mm256_and_si256(_mm256_set1_epi64x(nib), lane_bit), lane_bit);
+        const std::size_t at = (i + 4 * q) * W;
+        const __m256i f =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(field + at));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + at),
+                            _mm256_blendv_epi8(f, spread, selected));
+        k += static_cast<std::size_t>(c);
+      }
+      continue;
+    }
+    std::memcpy(out + i * W, field + i * W, 32 * W);
     for (; sel != 0; sel &= sel - 1) {
       const auto b = static_cast<std::size_t>(std::countr_zero(sel));
       std::memcpy(out + (i + b) * W, src + k * W, W);
@@ -644,24 +769,23 @@ std::size_t expand_avx2(const std::uint8_t* mask, const std::byte* src,
     }
   }
   for (; i < n; ++i) {
-    if (mask[i] != 0) {
-      std::memcpy(out + i * W, src + k * W, W);
-      ++k;
-    }
+    const std::byte* from = mask[i] != 0 ? src + (k++) * W : field + i * W;
+    std::memcpy(out + i * W, from, W);
   }
   return k;
 }
 #endif
 
 template <std::size_t W>
-std::size_t expand_vector(const std::uint8_t* mask, const std::byte* src,
-                          std::size_t n, std::byte* out) {
+std::size_t merge_vector(const std::uint8_t* mask, const std::byte* src,
+                         const std::byte* field, std::size_t n,
+                         std::byte* out) {
 #if defined(PUP_KERNELS_AVX2)
   if (active_path() == Path::kNative) {
-    return expand_avx2<W>(mask, src, n, out);
+    return merge_avx2<W>(mask, src, field, n, out);
   }
 #endif
-  return expand_generic<W>(mask, src, n, out);
+  return merge_generic<W>(mask, src, field, n, out);
 }
 
 // Stop-early gather: same block structure with an early exit once the
@@ -720,40 +844,78 @@ std::int64_t mask_count(const std::uint8_t* mask, std::size_t n) {
   return scalar::mask_count(mask, n);
 }
 
-void segmented_prefix_fold(std::int64_t* rs, std::int64_t* ps, std::size_t n,
-                           std::size_t seg_len) {
+void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
+                  std::int64_t* sums) {
   switch (active_path()) {
     case Path::kScalar:
-      scalar::segmented_prefix_fold(rs, ps, n, seg_len);
+      scalar::segment_sums(rs, n, seg_len, sums);
       return;
     case Path::kNative:
 #if defined(PUP_KERNELS_AVX2)
-      segmented_prefix_fold_avx2(rs, ps, n, seg_len);
+      segment_sums_avx2(rs, n, seg_len, sums);
       return;
 #else
       [[fallthrough]];
 #endif
     case Path::kGeneric:
-      segmented_prefix_fold_unrolled(rs, ps, n, seg_len);
+      segment_sums_unrolled(rs, n, seg_len, sums);
+      return;
+  }
+}
+
+void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
+                           std::size_t n, std::size_t seg_len,
+                           const std::int64_t* seg_add) {
+  switch (active_path()) {
+    case Path::kScalar:
+      scalar::segmented_prefix_fold(rs, ps, n, seg_len, seg_add);
+      return;
+    case Path::kNative:
+#if defined(PUP_KERNELS_AVX2)
+      segmented_prefix_fold_avx2(rs, ps, n, seg_len, seg_add);
+      return;
+#else
+      [[fallthrough]];
+#endif
+    case Path::kGeneric:
+      segmented_prefix_fold_unrolled(rs, ps, n, seg_len, seg_add);
       return;
   }
 }
 
 std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
-                        std::int64_t* ps, std::int32_t* counts) {
+                        std::int64_t* ps) {
   switch (active_path()) {
     case Path::kScalar:
-      return scalar::mask_widen(mask, n, ps, counts);
+      return scalar::mask_widen(mask, n, ps);
     case Path::kNative:
 #if defined(PUP_KERNELS_AVX2)
-      return mask_widen_avx2(mask, n, ps, counts);
+      return mask_widen_avx2(mask, n, ps);
 #else
       [[fallthrough]];
 #endif
     case Path::kGeneric:
-      return mask_widen_generic(mask, n, ps, counts);
+      return mask_widen_generic(mask, n, ps);
   }
-  return scalar::mask_widen(mask, n, ps, counts);
+  return scalar::mask_widen(mask, n, ps);
+}
+
+std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
+                            std::int64_t lo, std::int64_t hi) {
+  PUP_DCHECK(lo <= hi, "prefix_in_range needs lo <= hi");
+  switch (active_path()) {
+    case Path::kScalar:
+      return scalar::prefix_in_range(v, n, lo, hi);
+    case Path::kNative:
+#if defined(PUP_KERNELS_AVX2)
+      return prefix_in_range_avx2(v, n, lo, hi);
+#else
+      [[fallthrough]];
+#endif
+    case Path::kGeneric:
+      return prefix_in_range_generic(v, n, lo, hi);
+  }
+  return scalar::prefix_in_range(v, n, lo, hi);
 }
 
 void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n) {
@@ -813,21 +975,22 @@ std::size_t gather_first_n_bytes(const std::uint8_t* mask,
   }
 }
 
-std::size_t expand_bytes(const std::uint8_t* mask, const std::byte* src,
-                         std::size_t n, std::size_t width, std::byte* out) {
+std::size_t merge_bytes(const std::uint8_t* mask, const std::byte* src,
+                        const std::byte* field, std::size_t n,
+                        std::size_t width, std::byte* out) {
   switch (width) {
     case 1:
-      return expand_vector<1>(mask, src, n, out);
+      return merge_vector<1>(mask, src, field, n, out);
     case 2:
-      return expand_vector<2>(mask, src, n, out);
+      return merge_vector<2>(mask, src, field, n, out);
     case 4:
-      return expand_vector<4>(mask, src, n, out);
+      return merge_vector<4>(mask, src, field, n, out);
     case 8:
-      return expand_vector<8>(mask, src, n, out);
+      return merge_vector<8>(mask, src, field, n, out);
     case 16:
-      return expand_vector<16>(mask, src, n, out);
+      return merge_vector<16>(mask, src, field, n, out);
     default:
-      return scalar::expand(mask, src, n, width, out);
+      return scalar::merge(mask, src, field, n, width, out);
   }
 }
 

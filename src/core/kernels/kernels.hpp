@@ -4,24 +4,28 @@
 // (Figs. 3-5), and a handful of loop shapes dominate it:
 //
 //   * mask_count / mask_widen -- the initial ranking scan: a slice's
-//     selected count, or (W_0 = 1) PS_0 and the slice counts written in
-//     one widening pass;
-//   * segmented_prefix_fold -- ranking substeps 2.2-2.4 over the PS_i/RS_i
-//     base-rank arrays, the segmented exclusive prefix and its fold into
-//     PS_i in one pass;
+//     selected count, or (W_0 = 1) PS_0 written in one widening pass;
+//   * segment_sums / segmented_prefix_fold -- ranking substeps 2.2-2.4 over
+//     the PS_i/RS_i base-rank arrays: an intermediate step needs only the
+//     segment totals of RS_i (the seeds of level i+1), and the final step
+//     folds the segmented exclusive prefix of RS_i and the finished
+//     level-(i+1) ranks into PS_i in one pass;
 //   * add_from_bytes -- the PRS rounds' fold of a received payload,
 //     read where it lies (unaligned int64 loads from the message bytes);
+//   * prefix_in_range -- UNPACK's request runs: how far a scan-ordered
+//     rank list stays inside one V block;
 //   * mask_gather / mask_gather_first_n / run_decode -- the CMS run
 //     encode (a slice's selected values into a run payload) and decode,
 //     and UNPACK's W_0 = 1 request list (PS_f gathered under the mask);
-//   * mask_expand -- UNPACK's placement of a scan-ordered value stream
-//     into the selected slots.
+//   * mask_merge -- UNPACK's placement: the result's local storage written
+//     once, each slot from the scan-ordered value stream or the field.
 //
 // This layer provides one scalar reference and one vectorized
 // implementation of each, selected at runtime:
 //
-//   * kScalar  -- the reference loops, bit-identical to the historical
-//                 code.  Always available; the parity oracle for tests.
+//   * kScalar  -- the reference loops, each kernel's definition element
+//                 by element.  Always available; the parity oracle for
+//                 tests.
 //   * kGeneric -- portable SWAR (8-byte word tricks) plus loops unrolled
 //                 by four.  The fallback when no native ISA path applies.
 //   * kNative  -- AVX2 (compiled with -mavx2 into this translation unit
@@ -85,23 +89,31 @@ void set_path(std::optional<Path> p);
 /// initial ranking scan and the COUNT reduction.
 std::int64_t mask_count(const std::uint8_t* mask, std::size_t n);
 
-/// W_0 = 1 initial scan in one widening pass: ps[i] = counts[i] =
-/// (mask[i] != 0) for i < n; returns the number of nonzero bytes.  Every
-/// output slot in [0, n) is written, so neither buffer needs clearing
-/// first; any nonzero mask byte counts as one.
+/// W_0 = 1 initial scan in one widening pass: ps[i] = (mask[i] != 0) for
+/// i < n; returns the number of nonzero bytes.  Every output slot in
+/// [0, n) is written, so ps needs no clearing first; any nonzero mask byte
+/// counts as one.  (A W_0 = 1 slice's count is its mask byte, so no count
+/// array is written.)
 std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
-                        std::int64_t* ps, std::int32_t* counts);
+                        std::int64_t* ps);
 
-// --- segmented exclusive prefix sum ---------------------------------------
+// --- segmented prefix sums ------------------------------------------------
+//
+// Both kernels cut [0, n) into seg_len-aligned segments, seg_len >= 1; a
+// final partial segment (seg_len not dividing n) is handled -- no
+// lane-width or divisibility assumption.  Neither writes rs.
 
-/// Ranking substeps 2.2-2.4 in one pass.  Within each seg_len-aligned
-/// segment, rs[e] becomes the sum of the segment's elements before e (the
-/// segmented exclusive prefix over RS_i), and that prefix is added into
-/// ps[e] (PS_i += RS_i).  seg_len >= 1; a final partial segment (seg_len
-/// not dividing n) is handled -- no lane-width or divisibility
-/// assumption.  rs and ps must not overlap.
-void segmented_prefix_fold(std::int64_t* rs, std::int64_t* ps, std::size_t n,
-                           std::size_t seg_len);
+/// sums[g] = the sum of rs over segment g, for every g < ceil(n / seg_len).
+void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
+                  std::int64_t* sums);
+
+/// ps[e] += exscan_seg(rs)[e] + seg_add[e / seg_len], where exscan_seg(rs)[e]
+/// is the sum of rs over the elements of e's segment before e.  seg_add
+/// holds ceil(n / seg_len) per-segment addends.  ps must not overlap rs or
+/// seg_add.
+void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
+                           std::size_t n, std::size_t seg_len,
+                           const std::int64_t* seg_add);
 
 // --- received-payload folds -----------------------------------------------
 
@@ -116,26 +128,33 @@ void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n);
 void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
                     const std::byte* src, std::size_t n);
 
+// --- request runs ---------------------------------------------------------
+
+/// The length of v's longest prefix inside [lo, hi): the first i < n with
+/// v[i] < lo or v[i] >= hi, else n.  Requires lo <= hi.
+std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
+                            std::int64_t lo, std::int64_t hi);
+
 // --- scalar reference implementations -------------------------------------
 //
 // Always compiled, never dispatched away: the parity oracle the property
-// tests and benches compare against.  These are the historical loops.
+// tests and benches compare against.  Each is its kernel's definition as a
+// plain element-by-element loop.
 namespace scalar {
 
 std::int64_t mask_count(const std::uint8_t* mask, std::size_t n);
-/// The historical substeps: the segmented exclusive prefix in place, and
-/// the element-wise dst[e] += src[e]; segmented_prefix_fold is the two in
-/// sequence.
-void segmented_exclusive_prefix(std::int64_t* data, std::size_t n,
-                                std::size_t seg_len);
-void add_in_place(std::int64_t* dst, const std::int64_t* src, std::size_t n);
-void segmented_prefix_fold(std::int64_t* rs, std::int64_t* ps, std::size_t n,
-                           std::size_t seg_len);
 std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
-                        std::int64_t* ps, std::int32_t* counts);
+                        std::int64_t* ps);
+void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
+                  std::int64_t* sums);
+void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
+                           std::size_t n, std::size_t seg_len,
+                           const std::int64_t* seg_add);
 void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n);
 void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
                     const std::byte* src, std::size_t n);
+std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
+                            std::int64_t lo, std::int64_t hi);
 
 /// Branchy reference gather over width-w elements; writes only selected
 /// slots, returns the count written.
@@ -148,10 +167,12 @@ std::size_t gather_first_n(const std::uint8_t* mask, const std::byte* values,
                            std::size_t limit, std::size_t target,
                            std::size_t width, std::byte* out);
 
-/// Branchy reference expand over width-w elements: for each selected slot
-/// i, out[i] takes the next src element; returns the count consumed.
-std::size_t expand(const std::uint8_t* mask, const std::byte* src,
-                   std::size_t n, std::size_t width, std::byte* out);
+/// Branchy reference merge over width-w elements: out[i] takes the next
+/// src element where mask[i] != 0, else field[i]; returns the count
+/// consumed.
+std::size_t merge(const std::uint8_t* mask, const std::byte* src,
+                  const std::byte* field, std::size_t n, std::size_t width,
+                  std::byte* out);
 
 /// Reference run decode: one bounds check + one element copy per element,
 /// mirroring the historical per-element ByteReader::get<T> loop.
@@ -169,8 +190,9 @@ std::size_t gather_first_n_bytes(const std::uint8_t* mask,
                                  const std::byte* values, std::size_t limit,
                                  std::size_t target, std::size_t width,
                                  std::byte* out);
-std::size_t expand_bytes(const std::uint8_t* mask, const std::byte* src,
-                         std::size_t n, std::size_t width, std::byte* out);
+std::size_t merge_bytes(const std::uint8_t* mask, const std::byte* src,
+                        const std::byte* field, std::size_t n,
+                        std::size_t width, std::byte* out);
 
 }  // namespace detail
 
@@ -217,22 +239,25 @@ std::size_t mask_gather_first_n(const std::uint8_t* mask, const T* values,
       sizeof(T), reinterpret_cast<std::byte*>(out));
 }
 
-/// The inverse of mask_gather: for each i < n with mask[i] != 0, out[i]
-/// takes the next element of src, in order; unselected slots keep their
-/// value.  Returns the number of src elements consumed (the selected
-/// count).  src needs room only for that count -- no path reads past it --
-/// which is what lets UNPACK place a scan-ordered value stream straight
-/// into the result's local storage.
+/// The inverse of mask_gather, merged with the unselected slots: for each
+/// i < n, out[i] takes the next element of src (in order) where
+/// mask[i] != 0, else field[i].  Every slot of out is written once, so it
+/// needs no clearing first.  Returns the number of src elements consumed
+/// (the selected count).  src needs room only for that count -- no path
+/// reads past it -- which is what lets UNPACK place a scan-ordered value
+/// stream straight into the result's fresh local storage.  out must not
+/// overlap src or field.
 template <typename T>
-std::size_t mask_expand(const std::uint8_t* mask, const T* src, std::size_t n,
-                        T* out) {
+std::size_t mask_merge(const std::uint8_t* mask, const T* src, const T* field,
+                       std::size_t n, T* out) {
   static_assert(std::is_trivially_copyable_v<T>);
+  const auto* s = reinterpret_cast<const std::byte*>(src);
+  const auto* f = reinterpret_cast<const std::byte*>(field);
+  auto* o = reinterpret_cast<std::byte*>(out);
   if (active_path() == Path::kScalar) {
-    return scalar::expand(mask, reinterpret_cast<const std::byte*>(src), n,
-                          sizeof(T), reinterpret_cast<std::byte*>(out));
+    return scalar::merge(mask, s, f, n, sizeof(T), o);
   }
-  return detail::expand_bytes(mask, reinterpret_cast<const std::byte*>(src),
-                              n, sizeof(T), reinterpret_cast<std::byte*>(out));
+  return detail::merge_bytes(mask, s, f, n, sizeof(T), o);
 }
 
 /// Unloads a CMS run payload (count contiguous elements, already validated

@@ -183,7 +183,14 @@ PackResult<T> pack_execute(sim::Machine& machine,
       const auto mvals = mask.local(rank);
       std::vector<T> slice_vals(static_cast<std::size_t>(W0));
       for (dist::index_t s = 0; s < C; ++s) {
-        const std::int32_t n = pr.counts[static_cast<std::size_t>(s)];
+        // With W_0 = 1 the ranking keeps no counts: slice s is element s.
+        const auto us = static_cast<std::size_t>(s);
+        std::int32_t n = 0;
+        if (W0 != 1) {
+          n = pr.counts[us];
+        } else if (us < mvals.size()) {
+          n = mvals[us] != 0;
+        }
         if (n == 0) continue;
         // Slice scan (Section 6.1): method 1 stops once all n selected
         // elements of the slice have been collected; method 2 always scans

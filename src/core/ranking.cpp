@@ -18,13 +18,6 @@ std::atomic<std::int64_t> g_schedules_compiled{0};
 /// scalar tail, behind a dispatch per slice.
 constexpr dist::index_t kNarrowSlice = 32;
 
-/// prod_{k >= i} L_k (1 when i >= d).
-dist::index_t upper_extent(const RankingSchedule& s, int i) {
-  dist::index_t prod = 1;
-  for (int k = i; k < s.d; ++k) prod *= s.L[static_cast<std::size_t>(k)];
-  return prod;
-}
-
 /// A base-rank array.  Allocated without a zero-fill: every buffer that is
 /// resize()d is written in full before it is read.
 using BaseRanks = support::UninitVector<std::int64_t>;
@@ -32,9 +25,8 @@ using BaseRanks = support::UninitVector<std::int64_t>;
 /// Per-processor working state: the 2d base-rank arrays.
 struct Workspace {
   std::vector<BaseRanks> ps;  // ps[i], size level_size(i)
-  std::vector<BaseRanks> rs;
-  std::int64_t size_partial = 0;  // step d-1, substep 2.1
-  std::int64_t size = 0;          // step d-1, substep 3
+  std::vector<BaseRanks> rs;  // as the PRS left them until the final step
+  std::int64_t size = 0;      // step d-1, substep 3
 };
 
 }  // namespace
@@ -171,24 +163,24 @@ std::vector<RankingResult> rank_masks(
         };
 
         if (!record_infos && W0 == 1) {
-          // W_0 = 1: PS_0 and the counts are mask[s] != 0, written once by
-          // one widening pass into storage that was not zero-filled.  Under
-          // the ragged 1-D extension the slices past the local extent hold
-          // no element: they are written as zeros here, since no fill did.
+          // W_0 = 1: PS_0 is mask[s] != 0, written once by one widening
+          // pass into storage that was not zero-filled; a slice's count is
+          // its mask byte, so no count array is kept.  Under the ragged 1-D
+          // extension the slices past the local extent hold no element:
+          // they are written as zeros here, since no fill did.
           PUP_DCHECK(n_local <= C, "more local elements than slices");
           auto& ps0 = w.ps[0];
           ps0.resize(static_cast<std::size_t>(C));
-          out.counts.resize(static_cast<std::size_t>(C));
-          out.packed = kernels::mask_widen(local.data(),
-                                           static_cast<std::size_t>(n_local),
-                                           ps0.data(), out.counts.data());
+          out.packed = kernels::mask_widen(
+              local.data(), static_cast<std::size_t>(n_local), ps0.data());
           std::fill(ps0.begin() + n_local, ps0.end(), 0);
-          std::fill(out.counts.begin() + n_local, out.counts.end(), 0);
           continue;
         }
 
+        // Counts are kept only for slices wider than one element.
+        const bool keep_counts = W0 != 1;
         w.ps[0].assign(static_cast<std::size_t>(C), 0);
-        out.counts.assign(static_cast<std::size_t>(C), 0);
+        if (keep_counts) out.counts.assign(static_cast<std::size_t>(C), 0);
         if (!record_infos) {
           // Counting-only scan.  Narrow slices are counted inline in one
           // pass -- a kernel call per slice would cost more than the slice
@@ -239,7 +231,9 @@ std::vector<RankingResult> rank_masks(
             }
           }
           w.ps[0][static_cast<std::size_t>(s)] = cnt;
-          out.counts[static_cast<std::size_t>(s)] = checked_slice_count(cnt);
+          if (keep_counts) {
+            out.counts[static_cast<std::size_t>(s)] = checked_slice_count(cnt);
+          }
           out.packed += cnt;
           // Advance the slice odometer: t_0 runs over [0, T_0), then c_k
           // over [0, L_k).
@@ -313,64 +307,33 @@ std::vector<RankingResult> rank_masks(
       for (std::size_t b = 0; b < B; ++b) {
         auto& w = ws[b][static_cast<std::size_t>(rank)];
         auto& ps = w.ps[static_cast<std::size_t>(i)];
-        auto& rs = w.rs[static_cast<std::size_t>(i)];
+        const auto& rs = w.rs[static_cast<std::size_t>(i)];
         PUP_DCHECK(static_cast<dist::index_t>(ps.size()) == size_i,
                    "PS_i size mismatch");
 
-        const bool last_step = (i == d - 1);
-        const dist::index_t Ti = sched.T[static_cast<std::size_t>(i)];
-
-        // Substep 2.1: seed RS_{i+1} with the last entry of each block of
-        // dimension i+1 (or capture the first half of Size on the last
-        // step).
-        if (!last_step) {
-          const dist::index_t Lnext = sched.L[static_cast<std::size_t>(i + 1)];
-          const dist::index_t Wnext = sched.W[static_cast<std::size_t>(i + 1)];
-          const dist::index_t Tnext = sched.T[static_cast<std::size_t>(i + 1)];
-          const dist::index_t rest = upper_extent(sched, i + 2);
-          auto& rs_next = w.rs[static_cast<std::size_t>(i + 1)];
-          rs_next.assign(static_cast<std::size_t>(Tnext * rest), 0);
-          for (dist::index_t r = 0; r < rest; ++r) {
-            for (dist::index_t k = 0; k < Tnext; ++k) {
-              const dist::index_t l = (k + 1) * Wnext - 1;
-              const dist::index_t src = (Ti - 1) + Ti * (l + Lnext * r);
-              rs_next[static_cast<std::size_t>(k + Tnext * r)] =
-                  rs[static_cast<std::size_t>(src)];
-            }
-          }
-        } else {
-          w.size_partial = rs[static_cast<std::size_t>(size_i - 1)];
-        }
-
-        // Substeps 2.2-2.4, one pass: segmented exclusive prefix over
-        // RS_i, folded into PS_i as it is produced.  A segment spans one
-        // block of dimension i+1: W_{i+1} rows of T_i tile entries.  On
-        // the last step there is a single segment.
+        // Substeps 2.1-2.4 and 3, deferred.  A segment spans one block of
+        // dimension i+1 (W_{i+1} rows of T_i tile entries), and the next
+        // level needs only each segment's total, the seed of PS_{i+1}
+        // (RS_{i+1} needs none: its PRS returns it).  The segmented
+        // exclusive prefix over RS_i and its fold into PS_i wait for the
+        // final step, which adds them together with the finished level
+        // i+1 in one pass.  On the last step there is a single segment:
+        // its total is Size, and its fold runs here.
         const dist::index_t seg_len = step.seg_len;
         PUP_DCHECK(size_i % seg_len == 0, "segment length must tile RS_i");
-        kernels::segmented_prefix_fold(rs.data(), ps.data(),
-                                       static_cast<std::size_t>(size_i),
-                                       static_cast<std::size_t>(seg_len));
-
-        // Substep 3: complete the seeds of PS_{i+1}/RS_{i+1} (or Size).
-        if (!last_step) {
-          const dist::index_t Lnext = sched.L[static_cast<std::size_t>(i + 1)];
-          const dist::index_t Wnext = sched.W[static_cast<std::size_t>(i + 1)];
-          const dist::index_t Tnext = sched.T[static_cast<std::size_t>(i + 1)];
-          const dist::index_t rest = upper_extent(sched, i + 2);
-          auto& rs_next = w.rs[static_cast<std::size_t>(i + 1)];
+        if (i != d - 1) {
           auto& ps_next = w.ps[static_cast<std::size_t>(i + 1)];
-          for (dist::index_t r = 0; r < rest; ++r) {
-            for (dist::index_t k = 0; k < Tnext; ++k) {
-              const dist::index_t l = (k + 1) * Wnext - 1;
-              const dist::index_t src = (Ti - 1) + Ti * (l + Lnext * r);
-              rs_next[static_cast<std::size_t>(k + Tnext * r)] +=
-                  rs[static_cast<std::size_t>(src)];
-            }
-          }
-          ps_next = rs_next;
+          ps_next.resize(static_cast<std::size_t>(size_i / seg_len));
+          kernels::segment_sums(rs.data(), static_cast<std::size_t>(size_i),
+                                static_cast<std::size_t>(seg_len),
+                                ps_next.data());
         } else {
-          w.size = w.size_partial + rs[static_cast<std::size_t>(size_i - 1)];
+          const std::int64_t no_addend = 0;
+          kernels::segment_sums(rs.data(), static_cast<std::size_t>(size_i),
+                                static_cast<std::size_t>(size_i), &w.size);
+          kernels::segmented_prefix_fold(
+              rs.data(), ps.data(), static_cast<std::size_t>(size_i),
+              static_cast<std::size_t>(size_i), &no_addend);
         }
       }
     });
@@ -386,29 +349,21 @@ std::vector<RankingResult> rank_masks(
   }
 
   // ----- Final step: fold the base-rank arrays into PS_f (Section 5.4) ----
+  // Level by level from the top, each in one pass: the deferred substeps
+  // 2.2-2.4 (the segmented exclusive prefix of RS_i) plus the finished
+  // PS_{i+1} entry of the segment.  Element e = t + T_i*(c + L_{i+1}*r)
+  // lies in segment e / (W_{i+1}*T_i) = c / W_{i+1} + T_{i+1}*r, which is
+  // exactly the level-(i+1) slot its base rank is offset by.
   sim::PhaseScope final_phase(machine, "ranking.final");
   machine.local_phase([&](int rank) {
     for (std::size_t b = 0; b < B; ++b) {
       auto& w = ws[b][static_cast<std::size_t>(rank)];
       for (int i = d - 2; i >= 0; --i) {
-        auto& ps_i = w.ps[static_cast<std::size_t>(i)];
-        const auto& ps_up = w.ps[static_cast<std::size_t>(i + 1)];
-        const dist::index_t Ti = sched.T[static_cast<std::size_t>(i)];
-        const dist::index_t Lnext = sched.L[static_cast<std::size_t>(i + 1)];
-        const dist::index_t Wnext = sched.W[static_cast<std::size_t>(i + 1)];
-        const dist::index_t Tnext = sched.T[static_cast<std::size_t>(i + 1)];
-        const dist::index_t rest = upper_extent(sched, i + 2);
-        for (dist::index_t r = 0; r < rest; ++r) {
-          for (dist::index_t c = 0; c < Lnext; ++c) {
-            const std::int64_t add =
-                ps_up[static_cast<std::size_t>(c / Wnext + Tnext * r)];
-            if (add == 0) continue;
-            const dist::index_t base = Ti * (c + Lnext * r);
-            for (dist::index_t t = 0; t < Ti; ++t) {
-              ps_i[static_cast<std::size_t>(base + t)] += add;
-            }
-          }
-        }
+        const auto ui = static_cast<std::size_t>(i);
+        kernels::segmented_prefix_fold(
+            w.rs[ui].data(), w.ps[ui].data(), w.ps[ui].size(),
+            static_cast<std::size_t>(sched.steps[ui].seg_len),
+            w.ps[ui + 1].data());
       }
       results[b].procs[static_cast<std::size_t>(rank)].ps_f =
           std::move(w.ps[0]);

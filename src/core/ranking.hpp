@@ -104,7 +104,10 @@ struct ProcRanking {
   /// Final base-rank array PS_f: for slice s, the global rank of the first
   /// selected element of that slice.  Size C.
   support::UninitVector<std::int64_t> ps_f;
-  /// Slice counter array PS_c: selected elements per slice.  Size C.
+  /// Slice counter array PS_c: selected elements per slice.  Size C when
+  /// W_0 > 1.  Empty when W_0 = 1, in both scans: slice s is local element
+  /// s, so its count is its mask byte (mask.local(rank)[s] != 0, and zero
+  /// for a ragged 1-D slice past the local extent).
   support::UninitVector<std::int32_t> counts;
   /// Simple-storage-scheme records (empty unless record_infos): packed
   /// (d+2)-word records, sss_info_stride(d) words each, in scan order.

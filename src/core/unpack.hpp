@@ -40,6 +40,7 @@
 #include "sim/machine.hpp"
 #include "support/bytes.hpp"
 #include "support/check.hpp"
+#include "support/uninit.hpp"
 
 namespace pup {
 
@@ -86,9 +87,10 @@ struct RequestRun {
 /// as one contiguous stretch of that owner's reply.  Owners check each
 /// requested block once (in range, owned here) and answer it with
 /// base + offset indexing.  Placement reassembles the scan-ordered values
-/// run by run and, for CSS, expands them over the local mask in one pass:
-/// a CSS slice s covers local storage [s*W_0, s*W_0 + W_0), so scan order
-/// *is* local storage order.
+/// run by run and writes the result's local storage: for CSS one merge of
+/// the values and the field over the local mask (a CSS slice s covers
+/// local storage [s*W_0, s*W_0 + W_0), so scan order *is* local storage
+/// order), for SSS a copy of the field overwritten record by record.
 template <typename T>
 UnpackResult<T> unpack_execute(sim::Machine& machine,
                                const dist::DistArray<T>& v,
@@ -113,19 +115,6 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
   out.size = ranking.size;
   out.scheme = scheme;
   out.counters.resize(static_cast<std::size_t>(P));
-
-  // Field transfer: purely local (paper Section 4.2).  True positions are
-  // overwritten below, so copying everything is correct and branch-free:
-  // one bulk copy per processor into fresh storage.
-  {
-    std::vector<std::vector<T>> locals(static_cast<std::size_t>(P));
-    machine.local_phase([&](int rank) {
-      const auto src = field.local(rank);
-      locals[static_cast<std::size_t>(rank)].assign(src.begin(), src.end());
-    });
-    out.result =
-        dist::DistArray<T>::from_locals(mask.dist(), std::move(locals));
-  }
 
   // Each processor's request runs, in scan order: cut in phase A, replayed
   // against the reply streams in phase C.
@@ -196,12 +185,13 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
       // order (cyclic layouts, SSS), so a run ends wherever the next rank
       // leaves the block in either direction.
       const auto blk = vdim.block_of(ranks[i]);
-      std::size_t j = i + 1;
-      while (j < n && blk.contains(ranks[j])) ++j;
+      const std::size_t len =
+          1 + kernels::prefix_in_range(ranks.get() + i + 1, n - i - 1,
+                                       blk.start, blk.end);
       writers[static_cast<std::size_t>(blk.owner)].put_span(
-          std::span<const std::int64_t>(ranks.get() + i, j - i));
-      my_runs.push_back(RequestRun{blk.owner, j - i});
-      i = j;
+          std::span<const std::int64_t>(ranks.get() + i, len));
+      my_runs.push_back(RequestRun{blk.owner, len});
+      i += len;
     }
     for (int p = 0; p < P; ++p) {
       ctr.bytes_sent += static_cast<dist::index_t>(
@@ -270,12 +260,17 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
                       options.schedule, sim::Category::kM2M);
 
   // Phase C: placement -- reassemble the values in scan order, one bulk
-  // copy per run from its owner's reply stream, then place them.
+  // copy per run from its owner's reply stream, then write them and the
+  // field transfer (purely local, paper Section 4.2) into the result's
+  // fresh local storage.
+  std::vector<typename dist::DistArray<T>::Local> locals(
+      static_cast<std::size_t>(P));
   sim::PhaseScope place_phase(machine, "unpack.place");
   machine.local_phase([&](int rank) {
     const auto& pr = ranking.procs[static_cast<std::size_t>(rank)];
     auto& ctr = out.counters[static_cast<std::size_t>(rank)];
-    auto rlocal = out.result.local(rank);
+    const auto flocal = field.local(rank);
+    auto& rlocal = locals[static_cast<std::size_t>(rank)];
     std::vector<ByteReader> readers;
     readers.reserve(static_cast<std::size_t>(P));
     for (int p = 0; p < P; ++p) {
@@ -294,6 +289,7 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
       k += run.count;
     }
     if (sss) {
+      rlocal = support::bulk_copy<T>(flocal);
       const dist::Shape lshape = mask.dist().local_shape(rank);
       const int stride = sss_info_stride(lshape.rank());
       std::size_t j = 0;
@@ -305,9 +301,10 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
       }
     } else {
       const auto mvals = mask.local(rank);
-      const std::size_t placed =
-          kernels::mask_expand<T>(mvals.data(), values.get(), mvals.size(),
-                                  rlocal.data());
+      rlocal.resize(mvals.size());
+      const std::size_t placed = kernels::mask_merge<T>(
+          mvals.data(), values.get(), flocal.data(), mvals.size(),
+          rlocal.data());
       PUP_CHECK(placed == k, "UNPACK placed " << placed << " values, "
                                               << "received " << k);
     }
@@ -319,6 +316,7 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
                              [static_cast<std::size_t>(p)]));
     }
   });
+  out.result = dist::DistArray<T>::from_locals(mask.dist(), std::move(locals));
 
   return out;
 }

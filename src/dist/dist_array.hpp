@@ -14,6 +14,7 @@
 
 #include "dist/distribution.hpp"
 #include "support/check.hpp"
+#include "support/uninit.hpp"
 
 namespace pup::dist {
 
@@ -22,20 +23,39 @@ class DistArray {
  public:
   DistArray() = default;
 
-  /// Allocates zero-initialized local storage for every processor.
+  /// One processor's local storage.  Its resize() does not zero-fill, so
+  /// storage a kernel writes in full is written once.
+  using Local = support::UninitVector<T>;
+
+  /// Allocates zero-initialized local storage for every processor.  (The
+  /// zeros are explicit: Local's resize() would leave them indeterminate.)
   explicit DistArray(Distribution dist) : dist_(std::move(dist)) {
     locals_.resize(static_cast<std::size_t>(dist_.nprocs()));
     for (int r = 0; r < dist_.nprocs(); ++r) {
-      locals_[static_cast<std::size_t>(r)].resize(
-          static_cast<std::size_t>(dist_.local_size(r)));
+      locals_[static_cast<std::size_t>(r)].assign(
+          static_cast<std::size_t>(dist_.local_size(r)), T{});
     }
   }
 
+  /// Copies are bulk copies of each processor's storage (see
+  /// support::bulk_copy); moves take the storage.
+  DistArray(const DistArray& other) : dist_(other.dist_) {
+    copy_locals(other);
+  }
+  DistArray& operator=(const DistArray& other) {
+    if (this != &other) {
+      dist_ = other.dist_;
+      copy_locals(other);
+    }
+    return *this;
+  }
+  DistArray(DistArray&&) = default;
+  DistArray& operator=(DistArray&&) = default;
+
   /// Adopts per-processor local storage built by the caller (moved in, so
-  /// storage filled by one bulk copy is never zero-filled first).
+  /// storage written once by a kernel is never zero-filled first).
   /// locals[r] must hold exactly dist.local_size(r) elements.
-  static DistArray from_locals(Distribution dist,
-                               std::vector<std::vector<T>> locals) {
+  static DistArray from_locals(Distribution dist, std::vector<Local> locals) {
     PUP_REQUIRE(static_cast<int>(locals.size()) == dist.nprocs(),
                 locals.size() << " local buffers for " << dist.nprocs()
                               << " processors");
@@ -164,8 +184,16 @@ class DistArray {
   }
 
  private:
+  void copy_locals(const DistArray& other) {
+    locals_.clear();
+    locals_.reserve(other.locals_.size());
+    for (const Local& l : other.locals_) {
+      locals_.push_back(support::bulk_copy<T>(l));
+    }
+  }
+
   Distribution dist_;
-  std::vector<std::vector<T>> locals_;
+  std::vector<Local> locals_;
 };
 
 }  // namespace pup::dist

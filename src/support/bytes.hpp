@@ -37,13 +37,14 @@ class ByteWriter {
     std::memcpy(bytes_.data() + off, &v, sizeof(T));
   }
 
+  /// Appends the elements' bytes in one range insert (no zero-fill of the
+  /// new tail before the copy).
   template <typename T>
   void put_span(std::span<const T> vs) {
     static_assert(std::is_trivially_copyable_v<T>);
     ensure_backing();
-    const std::size_t off = bytes_.size();
-    bytes_.resize(off + vs.size_bytes());
-    if (!vs.empty()) std::memcpy(bytes_.data() + off, vs.data(), vs.size_bytes());
+    const auto* first = reinterpret_cast<const std::byte*>(vs.data());
+    bytes_.insert(bytes_.end(), first, first + vs.size_bytes());
   }
 
   /// Extends the stream by `nbytes` and returns the new tail for the

@@ -1,6 +1,9 @@
 // Unit tests for DistArray scatter/gather and local storage.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <memory>
 #include <numeric>
 #include <random>
 #include <string>
@@ -55,6 +58,55 @@ TEST(DistArray, ZeroInitialized) {
   auto d = Distribution::block1d(10, 3);
   DistArray<int> arr(d);
   for (int v : arr.gather()) EXPECT_EQ(v, 0);
+}
+
+TEST(DistArray, ZeroInitializedOverDirtyMemory) {
+  // Local storage skips the zero-fill on resize(), so the public
+  // constructor must write its zeros explicitly.  Each round first dirties
+  // the allocator with freed blocks of exactly the local size holding
+  // 0xAB bytes; storage that skipped the fill would reuse one and show
+  // the pattern.
+  constexpr int kProcs = 4;
+  constexpr std::size_t kLocal = 64;
+  const auto d = Distribution::block1d(kProcs * kLocal, kProcs);
+  for (int round = 0; round < 8; ++round) {
+    {
+      std::array<std::unique_ptr<std::int64_t[]>, kProcs> dirty;
+      for (auto& block : dirty) {
+        block = std::make_unique_for_overwrite<std::int64_t[]>(kLocal);
+        // Volatile stores: a plain fill of memory about to be freed may be
+        // optimized away.
+        volatile auto* bytes = reinterpret_cast<unsigned char*>(block.get());
+        for (std::size_t i = 0; i < kLocal * sizeof(std::int64_t); ++i) {
+          bytes[i] = 0xAB;
+        }
+      }
+    }
+    const DistArray<std::int64_t> arr(d);
+    for (int r = 0; r < kProcs; ++r) {
+      for (const std::int64_t v : arr.local(r)) {
+        ASSERT_EQ(v, 0) << "round " << round << " rank " << r;
+      }
+    }
+  }
+}
+
+TEST(DistArray, CopiesAreDeep) {
+  // Copy construction and copy assignment bulk-copy every processor's
+  // storage; the copy shares nothing with its source.
+  auto d = Distribution::block_cyclic(Shape({20}), ProcessGrid({3}), 2);
+  std::vector<std::uint8_t> data(20);
+  std::iota(data.begin(), data.end(), std::uint8_t{1});
+  const auto src = DistArray<std::uint8_t>::scatter(d, data);
+  DistArray<std::uint8_t> copy(src);
+  DistArray<std::uint8_t> assigned(Distribution::block1d(4, 2));
+  assigned = src;
+  for (auto* c : {&copy, &assigned}) {
+    EXPECT_TRUE(c->dist() == d);
+    EXPECT_EQ(c->gather(), data);
+    c->local(1)[0] = 99;
+  }
+  EXPECT_EQ(src.gather(), data);
 }
 
 TEST(DistArray, ScatterSizeMismatchThrows) {

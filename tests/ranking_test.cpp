@@ -62,7 +62,13 @@ void check_ranking(const dist::DistArray<mask_t>& mask,
         EXPECT_EQ(r, oracle[static_cast<std::size_t>(g)])
             << "proc " << rank << " local " << l << " global " << g;
       }
-      EXPECT_EQ(found, pr.counts[static_cast<std::size_t>(s)]);
+      // A W_0 = 1 slice's count is its mask byte: no count array is kept.
+      if (W0 != 1) {
+        EXPECT_EQ(found, pr.counts[static_cast<std::size_t>(s)]);
+      }
+    }
+    if (W0 == 1) {
+      EXPECT_TRUE(pr.counts.empty()) << "proc " << rank;
     }
     EXPECT_EQ(packed_seen, pr.packed);
   }
@@ -262,7 +268,8 @@ TEST(Ranking, NarrowSliceScanMatchesKernelCount) {
   // The counting-only initial scan counts slices narrower than the widest
   // kernel block inline and hands wider ones to kernels::mask_count; both
   // must report the kernel's per-slice count, including the short and
-  // empty slices of a ragged last tile.
+  // empty slices of a ragged last tile.  With W_0 = 1 neither scan keeps
+  // counts: each slice's count is its mask byte.
   struct Layout {
     std::vector<dist::index_t> extents;
     std::vector<int> procs;
@@ -300,14 +307,25 @@ TEST(Ranking, NarrowSliceScanMatchesKernelCount) {
                              local.size() - base);
           const std::int64_t expect =
               width == 0 ? 0 : kernels::mask_count(local.data() + base, width);
-          EXPECT_EQ(pr.counts[static_cast<std::size_t>(s)], expect)
-              << "W0=" << w0 << " d=" << l.extents.size() << " rank " << rank
-              << " slice " << s;
+          if (w0 == 1) {
+            EXPECT_EQ(width != 0 && local[base] != 0 ? 1 : 0, expect)
+                << "d=" << l.extents.size() << " rank " << rank << " slice "
+                << s;
+          } else {
+            EXPECT_EQ(pr.counts[static_cast<std::size_t>(s)], expect)
+                << "W0=" << w0 << " d=" << l.extents.size() << " rank "
+                << rank << " slice " << s;
+          }
           packed += expect;
         }
         EXPECT_EQ(pr.packed, packed);
         const auto& rec = recorded.procs[static_cast<std::size_t>(rank)];
-        EXPECT_EQ(pr.counts, rec.counts);
+        if (w0 == 1) {
+          EXPECT_TRUE(pr.counts.empty()) << "rank " << rank;
+          EXPECT_TRUE(rec.counts.empty()) << "rank " << rank;
+        } else {
+          EXPECT_EQ(pr.counts, rec.counts);
+        }
         EXPECT_EQ(pr.ps_f, rec.ps_f);
       }
     }
@@ -315,8 +333,9 @@ TEST(Ranking, NarrowSliceScanMatchesKernelCount) {
 }
 
 TEST(Ranking, WriteOnceW1MatchesReference) {
-  // With W_0 = 1 the counting scan writes PS_0 and the slice counts in one
-  // widening pass, with no zero-fill before it.  Two traps: under the
+  // With W_0 = 1 the counting scan writes PS_0 in one widening pass, with
+  // no zero-fill before it, and neither scan keeps counts (a slice's count
+  // is its mask byte).  Two traps: under the
   // ragged 1-D extension a processor can have fewer local elements than
   // slices (those slices must still count zero), and a mask byte may be
   // any nonzero value (it must count one, not its value).  Each layout is
@@ -392,16 +411,12 @@ TEST(Ranking, WriteOnceW1MatchesReference) {
           const auto local = mask.local(rank);
           const auto& pr = counted.procs[static_cast<std::size_t>(rank)];
           const auto& rec = recorded.procs[static_cast<std::size_t>(rank)];
-          ASSERT_EQ(static_cast<dist::index_t>(pr.counts.size()),
-                    counted.slices)
-              << what;
+          ASSERT_TRUE(pr.counts.empty()) << what;
+          ASSERT_TRUE(rec.counts.empty()) << what;
           std::int64_t packed = 0;
           for (dist::index_t s = 0; s < counted.slices; ++s) {
             const auto us = static_cast<std::size_t>(s);
             const bool sel = us < local.size() && local[us] != 0;
-            // ASSERT: garbage counts would derail the pack/unpack below.
-            ASSERT_EQ(pr.counts[us], sel ? 1 : 0)
-                << what << " rank " << rank << " slice " << s;
             if (sel) {
               const auto g = d.global().linear(d.global_of_local(rank, s));
               EXPECT_EQ(pr.ps_f[us], oracle[static_cast<std::size_t>(g)])
@@ -410,7 +425,6 @@ TEST(Ranking, WriteOnceW1MatchesReference) {
             packed += sel ? 1 : 0;
           }
           ASSERT_EQ(pr.packed, packed) << what << " rank " << rank;
-          ASSERT_EQ(pr.counts, rec.counts) << what << " rank " << rank;
           ASSERT_EQ(pr.ps_f, rec.ps_f) << what << " rank " << rank;
         }
 
@@ -427,6 +441,75 @@ TEST(Ranking, WriteOnceW1MatchesReference) {
                   serial_unpack<std::int64_t>(vhost, gm, field))
             << what;
       }
+    }
+  }
+}
+
+TEST(Ranking, DeferredSubstepsMatchSerialRanks) {
+  // Intermediate steps keep only RS_i's segment totals; the final step
+  // folds each level's segmented prefix and its segment's level-(i+1) rank
+  // in one pass.  A segment spans W_{i+1} columns, so W_{i+1} = 3 puts
+  // several columns in one segment and W_{i+1} = 1 gives one column each.
+  // Each layout is checked on every kernel path against the serial rank
+  // oracle, and batched (B = 3) against three independent rankings.
+  struct Layout {
+    std::vector<dist::index_t> extents;
+    std::vector<int> procs;
+    std::vector<dist::index_t> blocks;
+  };
+  const std::vector<Layout> layouts = {
+      {{12, 18}, {2, 3}, {2, 3}},      // d = 2, W_1 = 3
+      {{12, 12}, {3, 2}, {1, 1}},      // d = 2, W_1 = 1
+      {{8, 12, 9}, {2, 2, 3}, {1, 3, 3}},  // d = 3, W_1 = W_2 = 3
+      {{8, 6, 12}, {2, 3, 2}, {2, 1, 3}},  // d = 3, W_1 = 1, W_2 = 3
+      {{6, 12, 4}, {3, 2, 2}, {2, 3, 1}},  // d = 3, W_1 = 3, W_2 = 1
+  };
+  std::vector<kernels::Path> paths = {kernels::Path::kScalar,
+                                      kernels::Path::kGeneric};
+  if (kernels::native_available()) paths.push_back(kernels::Path::kNative);
+  struct PathGuard {
+    ~PathGuard() { kernels::set_path(test::startup_path()); }
+  } restore;
+
+  for (const Layout& l : layouts) {
+    int p = 1;
+    for (const int x : l.procs) p *= x;
+    const dist::Distribution d(dist::Shape(l.extents),
+                               dist::ProcessGrid(l.procs), l.blocks);
+    std::vector<std::vector<mask_t>> gms;
+    std::vector<dist::DistArray<mask_t>> masks;
+    for (const double density : {0.2, 0.5, 0.9}) {
+      gms.push_back(random_mask(d.global().size(), density,
+                                static_cast<std::uint64_t>(gms.size()) + 31));
+      masks.push_back(dist::DistArray<mask_t>::scatter(d, gms.back()));
+    }
+    const std::vector<const dist::DistArray<mask_t>*> batch = {
+        &masks[0], &masks[1], &masks[2]};
+    for (const kernels::Path path : paths) {
+      kernels::set_path(path);
+      SCOPED_TRACE(std::string("d=") + std::to_string(l.extents.size()) +
+                   " blocks[1]=" + std::to_string(l.blocks[1]) +
+                   " path=" + kernels::path_name(path));
+      auto machine = make_machine(p);
+      const RankingSchedule sched = compile_ranking_schedule(d, p);
+      const std::vector<RankingResult> batched = rank_masks(
+          machine, sched,
+          std::span<const dist::DistArray<mask_t>* const>(batch));
+      ASSERT_EQ(batched.size(), 3U);
+      for (std::size_t b = 0; b < 3; ++b) {
+        const RankingResult one = rank_mask(machine, masks[b]);
+        check_ranking(masks[b], one, gms[b]);
+        check_ranking(masks[b], batched[b], gms[b]);
+        ASSERT_EQ(batched[b].size, one.size);
+        for (int rank = 0; rank < p; ++rank) {
+          const auto& got = batched[b].procs[static_cast<std::size_t>(rank)];
+          const auto& want = one.procs[static_cast<std::size_t>(rank)];
+          EXPECT_EQ(got.ps_f, want.ps_f) << "b=" << b << " rank " << rank;
+          EXPECT_EQ(got.counts, want.counts) << "b=" << b << " rank " << rank;
+          EXPECT_EQ(got.packed, want.packed) << "b=" << b << " rank " << rank;
+        }
+      }
+      EXPECT_TRUE(machine.mailboxes_empty());
     }
   }
 }

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -35,6 +37,13 @@ class ForceGuard {
 std::vector<Path> vector_paths() {
   std::vector<Path> paths = {Path::kGeneric};
   if (kernels::native_available()) paths.push_back(Path::kNative);
+  return paths;
+}
+
+/// All kernel paths, reference first.
+std::vector<Path> all_paths() {
+  std::vector<Path> paths = {Path::kScalar};
+  for (const Path p : vector_paths()) paths.push_back(p);
   return paths;
 }
 
@@ -120,7 +129,7 @@ TEST(SimdKernels, GatherDoubleMatchesScalar) {
   check_gather_parity<double>();
 }
 
-/// A W-byte element, so mask_expand is swept over every width 1-16 (the
+/// A W-byte element, so mask_merge is swept over every width 1-16 (the
 /// widths without a specialized vector loop fall back to the reference).
 template <std::size_t W>
 struct Bytes {
@@ -129,7 +138,7 @@ struct Bytes {
 };
 
 template <std::size_t W>
-void check_expand_parity() {
+void check_merge_parity() {
   using E = Bytes<W>;
   for (const std::uint64_t seed : kSeeds) {
     for (const double density : kDensities) {
@@ -140,38 +149,28 @@ void check_expand_parity() {
         // src holds exactly the selected count: any read past it is an
         // out-of-bounds read under the sanitizers.
         std::vector<E> src(count);
-        std::vector<E> init(n);
+        std::vector<E> field(n);
         for (std::size_t i = 0; i < count; ++i) {
           for (std::size_t j = 0; j < W; ++j) {
             src[i].b[j] = static_cast<std::uint8_t>(i * 31 + j + seed);
           }
         }
         for (std::size_t i = 0; i < n; ++i) {
-          init[i].b.fill(static_cast<std::uint8_t>(0xa0 ^ i));
+          field[i].b.fill(static_cast<std::uint8_t>(0xa0 ^ i));
         }
-        ForceGuard ref(Path::kScalar);
-        std::vector<E> expect = init;
-        ASSERT_EQ(kernels::mask_expand<E>(mask.data(), src.data(), n,
-                                          expect.data()),
-                  count);
-        // The reference is the inverse of mask_gather and leaves the
-        // unselected slots alone.
-        std::vector<E> regathered(n);
-        ASSERT_EQ(kernels::mask_gather<E>(mask.data(), expect.data(), n,
-                                          regathered.data()),
-                  count);
-        regathered.resize(count);
-        ASSERT_EQ(regathered, src);
-        for (std::size_t i = 0; i < n; ++i) {
-          if (mask[i] == 0) {
-            ASSERT_EQ(expect[i], init[i]);
-          }
+        // The definition: selected slots take the stream in order, the
+        // others the field.
+        std::vector<E> expect(n);
+        for (std::size_t i = 0, k = 0; i < n; ++i) {
+          expect[i] = mask[i] != 0 ? src[k++] : field[i];
         }
-        for (const Path path : vector_paths()) {
-          kernels::set_path(path);
-          std::vector<E> got = init;
-          ASSERT_EQ(kernels::mask_expand<E>(mask.data(), src.data(), n,
-                                            got.data()),
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          // Garbage in every slot: a slot the kernel skips shows.
+          std::vector<E> got(n);
+          for (E& e : got) e.b.fill(0x5c);
+          ASSERT_EQ(kernels::mask_merge<E>(mask.data(), src.data(),
+                                           field.data(), n, got.data()),
                     count)
               << kernels::path_name(path) << " W=" << W << " n=" << n;
           ASSERT_TRUE(got == expect)
@@ -183,9 +182,9 @@ void check_expand_parity() {
   }
 }
 
-TEST(SimdKernels, ExpandMatchesScalarForWidths1To16) {
+TEST(SimdKernels, MergeMatchesDefinitionForWidths1To16) {
   [&]<std::size_t... I>(std::index_sequence<I...>) {
-    (check_expand_parity<I + 1>(), ...);
+    (check_merge_parity<I + 1>(), ...);
   }(std::make_index_sequence<16>{});
 }
 
@@ -196,13 +195,6 @@ std::vector<std::size_t> fold_lengths() {
   std::iota(lens.begin(), lens.end(), std::size_t{0});
   lens.push_back(16384);
   return lens;
-}
-
-/// All kernel paths, reference first.
-std::vector<Path> all_paths() {
-  std::vector<Path> paths = {Path::kScalar};
-  for (const Path p : vector_paths()) paths.push_back(p);
-  return paths;
 }
 
 std::vector<std::int64_t> mixed_values(std::size_t n, std::uint64_t salt) {
@@ -259,11 +251,9 @@ TEST(SimdKernels, MaskWidenMatchesReferenceAtEveryOffset) {
       const auto sel = random_mask(static_cast<dist::index_t>(n), density, 9);
       std::vector<std::uint8_t> storage(n + 8);
       std::vector<std::int64_t> want_ps(n);
-      std::vector<std::int32_t> want_counts(n);
       std::int64_t want = 0;
       for (std::size_t i = 0; i < n; ++i) {
         want_ps[i] = sel[i] != 0 ? 1 : 0;
-        want_counts[i] = static_cast<std::int32_t>(want_ps[i]);
         want += want_ps[i];
       }
       for (std::size_t offset = 0; offset < 8; ++offset) {
@@ -274,43 +264,102 @@ TEST(SimdKernels, MaskWidenMatchesReferenceAtEveryOffset) {
         for (const Path path : all_paths()) {
           ForceGuard force(path);
           std::vector<std::int64_t> ps(n, -7);
-          std::vector<std::int32_t> counts(n, -7);
-          ASSERT_EQ(kernels::mask_widen(mask, n, ps.data(), counts.data()),
-                    want)
+          ASSERT_EQ(kernels::mask_widen(mask, n, ps.data()), want)
               << kernels::path_name(path) << " n=" << n << " d=" << density;
           ASSERT_EQ(ps, want_ps) << kernels::path_name(path) << " n=" << n
                                  << " offset=" << offset;
-          ASSERT_EQ(counts, want_counts)
-              << kernels::path_name(path) << " n=" << n
-              << " offset=" << offset;
         }
       }
     }
   }
 }
 
-TEST(SimdKernels, SegmentedPrefixFoldMatchesTwoPassReference) {
-  // The fused pass must equal substeps 2.2-2.4 as two passes: the
-  // segmented exclusive prefix over rs, then ps += rs.
+/// Segment lengths: 1, 3 and 128 (the benchmark's step-0 segment), a few
+/// around the lane width, and one segment over the whole array.  Lengths
+/// not divisible by a segment length end in a partial segment.
+std::vector<std::size_t> segment_lengths(std::size_t n) {
+  return {1, 3, 4, 5, 64, 128, n == 0 ? std::size_t{1} : n};
+}
+
+TEST(SimdKernels, SegmentSumsMatchDefinition) {
   for (const std::size_t n : fold_lengths()) {
-    for (const std::size_t seg :
-         {std::size_t{1}, std::size_t{3}, std::size_t{4}, std::size_t{5},
-          std::size_t{64}, std::size_t{128}, n == 0 ? std::size_t{1} : n}) {
-      const auto rs0 = mixed_values(n, 5);
-      const auto ps0 = mixed_values(n, 23);
-      std::vector<std::int64_t> want_rs = rs0;
-      std::vector<std::int64_t> want_ps = ps0;
-      kernels::scalar::segmented_exclusive_prefix(want_rs.data(), n, seg);
-      kernels::scalar::add_in_place(want_ps.data(), want_rs.data(), n);
+    for (const std::size_t seg : segment_lengths(n)) {
+      const auto rs = mixed_values(n, 5);
+      const std::size_t segs = (n + seg - 1) / seg;
+      std::vector<std::int64_t> want(segs, 0);
+      for (std::size_t e = 0; e < n; ++e) want[e / seg] += rs[e];
       for (const Path path : all_paths()) {
         ForceGuard force(path);
-        std::vector<std::int64_t> rs = rs0;
+        // One slot past the last segment: it must stay untouched.
+        std::vector<std::int64_t> sums(segs + 1, -9);
+        kernels::segment_sums(rs.data(), n, seg, sums.data());
+        ASSERT_EQ(sums.back(), -9) << kernels::path_name(path);
+        sums.pop_back();
+        ASSERT_EQ(sums, want)
+            << kernels::path_name(path) << " n=" << n << " seg=" << seg;
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, SegmentedPrefixFoldMatchesDefinition) {
+  // ps[e] += (sum of rs over e's segment before e) + seg_add[e / seg]; rs
+  // and seg_add are read only.
+  for (const std::size_t n : fold_lengths()) {
+    for (const std::size_t seg : segment_lengths(n)) {
+      const auto rs = mixed_values(n, 5);
+      const auto ps0 = mixed_values(n, 23);
+      const auto add = mixed_values((n + seg - 1) / seg, 41);
+      std::vector<std::int64_t> want = ps0;
+      for (std::size_t s = 0; s < n; s += seg) {
+        std::int64_t running = 0;
+        for (std::size_t e = s; e < std::min(n, s + seg); ++e) {
+          want[e] += running + add[s / seg];
+          running += rs[e];
+        }
+      }
+      for (const Path path : all_paths()) {
+        ForceGuard force(path);
         std::vector<std::int64_t> ps = ps0;
-        kernels::segmented_prefix_fold(rs.data(), ps.data(), n, seg);
-        ASSERT_EQ(rs, want_rs)
+        kernels::segmented_prefix_fold(rs.data(), ps.data(), n, seg,
+                                       add.data());
+        ASSERT_EQ(ps, want)
             << kernels::path_name(path) << " n=" << n << " seg=" << seg;
-        ASSERT_EQ(ps, want_ps)
-            << kernels::path_name(path) << " n=" << n << " seg=" << seg;
+        ASSERT_EQ(rs, mixed_values(n, 5)) << kernels::path_name(path);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, PrefixInRangeStopsAtFirstOutsideValue) {
+  // [lo, hi) = [100, 200).  The prefix ends at a value just below lo or at
+  // hi, placed at every position (every lane of every block and of the
+  // tail), and runs to n when every value is inside, including n = 0.
+  const std::int64_t lo = 100;
+  const std::int64_t hi = 200;
+  for (const Path path : all_paths()) {
+    ForceGuard force(path);
+    EXPECT_EQ(kernels::prefix_in_range(nullptr, 0, lo, hi), 0U)
+        << kernels::path_name(path);
+    for (std::size_t n = 1; n <= 37; ++n) {
+      std::vector<std::int64_t> v(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        v[i] = lo + static_cast<std::int64_t>((i * 37) % 100);
+      }
+      ASSERT_EQ(kernels::prefix_in_range(v.data(), n, lo, hi), n)
+          << kernels::path_name(path) << " n=" << n;
+      for (std::size_t at = 0; at < n; ++at) {
+        for (const std::int64_t outside :
+             {lo - 1, hi, std::numeric_limits<std::int64_t>::min(),
+              std::numeric_limits<std::int64_t>::max()}) {
+          std::vector<std::int64_t> w = v;
+          w[at] = outside;
+          // A second exit later must not matter.
+          if (at + 2 < n) w[at + 2] = hi + 5;
+          ASSERT_EQ(kernels::prefix_in_range(w.data(), n, lo, hi), at)
+              << kernels::path_name(path) << " n=" << n << " at=" << at
+              << " value=" << outside;
+        }
       }
     }
   }
