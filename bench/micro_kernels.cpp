@@ -1,8 +1,9 @@
 // google-benchmark microbenches of the hot local kernels: initial mask
 // scan (counting and W_0 = 1 widening), the ranking's segment totals and
-// final-step fold, the PRS payload fold, CMS run encode/decode, UNPACK's
-// merged placement, message composition per scheme, and the serial
-// reference, on a single virtual processor's data sizes.
+// final-step fold (plain, and fused with the W_0 = 1 gather), the PRS
+// payload fold, CMS run encode/decode, UNPACK's reply gather and merged
+// placement, message composition per scheme, and the serial reference, on
+// a single virtual processor's data sizes.
 //
 // Kernel benches take a trailing `path` argument (0 = forced scalar
 // reference, 1 = the active vector path) so one JSON run carries both
@@ -95,6 +96,30 @@ void BM_SegmentedPrefixFold(benchmark::State& state) {
 }
 BENCHMARK(BM_SegmentedPrefixFold)->Args({1 << 14, 0})->Args({1 << 14, 1});
 
+// The same fold at level 0 of a W_0 = 1 counting scan, fused with the
+// gather under a 50% mask: only the selected slots' ranks are stored.
+void BM_SegmentedPrefixFoldGather(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto mask = random_mask(static_cast<dist::index_t>(n), 0.5, 8);
+  std::vector<std::int64_t> rs(n, 1);
+  std::vector<std::int64_t> ps(n, 2);
+  std::vector<std::int64_t> add(n / 128, 3);
+  std::vector<std::int64_t> out(n);
+  PathGuard guard(state.range(1));
+  for (auto _ : state) {
+    const std::size_t k = kernels::segmented_prefix_fold_gather(
+        rs.data(), ps.data(), n, 128, add.data(), mask.data(), out.data());
+    benchmark::DoNotOptimize(k);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetLabel(kernels::path_name(kernels::active_path()));
+}
+BENCHMARK(BM_SegmentedPrefixFoldGather)
+    ->Args({1 << 14, 0})
+    ->Args({1 << 14, 1});
+
 // W_0 = 1 initial scan: PS_0 in one widening pass.
 void BM_MaskWiden(benchmark::State& state) {
   const auto n = static_cast<dist::index_t>(state.range(0));
@@ -125,8 +150,8 @@ void BM_MaskMerge(benchmark::State& state) {
   PathGuard guard(state.range(1));
   for (auto _ : state) {
     const std::size_t k = kernels::mask_merge<std::int64_t>(
-        mask.data(), src.data(), field.data(), static_cast<std::size_t>(n),
-        out.data());
+        mask.data(), src.data(), src.size(), field.data(),
+        static_cast<std::size_t>(n), out.data());
     benchmark::DoNotOptimize(k);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
@@ -139,6 +164,36 @@ BENCHMARK(BM_MaskMerge)
     ->Args({1 << 14, 1, 50})
     ->Args({1 << 14, 0, 10})
     ->Args({1 << 14, 1, 10});
+
+// UNPACK's reply to one request stream: 8192 ranks, a sorted 50% subset
+// of one 16384-element V block, read one byte off alignment and answered
+// by base + offset into an unaligned reply.
+void BM_RunGather(benchmark::State& state) {
+  const std::int64_t block = std::int64_t{1} << 14;
+  const std::int64_t lo = 5 * block;
+  const auto sel = random_mask(block, 0.5, 9);
+  std::vector<std::int64_t> ranks;
+  for (std::int64_t r = 0; r < block; ++r) {
+    if (sel[static_cast<std::size_t>(r)] != 0) ranks.push_back(lo + r);
+  }
+  const std::size_t n = ranks.size();
+  std::vector<std::byte> request(n * sizeof(std::int64_t) + 1);
+  std::memcpy(request.data() + 1, ranks.data(), n * sizeof(std::int64_t));
+  std::vector<std::int64_t> base(static_cast<std::size_t>(block));
+  std::iota(base.begin(), base.end(), 11);
+  std::vector<std::byte> reply(n * sizeof(std::int64_t) + 1);
+  PathGuard guard(state.range(0));
+  for (auto _ : state) {
+    const std::size_t k = kernels::run_gather<std::int64_t>(
+        request.data() + 1, n, lo, lo + block, base.data(), reply.data() + 1);
+    benchmark::DoNotOptimize(k);
+    benchmark::DoNotOptimize(reply.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetLabel(kernels::path_name(kernels::active_path()));
+}
+BENCHMARK(BM_RunGather)->Arg(0)->Arg(1);
 
 // A PRS round's fold of a received payload into the total (and, with the
 // third argument 1, into the prefix too), read in place from a byte
@@ -401,6 +456,18 @@ void verify_kernel_parity() {
           die("scalar segmented_prefix_fold is wrong");
         }
       }
+      // The fused fold-and-gather keeps the fold's selected slots.
+      std::vector<std::int64_t> ref_fold_sel(n);
+      const std::size_t ref_fold_k = kernels::mask_gather<std::int64_t>(
+          mask.data(), ref_fold.data(), n, ref_fold_sel.data());
+      ref_fold_sel.resize(ref_fold_k);
+      std::vector<std::int64_t> ref_fg(n, -1);
+      ref_fg.resize(kernels::segmented_prefix_fold_gather(
+          values.data(), values.data(), n, 5, addends.data(), mask.data(),
+          ref_fg.data()));
+      if (ref_fg != ref_fold_sel) {
+        die("scalar segmented_prefix_fold_gather is wrong");
+      }
       // The stream holds exactly the selected count, so an over-read is an
       // ASan finding.
       const std::vector<std::int64_t> stream(values.begin(),
@@ -410,7 +477,7 @@ void verify_kernel_parity() {
       std::vector<std::int64_t> ref_merged(n, -1);
       std::vector<std::int64_t> regathered(n);
       if (kernels::mask_merge<std::int64_t>(mask.data(), stream.data(),
-                                            field.data(), n,
+                                            stream.size(), field.data(), n,
                                             ref_merged.data()) != ref_k ||
           kernels::mask_gather<std::int64_t>(mask.data(), ref_merged.data(), n,
                                              regathered.data()) != ref_k ||
@@ -427,6 +494,19 @@ void verify_kernel_parity() {
       const std::size_t ref_run =
           kernels::prefix_in_range(values.data(), n, 7, 7 + half);
       if (ref_run != n / 2) die("scalar prefix_in_range is wrong");
+      // The reply gather over the same ranks, read from the unaligned
+      // payload: base[r - 7] for the in-range prefix.
+      std::vector<std::int64_t> base(n);
+      std::iota(base.begin(), base.end(), 1000);
+      std::vector<std::int64_t> ref_reply(n, -1);
+      if (kernels::run_gather<std::int64_t>(
+              payload.data() + 1, n, 7, 7 + half, base.data(),
+              reinterpret_cast<std::byte*>(ref_reply.data())) != ref_run ||
+          !std::equal(base.begin(),
+                      base.begin() + static_cast<long>(ref_run),
+                      ref_reply.begin())) {
+        die("scalar run_gather is wrong");
+      }
       std::vector<std::int64_t> ref_a = values;
       std::vector<std::int64_t> ref_b(n, 3);
       kernels::add_from_bytes(ref_a.data(), ref_b.data(),
@@ -448,9 +528,22 @@ void verify_kernel_parity() {
         kernels::segmented_prefix_fold(values.data(), fold.data(), n, 5,
                                        addends.data());
         if (fold != ref_fold) die("segmented_prefix_fold mismatch");
+        // In place, as the ranking runs it.
+        std::vector<std::int64_t> fg = values;
+        fg.resize(kernels::segmented_prefix_fold_gather(
+            values.data(), fg.data(), n, 5, addends.data(), mask.data(),
+            fg.data()));
+        if (fg != ref_fg) die("segmented_prefix_fold_gather mismatch");
+        std::vector<std::int64_t> reply(n, -1);
+        if (kernels::run_gather<std::int64_t>(
+                payload.data() + 1, n, 7, 7 + half, base.data(),
+                reinterpret_cast<std::byte*>(reply.data())) != ref_run ||
+            reply != ref_reply) {
+          die("run_gather mismatch");
+        }
         std::vector<std::int64_t> merged(n, -2);
         if (kernels::mask_merge<std::int64_t>(mask.data(), stream.data(),
-                                              field.data(), n,
+                                              stream.size(), field.data(), n,
                                               merged.data()) != ref_k ||
             merged != ref_merged) {
           die("mask_merge mismatch");

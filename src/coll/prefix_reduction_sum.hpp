@@ -74,12 +74,17 @@ void prs_direct_pow2(sim::Machine& m, const Group& g,
                      std::vector<std::vector<T, A>>& total, sim::Category cat) {
   const int G = g.size();
   // Seed: total accumulates the subcube sum, starting from the input
-  // (moved, not copied); prefix the in-subcube lower-rank sum, from zero.
+  // (moved, not copied); prefix the in-subcube lower-rank sum.  Prefixes
+  // are sized, not zero-filled: a member's first lower subcube arrives in
+  // the round of its index's lowest set bit and is copied in whole; later
+  // ones are added.  Only index 0 never has a lower subcube, and is
+  // zero-filled at the end.
   std::vector<std::vector<T, A>> tot(prefix.size());
   for (int i = 0; i < G; ++i) {
     const auto r = static_cast<std::size_t>(g.rank_at(i));
     tot[r] = std::move(prefix[r]);
-    prefix[r].assign(tot[r].size(), T{});
+    prefix[r].clear();
+    prefix[r].resize(tot[r].size());
   }
 
   constexpr int kTag = 0xdc1;
@@ -106,10 +111,19 @@ void prs_direct_pow2(sim::Machine& m, const Group& g,
         m.timed(rank, cat, [&] {
           auto& t = tot[static_cast<std::size_t>(rank)];
           // When the partner's whole subcube ranks below us it joins the
-          // prefix too, in the same pass over the payload.
+          // prefix too: added in the same pass over the payload, or, if it
+          // is the first (mask is idx's lowest set bit), bulk-copied in
+          // after the fold.  The copy measured faster than storing into the
+          // unwritten prefix from the fold's pass, which stalls on its
+          // uncached lines.
           T* p = partner < idx ? prefix[static_cast<std::size_t>(rank)].data()
                                : nullptr;
-          fold_payload<T>(msg.payload, t.size(), t.data(), p);
+          const bool first = p != nullptr && (idx & (mask - 1)) == 0;
+          fold_payload<T>(msg.payload, t.size(), t.data(),
+                          first ? nullptr : p);
+          if (first && !t.empty()) {
+            std::memcpy(p, msg.payload.data(), msg.payload.size());
+          }
         });
       }
     }
@@ -119,6 +133,8 @@ void prs_direct_pow2(sim::Machine& m, const Group& g,
     m.mark_epoch_boundary();
   }
   rdrain(m);
+  auto& first = prefix[static_cast<std::size_t>(g.rank_at(0))];
+  std::fill(first.begin(), first.end(), T{});
   for (int i = 0; i < G; ++i) {
     const int r = g.rank_at(i);
     total[static_cast<std::size_t>(r)] =

@@ -43,6 +43,21 @@ inline std::int64_t load_i64(const std::byte* src, std::size_t e) {
   return x;
 }
 
+// The stream check of every mask_merge path: consuming `take` more values
+// after the first k must stay within the src_len the caller handed in.
+// The throw is out of line, off the merge loops' hot path.
+[[noreturn, gnu::cold, gnu::noinline]] void stream_overrun(
+    std::size_t src_len) {
+  PUP_REQUIRE(false, "mask_merge: the mask selects more than the "
+                         << src_len << " values of its stream");
+  __builtin_unreachable();
+}
+
+inline void require_stream(std::size_t k, std::size_t take,
+                           std::size_t src_len) {
+  if (take > src_len - k) stream_overrun(src_len);
+}
+
 // --- dispatch state -------------------------------------------------------
 
 // -1 = auto; otherwise the Path pinned by set_path().  A relaxed atomic:
@@ -145,6 +160,26 @@ void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
   }
 }
 
+std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
+                                         const std::int64_t* ps,
+                                         std::size_t n, std::size_t seg_len,
+                                         const std::int64_t* seg_add,
+                                         const std::uint8_t* mask,
+                                         std::int64_t* out) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  std::size_t k = 0;
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
+    const std::size_t end = s + seg_len < n ? s + seg_len : n;
+    std::int64_t running = 0;
+    for (std::size_t e = s; e < end; ++e) {
+      const std::int64_t v = ps[e] + running + seg_add[g];
+      if (mask[e] != 0) out[k++] = v;
+      running += rs[e];
+    }
+  }
+  return k;
+}
+
 void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n) {
   for (std::size_t e = 0; e < n; ++e) dst[e] += load_i64(src, e);
 }
@@ -191,11 +226,12 @@ std::size_t gather_first_n(const std::uint8_t* mask, const std::byte* values,
 }
 
 std::size_t merge(const std::uint8_t* mask, const std::byte* src,
-                  const std::byte* field, std::size_t n, std::size_t width,
-                  std::byte* out) {
+                  std::size_t src_len, const std::byte* field, std::size_t n,
+                  std::size_t width, std::byte* out) {
   std::size_t k = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (mask[i] != 0) {
+      require_stream(k, 1, src_len);
       std::memcpy(out + i * width, src + k * width, width);
       ++k;
     } else {
@@ -203,6 +239,19 @@ std::size_t merge(const std::uint8_t* mask, const std::byte* src,
     }
   }
   return k;
+}
+
+std::size_t run_gather(const std::byte* ranks, std::size_t n, std::int64_t lo,
+                       std::int64_t hi, const std::byte* base,
+                       std::size_t width, std::byte* out) {
+  std::size_t i = 0;
+  for (; i < n; ++i) {
+    const std::int64_t r = load_i64(ranks, i);
+    if (r < lo || r >= hi) break;
+    std::memcpy(out + i * width,
+                base + static_cast<std::size_t>(r - lo) * width, width);
+  }
+  return i;
 }
 
 void run_decode(const std::byte* src, std::size_t count, std::size_t width,
@@ -386,6 +435,47 @@ void add_from_bytes_generic(std::int64_t* dst, std::int64_t* dst2,
     dst[e] += v;
     if constexpr (kTwo) dst2[e] += v;
   }
+}
+
+// The unrolled fold with a branchless compaction: each folded value is
+// stored at out[k] and k advances by its mask flag.  A step computes all
+// four values before it stores any, and k never passes the element being
+// read, so folding in place over ps never clobbers a value still unread.
+std::size_t segmented_prefix_fold_gather_unrolled(
+    const std::int64_t* rs, const std::int64_t* ps, std::size_t n,
+    std::size_t seg_len, const std::int64_t* seg_add, const std::uint8_t* mask,
+    std::int64_t* out) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  std::size_t k = 0;
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
+    const std::size_t end = s + seg_len < n ? s + seg_len : n;
+    std::int64_t running = seg_add[g];
+    std::size_t e = s;
+    for (; e + 4 <= end; e += 4) {
+      const std::int64_t v0 = rs[e];
+      const std::int64_t v1 = rs[e + 1];
+      const std::int64_t v2 = rs[e + 2];
+      const std::int64_t f0 = ps[e] + running;
+      const std::int64_t f1 = ps[e + 1] + running + v0;
+      const std::int64_t f2 = ps[e + 2] + running + v0 + v1;
+      const std::int64_t f3 = ps[e + 3] + running + v0 + v1 + v2;
+      out[k] = f0;
+      k += mask[e] != 0;
+      out[k] = f1;
+      k += mask[e + 1] != 0;
+      out[k] = f2;
+      k += mask[e + 2] != 0;
+      out[k] = f3;
+      k += mask[e + 3] != 0;
+      running += v0 + v1 + v2 + rs[e + 3];
+    }
+    for (; e < end; ++e) {
+      out[k] = ps[e] + running;
+      k += mask[e] != 0;
+      running += rs[e];
+    }
+  }
+  return k;
 }
 
 #if defined(PUP_KERNELS_AVX2)
@@ -646,6 +736,62 @@ std::size_t gather_avx2(const std::uint8_t* mask, const std::byte* values,
 }
 #endif
 
+#if defined(PUP_KERNELS_AVX2)
+// segmented_prefix_fold_avx2's four-lane fold, then a left-pack of the
+// selected lanes (the 4-byte mask word widened to a lane-selection nibble)
+// stored whole at out + k.  k never exceeds the block's first element, so
+// the speculative store stays inside the block just read and inside n.
+std::size_t segmented_prefix_fold_gather_avx2(
+    const std::int64_t* rs, const std::int64_t* ps, std::size_t n,
+    std::size_t seg_len, const std::int64_t* seg_add, const std::uint8_t* mask,
+    std::int64_t* out) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t k = 0;
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
+    const std::size_t end = s + seg_len < n ? s + seg_len : n;
+    __m256i running = _mm256_set1_epi64x(seg_add[g]);
+    std::size_t e = s;
+    for (; e + 4 <= end; e += 4) {
+      const __m256i x =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rs + e));
+      const __m256i x1 = _mm256_add_epi64(
+          x, _mm256_blend_epi32(
+                 _mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 0)), zero,
+                 0x03));
+      const __m256i inc = _mm256_add_epi64(
+          x1, _mm256_blend_epi32(
+                  _mm256_permute4x64_epi64(x1, _MM_SHUFFLE(1, 0, 0, 0)),
+                  zero, 0x0f));
+      const __m256i folded = _mm256_add_epi64(
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ps + e)),
+          _mm256_add_epi64(_mm256_sub_epi64(inc, x), running));
+      std::uint32_t m;
+      std::memcpy(&m, mask + e, sizeof(m));
+      const __m256i unselected = _mm256_cmpeq_epi64(
+          _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(m))), zero);
+      const auto nib = static_cast<unsigned>(
+          ~_mm256_movemask_pd(_mm256_castsi256_pd(unselected)) & 0xf);
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(out + k),
+          _mm256_permutevar8x32_epi32(
+              folded, _mm256_load_si256(reinterpret_cast<const __m256i*>(
+                          kLeftPack64.idx[nib]))));
+      k += static_cast<std::size_t>(std::popcount(nib));
+      running = _mm256_add_epi64(
+          running, _mm256_permute4x64_epi64(inc, _MM_SHUFFLE(3, 3, 3, 3)));
+    }
+    std::int64_t carry = _mm256_extract_epi64(running, 0);
+    for (; e < end; ++e) {
+      out[k] = ps[e] + carry;
+      k += mask[e] != 0;
+      carry += rs[e];
+    }
+  }
+  return k;
+}
+#endif
+
 template <std::size_t W>
 std::size_t gather_vector(const std::uint8_t* mask, const std::byte* values,
                           std::size_t n, std::byte* out) {
@@ -664,14 +810,15 @@ std::size_t gather_vector(const std::uint8_t* mask, const std::byte* values,
 // block's selection bits).  src is never read past the selected count.
 template <std::size_t W>
 std::size_t merge_generic(const std::uint8_t* mask, const std::byte* src,
-                          const std::byte* field, std::size_t n,
-                          std::byte* out) {
+                          std::size_t src_len, const std::byte* field,
+                          std::size_t n, std::byte* out) {
   std::size_t k = 0;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const std::uint64_t x = load_u64(mask + i);
     // 0x80 in each byte whose mask byte is nonzero.
     std::uint64_t sel = ~zero_byte_flags(x) & kHigh;
+    require_stream(k, static_cast<std::size_t>(std::popcount(sel)), src_len);
     if (sel == kHigh) {
       std::memcpy(out + i * W, src + k * W, 8 * W);
       k += 8;
@@ -685,7 +832,11 @@ std::size_t merge_generic(const std::uint8_t* mask, const std::byte* src,
     }
   }
   for (; i < n; ++i) {
-    const std::byte* from = mask[i] != 0 ? src + (k++) * W : field + i * W;
+    const std::byte* from = field + i * W;
+    if (mask[i] != 0) {
+      require_stream(k, 1, src_len);
+      from = src + (k++) * W;
+    }
     std::memcpy(out + i * W, from, W);
   }
   return k;
@@ -714,7 +865,8 @@ constexpr Expand64 kExpand64{};
 
 template <std::size_t W>
 std::size_t merge_avx2(const std::uint8_t* mask, const std::byte* src,
-                       const std::byte* field, std::size_t n, std::byte* out) {
+                       std::size_t src_len, const std::byte* field,
+                       std::size_t n, std::byte* out) {
   std::size_t k = 0;
   std::size_t i = 0;
   const __m256i zero = _mm256_setzero_si256();
@@ -726,6 +878,7 @@ std::size_t merge_avx2(const std::uint8_t* mask, const std::byte* src,
     auto sel = static_cast<std::uint32_t>(
         ~static_cast<std::uint32_t>(
             _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero))));
+    require_stream(k, static_cast<std::size_t>(std::popcount(sel)), src_len);
     if (sel == 0xffffffffU) {
       std::memcpy(out + i * W, src + k * W, 32 * W);
       k += 32;
@@ -739,7 +892,10 @@ std::size_t merge_avx2(const std::uint8_t* mask, const std::byte* src,
       // Mixed block of 8-byte elements, four lanes at a time: a masked
       // load of the next popcount(nib) stream values (no lane past them is
       // read), a permute that spreads them over the selected lanes, and a
-      // blend with the field.
+      // blend with the field.  (A plain load while four values remain,
+      // masked only at the stream's tail, measured 5% slower: 0.99 against
+      // 0.94 ns per element at 50% density, interleaved in one process on
+      // a 4-vCPU x86-64 VM.)
       for (unsigned q = 0; q < 8; ++q) {
         const unsigned nib = (sel >> (4 * q)) & 0xfU;
         const auto c = static_cast<long long>(std::popcount(nib));
@@ -769,7 +925,11 @@ std::size_t merge_avx2(const std::uint8_t* mask, const std::byte* src,
     }
   }
   for (; i < n; ++i) {
-    const std::byte* from = mask[i] != 0 ? src + (k++) * W : field + i * W;
+    const std::byte* from = field + i * W;
+    if (mask[i] != 0) {
+      require_stream(k, 1, src_len);
+      from = src + (k++) * W;
+    }
     std::memcpy(out + i * W, from, W);
   }
   return k;
@@ -778,14 +938,85 @@ std::size_t merge_avx2(const std::uint8_t* mask, const std::byte* src,
 
 template <std::size_t W>
 std::size_t merge_vector(const std::uint8_t* mask, const std::byte* src,
-                         const std::byte* field, std::size_t n,
-                         std::byte* out) {
+                         std::size_t src_len, const std::byte* field,
+                         std::size_t n, std::byte* out) {
 #if defined(PUP_KERNELS_AVX2)
   if (active_path() == Path::kNative) {
-    return merge_avx2<W>(mask, src, field, n, out);
+    return merge_avx2<W>(mask, src, src_len, field, n, out);
   }
 #endif
-  return merge_generic<W>(mask, src, field, n, out);
+  return merge_generic<W>(mask, src, src_len, field, n, out);
+}
+
+// Run gather, four ranks per step: one range test for the block (v - lo,
+// taken unsigned, below hi - lo), then four base + offset copies; the
+// block holding the exit is finished element by element.
+template <std::size_t W>
+std::size_t run_gather_generic(const std::byte* ranks, std::size_t n,
+                               std::int64_t lo, std::int64_t hi,
+                               const std::byte* base, std::byte* out) {
+  const std::uint64_t ulo = static_cast<std::uint64_t>(lo);
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - ulo;
+  auto offset = [&](std::size_t i) {
+    return static_cast<std::uint64_t>(load_i64(ranks, i)) - ulo;
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const std::uint64_t o0 = offset(i);
+    const std::uint64_t o1 = offset(i + 1);
+    const std::uint64_t o2 = offset(i + 2);
+    const std::uint64_t o3 = offset(i + 3);
+    if ((o0 >= span) | (o1 >= span) | (o2 >= span) | (o3 >= span)) break;
+    std::memcpy(out + i * W, base + o0 * W, W);
+    std::memcpy(out + (i + 1) * W, base + o1 * W, W);
+    std::memcpy(out + (i + 2) * W, base + o2 * W, W);
+    std::memcpy(out + (i + 3) * W, base + o3 * W, W);
+  }
+  for (; i < n; ++i) {
+    const std::uint64_t o = offset(i);
+    if (o >= span) break;
+    std::memcpy(out + i * W, base + o * W, W);
+  }
+  return i;
+}
+
+#if defined(PUP_KERNELS_AVX2)
+// prefix_in_range_avx2's four-lane range test on unaligned rank loads,
+// then one vpgatherqq of base[r - lo] for a block wholly in range.
+std::size_t run_gather_avx2_8(const std::byte* ranks, std::size_t n,
+                              std::int64_t lo, std::int64_t hi,
+                              const std::byte* base, std::byte* out) {
+  const __m256i vlo = _mm256_set1_epi64x(lo);
+  const __m256i vhi = _mm256_set1_epi64x(hi);
+  const auto* b = reinterpret_cast<const long long*>(base);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256i x = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(ranks + i * sizeof(std::int64_t)));
+    const __m256i in = _mm256_andnot_si256(_mm256_cmpgt_epi64(vlo, x),
+                                           _mm256_cmpgt_epi64(vhi, x));
+    if (_mm256_movemask_pd(_mm256_castsi256_pd(in)) != 0xf) break;
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(out + i * 8),
+        _mm256_i64gather_epi64(b, _mm256_sub_epi64(x, vlo), 8));
+  }
+  return i + run_gather_generic<8>(ranks + i * sizeof(std::int64_t), n - i,
+                                   lo, hi, base, out + i * 8);
+}
+#endif
+
+template <std::size_t W>
+std::size_t run_gather_vector(const std::byte* ranks, std::size_t n,
+                              std::int64_t lo, std::int64_t hi,
+                              const std::byte* base, std::byte* out) {
+#if defined(PUP_KERNELS_AVX2)
+  if constexpr (W == 8) {
+    if (active_path() == Path::kNative) {
+      return run_gather_avx2_8(ranks, n, lo, hi, base, out);
+    }
+  }
+#endif
+  return run_gather_generic<W>(ranks, n, lo, hi, base, out);
 }
 
 // Stop-early gather: same block structure with an early exit once the
@@ -935,6 +1166,31 @@ void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
   }
 }
 
+std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
+                                         const std::int64_t* ps,
+                                         std::size_t n, std::size_t seg_len,
+                                         const std::int64_t* seg_add,
+                                         const std::uint8_t* mask,
+                                         std::int64_t* out) {
+  switch (active_path()) {
+    case Path::kScalar:
+      return scalar::segmented_prefix_fold_gather(rs, ps, n, seg_len, seg_add,
+                                                  mask, out);
+    case Path::kNative:
+#if defined(PUP_KERNELS_AVX2)
+      return segmented_prefix_fold_gather_avx2(rs, ps, n, seg_len, seg_add,
+                                               mask, out);
+#else
+      [[fallthrough]];
+#endif
+    case Path::kGeneric:
+      return segmented_prefix_fold_gather_unrolled(rs, ps, n, seg_len,
+                                                   seg_add, mask, out);
+  }
+  return scalar::segmented_prefix_fold_gather(rs, ps, n, seg_len, seg_add,
+                                              mask, out);
+}
+
 namespace detail {
 
 std::size_t gather_bytes(const std::uint8_t* mask, const std::byte* values,
@@ -976,21 +1232,41 @@ std::size_t gather_first_n_bytes(const std::uint8_t* mask,
 }
 
 std::size_t merge_bytes(const std::uint8_t* mask, const std::byte* src,
-                        const std::byte* field, std::size_t n,
-                        std::size_t width, std::byte* out) {
+                        std::size_t src_len, const std::byte* field,
+                        std::size_t n, std::size_t width, std::byte* out) {
   switch (width) {
     case 1:
-      return merge_vector<1>(mask, src, field, n, out);
+      return merge_vector<1>(mask, src, src_len, field, n, out);
     case 2:
-      return merge_vector<2>(mask, src, field, n, out);
+      return merge_vector<2>(mask, src, src_len, field, n, out);
     case 4:
-      return merge_vector<4>(mask, src, field, n, out);
+      return merge_vector<4>(mask, src, src_len, field, n, out);
     case 8:
-      return merge_vector<8>(mask, src, field, n, out);
+      return merge_vector<8>(mask, src, src_len, field, n, out);
     case 16:
-      return merge_vector<16>(mask, src, field, n, out);
+      return merge_vector<16>(mask, src, src_len, field, n, out);
     default:
-      return scalar::merge(mask, src, field, n, width, out);
+      return scalar::merge(mask, src, src_len, field, n, width, out);
+  }
+}
+
+std::size_t run_gather_bytes(const std::byte* ranks, std::size_t n,
+                             std::int64_t lo, std::int64_t hi,
+                             const std::byte* base, std::size_t width,
+                             std::byte* out) {
+  switch (width) {
+    case 1:
+      return run_gather_vector<1>(ranks, n, lo, hi, base, out);
+    case 2:
+      return run_gather_vector<2>(ranks, n, lo, hi, base, out);
+    case 4:
+      return run_gather_vector<4>(ranks, n, lo, hi, base, out);
+    case 8:
+      return run_gather_vector<8>(ranks, n, lo, hi, base, out);
+    case 16:
+      return run_gather_vector<16>(ranks, n, lo, hi, base, out);
+    default:
+      return scalar::run_gather(ranks, n, lo, hi, base, width, out);
   }
 }
 

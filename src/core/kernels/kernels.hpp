@@ -10,13 +10,17 @@
 //     segment totals of RS_i (the seeds of level i+1), and the final step
 //     folds the segmented exclusive prefix of RS_i and the finished
 //     level-(i+1) ranks into PS_i in one pass;
+//   * segmented_prefix_fold_gather -- that final fold at level 0 of a
+//     W_0 = 1 counting scan, fused with the gather of PS_f under the mask:
+//     only the selected elements' ranks are kept, compacted in place;
 //   * add_from_bytes -- the PRS rounds' fold of a received payload,
 //     read where it lies (unaligned int64 loads from the message bytes);
 //   * prefix_in_range -- UNPACK's request runs: how far a scan-ordered
 //     rank list stays inside one V block;
+//   * run_gather -- UNPACK's replies: an owner answers the in-block prefix
+//     of a request stream by base + offset loads;
 //   * mask_gather / mask_gather_first_n / run_decode -- the CMS run
-//     encode (a slice's selected values into a run payload) and decode,
-//     and UNPACK's W_0 = 1 request list (PS_f gathered under the mask);
+//     encode (a slice's selected values into a run payload) and decode;
 //   * mask_merge -- UNPACK's placement: the result's local storage written
 //     once, each slot from the scan-ordered value stream or the field.
 //
@@ -115,6 +119,19 @@ void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
                            std::size_t n, std::size_t seg_len,
                            const std::int64_t* seg_add);
 
+/// segmented_prefix_fold fused with a gather under a mask: the folded
+/// value ps[e] + exscan_seg(rs)[e] + seg_add[e / seg_len] of each e < n
+/// with mask[e] != 0 is written, in order, to out[0, k); returns k.  out
+/// needs room for n values (the vector paths store speculatively) and may
+/// be ps itself: the k-th write never passes the element being read.  out
+/// must not overlap rs or seg_add.
+std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
+                                         const std::int64_t* ps,
+                                         std::size_t n, std::size_t seg_len,
+                                         const std::int64_t* seg_add,
+                                         const std::uint8_t* mask,
+                                         std::int64_t* out);
+
 // --- received-payload folds -----------------------------------------------
 
 /// dst[e] += the e-th int64 of src, for e < n: folds a received message
@@ -150,6 +167,12 @@ void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
 void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
                            std::size_t n, std::size_t seg_len,
                            const std::int64_t* seg_add);
+std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
+                                         const std::int64_t* ps,
+                                         std::size_t n, std::size_t seg_len,
+                                         const std::int64_t* seg_add,
+                                         const std::uint8_t* mask,
+                                         std::int64_t* out);
 void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n);
 void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
                     const std::byte* src, std::size_t n);
@@ -169,10 +192,16 @@ std::size_t gather_first_n(const std::uint8_t* mask, const std::byte* values,
 
 /// Branchy reference merge over width-w elements: out[i] takes the next
 /// src element where mask[i] != 0, else field[i]; returns the count
-/// consumed.
+/// consumed.  Throws ContractError before reading src past src_len.
 std::size_t merge(const std::uint8_t* mask, const std::byte* src,
-                  const std::byte* field, std::size_t n, std::size_t width,
-                  std::byte* out);
+                  std::size_t src_len, const std::byte* field, std::size_t n,
+                  std::size_t width, std::byte* out);
+
+/// Reference run gather over width-w elements: out[i] = base[r_i - lo]
+/// while the i-th int64 of `ranks` lies in [lo, hi); returns that count.
+std::size_t run_gather(const std::byte* ranks, std::size_t n, std::int64_t lo,
+                       std::int64_t hi, const std::byte* base,
+                       std::size_t width, std::byte* out);
 
 /// Reference run decode: one bounds check + one element copy per element,
 /// mirroring the historical per-element ByteReader::get<T> loop.
@@ -191,8 +220,12 @@ std::size_t gather_first_n_bytes(const std::uint8_t* mask,
                                  std::size_t target, std::size_t width,
                                  std::byte* out);
 std::size_t merge_bytes(const std::uint8_t* mask, const std::byte* src,
-                        const std::byte* field, std::size_t n,
-                        std::size_t width, std::byte* out);
+                        std::size_t src_len, const std::byte* field,
+                        std::size_t n, std::size_t width, std::byte* out);
+std::size_t run_gather_bytes(const std::byte* ranks, std::size_t n,
+                             std::int64_t lo, std::int64_t hi,
+                             const std::byte* base, std::size_t width,
+                             std::byte* out);
 
 }  // namespace detail
 
@@ -243,21 +276,39 @@ std::size_t mask_gather_first_n(const std::uint8_t* mask, const T* values,
 /// i < n, out[i] takes the next element of src (in order) where
 /// mask[i] != 0, else field[i].  Every slot of out is written once, so it
 /// needs no clearing first.  Returns the number of src elements consumed
-/// (the selected count).  src needs room only for that count -- no path
-/// reads past it -- which is what lets UNPACK place a scan-ordered value
-/// stream straight into the result's fresh local storage.  out must not
-/// overlap src or field.
+/// (the selected count).  src holds src_len elements and no path reads
+/// past them: a mask selecting more throws ContractError first.  That is
+/// what lets UNPACK place a scan-ordered value stream straight into the
+/// result's fresh local storage.  out must not overlap src or field.
 template <typename T>
-std::size_t mask_merge(const std::uint8_t* mask, const T* src, const T* field,
-                       std::size_t n, T* out) {
+std::size_t mask_merge(const std::uint8_t* mask, const T* src,
+                       std::size_t src_len, const T* field, std::size_t n,
+                       T* out) {
   static_assert(std::is_trivially_copyable_v<T>);
   const auto* s = reinterpret_cast<const std::byte*>(src);
   const auto* f = reinterpret_cast<const std::byte*>(field);
   auto* o = reinterpret_cast<std::byte*>(out);
   if (active_path() == Path::kScalar) {
-    return scalar::merge(mask, s, f, n, sizeof(T), o);
+    return scalar::merge(mask, s, src_len, f, n, sizeof(T), o);
   }
-  return detail::merge_bytes(mask, s, f, n, sizeof(T), o);
+  return detail::merge_bytes(mask, s, src_len, f, n, sizeof(T), o);
+}
+
+/// UNPACK's reply to one run of requests: while the i-th int64 of `ranks`
+/// (r_i) lies in the block [lo, hi), out[i] = base[r_i - lo]; returns the
+/// length of that in-range prefix (the first i with r_i outside, else n).
+/// ranks is a received payload with no alignment guarantee, so every path
+/// loads it unaligned; out is written with unaligned stores.  base must
+/// hold hi - lo elements.
+template <typename T>
+std::size_t run_gather(const std::byte* ranks, std::size_t n, std::int64_t lo,
+                       std::int64_t hi, const T* base, std::byte* out) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const auto* b = reinterpret_cast<const std::byte*>(base);
+  if (active_path() == Path::kScalar) {
+    return scalar::run_gather(ranks, n, lo, hi, b, sizeof(T), out);
+  }
+  return detail::run_gather_bytes(ranks, n, lo, hi, b, sizeof(T), out);
 }
 
 /// Unloads a CMS run payload (count contiguous elements, already validated

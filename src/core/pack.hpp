@@ -182,8 +182,13 @@ PackResult<T> pack_execute(sim::Machine& machine,
     } else {
       const auto mvals = mask.local(rank);
       std::vector<T> slice_vals(static_cast<std::size_t>(W0));
+      // With W_0 = 1 the ranking keeps no counts -- slice s is element s --
+      // and PS_f holds only the selected slices' ranks, in scan order.
+      PUP_CHECK(W0 != 1 ||
+                    pr.ps_f.size() == static_cast<std::size_t>(pr.packed),
+                "W_0 = 1 PS_f is not gathered under the mask");
+      std::size_t next_w1 = 0;
       for (dist::index_t s = 0; s < C; ++s) {
-        // With W_0 = 1 the ranking keeps no counts: slice s is element s.
         const auto us = static_cast<std::size_t>(s);
         std::int32_t n = 0;
         if (W0 != 1) {
@@ -215,7 +220,7 @@ PackResult<T> pack_execute(sim::Machine& machine,
                       slice_vals.data()));
         PUP_DCHECK(found == n, "slice counter mismatch");
         (void)found;
-        const std::int64_t r0 = pr.ps_f[static_cast<std::size_t>(s)];
+        const std::int64_t r0 = pr.ps_f[W0 == 1 ? next_w1++ : us];
         if (cms) {
           std::int64_t emitted = 0;
           for_each_dest_run(vdim, r0, n,

@@ -29,6 +29,25 @@ struct Workspace {
   std::int64_t size = 0;      // step d-1, substep 3
 };
 
+/// Level 0's fold when a W_0 = 1 counting scan compacts PS_f: slice s is
+/// local element s, so the fold keeps only the selected elements' ranks,
+/// written in place over PS_0 in scan order.  Under the ragged 1-D
+/// extension the slices past the local extent hold no element and are
+/// not folded at all.
+void fold_gather_level0(Workspace& w, std::span<const mask_t> local,
+                        dist::index_t seg_len, const std::int64_t* seg_add,
+                        std::int64_t packed) {
+  auto& ps = w.ps[0];
+  PUP_DCHECK(local.size() <= ps.size(), "more local elements than slices");
+  const std::size_t k = kernels::segmented_prefix_fold_gather(
+      w.rs[0].data(), ps.data(), local.size(),
+      static_cast<std::size_t>(seg_len), seg_add, local.data(), ps.data());
+  PUP_CHECK(static_cast<std::int64_t>(k) == packed,
+            "PS_f gathered " << k << " ranks for " << packed
+                             << " selected elements");
+  ps.resize(k);
+}
+
 }  // namespace
 
 std::int64_t ranking_schedules_compiled() {
@@ -123,6 +142,8 @@ std::vector<RankingResult> rank_masks(
                                        "distribution");
   }
   const int d = sched.d;
+  // A W_0 = 1 counting scan hands back PS_f gathered under the mask.
+  const bool compact_w1 = !record_infos && sched.W[0] == 1;
 
   std::vector<RankingResult> results(B);
   for (std::size_t b = 0; b < B; ++b) {
@@ -162,7 +183,7 @@ std::vector<RankingResult> rank_masks(
           return remaining < W0 ? remaining : W0;
         };
 
-        if (!record_infos && W0 == 1) {
+        if (compact_w1) {
           // W_0 = 1: PS_0 is mask[s] != 0, written once by one widening
           // pass into storage that was not zero-filled; a slice's count is
           // its mask byte, so no count array is kept.  Under the ragged 1-D
@@ -261,17 +282,21 @@ std::vector<RankingResult> rank_masks(
     // out of the unbatched algorithm.
     std::vector<BaseRanks> prefix_bufs(static_cast<std::size_t>(P));
     std::vector<BaseRanks> total_bufs(static_cast<std::size_t>(P));
+    // Batched copies presize and bulk-copy: UninitVector's insert and
+    // assign(first, last) construct element by element.
+    const auto len = static_cast<std::size_t>(size_i);
     for (int rank = 0; rank < P; ++rank) {
       auto& buf = prefix_bufs[static_cast<std::size_t>(rank)];
       if (B == 1) {
         buf = std::move(ws[0][static_cast<std::size_t>(rank)]
                             .ps[static_cast<std::size_t>(i)]);
       } else {
-        buf.reserve(B * static_cast<std::size_t>(size_i));
+        buf.resize(B * len);
         for (std::size_t b = 0; b < B; ++b) {
           const auto& ps =
               ws[b][static_cast<std::size_t>(rank)].ps[static_cast<std::size_t>(i)];
-          buf.insert(buf.end(), ps.begin(), ps.end());
+          std::copy(ps.begin(), ps.end(),
+                    buf.begin() + static_cast<std::ptrdiff_t>(b * len));
         }
       }
     }
@@ -289,15 +314,14 @@ std::vector<RankingResult> rank_masks(
       } else {
         for (std::size_t b = 0; b < B; ++b) {
           auto& w = ws[b][static_cast<std::size_t>(rank)];
-          const auto at = b * static_cast<std::size_t>(size_i);
-          w.ps[static_cast<std::size_t>(i)].assign(
-              prefix.begin() + static_cast<std::ptrdiff_t>(at),
-              prefix.begin() +
-                  static_cast<std::ptrdiff_t>(at + static_cast<std::size_t>(size_i)));
-          w.rs[static_cast<std::size_t>(i)].assign(
-              total.begin() + static_cast<std::ptrdiff_t>(at),
-              total.begin() +
-                  static_cast<std::ptrdiff_t>(at + static_cast<std::size_t>(size_i)));
+          const auto at = static_cast<std::ptrdiff_t>(b * len);
+          const auto end = at + static_cast<std::ptrdiff_t>(len);
+          auto& ps = w.ps[static_cast<std::size_t>(i)];
+          auto& rs = w.rs[static_cast<std::size_t>(i)];
+          ps.resize(len);
+          rs.resize(len);
+          std::copy(prefix.begin() + at, prefix.begin() + end, ps.begin());
+          std::copy(total.begin() + at, total.begin() + end, rs.begin());
         }
       }
     }
@@ -318,7 +342,8 @@ std::vector<RankingResult> rank_masks(
         // exclusive prefix over RS_i and its fold into PS_i wait for the
         // final step, which adds them together with the finished level
         // i+1 in one pass.  On the last step there is a single segment:
-        // its total is Size, and its fold runs here.
+        // its total is Size, and its fold runs here (for d = 1 that is
+        // level 0's fold, which compact_w1 fuses with the gather).
         const dist::index_t seg_len = step.seg_len;
         PUP_DCHECK(size_i % seg_len == 0, "segment length must tile RS_i");
         if (i != d - 1) {
@@ -331,9 +356,15 @@ std::vector<RankingResult> rank_masks(
           const std::int64_t no_addend = 0;
           kernels::segment_sums(rs.data(), static_cast<std::size_t>(size_i),
                                 static_cast<std::size_t>(size_i), &w.size);
-          kernels::segmented_prefix_fold(
-              rs.data(), ps.data(), static_cast<std::size_t>(size_i),
-              static_cast<std::size_t>(size_i), &no_addend);
+          if (i == 0 && compact_w1) {
+            fold_gather_level0(w, masks[b]->local(rank), size_i, &no_addend,
+                               results[b].procs[static_cast<std::size_t>(rank)]
+                                   .packed);
+          } else {
+            kernels::segmented_prefix_fold(
+                rs.data(), ps.data(), static_cast<std::size_t>(size_i),
+                static_cast<std::size_t>(size_i), &no_addend);
+          }
         }
       }
     });
@@ -353,20 +384,26 @@ std::vector<RankingResult> rank_masks(
   // 2.2-2.4 (the segmented exclusive prefix of RS_i) plus the finished
   // PS_{i+1} entry of the segment.  Element e = t + T_i*(c + L_{i+1}*r)
   // lies in segment e / (W_{i+1}*T_i) = c / W_{i+1} + T_{i+1}*r, which is
-  // exactly the level-(i+1) slot its base rank is offset by.
+  // exactly the level-(i+1) slot its base rank is offset by.  Level 0 of
+  // a W_0 = 1 counting scan folds and gathers under the mask in one pass.
   sim::PhaseScope final_phase(machine, "ranking.final");
   machine.local_phase([&](int rank) {
     for (std::size_t b = 0; b < B; ++b) {
       auto& w = ws[b][static_cast<std::size_t>(rank)];
+      auto& out = results[b].procs[static_cast<std::size_t>(rank)];
       for (int i = d - 2; i >= 0; --i) {
         const auto ui = static_cast<std::size_t>(i);
+        if (i == 0 && compact_w1) {
+          fold_gather_level0(w, masks[b]->local(rank), sched.steps[0].seg_len,
+                             w.ps[1].data(), out.packed);
+          continue;
+        }
         kernels::segmented_prefix_fold(
             w.rs[ui].data(), w.ps[ui].data(), w.ps[ui].size(),
             static_cast<std::size_t>(sched.steps[ui].seg_len),
             w.ps[ui + 1].data());
       }
-      results[b].procs[static_cast<std::size_t>(rank)].ps_f =
-          std::move(w.ps[0]);
+      out.ps_f = std::move(w.ps[0]);
     }
   });
 

@@ -17,7 +17,8 @@
 //                     PS_{i+1}/RS_{i+1} with per-block totals.
 //   Final step     -- fold the d base-rank arrays into PS_f (one entry per
 //                     slice); the rank of a selected element is its initial
-//                     in-slice rank plus PS_f[slice].
+//                     in-slice rank plus PS_f[slice].  (A W_0 = 1 counting
+//                     scan keeps only the selected slices' entries.)
 //
 // The ranking output is scheme-agnostic: SSS consumers iterate the recorded
 // per-element infos; CSS/CMS consumers re-derive everything from the slice
@@ -102,7 +103,11 @@ constexpr int sss_info_stride(int rank) { return rank + 2; }
 
 struct ProcRanking {
   /// Final base-rank array PS_f: for slice s, the global rank of the first
-  /// selected element of that slice.  Size C.
+  /// selected element of that slice.  Size C -- except in the counting
+  /// scan (record_infos off) with W_0 = 1, where every slice is one local
+  /// element and PS_f comes back gathered under the mask: entry k is the
+  /// global rank of the k-th selected local element in scan order, and
+  /// the size is `packed`.  The simple storage scheme keeps all C entries.
   support::UninitVector<std::int64_t> ps_f;
   /// Slice counter array PS_c: selected elements per slice.  Size C when
   /// W_0 > 1.  Empty when W_0 = 1, in both scans: slice s is local element

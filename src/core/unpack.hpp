@@ -136,13 +136,17 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
     ctr.packed = pr.packed;
     const auto packed = static_cast<std::size_t>(pr.packed);
 
-    // CSS with W_0 = 1 gathers PS_f under the local mask, and mask_gather
-    // needs room for every local element, not just the selected ones.
-    const bool gather_w1 = !sss && W0 == 1;
-    const std::size_t n_local = mask.local(rank).size();
-    const auto ranks = std::make_unique_for_overwrite<std::int64_t[]>(
-        gather_w1 ? n_local : packed);
-    std::size_t n = 0;
+    // CSS with W_0 = 1 requests straight from PS_f, which the counting
+    // scan hands back gathered under the mask: already the scan-ordered
+    // request list.  The other cases build it.
+    std::unique_ptr<std::int64_t[]> built;
+    const std::int64_t* ranks = pr.ps_f.data();
+    std::size_t n = pr.ps_f.size();
+    if (sss || W0 != 1) {
+      built = std::make_unique_for_overwrite<std::int64_t[]>(packed);
+      ranks = built.get();
+      n = 0;
+    }
     if (sss) {
       const dist::Shape lshape = mask.dist().local_shape(rank);
       const int stride = sss_info_stride(lshape.rank());
@@ -151,23 +155,16 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
         const SssRecord rec =
             decode_sss_record(pr.info_words.data() + base, lshape, W0);
         PUP_DCHECK(n < packed, "more SSS records than selected elements");
-        ranks[n++] =
+        built[n++] =
             rec.init_rank + pr.ps_f[static_cast<std::size_t>(rec.slice)];
       }
-    } else if (gather_w1) {
-      // Slice s is local element s: its rank is PS_f[s] when selected.
-      // (Ragged 1-D slices past the local extent are empty.)
-      PUP_CHECK(pr.ps_f.size() >= n_local, "PS_f shorter than the mask");
-      n = kernels::mask_gather<std::int64_t>(mask.local(rank).data(),
-                                             pr.ps_f.data(), n_local,
-                                             ranks.get());
-    } else {
+    } else if (W0 != 1) {
       for (dist::index_t s = 0; s < C; ++s) {
         const std::int32_t cnt = pr.counts[static_cast<std::size_t>(s)];
         const std::int64_t r0 = pr.ps_f[static_cast<std::size_t>(s)];
         PUP_DCHECK(n + static_cast<std::size_t>(cnt) <= packed,
                    "slice counts exceed the selected element count");
-        for (std::int32_t j = 0; j < cnt; ++j) ranks[n++] = r0 + j;
+        for (std::int32_t j = 0; j < cnt; ++j) built[n++] = r0 + j;
       }
     }
     PUP_CHECK(n == packed, "request list does not cover every selected "
@@ -186,10 +183,10 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
       // leaves the block in either direction.
       const auto blk = vdim.block_of(ranks[i]);
       const std::size_t len =
-          1 + kernels::prefix_in_range(ranks.get() + i + 1, n - i - 1,
+          1 + kernels::prefix_in_range(ranks + i + 1, n - i - 1,
                                        blk.start, blk.end);
       writers[static_cast<std::size_t>(blk.owner)].put_span(
-          std::span<const std::int64_t>(ranks.get() + i, len));
+          std::span<const std::int64_t>(ranks + i, len));
       my_runs.push_back(RequestRun{blk.owner, len});
       i += len;
     }
@@ -207,7 +204,8 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
 
   // Phase B: owners answer with values, preserving request order.  Each
   // requested block is validated once -- in range and owned here -- and
-  // the rest of its run is answered by base + offset.
+  // run_gather answers the stretch of requests inside it by base + offset
+  // (every element is range-checked against the block).
   coll::ByteBuffers replies(static_cast<std::size_t>(P));
   for (auto& row : replies) row.resize(static_cast<std::size_t>(P));
   sim::PhaseScope reply_phase(machine, "unpack.replies");
@@ -224,14 +222,9 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
       const std::byte* in = request.data();
       ByteWriter w(&machine.payload_arena(rank));
       std::byte* dst = w.grow(n * sizeof(T)).data();
-      auto rank_at = [&](std::size_t i) {
+      for (std::size_t i = 0; i < n;) {
         std::int64_t r;
         std::memcpy(&r, in + i * sizeof(std::int64_t), sizeof(r));
-        return r;
-      };
-      std::size_t i = 0;
-      while (i < n) {
-        std::int64_t r = rank_at(i);
         const auto blk = vdim.block_of(r);
         PUP_REQUIRE(blk.owner == rank,
                     "misrouted UNPACK request: rank " << r << " is owned by "
@@ -240,11 +233,9 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
         PUP_DCHECK(blk.local_index(blk.end - 1) <
                        static_cast<std::int64_t>(vlocal.size()),
                    "V block past the owner's local storage");
-        do {
-          std::memcpy(dst + i * sizeof(T),
-                      &vlocal[static_cast<std::size_t>(blk.local_index(r))],
-                      sizeof(T));
-        } while (++i < n && blk.contains(r = rank_at(i)));
+        i += kernels::run_gather<T>(
+            in + i * sizeof(std::int64_t), n - i, blk.start, blk.end,
+            vlocal.data() + blk.local_base, dst + i * sizeof(T));
       }
       out.counters[static_cast<std::size_t>(rank)].recv_elems +=
           static_cast<dist::index_t>(n);
@@ -303,7 +294,7 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
       const auto mvals = mask.local(rank);
       rlocal.resize(mvals.size());
       const std::size_t placed = kernels::mask_merge<T>(
-          mvals.data(), values.get(), flocal.data(), mvals.size(),
+          mvals.data(), values.get(), k, flocal.data(), mvals.size(),
           rlocal.data());
       PUP_CHECK(placed == k, "UNPACK placed " << placed << " values, "
                                               << "received " << k);

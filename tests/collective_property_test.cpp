@@ -4,15 +4,18 @@
 // a seeded fault plan.  The collectives fold received payloads where they
 // lie, so the faulted runs prove that the reliable layer's retransmits,
 // duplicates and truncation recovery still hand every fold the right
-// bytes.  Groups are embedded in a larger machine in reverse rank order,
-// so rank_at() is never the identity and a non-member's buffer must stay
-// untouched.
+// bytes.  The direct algorithm is also run on poisoned storage, which
+// shows any prefix slot it leaves unwritten.  Groups are embedded in a
+// larger machine in reverse rank order, so rank_at() is never the identity
+// and a non-member's buffer must stay untouched.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "coll/broadcast.hpp"
@@ -109,6 +112,70 @@ TEST_P(CollectiveProperty, PrefixReductionSumMatchesSerial) {
         }
         EXPECT_EQ(prefix[0], in[0]) << what;
       }
+    }
+  }
+}
+
+/// An allocator whose fresh storage is poisoned and whose resize() leaves
+/// it so (default-initialization, as support::UninitVector does): a PRS
+/// that reads a prefix slot before writing it returns garbage.
+template <typename T>
+struct PoisonAllocator {
+  using value_type = T;
+  PoisonAllocator() = default;
+  template <typename U>
+  PoisonAllocator(const PoisonAllocator<U>&) noexcept {}
+  T* allocate(std::size_t n) {
+    T* p = std::allocator<T>{}.allocate(n);
+    std::memset(static_cast<void*>(p), 0xa5, n * sizeof(T));
+    return p;
+  }
+  void deallocate(T* p, std::size_t n) noexcept {
+    std::allocator<T>{}.deallocate(p, n);
+  }
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+  friend bool operator==(const PoisonAllocator&, const PoisonAllocator&) {
+    return true;
+  }
+};
+
+TEST_P(CollectiveProperty, DirectPrsWritesEveryPrefixSlot) {
+  // Recursive doubling sizes the prefixes without zero-filling them: a
+  // member's first lower subcube is copied in, later ones are added, and
+  // only member 0's prefix is zero-filled.  Poisoned fresh storage shows
+  // any slot that path misses.
+  using PVec = std::vector<std::int64_t, PoisonAllocator<std::int64_t>>;
+  const bool faulted = GetParam();
+  for (const int g : {2, 8, 16}) {
+    const Group group = reversed_group(g);
+    for (const std::size_t len : kLengths) {
+      const std::string what = label("prs direct poisoned", g, len, faulted);
+      const Bufs in =
+          make_inputs(g, len, 29 * static_cast<std::uint64_t>(g) + len);
+      std::vector<PVec> prefix;
+      for (const Vec& v : in) prefix.emplace_back(v.begin(), v.end());
+      std::vector<PVec> tot;
+      auto machine = make_machine(g, faulted);
+      prefix_reduction_sum(*machine, group, PrsAlgorithm::kDirect, prefix,
+                           tot);
+      EXPECT_TRUE(machine->mailboxes_empty()) << what;
+      const Vec total = ref_sum(in, group, g, len);
+      for (int i = 0; i < g; ++i) {
+        const auto r = static_cast<std::size_t>(group.rank_at(i));
+        ASSERT_EQ(Vec(prefix[r].begin(), prefix[r].end()),
+                  ref_sum(in, group, i, len))
+            << what << " i=" << i;
+        ASSERT_EQ(Vec(tot[r].begin(), tot[r].end()), total)
+            << what << " i=" << i;
+      }
+      EXPECT_EQ(Vec(prefix[0].begin(), prefix[0].end()), in[0]) << what;
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <numeric>
+#include <span>
 #include <string>
 
 #include "core/api.hpp"
@@ -20,6 +21,7 @@
 #include "dist/dist_array.hpp"
 #include "sim/machine.hpp"
 #include "support/check.hpp"
+#include "support/uninit.hpp"
 #include "test_support.hpp"
 
 namespace pup {
@@ -27,8 +29,22 @@ namespace {
 
 using test::make_machine;
 
-/// Reconstructs every selected element's global rank from a RankingResult
-/// by replaying the slice structure, and compares with the serial oracle.
+/// PS_f of a full (SSS-style) ranking gathered under a W_0 = 1 local mask:
+/// what the counting scan hands back.
+support::UninitVector<std::int64_t> gather_w1(
+    const support::UninitVector<std::int64_t>& ps_f,
+    std::span<const mask_t> local) {
+  support::UninitVector<std::int64_t> out;
+  for (std::size_t s = 0; s < local.size(); ++s) {
+    if (local[s] != 0) out.push_back(ps_f[s]);
+  }
+  return out;
+}
+
+/// Reconstructs every selected element's global rank from a counting-scan
+/// RankingResult by replaying the slice structure, and compares with the
+/// serial oracle.  At W_0 = 1 PS_f is compact: its k-th entry is the rank
+/// of the k-th selected local element.
 void check_ranking(const dist::DistArray<mask_t>& mask,
                    const RankingResult& ranking,
                    const std::vector<mask_t>& global_mask) {
@@ -45,7 +61,8 @@ void check_ranking(const dist::DistArray<mask_t>& mask,
   for (int rank = 0; rank < dist.nprocs(); ++rank) {
     const auto& pr = ranking.procs[static_cast<std::size_t>(rank)];
     const auto local = mask.local(rank);
-    ASSERT_EQ(static_cast<dist::index_t>(pr.ps_f.size()), ranking.slices);
+    ASSERT_EQ(static_cast<dist::index_t>(pr.ps_f.size()),
+              W0 == 1 ? pr.packed : ranking.slices);
     std::int64_t packed_seen = 0;
     for (dist::index_t s = 0; s < ranking.slices; ++s) {
       std::int32_t found = 0;
@@ -53,7 +70,8 @@ void check_ranking(const dist::DistArray<mask_t>& mask,
         const dist::index_t l = s * W0 + off;
         if (!local[static_cast<std::size_t>(l)]) continue;
         const std::int64_t r =
-            pr.ps_f[static_cast<std::size_t>(s)] + found;
+            W0 == 1 ? pr.ps_f[static_cast<std::size_t>(packed_seen)]
+                    : pr.ps_f[static_cast<std::size_t>(s)] + found;
         ++found;
         ++packed_seen;
         // Map the local element back to its global linear index.
@@ -289,6 +307,11 @@ TEST(Ranking, NarrowSliceScanMatchesKernelCount) {
                                  dist::ProcessGrid(l.procs), l.blocks);
       const auto gm = random_mask(d.global().size(), 0.5, 1234);
       const auto mask = dist::DistArray<mask_t>::scatter(d, gm);
+      std::vector<std::int64_t> oracle(gm.size(), -1);
+      std::int64_t next = 0;
+      for (std::size_t g = 0; g < gm.size(); ++g) {
+        if (gm[g] != 0) oracle[g] = next++;
+      }
       const RankingResult counted = rank_mask(machine, mask);
       RankingOptions infos;
       infos.record_infos = true;
@@ -323,10 +346,23 @@ TEST(Ranking, NarrowSliceScanMatchesKernelCount) {
         if (w0 == 1) {
           EXPECT_TRUE(pr.counts.empty()) << "rank " << rank;
           EXPECT_TRUE(rec.counts.empty()) << "rank " << rank;
+          // The counting scan's PS_f is the record scan's, gathered under
+          // the mask: the rank of each selected element, in scan order.
+          EXPECT_EQ(pr.ps_f, gather_w1(rec.ps_f, local)) << "rank " << rank;
+          ASSERT_EQ(static_cast<std::int64_t>(pr.ps_f.size()), pr.packed);
+          std::size_t k = 0;
+          for (std::size_t s = 0; s < local.size(); ++s) {
+            if (local[s] == 0) continue;
+            const auto g = d.global().linear(
+                d.global_of_local(rank, static_cast<dist::index_t>(s)));
+            EXPECT_EQ(pr.ps_f[k++], oracle[static_cast<std::size_t>(g)])
+                << "d=" << l.extents.size() << " rank " << rank << " slice "
+                << s;
+          }
         } else {
           EXPECT_EQ(pr.counts, rec.counts);
+          EXPECT_EQ(pr.ps_f, rec.ps_f);
         }
-        EXPECT_EQ(pr.ps_f, rec.ps_f);
       }
     }
   }
@@ -413,19 +449,23 @@ TEST(Ranking, WriteOnceW1MatchesReference) {
           const auto& rec = recorded.procs[static_cast<std::size_t>(rank)];
           ASSERT_TRUE(pr.counts.empty()) << what;
           ASSERT_TRUE(rec.counts.empty()) << what;
+          ASSERT_EQ(static_cast<std::int64_t>(pr.ps_f.size()), pr.packed)
+              << what << " rank " << rank;
           std::int64_t packed = 0;
           for (dist::index_t s = 0; s < counted.slices; ++s) {
             const auto us = static_cast<std::size_t>(s);
             const bool sel = us < local.size() && local[us] != 0;
             if (sel) {
               const auto g = d.global().linear(d.global_of_local(rank, s));
-              EXPECT_EQ(pr.ps_f[us], oracle[static_cast<std::size_t>(g)])
+              EXPECT_EQ(pr.ps_f[static_cast<std::size_t>(packed)],
+                        oracle[static_cast<std::size_t>(g)])
                   << what << " rank " << rank << " slice " << s;
             }
             packed += sel ? 1 : 0;
           }
           ASSERT_EQ(pr.packed, packed) << what << " rank " << rank;
-          ASSERT_EQ(pr.ps_f, rec.ps_f) << what << " rank " << rank;
+          ASSERT_EQ(pr.ps_f, gather_w1(rec.ps_f, local))
+              << what << " rank " << rank;
         }
 
         PackOptions popt;

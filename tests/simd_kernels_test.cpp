@@ -14,6 +14,7 @@
 #include <limits>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -164,18 +165,28 @@ void check_merge_parity() {
         for (std::size_t i = 0, k = 0; i < n; ++i) {
           expect[i] = mask[i] != 0 ? src[k++] : field[i];
         }
+        // A stream one value short: every path must throw before it
+        // reads past its end.
+        const std::vector<E> short_src(src.begin(),
+                                       src.end() - (count == 0 ? 0 : 1));
         for (const Path path : all_paths()) {
           ForceGuard force(path);
           // Garbage in every slot: a slot the kernel skips shows.
           std::vector<E> got(n);
           for (E& e : got) e.b.fill(0x5c);
-          ASSERT_EQ(kernels::mask_merge<E>(mask.data(), src.data(),
+          ASSERT_EQ(kernels::mask_merge<E>(mask.data(), src.data(), count,
                                            field.data(), n, got.data()),
                     count)
               << kernels::path_name(path) << " W=" << W << " n=" << n;
           ASSERT_TRUE(got == expect)
               << kernels::path_name(path) << " W=" << W << " n=" << n
               << " d=" << density << " seed=" << seed;
+          if (count == 0) continue;
+          EXPECT_THROW(kernels::mask_merge<E>(mask.data(), short_src.data(),
+                                              count - 1, field.data(), n,
+                                              got.data()),
+                       ContractError)
+              << kernels::path_name(path) << " W=" << W << " n=" << n;
         }
       }
     }
@@ -329,6 +340,119 @@ TEST(SimdKernels, SegmentedPrefixFoldMatchesDefinition) {
       }
     }
   }
+}
+
+TEST(SimdKernels, SegmentedPrefixFoldGatherMatchesDefinition) {
+  // The folded value of segmented_prefix_fold, kept only where the mask is
+  // set, compacted in order; in place over ps and out of place into a
+  // garbage-filled buffer.  rs and seg_add are read only.
+  for (const double density : {0.0, 0.5, 1.0}) {
+    for (const std::size_t n : fold_lengths()) {
+      const auto mask = random_mask(static_cast<dist::index_t>(n), density,
+                                    static_cast<std::uint64_t>(n) + 3);
+      for (const std::size_t seg : segment_lengths(n)) {
+        const auto rs = mixed_values(n, 5);
+        const auto ps0 = mixed_values(n, 23);
+        const auto add = mixed_values((n + seg - 1) / seg, 41);
+        std::vector<std::int64_t> want;
+        for (std::size_t s = 0; s < n; s += seg) {
+          std::int64_t running = 0;
+          for (std::size_t e = s; e < std::min(n, s + seg); ++e) {
+            if (mask[e] != 0) want.push_back(ps0[e] + running + add[s / seg]);
+            running += rs[e];
+          }
+        }
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          const std::string what = std::string(kernels::path_name(path)) +
+                                   " n=" + std::to_string(n) +
+                                   " seg=" + std::to_string(seg) +
+                                   " d=" + std::to_string(density);
+          std::vector<std::int64_t> out(n, -77);
+          const std::size_t k = kernels::segmented_prefix_fold_gather(
+              rs.data(), ps0.data(), n, seg, add.data(), mask.data(),
+              out.data());
+          out.resize(k);
+          ASSERT_EQ(out, want) << what << " (out of place)";
+          std::vector<std::int64_t> ps = ps0;
+          ps.resize(kernels::segmented_prefix_fold_gather(
+              rs.data(), ps.data(), n, seg, add.data(), mask.data(),
+              ps.data()));
+          ASSERT_EQ(ps, want) << what << " (in place)";
+          ASSERT_EQ(rs, mixed_values(n, 5)) << what;
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+void check_run_gather() {
+  // [lo, hi) = [100, 200), answered from base[r - lo].  The run ends at a
+  // rank just below lo, at hi, at INT64_MIN or at INT64_MAX, placed at
+  // every position (every lane of every block and of the tail), and runs
+  // to n when every rank is inside, including n = 0.  Requests are bytes
+  // at offsets 1-7 from an aligned buffer, as a received payload may be.
+  const std::int64_t lo = 100;
+  const std::int64_t hi = 200;
+  std::vector<T> base(static_cast<std::size_t>(hi - lo));
+  for (std::size_t j = 0; j < base.size(); ++j) {
+    base[j] = static_cast<T>(j * 7 + 3);
+  }
+  std::vector<std::int64_t> storage(40);
+  std::vector<std::byte> out(40 * sizeof(T) + 8);
+  auto* o = out.data() + 3;
+  for (const Path path : all_paths()) {
+    ForceGuard force(path);
+    EXPECT_EQ(kernels::run_gather<T>(nullptr, 0, lo, hi, base.data(), o), 0U)
+        << kernels::path_name(path);
+    for (std::size_t offset = 1; offset < 8; ++offset) {
+      auto* req = reinterpret_cast<std::byte*>(storage.data()) + offset;
+      for (std::size_t n = 1; n <= 37; ++n) {
+        std::vector<std::int64_t> v(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          v[i] = lo + static_cast<std::int64_t>((i * 37) % 100);
+        }
+        auto check = [&](const std::vector<std::int64_t>& ranks,
+                         std::size_t want, const std::string& what) {
+          std::memcpy(req, ranks.data(), n * sizeof(std::int64_t));
+          std::fill(out.begin(), out.end(), std::byte{0x5c});
+          ASSERT_EQ(kernels::run_gather<T>(req, n, lo, hi, base.data(), o),
+                    want)
+              << what;
+          for (std::size_t i = 0; i < want; ++i) {
+            T got;
+            std::memcpy(&got, o + i * sizeof(T), sizeof(T));
+            ASSERT_EQ(got, base[static_cast<std::size_t>(ranks[i] - lo)])
+                << what << " i=" << i;
+          }
+        };
+        const std::string where = std::string(kernels::path_name(path)) +
+                                  " width=" + std::to_string(sizeof(T)) +
+                                  " offset=" + std::to_string(offset) +
+                                  " n=" + std::to_string(n);
+        check(v, n, where);
+        for (std::size_t at = 0; at < n; ++at) {
+          for (const std::int64_t outside :
+               {lo - 1, hi, std::numeric_limits<std::int64_t>::min(),
+                std::numeric_limits<std::int64_t>::max()}) {
+            std::vector<std::int64_t> w = v;
+            w[at] = outside;
+            // A second exit later must not matter.
+            if (at + 2 < n) w[at + 2] = hi + 5;
+            check(w, at,
+                  where + " at=" + std::to_string(at) +
+                      " rank=" + std::to_string(outside));
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, RunGatherStopsAtFirstOutsideRank) {
+  check_run_gather<std::int64_t>();
+  check_run_gather<std::int32_t>();
 }
 
 TEST(SimdKernels, PrefixInRangeStopsAtFirstOutsideValue) {
