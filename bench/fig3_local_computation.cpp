@@ -8,74 +8,60 @@
 //  * SSS wins at/near cyclic (W = 1) and at low density;
 //  * CSS/CMS win once the block size passes the beta_1 crossover, which
 //    moves left as density grows.
-#include <cstdio>
-#include <iostream>
-
-#include "bench_common.hpp"
+#include "harness.hpp"
 
 namespace pup::bench {
 namespace {
 
-void sweep(const std::string& title, std::vector<dist::index_t> extents,
-           std::vector<int> procs) {
-  int p = 1;
-  for (int x : procs) p *= x;
-  const dist::index_t n = [&] {
-    dist::index_t acc = 1;
-    for (auto e : extents) acc *= e;
-    return acc;
-  }();
-  const dist::index_t local0 = extents[0] / procs[0];
-
+void sweep(Harness& h, const std::string& title,
+           std::vector<dist::index_t> extents, std::vector<int> procs) {
   for (const Density& d : paper_densities()) {
-    TextTable table(title + ", density " + d.label() +
-                    " -- local computation (ms)");
+    TextTable table = h.table(title + ", density " + d.label() +
+                              " -- local computation (ms)");
     table.header({"W", "SSS", "CSS", "CMS"});
-    for (dist::index_t w : block_size_sweep(local0, 8)) {
-      std::vector<dist::index_t> blocks(extents.size(), w);
-      // The paper fixes the dimension-0 and dimension-1 block sizes equal
-      // for 2-D arrays; the sweep stays within each dimension's local size.
-      bool ok = true;
-      for (std::size_t k = 0; k < extents.size(); ++k) {
-        if (extents[k] / procs[k] % w != 0) ok = false;
-      }
-      if (!ok) continue;
-      Workload wl = make_workload(extents, procs, blocks, d);
-      sim::Machine machine = make_paper_machine(p);
-      std::vector<std::string> row = {std::to_string(w)};
+    for (dist::index_t w : block_sweep(extents, procs)) {
+      // The paper fixes the block sizes of all dimensions equal.
+      Workload wl = make_workload(
+          extents, procs, std::vector<dist::index_t>(extents.size(), w), d);
+      sim::Machine machine(product(procs));
+      std::vector<Case> cases;
       for (PackScheme scheme :
            {PackScheme::kSimpleStorage, PackScheme::kCompactStorage,
             PackScheme::kCompactMessage}) {
         PackOptions opt;
         opt.scheme = scheme;
-        const Times t = measure(machine, [&](sim::Machine& m) {
-          (void)pack(m, wl.array, wl.mask, opt);
-        });
-        row.push_back(TextTable::num(t.local_ms, 3));
+        cases.push_back(pack_case(title + " " + d.label() + " W=" +
+                                      std::to_string(w) + " " +
+                                      scheme_label(scheme),
+                                  machine, wl, opt));
+      }
+      std::vector<std::string> row = {std::to_string(w)};
+      for (const Result& r : h.run(cases)) {
+        row.push_back(TextTable::num(r.ms(Col::kLocal), 3));
       }
       table.row(std::move(row));
     }
     table.print(std::cout);
   }
-  (void)n;
 }
 
 }  // namespace
 }  // namespace pup::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pup::bench;
+  Harness h(argc, argv, "fig3_local_computation");
   std::cout << "# Figure 3 reproduction: PACK local computation time\n"
             << "# (SSS simple storage, CSS compact storage, CMS compact "
                "message)\n\n";
   // The paper's full size list: six 1-D arrays on 16 processors and four
   // 2-D arrays on a 4x4 grid.
   for (long n : {4096, 8192, 16384, 32768, 65536, 131072}) {
-    sweep("1-D N=" + std::to_string(n) + ", P=16", {n}, {16});
+    sweep(h, "1-D N=" + std::to_string(n) + ", P=16", {n}, {16});
   }
   for (long n : {64, 128, 256, 512}) {
-    sweep("2-D " + std::to_string(n) + "x" + std::to_string(n) + ", P=4x4",
+    sweep(h, "2-D " + std::to_string(n) + "x" + std::to_string(n) + ", P=4x4",
           {n, n}, {4, 4});
   }
-  return 0;
+  return h.finish();
 }

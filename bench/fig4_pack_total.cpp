@@ -5,49 +5,43 @@
 // Expected shape (paper Section 7): CMS gives the best total time; CSS
 // beats SSS at large block sizes and high densities; total time falls as
 // the distribution approaches block.
-#include <iostream>
-
-#include "bench_common.hpp"
+#include "harness.hpp"
 
 namespace pup::bench {
 namespace {
 
-void sweep(const std::string& title, std::vector<dist::index_t> extents,
-           std::vector<int> procs, const std::vector<Density>& densities) {
-  int p = 1;
-  for (int x : procs) p *= x;
-  const dist::index_t local0 = extents[0] / procs[0];
-
+void sweep(Harness& h, const std::string& title,
+           std::vector<dist::index_t> extents, std::vector<int> procs,
+           const std::vector<Density>& densities) {
   for (const Density& d : densities) {
-    TextTable table(title + ", density " + d.label() +
-                    " -- total PACK time (ms) [total | local/prs/m2m]");
+    TextTable table = h.table(title + ", density " + d.label() +
+                              " -- total PACK time (ms) [total | "
+                              "local/prs/m2m]");
     table.header({"W", "SSS", "CSS", "CMS", "CMS-local", "CMS-prs",
                   "CMS-m2m"});
-    for (dist::index_t w : block_size_sweep(local0, 8)) {
-      bool ok = true;
-      for (std::size_t k = 0; k < extents.size(); ++k) {
-        if (extents[k] / procs[k] % w != 0) ok = false;
-      }
-      if (!ok) continue;
-      std::vector<dist::index_t> blocks(extents.size(), w);
-      Workload wl = make_workload(extents, procs, blocks, d);
-      sim::Machine machine = make_paper_machine(p);
-      std::vector<std::string> row = {std::to_string(w)};
-      Times cms_t;
+    for (dist::index_t w : block_sweep(extents, procs)) {
+      Workload wl = make_workload(
+          extents, procs, std::vector<dist::index_t>(extents.size(), w), d);
+      sim::Machine machine(product(procs));
+      std::vector<Case> cases;
       for (PackScheme scheme :
            {PackScheme::kSimpleStorage, PackScheme::kCompactStorage,
             PackScheme::kCompactMessage}) {
         PackOptions opt;
         opt.scheme = scheme;
-        const Times t = measure(machine, [&](sim::Machine& m) {
-          (void)pack(m, wl.array, wl.mask, opt);
-        });
-        row.push_back(TextTable::num(t.total_ms, 3));
-        if (scheme == PackScheme::kCompactMessage) cms_t = t;
+        cases.push_back(pack_case(title + " " + d.label() + " W=" +
+                                      std::to_string(w) + " " +
+                                      scheme_label(scheme),
+                                  machine, wl, opt));
       }
-      row.push_back(TextTable::num(cms_t.local_ms, 3));
-      row.push_back(TextTable::num(cms_t.prs_ms, 3));
-      row.push_back(TextTable::num(cms_t.m2m_ms, 3));
+      const std::vector<Result> rs = h.run(cases);
+      std::vector<std::string> row = {std::to_string(w)};
+      for (const Result& r : rs) {
+        row.push_back(TextTable::num(r.ms(Col::kTotal), 3));
+      }
+      for (Col c : {Col::kLocal, Col::kPrs, Col::kM2M}) {
+        row.push_back(TextTable::num(rs.back().ms(c), 3));
+      }
       table.row(std::move(row));
     }
     table.print(std::cout);
@@ -57,12 +51,13 @@ void sweep(const std::string& title, std::vector<dist::index_t> extents,
 }  // namespace
 }  // namespace pup::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pup::bench;
+  Harness h(argc, argv, "fig4_pack_total");
   std::cout << "# Figure 4 reproduction: total PACK execution time\n\n";
   const std::vector<Density> densities = {
       {0.1, false}, {0.5, false}, {0.9, false}, {0.0, true}};
-  sweep("1-D N=65536, P=16", {65536}, {16}, densities);
-  sweep("2-D 512x512, P=4x4", {512, 512}, {4, 4}, densities);
-  return 0;
+  sweep(h, "1-D N=65536, P=16", {65536}, {16}, densities);
+  sweep(h, "2-D 512x512, P=4x4", {512, 512}, {4, 4}, densities);
+  return h.finish();
 }

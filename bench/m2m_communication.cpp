@@ -3,31 +3,29 @@
 // effect the paper notes -- with a block-distributed input and a randomly
 // distributed mask, each processor sends most of its selected data to
 // itself (the implementation bypasses self-messages entirely).
-#include <iostream>
-
-#include "bench_common.hpp"
+#include "harness.hpp"
 
 namespace pup::bench {
 namespace {
 
-void traffic_by_block_size() {
+void traffic_by_block_size(Harness& h) {
   const int p = 16;
   const dist::index_t n = 65536;
-  TextTable table(
+  TextTable table = h.table(
       "PACK redistribution traffic, 1-D N=65536, P=16, density 50% (CMS)");
   table.header({"W", "m2m time(ms)", "net bytes", "self bytes",
                 "self share"});
-  for (dist::index_t w : block_size_sweep(n / p, 8)) {
+  for (dist::index_t w : block_sweep({n}, {p})) {
     Workload wl = make_workload({n}, {p}, {w}, Density{0.5, false});
-    sim::Machine machine = make_paper_machine(p);
+    sim::Machine m(p);
     PackOptions opt;
     opt.scheme = PackScheme::kCompactMessage;
-    machine.reset_accounting();
-    (void)pack(machine, wl.array, wl.mask, opt);
-    const auto net = machine.trace().bytes_in(sim::Category::kM2M);
-    const auto self = machine.trace().self_bytes();
-    table.row({std::to_string(w),
-               TextTable::num(machine.max_us(sim::Category::kM2M) / 1000.0, 3),
+    const Result r =
+        h.run({pack_case("traffic W=" + std::to_string(w), m, wl, opt)})[0];
+    // The trace still holds the last rep, whose counts every rep shares.
+    const auto net = m.trace().bytes_in(sim::Category::kM2M);
+    const auto self = m.trace().self_bytes();
+    table.row({std::to_string(w), TextTable::num(r.ms(Col::kM2M), 3),
                std::to_string(net), std::to_string(self),
                TextTable::num(100.0 * static_cast<double>(self) /
                                   static_cast<double>(net + self),
@@ -37,7 +35,7 @@ void traffic_by_block_size() {
   table.print(std::cout);
 }
 
-void message_volume_by_scheme() {
+void message_volume_by_scheme(Harness& h) {
   const int p = 16;
   const dist::index_t n = 65536;
   for (const Density& d : {Density{0.1, false}, Density{0.9, false}}) {
@@ -48,10 +46,12 @@ void message_volume_by_scheme() {
     for (PackScheme scheme :
          {PackScheme::kSimpleStorage, PackScheme::kCompactStorage,
           PackScheme::kCompactMessage}) {
-      sim::Machine machine = make_paper_machine(p);
+      sim::Machine m(p);
       PackOptions opt;
       opt.scheme = scheme;
-      auto result = pack(machine, wl.array, wl.mask, opt);
+      PackResult<Element> result;
+      h.run("volume " + d.label() + " " + scheme_label(scheme), m,
+            [&] { result = pack(m, wl.array, wl.mask, opt); });
       std::int64_t bytes = 0;
       for (const auto& c : result.counters) bytes += c.bytes_sent;
       table.row({scheme_label(scheme), std::to_string(bytes),
@@ -66,10 +66,11 @@ void message_volume_by_scheme() {
 }  // namespace
 }  // namespace pup::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pup::bench;
+  Harness h(argc, argv, "m2m_communication");
   std::cout << "# Many-to-many personalized communication characteristics\n\n";
-  traffic_by_block_size();
-  message_volume_by_scheme();
-  return 0;
+  traffic_by_block_size(h);
+  message_volume_by_scheme(h);
+  return h.finish();
 }

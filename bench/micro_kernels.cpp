@@ -298,7 +298,7 @@ void BM_ParallelPackEndToEnd(benchmark::State& state) {
   const int p = 16;
   const auto n = static_cast<dist::index_t>(state.range(0));
   const auto scheme = static_cast<PackScheme>(state.range(1));
-  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1}});
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({p}), 64);
   std::vector<std::int64_t> data(static_cast<std::size_t>(n), 1);
@@ -325,7 +325,7 @@ void BM_Ranking(benchmark::State& state) {
   const int p = 16;
   const auto n = static_cast<dist::index_t>(state.range(0));
   const auto w = static_cast<dist::index_t>(state.range(1));
-  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1}});
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({p}), w);
   auto m = dist::DistArray<mask_t>::scatter(d, random_mask(n, 0.5, 4));
@@ -345,7 +345,7 @@ void BM_PrefixReductionSum(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto m_len = static_cast<std::size_t>(state.range(1));
   const auto alg = static_cast<coll::PrsAlgorithm>(state.range(2));
-  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1}});
   const coll::Group world = coll::Group::world(p);
   for (auto _ : state) {
     machine.reset_accounting();
@@ -368,7 +368,7 @@ void BM_Alltoallv(benchmark::State& state) {
   const int p = static_cast<int>(state.range(0));
   const auto elems = static_cast<std::size_t>(state.range(1));
   const auto sched = static_cast<coll::M2MSchedule>(state.range(2));
-  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1}});
   const coll::Group world = coll::Group::world(p);
   for (auto _ : state) {
     machine.reset_accounting();
@@ -391,7 +391,7 @@ BENCHMARK(BM_Alltoallv)
 void BM_Cshift(benchmark::State& state) {
   const int p = 16;
   const auto n = static_cast<dist::index_t>(state.range(0));
-  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
+  sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1}});
   auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                             dist::ProcessGrid({p}), 32);
   std::vector<std::int64_t> data(static_cast<std::size_t>(n), 1);
@@ -584,7 +584,7 @@ void verify_e2e_parity() {
     kernels::set_path(
         scalar ? std::optional<kernels::Path>(kernels::Path::kScalar)
                : std::nullopt);
-    sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1, 0.01}});
+    sim::Machine machine(p, {.cost = sim::CostModel{10.0, 0.1}});
     analysis::DigestRecorder recorder(machine);
     auto d = dist::Distribution::block_cyclic(dist::Shape({n}),
                                               dist::ProcessGrid({p}), 64);

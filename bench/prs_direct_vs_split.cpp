@@ -6,33 +6,42 @@
 // length is proportional to the tile count); split beats direct once the
 // vector outgrows the group; direct wins for small groups/short vectors.
 #include <cstdint>
-#include <iostream>
 
-#include "bench_common.hpp"
 #include "coll/prefix_reduction_sum.hpp"
+#include "harness.hpp"
 
 namespace pup::bench {
 namespace {
 
 using Vec = std::vector<std::int64_t>;
-using Bufs = std::vector<Vec>;
 
-double prs_time_ms(int p, std::size_t m_len, coll::PrsAlgorithm alg) {
-  sim::Machine machine = make_paper_machine(p);
-  Bufs bufs(static_cast<std::size_t>(p), Vec(m_len, 1));
-  Bufs total;
-  coll::prefix_reduction_sum(machine, coll::Group::world(p), alg, bufs,
-                             total);
-  return machine.max_us(sim::Category::kPrs) / 1000.0;
+/// Rendered PRS time (ms) of the direct and split algorithms on P vectors
+/// of length M.
+std::array<double, 2> prs_ms(Harness& h, const std::string& tag, int p,
+                             std::size_t m_len) {
+  sim::Machine m(p);
+  std::vector<Case> cases;
+  for (auto alg : {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit}) {
+    cases.push_back(
+        {tag + " P=" + std::to_string(p) + " M=" + std::to_string(m_len) +
+             (alg == coll::PrsAlgorithm::kDirect ? " direct" : " split"),
+         &m, [&m, p, m_len, alg] {
+           std::vector<Vec> bufs(static_cast<std::size_t>(p), Vec(m_len, 1));
+           std::vector<Vec> total;
+           coll::prefix_reduction_sum(m, coll::Group::world(p), alg, bufs,
+                                      total);
+         }});
+  }
+  const std::vector<Result> rs = h.run(cases);
+  return {rs[0].ms(Col::kPrs), rs[1].ms(Col::kPrs)};
 }
 
-void vector_length_sweep(int p) {
-  TextTable table("prefix-reduction-sum, P=" + std::to_string(p) +
-                  " -- time (ms) vs vector length");
+void vector_length_sweep(Harness& h, int p) {
+  TextTable table = h.table("prefix-reduction-sum, P=" + std::to_string(p) +
+                            " -- time (ms) vs vector length");
   table.header({"M", "direct", "split", "auto picks"});
   for (std::size_t m_len : {1u, 4u, 16u, 64u, 256u, 1024u, 4096u, 16384u}) {
-    const double d = prs_time_ms(p, m_len, coll::PrsAlgorithm::kDirect);
-    const double s = prs_time_ms(p, m_len, coll::PrsAlgorithm::kSplit);
+    const auto [d, s] = prs_ms(h, "length", p, m_len);
     const auto pick = coll::resolve_prs(coll::PrsAlgorithm::kAuto, p, m_len);
     table.row({std::to_string(m_len), TextTable::num(d, 4),
                TextTable::num(s, 4),
@@ -41,24 +50,20 @@ void vector_length_sweep(int p) {
   table.print(std::cout);
 }
 
-void block_size_view() {
+void block_size_view(Harness& h) {
   // The ranking's step-0 PRS runs on vectors of length
   // (prod_{k>0} L_k) * T_0 = L / W_0: halving W doubles the vector.
   const int p = 16;
   const dist::index_t L = 8192;
-  TextTable table(
+  TextTable table = h.table(
       "ranking-step PRS for 1-D local size 8192, P=16 -- time (ms) vs "
       "block size");
   table.header({"W", "vector length", "direct", "split"});
-  for (dist::index_t w : block_size_sweep(L, 8)) {
+  for (dist::index_t w : block_sweep({L}, {1})) {
     const std::size_t m_len = static_cast<std::size_t>(L / w);
+    const auto [d, s] = prs_ms(h, "block", p, m_len);
     table.row({std::to_string(w), std::to_string(m_len),
-               TextTable::num(prs_time_ms(p, m_len,
-                                          coll::PrsAlgorithm::kDirect),
-                              4),
-               TextTable::num(prs_time_ms(p, m_len,
-                                          coll::PrsAlgorithm::kSplit),
-                              4)});
+               TextTable::num(d, 4), TextTable::num(s, 4)});
   }
   table.print(std::cout);
 }
@@ -66,10 +71,11 @@ void block_size_view() {
 }  // namespace
 }  // namespace pup::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pup::bench;
+  Harness h(argc, argv, "prs_direct_vs_split");
   std::cout << "# Prefix-reduction-sum: direct vs split algorithms\n\n";
-  for (int p : {4, 16, 64, 256}) vector_length_sweep(p);
-  block_size_view();
-  return 0;
+  for (int p : {4, 16, 64, 256}) vector_length_sweep(h, p);
+  block_size_view(h);
+  return h.finish();
 }

@@ -6,75 +6,53 @@
 // "inf" means CSS never caught up within the sweep, as the paper reports
 // for 10% density at small local sizes.  Alongside the measured value the
 // analytical prediction of Section 6.4 (predict_beta1) is printed.
-#include <iostream>
-
-#include "bench_common.hpp"
+#include "harness.hpp"
 
 namespace pup::bench {
 namespace {
 
-/// Interleaved A/B measurement: alternate the two schemes and compare the
-/// medians of their per-run local times.  Interleaving cancels slow drift
-/// (allocator/cache state, frequency scaling) that would otherwise swamp
-/// the small scheme difference at microsecond scales.
-bool second_beats_first(sim::Machine& machine, const Workload& wl,
-                        int rounds, PackScheme first, PackScheme second) {
-  std::vector<double> first_ms, second_ms;
-  first_ms.reserve(static_cast<std::size_t>(rounds));
-  second_ms.reserve(static_cast<std::size_t>(rounds));
-  PackOptions opt_first, opt_second;
-  opt_first.scheme = first;
-  opt_second.scheme = second;
-  for (int i = 0; i < rounds; ++i) {
-    machine.reset_accounting();
-    (void)pack(machine, wl.array, wl.mask, opt_first);
-    first_ms.push_back(machine.max_us(sim::Category::kLocal));
-    machine.reset_accounting();
-    (void)pack(machine, wl.array, wl.mask, opt_second);
-    second_ms.push_back(machine.max_us(sim::Category::kLocal));
-  }
-  auto median = [](std::vector<double>& v) {
-    std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
-                     v.end());
-    return v[v.size() / 2];
-  };
-  return median(second_ms) <= median(first_ms);
-}
-
-std::string crossover_for(std::vector<dist::index_t> extents,
+/// The smallest power-of-two block size at which `second`'s median local
+/// time is at most `first`'s.  The two schemes run interleaved rep by rep,
+/// which cancels slow drift (allocator/cache state, frequency scaling)
+/// that would otherwise swamp the small scheme difference at microsecond
+/// scales.  Every block size is measured, so the set of cases (and the
+/// modeled JSON) does not depend on where the crossover falls.
+std::string crossover_for(Harness& h, const std::string& tag,
+                          std::vector<dist::index_t> extents,
                           std::vector<int> procs, Density d, PackScheme first,
                           PackScheme second) {
-  int p = 1;
-  for (int x : procs) p *= x;
-  const dist::index_t local0 = extents[0] / procs[0];
-  dist::index_t n = 1;
-  for (auto e : extents) n *= e;
-  const int rounds =
-      std::max(11, static_cast<int>(4'000'000 / std::max<dist::index_t>(n, 1)) | 1);
-  for (dist::index_t w = 2; w <= local0; w <<= 1) {
-    bool ok = true;
-    for (std::size_t k = 0; k < extents.size(); ++k) {
-      if (extents[k] / procs[k] % w != 0) ok = false;
+  std::string crossover;
+  for (dist::index_t w : block_sweep(extents, procs, 64)) {
+    if (w < 2) continue;
+    Workload wl = make_workload(
+        extents, procs, std::vector<dist::index_t>(extents.size(), w), d);
+    sim::Machine machine(product(procs));
+    const std::string name = tag + " N=" + std::to_string(extents[0]) + "^" +
+                             std::to_string(extents.size()) + " " +
+                             d.label() + " W=" + std::to_string(w) + " ";
+    std::vector<Case> cases;
+    for (PackScheme scheme : {first, second}) {
+      PackOptions opt;
+      opt.scheme = scheme;
+      cases.push_back(pack_case(name + scheme_label(scheme), machine, wl, opt));
     }
-    if (!ok) continue;
-    std::vector<dist::index_t> blocks(extents.size(), w);
-    Workload wl = make_workload(extents, procs, blocks, d);
-    sim::Machine machine = make_paper_machine(p);
-    if (second_beats_first(machine, wl, rounds, first, second)) {
-      return std::to_string(w);
+    const std::vector<Result> rs = h.run(cases);
+    if (crossover.empty() && rs[1].ms(Col::kLocal) <= rs[0].ms(Col::kLocal)) {
+      crossover = std::to_string(w);
     }
   }
-  return "inf";
+  return crossover.empty() ? "inf" : crossover;
 }
 
-std::string beta1_for(std::vector<dist::index_t> extents,
+std::string beta1_for(Harness& h, std::vector<dist::index_t> extents,
                       std::vector<int> procs, Density d) {
-  return crossover_for(std::move(extents), std::move(procs), d,
+  return crossover_for(h, "beta1", std::move(extents), std::move(procs), d,
                        PackScheme::kSimpleStorage,
                        PackScheme::kCompactStorage);
 }
-void one_dimensional() {
-  TextTable table(
+
+void one_dimensional(Harness& h) {
+  TextTable table = h.table(
       "Table I (1-D, P=16): measured beta_1 [predicted] per mask density");
   std::vector<std::string> header = {"LocalSize"};
   for (const Density& d : paper_densities()) header.push_back(d.label());
@@ -82,7 +60,7 @@ void one_dimensional() {
   for (dist::index_t local : {1024, 2048, 4096, 8192}) {
     std::vector<std::string> row = {std::to_string(local)};
     for (const Density& d : paper_densities()) {
-      std::string cell = beta1_for({local * 16}, {16}, d);
+      std::string cell = beta1_for(h, {local * 16}, {16}, d);
       if (!d.lt) {
         const auto pred = predict_beta1(local, d.value);
         cell +=
@@ -95,8 +73,8 @@ void one_dimensional() {
   table.print(std::cout);
 }
 
-void two_dimensional() {
-  TextTable table(
+void two_dimensional(Harness& h) {
+  TextTable table = h.table(
       "Table I (2-D, P=4x4): measured beta_1 [predicted] per mask density");
   std::vector<std::string> header = {"LocalSize/dim"};
   for (const Density& d : paper_densities()) header.push_back(d.label());
@@ -104,7 +82,7 @@ void two_dimensional() {
   for (dist::index_t local : {16, 32, 64, 128}) {
     std::vector<std::string> row = {std::to_string(local)};
     for (const Density& d : paper_densities()) {
-      std::string cell = beta1_for({local * 4, local * 4}, {4, 4}, d);
+      std::string cell = beta1_for(h, {local * 4, local * 4}, {4, 4}, d);
       if (!d.lt) {
         const auto pred = predict_beta1(local * local, d.value);
         cell +=
@@ -117,10 +95,10 @@ void two_dimensional() {
   table.print(std::cout);
 }
 
-void beta2_table() {
+void beta2_table(Harness& h) {
   // Section 6.4.2: beta_2 is the block size past which the compact message
   // scheme's local computation beats the compact storage scheme's.
-  TextTable table(
+  TextTable table = h.table(
       "beta_2 (1-D, P=16): measured [predicted] -- CMS first beats CSS");
   std::vector<std::string> header = {"LocalSize"};
   for (const Density& d : paper_densities()) header.push_back(d.label());
@@ -129,7 +107,8 @@ void beta2_table() {
     std::vector<std::string> row = {std::to_string(local)};
     for (const Density& d : paper_densities()) {
       std::string cell =
-          crossover_for({local * 16}, {16}, d, PackScheme::kCompactStorage,
+          crossover_for(h, "beta2", {local * 16}, {16}, d,
+                        PackScheme::kCompactStorage,
                         PackScheme::kCompactMessage);
       if (!d.lt) {
         const auto pred = predict_beta2(local, d.value, 16);
@@ -146,13 +125,14 @@ void beta2_table() {
 }  // namespace
 }  // namespace pup::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace pup::bench;
+  Harness h(argc, argv, "table1_beta1");
   std::cout << "# Table I reproduction: beta_1 crossover block sizes\n"
             << "# (block size at which compact storage first beats simple "
                "storage)\n\n";
-  one_dimensional();
-  two_dimensional();
-  beta2_table();
-  return 0;
+  one_dimensional(h);
+  two_dimensional(h);
+  beta2_table(h);
+  return h.finish();
 }

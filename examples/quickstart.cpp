@@ -38,7 +38,7 @@ int main() {
   if (!env.simd.value_or(true)) kernels::set_path(kernels::Path::kScalar);
 
   // A simulated coarse-grained machine with 16 processors (two-level cost
-  // model: tau + mu*m per message, calibrated CM-5 flavour).
+  // model: tau + mu*m per message, CM-5 constants by default).
   sim::MachineOptions options;
   if (env.threads) options.exec = sim::ExecPolicy::threaded(*env.threads);
   sim::Machine machine(16, options);

@@ -30,7 +30,7 @@ namespace pup {
 class Runtime {
  public:
   /// A runtime over `nprocs` simulated processors configured by `options`
-  /// (by default the calibrated CM-5-flavoured cost model, a crossbar, and
+  /// (by default the CM-5 cost model CostModel::cm5(), a crossbar, and
   /// sequential local phases).
   explicit Runtime(int nprocs, sim::MachineOptions options = {})
       : machine_(nprocs, std::move(options)) {}

@@ -35,7 +35,7 @@ struct TraceItem {
   bool cancel = false;              ///< chaos run only
 };
 
-sim::CostModel soak_cost() { return sim::CostModel{10.0, 0.1, 0.01}; }
+sim::CostModel soak_cost() { return sim::CostModel{10.0, 0.1}; }
 
 dist::DistArray<Element> make_array(const dist::Distribution& d,
                                     Element offset) {

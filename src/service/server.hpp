@@ -98,7 +98,7 @@ class Server {
  public:
   struct Options {
     int nprocs = 8;
-    sim::CostModel cost = sim::CostModel::calibrated_cm5();
+    sim::CostModel cost = sim::CostModel::cm5();
 
     /// Batching window in real microseconds.  0 disables fusion entirely:
     /// every request executes as a FIFO singleton.

@@ -4,9 +4,13 @@
 // Every remote access costs the same regardless of distance: sending a
 // message of m bytes between any two processors takes tau + mu * m, where
 // tau is the per-message start-up cost and 1/mu is the data-transfer rate.
-// A unit of local computation costs delta.  The underlying interconnect is
-// treated as a virtual crossbar; optional topology refinements live in
+// Local computation is not modeled: the machine charges it as the real
+// wall-clock time of each virtual processor.  The underlying interconnect
+// is treated as a virtual crossbar; optional topology refinements live in
 // topology.hpp.
+//
+// The model is a pure value: nothing here depends on the host, so a given
+// operation charges the same modeled time in every process.
 #pragma once
 
 #include <cstddef>
@@ -19,37 +23,18 @@ struct CostModel {
   double tau_us = 86.0;
   /// Per-byte transfer cost (microseconds/byte).
   double mu_us_per_byte = 0.12;
-  /// Modeled cost of one unit of local computation (microseconds/op).
-  double delta_us = 0.06;
 
   /// Time to move an m-byte message between two processors.
   constexpr double message_us(std::size_t bytes) const {
     return tau_us + mu_us_per_byte * static_cast<double>(bytes);
   }
 
-  /// CM-5 flavoured parameters: ~86 us CMMD message start-up, ~8 MB/s
-  /// per-node transfer rate, ~33 MHz scalar nodes.  These are the raw
-  /// historical constants; see calibrated_cm5() for the preset benches use.
-  static CostModel cm5();
-
-  /// A modern commodity-cluster flavour (~2 us start-up, ~10 GB/s).
-  static CostModel modern_cluster();
-
-  /// CM-5 constants rescaled so that the ratio between network time and the
-  /// *host's* real local-computation speed matches the ratio on a CM-5.
-  ///
-  /// Benchmarks measure local computation as real wall-clock time of each
-  /// virtual processor, but model communication analytically.  A 2026 CPU
-  /// executes the local kernels far faster than a 33 MHz SPARC did, so using
-  /// raw CM-5 tau/mu would make every experiment communication-bound and
-  /// destroy the local-vs-communication balance the paper reports.  This
-  /// preset measures the host's per-element scan cost once (memoized) and
-  /// scales tau/mu by host_per_op / cm5_per_op, preserving the balance.
-  static CostModel calibrated_cm5();
+  /// CM-5 flavoured parameters: ~86 us CMMD message start-up and ~8 MB/s
+  /// per-node transfer rate.  The default of sim::MachineOptions and
+  /// service::Server::Options.
+  static constexpr CostModel cm5() {
+    return CostModel{/*tau_us=*/86.0, /*mu_us_per_byte=*/0.12};
+  }
 };
-
-/// Measures the host's cost of one mask-scan-like local operation, in
-/// microseconds per element.  Memoized after the first call.
-double host_local_op_us();
 
 }  // namespace pup::sim

@@ -85,7 +85,7 @@ class EpochCheckpoint;  // sim/epoch.hpp
 
 /// Everything a Machine is built from.
 struct MachineOptions {
-  CostModel cost = CostModel::calibrated_cm5();
+  CostModel cost = CostModel::cm5();
   /// Interconnect; the paper's virtual crossbar when unset.
   std::optional<Topology> topology = std::nullopt;
   ExecPolicy exec = ExecPolicy::sequential();

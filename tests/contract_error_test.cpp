@@ -55,7 +55,7 @@ TEST(ContractError, IsALogicError) {
 }
 
 TEST(ContractError, ReceiveRequiredOnEmptyMailboxThrows) {
-  auto machine = test::make_machine(2, test::test_options({10.0, 0.05, 0.01}));
+  auto machine = test::make_machine(2, test::test_options({10.0, 0.05}));
   EXPECT_THROW((void)machine.receive_required(0), ContractError);
   EXPECT_THROW((void)machine.receive_required(1, 0, 7), ContractError);
   // The non-throwing probe stays silent on the same empty mailbox.
@@ -64,7 +64,7 @@ TEST(ContractError, ReceiveRequiredOnEmptyMailboxThrows) {
 }
 
 TEST(ContractError, ResetAccountingWithQueuedMessageThrows) {
-  auto machine = test::make_machine(2, test::test_options({10.0, 0.05, 0.01}));
+  auto machine = test::make_machine(2, test::test_options({10.0, 0.05}));
   machine.post(sim::Message{0, 1, 3, std::vector<std::byte>(8)},
                sim::Category::kM2M);
   EXPECT_FALSE(machine.mailboxes_empty());

@@ -28,7 +28,7 @@
 namespace pup {
 namespace {
 
-const sim::CostModel kCost{10.0, 0.05, 0.01};
+const sim::CostModel kCost{10.0, 0.05};
 
 /// kCost plus the startup PUP_THREADS (the *_threaded registration).
 sim::MachineOptions opts() { return test::test_options(kCost); }

@@ -11,7 +11,7 @@ namespace pup {
 namespace {
 
 test::TestMachine make_machine(int p) {
-  return test::make_machine(p, test::test_options({10.0, 0.05, 0.01}));
+  return test::make_machine(p, test::test_options({10.0, 0.05}));
 }
 
 TEST(PackSmoke, OneDimensionalBlockCyclic) {

@@ -20,7 +20,7 @@ using analysis::ProtocolValidator;
 using analysis::ValidatorOptions;
 
 test::TestMachine make_machine(int p) {
-  return test::make_machine(p, test::test_options({10.0, 0.05, 0.01}));
+  return test::make_machine(p, test::test_options({10.0, 0.05}));
 }
 
 bool has_rule(const ProtocolValidator& v, const char* rule) {

@@ -91,7 +91,7 @@ void run_scenario(std::uint64_t seed, bool drain_first) {
   const auto d = layout();
   Server::Options opt;
   opt.nprocs = kProcs;
-  opt.cost = sim::CostModel{10.0, 0.1, 0.01};
+  opt.cost = sim::CostModel{10.0, 0.1};
   opt.threads = test::env_threads();
   opt.start_paused = true;
   opt.window_us = rng.next_below(2) == 0 ? 0.0 : 300.0;

@@ -9,6 +9,9 @@
 //   * pool parity: the same mixed multi-tenant trace produces identical
 //     digests and identical modeled traffic sequentially and on a 4-thread
 //     local-phase pool (Options::threads injection, no env mutation);
+//   * zero overhead: cancellation, watchdog, brown-out and overload armed
+//     but idle leave digests and modeled PRS startups exactly as a plain
+//     server's;
 //   * Options::threads must be >= 1 and Options::backend "sim" (or
 //     unset): anything else throws ContractError instead of silently
 //     running some other configuration;
@@ -68,7 +71,7 @@ dist::DistArray<mask_t> make_mask_array(const dist::Distribution& d,
 Server::Options base_options() {
   Server::Options opt;
   opt.nprocs = kProcs;
-  opt.cost = sim::CostModel{10.0, 0.1, 0.01};
+  opt.cost = sim::CostModel{10.0, 0.1};
   opt.threads = test::env_threads();
   opt.start_paused = true;
   return opt;
@@ -420,6 +423,59 @@ TEST(ServicePool, MixedTraceParityBetweenSequentialAndPool) {
   }
   EXPECT_EQ(prs_msgs[1], prs_msgs[4]);
   EXPECT_EQ(total_msgs[1], total_msgs[4]);
+}
+
+TEST(ServiceOverhead, ArmedButIdleRobustnessMatchesPlainServer) {
+  // The same pre-staged replay through a plain server and through one
+  // with every robustness knob armed but sized never to trip, plus a
+  // far-future deadline per request.  Staging makes fusion deterministic,
+  // so digests and modeled PRS startups must match exactly.
+  constexpr int kRequests = 12;
+  struct Replay {
+    std::vector<Response> responses;
+    std::int64_t prs_msgs = 0;
+    std::int64_t fused = 0;
+  };
+  const auto replay = [&](bool armed) {
+    auto opt = base_options();
+    opt.window_us = 2000.0;
+    opt.max_batch = 4;
+    if (armed) {
+      opt.cancellation = true;
+      opt.watchdog_factor = 1e6;
+      opt.brownout_p95_us = 1e12;
+      opt.overload_factor = 1e12;
+    }
+    Server server(opt);
+    register_two_tenants(server);
+    const auto d = layout();
+    std::vector<std::future<Response>> futures;
+    for (int i = 0; i < kRequests; ++i) {
+      PackRequest req = pack_req(i % 2 == 0 ? "a" : "b", "x",
+                                 make_mask_array(d, 0.4, 0xa4d + 31ULL * i));
+      if (armed) req.deadline_us = 60e6;  // a minute out: never missed
+      futures.push_back(server.submit(std::move(req)));
+    }
+    server.resume();
+    server.drain();
+    Replay out;
+    for (auto& f : futures) out.responses.push_back(f.get());
+    out.prs_msgs = server.machine().trace().messages_in(sim::Category::kPrs);
+    out.fused = server.stats().fused_requests;
+    server.shutdown();
+    return out;
+  };
+  const Replay plain = replay(false);
+  const Replay armed = replay(true);
+  ASSERT_EQ(plain.responses.size(), armed.responses.size());
+  for (std::size_t i = 0; i < plain.responses.size(); ++i) {
+    ASSERT_EQ(plain.responses[i].status, Status::kOk);
+    ASSERT_EQ(armed.responses[i].status, Status::kOk);
+    EXPECT_EQ(armed.responses[i].digest, plain.responses[i].digest);
+  }
+  EXPECT_GT(plain.fused, 0);
+  EXPECT_EQ(armed.fused, plain.fused);
+  EXPECT_EQ(armed.prs_msgs, plain.prs_msgs);
 }
 
 TEST(ServiceOptions, NonPositiveThreadsAndNonSimBackendThrow) {

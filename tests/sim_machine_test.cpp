@@ -59,25 +59,29 @@ class RestoreEnvOnExit {
 };
 
 TEST(CostModel, MessageTimeIsTauPlusMuM) {
-  CostModel c{10.0, 0.5, 0.1};
+  CostModel c{10.0, 0.5};
   EXPECT_DOUBLE_EQ(c.message_us(0), 10.0);
   EXPECT_DOUBLE_EQ(c.message_us(100), 10.0 + 50.0);
 }
 
 TEST(CostModel, PresetsAreSane) {
-  const auto cm5 = CostModel::cm5();
-  EXPECT_GT(cm5.tau_us, 0);
-  EXPECT_GT(cm5.mu_us_per_byte, 0);
-  const auto cal = CostModel::calibrated_cm5();
-  EXPECT_GT(cal.tau_us, 0);
-  // Calibration scales tau and mu by the same factor.
-  EXPECT_NEAR(cal.tau_us / cm5.tau_us, cal.mu_us_per_byte / cm5.mu_us_per_byte,
-              1e-9);
+  // The one preset is a pure value: the CM-5 constants, the same in every
+  // process, and the default of every machine and server.
+  constexpr CostModel cm5 = CostModel::cm5();
+  EXPECT_EQ(cm5.tau_us, 86.0);
+  EXPECT_EQ(cm5.mu_us_per_byte, 0.12);
+  EXPECT_EQ(cm5.message_us(1000), 86.0 + 0.12 * 1000.0);
+  const CostModel machine_default = MachineOptions{}.cost;
+  EXPECT_EQ(machine_default.tau_us, cm5.tau_us);
+  EXPECT_EQ(machine_default.mu_us_per_byte, cm5.mu_us_per_byte);
+  const CostModel server_default = service::Server::Options{}.cost;
+  EXPECT_EQ(server_default.tau_us, cm5.tau_us);
+  EXPECT_EQ(server_default.mu_us_per_byte, cm5.mu_us_per_byte);
 }
 
 TEST(Topology, CrossbarIsDistanceIndependent) {
   auto t = Topology::crossbar(8);
-  CostModel c{1.0, 0.0, 0.0};
+  CostModel c{1.0, 0.0};
   EXPECT_EQ(t.hops(0, 7), 1);
   EXPECT_EQ(t.hops(3, 3), 0);
   EXPECT_DOUBLE_EQ(t.message_us(c, 0, 7, 100), 1.0);
@@ -105,7 +109,7 @@ TEST(Topology, Mesh2DUsesManhattanDistance) {
 TEST(Topology, MeshAddsPerHopLatency) {
   auto t = Topology::mesh2d(16);
   t.set_per_hop_us(2.0);
-  CostModel c{10.0, 0.0, 0.0};
+  CostModel c{10.0, 0.0};
   // 0 -> 15: 6 hops, so 5 extra hop charges.
   EXPECT_DOUBLE_EQ(t.message_us(c, 0, 15, 0), 10.0 + 5 * 2.0);
 }
@@ -169,12 +173,11 @@ TEST(Machine, LocalPhaseRunsEveryRankInOrder) {
   // Rank order is a *sequential-policy* guarantee, the default.  The
   // other options reach the machine as given; the topology defaults to
   // the crossbar.
-  Machine m(4, {.cost = CostModel{1, 2, 3},
+  Machine m(4, {.cost = CostModel{1, 2},
                 .topology = Topology::hypercube(4),
                 .exec = ExecPolicy::sequential()});
   EXPECT_DOUBLE_EQ(m.cost().tau_us, 1.0);
   EXPECT_DOUBLE_EQ(m.cost().mu_us_per_byte, 2.0);
-  EXPECT_DOUBLE_EQ(m.cost().delta_us, 3.0);
   EXPECT_EQ(m.topology().kind(), TopologyKind::kHypercube);
   EXPECT_FALSE(m.exec().is_threaded());
   EXPECT_EQ(Machine(4).topology().kind(), TopologyKind::kCrossbar);
@@ -188,7 +191,7 @@ TEST(Machine, LocalPhaseRunsEveryRankInOrder) {
 }
 
 TEST(Machine, PostReceiveAndTrace) {
-  auto m = make_machine(3, test_options({1, 1, 1}));
+  auto m = make_machine(3, test_options({1, 1}));
   m.post(Message{0, 2, 7, to_payload<int>(std::vector<int>{42})},
          Category::kM2M);
   EXPECT_TRUE(m.has_message(2, 0, 7));
@@ -205,12 +208,12 @@ TEST(Machine, PostReceiveAndTrace) {
 }
 
 TEST(Machine, ReceiveRequiredThrowsWhenMissing) {
-  auto m = make_machine(2, test_options({1, 1, 1}));
+  auto m = make_machine(2, test_options({1, 1}));
   EXPECT_THROW(m.receive_required(0), pup::ContractError);
 }
 
 TEST(Machine, ChargeAndMaxAccounting) {
-  auto m = make_machine(3, test_options({1, 1, 1}));
+  auto m = make_machine(3, test_options({1, 1}));
   m.charge(0, Category::kPrs, 5.0);
   m.charge(1, Category::kPrs, 8.0);
   m.charge(1, Category::kM2M, 2.0);
@@ -222,13 +225,13 @@ TEST(Machine, ChargeAndMaxAccounting) {
 }
 
 TEST(Machine, ResetWithPendingMessagesThrows) {
-  auto m = make_machine(2, test_options({1, 1, 1}));
+  auto m = make_machine(2, test_options({1, 1}));
   m.post(Message{0, 1, 0, {}}, Category::kLocal);
   EXPECT_THROW(m.reset_accounting(), pup::ContractError);
 }
 
 TEST(Machine, BadRankThrows) {
-  auto m = make_machine(2, test_options({1, 1, 1}));
+  auto m = make_machine(2, test_options({1, 1}));
   EXPECT_THROW(m.post(Message{0, 5, 0, {}}, Category::kLocal),
                pup::ContractError);
   EXPECT_THROW(m.receive(-1), pup::ContractError);
@@ -316,7 +319,7 @@ TEST(Env, ReadIsStrictAndEmptyMeansUnset) {
 }
 
 Machine make_threaded(int nprocs, int threads) {
-  return Machine(nprocs, {.cost = CostModel{1, 1, 1},
+  return Machine(nprocs, {.cost = CostModel{1, 1},
                           .exec = ExecPolicy::threaded(threads)});
 }
 
@@ -385,7 +388,7 @@ TEST(MachineThreaded, MorePoolThreadsThanRanksIsFine) {
 
 TEST(MachineThreaded, SingleProcessorFallsBackToSequential) {
   // nprocs == 1 never engages the pool regardless of policy.
-  Machine m(1, {.cost = CostModel{1, 1, 1}, .exec = ExecPolicy::threaded(8)});
+  Machine m(1, {.cost = CostModel{1, 1}, .exec = ExecPolicy::threaded(8)});
   int hits = 0;
   m.local_phase([&](int) { ++hits; });
   EXPECT_EQ(hits, 1);

@@ -374,7 +374,7 @@ TEST(StaticVerifier, MailboxPeakReportedAndBudgetEnforced) {
 // Closed forms: spot-check the algebra against hand computations.
 
 TEST(StaticVerifier, ClosedFormDirectPow2) {
-  const sim::CostModel cost{10.0, 0.1, 0.01};
+  const sim::CostModel cost{10.0, 0.1};
   // G = 8, 16 int64 words: 3 rounds of tau + mu*128 per member.
   const auto costs =
       st::predict_prs(coll::PrsAlgorithm::kDirect, 8, 16, 8, cost);
@@ -388,7 +388,7 @@ TEST(StaticVerifier, ClosedFormDirectPow2) {
 }
 
 TEST(StaticVerifier, ClosedFormSplitConservesBytes) {
-  const sim::CostModel cost{10.0, 0.1, 0.01};
+  const sim::CostModel cost{10.0, 0.1};
   for (int G : {3, 4, 7, 8}) {
     for (std::size_t M : {std::size_t{5}, std::size_t{64}}) {
       const auto costs =
@@ -417,7 +417,7 @@ TEST(StaticVerifier, ClosedFormSplitConservesBytes) {
 }
 
 TEST(StaticVerifier, ClosedFormGroupOfOneIsFree) {
-  const sim::CostModel cost{10.0, 0.1, 0.01};
+  const sim::CostModel cost{10.0, 0.1};
   for (coll::PrsAlgorithm alg :
        {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit,
         coll::PrsAlgorithm::kControlNetwork}) {

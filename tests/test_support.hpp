@@ -37,7 +37,7 @@ inline std::optional<kernels::Path> startup_path() {
 /// The fixed, host-independent cost model most suites use, with the
 /// startup PUP_THREADS as the execution policy.
 inline sim::MachineOptions test_options(
-    sim::CostModel cost = sim::CostModel{10.0, 0.1, 0.01}) {
+    sim::CostModel cost = sim::CostModel{10.0, 0.1}) {
   return {.cost = cost, .exec = sim::ExecPolicy::threaded(env_threads())};
 }
 

@@ -297,7 +297,7 @@ WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
   for (int x : layout.procs) p *= x;
   // Pinned: fault-free traffic under the given policy, whatever the env.
   sim::Machine machine(
-      p, {.cost = sim::CostModel{10.0, 0.1, 0.01}, .exec = policy});
+      p, {.cost = sim::CostModel{10.0, 0.1}, .exec = policy});
   M2mPayloadDigest wire;
   machine.add_observer(&wire);
 

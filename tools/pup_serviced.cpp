@@ -126,7 +126,6 @@ int main(int argc, char** argv) {
 
   service::Server::Options opt;
   opt.nprocs = procs;
-  opt.cost = sim::CostModel::calibrated_cm5();
   opt.window_us = window_us;
   opt.max_batch = max_batch;
   opt.tenant_inflight_quota = quota;

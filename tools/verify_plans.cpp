@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   Tally tally;
   for (int p : sweep.procs) {
     pup::sim::Machine machine(
-        p, {.cost = pup::sim::CostModel{10.0, 0.1, 0.01}});
+        p, {.cost = pup::sim::CostModel{10.0, 0.1}});
     for (const auto& d : distributions_for(p)) {
       for (pup::PackScheme scheme : pack_schemes) {
         for (pup::coll::PrsAlgorithm prs : prs_knobs) {
