@@ -260,6 +260,15 @@ struct Result {
   }
 };
 
+/// The paper's implementation sends every PRS base rank as int64, so the
+/// paper-figure benches pin the k64 wire: their modeled numbers stay
+/// comparable with the paper's tables (EXPERIMENTS.md).
+template <typename Options>
+Options paper_wire(Options opt) {
+  opt.prs_width = coll::PrsWidth::k64;
+  return opt;
+}
+
 /// One measured case: `op` runs one operation on `machine`.
 struct Case {
   std::string name;
@@ -267,9 +276,11 @@ struct Case {
   std::function<void()> op;
 };
 
-/// A case running one PACK of `wl` on `m` with `opt`.
+/// A case running one PACK of `wl` on `m` with `opt`, on the paper's
+/// int64 PRS wire.
 inline Case pack_case(std::string name, sim::Machine& m, const Workload& wl,
                       PackOptions opt) {
+  opt = paper_wire(opt);
   return {std::move(name), &m,
           [&m, &wl, opt] { (void)pack(m, wl.array, wl.mask, opt); }};
 }

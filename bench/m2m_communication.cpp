@@ -47,7 +47,7 @@ void message_volume_by_scheme(Harness& h) {
          {PackScheme::kSimpleStorage, PackScheme::kCompactStorage,
           PackScheme::kCompactMessage}) {
       sim::Machine m(p);
-      PackOptions opt;
+      PackOptions opt = paper_wire(PackOptions{});
       opt.scheme = scheme;
       PackResult<Element> result;
       h.run("volume " + d.label() + " " + scheme_label(scheme), m,

@@ -32,12 +32,14 @@ void run_case(Harness& h, const std::string& title,
              {name + "Red.1", &m,
               [&] {
                 (void)pack_with_redistribution(
-                    m, wl.array, wl.mask, RedistributionScheme::kSelectedData);
+                    m, wl.array, wl.mask, RedistributionScheme::kSelectedData,
+                    paper_wire(PackOptions{}));
               }},
              {name + "Red.2", &m,
               [&] {
                 (void)pack_with_redistribution(
-                    m, wl.array, wl.mask, RedistributionScheme::kWholeArrays);
+                    m, wl.array, wl.mask, RedistributionScheme::kWholeArrays,
+                    paper_wire(PackOptions{}));
               }},
          })) {
       row.push_back(TextTable::num(r.ms(Col::kTotal), 3));

@@ -20,8 +20,6 @@ constexpr int kTagSplitGather = 0x591;
 constexpr int kTagSplitReturn = 0x592;
 constexpr int kTagM2M = 0xa2a;
 
-constexpr std::size_t kPrsElem = sizeof(std::int64_t);
-
 double exchange_us(std::size_t sent, std::size_t recv,
                    const sim::CostModel& cost) {
   if (sent == 0 && recv == 0) return 0.0;
@@ -202,20 +200,21 @@ BlockIR expand_prs_control(const coll::Group& g, std::size_t vec_bytes,
   return block;
 }
 
-/// Appends the block(s) of one PRS call plus their (spanning) expectation.
+/// Appends the block(s) of one PRS call, `wire_bytes` per vector entry,
+/// plus their (spanning) expectation.
 void expand_prs(ExpandedPlan& out, const coll::Group& g,
                 coll::PrsAlgorithm alg, std::size_t vec_len,
-                const sim::CostModel& cost) {
+                std::size_t wire_bytes, const sim::CostModel& cost) {
   const int G = g.size();
   if (G <= 1) return;  // the implementation returns before any scope
   PUP_CHECK(alg != coll::PrsAlgorithm::kAuto,
             "compiled plans carry concrete PRS algorithms");
-  const std::size_t vec_bytes = vec_len * kPrsElem;
+  const std::size_t vec_bytes = vec_len * wire_bytes;
 
   BlockExpectation exp;
   exp.exact = true;
   exp.ranks = group_ranks(g);
-  exp.expected = predict_prs(alg, G, vec_len, kPrsElem, cost);
+  exp.expected = predict_prs(alg, G, vec_len, wire_bytes, cost);
 
   switch (alg) {
     case coll::PrsAlgorithm::kDirect:
@@ -233,7 +232,7 @@ void expand_prs(ExpandedPlan& out, const coll::Group& g,
     case coll::PrsAlgorithm::kSplit:
       exp.blocks.push_back(out.schedule.blocks.size());
       out.schedule.blocks.push_back(
-          expand_prs_split(g, vec_len, kPrsElem, cost));
+          expand_prs_split(g, vec_len, wire_bytes, cost));
       break;
     case coll::PrsAlgorithm::kControlNetwork:
       exp.blocks.push_back(out.schedule.blocks.size());
@@ -246,15 +245,15 @@ void expand_prs(ExpandedPlan& out, const coll::Group& g,
   out.expectations.push_back(std::move(exp));
 }
 
-/// Appends the ranking stage: per dimension step, one PRS per grid group,
-/// with the B requests' payloads concatenated.
+/// Appends the ranking stage: per dimension step, one PRS per grid group at
+/// the step's wire width, with the B requests' payloads concatenated.
 void expand_ranking(ExpandedPlan& out, const RankingSchedule& sched,
                     std::size_t batch, const sim::CostModel& cost) {
   for (const RankingStep& step : sched.steps) {
     const std::size_t vec_len =
         batch * static_cast<std::size_t>(step.level_size);
     for (const coll::Group& group : step.groups) {
-      expand_prs(out, group, step.prs, vec_len, cost);
+      expand_prs(out, group, step.prs, vec_len, step.wire_bytes, cost);
     }
   }
 }
@@ -355,6 +354,10 @@ const char* m2m_name(coll::M2MSchedule s) {
   return s == coll::M2MSchedule::kLinearPermutation ? "linear" : "naive";
 }
 
+const char* width_name(coll::PrsWidth w) {
+  return w == coll::PrsWidth::k64 ? "64" : "auto";
+}
+
 }  // namespace
 
 std::vector<std::vector<std::size_t>> pack_m2m_bounds(
@@ -446,7 +449,8 @@ ExpandedPlan expand_pack_plan(const plan::PackPlan& plan,
   {
     std::ostringstream os;
     os << "pack plan (scheme=" << pack_scheme_name(plan.options.scheme)
-       << ", m2m=" << m2m_name(plan.options.schedule) << ", d="
+       << ", m2m=" << m2m_name(plan.options.schedule)
+       << ", wire=" << width_name(plan.options.prs_width) << ", d="
        << plan.schedule.d << ", P=" << plan.dist.nprocs() << ", B=" << batch
        << ")";
     out.schedule.origin = os.str();
@@ -466,7 +470,8 @@ ExpandedPlan expand_unpack_plan(const plan::UnpackPlan& plan,
   {
     std::ostringstream os;
     os << "unpack plan (scheme=" << unpack_scheme_name(plan.options.scheme)
-       << ", m2m=" << m2m_name(plan.options.schedule) << ", d="
+       << ", m2m=" << m2m_name(plan.options.schedule)
+       << ", wire=" << width_name(plan.options.prs_width) << ", d="
        << plan.schedule.d << ", P=" << plan.dist.nprocs() << ")";
     out.schedule.origin = os.str();
   }

@@ -34,6 +34,7 @@ const char* expected_rule(Defect defect) {
     case Defect::kCyclicDependency:
       return "deadlock";
     case Defect::kUnderchargedRound:
+    case Defect::kMisstatedWidth:
       return "cost-conformance";
   }
   return "?";
@@ -49,6 +50,7 @@ const char* defect_name(Defect defect) {
     case Defect::kUnderchargedRound: return "undercharged-round";
     case Defect::kMisroutedRecv: return "misrouted-recv";
     case Defect::kOversizedPayload: return "oversized-payload";
+    case Defect::kMisstatedWidth: return "misstated-width";
   }
   return "?";
 }
@@ -140,6 +142,28 @@ bool seed_defect(CommSchedule& schedule, Defect defect) {
       if (round == nullptr) return false;
       round->posts.front().bytes += 1;
       return true;
+    }
+    case Defect::kMisstatedWidth: {
+      // The first ranking PRS block that moves bytes, lowered as if its
+      // step's wire width were doubled: every transfer of the block doubles
+      // on both sides, so matching still holds and only the closed form,
+      // priced at the step's real width, can tell.
+      for (BlockIR& block : schedule.blocks) {
+        const bool prs = block.name.starts_with("prs.") ||
+                         block.name == "exscan" || block.name == "broadcast";
+        const bool moves = std::any_of(
+            block.rounds.begin(), block.rounds.end(), [](const RoundIR& r) {
+              return std::any_of(r.posts.begin(), r.posts.end(),
+                                 [](const Xfer& x) { return x.bytes > 0; });
+            });
+        if (!prs || !moves) continue;
+        for (RoundIR& round : block.rounds) {
+          for (Xfer& x : round.posts) x.bytes *= 2;
+          for (Xfer& x : round.recvs) x.bytes *= 2;
+        }
+        return true;
+      }
+      return false;
     }
   }
   return false;

@@ -6,7 +6,8 @@
 // Mutations edit the IR only; they never touch a plan or a machine.  Each
 // defect corresponds to a class of schedule-construction bugs the verifier
 // exists to catch (dropped post, duplicated frame, tag leak, dependency
-// cycle, undercharged round, misrouted receive, mailbox blow-up).
+// cycle, undercharged round, misrouted receive, mailbox blow-up, a PRS
+// lowered at the wrong wire width).
 // lint: allow-no-preconditions -- deliberately produces invalid schedules;
 // the verifier is the validation.
 #pragma once
@@ -26,6 +27,7 @@ enum class Defect {
   kUnderchargedRound, ///< halve one round's charges
   kMisroutedRecv,     ///< receive expects the wrong source rank
   kOversizedPayload,  ///< inflate one post's bytes past its receive's
+  kMisstatedWidth,    ///< price one PRS block's entries at twice their width
 };
 
 /// The rule (VerifyIssue::rule) the verifier must report for a defect.

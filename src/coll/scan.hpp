@@ -20,12 +20,15 @@ namespace pup::coll {
 /// Exclusive prefix sum: on return member i's buffer holds
 /// F_i[j] = sum_{k<i} V_k[j]; member 0 holds zeros.  When `inclusive_out`
 /// is non-null, member i's inclusive prefix (sum_{k<=i}) is stored there as
-/// well (indexed by machine rank).
+/// well (indexed by machine rank).  The running vectors travel at
+/// `wire_bytes` per entry (require_wire).
 template <typename T, typename A>
 void exscan_sum(sim::Machine& m, const Group& g,
                 std::vector<std::vector<T, A>>& bufs,
                 std::vector<std::vector<T, A>>* inclusive_out = nullptr,
-                sim::Category cat = sim::Category::kPrs) {
+                sim::Category cat = sim::Category::kPrs,
+                std::size_t wire_bytes = sizeof(T)) {
+  require_wire<T>(wire_bytes);
   const int G = g.size();
   const std::size_t M = bufs[static_cast<std::size_t>(g.rank_at(0))].size();
   for (int i = 1; i < G; ++i) {
@@ -49,8 +52,8 @@ void exscan_sum(sim::Machine& m, const Group& g,
       if (idx + offset < G) {
         const int src = g.rank_at(idx);
         const int dst = g.rank_at(idx + offset);
-        auto payload =
-            sim::to_payload<T>(inc[static_cast<std::size_t>(src)]);
+        auto payload = compose_payload<T>(
+            inc[static_cast<std::size_t>(src)], wire_bytes);
         charge_oneway(m, src, dst, payload.size(), cat);
         rpost(m, sim::Message{src, dst, kTag, std::move(payload)}, cat);
       }
@@ -62,7 +65,8 @@ void exscan_sum(sim::Machine& m, const Group& g,
         auto msg = rrecv(m, dst, src, kTag, cat);
         m.timed(dst, cat, [&] {
           auto& acc = inc[static_cast<std::size_t>(dst)];
-          fold_payload<T>(msg.payload, acc.size(), acc.data());
+          fold_payload<T>(msg.payload, acc.size(), acc.data(), nullptr,
+                          wire_bytes);
         });
       }
     }

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <utility>
 
 // The native path: this translation unit (alone) is compiled with -mavx2
 // when the toolchain targets x86-64 (src/CMakeLists.txt), so the intrinsics
@@ -56,6 +57,46 @@ inline std::int64_t load_i64(const std::byte* src, std::size_t e) {
 inline void require_stream(std::size_t k, std::size_t take,
                            std::size_t src_len) {
   if (take > src_len - k) stream_overrun(src_len);
+}
+
+// --- narrow PRS wire entries ----------------------------------------------
+
+// A wire entry is the low `width` bytes of its int64 value, which every
+// path reads and writes as the first bytes in memory.
+static_assert(std::endian::native == std::endian::little,
+              "the narrow PRS wire kernels assume a little-endian host");
+
+void require_wire_width(std::size_t width) {
+  PUP_REQUIRE(width == 1 || width == 2 || width == 4 || width == 8,
+              "PRS wire width must be 1, 2, 4 or 8 bytes, not " << width);
+}
+
+// The narrowing check failed somewhere in src[0, n): name the first entry
+// that does not fit.  Out of line, off the compose loops' hot path.
+[[noreturn, gnu::cold, gnu::noinline]] void wire_overflow(
+    const std::int64_t* src, std::size_t n, std::size_t width) {
+  std::size_t e = 0;
+  while (e < n && (static_cast<std::uint64_t>(src[e]) >> (8 * width)) == 0) {
+    ++e;
+  }
+  PUP_REQUIRE(false, "PRS wire entry " << (e < n ? src[e] : 0) << " at index "
+                                       << e << " does not fit the " << width
+                                       << "-byte wire width");
+  __builtin_unreachable();
+}
+
+// The e-th width-byte unsigned entry of an unaligned byte stream, and its
+// store: the entry's bytes are the value's low bytes (little-endian).
+inline std::uint64_t load_wire(const std::byte* src, std::size_t e,
+                               std::size_t width) {
+  std::uint64_t x = 0;
+  std::memcpy(&x, src + e * width, width);
+  return x;
+}
+
+inline void store_wire(std::byte* out, std::size_t e, std::size_t width,
+                       std::uint64_t v) {
+  std::memcpy(out + e * width, &v, width);
 }
 
 // --- dispatch state -------------------------------------------------------
@@ -188,6 +229,44 @@ void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
                     const std::byte* src, std::size_t n) {
   for (std::size_t e = 0; e < n; ++e) {
     const std::int64_t v = load_i64(src, e);
+    dst[e] += v;
+    dst2[e] += v;
+  }
+}
+
+// The definitions entry by entry: each value is checked before it is
+// stored, so the first one that does not fit throws.
+void narrow_to_bytes(const std::int64_t* src, std::size_t n,
+                     std::size_t width, std::byte* out) {
+  require_wire_width(width);
+  for (std::size_t e = 0; e < n; ++e) {
+    const auto v = static_cast<std::uint64_t>(src[e]);
+    if (width < 8 && (v >> (8 * width)) != 0) wire_overflow(src, n, width);
+    store_wire(out, e, width, v);
+  }
+}
+
+void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                      std::size_t width) {
+  require_wire_width(width);
+  for (std::size_t e = 0; e < n; ++e) {
+    dst[e] = static_cast<std::int64_t>(load_wire(src, e, width));
+  }
+}
+
+void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                    std::size_t width) {
+  require_wire_width(width);
+  for (std::size_t e = 0; e < n; ++e) {
+    dst[e] += static_cast<std::int64_t>(load_wire(src, e, width));
+  }
+}
+
+void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
+                    const std::byte* src, std::size_t n, std::size_t width) {
+  require_wire_width(width);
+  for (std::size_t e = 0; e < n; ++e) {
+    const auto v = static_cast<std::int64_t>(load_wire(src, e, width));
     dst[e] += v;
     dst2[e] += v;
   }
@@ -434,6 +513,192 @@ void add_from_bytes_generic(std::int64_t* dst, std::int64_t* dst2,
     const std::int64_t v = load_i64(src, e);
     dst[e] += v;
     if constexpr (kTwo) dst2[e] += v;
+  }
+}
+
+// Narrow wire entries of W bytes (1, 2 or 4), eight bytes of wire per
+// step: the compose packs 8/W entries into one word and ORs every value
+// into one accumulator, checked once at the end (an entry that does not
+// fit sets a bit at or above 8 W); the widening loads unpack one word.
+template <std::size_t W>
+constexpr std::uint64_t kWireMask = (std::uint64_t{1} << (8 * W)) - 1;
+
+template <std::size_t W>
+void narrow_generic(const std::int64_t* src, std::size_t n, std::byte* out) {
+  constexpr std::size_t kPer = 8 / W;
+  std::uint64_t seen = 0;
+  std::size_t e = 0;
+  for (; e + kPer <= n; e += kPer) {
+    std::uint64_t word = 0;
+    for (std::size_t k = 0; k < kPer; ++k) {
+      const auto v = static_cast<std::uint64_t>(src[e + k]);
+      seen |= v;
+      word |= (v & kWireMask<W>) << (8 * W * k);
+    }
+    std::memcpy(out + e * W, &word, 8);
+  }
+  for (; e < n; ++e) {
+    const auto v = static_cast<std::uint64_t>(src[e]);
+    seen |= v;
+    std::memcpy(out + e * W, &v, W);  // the low W bytes (little-endian)
+  }
+  if ((seen >> (8 * W)) != 0) wire_overflow(src, n, W);
+}
+
+// kAdd: dst (and, kTwo, dst2) += the entries; else dst = the entries.
+template <std::size_t W, bool kAdd, bool kTwo>
+inline void widen_one(std::int64_t* dst, std::int64_t* dst2, std::size_t e,
+                      std::uint64_t v) {
+  const auto x = static_cast<std::int64_t>(v);
+  if constexpr (kAdd) {
+    dst[e] += x;
+    if constexpr (kTwo) dst2[e] += x;
+  } else {
+    dst[e] = x;
+  }
+}
+
+template <std::size_t W, bool kAdd, bool kTwo>
+void widen_generic(std::int64_t* dst, std::int64_t* dst2,
+                   const std::byte* src, std::size_t n) {
+  constexpr std::size_t kPer = 8 / W;
+  std::size_t e = 0;
+  for (; e + kPer <= n; e += kPer) {
+    const std::uint64_t word = load_u64(src + e * W);
+    for (std::size_t k = 0; k < kPer; ++k) {
+      widen_one<W, kAdd, kTwo>(dst, dst2, e + k,
+                               (word >> (8 * W * k)) & kWireMask<W>);
+    }
+  }
+  for (; e < n; ++e) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, src + e * W, W);  // zero-extended (little-endian)
+    widen_one<W, kAdd, kTwo>(dst, dst2, e, v);
+  }
+}
+
+#if defined(PUP_KERNELS_AVX2)
+// Four W-byte entries zero-extended straight into four int64 lanes.
+template <std::size_t W>
+inline __m256i load4_wire(const std::byte* p) {
+  if constexpr (W == 1) {
+    return _mm256_cvtepu8_epi64(_mm_loadu_si32(p));
+  } else if constexpr (W == 2) {
+    return _mm256_cvtepu16_epi64(_mm_loadu_si64(p));
+  } else {
+    return _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+}
+
+// Four int64 values, OR-ed into the narrowing check's accumulator.
+inline __m256i narrow_lane(const std::int64_t* p, __m256i& seen) {
+  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  seen = _mm256_or_si256(seen, v);
+  return v;
+}
+
+// Narrowing: R = 4 / W vectors of four int64 lanes (4 R entries) are
+// merged by shifts into one, lane k holding entry k of each vector in its
+// low dword; one permute gathers the four low dwords and one byte shuffle
+// transposes them into entry order.  Only wire bytes move, and they are
+// exact because every value is checked to fit: the OR of all values, whose
+// bits at or above 8 W must stay clear.
+
+template <std::size_t W>
+void narrow_avx2(const std::int64_t* src, std::size_t n, std::byte* out) {
+  constexpr std::size_t kR = 4 / W;
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  // Dword k holds entry k of each of the R vectors, W bytes each; output
+  // entry r * 4 + k is at byte k * 4 + r * W (W = 4 needs no shuffle).
+  const __m128i transpose =
+      W == 1 ? _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7,
+                             11, 15)
+             : _mm_setr_epi8(0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11,
+                             14, 15);
+  __m256i seen = _mm256_setzero_si256();
+  std::size_t e = 0;
+  for (; e + 4 * kR <= n; e += 4 * kR) {
+    __m256i merged = _mm256_setzero_si256();
+    [&]<std::size_t... R>(std::index_sequence<R...>) {
+      ((merged = _mm256_or_si256(
+            merged, _mm256_slli_epi64(narrow_lane(src + e + 4 * R, seen),
+                                      8 * W * R))),
+       ...);
+    }(std::make_index_sequence<kR>{});
+    __m128i d = _mm256_castsi256_si128(
+        _mm256_permutevar8x32_epi32(merged, low_dwords));
+    if constexpr (W != 4) d = _mm_shuffle_epi8(d, transpose);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + e * W), d);
+  }
+  const __m256i high = _mm256_srli_epi64(seen, static_cast<int>(8 * W));
+  bool bad = _mm256_testz_si256(high, high) == 0;
+  for (; e < n; ++e) {
+    const auto v = static_cast<std::uint64_t>(src[e]);
+    bad |= (v >> (8 * W)) != 0;
+    std::memcpy(out + e * W, &v, W);
+  }
+  if (bad) wire_overflow(src, n, W);
+}
+
+// The two-destination fold, which the generic loop cannot vectorize
+// (dst and dst2 may alias as far as the compiler knows).
+template <std::size_t W>
+void add_from_bytes2_avx2(std::int64_t* dst, std::int64_t* dst2,
+                          const std::byte* src, std::size_t n) {
+  std::size_t e = 0;
+  for (; e + 4 <= n; e += 4) {
+    const __m256i v = load4_wire<W>(src + e * W);
+    auto* a = reinterpret_cast<__m256i*>(dst + e);
+    auto* b = reinterpret_cast<__m256i*>(dst2 + e);
+    _mm256_storeu_si256(a, _mm256_add_epi64(_mm256_loadu_si256(a), v));
+    _mm256_storeu_si256(b, _mm256_add_epi64(_mm256_loadu_si256(b), v));
+  }
+  for (; e < n; ++e) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, src + e * W, W);
+    widen_one<W, true, true>(dst, dst2, e, v);
+  }
+}
+#endif
+
+template <std::size_t W>
+void narrow_vector(const std::int64_t* src, std::size_t n, std::byte* out) {
+#if defined(PUP_KERNELS_AVX2)
+  if (active_path() == Path::kNative) {
+    narrow_avx2<W>(src, n, out);
+    return;
+  }
+#endif
+  narrow_generic<W>(src, n, out);
+}
+
+// The one-destination fold and the widening copy have no AVX2 body: the
+// generic word loop measured as fast (bench/micro_kernels, BM_Wire*).
+template <std::size_t W, bool kAdd, bool kTwo>
+void widen_vector(std::int64_t* dst, std::int64_t* dst2, const std::byte* src,
+                  std::size_t n) {
+#if defined(PUP_KERNELS_AVX2)
+  if constexpr (kTwo) {
+    if (active_path() == Path::kNative) {
+      add_from_bytes2_avx2<W>(dst, dst2, src, n);
+      return;
+    }
+  }
+#endif
+  widen_generic<W, kAdd, kTwo>(dst, dst2, src, n);
+}
+
+template <bool kAdd, bool kTwo>
+void widen_dispatch(std::int64_t* dst, std::int64_t* dst2,
+                    const std::byte* src, std::size_t n, std::size_t width) {
+  switch (width) {
+    case 1:
+      return widen_vector<1, kAdd, kTwo>(dst, dst2, src, n);
+    case 2:
+      return widen_vector<2, kAdd, kTwo>(dst, dst2, src, n);
+    default:
+      return widen_vector<4, kAdd, kTwo>(dst, dst2, src, n);
   }
 }
 
@@ -1163,6 +1428,62 @@ void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
     scalar::add_from_bytes(dst, dst2, src, n);
   } else {
     add_from_bytes_vector<true>(dst, dst2, src, n);
+  }
+}
+
+void narrow_to_bytes(const std::int64_t* src, std::size_t n,
+                     std::size_t width, std::byte* out) {
+  require_wire_width(width);
+  if (active_path() == Path::kScalar) {
+    scalar::narrow_to_bytes(src, n, width, out);
+    return;
+  }
+  switch (width) {
+    case 1:
+      return narrow_vector<1>(src, n, out);
+    case 2:
+      return narrow_vector<2>(src, n, out);
+    case 4:
+      return narrow_vector<4>(src, n, out);
+    default:
+      if (n != 0) std::memcpy(out, src, n * sizeof(std::int64_t));
+      return;
+  }
+}
+
+void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                      std::size_t width) {
+  require_wire_width(width);
+  if (width == 8) {
+    if (n != 0) std::memcpy(dst, src, n * sizeof(std::int64_t));
+  } else if (active_path() == Path::kScalar) {
+    scalar::widen_from_bytes(dst, src, n, width);
+  } else {
+    widen_dispatch<false, false>(dst, nullptr, src, n, width);
+  }
+}
+
+void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                    std::size_t width) {
+  require_wire_width(width);
+  if (width == 8) {
+    add_from_bytes(dst, src, n);
+  } else if (active_path() == Path::kScalar) {
+    scalar::add_from_bytes(dst, src, n, width);
+  } else {
+    widen_dispatch<true, false>(dst, nullptr, src, n, width);
+  }
+}
+
+void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
+                    const std::byte* src, std::size_t n, std::size_t width) {
+  require_wire_width(width);
+  if (width == 8) {
+    add_from_bytes(dst, dst2, src, n);
+  } else if (active_path() == Path::kScalar) {
+    scalar::add_from_bytes(dst, dst2, src, n, width);
+  } else {
+    widen_dispatch<true, true>(dst, dst2, src, n, width);
   }
 }
 

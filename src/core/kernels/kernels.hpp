@@ -15,6 +15,9 @@
 //     only the selected elements' ranks are kept, compacted in place;
 //   * add_from_bytes -- the PRS rounds' fold of a received payload,
 //     read where it lies (unaligned int64 loads from the message bytes);
+//   * narrow_to_bytes / widen_from_bytes / add_from_bytes(width) -- the
+//     same PRS payloads at a narrow wire width (1, 2 or 4 bytes per base
+//     rank): a checked narrowing compose, a widening copy and fold;
 //   * prefix_in_range -- UNPACK's request runs: how far a scan-ordered
 //     rank list stays inside one V block;
 //   * run_gather -- UNPACK's replies: an owner answers the in-block prefix
@@ -145,6 +148,32 @@ void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n);
 void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
                     const std::byte* src, std::size_t n);
 
+// --- narrow PRS wire entries ----------------------------------------------
+//
+// A ranking PRS may ship its int64 base ranks as `width`-byte unsigned
+// integers, width in {1, 2, 4, 8}, when the schedule proves every entry
+// fits.  Entries are stored in host byte order; width 8 is the plain int64
+// wire (a copy, or the add_from_bytes above).  src/out carry no alignment
+// guarantee.
+
+/// Writes src[e] as the e-th width-byte entry of out, for e < n.  Throws
+/// ContractError when any src[e] is negative or >= 2^(8 width): a value
+/// is never truncated onto the wire (out's contents are then unspecified).
+void narrow_to_bytes(const std::int64_t* src, std::size_t n,
+                     std::size_t width, std::byte* out);
+
+/// dst[e] = the e-th width-byte entry of src, zero-extended, for e < n.
+void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                      std::size_t width);
+
+/// dst[e] += the e-th width-byte entry of src (zero-extended), for e < n.
+void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                    std::size_t width);
+
+/// The two-destination add_from_bytes at a wire width.
+void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
+                    const std::byte* src, std::size_t n, std::size_t width);
+
 // --- request runs ---------------------------------------------------------
 
 /// The length of v's longest prefix inside [lo, hi): the first i < n with
@@ -176,6 +205,14 @@ std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
 void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n);
 void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
                     const std::byte* src, std::size_t n);
+void narrow_to_bytes(const std::int64_t* src, std::size_t n,
+                     std::size_t width, std::byte* out);
+void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                      std::size_t width);
+void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                    std::size_t width);
+void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
+                    const std::byte* src, std::size_t n, std::size_t width);
 std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
                             std::int64_t lo, std::int64_t hi);
 

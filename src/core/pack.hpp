@@ -334,6 +334,7 @@ PackResult<T> pack_impl(sim::Machine& machine,
 
   RankingOptions ropt;
   ropt.prs = options.prs;
+  ropt.prs_width = options.prs_width;
   ropt.record_infos = scheme == PackScheme::kSimpleStorage;
   const RankingResult ranking = rank_mask(machine, mask, ropt);
 

@@ -42,6 +42,9 @@ namespace pup {
 
 struct RankingOptions {
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto;
+  /// Wire width of the PRS payloads: the narrowest each level proves
+  /// (kAuto), or int64 throughout as in the paper (k64).
+  coll::PrsWidth prs_width = coll::PrsWidth::kAuto;
   /// Record per-element info during the initial scan (the simple storage
   /// scheme).  The compact schemes leave this off and pay a second scan.
   bool record_infos = false;
@@ -62,6 +65,12 @@ struct RankingStep {
   /// and level_size (never kAuto), so every execution and every batched
   /// request runs the same schedule.
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kDirect;
+  /// Bytes per PS_i/RS_i entry on the wire: 1, 2, 4 or 8, resolved at
+  /// compile time.  Every entry, prefix and total of the level's PRS
+  /// counts elements of one sub-block and is at most
+  /// level_bound(dist, i); kAuto picks the narrowest unsigned width that
+  /// holds it, k64 always 8.
+  std::size_t wire_bytes = sizeof(std::int64_t);
 };
 
 /// Everything about the ranking algorithm that depends only on the mask's
@@ -87,7 +96,18 @@ struct RankingSchedule {
 /// tests can assert that a plan-cache hit recompiles nothing.
 RankingSchedule compile_ranking_schedule(
     const dist::Distribution& dist, int nprocs,
-    coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto);
+    coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto,
+    coll::PrsWidth width = coll::PrsWidth::kAuto);
+
+/// The bound B_i on every entry of level i's PRS (its input counts, the
+/// prefixes and the totals): P_i * W_i * prod_{k<i} N_k elements, the size
+/// of the sub-block one total summarizes (saturating at INT64_MAX).  For a
+/// ragged 1-D array it is P_0 * W_0.
+std::int64_t level_bound(const dist::Distribution& dist, int level);
+
+/// The narrowest unsigned wire width, in bytes (1, 2, 4 or 8), that holds
+/// every value in [0, bound].
+std::size_t wire_bytes_for(std::int64_t bound);
 
 /// Process-wide count of compile_ranking_schedule() invocations.
 std::int64_t ranking_schedules_compiled();

@@ -39,12 +39,16 @@ struct PackOptions {
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto;
   coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation;
   SliceScan slice_scan = SliceScan::kStopEarly;
+  /// Wire width of the ranking's PRS payloads (RankingOptions::prs_width).
+  coll::PrsWidth prs_width = coll::PrsWidth::kAuto;
 };
 
 struct UnpackOptions {
   UnpackScheme scheme = UnpackScheme::kCompactStorage;
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto;
   coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation;
+  /// Wire width of the ranking's PRS payloads (RankingOptions::prs_width).
+  coll::PrsWidth prs_width = coll::PrsWidth::kAuto;
 };
 
 /// Preliminary redistribution schemes for cyclically distributed inputs

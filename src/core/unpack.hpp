@@ -328,6 +328,7 @@ UnpackResult<T> unpack(sim::Machine& machine, const dist::DistArray<T>& v,
 
   RankingOptions ropt;
   ropt.prs = options.prs;
+  ropt.prs_width = options.prs_width;
   ropt.record_infos = scheme == UnpackScheme::kSimpleStorage;
   const RankingResult ranking = rank_mask(machine, mask, ropt);
 

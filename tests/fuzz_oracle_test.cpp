@@ -1,9 +1,12 @@
-// Randomized configuration fuzzing: many machine/layout/density/scheme
-// combinations drawn from a deterministic RNG, every one checked against
-// the serial Fortran-90 oracle.  This is the catch-all net under the
-// targeted suites.
+// Randomized configuration fuzzing: many machine/layout/density/scheme/
+// PRS-wire-width combinations drawn from a deterministic RNG, every one
+// checked against the serial Fortran-90 oracle, and against itself at the
+// other wire width: the narrow PRS wire must give digest-identical results
+// with no more PRS bytes than the int64 one.  This is the catch-all net
+// under the targeted suites.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "core/api.hpp"
@@ -21,6 +24,10 @@ struct Config {
   PackScheme scheme;
   coll::PrsAlgorithm prs;
   coll::M2MSchedule schedule;
+  // Drawn after the mask, so the draws above stay those of the seeds
+  // before the width axis existed.
+  UnpackScheme unpack_scheme = UnpackScheme::kCompactStorage;
+  coll::PrsWidth width = coll::PrsWidth::kAuto;
 };
 
 Config random_config(Xoshiro256& rng) {
@@ -49,11 +56,55 @@ Config random_config(Xoshiro256& rng) {
   return c;
 }
 
+std::uint64_t digest(const std::vector<std::int64_t>& v) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const std::int64_t x : v) {
+    unsigned char bytes[sizeof(x)];
+    std::memcpy(bytes, &x, sizeof(x));
+    for (const unsigned char b : bytes) {
+      h ^= b;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+/// One PACK and the UNPACK of its result at one wire width.
+struct Outcome {
+  std::vector<std::int64_t> packed;
+  std::vector<std::int64_t> restored;  ///< empty when nothing was selected
+  std::int64_t prs_bytes = 0;
+};
+
+Outcome run_config(sim::Machine& machine, const Config& c,
+                   coll::PrsWidth width,
+                   const dist::DistArray<std::int64_t>& a,
+                   const dist::DistArray<mask_t>& m) {
+  Outcome run;
+  const std::int64_t before = machine.trace().bytes_in(sim::Category::kPrs);
+  PackOptions opt;
+  opt.scheme = c.scheme;
+  opt.prs = c.prs;
+  opt.schedule = c.schedule;
+  opt.prs_width = width;
+  auto packed = pack(machine, a, m, opt);
+  run.packed = packed.vector.gather();
+  if (packed.size > 0) {
+    UnpackOptions uopt;
+    uopt.scheme = c.unpack_scheme;
+    uopt.schedule = c.schedule;
+    uopt.prs_width = width;
+    run.restored = unpack(machine, packed.vector, m, a, uopt).result.gather();
+  }
+  run.prs_bytes = machine.trace().bytes_in(sim::Category::kPrs) - before;
+  return run;
+}
+
 class FuzzOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(FuzzOracle, PackAndUnpackAgreeWithSerialSemantics) {
   Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 0x9e37 + 11);
-  const Config c = random_config(rng);
+  Config c = random_config(rng);
   int p = 1;
   for (int x : c.procs) p *= x;
   auto machine = test::make_machine(p);
@@ -65,25 +116,33 @@ TEST_P(FuzzOracle, PackAndUnpackAgreeWithSerialSemantics) {
   auto gm = random_mask(n, c.density, rng.next());
   auto a = dist::DistArray<std::int64_t>::scatter(d, data);
   auto m = dist::DistArray<mask_t>::scatter(d, gm);
+  c.unpack_scheme = rng.next_below(2) == 0 ? UnpackScheme::kSimpleStorage
+                                           : UnpackScheme::kCompactStorage;
+  c.width = rng.next_below(2) == 0 ? coll::PrsWidth::kAuto
+                                   : coll::PrsWidth::k64;
 
-  PackOptions opt;
-  opt.scheme = c.scheme;
-  opt.prs = c.prs;
-  opt.schedule = c.schedule;
-  auto packed = pack(machine, a, m, opt);
+  const Outcome run = run_config(machine, c, c.width, a, m);
   const auto expected = serial_pack<std::int64_t>(data, gm);
-  ASSERT_EQ(packed.vector.gather(), expected)
+  ASSERT_EQ(run.packed, expected)
       << "rank " << c.extents.size() << " density " << c.density;
   ASSERT_TRUE(machine.mailboxes_empty());
-
-  if (packed.size > 0) {
-    UnpackOptions uopt;
-    uopt.scheme = rng.next_below(2) == 0 ? UnpackScheme::kSimpleStorage
-                                         : UnpackScheme::kCompactStorage;
-    uopt.schedule = c.schedule;
-    auto restored = unpack(machine, packed.vector, m, a, uopt);
-    ASSERT_EQ(restored.result.gather(), data);
+  if (!run.packed.empty()) {
+    ASSERT_EQ(run.restored, data);
   }
+
+  // The same configuration at both widths, on fault-free machines so the
+  // PRS bytes count no retransmission: identical result digests, and the
+  // narrow wire never moves more PRS bytes.
+  sim::Machine narrow_machine(p, test::test_options());
+  sim::Machine wide_machine(p, test::test_options());
+  const Outcome narrow =
+      run_config(narrow_machine, c, coll::PrsWidth::kAuto, a, m);
+  const Outcome wide =
+      run_config(wide_machine, c, coll::PrsWidth::k64, a, m);
+  EXPECT_EQ(digest(narrow.packed), digest(wide.packed));
+  EXPECT_EQ(digest(narrow.restored), digest(wide.restored));
+  EXPECT_EQ(digest(narrow.packed), digest(run.packed));
+  EXPECT_LE(narrow.prs_bytes, wide.prs_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzOracle, ::testing::Range(0, 60));

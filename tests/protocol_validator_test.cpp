@@ -53,13 +53,20 @@ TEST(ProtocolValidator, CleanPackRunValidates) {
   auto mk = dist::DistArray<mask_t>::scatter(d, mask);
   auto f = dist::DistArray<int>::scatter(d, std::span<const int>(field));
 
-  for (PackScheme scheme :
-       {PackScheme::kSimpleStorage, PackScheme::kCompactStorage,
-        PackScheme::kCompactMessage}) {
-    PackOptions opt;
-    opt.scheme = scheme;
-    auto packed = pack(machine, a, mk, opt);
-    unpack(machine, packed.vector, mk, f);
+  // Both PRS wires: the int64 one and the narrow default (u8 here).
+  for (const coll::PrsWidth width :
+       {coll::PrsWidth::k64, coll::PrsWidth::kAuto}) {
+    for (PackScheme scheme :
+         {PackScheme::kSimpleStorage, PackScheme::kCompactStorage,
+          PackScheme::kCompactMessage}) {
+      PackOptions opt;
+      opt.scheme = scheme;
+      opt.prs_width = width;
+      auto packed = pack(machine, a, mk, opt);
+      UnpackOptions uopt;
+      uopt.prs_width = width;
+      unpack(machine, packed.vector, mk, f, uopt);
+    }
   }
 
   validator.finish();

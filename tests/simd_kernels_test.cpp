@@ -253,6 +253,100 @@ TEST(SimdKernels, AddFromBytesMatchesReferenceAtEveryOffset) {
   }
 }
 
+/// Values in [0, limit), limit = 2^(8 width) below width 8 and 2^62 at
+/// width 8 (so folding them into mixed_values cannot overflow): a spread
+/// that sets the top bit of the width, plus both extremes.
+std::vector<std::int64_t> wire_values(std::size_t n, std::size_t width,
+                                      std::uint64_t salt) {
+  const std::uint64_t limit = std::uint64_t{1} << (width == 8 ? 62 : 8 * width);
+  std::vector<std::int64_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t x = (i + salt) * 0x9e3779b97f4a7c15ULL;
+    v[i] = static_cast<std::int64_t>(x % limit);
+  }
+  if (n > 0) v[0] = 0;
+  if (n > 1) v[n - 1] = static_cast<std::int64_t>(limit - 1);
+  return v;
+}
+
+TEST(SimdKernels, WireNarrowAndWidenMatchReferenceAtEveryOffset) {
+  // The narrow PRS wire: compose at width 1, 2, 4 (and 8, the copy), then
+  // the widening copy and both widening folds, from a byte stream at every
+  // offset 0..7 of an aligned buffer.  Every path must produce the scalar
+  // reference's bytes and sums.
+  for (const std::size_t width : {1, 2, 4, 8}) {
+    for (const std::size_t n : fold_lengths()) {
+      const auto values = wire_values(n, width, 5);
+      const auto dst0 = mixed_values(n, 11);
+      const auto dst20 = mixed_values(n, 19);
+      std::vector<std::int64_t> expect = dst0;
+      std::vector<std::int64_t> expect2 = dst20;
+      for (std::size_t e = 0; e < n; ++e) {
+        expect[e] += values[e];
+        expect2[e] += values[e];
+      }
+      std::vector<std::byte> ref(n * width);
+      {
+        ForceGuard force(Path::kScalar);
+        kernels::narrow_to_bytes(values.data(), n, width, ref.data());
+      }
+      std::vector<std::byte> storage(n * width + 8);
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        std::byte* wire = storage.data() + offset;
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          const std::string what = std::string(kernels::path_name(path)) +
+                                   " width=" + std::to_string(width) +
+                                   " n=" + std::to_string(n) +
+                                   " offset=" + std::to_string(offset);
+          kernels::narrow_to_bytes(values.data(), n, width, wire);
+          ASSERT_TRUE(n == 0 || std::memcmp(wire, ref.data(), n * width) == 0)
+              << what;
+          std::vector<std::int64_t> copy(n, -1);
+          kernels::widen_from_bytes(copy.data(), wire, n, width);
+          ASSERT_EQ(copy, values) << what;
+          std::vector<std::int64_t> one = dst0;
+          kernels::add_from_bytes(one.data(), wire, n, width);
+          ASSERT_EQ(one, expect) << what;
+          std::vector<std::int64_t> a = dst0;
+          std::vector<std::int64_t> b = dst20;
+          kernels::add_from_bytes(a.data(), b.data(), wire, n, width);
+          ASSERT_EQ(a, expect) << what << " (two dst)";
+          ASSERT_EQ(b, expect2) << what << " (two dst)";
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, WireNarrowThrowsOnAnyOutOfRangeEntry) {
+  // One entry past the width -- 2^(8 width), or -1 -- at every position of
+  // a 67-entry vector: every path throws rather than truncate it.
+  constexpr std::size_t n = 67;
+  std::vector<std::byte> out(n * 4);
+  for (const std::size_t width : {1, 2, 4}) {
+    for (const std::int64_t bad :
+         {static_cast<std::int64_t>(std::uint64_t{1} << (8 * width)),
+          std::int64_t{-1}}) {
+      for (std::size_t at = 0; at < n; ++at) {
+        auto values = wire_values(n, width, 7);
+        values[at] = bad;
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          EXPECT_THROW(
+              kernels::narrow_to_bytes(values.data(), n, width, out.data()),
+              ContractError)
+              << kernels::path_name(path) << " width=" << width
+              << " bad=" << bad << " at=" << at;
+        }
+      }
+    }
+  }
+  const std::int64_t one = 1;
+  EXPECT_THROW(kernels::narrow_to_bytes(&one, 1, 3, out.data()),
+               ContractError);
+}
+
 TEST(SimdKernels, MaskWidenMatchesReferenceAtEveryOffset) {
   // Mask bytes are 0, 1, 2 and 255: any nonzero byte widens to one.  The
   // outputs are pre-filled with garbage, so a slot the kernel skips shows.

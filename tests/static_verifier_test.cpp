@@ -74,6 +74,9 @@ const std::vector<coll::PrsAlgorithm> kPrsKnobs = {
     coll::PrsAlgorithm::kControlNetwork, coll::PrsAlgorithm::kAuto};
 const std::vector<coll::M2MSchedule> kM2MKnobs = {
     coll::M2MSchedule::kLinearPermutation, coll::M2MSchedule::kNaive};
+// The paper's int64 wire and the narrowest proven one.
+const std::vector<coll::PrsWidth> kWidths = {coll::PrsWidth::k64,
+                                             coll::PrsWidth::kAuto};
 
 std::string case_name(const GridCase& gc, int scheme, int prs, int m2m) {
   return std::string(gc.name) + " scheme=" + std::to_string(scheme) +
@@ -167,6 +170,7 @@ TEST(StaticVerifier, MutationHarnessHasNoEscapes) {
       st::Defect::kDuplicatedTag,     st::Defect::kForeignTag,
       st::Defect::kCyclicDependency,  st::Defect::kUnderchargedRound,
       st::Defect::kMisroutedRecv,     st::Defect::kOversizedPayload,
+      st::Defect::kMisstatedWidth,
   };
   int seeded_total = 0;
   for (const GridCase& gc : grid_cases()) {
@@ -174,32 +178,35 @@ TEST(StaticVerifier, MutationHarnessHasNoEscapes) {
     for (PackScheme scheme : kPackSchemes) {
       for (coll::PrsAlgorithm prs :
            {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit}) {
-        for (coll::M2MSchedule m2m : kM2MKnobs) {
-          PackOptions opt;
-          opt.scheme = scheme;
-          opt.prs = prs;
-          opt.schedule = m2m;
-          const plan::PackPlan plan = plan::compile_pack_plan(
-              machine, gc.dist, sizeof(double), opt);
-          const st::ExpandedPlan pristine =
-              st::expand_pack_plan(plan, machine.cost());
-          ASSERT_TRUE(st::verify_schedule(pristine.schedule,
-                                          pristine.expectations)
-                          .ok());
-          for (st::Defect defect : defects) {
-            st::ExpandedPlan mutated = pristine;
-            if (!st::seed_defect(mutated.schedule, defect)) continue;
-            ++seeded_total;
-            const st::VerifyReport report = st::verify_schedule(
-                mutated.schedule, mutated.expectations);
-            const std::string want = st::expected_rule(defect);
-            const bool caught = std::any_of(
-                report.issues.begin(), report.issues.end(),
-                [&](const st::VerifyIssue& i) { return i.rule == want; });
-            EXPECT_TRUE(caught)
-                << st::defect_name(defect) << " escaped on " << gc.name
-                << " (" << pristine.schedule.origin << "); expected rule \""
-                << want << "\", report: " << report.summary();
+        for (const coll::PrsWidth width : kWidths) {
+          for (coll::M2MSchedule m2m : kM2MKnobs) {
+            PackOptions opt;
+            opt.scheme = scheme;
+            opt.prs = prs;
+            opt.schedule = m2m;
+            opt.prs_width = width;
+            const plan::PackPlan plan = plan::compile_pack_plan(
+                machine, gc.dist, sizeof(double), opt);
+            const st::ExpandedPlan pristine =
+                st::expand_pack_plan(plan, machine.cost());
+            ASSERT_TRUE(st::verify_schedule(pristine.schedule,
+                                            pristine.expectations)
+                            .ok());
+            for (st::Defect defect : defects) {
+              st::ExpandedPlan mutated = pristine;
+              if (!st::seed_defect(mutated.schedule, defect)) continue;
+              ++seeded_total;
+              const st::VerifyReport report = st::verify_schedule(
+                  mutated.schedule, mutated.expectations);
+              const std::string want = st::expected_rule(defect);
+              const bool caught = std::any_of(
+                  report.issues.begin(), report.issues.end(),
+                  [&](const st::VerifyIssue& i) { return i.rule == want; });
+              EXPECT_TRUE(caught)
+                  << st::defect_name(defect) << " escaped on " << gc.name
+                  << " (" << pristine.schedule.origin << "); expected rule \""
+                  << want << "\", report: " << report.summary();
+            }
           }
         }
       }
@@ -228,26 +235,29 @@ TEST(StaticVerifier, PackTraceMatchesExpansion) {
 
     for (PackScheme scheme : kPackSchemes) {
       for (coll::PrsAlgorithm prs : kPrsKnobs) {
-        for (coll::M2MSchedule m2m : kM2MKnobs) {
-          PackOptions opt;
-          opt.scheme = scheme;
-          opt.prs = prs;
-          opt.schedule = m2m;
-          const plan::PackPlan plan = plan::compile_pack_plan(
-              machine, gc.dist, sizeof(double), opt);
-          const st::ExpandedPlan expanded =
-              st::expand_pack_plan(plan, machine.cost());
+        for (const coll::PrsWidth width : kWidths) {
+          for (coll::M2MSchedule m2m : kM2MKnobs) {
+            PackOptions opt;
+            opt.scheme = scheme;
+            opt.prs = prs;
+            opt.schedule = m2m;
+            opt.prs_width = width;
+            const plan::PackPlan plan = plan::compile_pack_plan(
+                machine, gc.dist, sizeof(double), opt);
+            const st::ExpandedPlan expanded =
+                st::expand_pack_plan(plan, machine.cost());
 
-          st::ScheduleRecorder recorder;
-          machine.add_observer(&recorder);
-          (void)plan::pack_with_plan(machine, plan, array, mask);
-          machine.remove_observer(&recorder);
+            st::ScheduleRecorder recorder;
+            machine.add_observer(&recorder);
+            (void)plan::pack_with_plan(machine, plan, array, mask);
+            machine.remove_observer(&recorder);
 
-          const st::TraceCheckResult check =
-              st::check_trace(recorder, expanded.schedule);
-          EXPECT_TRUE(check.ok())
-              << expanded.schedule.origin << " on " << gc.name << ":\n  "
-              << (check.issues.empty() ? "" : check.issues[0]);
+            const st::TraceCheckResult check =
+                st::check_trace(recorder, expanded.schedule);
+            EXPECT_TRUE(check.ok())
+                << expanded.schedule.origin << " on " << gc.name << ":\n  "
+                << (check.issues.empty() ? "" : check.issues[0]);
+          }
         }
       }
     }
@@ -307,26 +317,29 @@ TEST(StaticVerifier, UnpackTraceMatchesExpansion) {
 
     for (UnpackScheme scheme : kUnpackSchemes) {
       for (coll::PrsAlgorithm prs : kPrsKnobs) {
-        for (coll::M2MSchedule m2m : kM2MKnobs) {
-          UnpackOptions opt;
-          opt.scheme = scheme;
-          opt.prs = prs;
-          opt.schedule = m2m;
-          const plan::UnpackPlan plan = plan::compile_unpack_plan(
-              machine, gc.dist, vd, sizeof(double), opt);
-          const st::ExpandedPlan expanded =
-              st::expand_unpack_plan(plan, machine.cost());
+        for (const coll::PrsWidth width : kWidths) {
+          for (coll::M2MSchedule m2m : kM2MKnobs) {
+            UnpackOptions opt;
+            opt.scheme = scheme;
+            opt.prs = prs;
+            opt.schedule = m2m;
+            opt.prs_width = width;
+            const plan::UnpackPlan plan = plan::compile_unpack_plan(
+                machine, gc.dist, vd, sizeof(double), opt);
+            const st::ExpandedPlan expanded =
+                st::expand_unpack_plan(plan, machine.cost());
 
-          st::ScheduleRecorder recorder;
-          machine.add_observer(&recorder);
-          (void)plan::unpack_with_plan(machine, plan, v, mask, field);
-          machine.remove_observer(&recorder);
+            st::ScheduleRecorder recorder;
+            machine.add_observer(&recorder);
+            (void)plan::unpack_with_plan(machine, plan, v, mask, field);
+            machine.remove_observer(&recorder);
 
-          const st::TraceCheckResult check =
-              st::check_trace(recorder, expanded.schedule);
-          EXPECT_TRUE(check.ok())
-              << expanded.schedule.origin << " on " << gc.name << ":\n  "
-              << (check.issues.empty() ? "" : check.issues[0]);
+            const st::TraceCheckResult check =
+                st::check_trace(recorder, expanded.schedule);
+            EXPECT_TRUE(check.ok())
+                << expanded.schedule.origin << " on " << gc.name << ":\n  "
+                << (check.issues.empty() ? "" : check.issues[0]);
+          }
         }
       }
     }

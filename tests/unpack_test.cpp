@@ -264,8 +264,13 @@ std::string pin_row(const WirePin& w) {
   return os.str();
 }
 
+// The paper's int64 PRS wire (prs_width = k64), recorded before narrow
+// widths existed, and the default narrowest-proven wire (kAuto).
 const std::vector<WirePin> kWirePins = {
 #include "unpack_wire_pins.inc"
+};
+const std::vector<WirePin> kNarrowWirePins = {
+#include "unpack_wire_pins_narrow.inc"
 };
 
 struct PinLayout {
@@ -292,7 +297,7 @@ std::vector<PinLayout> pin_layouts() {
 
 WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
                           UnpackScheme scheme, double density,
-                          sim::ExecPolicy policy) {
+                          sim::ExecPolicy policy, coll::PrsWidth width) {
   int p = 1;
   for (int x : layout.procs) p *= x;
   // Pinned: fault-free traffic under the given policy, whatever the env.
@@ -323,6 +328,7 @@ WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
   auto v = dist::DistArray<std::int32_t>::scatter(vdist, vhost);
   UnpackOptions opt;
   opt.scheme = scheme;
+  opt.prs_width = width;
   const auto result = unpack(machine, v, m, f, opt).result.gather();
   machine.remove_observer(&wire);
   EXPECT_EQ(result, serial_unpack<std::int32_t>(vhost, gm, fhost));
@@ -343,33 +349,46 @@ WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
                        kFnvOffset)};
 }
 
-void check_wire_pins(sim::ExecPolicy policy) {
+void check_wire_pins(sim::ExecPolicy policy, coll::PrsWidth width,
+                     const std::vector<WirePin>& pins) {
   std::vector<WirePin> actual;
   for (const PinLayout& layout : pin_layouts()) {
     for (const int v_block : {0, 1, 3}) {
       for (const UnpackScheme scheme :
            {UnpackScheme::kCompactStorage, UnpackScheme::kSimpleStorage}) {
         for (const double density : {0.0, 0.01, 0.5, 1.0}) {
-          actual.push_back(
-              run_pinned_unpack(layout, v_block, scheme, density, policy));
+          actual.push_back(run_pinned_unpack(layout, v_block, scheme,
+                                             density, policy, width));
         }
       }
     }
   }
-  ASSERT_EQ(actual.size(), kWirePins.size()) << "pin table out of date";
+  ASSERT_EQ(actual.size(), pins.size()) << "pin table out of date";
   for (std::size_t i = 0; i < actual.size(); ++i) {
-    EXPECT_EQ(actual[i], kWirePins[i])
-        << "expected " << pin_row(kWirePins[i]) << "\n  actual "
+    EXPECT_EQ(actual[i], pins[i])
+        << "expected " << pin_row(pins[i]) << "\n  actual "
         << pin_row(actual[i]);
   }
 }
 
 TEST(UnpackWirePin, SequentialMatchesRecordedWire) {
-  check_wire_pins(sim::ExecPolicy::sequential());
+  check_wire_pins(sim::ExecPolicy::sequential(), coll::PrsWidth::k64,
+                  kWirePins);
 }
 
 TEST(UnpackWirePin, ThreadedMatchesRecordedWire) {
-  check_wire_pins(sim::ExecPolicy::threaded(4));
+  check_wire_pins(sim::ExecPolicy::threaded(4), coll::PrsWidth::k64,
+                  kWirePins);
+}
+
+TEST(UnpackWirePin, SequentialNarrowMatchesRecordedWire) {
+  check_wire_pins(sim::ExecPolicy::sequential(), coll::PrsWidth::kAuto,
+                  kNarrowWirePins);
+}
+
+TEST(UnpackWirePin, ThreadedNarrowMatchesRecordedWire) {
+  check_wire_pins(sim::ExecPolicy::threaded(4), coll::PrsWidth::kAuto,
+                  kNarrowWirePins);
 }
 
 }  // namespace

@@ -2,10 +2,10 @@
 //
 // For each processor count (default 4, 6, 8, 16), a 1-D and (when p is
 // composite) a 2-D block-cyclic distribution is built and every
-// (scheme x PRS knob x M2M knob x batch) pack plan plus every unpack plan
-// is compiled and fed to analysis::statics::verify_plan().  One line is
-// printed per plan with its verdict, round/post counts and peak per-rank
-// in-flight bytes; any failed proof makes the exit status nonzero.
+// (scheme x PRS knob x PRS wire width x M2M knob x batch) pack plan plus
+// every unpack plan is compiled and fed to analysis::statics::verify_plan().
+// One line is printed per plan with its verdict, round/post counts and peak
+// per-rank in-flight bytes; any failed proof makes the exit status nonzero.
 //
 //   verify_plans [--procs 4,6,8,16] [--budget BYTES] [--mutations]
 //                [--verbose]
@@ -94,7 +94,7 @@ void report_plan(const Sweep& sweep, Tally& tally, const char* kind,
                  const std::string& origin, const st::VerifyReport& report) {
   ++tally.plans;
   if (!report.ok()) ++tally.failed;
-  std::printf("%-4s %-6s %-58s rounds=%-4zu posts=%-5zu peak=%zuB\n",
+  std::printf("%-4s %-6s %-70s rounds=%-4zu posts=%-5zu peak=%zuB\n",
               report.ok() ? "ok" : "FAIL", kind, origin.c_str(),
               static_cast<std::size_t>(report.rounds),
               static_cast<std::size_t>(report.posts),
@@ -108,6 +108,7 @@ void run_mutations(Tally& tally, const st::ExpandedPlan& pristine) {
       st::Defect::kDuplicatedTag,    st::Defect::kForeignTag,
       st::Defect::kCyclicDependency, st::Defect::kUnderchargedRound,
       st::Defect::kMisroutedRecv,    st::Defect::kOversizedPayload,
+      st::Defect::kMisstatedWidth,
   };
   for (st::Defect defect : defects) {
     st::ExpandedPlan mutated = pristine;
@@ -157,6 +158,8 @@ int main(int argc, char** argv) {
       pup::coll::PrsAlgorithm::kDirect, pup::coll::PrsAlgorithm::kSplit,
       pup::coll::PrsAlgorithm::kControlNetwork,
       pup::coll::PrsAlgorithm::kAuto};
+  const pup::coll::PrsWidth widths[] = {pup::coll::PrsWidth::k64,
+                                        pup::coll::PrsWidth::kAuto};
   const pup::coll::M2MSchedule m2m_knobs[] = {
       pup::coll::M2MSchedule::kLinearPermutation,
       pup::coll::M2MSchedule::kNaive};
@@ -171,22 +174,25 @@ int main(int argc, char** argv) {
     for (const auto& d : distributions_for(p)) {
       for (pup::PackScheme scheme : pack_schemes) {
         for (pup::coll::PrsAlgorithm prs : prs_knobs) {
-          for (pup::coll::M2MSchedule m2m : m2m_knobs) {
-            pup::PackOptions opt;
-            opt.scheme = scheme;
-            opt.prs = prs;
-            opt.schedule = m2m;
-            const pup::plan::PackPlan plan = pup::plan::compile_pack_plan(
-                machine, d, sizeof(double), opt);
-            for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
-              const st::ExpandedPlan expanded =
-                  st::expand_pack_plan(plan, machine.cost(), batch);
-              const st::VerifyReport report = st::verify_schedule(
-                  expanded.schedule, expanded.expectations, options);
-              report_plan(sweep, tally, "pack",
-                          expanded.schedule.origin, report);
-              if (sweep.mutations && batch == 1) {
-                run_mutations(tally, expanded);
+          for (pup::coll::PrsWidth width : widths) {
+            for (pup::coll::M2MSchedule m2m : m2m_knobs) {
+              pup::PackOptions opt;
+              opt.scheme = scheme;
+              opt.prs = prs;
+              opt.schedule = m2m;
+              opt.prs_width = width;
+              const pup::plan::PackPlan plan = pup::plan::compile_pack_plan(
+                  machine, d, sizeof(double), opt);
+              for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
+                const st::ExpandedPlan expanded =
+                    st::expand_pack_plan(plan, machine.cost(), batch);
+                const st::VerifyReport report = st::verify_schedule(
+                    expanded.schedule, expanded.expectations, options);
+                report_plan(sweep, tally, "pack",
+                            expanded.schedule.origin, report);
+                if (sweep.mutations && batch == 1) {
+                  run_mutations(tally, expanded);
+                }
               }
             }
           }
@@ -196,19 +202,23 @@ int main(int argc, char** argv) {
           d.global().size() / 2 + 1, p);
       for (pup::UnpackScheme scheme : unpack_schemes) {
         for (pup::coll::PrsAlgorithm prs : prs_knobs) {
-          for (pup::coll::M2MSchedule m2m : m2m_knobs) {
-            pup::UnpackOptions opt;
-            opt.scheme = scheme;
-            opt.prs = prs;
-            opt.schedule = m2m;
-            const pup::plan::UnpackPlan plan = pup::plan::compile_unpack_plan(
-                machine, d, vd, sizeof(double), opt);
-            const st::ExpandedPlan expanded =
-                st::expand_unpack_plan(plan, machine.cost());
-            const st::VerifyReport report = st::verify_schedule(
-                expanded.schedule, expanded.expectations, options);
-            report_plan(sweep, tally, "unpack",
-                        expanded.schedule.origin, report);
+          for (pup::coll::PrsWidth width : widths) {
+            for (pup::coll::M2MSchedule m2m : m2m_knobs) {
+              pup::UnpackOptions opt;
+              opt.scheme = scheme;
+              opt.prs = prs;
+              opt.schedule = m2m;
+              opt.prs_width = width;
+              const pup::plan::UnpackPlan plan =
+                  pup::plan::compile_unpack_plan(machine, d, vd,
+                                                 sizeof(double), opt);
+              const st::ExpandedPlan expanded =
+                  st::expand_unpack_plan(plan, machine.cost());
+              const st::VerifyReport report = st::verify_schedule(
+                  expanded.schedule, expanded.expectations, options);
+              report_plan(sweep, tally, "unpack",
+                          expanded.schedule.origin, report);
+            }
           }
         }
       }
