@@ -1,14 +1,16 @@
 // google-benchmark microbenches of the hot local kernels: initial mask
 // scan (counting and W_0 = 1 widening), the ranking's segment totals and
-// final-step fold (plain, and fused with the W_0 = 1 gather), the PRS
-// payload fold, the narrow PRS wire (checked compose, widening copy and
-// fold at 1, 2 and 4 bytes per entry), CMS run encode/decode, UNPACK's
-// reply gather and merged placement, message composition per scheme, and
-// the serial reference, on a single virtual processor's data sizes.
+// final-step fold (plain, and fused with the W_0 = 1 gather), the PRS wire
+// (checked compose, widening copy, and the payload fold into one or two
+// destinations at 1, 2, 4 and 8 bytes per entry), CMS run encode/decode,
+// UNPACK's reply gather and merged placement, message composition per
+// scheme, and the serial reference, on a single virtual processor's data
+// sizes.
 //
 // Kernel benches take a `path` argument (0 = forced scalar reference,
-// 1 = the active vector path, 2 = the generic path on the narrow-wire
-// rows) so one JSON run carries every side of each speedup claim.  Before
+// 1 = the active path -- native where the CPU has it --, 2 = the generic
+// path, compiled for the baseline ISA) so one JSON run carries every side
+// of each speedup claim.  Before
 // any timing, main() runs a parity gate: every vector kernel must agree
 // bit for bit with its scalar reference, and an end-to-end pack must
 // produce identical digests and values across kernel paths -- a bench
@@ -32,8 +34,7 @@ namespace {
 
 // Pins the kernel path for one bench run: 0 forces the scalar reference,
 // 1 restores the auto path (the vector path on any machine that has one),
-// 2 forces the portable generic path (the narrow-wire rows, whose AVX2
-// bodies must beat it).
+// 2 forces the portable generic path.
 class PathGuard {
  public:
   explicit PathGuard(std::int64_t path) {
@@ -56,11 +57,7 @@ void BM_MaskScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_MaskScan)
-    ->Args({1 << 12, 0})
-    ->Args({1 << 12, 1})
-    ->Args({1 << 16, 0})
-    ->Args({1 << 16, 1});
+BENCHMARK(BM_MaskScan)->ArgsProduct({{1 << 12, 1 << 16}, {0, 2, 1}});
 
 // The ranking's per-level passes on one step-0 base-rank array of the
 // 512 x 512 cyclic CSS unpack (16384 entries, 128-entry segments): the
@@ -79,7 +76,7 @@ void BM_SegmentSums(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_SegmentSums)->Args({1 << 14, 0})->Args({1 << 14, 1});
+BENCHMARK(BM_SegmentSums)->ArgsProduct({{1 << 14}, {0, 2, 1}});
 
 void BM_SegmentedPrefixFold(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -98,7 +95,7 @@ void BM_SegmentedPrefixFold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_SegmentedPrefixFold)->Args({1 << 14, 0})->Args({1 << 14, 1});
+BENCHMARK(BM_SegmentedPrefixFold)->ArgsProduct({{1 << 14}, {0, 2, 1}});
 
 // The same fold at level 0 of a W_0 = 1 counting scan, fused with the
 // gather under a 50% mask: only the selected slots' ranks are stored.
@@ -120,9 +117,7 @@ void BM_SegmentedPrefixFoldGather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_SegmentedPrefixFoldGather)
-    ->Args({1 << 14, 0})
-    ->Args({1 << 14, 1});
+BENCHMARK(BM_SegmentedPrefixFoldGather)->ArgsProduct({{1 << 14}, {0, 2, 1}});
 
 // W_0 = 1 initial scan: PS_0 in one widening pass.
 void BM_MaskWiden(benchmark::State& state) {
@@ -140,7 +135,7 @@ void BM_MaskWiden(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_MaskWiden)->Args({1 << 14, 0})->Args({1 << 14, 1});
+BENCHMARK(BM_MaskWiden)->ArgsProduct({{1 << 14}, {0, 2, 1}});
 
 // UNPACK's CSS placement: one rank's 16384 int64 slots of the 512 x 512
 // cyclic unpack, each written once from the value stream or the field.
@@ -163,11 +158,7 @@ void BM_MaskMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_MaskMerge)
-    ->Args({1 << 14, 0, 50})
-    ->Args({1 << 14, 1, 50})
-    ->Args({1 << 14, 0, 10})
-    ->Args({1 << 14, 1, 10});
+BENCHMARK(BM_MaskMerge)->ArgsProduct({{1 << 14}, {0, 2, 1}, {50, 10}});
 
 // UNPACK's reply to one request stream: 8192 ranks, a sorted 50% subset
 // of one 16384-element V block, read one byte off alignment and answered
@@ -197,45 +188,14 @@ void BM_RunGather(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_RunGather)->Arg(0)->Arg(1);
+BENCHMARK(BM_RunGather)->Arg(0)->Arg(2)->Arg(1);
 
-// A PRS round's fold of a received payload into the total (and, with the
-// third argument 1, into the prefix too), read in place from a byte
-// buffer one byte off alignment.
-void BM_AddFromBytes(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  // Zero bytes, so the in-place sums cannot overflow across iterations.
-  std::vector<std::byte> payload(n * sizeof(std::int64_t) + 1);
-  const std::byte* src = payload.data() + 1;
-  std::vector<std::int64_t> tot(n, 0);
-  std::vector<std::int64_t> pre(n, 0);
-  const bool both = state.range(2) != 0;
-  PathGuard guard(state.range(1));
-  for (auto _ : state) {
-    if (both) {
-      kernels::add_from_bytes(tot.data(), pre.data(), src, n);
-    } else {
-      kernels::add_from_bytes(tot.data(), src, n);
-    }
-    benchmark::DoNotOptimize(tot.data());
-    benchmark::DoNotOptimize(pre.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(kernels::path_name(kernels::active_path()));
-}
-BENCHMARK(BM_AddFromBytes)
-    ->Args({1 << 14, 0, 0})
-    ->Args({1 << 14, 1, 0})
-    ->Args({1 << 14, 0, 1})
-    ->Args({1 << 14, 1, 1});
-
-// The narrow PRS wire at `width` bytes per entry (third argument) on the
-// level-0 vector of the 512 x 512 cyclic CSS unpack (16384 entries): the
-// checked narrowing compose of a payload, the widening copy of the split's
-// return halves, and the fold of a received payload into the total (and
-// the prefix), read one byte off alignment.  Width 8 rows are the int64
-// wire (a copy, and BM_AddFromBytes's fold) for comparison.
+// The PRS wire at `width` bytes per entry (third argument) on the level-0
+// vector of the 512 x 512 cyclic CSS unpack (16384 entries): the checked
+// narrowing compose of a payload, the widening copy of the split's return
+// halves, and a PRS round's fold of a received payload into the total
+// (and, with the fourth argument 1, into the prefix too), read one byte
+// off alignment.  Width 8 is the int64 wire.
 void BM_WireNarrow(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto width = static_cast<std::size_t>(state.range(2));
@@ -253,14 +213,7 @@ void BM_WireNarrow(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_WireNarrow)
-    ->Args({1 << 14, 0, 1})
-    ->Args({1 << 14, 2, 1})
-    ->Args({1 << 14, 1, 1})
-    ->Args({1 << 14, 0, 2})
-    ->Args({1 << 14, 2, 2})
-    ->Args({1 << 14, 1, 2})
-    ->Args({1 << 14, 1, 8});
+BENCHMARK(BM_WireNarrow)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}});
 
 void BM_WireWiden(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -276,11 +229,7 @@ void BM_WireWiden(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_WireWiden)
-    ->Args({1 << 14, 0, 1})
-    ->Args({1 << 14, 2, 1})
-    ->Args({1 << 14, 1, 1})
-    ->Args({1 << 14, 1, 8});
+BENCHMARK(BM_WireWiden)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}});
 
 void BM_WireFold(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -306,15 +255,7 @@ void BM_WireFold(benchmark::State& state) {
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
 BENCHMARK(BM_WireFold)
-    ->Args({1 << 14, 0, 1, 0})
-    ->Args({1 << 14, 2, 1, 0})
-    ->Args({1 << 14, 1, 1, 0})
-    ->Args({1 << 14, 0, 1, 1})
-    ->Args({1 << 14, 2, 1, 1})
-    ->Args({1 << 14, 1, 1, 1})
-    ->Args({1 << 14, 0, 2, 0})
-    ->Args({1 << 14, 2, 2, 0})
-    ->Args({1 << 14, 1, 2, 0});
+    ->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}, {0, 1}});
 
 // CMS run-length encode: gather a slice's selected values into a compact
 // run payload.  Density 0.5 is the paper's standard working point; the
@@ -336,17 +277,12 @@ void BM_CmsEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_CmsEncode)
-    ->Args({1 << 16, 0, 50})
-    ->Args({1 << 16, 1, 50})
-    ->Args({1 << 16, 0, 5})
-    ->Args({1 << 16, 1, 5})
-    ->Args({1 << 16, 0, 95})
-    ->Args({1 << 16, 1, 95});
+BENCHMARK(BM_CmsEncode)->ArgsProduct({{1 << 16}, {0, 2, 1}, {50, 5, 95}});
 
 // CMS run-length decode: unload a run payload into the result vector.
-// The scalar side is the historical per-element bounds-check + copy loop;
-// the vector side is the single bulk copy pack.decompose now performs.
+// The scalar side is the historical per-element bounds-check + copy loop
+// (the parity reference); the other is the single bulk copy that
+// pack.decompose performs on every kernel path.
 void BM_CmsDecode(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   std::vector<std::int64_t> payload(n, 42);
@@ -409,6 +345,7 @@ BENCHMARK(BM_ParallelPackEndToEnd)
     ->Args({1 << 14, static_cast<int>(PackScheme::kSimpleStorage), 1})
     ->Args({1 << 14, static_cast<int>(PackScheme::kCompactStorage), 1})
     ->Args({1 << 14, static_cast<int>(PackScheme::kCompactMessage), 0})
+    ->Args({1 << 14, static_cast<int>(PackScheme::kCompactMessage), 2})
     ->Args({1 << 14, static_cast<int>(PackScheme::kCompactMessage), 1});
 
 void BM_Ranking(benchmark::State& state) {
@@ -600,7 +537,7 @@ void verify_kernel_parity() {
       std::vector<std::int64_t> ref_a = values;
       std::vector<std::int64_t> ref_b(n, 3);
       kernels::add_from_bytes(ref_a.data(), ref_b.data(),
-                              payload.data() + 1, n);
+                              payload.data() + 1, n, 8);
       // The narrow wire: values mod 256 fit every width; each width's
       // payload sits one byte off alignment and must widen back exactly.
       std::vector<std::int64_t> small(n);
@@ -663,7 +600,7 @@ void verify_kernel_parity() {
         }
         std::vector<std::int64_t> a = values;
         std::vector<std::int64_t> b(n, 3);
-        kernels::add_from_bytes(a.data(), b.data(), payload.data() + 1, n);
+        kernels::add_from_bytes(a.data(), b.data(), payload.data() + 1, n, 8);
         if (a != ref_a || b != ref_b) die("add_from_bytes mismatch");
         for (std::size_t wi = 0; wi < 3; ++wi) {
           const std::size_t w = kWidths[wi];

@@ -4,17 +4,15 @@
 #include <bit>
 #include <utility>
 
-// The native path: this translation unit (alone) is compiled with -mavx2
-// when the toolchain targets x86-64 (src/CMakeLists.txt), so the intrinsics
-// below may emit AVX2 instructions -- which is why every call into them is
-// gated on the runtime cpuid check in native_available().  On AArch64 NEON
-// is baseline, so __ARM_NEON needs no runtime gate.
-#if defined(PUP_KERNELS_AVX2)
-#include <immintrin.h>
-#elif defined(__ARM_NEON) && defined(__aarch64__)
-#include <arm_neon.h>
-#define PUP_KERNELS_NEON 1
-#endif
+// One portable source, compiled for the baseline ISA, and one dispatch
+// table per Path.  The scalar table holds the reference loops; the generic
+// table the SWAR and unrolled loops below.  The native table is the same
+// generic source rebuilt for the native ISA, with a hand-written body in
+// each slot where one measured faster (EXPERIMENTS.md, "Kernel dispatch").
+// The native section at the end of this file is the only code compiled
+// for an ISA past the baseline: on x86-64 every function in it carries
+// target("avx2") and is reached only through the table that the runtime
+// cpuid check selects; on AArch64 NEON is baseline and needs no gate.
 
 namespace pup::kernels {
 namespace {
@@ -29,6 +27,13 @@ constexpr std::uint64_t kHigh = 0x8080808080808080ULL;
 inline std::uint64_t zero_byte_flags(std::uint64_t x) {
   const std::uint64_t t = (x & kLow7) + kLow7;
   return ~(t | x | kLow7) & kHigh;
+}
+
+// The sum of the bytes of x, each 0 or 1: one multiply gathers them into
+// the top byte.  Exact (at most 8), and free of the popcount instruction,
+// which the baseline x86-64 ISA lacks (std::popcount would be a libcall).
+inline int sum_bytes(std::uint64_t x) {
+  return static_cast<int>((x * 0x0101010101010101ULL) >> 56);
 }
 
 inline std::uint64_t load_u64(const void* p) {
@@ -99,59 +104,7 @@ inline void store_wire(std::byte* out, std::size_t e, std::size_t width,
   std::memcpy(out + e * width, &v, width);
 }
 
-// --- dispatch state -------------------------------------------------------
-
-// -1 = auto; otherwise the Path pinned by set_path().  A relaxed atomic:
-// set_path() runs only in single-threaded sections, and every path
-// computes the same bytes.
-std::atomic<int> g_forced{-1};
-
-bool cpu_has_native() {
-#if defined(PUP_KERNELS_AVX2)
-  static const bool has = __builtin_cpu_supports("avx2") != 0;
-  return has;
-#elif defined(PUP_KERNELS_NEON)
-  return true;
-#else
-  return false;
-#endif
-}
-
 }  // namespace
-
-const char* path_name(Path p) {
-  switch (p) {
-    case Path::kScalar:
-      return "scalar";
-    case Path::kGeneric:
-      return "generic";
-    case Path::kNative:
-#if defined(PUP_KERNELS_AVX2)
-      return "avx2";
-#elif defined(PUP_KERNELS_NEON)
-      return "neon";
-#else
-      return "native";
-#endif
-  }
-  return "unknown";
-}
-
-bool native_available() { return cpu_has_native(); }
-
-Path active_path() {
-  const int forced = g_forced.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<Path>(forced);
-  return cpu_has_native() ? Path::kNative : Path::kGeneric;
-}
-
-void set_path(std::optional<Path> p) {
-  PUP_REQUIRE(!p.has_value() || p != Path::kNative || cpu_has_native(),
-              "cannot pin the native kernel path: not compiled in or not "
-              "supported by this CPU");
-  g_forced.store(p.has_value() ? static_cast<int>(*p) : -1,
-                 std::memory_order_relaxed);
-}
 
 // --- scalar reference implementations -------------------------------------
 
@@ -219,19 +172,6 @@ std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
     }
   }
   return k;
-}
-
-void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n) {
-  for (std::size_t e = 0; e < n; ++e) dst[e] += load_i64(src, e);
-}
-
-void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n) {
-  for (std::size_t e = 0; e < n; ++e) {
-    const std::int64_t v = load_i64(src, e);
-    dst[e] += v;
-    dst2[e] += v;
-  }
 }
 
 // The definitions entry by entry: each value is checked before it is
@@ -346,7 +286,7 @@ void run_decode(const std::byte* src, std::size_t count, std::size_t width,
 
 }  // namespace scalar
 
-// --- vector implementations -----------------------------------------------
+// --- generic implementations ----------------------------------------------
 
 namespace {
 
@@ -355,41 +295,11 @@ std::int64_t mask_count_generic(const std::uint8_t* mask, std::size_t n) {
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     const std::uint64_t zeros = zero_byte_flags(load_u64(mask + i));
-    count += 8 - std::popcount(zeros);
+    count += 8 - sum_bytes(zeros >> 7);
   }
   for (; i < n; ++i) count += (mask[i] != 0);
   return count;
 }
-
-#if defined(PUP_KERNELS_AVX2)
-std::int64_t mask_count_avx2(const std::uint8_t* mask, std::size_t n) {
-  std::int64_t count = 0;
-  std::size_t i = 0;
-  const __m256i zero = _mm256_setzero_si256();
-  for (; i + 32 <= n; i += 32) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(mask + i));
-    const auto eqz = static_cast<std::uint32_t>(
-        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
-    count += 32 - std::popcount(eqz);
-  }
-  for (; i < n; ++i) count += (mask[i] != 0);
-  return count;
-}
-#elif defined(PUP_KERNELS_NEON)
-std::int64_t mask_count_neon(const std::uint8_t* mask, std::size_t n) {
-  std::int64_t count = 0;
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const uint8x16_t v = vld1q_u8(mask + i);
-    // 0xFF where nonzero; shift to 0/1 and sum the block.
-    const uint8x16_t nz = vtstq_u8(v, v);
-    count += vaddvq_u8(vshrq_n_u8(nz, 7));
-  }
-  for (; i < n; ++i) count += (mask[i] != 0);
-  return count;
-}
-#endif
 
 // Unrolled prefix: the dependence chain (one add per element in program
 // order), not vector width, bounds a scalar prefix, so the generic path
@@ -479,7 +389,7 @@ std::int64_t mask_widen_generic(const std::uint8_t* mask, std::size_t n,
     for (unsigned b = 0; b < 8; ++b) {
       ps[i + b] = static_cast<std::int64_t>((flags >> (8 * b)) & 1);
     }
-    count += std::popcount(flags);
+    count += sum_bytes(flags);
   }
   for (; i < n; ++i) {
     const std::int64_t v = (mask[i] != 0);
@@ -489,216 +399,78 @@ std::int64_t mask_widen_generic(const std::uint8_t* mask, std::size_t n,
   return count;
 }
 
-template <bool kTwo>
-void add_from_bytes_generic(std::int64_t* dst, std::int64_t* dst2,
-                            const std::byte* src, std::size_t n) {
-  std::size_t e = 0;
-  for (; e + 4 <= n; e += 4) {
-    const std::int64_t v0 = load_i64(src, e);
-    const std::int64_t v1 = load_i64(src, e + 1);
-    const std::int64_t v2 = load_i64(src, e + 2);
-    const std::int64_t v3 = load_i64(src, e + 3);
-    dst[e] += v0;
-    dst[e + 1] += v1;
-    dst[e + 2] += v2;
-    dst[e + 3] += v3;
-    if constexpr (kTwo) {
-      dst2[e] += v0;
-      dst2[e + 1] += v1;
-      dst2[e + 2] += v2;
-      dst2[e + 3] += v3;
-    }
-  }
-  for (; e < n; ++e) {
-    const std::int64_t v = load_i64(src, e);
-    dst[e] += v;
-    if constexpr (kTwo) dst2[e] += v;
-  }
-}
-
-// Narrow wire entries of W bytes (1, 2 or 4), eight bytes of wire per
-// step: the compose packs 8/W entries into one word and ORs every value
-// into one accumulator, checked once at the end (an entry that does not
-// fit sets a bit at or above 8 W); the widening loads unpack one word.
+// Wire entries of W bytes (1, 2, 4 or 8), eight bytes of wire per step:
+// the compose packs 8/W entries into one word and ORs every value into one
+// accumulator, checked once at the end (an entry that does not fit sets a
+// bit at or above 8 W); the widening loads unpack one word.  Width 8 is
+// the plain int64 wire: a copy, and no check.
 template <std::size_t W>
-constexpr std::uint64_t kWireMask = (std::uint64_t{1} << (8 * W)) - 1;
+constexpr std::uint64_t kWireMask =
+    W == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * W)) - 1;
 
 template <std::size_t W>
 void narrow_generic(const std::int64_t* src, std::size_t n, std::byte* out) {
-  constexpr std::size_t kPer = 8 / W;
-  std::uint64_t seen = 0;
-  std::size_t e = 0;
-  for (; e + kPer <= n; e += kPer) {
-    std::uint64_t word = 0;
-    for (std::size_t k = 0; k < kPer; ++k) {
-      const auto v = static_cast<std::uint64_t>(src[e + k]);
-      seen |= v;
-      word |= (v & kWireMask<W>) << (8 * W * k);
+  if constexpr (W == 8) {
+    if (n != 0) std::memcpy(out, src, n * sizeof(std::int64_t));
+  } else {
+    constexpr std::size_t kPer = 8 / W;
+    std::uint64_t seen = 0;
+    std::size_t e = 0;
+    for (; e + kPer <= n; e += kPer) {
+      std::uint64_t word = 0;
+      for (std::size_t k = 0; k < kPer; ++k) {
+        const auto v = static_cast<std::uint64_t>(src[e + k]);
+        seen |= v;
+        word |= (v & kWireMask<W>) << (8 * W * k);
+      }
+      std::memcpy(out + e * W, &word, 8);
     }
-    std::memcpy(out + e * W, &word, 8);
+    for (; e < n; ++e) {
+      const auto v = static_cast<std::uint64_t>(src[e]);
+      seen |= v;
+      std::memcpy(out + e * W, &v, W);  // the low W bytes (little-endian)
+    }
+    if ((seen >> (8 * W)) != 0) wire_overflow(src, n, W);
   }
-  for (; e < n; ++e) {
-    const auto v = static_cast<std::uint64_t>(src[e]);
-    seen |= v;
-    std::memcpy(out + e * W, &v, W);  // the low W bytes (little-endian)
-  }
-  if ((seen >> (8 * W)) != 0) wire_overflow(src, n, W);
 }
 
 // kAdd: dst (and, kTwo, dst2) += the entries; else dst = the entries.
+// A step covers whole words and at least four entries, and the entry
+// stores are written out in the loop bodies (no helper): that is what lets
+// the compiler fold a step into vector operations.  dst, dst2 and src
+// never overlap (the kernel contract), which __restrict hands to the
+// compiler: the two-destination fold vectorizes, and no step reloads src
+// after a store.
 template <std::size_t W, bool kAdd, bool kTwo>
-inline void widen_one(std::int64_t* dst, std::int64_t* dst2, std::size_t e,
-                      std::uint64_t v) {
-  const auto x = static_cast<std::int64_t>(v);
-  if constexpr (kAdd) {
-    dst[e] += x;
-    if constexpr (kTwo) dst2[e] += x;
-  } else {
-    dst[e] = x;
-  }
-}
-
-template <std::size_t W, bool kAdd, bool kTwo>
-void widen_generic(std::int64_t* dst, std::int64_t* dst2,
-                   const std::byte* src, std::size_t n) {
+void widen_generic(std::int64_t* __restrict dst,
+                   std::int64_t* __restrict dst2,
+                   const std::byte* __restrict src, std::size_t n) {
   constexpr std::size_t kPer = 8 / W;
+  constexpr std::size_t kStep = kPer > 4 ? kPer : 4;
   std::size_t e = 0;
-  for (; e + kPer <= n; e += kPer) {
-    const std::uint64_t word = load_u64(src + e * W);
-    for (std::size_t k = 0; k < kPer; ++k) {
-      widen_one<W, kAdd, kTwo>(dst, dst2, e + k,
-                               (word >> (8 * W * k)) & kWireMask<W>);
+  for (; e + kStep <= n; e += kStep) {
+    for (std::size_t k = 0; k < kStep; ++k) {
+      const std::uint64_t word = load_u64(src + (e + k - k % kPer) * W);
+      const auto x = static_cast<std::int64_t>(
+          (word >> (8 * W * (k % kPer))) & kWireMask<W>);
+      if constexpr (kAdd) {
+        dst[e + k] += x;
+        if constexpr (kTwo) dst2[e + k] += x;
+      } else {
+        dst[e + k] = x;
+      }
     }
   }
   for (; e < n; ++e) {
     std::uint64_t v = 0;
     std::memcpy(&v, src + e * W, W);  // zero-extended (little-endian)
-    widen_one<W, kAdd, kTwo>(dst, dst2, e, v);
-  }
-}
-
-#if defined(PUP_KERNELS_AVX2)
-// Four W-byte entries zero-extended straight into four int64 lanes.
-template <std::size_t W>
-inline __m256i load4_wire(const std::byte* p) {
-  if constexpr (W == 1) {
-    return _mm256_cvtepu8_epi64(_mm_loadu_si32(p));
-  } else if constexpr (W == 2) {
-    return _mm256_cvtepu16_epi64(_mm_loadu_si64(p));
-  } else {
-    return _mm256_cvtepu32_epi64(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
-  }
-}
-
-// Four int64 values, OR-ed into the narrowing check's accumulator.
-inline __m256i narrow_lane(const std::int64_t* p, __m256i& seen) {
-  const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
-  seen = _mm256_or_si256(seen, v);
-  return v;
-}
-
-// Narrowing: R = 4 / W vectors of four int64 lanes (4 R entries) are
-// merged by shifts into one, lane k holding entry k of each vector in its
-// low dword; one permute gathers the four low dwords and one byte shuffle
-// transposes them into entry order.  Only wire bytes move, and they are
-// exact because every value is checked to fit: the OR of all values, whose
-// bits at or above 8 W must stay clear.
-
-template <std::size_t W>
-void narrow_avx2(const std::int64_t* src, std::size_t n, std::byte* out) {
-  constexpr std::size_t kR = 4 / W;
-  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
-  // Dword k holds entry k of each of the R vectors, W bytes each; output
-  // entry r * 4 + k is at byte k * 4 + r * W (W = 4 needs no shuffle).
-  const __m128i transpose =
-      W == 1 ? _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7,
-                             11, 15)
-             : _mm_setr_epi8(0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11,
-                             14, 15);
-  __m256i seen = _mm256_setzero_si256();
-  std::size_t e = 0;
-  for (; e + 4 * kR <= n; e += 4 * kR) {
-    __m256i merged = _mm256_setzero_si256();
-    [&]<std::size_t... R>(std::index_sequence<R...>) {
-      ((merged = _mm256_or_si256(
-            merged, _mm256_slli_epi64(narrow_lane(src + e + 4 * R, seen),
-                                      8 * W * R))),
-       ...);
-    }(std::make_index_sequence<kR>{});
-    __m128i d = _mm256_castsi256_si128(
-        _mm256_permutevar8x32_epi32(merged, low_dwords));
-    if constexpr (W != 4) d = _mm_shuffle_epi8(d, transpose);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + e * W), d);
-  }
-  const __m256i high = _mm256_srli_epi64(seen, static_cast<int>(8 * W));
-  bool bad = _mm256_testz_si256(high, high) == 0;
-  for (; e < n; ++e) {
-    const auto v = static_cast<std::uint64_t>(src[e]);
-    bad |= (v >> (8 * W)) != 0;
-    std::memcpy(out + e * W, &v, W);
-  }
-  if (bad) wire_overflow(src, n, W);
-}
-
-// The two-destination fold, which the generic loop cannot vectorize
-// (dst and dst2 may alias as far as the compiler knows).
-template <std::size_t W>
-void add_from_bytes2_avx2(std::int64_t* dst, std::int64_t* dst2,
-                          const std::byte* src, std::size_t n) {
-  std::size_t e = 0;
-  for (; e + 4 <= n; e += 4) {
-    const __m256i v = load4_wire<W>(src + e * W);
-    auto* a = reinterpret_cast<__m256i*>(dst + e);
-    auto* b = reinterpret_cast<__m256i*>(dst2 + e);
-    _mm256_storeu_si256(a, _mm256_add_epi64(_mm256_loadu_si256(a), v));
-    _mm256_storeu_si256(b, _mm256_add_epi64(_mm256_loadu_si256(b), v));
-  }
-  for (; e < n; ++e) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, src + e * W, W);
-    widen_one<W, true, true>(dst, dst2, e, v);
-  }
-}
-#endif
-
-template <std::size_t W>
-void narrow_vector(const std::int64_t* src, std::size_t n, std::byte* out) {
-#if defined(PUP_KERNELS_AVX2)
-  if (active_path() == Path::kNative) {
-    narrow_avx2<W>(src, n, out);
-    return;
-  }
-#endif
-  narrow_generic<W>(src, n, out);
-}
-
-// The one-destination fold and the widening copy have no AVX2 body: the
-// generic word loop measured as fast (bench/micro_kernels, BM_Wire*).
-template <std::size_t W, bool kAdd, bool kTwo>
-void widen_vector(std::int64_t* dst, std::int64_t* dst2, const std::byte* src,
-                  std::size_t n) {
-#if defined(PUP_KERNELS_AVX2)
-  if constexpr (kTwo) {
-    if (active_path() == Path::kNative) {
-      add_from_bytes2_avx2<W>(dst, dst2, src, n);
-      return;
+    const auto x = static_cast<std::int64_t>(v);
+    if constexpr (kAdd) {
+      dst[e] += x;
+      if constexpr (kTwo) dst2[e] += x;
+    } else {
+      dst[e] = x;
     }
-  }
-#endif
-  widen_generic<W, kAdd, kTwo>(dst, dst2, src, n);
-}
-
-template <bool kAdd, bool kTwo>
-void widen_dispatch(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n, std::size_t width) {
-  switch (width) {
-    case 1:
-      return widen_vector<1, kAdd, kTwo>(dst, dst2, src, n);
-    case 2:
-      return widen_vector<2, kAdd, kTwo>(dst, dst2, src, n);
-    default:
-      return widen_vector<4, kAdd, kTwo>(dst, dst2, src, n);
   }
 }
 
@@ -743,16 +515,377 @@ std::size_t segmented_prefix_fold_gather_unrolled(
   return k;
 }
 
-#if defined(PUP_KERNELS_AVX2)
-// Four lanes at a time: an in-register inclusive scan (two shift-adds
-// across the 128-bit halves), minus the input for the exclusive prefix,
-// plus the carried running sum, which starts at the segment's addend.  The
-// loop-carried chain is one add per block of four.
-void segmented_prefix_fold_avx2(const std::int64_t* rs, std::int64_t* ps,
-                                std::size_t n, std::size_t seg_len,
-                                const std::int64_t* seg_add) {
-  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+// Block-classified gather: skip all-zero mask blocks, bulk-copy all-ones
+// blocks, and walk mixed blocks branchlessly (speculative store, masked
+// advance) -- which is where the >= 2x over the branchy reference comes
+// from at mixed densities, and far more at 0.0/1.0.  W is a compile-time
+// element width so the per-element memcpy folds to a single move.
+template <std::size_t W>
+std::size_t gather_generic(const std::uint8_t* mask, const std::byte* values,
+                           std::size_t n, std::byte* out) {
+  std::size_t k = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t x = load_u64(mask + i);
+    if (x == 0) continue;
+    const std::uint64_t zeros = zero_byte_flags(x);
+    if (zeros == 0) {
+      std::memcpy(out + k * W, values + i * W, 8 * W);
+      k += 8;
+      continue;
+    }
+    for (unsigned b = 0; b < 8; ++b) {
+      std::memcpy(out + k * W, values + (i + b) * W, W);
+      k += static_cast<std::size_t>(((zeros >> (8 * b + 7)) & 1) ^ 1);
+    }
+  }
+  for (; i < n; ++i) {
+    if (mask[i] != 0) {
+      std::memcpy(out + k * W, values + i * W, W);
+      ++k;
+    }
+  }
+  return k;
+}
+
+// Stop-early gather: same block structure with an early exit once the
+// target count is reached.  The exit is block-granular, so a mixed or
+// all-ones block may write up to 7 elements past `target` -- harmless
+// scratch within the out-capacity contract, because the gather is
+// order-preserving (out[0, target) is exact) and the return value clamps.
+template <std::size_t W>
+std::size_t gather_first_n_generic(const std::uint8_t* mask,
+                                   const std::byte* values, std::size_t limit,
+                                   std::size_t target, std::byte* out) {
+  std::size_t k = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= limit && k < target; i += 8) {
+    const std::uint64_t x = load_u64(mask + i);
+    if (x == 0) continue;
+    const std::uint64_t zeros = zero_byte_flags(x);
+    if (zeros == 0) {
+      std::memcpy(out + k * W, values + i * W, 8 * W);
+      k += 8;
+      continue;
+    }
+    for (unsigned b = 0; b < 8; ++b) {
+      std::memcpy(out + k * W, values + (i + b) * W, W);
+      k += static_cast<std::size_t>(((zeros >> (8 * b + 7)) & 1) ^ 1);
+    }
+  }
+  for (; i < limit && k < target; ++i) {
+    if (mask[i] != 0) {
+      std::memcpy(out + k * W, values + i * W, W);
+      ++k;
+    }
+  }
+  return k < target ? k : target;
+}
+
+// Block-classified merge, the mirror of gather_generic: all-zero mask
+// blocks take one bulk copy of the field, all-ones blocks one bulk copy of
+// the stream, and mixed blocks copy the field and then overwrite only
+// their selected lanes, lowest first (count-trailing-zeros over the
+// block's selection bits).  src is never read past the selected count.
+template <std::size_t W>
+std::size_t merge_generic(const std::uint8_t* mask, const std::byte* src,
+                          std::size_t src_len, const std::byte* field,
+                          std::size_t n, std::byte* out) {
+  std::size_t k = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const std::uint64_t x = load_u64(mask + i);
+    // 0x80 in each byte whose mask byte is nonzero.
+    std::uint64_t sel = ~zero_byte_flags(x) & kHigh;
+    require_stream(k, static_cast<std::size_t>(sum_bytes(sel >> 7)), src_len);
+    if (sel == kHigh) {
+      std::memcpy(out + i * W, src + k * W, 8 * W);
+      k += 8;
+      continue;
+    }
+    std::memcpy(out + i * W, field + i * W, 8 * W);
+    for (; sel != 0; sel &= sel - 1) {
+      const auto b = static_cast<std::size_t>(std::countr_zero(sel) / 8);
+      std::memcpy(out + (i + b) * W, src + k * W, W);
+      ++k;
+    }
+  }
+  for (; i < n; ++i) {
+    const std::byte* from = field + i * W;
+    if (mask[i] != 0) {
+      require_stream(k, 1, src_len);
+      from = src + (k++) * W;
+    }
+    std::memcpy(out + i * W, from, W);
+  }
+  return k;
+}
+
+// Run gather, four ranks per step: one range test for the block (v - lo,
+// taken unsigned, below hi - lo), then four base + offset copies; the
+// block holding the exit is finished element by element.
+template <std::size_t W>
+std::size_t run_gather_generic(const std::byte* ranks, std::size_t n,
+                               std::int64_t lo, std::int64_t hi,
+                               const std::byte* base, std::byte* out) {
+  const std::uint64_t ulo = static_cast<std::uint64_t>(lo);
+  const std::uint64_t span = static_cast<std::uint64_t>(hi) - ulo;
+  auto offset = [&](std::size_t i) {
+    return static_cast<std::uint64_t>(load_i64(ranks, i)) - ulo;
+  };
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const std::uint64_t o0 = offset(i);
+    const std::uint64_t o1 = offset(i + 1);
+    const std::uint64_t o2 = offset(i + 2);
+    const std::uint64_t o3 = offset(i + 3);
+    if ((o0 >= span) | (o1 >= span) | (o2 >= span) | (o3 >= span)) break;
+    std::memcpy(out + i * W, base + o0 * W, W);
+    std::memcpy(out + (i + 1) * W, base + o1 * W, W);
+    std::memcpy(out + (i + 2) * W, base + o2 * W, W);
+    std::memcpy(out + (i + 3) * W, base + o3 * W, W);
+  }
+  for (; i < n; ++i) {
+    const std::uint64_t o = offset(i);
+    if (o >= span) break;
+    std::memcpy(out + i * W, base + o * W, W);
+  }
+  return i;
+}
+
+// --- dispatch tables ------------------------------------------------------
+
+// Width-specialized kernels take one slot per width of 1, 2, 4, 8 and 16
+// bytes (slot log2 width; wire entries use the first four).
+constexpr std::size_t kSlots = 5;
+constexpr std::size_t kWireSlots = 4;
+
+// The kernels of one Path.  A null slot -- every width slot of the scalar
+// table, and any width without a slot -- runs the scalar reference.  The
+// wire folds share one signature; the copy and the one-destination fold
+// ignore dst2.
+struct Table {
+  using WireFold = void (*)(std::int64_t*, std::int64_t*, const std::byte*,
+                            std::size_t);
+
+  std::int64_t (*mask_count)(const std::uint8_t*, std::size_t);
+  std::int64_t (*mask_widen)(const std::uint8_t*, std::size_t,
+                             std::int64_t*);
+  void (*segment_sums)(const std::int64_t*, std::size_t, std::size_t,
+                       std::int64_t*);
+  void (*segmented_prefix_fold)(const std::int64_t*, std::int64_t*,
+                                std::size_t, std::size_t,
+                                const std::int64_t*);
+  std::size_t (*segmented_prefix_fold_gather)(const std::int64_t*,
+                                              const std::int64_t*,
+                                              std::size_t, std::size_t,
+                                              const std::int64_t*,
+                                              const std::uint8_t*,
+                                              std::int64_t*);
+  std::size_t (*prefix_in_range)(const std::int64_t*, std::size_t,
+                                  std::int64_t, std::int64_t);
+  void (*narrow[kWireSlots])(const std::int64_t*, std::size_t,
+                             std::byte*) = {};
+  WireFold widen[kWireSlots] = {};
+  WireFold add[kWireSlots] = {};
+  WireFold add2[kWireSlots] = {};
+  std::size_t (*gather[kSlots])(const std::uint8_t*, const std::byte*,
+                                std::size_t, std::byte*) = {};
+  std::size_t (*gather_first_n[kSlots])(const std::uint8_t*,
+                                        const std::byte*, std::size_t,
+                                        std::size_t, std::byte*) = {};
+  std::size_t (*merge[kSlots])(const std::uint8_t*, const std::byte*,
+                               std::size_t, const std::byte*, std::size_t,
+                               std::byte*) = {};
+  std::size_t (*run_gather[kSlots])(const std::byte*, std::size_t,
+                                    std::int64_t, std::int64_t,
+                                    const std::byte*, std::byte*) = {};
+};
+
+// The slot of `width` in a table row of `slots` entries, or null.
+template <typename F, std::size_t N>
+F at_width(F const (&slots)[N], std::size_t width) {
+  const bool power_of_two = width != 0 && (width & (width - 1)) == 0;
+  return power_of_two && width < (std::size_t{1} << N)
+             ? slots[std::countr_zero(width)]
+             : nullptr;
+}
+
+constexpr Table kScalarTable = {
+    .mask_count = scalar::mask_count,
+    .mask_widen = scalar::mask_widen,
+    .segment_sums = scalar::segment_sums,
+    .segmented_prefix_fold = scalar::segmented_prefix_fold,
+    .segmented_prefix_fold_gather = scalar::segmented_prefix_fold_gather,
+    .prefix_in_range = scalar::prefix_in_range,
+};
+
+// A build of function F: Baseline is F itself; a native section supplies
+// one that rebuilds F's source for its ISA.
+template <auto F>
+struct Baseline {
+  static constexpr auto run = F;
+};
+
+// The generic source, every kernel of it built by Build.
+template <template <auto> class Build>
+constexpr Table generic_table() {
+  Table t = {
+      .mask_count = Build<mask_count_generic>::run,
+      .mask_widen = Build<mask_widen_generic>::run,
+      .segment_sums = Build<segment_sums_unrolled>::run,
+      .segmented_prefix_fold = Build<segmented_prefix_fold_unrolled>::run,
+      .segmented_prefix_fold_gather =
+          Build<segmented_prefix_fold_gather_unrolled>::run,
+      .prefix_in_range = Build<prefix_in_range_generic>::run,
+  };
+  [&]<std::size_t... S>(std::index_sequence<S...>) {
+    ((t.gather[S] = Build<gather_generic<std::size_t{1} << S>>::run), ...);
+    ((t.gather_first_n[S] =
+          Build<gather_first_n_generic<std::size_t{1} << S>>::run),
+     ...);
+    ((t.merge[S] = Build<merge_generic<std::size_t{1} << S>>::run), ...);
+    ((t.run_gather[S] = Build<run_gather_generic<std::size_t{1} << S>>::run),
+     ...);
+  }(std::make_index_sequence<kSlots>{});
+  [&]<std::size_t... S>(std::index_sequence<S...>) {
+    ((t.narrow[S] = Build<narrow_generic<std::size_t{1} << S>>::run), ...);
+    ((t.widen[S] =
+          Build<widen_generic<std::size_t{1} << S, false, false>>::run),
+     ...);
+    ((t.add[S] = Build<widen_generic<std::size_t{1} << S, true, false>>::run),
+     ...);
+    ((t.add2[S] = Build<widen_generic<std::size_t{1} << S, true, true>>::run),
+     ...);
+  }(std::make_index_sequence<kWireSlots>{});
+  return t;
+}
+
+constexpr Table kGenericTable = generic_table<Baseline>();
+
+}  // namespace
+}  // namespace pup::kernels
+
+// --- native section -------------------------------------------------------
+//
+// Defines native_table(): the kNative table when the running CPU supports
+// it, else null; and kNativeName, what path_name(kNative) reports.
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+
+namespace pup::kernels {
+namespace {
+namespace avx2 {
+
+// The generic source of F rebuilt for AVX2: F is inlined (with everything
+// it calls) into a function compiled for AVX2, so the compiler folds F's
+// loops into AVX2 vector code.
+template <auto F>
+struct Build;
+template <typename R, typename... A, R (*F)(A...)>
+struct Build<F> {
+  [[gnu::target("avx2"), gnu::flatten]] static R run(A... a) {
+    return F(a...);
+  }
+};
+
+[[gnu::target("avx2")]] std::int64_t mask_count(const std::uint8_t* mask,
+                                                std::size_t n) {
+  std::int64_t count = 0;
+  std::size_t i = 0;
   const __m256i zero = _mm256_setzero_si256();
+  for (; i + 32 <= n; i += 32) {
+    const __m256i v = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i*>(mask + i));
+    const auto eqz = static_cast<std::uint32_t>(
+        _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, zero)));
+    count += 32 - std::popcount(eqz);
+  }
+  for (; i < n; ++i) count += (mask[i] != 0);
+  return count;
+}
+
+// Vector R of four int64 values, OR-ed into the narrowing check's
+// accumulator and shifted to its W-byte field.
+template <std::size_t W, std::size_t R>
+[[gnu::target("avx2")]] inline __m256i narrow_lane(const std::int64_t* p,
+                                                   __m256i& seen) {
+  const __m256i v =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4 * R));
+  seen = _mm256_or_si256(seen, v);
+  return _mm256_slli_epi64(v, static_cast<int>(8 * W * R));
+}
+
+// R = 4 / W vectors merged into one, lane k holding entry k of each
+// vector in its low dword.
+template <std::size_t W, std::size_t... R>
+[[gnu::target("avx2")]] inline __m256i merge_lanes(const std::int64_t* p,
+                                                   __m256i& seen,
+                                                   std::index_sequence<R...>) {
+  __m256i merged = _mm256_setzero_si256();
+  ((merged = _mm256_or_si256(merged, narrow_lane<W, R>(p, seen))), ...);
+  return merged;
+}
+
+// Narrowing: the 4 R entries merged by merge_lanes, then one permute
+// gathers the four low dwords and one byte shuffle transposes them into
+// entry order.  Only wire bytes move, and they are exact because every
+// value is checked to fit: the OR of all values, whose bits at or above
+// 8 W must stay clear.
+template <std::size_t W>
+[[gnu::target("avx2")]] void narrow(const std::int64_t* src, std::size_t n,
+                                    std::byte* out) {
+  constexpr std::size_t kR = 4 / W;
+  const __m256i low_dwords = _mm256_setr_epi32(0, 2, 4, 6, 0, 2, 4, 6);
+  // Dword k holds entry k of each of the R vectors, W bytes each; output
+  // entry r * 4 + k is at byte k * 4 + r * W (W = 4 needs no shuffle).
+  const __m128i transpose =
+      W == 1 ? _mm_setr_epi8(0, 4, 8, 12, 1, 5, 9, 13, 2, 6, 10, 14, 3, 7,
+                             11, 15)
+             : _mm_setr_epi8(0, 1, 4, 5, 8, 9, 12, 13, 2, 3, 6, 7, 10, 11,
+                             14, 15);
+  __m256i seen = _mm256_setzero_si256();
+  std::size_t e = 0;
+  for (; e + 4 * kR <= n; e += 4 * kR) {
+    const __m256i merged =
+        merge_lanes<W>(src + e, seen, std::make_index_sequence<kR>{});
+    __m128i d = _mm256_castsi256_si128(
+        _mm256_permutevar8x32_epi32(merged, low_dwords));
+    if constexpr (W != 4) d = _mm_shuffle_epi8(d, transpose);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + e * W), d);
+  }
+  const __m256i high = _mm256_srli_epi64(seen, static_cast<int>(8 * W));
+  bool bad = _mm256_testz_si256(high, high) == 0;
+  for (; e < n; ++e) {
+    const auto v = static_cast<std::uint64_t>(src[e]);
+    bad |= (v >> (8 * W)) != 0;
+    std::memcpy(out + e * W, &v, W);
+  }
+  if (bad) wire_overflow(src, n, W);
+}
+
+// Four lanes at a time: an in-register inclusive scan (two shift-adds
+// across the 128-bit halves) of rs[e, e + 4).
+[[gnu::target("avx2")]] inline __m256i inclusive_scan4(__m256i x) {
+  const __m256i zero = _mm256_setzero_si256();
+  // [0, v0, v1, v2], then [0, 0, v0, v0 + v1].
+  const __m256i x1 = _mm256_add_epi64(
+      x, _mm256_blend_epi32(_mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 0)),
+                            zero, 0x03));
+  return _mm256_add_epi64(
+      x1, _mm256_blend_epi32(
+              _mm256_permute4x64_epi64(x1, _MM_SHUFFLE(1, 0, 0, 0)), zero,
+              0x0f));
+}
+
+// The inclusive scan minus the input for the exclusive prefix, plus the
+// carried running sum, which starts at the segment's addend.  The
+// loop-carried chain is one add per block of four.
+[[gnu::target("avx2")]] void segmented_prefix_fold(
+    const std::int64_t* rs, std::int64_t* ps, std::size_t n,
+    std::size_t seg_len, const std::int64_t* seg_add) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
     __m256i running = _mm256_set1_epi64x(seg_add[g]);
@@ -760,15 +893,7 @@ void segmented_prefix_fold_avx2(const std::int64_t* rs, std::int64_t* ps,
     for (; e + 4 <= end; e += 4) {
       const __m256i x =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rs + e));
-      // [0, v0, v1, v2], then [0, 0, v0, v0 + v1].
-      const __m256i x1 = _mm256_add_epi64(
-          x, _mm256_blend_epi32(
-                 _mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 0)), zero,
-                 0x03));
-      const __m256i inc = _mm256_add_epi64(
-          x1, _mm256_blend_epi32(
-                  _mm256_permute4x64_epi64(x1, _MM_SHUFFLE(1, 0, 0, 0)),
-                  zero, 0x0f));
+      const __m256i inc = inclusive_scan4(x);
       const __m256i excl =
           _mm256_add_epi64(_mm256_sub_epi64(inc, x), running);
       auto* p = reinterpret_cast<__m256i*>(ps + e);
@@ -785,8 +910,9 @@ void segmented_prefix_fold_avx2(const std::int64_t* rs, std::int64_t* ps,
 }
 
 // Four lanes of partial sums per segment, reduced at its end.
-void segment_sums_avx2(const std::int64_t* rs, std::size_t n,
-                       std::size_t seg_len, std::int64_t* sums) {
+[[gnu::target("avx2")]] void segment_sums(const std::int64_t* rs,
+                                          std::size_t n, std::size_t seg_len,
+                                          std::int64_t* sums) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
@@ -807,8 +933,10 @@ void segment_sums_avx2(const std::int64_t* rs, std::size_t n,
 
 // Four lanes per step: a lane is outside when lo > v or hi <= v; the first
 // such lane of the first block that has one ends the prefix.
-std::size_t prefix_in_range_avx2(const std::int64_t* v, std::size_t n,
-                                 std::int64_t lo, std::int64_t hi) {
+[[gnu::target("avx2")]] std::size_t prefix_in_range(const std::int64_t* v,
+                                                    std::size_t n,
+                                                    std::int64_t lo,
+                                                    std::int64_t hi) {
   const __m256i vlo = _mm256_set1_epi64x(lo);
   const __m256i vhi = _mm256_set1_epi64x(hi);
   std::size_t i = 0;
@@ -826,113 +954,6 @@ std::size_t prefix_in_range_avx2(const std::int64_t* v, std::size_t n,
   return i;
 }
 
-// Sixteen mask bytes per step: min(byte, 1) gives the 0/1 flags, which
-// widen to four int64 vector stores.
-std::int64_t mask_widen_avx2(const std::uint8_t* mask, std::size_t n,
-                             std::int64_t* ps) {
-  std::int64_t count = 0;
-  std::size_t i = 0;
-  const __m128i one = _mm_set1_epi8(1);
-  const __m128i zero = _mm_setzero_si128();
-  for (; i + 16 <= n; i += 16) {
-    const __m128i m =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(mask + i));
-    const __m128i f = _mm_min_epu8(m, one);
-    auto* out = reinterpret_cast<__m256i*>(ps + i);
-    _mm256_storeu_si256(out, _mm256_cvtepu8_epi64(f));
-    _mm256_storeu_si256(out + 1, _mm256_cvtepu8_epi64(_mm_srli_si128(f, 4)));
-    _mm256_storeu_si256(out + 2, _mm256_cvtepu8_epi64(_mm_srli_si128(f, 8)));
-    _mm256_storeu_si256(out + 3, _mm256_cvtepu8_epi64(_mm_srli_si128(f, 12)));
-    count += 16 - std::popcount(static_cast<std::uint32_t>(
-                      _mm_movemask_epi8(_mm_cmpeq_epi8(m, zero))));
-  }
-  for (; i < n; ++i) {
-    const std::int64_t v = (mask[i] != 0);
-    ps[i] = v;
-    count += v;
-  }
-  return count;
-}
-
-template <bool kTwo>
-void add_from_bytes_avx2(std::int64_t* dst, std::int64_t* dst2,
-                         const std::byte* src, std::size_t n) {
-  std::size_t e = 0;
-  for (; e + 4 <= n; e += 4) {
-    const __m256i v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(src + e * sizeof(std::int64_t)));
-    auto* a = reinterpret_cast<__m256i*>(dst + e);
-    _mm256_storeu_si256(a, _mm256_add_epi64(_mm256_loadu_si256(a), v));
-    if constexpr (kTwo) {
-      auto* b = reinterpret_cast<__m256i*>(dst2 + e);
-      _mm256_storeu_si256(b, _mm256_add_epi64(_mm256_loadu_si256(b), v));
-    }
-  }
-  for (; e < n; ++e) {
-    const std::int64_t v = load_i64(src, e);
-    dst[e] += v;
-    if constexpr (kTwo) dst2[e] += v;
-  }
-}
-#endif
-
-template <bool kTwo>
-void add_from_bytes_vector(std::int64_t* dst, std::int64_t* dst2,
-                           const std::byte* src, std::size_t n) {
-#if defined(PUP_KERNELS_AVX2)
-  if (active_path() == Path::kNative) {
-    add_from_bytes_avx2<kTwo>(dst, dst2, src, n);
-    return;
-  }
-#endif
-  add_from_bytes_generic<kTwo>(dst, dst2, src, n);
-}
-
-// Block-classified gather: skip all-zero mask blocks, bulk-copy all-ones
-// blocks, and walk mixed blocks branchlessly (speculative store, masked
-// advance) -- which is where the >= 2x over the branchy reference comes
-// from at mixed densities, and far more at 0.0/1.0.  W is a compile-time
-// element width so the per-element memcpy folds to a single move.
-template <std::size_t W, typename BlockFn>
-std::size_t gather_blocks(const std::uint8_t* mask, const std::byte* values,
-                          std::size_t n, std::byte* out, BlockFn&& block) {
-  std::size_t k = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const std::uint64_t x = load_u64(mask + i);
-    if (x == 0) continue;
-    const std::uint64_t zeros = zero_byte_flags(x);
-    if (zeros == 0) {
-      std::memcpy(out + k * W, values + i * W, 8 * W);
-      k += 8;
-      continue;
-    }
-    k = block(i, zeros, k);
-  }
-  for (; i < n; ++i) {
-    if (mask[i] != 0) {
-      std::memcpy(out + k * W, values + i * W, W);
-      ++k;
-    }
-  }
-  return k;
-}
-
-template <std::size_t W>
-std::size_t gather_generic(const std::uint8_t* mask, const std::byte* values,
-                           std::size_t n, std::byte* out) {
-  return gather_blocks<W>(
-      mask, values, n, out,
-      [&](std::size_t i, std::uint64_t zeros, std::size_t k) {
-        for (unsigned b = 0; b < 8; ++b) {
-          std::memcpy(out + k * W, values + (i + b) * W, W);
-          k += static_cast<std::size_t>(((zeros >> (8 * b + 7)) & 1) ^ 1);
-        }
-        return k;
-      });
-}
-
-#if defined(PUP_KERNELS_AVX2)
 // Left-pack table for 8-byte elements: for a 4-lane selection nibble, the
 // _mm256_permutevar8x32_epi32 indices that move the selected 64-bit lanes,
 // in order, to the front (the unused tail lanes repeat lane 0).
@@ -953,8 +974,9 @@ struct LeftPack64 {
 constexpr LeftPack64 kLeftPack64{};
 
 template <std::size_t W>
-std::size_t gather_avx2(const std::uint8_t* mask, const std::byte* values,
-                        std::size_t n, std::byte* out) {
+[[gnu::target("avx2")]] std::size_t gather(const std::uint8_t* mask,
+                                           const std::byte* values,
+                                           std::size_t n, std::byte* out) {
   std::size_t k = 0;
   std::size_t i = 0;
   const __m256i zero = _mm256_setzero_si256();
@@ -999,14 +1021,12 @@ std::size_t gather_avx2(const std::uint8_t* mask, const std::byte* values,
   }
   return k;
 }
-#endif
 
-#if defined(PUP_KERNELS_AVX2)
-// segmented_prefix_fold_avx2's four-lane fold, then a left-pack of the
-// selected lanes (the 4-byte mask word widened to a lane-selection nibble)
-// stored whole at out + k.  k never exceeds the block's first element, so
-// the speculative store stays inside the block just read and inside n.
-std::size_t segmented_prefix_fold_gather_avx2(
+// segmented_prefix_fold's four-lane fold, then a left-pack of the selected
+// lanes (the 4-byte mask word widened to a lane-selection nibble) stored
+// whole at out + k.  k never exceeds the block's first element, so the
+// speculative store stays inside the block just read and inside n.
+[[gnu::target("avx2")]] std::size_t segmented_prefix_fold_gather(
     const std::int64_t* rs, const std::int64_t* ps, std::size_t n,
     std::size_t seg_len, const std::int64_t* seg_add, const std::uint8_t* mask,
     std::int64_t* out) {
@@ -1020,14 +1040,7 @@ std::size_t segmented_prefix_fold_gather_avx2(
     for (; e + 4 <= end; e += 4) {
       const __m256i x =
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rs + e));
-      const __m256i x1 = _mm256_add_epi64(
-          x, _mm256_blend_epi32(
-                 _mm256_permute4x64_epi64(x, _MM_SHUFFLE(2, 1, 0, 0)), zero,
-                 0x03));
-      const __m256i inc = _mm256_add_epi64(
-          x1, _mm256_blend_epi32(
-                  _mm256_permute4x64_epi64(x1, _MM_SHUFFLE(1, 0, 0, 0)),
-                  zero, 0x0f));
+      const __m256i inc = inclusive_scan4(x);
       const __m256i folded = _mm256_add_epi64(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ps + e)),
           _mm256_add_epi64(_mm256_sub_epi64(inc, x), running));
@@ -1055,59 +1068,7 @@ std::size_t segmented_prefix_fold_gather_avx2(
   }
   return k;
 }
-#endif
 
-template <std::size_t W>
-std::size_t gather_vector(const std::uint8_t* mask, const std::byte* values,
-                          std::size_t n, std::byte* out) {
-#if defined(PUP_KERNELS_AVX2)
-  if (active_path() == Path::kNative) {
-    return gather_avx2<W>(mask, values, n, out);
-  }
-#endif
-  return gather_generic<W>(mask, values, n, out);
-}
-
-// Block-classified merge, the mirror of gather_blocks: all-zero mask
-// blocks take one bulk copy of the field, all-ones blocks one bulk copy of
-// the stream, and mixed blocks copy the field and then overwrite only
-// their selected lanes, lowest first (count-trailing-zeros over the
-// block's selection bits).  src is never read past the selected count.
-template <std::size_t W>
-std::size_t merge_generic(const std::uint8_t* mask, const std::byte* src,
-                          std::size_t src_len, const std::byte* field,
-                          std::size_t n, std::byte* out) {
-  std::size_t k = 0;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const std::uint64_t x = load_u64(mask + i);
-    // 0x80 in each byte whose mask byte is nonzero.
-    std::uint64_t sel = ~zero_byte_flags(x) & kHigh;
-    require_stream(k, static_cast<std::size_t>(std::popcount(sel)), src_len);
-    if (sel == kHigh) {
-      std::memcpy(out + i * W, src + k * W, 8 * W);
-      k += 8;
-      continue;
-    }
-    std::memcpy(out + i * W, field + i * W, 8 * W);
-    for (; sel != 0; sel &= sel - 1) {
-      const auto b = static_cast<std::size_t>(std::countr_zero(sel) / 8);
-      std::memcpy(out + (i + b) * W, src + k * W, W);
-      ++k;
-    }
-  }
-  for (; i < n; ++i) {
-    const std::byte* from = field + i * W;
-    if (mask[i] != 0) {
-      require_stream(k, 1, src_len);
-      from = src + (k++) * W;
-    }
-    std::memcpy(out + i * W, from, W);
-  }
-  return k;
-}
-
-#if defined(PUP_KERNELS_AVX2)
 // Expand-permute table for 8-byte elements: for a 4-lane selection nibble,
 // the _mm256_permutevar8x32_epi32 indices that move the j-th stream lane to
 // the j-th selected lane (unselected lanes take lane 0; the blend discards
@@ -1129,9 +1090,11 @@ struct Expand64 {
 constexpr Expand64 kExpand64{};
 
 template <std::size_t W>
-std::size_t merge_avx2(const std::uint8_t* mask, const std::byte* src,
-                       std::size_t src_len, const std::byte* field,
-                       std::size_t n, std::byte* out) {
+[[gnu::target("avx2")]] std::size_t merge(const std::uint8_t* mask,
+                                          const std::byte* src,
+                                          std::size_t src_len,
+                                          const std::byte* field,
+                                          std::size_t n, std::byte* out) {
   std::size_t k = 0;
   std::size_t i = 0;
   const __m256i zero = _mm256_setzero_si256();
@@ -1199,58 +1162,12 @@ std::size_t merge_avx2(const std::uint8_t* mask, const std::byte* src,
   }
   return k;
 }
-#endif
 
-template <std::size_t W>
-std::size_t merge_vector(const std::uint8_t* mask, const std::byte* src,
-                         std::size_t src_len, const std::byte* field,
-                         std::size_t n, std::byte* out) {
-#if defined(PUP_KERNELS_AVX2)
-  if (active_path() == Path::kNative) {
-    return merge_avx2<W>(mask, src, src_len, field, n, out);
-  }
-#endif
-  return merge_generic<W>(mask, src, src_len, field, n, out);
-}
-
-// Run gather, four ranks per step: one range test for the block (v - lo,
-// taken unsigned, below hi - lo), then four base + offset copies; the
-// block holding the exit is finished element by element.
-template <std::size_t W>
-std::size_t run_gather_generic(const std::byte* ranks, std::size_t n,
-                               std::int64_t lo, std::int64_t hi,
-                               const std::byte* base, std::byte* out) {
-  const std::uint64_t ulo = static_cast<std::uint64_t>(lo);
-  const std::uint64_t span = static_cast<std::uint64_t>(hi) - ulo;
-  auto offset = [&](std::size_t i) {
-    return static_cast<std::uint64_t>(load_i64(ranks, i)) - ulo;
-  };
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const std::uint64_t o0 = offset(i);
-    const std::uint64_t o1 = offset(i + 1);
-    const std::uint64_t o2 = offset(i + 2);
-    const std::uint64_t o3 = offset(i + 3);
-    if ((o0 >= span) | (o1 >= span) | (o2 >= span) | (o3 >= span)) break;
-    std::memcpy(out + i * W, base + o0 * W, W);
-    std::memcpy(out + (i + 1) * W, base + o1 * W, W);
-    std::memcpy(out + (i + 2) * W, base + o2 * W, W);
-    std::memcpy(out + (i + 3) * W, base + o3 * W, W);
-  }
-  for (; i < n; ++i) {
-    const std::uint64_t o = offset(i);
-    if (o >= span) break;
-    std::memcpy(out + i * W, base + o * W, W);
-  }
-  return i;
-}
-
-#if defined(PUP_KERNELS_AVX2)
-// prefix_in_range_avx2's four-lane range test on unaligned rank loads,
-// then one vpgatherqq of base[r - lo] for a block wholly in range.
-std::size_t run_gather_avx2_8(const std::byte* ranks, std::size_t n,
-                              std::int64_t lo, std::int64_t hi,
-                              const std::byte* base, std::byte* out) {
+// prefix_in_range's four-lane range test on unaligned rank loads, then one
+// vpgatherqq of base[r - lo] for a block wholly in range.
+[[gnu::target("avx2"), gnu::flatten]] std::size_t run_gather8(
+    const std::byte* ranks, std::size_t n, std::int64_t lo, std::int64_t hi,
+    const std::byte* base, std::byte* out) {
   const __m256i vlo = _mm256_set1_epi64x(lo);
   const __m256i vhi = _mm256_set1_epi64x(hi);
   const auto* b = reinterpret_cast<const long long*>(base);
@@ -1268,223 +1185,172 @@ std::size_t run_gather_avx2_8(const std::byte* ranks, std::size_t n,
   return i + run_gather_generic<8>(ranks + i * sizeof(std::int64_t), n - i,
                                    lo, hi, base, out + i * 8);
 }
-#endif
 
-template <std::size_t W>
-std::size_t run_gather_vector(const std::byte* ranks, std::size_t n,
-                              std::int64_t lo, std::int64_t hi,
-                              const std::byte* base, std::byte* out) {
-#if defined(PUP_KERNELS_AVX2)
-  if constexpr (W == 8) {
-    if (active_path() == Path::kNative) {
-      return run_gather_avx2_8(ranks, n, lo, hi, base, out);
-    }
-  }
-#endif
-  return run_gather_generic<W>(ranks, n, lo, hi, base, out);
+// The generic source rebuilt for AVX2, with the hand-written bodies above
+// in the slots where they measured faster.
+constexpr Table make_table() {
+  Table t = generic_table<Build>();
+  t.mask_count = mask_count;
+  t.segment_sums = segment_sums;
+  t.segmented_prefix_fold = segmented_prefix_fold;
+  t.segmented_prefix_fold_gather = segmented_prefix_fold_gather;
+  t.prefix_in_range = prefix_in_range;
+  t.narrow[0] = narrow<1>;
+  t.narrow[1] = narrow<2>;
+  t.narrow[2] = narrow<4>;
+  [&]<std::size_t... S>(std::index_sequence<S...>) {
+    ((t.gather[S] = gather<std::size_t{1} << S>), ...);
+    ((t.merge[S] = merge<std::size_t{1} << S>), ...);
+  }(std::make_index_sequence<kSlots>{});
+  t.run_gather[3] = run_gather8;
+  return t;
 }
 
-// Stop-early gather: same block structure with an early exit once the
-// target count is reached.  The exit is block-granular, so a mixed or
-// all-ones block may write up to 7 elements past `target` -- harmless
-// scratch within the out-capacity contract, because the gather is
-// order-preserving (out[0, target) is exact) and the return value clamps.
-template <std::size_t W>
-std::size_t gather_first_n_vector(const std::uint8_t* mask,
-                                  const std::byte* values, std::size_t limit,
-                                  std::size_t target, std::byte* out) {
-  std::size_t k = 0;
+constexpr Table kTable = make_table();
+
+}  // namespace avx2
+
+const Table* native_table() {
+  static const bool has = __builtin_cpu_supports("avx2") != 0;
+  return has ? &avx2::kTable : nullptr;
+}
+constexpr const char* kNativeName = "avx2";
+
+}  // namespace
+}  // namespace pup::kernels
+
+#elif defined(__ARM_NEON) && defined(__aarch64__)
+#include <arm_neon.h>
+
+namespace pup::kernels {
+namespace {
+
+std::int64_t mask_count_neon(const std::uint8_t* mask, std::size_t n) {
+  std::int64_t count = 0;
   std::size_t i = 0;
-  for (; i + 8 <= limit && k < target; i += 8) {
-    const std::uint64_t x = load_u64(mask + i);
-    if (x == 0) continue;
-    const std::uint64_t zeros = zero_byte_flags(x);
-    if (zeros == 0) {
-      std::memcpy(out + k * W, values + i * W, 8 * W);
-      k += 8;
-      continue;
-    }
-    for (unsigned b = 0; b < 8; ++b) {
-      std::memcpy(out + k * W, values + (i + b) * W, W);
-      k += static_cast<std::size_t>(((zeros >> (8 * b + 7)) & 1) ^ 1);
-    }
+  for (; i + 16 <= n; i += 16) {
+    const uint8x16_t v = vld1q_u8(mask + i);
+    // 0xFF where nonzero; shift to 0/1 and sum the block.
+    const uint8x16_t nz = vtstq_u8(v, v);
+    count += vaddvq_u8(vshrq_n_u8(nz, 7));
   }
-  for (; i < limit && k < target; ++i) {
-    if (mask[i] != 0) {
-      std::memcpy(out + k * W, values + i * W, W);
-      ++k;
-    }
+  for (; i < n; ++i) count += (mask[i] != 0);
+  return count;
+}
+
+constexpr Table make_neon_table() {
+  Table t = kGenericTable;
+  t.mask_count = mask_count_neon;
+  return t;
+}
+
+constexpr Table kNeonTable = make_neon_table();
+
+const Table* native_table() { return &kNeonTable; }
+constexpr const char* kNativeName = "neon";
+
+}  // namespace
+}  // namespace pup::kernels
+
+#else
+
+namespace pup::kernels {
+namespace {
+const Table* native_table() { return nullptr; }
+constexpr const char* kNativeName = "native";
+}  // namespace
+}  // namespace pup::kernels
+
+#endif
+
+// --- dispatch -------------------------------------------------------------
+
+namespace pup::kernels {
+namespace {
+
+// -1 = auto; otherwise the Path pinned by set_path().  g_active is the
+// table of active_path(), resolved on the first kernel call and replaced
+// by set_path().  Relaxed atomics: set_path() runs only in single-threaded
+// sections, and every path computes the same bytes.
+std::atomic<int> g_forced{-1};
+std::atomic<const Table*> g_active{nullptr};
+
+const Table* table_of(Path p) {
+  switch (p) {
+    case Path::kScalar:
+      return &kScalarTable;
+    case Path::kNative:
+      return native_table();
+    case Path::kGeneric:
+      break;
   }
-  return k < target ? k : target;
+  return &kGenericTable;
+}
+
+[[gnu::cold, gnu::noinline]] const Table* resolve_active() {
+  const Table* t = table_of(active_path());
+  g_active.store(t, std::memory_order_relaxed);
+  return t;
+}
+
+// Inlined into every entry point: one load, then the call through the
+// table (a dozen-element kernel call costs about as much as the dispatch).
+[[gnu::always_inline]] inline const Table& active() {
+  const Table* t = g_active.load(std::memory_order_relaxed);
+  return t != nullptr ? *t : *resolve_active();
 }
 
 }  // namespace
 
+const char* path_name(Path p) {
+  switch (p) {
+    case Path::kScalar:
+      return "scalar";
+    case Path::kGeneric:
+      return "generic";
+    case Path::kNative:
+      return kNativeName;
+  }
+  return "unknown";
+}
+
+bool native_available() { return native_table() != nullptr; }
+
+Path active_path() {
+  const int forced = g_forced.load(std::memory_order_relaxed);
+  if (forced >= 0) return static_cast<Path>(forced);
+  return native_available() ? Path::kNative : Path::kGeneric;
+}
+
+void set_path(std::optional<Path> p) {
+  PUP_REQUIRE(!p.has_value() || p != Path::kNative || native_available(),
+              "cannot pin the native kernel path: not compiled in or not "
+              "supported by this CPU");
+  g_forced.store(p.has_value() ? static_cast<int>(*p) : -1,
+                 std::memory_order_relaxed);
+  g_active.store(table_of(active_path()), std::memory_order_relaxed);
+}
+
 // --- dispatched entry points ----------------------------------------------
 
 std::int64_t mask_count(const std::uint8_t* mask, std::size_t n) {
-  switch (active_path()) {
-    case Path::kScalar:
-      return scalar::mask_count(mask, n);
-    case Path::kNative:
-#if defined(PUP_KERNELS_AVX2)
-      return mask_count_avx2(mask, n);
-#elif defined(PUP_KERNELS_NEON)
-      return mask_count_neon(mask, n);
-#else
-      [[fallthrough]];
-#endif
-    case Path::kGeneric:
-      return mask_count_generic(mask, n);
-  }
-  return scalar::mask_count(mask, n);
+  return active().mask_count(mask, n);
+}
+
+std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
+                        std::int64_t* ps) {
+  return active().mask_widen(mask, n, ps);
 }
 
 void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
                   std::int64_t* sums) {
-  switch (active_path()) {
-    case Path::kScalar:
-      scalar::segment_sums(rs, n, seg_len, sums);
-      return;
-    case Path::kNative:
-#if defined(PUP_KERNELS_AVX2)
-      segment_sums_avx2(rs, n, seg_len, sums);
-      return;
-#else
-      [[fallthrough]];
-#endif
-    case Path::kGeneric:
-      segment_sums_unrolled(rs, n, seg_len, sums);
-      return;
-  }
+  active().segment_sums(rs, n, seg_len, sums);
 }
 
 void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
                            std::size_t n, std::size_t seg_len,
                            const std::int64_t* seg_add) {
-  switch (active_path()) {
-    case Path::kScalar:
-      scalar::segmented_prefix_fold(rs, ps, n, seg_len, seg_add);
-      return;
-    case Path::kNative:
-#if defined(PUP_KERNELS_AVX2)
-      segmented_prefix_fold_avx2(rs, ps, n, seg_len, seg_add);
-      return;
-#else
-      [[fallthrough]];
-#endif
-    case Path::kGeneric:
-      segmented_prefix_fold_unrolled(rs, ps, n, seg_len, seg_add);
-      return;
-  }
-}
-
-std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
-                        std::int64_t* ps) {
-  switch (active_path()) {
-    case Path::kScalar:
-      return scalar::mask_widen(mask, n, ps);
-    case Path::kNative:
-#if defined(PUP_KERNELS_AVX2)
-      return mask_widen_avx2(mask, n, ps);
-#else
-      [[fallthrough]];
-#endif
-    case Path::kGeneric:
-      return mask_widen_generic(mask, n, ps);
-  }
-  return scalar::mask_widen(mask, n, ps);
-}
-
-std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
-                            std::int64_t lo, std::int64_t hi) {
-  PUP_DCHECK(lo <= hi, "prefix_in_range needs lo <= hi");
-  switch (active_path()) {
-    case Path::kScalar:
-      return scalar::prefix_in_range(v, n, lo, hi);
-    case Path::kNative:
-#if defined(PUP_KERNELS_AVX2)
-      return prefix_in_range_avx2(v, n, lo, hi);
-#else
-      [[fallthrough]];
-#endif
-    case Path::kGeneric:
-      return prefix_in_range_generic(v, n, lo, hi);
-  }
-  return scalar::prefix_in_range(v, n, lo, hi);
-}
-
-void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n) {
-  if (active_path() == Path::kScalar) {
-    scalar::add_from_bytes(dst, src, n);
-  } else {
-    add_from_bytes_vector<false>(dst, nullptr, src, n);
-  }
-}
-
-void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n) {
-  if (active_path() == Path::kScalar) {
-    scalar::add_from_bytes(dst, dst2, src, n);
-  } else {
-    add_from_bytes_vector<true>(dst, dst2, src, n);
-  }
-}
-
-void narrow_to_bytes(const std::int64_t* src, std::size_t n,
-                     std::size_t width, std::byte* out) {
-  require_wire_width(width);
-  if (active_path() == Path::kScalar) {
-    scalar::narrow_to_bytes(src, n, width, out);
-    return;
-  }
-  switch (width) {
-    case 1:
-      return narrow_vector<1>(src, n, out);
-    case 2:
-      return narrow_vector<2>(src, n, out);
-    case 4:
-      return narrow_vector<4>(src, n, out);
-    default:
-      if (n != 0) std::memcpy(out, src, n * sizeof(std::int64_t));
-      return;
-  }
-}
-
-void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                      std::size_t width) {
-  require_wire_width(width);
-  if (width == 8) {
-    if (n != 0) std::memcpy(dst, src, n * sizeof(std::int64_t));
-  } else if (active_path() == Path::kScalar) {
-    scalar::widen_from_bytes(dst, src, n, width);
-  } else {
-    widen_dispatch<false, false>(dst, nullptr, src, n, width);
-  }
-}
-
-void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                    std::size_t width) {
-  require_wire_width(width);
-  if (width == 8) {
-    add_from_bytes(dst, src, n);
-  } else if (active_path() == Path::kScalar) {
-    scalar::add_from_bytes(dst, src, n, width);
-  } else {
-    widen_dispatch<true, false>(dst, nullptr, src, n, width);
-  }
-}
-
-void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n, std::size_t width) {
-  require_wire_width(width);
-  if (width == 8) {
-    add_from_bytes(dst, dst2, src, n);
-  } else if (active_path() == Path::kScalar) {
-    scalar::add_from_bytes(dst, dst2, src, n, width);
-  } else {
-    widen_dispatch<true, true>(dst, dst2, src, n, width);
-  }
+  active().segmented_prefix_fold(rs, ps, n, seg_len, seg_add);
 }
 
 std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
@@ -1493,102 +1359,87 @@ std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
                                          const std::int64_t* seg_add,
                                          const std::uint8_t* mask,
                                          std::int64_t* out) {
-  switch (active_path()) {
-    case Path::kScalar:
-      return scalar::segmented_prefix_fold_gather(rs, ps, n, seg_len, seg_add,
-                                                  mask, out);
-    case Path::kNative:
-#if defined(PUP_KERNELS_AVX2)
-      return segmented_prefix_fold_gather_avx2(rs, ps, n, seg_len, seg_add,
+  return active().segmented_prefix_fold_gather(rs, ps, n, seg_len, seg_add,
                                                mask, out);
-#else
-      [[fallthrough]];
-#endif
-    case Path::kGeneric:
-      return segmented_prefix_fold_gather_unrolled(rs, ps, n, seg_len,
-                                                   seg_add, mask, out);
+}
+
+std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
+                            std::int64_t lo, std::int64_t hi) {
+  PUP_DCHECK(lo <= hi, "prefix_in_range needs lo <= hi");
+  return active().prefix_in_range(v, n, lo, hi);
+}
+
+void narrow_to_bytes(const std::int64_t* src, std::size_t n,
+                     std::size_t width, std::byte* out) {
+  require_wire_width(width);
+  if (const auto f = at_width(active().narrow, width)) return f(src, n, out);
+  scalar::narrow_to_bytes(src, n, width, out);
+}
+
+void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                      std::size_t width) {
+  require_wire_width(width);
+  if (const auto f = at_width(active().widen, width)) {
+    return f(dst, nullptr, src, n);
   }
-  return scalar::segmented_prefix_fold_gather(rs, ps, n, seg_len, seg_add,
-                                              mask, out);
+  scalar::widen_from_bytes(dst, src, n, width);
+}
+
+void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
+                    std::size_t width) {
+  require_wire_width(width);
+  if (const auto f = at_width(active().add, width)) {
+    return f(dst, nullptr, src, n);
+  }
+  scalar::add_from_bytes(dst, src, n, width);
+}
+
+void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
+                    const std::byte* src, std::size_t n, std::size_t width) {
+  require_wire_width(width);
+  if (const auto f = at_width(active().add2, width)) {
+    return f(dst, dst2, src, n);
+  }
+  scalar::add_from_bytes(dst, dst2, src, n, width);
 }
 
 namespace detail {
 
 std::size_t gather_bytes(const std::uint8_t* mask, const std::byte* values,
                          std::size_t n, std::size_t width, std::byte* out) {
-  switch (width) {
-    case 1:
-      return gather_vector<1>(mask, values, n, out);
-    case 2:
-      return gather_vector<2>(mask, values, n, out);
-    case 4:
-      return gather_vector<4>(mask, values, n, out);
-    case 8:
-      return gather_vector<8>(mask, values, n, out);
-    case 16:
-      return gather_vector<16>(mask, values, n, out);
-    default:
-      return scalar::gather(mask, values, n, width, out);
+  if (const auto f = at_width(active().gather, width)) {
+    return f(mask, values, n, out);
   }
+  return scalar::gather(mask, values, n, width, out);
 }
 
 std::size_t gather_first_n_bytes(const std::uint8_t* mask,
                                  const std::byte* values, std::size_t limit,
                                  std::size_t target, std::size_t width,
                                  std::byte* out) {
-  switch (width) {
-    case 1:
-      return gather_first_n_vector<1>(mask, values, limit, target, out);
-    case 2:
-      return gather_first_n_vector<2>(mask, values, limit, target, out);
-    case 4:
-      return gather_first_n_vector<4>(mask, values, limit, target, out);
-    case 8:
-      return gather_first_n_vector<8>(mask, values, limit, target, out);
-    case 16:
-      return gather_first_n_vector<16>(mask, values, limit, target, out);
-    default:
-      return scalar::gather_first_n(mask, values, limit, target, width, out);
+  if (const auto f = at_width(active().gather_first_n, width)) {
+    return f(mask, values, limit, target, out);
   }
+  return scalar::gather_first_n(mask, values, limit, target, width, out);
 }
 
 std::size_t merge_bytes(const std::uint8_t* mask, const std::byte* src,
                         std::size_t src_len, const std::byte* field,
                         std::size_t n, std::size_t width, std::byte* out) {
-  switch (width) {
-    case 1:
-      return merge_vector<1>(mask, src, src_len, field, n, out);
-    case 2:
-      return merge_vector<2>(mask, src, src_len, field, n, out);
-    case 4:
-      return merge_vector<4>(mask, src, src_len, field, n, out);
-    case 8:
-      return merge_vector<8>(mask, src, src_len, field, n, out);
-    case 16:
-      return merge_vector<16>(mask, src, src_len, field, n, out);
-    default:
-      return scalar::merge(mask, src, src_len, field, n, width, out);
+  if (const auto f = at_width(active().merge, width)) {
+    return f(mask, src, src_len, field, n, out);
   }
+  return scalar::merge(mask, src, src_len, field, n, width, out);
 }
 
 std::size_t run_gather_bytes(const std::byte* ranks, std::size_t n,
                              std::int64_t lo, std::int64_t hi,
                              const std::byte* base, std::size_t width,
                              std::byte* out) {
-  switch (width) {
-    case 1:
-      return run_gather_vector<1>(ranks, n, lo, hi, base, out);
-    case 2:
-      return run_gather_vector<2>(ranks, n, lo, hi, base, out);
-    case 4:
-      return run_gather_vector<4>(ranks, n, lo, hi, base, out);
-    case 8:
-      return run_gather_vector<8>(ranks, n, lo, hi, base, out);
-    case 16:
-      return run_gather_vector<16>(ranks, n, lo, hi, base, out);
-    default:
-      return scalar::run_gather(ranks, n, lo, hi, base, width, out);
+  if (const auto f = at_width(active().run_gather, width)) {
+    return f(ranks, n, lo, hi, base, out);
   }
+  return scalar::run_gather(ranks, n, lo, hi, base, width, out);
 }
 
 }  // namespace detail

@@ -13,11 +13,11 @@
 //   * segmented_prefix_fold_gather -- that final fold at level 0 of a
 //     W_0 = 1 counting scan, fused with the gather of PS_f under the mask:
 //     only the selected elements' ranks are kept, compacted in place;
-//   * add_from_bytes -- the PRS rounds' fold of a received payload,
-//     read where it lies (unaligned int64 loads from the message bytes);
-//   * narrow_to_bytes / widen_from_bytes / add_from_bytes(width) -- the
-//     same PRS payloads at a narrow wire width (1, 2 or 4 bytes per base
-//     rank): a checked narrowing compose, a widening copy and fold;
+//   * narrow_to_bytes / widen_from_bytes / add_from_bytes -- the PRS
+//     payloads at a wire width of 1, 2, 4 or 8 bytes per base rank: a
+//     checked narrowing compose, a widening copy, and the rounds' fold of
+//     a received payload, read where it lies (unaligned loads from the
+//     message bytes);
 //   * prefix_in_range -- UNPACK's request runs: how far a scan-ordered
 //     rank list stays inside one V block;
 //   * run_gather -- UNPACK's replies: an owner answers the in-block prefix
@@ -27,16 +27,20 @@
 //   * mask_merge -- UNPACK's placement: the result's local storage written
 //     once, each slot from the scan-ordered value stream or the field.
 //
-// This layer provides one scalar reference and one vectorized
-// implementation of each, selected at runtime:
+// kernels.cpp holds one dispatch table per path, selected at runtime; each
+// entry point below is one call through the active table:
 //
 //   * kScalar  -- the reference loops, each kernel's definition element
 //                 by element.  Always available; the parity oracle for
 //                 tests.
 //   * kGeneric -- portable SWAR (8-byte word tricks) plus loops unrolled
-//                 by four.  The fallback when no native ISA path applies.
-//   * kNative  -- AVX2 (compiled with -mavx2 into this translation unit
-//                 only, runtime-gated on cpuid) or NEON intrinsics.
+//                 by four, compiled for the baseline ISA.  The fallback
+//                 when no native ISA path applies.
+//   * kNative  -- the generic source rebuilt for AVX2, with hand-written
+//                 AVX2 bodies where they measured faster (x86-64, gated
+//                 on the runtime cpuid check; only functions marked
+//                 target("avx2") carry AVX2 code), or the generic table
+//                 plus a NEON mask_count (AArch64).
 //
 // Selection: set_path() pins a path; by default ("auto") kernels take the
 // best vector path.  The library never reads the environment: the entry
@@ -80,10 +84,6 @@ bool native_available();
 /// The path every kernel dispatches through: the one pinned by set_path(),
 /// else kNative when available, else kGeneric.
 Path active_path();
-
-/// True when active_path() is a vector path (callers that keep their
-/// scalar loop inline branch on this instead of duplicating dispatch).
-inline bool vectorized() { return active_path() != Path::kScalar; }
 
 /// Pins active_path() (nullopt returns to auto).  Throws ContractError
 /// when pinning kNative on a build or CPU without it.  Call only from
@@ -135,30 +135,20 @@ std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
                                          const std::uint8_t* mask,
                                          std::int64_t* out);
 
-// --- received-payload folds -----------------------------------------------
-
-/// dst[e] += the e-th int64 of src, for e < n: folds a received message
-/// payload where it lies.  src carries no alignment guarantee (payloads
-/// are byte vectors), so every path loads it unaligned.
-void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n);
-
-/// add_from_bytes into two destinations in one pass over src: the PRS
-/// round that joins a lower partner's subcube updates both the prefix and
-/// the total.  dst and dst2 must not overlap.
-void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n);
-
-// --- narrow PRS wire entries ----------------------------------------------
+// --- PRS wire entries -----------------------------------------------------
 //
-// A ranking PRS may ship its int64 base ranks as `width`-byte unsigned
-// integers, width in {1, 2, 4, 8}, when the schedule proves every entry
-// fits.  Entries are stored in host byte order; width 8 is the plain int64
-// wire (a copy, or the add_from_bytes above).  src/out carry no alignment
-// guarantee.
+// A ranking PRS ships its int64 base ranks as `width`-byte unsigned
+// integers, width in {1, 2, 4}, when the schedule proves every entry fits,
+// and as int64 otherwise (width 8, the plain int64 wire: a copy, and
+// signed values pass unchanged).  Entries are stored in host byte order.
+// src/out carry no alignment guarantee (payloads are byte vectors), so
+// every path loads and stores them unaligned; a payload never overlaps the
+// int64 vectors it is composed from or folded into.
 
-/// Writes src[e] as the e-th width-byte entry of out, for e < n.  Throws
-/// ContractError when any src[e] is negative or >= 2^(8 width): a value
-/// is never truncated onto the wire (out's contents are then unspecified).
+/// Writes src[e] as the e-th width-byte entry of out, for e < n.  Below
+/// width 8, throws ContractError when any src[e] is negative or
+/// >= 2^(8 width): a value is never truncated onto the wire (out's
+/// contents are then unspecified).
 void narrow_to_bytes(const std::int64_t* src, std::size_t n,
                      std::size_t width, std::byte* out);
 
@@ -166,11 +156,14 @@ void narrow_to_bytes(const std::int64_t* src, std::size_t n,
 void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
                       std::size_t width);
 
-/// dst[e] += the e-th width-byte entry of src (zero-extended), for e < n.
+/// dst[e] += the e-th width-byte entry of src (zero-extended), for e < n:
+/// folds a received message payload where it lies.
 void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
                     std::size_t width);
 
-/// The two-destination add_from_bytes at a wire width.
+/// add_from_bytes into two destinations in one pass over src: the PRS
+/// round that joins a lower partner's subcube updates both the prefix and
+/// the total.  dst and dst2 must not overlap.
 void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
                     const std::byte* src, std::size_t n, std::size_t width);
 
@@ -202,9 +195,6 @@ std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
                                          const std::int64_t* seg_add,
                                          const std::uint8_t* mask,
                                          std::int64_t* out);
-void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n);
-void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n);
 void narrow_to_bytes(const std::int64_t* src, std::size_t n,
                      std::size_t width, std::byte* out);
 void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
@@ -241,13 +231,17 @@ std::size_t run_gather(const std::byte* ranks, std::size_t n, std::int64_t lo,
                        std::size_t width, std::byte* out);
 
 /// Reference run decode: one bounds check + one element copy per element,
-/// mirroring the historical per-element ByteReader::get<T> loop.
+/// mirroring the historical per-element ByteReader::get<T> loop (the
+/// parity reference of run_decode below).
 void run_decode(const std::byte* src, std::size_t count, std::size_t width,
                 std::byte* out);
 
 }  // namespace scalar
 
-// --- type-erased vector implementations (kernels.cpp) ---------------------
+// --- type-erased entry points of the templates below (kernels.cpp) --------
+//
+// Each calls the active table's slot for `width` (1, 2, 4, 8 or 16 bytes),
+// or the scalar reference for any other width.
 namespace detail {
 
 std::size_t gather_bytes(const std::uint8_t* mask, const std::byte* values,
@@ -280,10 +274,6 @@ template <typename T>
 std::size_t mask_gather(const std::uint8_t* mask, const T* values,
                         std::size_t n, T* out) {
   static_assert(std::is_trivially_copyable_v<T>);
-  if (active_path() == Path::kScalar) {
-    return scalar::gather(mask, reinterpret_cast<const std::byte*>(values), n,
-                          sizeof(T), reinterpret_cast<std::byte*>(out));
-  }
   return detail::gather_bytes(mask, reinterpret_cast<const std::byte*>(values),
                               n, sizeof(T), reinterpret_cast<std::byte*>(out));
 }
@@ -298,12 +288,6 @@ std::size_t mask_gather_first_n(const std::uint8_t* mask, const T* values,
                                 std::size_t limit, std::size_t target,
                                 T* out) {
   static_assert(std::is_trivially_copyable_v<T>);
-  if (active_path() == Path::kScalar) {
-    return scalar::gather_first_n(mask,
-                                  reinterpret_cast<const std::byte*>(values),
-                                  limit, target, sizeof(T),
-                                  reinterpret_cast<std::byte*>(out));
-  }
   return detail::gather_first_n_bytes(
       mask, reinterpret_cast<const std::byte*>(values), limit, target,
       sizeof(T), reinterpret_cast<std::byte*>(out));
@@ -322,13 +306,9 @@ std::size_t mask_merge(const std::uint8_t* mask, const T* src,
                        std::size_t src_len, const T* field, std::size_t n,
                        T* out) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* s = reinterpret_cast<const std::byte*>(src);
-  const auto* f = reinterpret_cast<const std::byte*>(field);
-  auto* o = reinterpret_cast<std::byte*>(out);
-  if (active_path() == Path::kScalar) {
-    return scalar::merge(mask, s, src_len, f, n, sizeof(T), o);
-  }
-  return detail::merge_bytes(mask, s, src_len, f, n, sizeof(T), o);
+  return detail::merge_bytes(mask, reinterpret_cast<const std::byte*>(src),
+                             src_len, reinterpret_cast<const std::byte*>(field),
+                             n, sizeof(T), reinterpret_cast<std::byte*>(out));
 }
 
 /// UNPACK's reply to one run of requests: while the i-th int64 of `ranks`
@@ -341,17 +321,14 @@ template <typename T>
 std::size_t run_gather(const std::byte* ranks, std::size_t n, std::int64_t lo,
                        std::int64_t hi, const T* base, std::byte* out) {
   static_assert(std::is_trivially_copyable_v<T>);
-  const auto* b = reinterpret_cast<const std::byte*>(base);
-  if (active_path() == Path::kScalar) {
-    return scalar::run_gather(ranks, n, lo, hi, b, sizeof(T), out);
-  }
-  return detail::run_gather_bytes(ranks, n, lo, hi, b, sizeof(T), out);
+  return detail::run_gather_bytes(ranks, n, lo, hi,
+                                  reinterpret_cast<const std::byte*>(base),
+                                  sizeof(T), out);
 }
 
 /// Unloads a CMS run payload (count contiguous elements, already validated
-/// by the caller's ByteReader) into out: a single bulk copy.  The scalar
-/// reference path lives in the callers (per-element ByteReader::get), so
-/// this kernel is the vector half only.
+/// by the caller's ByteReader) into out: a single bulk copy on every path.
+/// scalar::run_decode is its parity reference.
 template <typename T>
 void run_decode(const std::byte* src, std::size_t count, T* out) {
   static_assert(std::is_trivially_copyable_v<T>);

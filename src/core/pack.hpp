@@ -266,7 +266,6 @@ PackResult<T> pack_execute(sim::Machine& machine,
   machine.local_phase([&](int rank) {
     auto& ctr = out.counters[static_cast<std::size_t>(rank)];
     auto vlocal = out.vector.local(rank);
-    const bool vectorized = kernels::vectorized();
     for (int p = 0; p < P; ++p) {
       auto& payload =
           recv[static_cast<std::size_t>(rank)][static_cast<std::size_t>(p)];
@@ -277,28 +276,17 @@ PackResult<T> pack_execute(sim::Machine& machine,
           const auto base = r.get<std::int64_t>();
           const auto count = r.get<std::int64_t>();
           ++ctr.segments_recv;
-          if (vectorized) {
-            // A run maps to contiguous local indices by construction
-            // (for_each_dest_run breaks runs at block boundaries), so the
-            // whole run unloads as one bulk copy.
-            const auto l0 =
-                static_cast<std::size_t>(vdim.local_index(base));
-            PUP_DCHECK(count == 0 ||
-                           static_cast<std::size_t>(vdim.local_index(
-                               base + count - 1)) == l0 + count - 1,
-                       "CMS run not contiguous in the local vector");
-            const auto raw =
-                r.get_raw(static_cast<std::size_t>(count) * sizeof(T));
-            kernels::run_decode<T>(raw.data(),
-                                   static_cast<std::size_t>(count),
-                                   vlocal.data() + l0);
-          } else {
-            for (std::int64_t j = 0; j < count; ++j) {
-              const auto v = r.get<T>();
-              vlocal[static_cast<std::size_t>(vdim.local_index(base + j))] =
-                  v;
-            }
-          }
+          // A run maps to contiguous local indices by construction
+          // (for_each_dest_run breaks runs at block boundaries), so the
+          // whole run unloads as one bulk copy.
+          const auto l0 = static_cast<std::size_t>(vdim.local_index(base));
+          PUP_DCHECK(count == 0 ||
+                         static_cast<std::size_t>(vdim.local_index(
+                             base + count - 1)) == l0 + count - 1,
+                     "CMS run not contiguous in the local vector");
+          const auto n = static_cast<std::size_t>(count);
+          const auto raw = r.get_raw(n * sizeof(T));
+          kernels::run_decode<T>(raw.data(), n, vlocal.data() + l0);
           ctr.recv_elems += count;
         }
       } else {

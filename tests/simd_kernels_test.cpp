@@ -217,48 +217,19 @@ std::vector<std::int64_t> mixed_values(std::size_t n, std::uint64_t salt) {
   return v;
 }
 
-TEST(SimdKernels, AddFromBytesMatchesReferenceAtEveryOffset) {
-  // The source is a byte stream at offsets 0..7 from an aligned buffer, so
-  // a path that reinterprets it as int64_t* performs misaligned loads (a
-  // UBSan finding in the sanitizer job) instead of unaligned ones.
-  for (const std::size_t n : fold_lengths()) {
-    const auto values = mixed_values(n, 3);
-    const auto dst0 = mixed_values(n, 11);
-    const auto dst20 = mixed_values(n, 19);
-    std::vector<std::int64_t> expect = dst0;
-    std::vector<std::int64_t> expect2 = dst20;
-    for (std::size_t e = 0; e < n; ++e) {
-      expect[e] += values[e];
-      expect2[e] += values[e];
-    }
-    std::vector<std::int64_t> storage(n + 2);
-    for (std::size_t offset = 0; offset < 8; ++offset) {
-      auto* src = reinterpret_cast<std::byte*>(storage.data()) + offset;
-      if (n > 0) std::memcpy(src, values.data(), n * sizeof(std::int64_t));
-      for (const Path path : all_paths()) {
-        ForceGuard force(path);
-        std::vector<std::int64_t> one = dst0;
-        kernels::add_from_bytes(one.data(), src, n);
-        ASSERT_EQ(one, expect) << kernels::path_name(path) << " n=" << n
-                               << " offset=" << offset;
-        std::vector<std::int64_t> a = dst0;
-        std::vector<std::int64_t> b = dst20;
-        kernels::add_from_bytes(a.data(), b.data(), src, n);
-        ASSERT_EQ(a, expect) << kernels::path_name(path) << " n=" << n
-                             << " offset=" << offset << " (two dst)";
-        ASSERT_EQ(b, expect2) << kernels::path_name(path) << " n=" << n
-                              << " offset=" << offset << " (two dst)";
-      }
-    }
-  }
-}
-
-/// Values in [0, limit), limit = 2^(8 width) below width 8 and 2^62 at
-/// width 8 (so folding them into mixed_values cannot overflow): a spread
-/// that sets the top bit of the width, plus both extremes.
+/// Values in [0, 2^(8 width)) below width 8: a spread that sets the top
+/// bit of the width, plus both extremes.  At width 8, the plain int64
+/// wire, signed values: mixed_values, plus both extremes that folding into
+/// mixed_values cannot overflow.
 std::vector<std::int64_t> wire_values(std::size_t n, std::size_t width,
                                       std::uint64_t salt) {
-  const std::uint64_t limit = std::uint64_t{1} << (width == 8 ? 62 : 8 * width);
+  if (width == 8) {
+    auto v = mixed_values(n, salt);
+    if (n > 0) v[0] = std::int64_t{1} << 62;
+    if (n > 1) v[n - 1] = -(std::int64_t{1} << 62);
+    return v;
+  }
+  const std::uint64_t limit = std::uint64_t{1} << (8 * width);
   std::vector<std::int64_t> v(n);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t x = (i + salt) * 0x9e3779b97f4a7c15ULL;
@@ -270,10 +241,12 @@ std::vector<std::int64_t> wire_values(std::size_t n, std::size_t width,
 }
 
 TEST(SimdKernels, WireNarrowAndWidenMatchReferenceAtEveryOffset) {
-  // The narrow PRS wire: compose at width 1, 2, 4 (and 8, the copy), then
-  // the widening copy and both widening folds, from a byte stream at every
-  // offset 0..7 of an aligned buffer.  Every path must produce the scalar
-  // reference's bytes and sums.
+  // The PRS wire: compose at width 1, 2, 4 and 8 (the int64 wire, signed
+  // entries), then the widening copy and the one- and two-destination
+  // folds, from a byte stream at every offset 0..7 of an aligned buffer
+  // (so a path that reinterprets it as int64_t* performs misaligned loads,
+  // a UBSan finding in the sanitizer job).  Every path must produce the
+  // scalar reference's bytes and sums.
   for (const std::size_t width : {1, 2, 4, 8}) {
     for (const std::size_t n : fold_lengths()) {
       const auto values = wire_values(n, width, 5);
@@ -600,15 +573,35 @@ TEST(SimdKernels, RunDecodeMatchesScalar) {
 }
 
 TEST(SimdKernels, SetPathSelectsPath) {
+  // Which table a call runs through shows in mask_gather's scratch: the
+  // scalar reference writes only the selected slots, while the vector
+  // paths store a mixed block speculatively past them (the out-capacity
+  // contract), so out[1] changes.
+  std::array<std::uint8_t, 32> mask{};
+  mask[0] = 1;
+  std::array<std::int64_t, 32> values{};
+  std::iota(values.begin(), values.end(), 1);
+  const auto spills = [&] {
+    std::array<std::int64_t, 32> out;
+    out.fill(-1);
+    EXPECT_EQ(kernels::mask_gather<std::int64_t>(mask.data(), values.data(),
+                                                 32, out.data()),
+              1U);
+    return out[1] != -1;
+  };
   ForceGuard scalar(Path::kScalar);
   EXPECT_EQ(kernels::active_path(), Path::kScalar);
-  EXPECT_FALSE(kernels::vectorized());
+  EXPECT_FALSE(spills());
   kernels::set_path(std::nullopt);  // auto: the best vector path
   EXPECT_NE(kernels::active_path(), Path::kScalar);
-  EXPECT_TRUE(kernels::vectorized());
   if (kernels::native_available()) {
     EXPECT_EQ(kernels::active_path(), Path::kNative);
   }
+  EXPECT_TRUE(spills());
+  kernels::set_path(Path::kGeneric);
+  EXPECT_TRUE(spills());
+  kernels::set_path(Path::kScalar);
+  EXPECT_FALSE(spills());
 }
 
 TEST(SimdKernels, ForceNativeRequiresSupport) {
