@@ -50,7 +50,7 @@
 
 #include "core/api.hpp"
 #include "support/rng.hpp"
-#include "support/table.hpp"
+#include "table.hpp"
 
 namespace pup::bench {
 
@@ -265,7 +265,7 @@ struct Result {
 /// comparable with the paper's tables (EXPERIMENTS.md).
 template <typename Options>
 Options paper_wire(Options opt) {
-  opt.prs_width = coll::PrsWidth::k64;
+  opt.wire_width = coll::WireWidth::k64;
   return opt;
 }
 

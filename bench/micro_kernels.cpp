@@ -160,35 +160,36 @@ void BM_MaskMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_MaskMerge)->ArgsProduct({{1 << 14}, {0, 2, 1}, {50, 10}});
 
-// UNPACK's reply to one request stream: 8192 ranks, a sorted 50% subset
-// of one 16384-element V block, read one byte off alignment and answered
-// by base + offset into an unaligned reply.
-void BM_RunGather(benchmark::State& state) {
-  const std::int64_t block = std::int64_t{1} << 14;
-  const std::int64_t lo = 5 * block;
-  const auto sel = random_mask(block, 0.5, 9);
-  std::vector<std::int64_t> ranks;
-  for (std::int64_t r = 0; r < block; ++r) {
-    if (sel[static_cast<std::size_t>(r)] != 0) ranks.push_back(lo + r);
+// UNPACK's reply to one request stream: about 8192 local indices, a sorted
+// 50% subset of a 16384-element V share, at an index width of 2 or 8
+// bytes (second argument), read one byte off alignment and answered by
+// indexed loads into an unaligned reply.
+void BM_IndexGather(benchmark::State& state) {
+  const std::int64_t extent = std::int64_t{1} << 14;
+  const auto iw = static_cast<std::size_t>(state.range(1));
+  const auto sel = random_mask(extent, 0.5, 9);
+  std::vector<std::int64_t> index;
+  for (std::int64_t l = 0; l < extent; ++l) {
+    if (sel[static_cast<std::size_t>(l)] != 0) index.push_back(l);
   }
-  const std::size_t n = ranks.size();
-  std::vector<std::byte> request(n * sizeof(std::int64_t) + 1);
-  std::memcpy(request.data() + 1, ranks.data(), n * sizeof(std::int64_t));
-  std::vector<std::int64_t> base(static_cast<std::size_t>(block));
+  const std::size_t n = index.size();
+  std::vector<std::byte> request(n * iw + 1);
+  kernels::narrow_to_bytes(index.data(), n, iw, request.data() + 1);
+  std::vector<std::int64_t> base(static_cast<std::size_t>(extent));
   std::iota(base.begin(), base.end(), 11);
   std::vector<std::byte> reply(n * sizeof(std::int64_t) + 1);
   PathGuard guard(state.range(0));
   for (auto _ : state) {
-    const std::size_t k = kernels::run_gather<std::int64_t>(
-        request.data() + 1, n, lo, lo + block, base.data(), reply.data() + 1);
-    benchmark::DoNotOptimize(k);
+    kernels::index_gather<std::int64_t>(request.data() + 1, n, iw,
+                                        base.data(), base.size(),
+                                        reply.data() + 1);
     benchmark::DoNotOptimize(reply.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
   state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_RunGather)->Arg(0)->Arg(2)->Arg(1);
+BENCHMARK(BM_IndexGather)->ArgsProduct({{0, 2, 1}, {2, 8}});
 
 // The PRS wire at `width` bytes per entry (third argument) on the level-0
 // vector of the 512 x 512 cyclic CSS unpack (16384 entries): the checked
@@ -521,19 +522,18 @@ void verify_kernel_parity() {
       const std::size_t ref_run =
           kernels::prefix_in_range(values.data(), n, 7, 7 + half);
       if (ref_run != n / 2) die("scalar prefix_in_range is wrong");
-      // The reply gather over the same ranks, read from the unaligned
-      // payload: base[r - 7] for the in-range prefix.
+      // The requests as local indices: the values shifted by -7 and
+      // narrowed to two bytes, one byte off alignment; the reply gather
+      // answers index l with base[l].
+      std::vector<std::byte> request(n * 2 + 1);
+      kernels::narrow_to_bytes(values.data(), n, 2, request.data() + 1, -7);
       std::vector<std::int64_t> base(n);
       std::iota(base.begin(), base.end(), 1000);
       std::vector<std::int64_t> ref_reply(n, -1);
-      if (kernels::run_gather<std::int64_t>(
-              payload.data() + 1, n, 7, 7 + half, base.data(),
-              reinterpret_cast<std::byte*>(ref_reply.data())) != ref_run ||
-          !std::equal(base.begin(),
-                      base.begin() + static_cast<long>(ref_run),
-                      ref_reply.begin())) {
-        die("scalar run_gather is wrong");
-      }
+      kernels::index_gather<std::int64_t>(
+          request.data() + 1, n, 2, base.data(), base.size(),
+          reinterpret_cast<std::byte*>(ref_reply.data()));
+      if (ref_reply != base) die("scalar index_gather is wrong");
       std::vector<std::int64_t> ref_a = values;
       std::vector<std::int64_t> ref_b(n, 3);
       kernels::add_from_bytes(ref_a.data(), ref_b.data(),
@@ -580,13 +580,14 @@ void verify_kernel_parity() {
             values.data(), fg.data(), n, 5, addends.data(), mask.data(),
             fg.data()));
         if (fg != ref_fg) die("segmented_prefix_fold_gather mismatch");
+        std::vector<std::byte> req(n * 2 + 1);
+        kernels::narrow_to_bytes(values.data(), n, 2, req.data() + 1, -7);
+        if (req != request) die("narrow_to_bytes (biased) mismatch");
         std::vector<std::int64_t> reply(n, -1);
-        if (kernels::run_gather<std::int64_t>(
-                payload.data() + 1, n, 7, 7 + half, base.data(),
-                reinterpret_cast<std::byte*>(reply.data())) != ref_run ||
-            reply != ref_reply) {
-          die("run_gather mismatch");
-        }
+        kernels::index_gather<std::int64_t>(
+            req.data() + 1, n, 2, base.data(), base.size(),
+            reinterpret_cast<std::byte*>(reply.data()));
+        if (reply != ref_reply) die("index_gather mismatch");
         std::vector<std::int64_t> merged(n, -2);
         if (kernels::mask_merge<std::int64_t>(mask.data(), stream.data(),
                                               stream.size(), field.data(), n,

@@ -56,13 +56,16 @@ struct ExpandedPlan {
 /// and destination j owns at most its result-vector capacity (from the
 /// pinned result layout, or ceil(N/P) under the default block1d of the true
 /// count, which never exceeds ceil(N/P) slots per rank).  Each element
-/// costs 8+w bytes as a (rank, value) pair, or 16+w worst case under CMS
-/// (every element its own run-length segment).
+/// costs iw+w bytes as an (index, value) pair, or 2 iw+w worst case under
+/// CMS (every element its own run-length segment), where iw is the plan's
+/// index width: index_wire_bytes of the pinned layout, else of a share of
+/// ceil(N/P) elements.
 std::vector<std::vector<std::size_t>> pack_m2m_bounds(
     const plan::PackPlan& plan);
 
 /// UNPACK requests: min(local mask extent of i, vector capacity of j)
-/// requested ranks at 8 bytes each.
+/// requested ranks at the plan's index width (index_wire_bytes of the
+/// vector layout) each.
 std::vector<std::vector<std::size_t>> unpack_request_bounds(
     const plan::UnpackPlan& plan);
 

@@ -35,6 +35,7 @@ const char* expected_rule(Defect defect) {
       return "deadlock";
     case Defect::kUnderchargedRound:
     case Defect::kMisstatedWidth:
+    case Defect::kMisstatedIndexWidth:
       return "cost-conformance";
   }
   return "?";
@@ -51,6 +52,7 @@ const char* defect_name(Defect defect) {
     case Defect::kMisroutedRecv: return "misrouted-recv";
     case Defect::kOversizedPayload: return "oversized-payload";
     case Defect::kMisstatedWidth: return "misstated-width";
+    case Defect::kMisstatedIndexWidth: return "misstated-index-width";
   }
   return "?";
 }
@@ -162,6 +164,29 @@ bool seed_defect(CommSchedule& schedule, Defect defect) {
           for (Xfer& x : round.recvs) x.bytes *= 2;
         }
         return true;
+      }
+      return false;
+    }
+    case Defect::kMisstatedIndexWidth: {
+      // The first many-to-many block with index fields that moves bytes,
+      // lowered as if its index width were doubled: each transfer's bound
+      // of bytes / elem_bytes elements gains index_bytes per element on
+      // both sides, so matching still holds and only the closed form,
+      // priced at the plan's real width, can tell.
+      for (BlockIR& block : schedule.blocks) {
+        if (block.index_bytes == 0 || block.elem_bytes == 0) continue;
+        bool moved = false;
+        auto widen = [&](Xfer& x) {
+          const std::size_t extra =
+              x.bytes / block.elem_bytes * block.index_bytes;
+          x.bytes += extra;
+          moved = moved || extra > 0;
+        };
+        for (RoundIR& round : block.rounds) {
+          for (Xfer& x : round.posts) widen(x);
+          for (Xfer& x : round.recvs) widen(x);
+        }
+        if (moved) return true;
       }
       return false;
     }

@@ -6,8 +6,8 @@
 // Mutations edit the IR only; they never touch a plan or a machine.  Each
 // defect corresponds to a class of schedule-construction bugs the verifier
 // exists to catch (dropped post, duplicated frame, tag leak, dependency
-// cycle, undercharged round, misrouted receive, mailbox blow-up, a PRS
-// lowered at the wrong wire width).
+// cycle, undercharged round, misrouted receive, mailbox blow-up, a PRS or
+// a redistribution's index fields lowered at the wrong wire width).
 // lint: allow-no-preconditions -- deliberately produces invalid schedules;
 // the verifier is the validation.
 #pragma once
@@ -28,6 +28,8 @@ enum class Defect {
   kMisroutedRecv,     ///< receive expects the wrong source rank
   kOversizedPayload,  ///< inflate one post's bytes past its receive's
   kMisstatedWidth,    ///< price one PRS block's entries at twice their width
+  kMisstatedIndexWidth,  ///< price one M2M block's index fields at twice
+                         ///< their width
 };
 
 /// The rule (VerifyIssue::rule) the verifier must report for a defect.

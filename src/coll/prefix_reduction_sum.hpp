@@ -60,12 +60,15 @@ enum class PrsAlgorithm {
   kAuto,
 };
 
-/// Wire width of the ranking's PRS payloads.
-enum class PrsWidth {
-  /// Per level, the narrowest of 1, 2, 4 or 8 bytes per entry that holds
-  /// the level's compile-time bound (RankingStep::wire_bytes).
+/// Wire width of the integer fields PACK/UNPACK send: the ranking's PRS
+/// entries and the redistribution stage's index fields.
+enum class WireWidth {
+  /// The narrowest of 1, 2, 4 or 8 bytes per field that the layout proves
+  /// enough: per PRS level its compile-time bound
+  /// (RankingStep::wire_bytes), for index fields the vector's largest
+  /// local extent (index_wire_bytes).
   kAuto,
-  /// Every entry as int64, as the paper's implementation sends it.
+  /// Every field as 8 bytes, as the paper's implementation sends it.
   k64,
 };
 

@@ -13,15 +13,16 @@
 //   * segmented_prefix_fold_gather -- that final fold at level 0 of a
 //     W_0 = 1 counting scan, fused with the gather of PS_f under the mask:
 //     only the selected elements' ranks are kept, compacted in place;
-//   * narrow_to_bytes / widen_from_bytes / add_from_bytes -- the PRS
-//     payloads at a wire width of 1, 2, 4 or 8 bytes per base rank: a
-//     checked narrowing compose, a widening copy, and the rounds' fold of
+//   * narrow_to_bytes / widen_from_bytes / add_from_bytes -- integer
+//     fields at a wire width of 1, 2, 4 or 8 bytes: a checked narrowing
+//     compose (the PRS base ranks, and UNPACK's requests shifted to the
+//     owner's local indices), a widening copy, and the PRS rounds' fold of
 //     a received payload, read where it lies (unaligned loads from the
 //     message bytes);
 //   * prefix_in_range -- UNPACK's request runs: how far a scan-ordered
 //     rank list stays inside one V block;
-//   * run_gather -- UNPACK's replies: an owner answers the in-block prefix
-//     of a request stream by base + offset loads;
+//   * index_gather -- UNPACK's replies: an owner answers a request stream
+//     of local indices, each range-checked, by indexed loads;
 //   * mask_gather / mask_gather_first_n / run_decode -- the CMS run
 //     encode (a slice's selected values into a run payload) and decode;
 //   * mask_merge -- UNPACK's placement: the result's local storage written
@@ -135,22 +136,23 @@ std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
                                          const std::uint8_t* mask,
                                          std::int64_t* out);
 
-// --- PRS wire entries -----------------------------------------------------
+// --- wire entries ---------------------------------------------------------
 //
-// A ranking PRS ships its int64 base ranks as `width`-byte unsigned
-// integers, width in {1, 2, 4}, when the schedule proves every entry fits,
-// and as int64 otherwise (width 8, the plain int64 wire: a copy, and
-// signed values pass unchanged).  Entries are stored in host byte order.
-// src/out carry no alignment guarantee (payloads are byte vectors), so
-// every path loads and stores them unaligned; a payload never overlaps the
-// int64 vectors it is composed from or folded into.
+// A ranking PRS ships its int64 base ranks, and UNPACK its requests, as
+// `width`-byte unsigned integers, width in {1, 2, 4}, when the layout
+// proves every entry fits, and as int64 otherwise (width 8, the plain
+// int64 wire: signed values pass unchanged).  Entries are stored in host
+// byte order.  src/out carry no alignment guarantee (payloads are byte
+// vectors), so every path loads and stores them unaligned; a payload never
+// overlaps the int64 vectors it is composed from or folded into.
 
-/// Writes src[e] as the e-th width-byte entry of out, for e < n.  Below
-/// width 8, throws ContractError when any src[e] is negative or
-/// >= 2^(8 width): a value is never truncated onto the wire (out's
-/// contents are then unspecified).
+/// Writes src[e] + bias as the e-th width-byte entry of out, for e < n.
+/// Below width 8, throws ContractError when any src[e] + bias is negative
+/// or >= 2^(8 width): a value is never truncated onto the wire (out's
+/// contents are then unspecified).  The sum must not overflow int64.
 void narrow_to_bytes(const std::int64_t* src, std::size_t n,
-                     std::size_t width, std::byte* out);
+                     std::size_t width, std::byte* out,
+                     std::int64_t bias = 0);
 
 /// dst[e] = the e-th width-byte entry of src, zero-extended, for e < n.
 void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
@@ -196,7 +198,8 @@ std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
                                          const std::uint8_t* mask,
                                          std::int64_t* out);
 void narrow_to_bytes(const std::int64_t* src, std::size_t n,
-                     std::size_t width, std::byte* out);
+                     std::size_t width, std::byte* out,
+                     std::int64_t bias = 0);
 void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
                       std::size_t width);
 void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
@@ -224,11 +227,12 @@ std::size_t merge(const std::uint8_t* mask, const std::byte* src,
                   std::size_t src_len, const std::byte* field, std::size_t n,
                   std::size_t width, std::byte* out);
 
-/// Reference run gather over width-w elements: out[i] = base[r_i - lo]
-/// while the i-th int64 of `ranks` lies in [lo, hi); returns that count.
-std::size_t run_gather(const std::byte* ranks, std::size_t n, std::int64_t lo,
-                       std::int64_t hi, const std::byte* base,
-                       std::size_t width, std::byte* out);
+/// Reference indexed gather over width-w elements: out[i] = base[x_i],
+/// x_i the i-th index_width-byte entry of `index`; throws ContractError at
+/// the first x_i >= extent, before reading it.
+void index_gather(const std::byte* index, std::size_t n,
+                  std::size_t index_width, const std::byte* base,
+                  std::size_t extent, std::size_t width, std::byte* out);
 
 /// Reference run decode: one bounds check + one element copy per element,
 /// mirroring the historical per-element ByteReader::get<T> loop (the
@@ -253,10 +257,10 @@ std::size_t gather_first_n_bytes(const std::uint8_t* mask,
 std::size_t merge_bytes(const std::uint8_t* mask, const std::byte* src,
                         std::size_t src_len, const std::byte* field,
                         std::size_t n, std::size_t width, std::byte* out);
-std::size_t run_gather_bytes(const std::byte* ranks, std::size_t n,
-                             std::int64_t lo, std::int64_t hi,
-                             const std::byte* base, std::size_t width,
-                             std::byte* out);
+void index_gather_bytes(const std::byte* index, std::size_t n,
+                        std::size_t index_width, const std::byte* base,
+                        std::size_t extent, std::size_t width,
+                        std::byte* out);
 
 }  // namespace detail
 
@@ -311,19 +315,21 @@ std::size_t mask_merge(const std::uint8_t* mask, const T* src,
                              n, sizeof(T), reinterpret_cast<std::byte*>(out));
 }
 
-/// UNPACK's reply to one run of requests: while the i-th int64 of `ranks`
-/// (r_i) lies in the block [lo, hi), out[i] = base[r_i - lo]; returns the
-/// length of that in-range prefix (the first i with r_i outside, else n).
-/// ranks is a received payload with no alignment guarantee, so every path
-/// loads it unaligned; out is written with unaligned stores.  base must
-/// hold hi - lo elements.
+/// UNPACK's reply to a request stream: out[i] = base[x_i] for i < n, where
+/// x_i is the i-th index_width-byte unsigned entry of `index` (1, 2, 4 or
+/// 8 bytes, host byte order).  Every x_i is checked against `extent`, the
+/// length of base: an index at or past it throws ContractError before
+/// base is read there (out's contents are then unspecified).  index is a
+/// received payload with no alignment guarantee, so every path loads it
+/// unaligned; out is written with unaligned stores.
 template <typename T>
-std::size_t run_gather(const std::byte* ranks, std::size_t n, std::int64_t lo,
-                       std::int64_t hi, const T* base, std::byte* out) {
+void index_gather(const std::byte* index, std::size_t n,
+                  std::size_t index_width, const T* base, std::size_t extent,
+                  std::byte* out) {
   static_assert(std::is_trivially_copyable_v<T>);
-  return detail::run_gather_bytes(ranks, n, lo, hi,
-                                  reinterpret_cast<const std::byte*>(base),
-                                  sizeof(T), out);
+  detail::index_gather_bytes(index, n, index_width,
+                             reinterpret_cast<const std::byte*>(base), extent,
+                             sizeof(T), out);
 }
 
 /// Unloads a CMS run payload (count contiguous elements, already validated

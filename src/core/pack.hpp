@@ -7,21 +7,23 @@
 //   1. Ranking -- rank_mask() computes each selected element's global rank
 //      without moving array data.
 //   2. Redistribution -- many-to-many personalized communication ships each
-//      selected value to the result-vector owner of its rank.
+//      selected value to the result-vector owner of its rank, addressed by
+//      the owner's local index of that rank, sent at the width the result
+//      layout proves (index_wire_bytes).
 //
 // Three storage/message-composition schemes are provided:
 //
 //   * Simple storage scheme (SSS): the initial scan records one info record
 //     per selected element; message composition replays the records.  One
 //     local scan, but ~4 memory operations per selected element.  Messages
-//     are (rank, value) pairs.
+//     are (index, value) pairs.
 //   * Compact storage scheme (CSS): nothing is recorded; composition
 //     re-scans each slice that the counter array PS_c shows to be nonempty
 //     (stopping early once all of its selected elements are found).
-//     Messages are (rank, value) pairs.
+//     Messages are (index, value) pairs.
 //   * Compact message scheme (CMS): CSS storage, but messages are run-length
-//     segments (base-rank, count, values...) exploiting that ranks within a
-//     slice are consecutive.
+//     segments (base index, count, values...) exploiting that ranks within
+//     a slice are consecutive.
 //
 // PackScheme::kAuto applies the Section 6.4 analytical model to a sampled
 // density estimate (shared across processors with a tiny all-reduce).
@@ -30,6 +32,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "coll/alltoallv.hpp"
@@ -81,6 +84,40 @@ void for_each_dest_run(const dist::BlockCyclicDim& vdim, std::int64_t r0,
   }
 }
 
+/// Stage 2c for one received payload: unloads it into `vlocal`, the
+/// receiver's share of the result vector.  The payload holds (index, value)
+/// pairs, or under CMS (index, count, values...) segments, every index and
+/// count `iw` bytes wide.  Every index, and every CMS run's end, is checked
+/// against vlocal's extent, so a corrupt stream throws ContractError
+/// instead of writing out of bounds.
+template <typename T>
+void pack_decompose(std::span<const std::byte> payload, std::span<T> vlocal,
+                    std::size_t iw, bool cms, ProcCounters& ctr) {
+  ByteReader r(payload);
+  const std::size_t extent = vlocal.size();
+  while (!r.done()) {
+    const std::uint64_t l0 = r.get_uint(iw);
+    if (cms) {
+      const std::uint64_t count = r.get_uint(iw);
+      PUP_REQUIRE(l0 <= extent && count <= extent - l0,
+                  "PACK: a run of " << count << " at local index " << l0
+                                    << " overruns the local extent "
+                                    << extent);
+      ++ctr.segments_recv;
+      const auto n = static_cast<std::size_t>(count);
+      kernels::run_decode<T>(r.get_raw(n * sizeof(T)).data(), n,
+                             vlocal.data() + l0);
+      ctr.recv_elems += static_cast<dist::index_t>(n);
+    } else {
+      PUP_REQUIRE(l0 < extent, "PACK: local index "
+                                   << l0 << " outside the local extent "
+                                   << extent);
+      vlocal[static_cast<std::size_t>(l0)] = r.get<T>();
+      ++ctr.recv_elems;
+    }
+  }
+}
+
 /// kAuto resolution: the sampled global density (sample_density) fed to
 /// the Section 6.4 selector.
 inline PackScheme resolve_pack_scheme(sim::Machine& machine,
@@ -126,6 +163,7 @@ PackResult<T> pack_execute(sim::Machine& machine,
                                             << " < selected count "
                                             << ranking.size);
   const dist::BlockCyclicDim vdim = result_dist->dim(0);
+  const std::size_t iw = index_wire_bytes(vdim, options.wire_width);
   out.vector = dist::DistArray<T>(*result_dist);
   if (init_from != nullptr) {
     machine.local_phase([&](int rank) {
@@ -174,9 +212,8 @@ PackResult<T> pack_execute(sim::Machine& machine,
             decode_sss_record(pr.info_words.data() + base, lshape, W0);
         const std::int64_t r =
             rec.init_rank + pr.ps_f[static_cast<std::size_t>(rec.slice)];
-        const int dest = vdim.owner(r);
-        auto& w = writers[static_cast<std::size_t>(dest)];
-        w.put<std::int64_t>(r);
+        auto& w = writers[static_cast<std::size_t>(vdim.owner(r))];
+        w.put_uint(static_cast<std::uint64_t>(vdim.local_index(r)), iw);
         w.put<T>(avals[static_cast<std::size_t>(rec.local_linear)]);
       }
     } else {
@@ -220,32 +257,30 @@ PackResult<T> pack_execute(sim::Machine& machine,
                       slice_vals.data()));
         PUP_DCHECK(found == n, "slice counter mismatch");
         (void)found;
+        // A slice's ranks are consecutive, and so are their local indices
+        // within each destination run.
         const std::int64_t r0 = pr.ps_f[W0 == 1 ? next_w1++ : us];
-        if (cms) {
-          std::int64_t emitted = 0;
-          for_each_dest_run(vdim, r0, n,
-                            [&](int dest, std::int64_t run_base,
-                                std::int64_t run_len) {
-                              auto& w =
-                                  writers[static_cast<std::size_t>(dest)];
-                              w.put<std::int64_t>(run_base);
-                              w.put<std::int64_t>(run_len);
-                              w.put_span<T>(
-                                  {slice_vals.data() +
-                                       static_cast<std::size_t>(emitted),
-                                   static_cast<std::size_t>(run_len)});
-                              emitted += run_len;
-                              ++ctr.segments_sent;
-                            });
-        } else {
-          for (std::int32_t j = 0; j < n; ++j) {
-            const std::int64_t r = r0 + j;
-            const int dest = vdim.owner(r);
-            auto& w = writers[static_cast<std::size_t>(dest)];
-            w.put<std::int64_t>(r);
-            w.put<T>(slice_vals[static_cast<std::size_t>(j)]);
-          }
-        }
+        const T* vals = slice_vals.data();
+        for_each_dest_run(
+            vdim, r0, n,
+            [&](int dest, std::int64_t run_base, std::int64_t run_len) {
+              auto& w = writers[static_cast<std::size_t>(dest)];
+              const auto l0 =
+                  static_cast<std::uint64_t>(vdim.local_index(run_base));
+              const auto len = static_cast<std::size_t>(run_len);
+              if (cms) {
+                w.put_uint(l0, iw);
+                w.put_uint(len, iw);
+                w.put_span<T>({vals, len});
+                ++ctr.segments_sent;
+              } else {
+                for (std::size_t j = 0; j < len; ++j) {
+                  w.put_uint(l0 + j, iw);
+                  w.put<T>(vals[j]);
+                }
+              }
+              vals += len;
+            });
       }
     }
     for (int p = 0; p < P; ++p) {
@@ -265,38 +300,12 @@ PackResult<T> pack_execute(sim::Machine& machine,
   sim::PhaseScope decompose_phase(machine, "pack.decompose");
   machine.local_phase([&](int rank) {
     auto& ctr = out.counters[static_cast<std::size_t>(rank)];
-    auto vlocal = out.vector.local(rank);
+    const auto vlocal = out.vector.local(rank);
     for (int p = 0; p < P; ++p) {
       auto& payload =
           recv[static_cast<std::size_t>(rank)][static_cast<std::size_t>(p)];
       ctr.bytes_recv += static_cast<dist::index_t>(payload.size());
-      ByteReader r(payload);
-      if (cms) {
-        while (!r.done()) {
-          const auto base = r.get<std::int64_t>();
-          const auto count = r.get<std::int64_t>();
-          ++ctr.segments_recv;
-          // A run maps to contiguous local indices by construction
-          // (for_each_dest_run breaks runs at block boundaries), so the
-          // whole run unloads as one bulk copy.
-          const auto l0 = static_cast<std::size_t>(vdim.local_index(base));
-          PUP_DCHECK(count == 0 ||
-                         static_cast<std::size_t>(vdim.local_index(
-                             base + count - 1)) == l0 + count - 1,
-                     "CMS run not contiguous in the local vector");
-          const auto n = static_cast<std::size_t>(count);
-          const auto raw = r.get_raw(n * sizeof(T));
-          kernels::run_decode<T>(raw.data(), n, vlocal.data() + l0);
-          ctr.recv_elems += count;
-        }
-      } else {
-        while (!r.done()) {
-          const auto rk = r.get<std::int64_t>();
-          const auto v = r.get<T>();
-          vlocal[static_cast<std::size_t>(vdim.local_index(rk))] = v;
-          ++ctr.recv_elems;
-        }
-      }
+      pack_decompose<T>(payload, vlocal, iw, cms, ctr);
       // The payload is fully consumed; recycle its capacity for the next
       // round's composition on this rank.
       machine.payload_arena(rank).release(std::move(payload));
@@ -322,7 +331,7 @@ PackResult<T> pack_impl(sim::Machine& machine,
 
   RankingOptions ropt;
   ropt.prs = options.prs;
-  ropt.prs_width = options.prs_width;
+  ropt.wire_width = options.wire_width;
   ropt.record_infos = scheme == PackScheme::kSimpleStorage;
   const RankingResult ranking = rank_mask(machine, mask, ropt);
 

@@ -39,16 +39,18 @@ struct PackOptions {
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto;
   coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation;
   SliceScan slice_scan = SliceScan::kStopEarly;
-  /// Wire width of the ranking's PRS payloads (RankingOptions::prs_width).
-  coll::PrsWidth prs_width = coll::PrsWidth::kAuto;
+  /// Wire width of the ranking's PRS entries and of the redistribution
+  /// stage's index fields (index_wire_bytes of the result layout).
+  coll::WireWidth wire_width = coll::WireWidth::kAuto;
 };
 
 struct UnpackOptions {
   UnpackScheme scheme = UnpackScheme::kCompactStorage;
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto;
   coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation;
-  /// Wire width of the ranking's PRS payloads (RankingOptions::prs_width).
-  coll::PrsWidth prs_width = coll::PrsWidth::kAuto;
+  /// Wire width of the ranking's PRS entries and of the requests' index
+  /// fields (index_wire_bytes of the vector's layout).
+  coll::WireWidth wire_width = coll::WireWidth::kAuto;
 };
 
 /// Preliminary redistribution schemes for cyclically distributed inputs

@@ -9,9 +9,12 @@
 // positions, the rank r such that the position must receive V[r] -- but the
 // *owners* of V do not know who needs their data (UNPACK is a READ).  The
 // redistribution stage is therefore two-phase: each processor sends request
-// lists (ranks) to the owners, and the owners answer with the values in
-// request order.  This doubles the communication volume relative to PACK,
-// matching the paper's observation.
+// lists to the owners, and the owners answer with the values in request
+// order.  A request is the owner's local index of the rank, at the width
+// the layout of V proves (index_wire_bytes).  On the paper's int64 wire
+// (WireWidth::k64) this doubles the communication volume relative to
+// PACK, matching the paper's observation; the narrow wire makes the
+// request round cheaper than the reply round.
 //
 // Two storage schemes are evaluated by the paper and implemented here:
 // simple storage (per-element infos recorded in the initial scan) and
@@ -22,9 +25,7 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "coll/alltoallv.hpp"
@@ -83,10 +84,11 @@ struct RequestRun {
 ///
 /// The local phases work on runs, not elements.  Each processor lists its
 /// requested ranks in scan order and cuts the list into runs at V's block
-/// boundaries; a run ships with one bulk write to its owner and comes back
-/// as one contiguous stretch of that owner's reply.  Owners check each
-/// requested block once (in range, owned here) and answer it with
-/// base + offset indexing.  Placement reassembles the scan-ordered values
+/// boundaries; a run ships to its owner as one checked narrowing of its
+/// ranks to the owner's local indices, and comes back as one contiguous
+/// stretch of that owner's reply.  Owners answer a whole request stream
+/// with one indexed gather that range-checks every index against their
+/// local extent.  Placement reassembles the scan-ordered values
 /// run by run and writes the result's local storage: for CSS one merge of
 /// the values and the field over the local mask (a CSS slice s covers
 /// local storage [s*W_0, s*W_0 + W_0), so scan order *is* local storage
@@ -108,6 +110,7 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
                                        << " < true mask count "
                                        << ranking.size);
   const dist::BlockCyclicDim vdim = v.dist().dim(0);
+  const std::size_t iw = index_wire_bytes(vdim, options.wire_width);
   const dist::index_t W0 = ranking.slice_width;
   const dist::index_t C = ranking.slices;
 
@@ -185,8 +188,11 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
       const std::size_t len =
           1 + kernels::prefix_in_range(ranks + i + 1, n - i - 1,
                                        blk.start, blk.end);
-      writers[static_cast<std::size_t>(blk.owner)].put_span(
-          std::span<const std::int64_t>(ranks + i, len));
+      // Rank r is the owner's local index r - start + local_base.
+      kernels::narrow_to_bytes(
+          ranks + i, len, iw,
+          writers[static_cast<std::size_t>(blk.owner)].grow(len * iw).data(),
+          blk.local_base - blk.start);
       my_runs.push_back(RequestRun{blk.owner, len});
       i += len;
     }
@@ -202,10 +208,9 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
       coll::alltoallv(machine, coll::Group::world(P), std::move(requests),
                       options.schedule, sim::Category::kM2M);
 
-  // Phase B: owners answer with values, preserving request order.  Each
-  // requested block is validated once -- in range and owned here -- and
-  // run_gather answers the stretch of requests inside it by base + offset
-  // (every element is range-checked against the block).
+  // Phase B: owners answer with values, preserving request order: one
+  // indexed gather per request stream, every index checked against the
+  // owner's local extent.
   coll::ByteBuffers replies(static_cast<std::size_t>(P));
   for (auto& row : replies) row.resize(static_cast<std::size_t>(P));
   sim::PhaseScope reply_phase(machine, "unpack.replies");
@@ -214,29 +219,15 @@ UnpackResult<T> unpack_execute(sim::Machine& machine,
     for (int p = 0; p < P; ++p) {
       auto& request = request_in[static_cast<std::size_t>(rank)]
                                 [static_cast<std::size_t>(p)];
-      PUP_REQUIRE(request.size() % sizeof(std::int64_t) == 0,
+      PUP_REQUIRE(request.size() % iw == 0,
                   "UNPACK request stream from rank "
-                      << p << " is not a whole number of ranks");
-      const std::size_t n = request.size() / sizeof(std::int64_t);
+                      << p << " is not a whole number of " << iw
+                      << "-byte indices");
+      const std::size_t n = request.size() / iw;
       if (n == 0) continue;
-      const std::byte* in = request.data();
       ByteWriter w(&machine.payload_arena(rank));
-      std::byte* dst = w.grow(n * sizeof(T)).data();
-      for (std::size_t i = 0; i < n;) {
-        std::int64_t r;
-        std::memcpy(&r, in + i * sizeof(std::int64_t), sizeof(r));
-        const auto blk = vdim.block_of(r);
-        PUP_REQUIRE(blk.owner == rank,
-                    "misrouted UNPACK request: rank " << r << " is owned by "
-                                                      << blk.owner
-                                                      << ", not " << rank);
-        PUP_DCHECK(blk.local_index(blk.end - 1) <
-                       static_cast<std::int64_t>(vlocal.size()),
-                   "V block past the owner's local storage");
-        i += kernels::run_gather<T>(
-            in + i * sizeof(std::int64_t), n - i, blk.start, blk.end,
-            vlocal.data() + blk.local_base, dst + i * sizeof(T));
-      }
+      kernels::index_gather<T>(request.data(), n, iw, vlocal.data(),
+                               vlocal.size(), w.grow(n * sizeof(T)).data());
       out.counters[static_cast<std::size_t>(rank)].recv_elems +=
           static_cast<dist::index_t>(n);
       replies[static_cast<std::size_t>(rank)][static_cast<std::size_t>(p)] =
@@ -328,7 +319,7 @@ UnpackResult<T> unpack(sim::Machine& machine, const dist::DistArray<T>& v,
 
   RankingOptions ropt;
   ropt.prs = options.prs;
-  ropt.prs_width = options.prs_width;
+  ropt.wire_width = options.wire_width;
   ropt.record_infos = scheme == UnpackScheme::kSimpleStorage;
   const RankingResult ranking = rank_mask(machine, mask, ropt);
 

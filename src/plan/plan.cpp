@@ -28,7 +28,7 @@ PlanKey pack_plan_key(const dist::Distribution& dist, int elem_width,
   key.words.push_back(elem_width);
   key.words.push_back(static_cast<std::int64_t>(options.scheme));
   key.words.push_back(static_cast<std::int64_t>(options.prs));
-  key.words.push_back(static_cast<std::int64_t>(options.prs_width));
+  key.words.push_back(static_cast<std::int64_t>(options.wire_width));
   key.words.push_back(static_cast<std::int64_t>(options.schedule));
   key.words.push_back(static_cast<std::int64_t>(options.slice_scan));
   key.words.push_back(result_dist.has_value() ? 1 : 0);
@@ -46,7 +46,7 @@ PlanKey unpack_plan_key(const dist::Distribution& mask_dist,
   key.words.push_back(elem_width);
   key.words.push_back(static_cast<std::int64_t>(options.scheme));
   key.words.push_back(static_cast<std::int64_t>(options.prs));
-  key.words.push_back(static_cast<std::int64_t>(options.prs_width));
+  key.words.push_back(static_cast<std::int64_t>(options.wire_width));
   key.words.push_back(static_cast<std::int64_t>(options.schedule));
   return key;
 }
@@ -67,7 +67,7 @@ PackPlan compile_pack_plan(sim::Machine& machine,
   PackPlan plan;
   plan.dist = dist;
   plan.schedule = compile_ranking_schedule(dist, machine.nprocs(),
-                                           options.prs, options.prs_width);
+                                           options.prs, options.wire_width);
   plan.options = options;
   plan.result_dist = std::move(result_dist);
   plan.elem_width = elem_width;
@@ -91,7 +91,7 @@ UnpackPlan compile_unpack_plan(sim::Machine& machine,
   plan.dist = mask_dist;
   plan.vector_dist = vector_dist;
   plan.schedule = compile_ranking_schedule(mask_dist, machine.nprocs(),
-                                           options.prs, options.prs_width);
+                                           options.prs, options.wire_width);
   plan.options = options;
   plan.elem_width = elem_width;
   plan.key = unpack_plan_key(mask_dist, vector_dist, elem_width, options);

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <type_traits>
@@ -35,6 +36,19 @@ class ByteWriter {
     const std::size_t off = bytes_.size();
     bytes_.resize(off + sizeof(T));
     std::memcpy(bytes_.data() + off, &v, sizeof(T));
+  }
+
+  /// Appends v as a `width`-byte unsigned integer, width 1, 2, 4 or 8 (a
+  /// wire index field: its low bytes, in host byte order).  v must fit.
+  void put_uint(std::uint64_t v, std::size_t width) {
+    PUP_DCHECK(width == 8 || (v >> (8 * width)) == 0,
+               v << " does not fit " << width << " bytes");
+    switch (width) {
+      case 1: return put(static_cast<std::uint8_t>(v));
+      case 2: return put(static_cast<std::uint16_t>(v));
+      case 4: return put(static_cast<std::uint32_t>(v));
+      default: return put(v);
+    }
   }
 
   /// Appends the elements' bytes in one range insert (no zero-fill of the
@@ -84,6 +98,16 @@ class ByteReader {
     std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     return v;
+  }
+
+  /// Reads a `width`-byte unsigned integer written by put_uint.
+  std::uint64_t get_uint(std::size_t width) {
+    switch (width) {
+      case 1: return get<std::uint8_t>();
+      case 2: return get<std::uint16_t>();
+      case 4: return get<std::uint32_t>();
+      default: return get<std::uint64_t>();
+    }
   }
 
   template <typename T>

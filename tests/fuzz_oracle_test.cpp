@@ -1,9 +1,10 @@
 // Randomized configuration fuzzing: many machine/layout/density/scheme/
-// PRS-wire-width combinations drawn from a deterministic RNG, every one
+// wire-width combinations drawn from a deterministic RNG, every one
 // checked against the serial Fortran-90 oracle, and against itself at the
-// other wire width: the narrow PRS wire must give digest-identical results
-// with no more PRS bytes than the int64 one.  This is the catch-all net
-// under the targeted suites.
+// other wire width: the narrow wire must give digest-identical results
+// with no more PRS bytes, and no more PACK or UNPACK many-to-many bytes,
+// than the int64 one.  This is the catch-all net under the targeted
+// suites.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -27,7 +28,7 @@ struct Config {
   // Drawn after the mask, so the draws above stay those of the seeds
   // before the width axis existed.
   UnpackScheme unpack_scheme = UnpackScheme::kCompactStorage;
-  coll::PrsWidth width = coll::PrsWidth::kAuto;
+  coll::WireWidth width = coll::WireWidth::kAuto;
 };
 
 Config random_config(Xoshiro256& rng) {
@@ -74,28 +75,35 @@ struct Outcome {
   std::vector<std::int64_t> packed;
   std::vector<std::int64_t> restored;  ///< empty when nothing was selected
   std::int64_t prs_bytes = 0;
+  std::int64_t pack_m2m_bytes = 0;
+  std::int64_t unpack_m2m_bytes = 0;
 };
 
 Outcome run_config(sim::Machine& machine, const Config& c,
-                   coll::PrsWidth width,
+                   coll::WireWidth width,
                    const dist::DistArray<std::int64_t>& a,
                    const dist::DistArray<mask_t>& m) {
   Outcome run;
+  auto m2m = [&] { return machine.trace().bytes_in(sim::Category::kM2M); };
   const std::int64_t before = machine.trace().bytes_in(sim::Category::kPrs);
+  const std::int64_t m2m0 = m2m();
   PackOptions opt;
   opt.scheme = c.scheme;
   opt.prs = c.prs;
   opt.schedule = c.schedule;
-  opt.prs_width = width;
+  opt.wire_width = width;
   auto packed = pack(machine, a, m, opt);
   run.packed = packed.vector.gather();
+  const std::int64_t m2m1 = m2m();
+  run.pack_m2m_bytes = m2m1 - m2m0;
   if (packed.size > 0) {
     UnpackOptions uopt;
     uopt.scheme = c.unpack_scheme;
     uopt.schedule = c.schedule;
-    uopt.prs_width = width;
+    uopt.wire_width = width;
     run.restored = unpack(machine, packed.vector, m, a, uopt).result.gather();
   }
+  run.unpack_m2m_bytes = m2m() - m2m1;
   run.prs_bytes = machine.trace().bytes_in(sim::Category::kPrs) - before;
   return run;
 }
@@ -118,8 +126,8 @@ TEST_P(FuzzOracle, PackAndUnpackAgreeWithSerialSemantics) {
   auto m = dist::DistArray<mask_t>::scatter(d, gm);
   c.unpack_scheme = rng.next_below(2) == 0 ? UnpackScheme::kSimpleStorage
                                            : UnpackScheme::kCompactStorage;
-  c.width = rng.next_below(2) == 0 ? coll::PrsWidth::kAuto
-                                   : coll::PrsWidth::k64;
+  c.width = rng.next_below(2) == 0 ? coll::WireWidth::kAuto
+                                   : coll::WireWidth::k64;
 
   const Outcome run = run_config(machine, c, c.width, a, m);
   const auto expected = serial_pack<std::int64_t>(data, gm);
@@ -131,18 +139,21 @@ TEST_P(FuzzOracle, PackAndUnpackAgreeWithSerialSemantics) {
   }
 
   // The same configuration at both widths, on fault-free machines so the
-  // PRS bytes count no retransmission: identical result digests, and the
-  // narrow wire never moves more PRS bytes.
+  // byte counts include no retransmission: identical result digests, and
+  // the narrow wire never moves more PRS bytes, nor more many-to-many
+  // bytes in PACK or in UNPACK.
   sim::Machine narrow_machine(p, test::test_options());
   sim::Machine wide_machine(p, test::test_options());
   const Outcome narrow =
-      run_config(narrow_machine, c, coll::PrsWidth::kAuto, a, m);
+      run_config(narrow_machine, c, coll::WireWidth::kAuto, a, m);
   const Outcome wide =
-      run_config(wide_machine, c, coll::PrsWidth::k64, a, m);
+      run_config(wide_machine, c, coll::WireWidth::k64, a, m);
   EXPECT_EQ(digest(narrow.packed), digest(wide.packed));
   EXPECT_EQ(digest(narrow.restored), digest(wide.restored));
   EXPECT_EQ(digest(narrow.packed), digest(run.packed));
   EXPECT_LE(narrow.prs_bytes, wide.prs_bytes);
+  EXPECT_LE(narrow.pack_m2m_bytes, wide.pack_m2m_bytes);
+  EXPECT_LE(narrow.unpack_m2m_bytes, wide.unpack_m2m_bytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzOracle, ::testing::Range(0, 60));

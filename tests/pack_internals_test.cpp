@@ -3,6 +3,7 @@
 // and the counter identities the Section 6.4 model defines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "core/api.hpp"
@@ -56,8 +57,15 @@ TEST(DestRuns, LengthsSumToN) {
   EXPECT_EQ(total, 456);
 }
 
+// Index fields are index_wire_bytes(result layout) wide: 8 bytes on the
+// paper's wire, 1 here under kAuto (the 512 x 50% mask packs about 256
+// elements, 32 or so per rank).
+constexpr coll::WireWidth kWidths[] = {coll::WireWidth::k64,
+                                       coll::WireWidth::kAuto};
+
 TEST(WireFormat, CmsBytesMatchSegmentAccounting) {
-  // CMS payload bytes == 8 * elements + 16 * segments (int64 header pair).
+  // CMS payload bytes == 8 * elements + 2 * iw * segments (the header's
+  // index and count).
   auto machine = test::make_machine(8);
   auto d = dist::Distribution::block_cyclic(dist::Shape({512}),
                                             dist::ProcessGrid({8}), 16);
@@ -65,16 +73,22 @@ TEST(WireFormat, CmsBytesMatchSegmentAccounting) {
   auto gm = random_mask(512, 0.5, 321);
   auto a = dist::DistArray<std::int64_t>::scatter(d, data);
   auto m = dist::DistArray<mask_t>::scatter(d, gm);
-  PackOptions opt;
-  opt.scheme = PackScheme::kCompactMessage;
-  auto result = pack(machine, a, m, opt);
-  for (const auto& c : result.counters) {
-    EXPECT_EQ(c.bytes_sent, 8 * c.packed + 16 * c.segments_sent);
-    EXPECT_EQ(c.bytes_recv, 8 * c.recv_elems + 16 * c.segments_recv);
+  for (const coll::WireWidth width : kWidths) {
+    PackOptions opt;
+    opt.scheme = PackScheme::kCompactMessage;
+    opt.wire_width = width;
+    auto result = pack(machine, a, m, opt);
+    const auto iw = static_cast<dist::index_t>(
+        index_wire_bytes(result.vector.dist().dim(0), width));
+    EXPECT_EQ(iw, width == coll::WireWidth::k64 ? 8 : 1);
+    for (const auto& c : result.counters) {
+      EXPECT_EQ(c.bytes_sent, 8 * c.packed + 2 * iw * c.segments_sent);
+      EXPECT_EQ(c.bytes_recv, 8 * c.recv_elems + 2 * iw * c.segments_recv);
+    }
   }
 }
 
-TEST(WireFormat, PairSchemesBytesAreSixteenPerElement) {
+TEST(WireFormat, PairSchemesBytesAreIndexPlusValuePerElement) {
   auto machine = test::make_machine(8);
   auto d = dist::Distribution::block_cyclic(dist::Shape({512}),
                                             dist::ProcessGrid({8}), 16);
@@ -84,21 +98,70 @@ TEST(WireFormat, PairSchemesBytesAreSixteenPerElement) {
   auto m = dist::DistArray<mask_t>::scatter(d, gm);
   for (PackScheme scheme :
        {PackScheme::kSimpleStorage, PackScheme::kCompactStorage}) {
-    PackOptions opt;
-    opt.scheme = scheme;
-    auto result = pack(machine, a, m, opt);
-    for (const auto& c : result.counters) {
-      EXPECT_EQ(c.bytes_sent, 16 * c.packed);
-      EXPECT_EQ(c.bytes_recv, 16 * c.recv_elems);
+    for (const coll::WireWidth width : kWidths) {
+      PackOptions opt;
+      opt.scheme = scheme;
+      opt.wire_width = width;
+      auto result = pack(machine, a, m, opt);
+      const auto iw = static_cast<dist::index_t>(
+          index_wire_bytes(result.vector.dist().dim(0), width));
+      for (const auto& c : result.counters) {
+        EXPECT_EQ(c.bytes_sent, (iw + 8) * c.packed);
+        EXPECT_EQ(c.bytes_recv, (iw + 8) * c.recv_elems);
+      }
     }
   }
 }
 
+TEST(WireFormat, DecomposeRejectsIndicesOutsideTheLocalExtent) {
+  // Corrupt payloads at every index width: an index at or past the
+  // receiver's extent of 10, or a CMS run that overruns it, throws
+  // ContractError instead of writing out of bounds (the sanitizer jobs
+  // would report such a write).
+  std::vector<std::int64_t> vlocal(10, -1);
+  ProcCounters ctr;
+  for (const std::size_t iw : {1, 2, 4, 8}) {
+    const std::uint64_t widest =
+        iw == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * iw)) - 1;
+    auto pair = [&](std::uint64_t l) {
+      ByteWriter w;
+      w.put_uint(l, iw);
+      w.put<std::int64_t>(5);
+      return w.take();
+    };
+    auto run = [&](std::uint64_t l0, std::uint64_t count) {
+      ByteWriter w;
+      w.put_uint(l0, iw);
+      w.put_uint(count, iw);
+      for (std::uint64_t j = 0; j < std::min<std::uint64_t>(count, 12); ++j) {
+        w.put<std::int64_t>(6);
+      }
+      return w.take();
+    };
+    auto decompose = [&](const std::vector<std::byte>& payload, bool cms) {
+      detail::pack_decompose<std::int64_t>(payload, vlocal, iw, cms, ctr);
+    };
+    EXPECT_NO_THROW(decompose(pair(9), false)) << iw;
+    EXPECT_EQ(vlocal[9], 5);
+    EXPECT_NO_THROW(decompose(run(6, 4), true)) << iw;
+    EXPECT_EQ(vlocal[6], 6);
+    EXPECT_EQ(vlocal[9], 6);
+    for (const std::uint64_t bad : {std::uint64_t{10}, widest}) {
+      EXPECT_THROW(decompose(pair(bad), false), ContractError) << iw;
+      EXPECT_THROW(decompose(run(bad, 1), true), ContractError) << iw;
+    }
+    EXPECT_THROW(decompose(run(0, 11), true), ContractError) << iw;
+    EXPECT_THROW(decompose(run(7, 4), true), ContractError) << iw;
+    EXPECT_THROW(decompose(run(1, widest), true), ContractError) << iw;
+  }
+}
+
 TEST(WireFormat, CmsNeverShipsMoreBytesThanPairs) {
-  // Segments cost 16 bytes but cover >= 1 element each; a segment of one
-  // element costs 24 vs 16 for a pair, so CMS *can* lose on pathological
-  // masks -- but not when the result vector is block-distributed and
-  // slices are dense, the regime the paper recommends it for.
+  // Segments cost two index fields but cover >= 1 element each; on the
+  // int64 wire a segment of one element costs 24 vs 16 for a pair, so CMS
+  // *can* lose on pathological masks -- but not when the result vector is
+  // block-distributed and slices are dense, the regime the paper
+  // recommends it for.
   auto machine = test::make_machine(4);
   auto d = dist::Distribution::block_cyclic(dist::Shape({256}),
                                             dist::ProcessGrid({4}), 32);

@@ -54,17 +54,17 @@ TEST(ProtocolValidator, CleanPackRunValidates) {
   auto f = dist::DistArray<int>::scatter(d, std::span<const int>(field));
 
   // Both PRS wires: the int64 one and the narrow default (u8 here).
-  for (const coll::PrsWidth width :
-       {coll::PrsWidth::k64, coll::PrsWidth::kAuto}) {
+  for (const coll::WireWidth width :
+       {coll::WireWidth::k64, coll::WireWidth::kAuto}) {
     for (PackScheme scheme :
          {PackScheme::kSimpleStorage, PackScheme::kCompactStorage,
           PackScheme::kCompactMessage}) {
       PackOptions opt;
       opt.scheme = scheme;
-      opt.prs_width = width;
+      opt.wire_width = width;
       auto packed = pack(machine, a, mk, opt);
       UnpackOptions uopt;
-      uopt.prs_width = width;
+      uopt.wire_width = width;
       unpack(machine, packed.vector, mk, f, uopt);
     }
   }

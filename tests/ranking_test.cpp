@@ -602,7 +602,7 @@ TEST(RankingWireWidth, BoundsResolveTheNarrowestWidth) {
     for (const int x : l.procs) p *= x;
     const RankingSchedule narrow = compile_ranking_schedule(d, p);
     const RankingSchedule wide = compile_ranking_schedule(
-        d, p, coll::PrsAlgorithm::kAuto, coll::PrsWidth::k64);
+        d, p, coll::PrsAlgorithm::kAuto, coll::WireWidth::k64);
     ASSERT_EQ(narrow.steps.size(), l.widths.size()) << l.name;
     for (std::size_t i = 0; i < l.widths.size(); ++i) {
       EXPECT_EQ(narrow.steps[i].wire_bytes, l.widths[i])
@@ -639,9 +639,9 @@ TEST(RankingWireWidth, NarrowWireMatchesInt64WireAndOracle) {
       SCOPED_TRACE(l.name + " prs=" + std::to_string(static_cast<int>(alg)));
       auto machine = make_machine(p);
       const RankingSchedule narrow =
-          compile_ranking_schedule(d, p, alg, coll::PrsWidth::kAuto);
+          compile_ranking_schedule(d, p, alg, coll::WireWidth::kAuto);
       const RankingSchedule wide =
-          compile_ranking_schedule(d, p, alg, coll::PrsWidth::k64);
+          compile_ranking_schedule(d, p, alg, coll::WireWidth::k64);
       for (std::size_t i = 0; i < l.widths.size(); ++i) {
         ASSERT_EQ(narrow.steps[i].wire_bytes, l.widths[i]) << "level " << i;
       }
@@ -707,8 +707,8 @@ TEST(RankingWireWidth, NarrowWireCutsPrsBytes) {
       d, random_mask(d.global().size(), 0.5, 0x99));
   const dist::DistArray<mask_t>* one = &mask;
   std::vector<std::int64_t> bytes, msgs;
-  for (const coll::PrsWidth width :
-       {coll::PrsWidth::k64, coll::PrsWidth::kAuto}) {
+  for (const coll::WireWidth width :
+       {coll::WireWidth::k64, coll::WireWidth::kAuto}) {
     sim::Machine machine(16, test::test_options());
     const RankingSchedule sched =
         compile_ranking_schedule(d, 16, coll::PrsAlgorithm::kDirect, width);

@@ -275,6 +275,14 @@ TEST(SimdKernels, WireNarrowAndWidenMatchReferenceAtEveryOffset) {
           kernels::narrow_to_bytes(values.data(), n, width, wire);
           ASSERT_TRUE(n == 0 || std::memcmp(wire, ref.data(), n * width) == 0)
               << what;
+          // The same entries, composed as shifted values plus a bias.
+          constexpr std::int64_t kBias = -12345;
+          std::vector<std::int64_t> shifted = values;
+          for (auto& x : shifted) x -= kBias;
+          std::fill(storage.begin(), storage.end(), std::byte{0x5c});
+          kernels::narrow_to_bytes(shifted.data(), n, width, wire, kBias);
+          ASSERT_TRUE(n == 0 || std::memcmp(wire, ref.data(), n * width) == 0)
+              << what << " (biased)";
           std::vector<std::int64_t> copy(n, -1);
           kernels::widen_from_bytes(copy.data(), wire, n, width);
           ASSERT_EQ(copy, values) << what;
@@ -311,6 +319,14 @@ TEST(SimdKernels, WireNarrowThrowsOnAnyOutOfRangeEntry) {
               ContractError)
               << kernels::path_name(path) << " width=" << width
               << " bad=" << bad << " at=" << at;
+          // Out of range only once the bias is added.
+          auto shifted = values;
+          for (auto& x : shifted) x -= 3;
+          EXPECT_THROW(kernels::narrow_to_bytes(shifted.data(), n, width,
+                                                out.data(), 3),
+                       ContractError)
+              << kernels::path_name(path) << " width=" << width
+              << " bad=" << bad << " at=" << at << " (biased)";
         }
       }
     }
@@ -454,16 +470,16 @@ TEST(SimdKernels, SegmentedPrefixFoldGatherMatchesDefinition) {
 }
 
 template <typename T>
-void check_run_gather() {
-  // [lo, hi) = [100, 200), answered from base[r - lo].  The run ends at a
-  // rank just below lo, at hi, at INT64_MIN or at INT64_MAX, placed at
-  // every position (every lane of every block and of the tail), and runs
-  // to n when every rank is inside, including n = 0.  Requests are bytes
-  // at offsets 1-7 from an aligned buffer, as a received payload may be.
-  const std::int64_t lo = 100;
-  const std::int64_t hi = 200;
-  std::vector<T> base(static_cast<std::size_t>(hi - lo));
-  for (std::size_t j = 0; j < base.size(); ++j) {
+void check_index_gather() {
+  // out[i] = base[x_i] over an extent of 100, at every index width, from
+  // request bytes at offsets 0-7 from an aligned buffer (as a received
+  // payload may be), n = 0..37.  An index at the extent or at the width's
+  // largest value, placed at every position (every lane of every step and
+  // of the tail) of the streams with n <= 13 or n = 37, at two offsets,
+  // throws ContractError.
+  const std::size_t extent = 100;
+  std::vector<T> base(extent);
+  for (std::size_t j = 0; j < extent; ++j) {
     base[j] = static_cast<T>(j * 7 + 3);
   }
   std::vector<std::int64_t> storage(40);
@@ -471,45 +487,44 @@ void check_run_gather() {
   auto* o = out.data() + 3;
   for (const Path path : all_paths()) {
     ForceGuard force(path);
-    EXPECT_EQ(kernels::run_gather<T>(nullptr, 0, lo, hi, base.data(), o), 0U)
-        << kernels::path_name(path);
-    for (std::size_t offset = 1; offset < 8; ++offset) {
-      auto* req = reinterpret_cast<std::byte*>(storage.data()) + offset;
-      for (std::size_t n = 1; n <= 37; ++n) {
-        std::vector<std::int64_t> v(n);
-        for (std::size_t i = 0; i < n; ++i) {
-          v[i] = lo + static_cast<std::int64_t>((i * 37) % 100);
-        }
-        auto check = [&](const std::vector<std::int64_t>& ranks,
-                         std::size_t want, const std::string& what) {
-          std::memcpy(req, ranks.data(), n * sizeof(std::int64_t));
+    for (const std::size_t iw : {1, 2, 4, 8}) {
+      const std::uint64_t widest =
+          iw == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * iw)) - 1;
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        auto* req = reinterpret_cast<std::byte*>(storage.data()) + offset;
+        for (std::size_t n = 0; n <= 37; ++n) {
+          std::vector<std::uint64_t> v(n);
+          for (std::size_t i = 0; i < n; ++i) v[i] = (i * 37) % extent;
+          auto write = [&](const std::vector<std::uint64_t>& index) {
+            for (std::size_t i = 0; i < n; ++i) {
+              std::memcpy(req + i * iw, &index[i], iw);  // low bytes
+            }
+          };
+          const std::string where = std::string(kernels::path_name(path)) +
+                                    " width=" + std::to_string(sizeof(T)) +
+                                    " index_width=" + std::to_string(iw) +
+                                    " offset=" + std::to_string(offset) +
+                                    " n=" + std::to_string(n);
+          write(v);
           std::fill(out.begin(), out.end(), std::byte{0x5c});
-          ASSERT_EQ(kernels::run_gather<T>(req, n, lo, hi, base.data(), o),
-                    want)
-              << what;
-          for (std::size_t i = 0; i < want; ++i) {
+          kernels::index_gather<T>(req, n, iw, base.data(), extent, o);
+          for (std::size_t i = 0; i < n; ++i) {
             T got;
             std::memcpy(&got, o + i * sizeof(T), sizeof(T));
-            ASSERT_EQ(got, base[static_cast<std::size_t>(ranks[i] - lo)])
-                << what << " i=" << i;
+            ASSERT_EQ(got, base[v[i]]) << where << " i=" << i;
           }
-        };
-        const std::string where = std::string(kernels::path_name(path)) +
-                                  " width=" + std::to_string(sizeof(T)) +
-                                  " offset=" + std::to_string(offset) +
-                                  " n=" + std::to_string(n);
-        check(v, n, where);
-        for (std::size_t at = 0; at < n; ++at) {
-          for (const std::int64_t outside :
-               {lo - 1, hi, std::numeric_limits<std::int64_t>::min(),
-                std::numeric_limits<std::int64_t>::max()}) {
-            std::vector<std::int64_t> w = v;
-            w[at] = outside;
-            // A second exit later must not matter.
-            if (at + 2 < n) w[at + 2] = hi + 5;
-            check(w, at,
-                  where + " at=" + std::to_string(at) +
-                      " rank=" + std::to_string(outside));
+          const bool probe_throws =
+              (offset == 0 || offset == 5) && (n <= 13 || n == 37);
+          for (std::size_t at = 0; probe_throws && at < n; ++at) {
+            for (const std::uint64_t bad : {std::uint64_t{extent}, widest}) {
+              std::vector<std::uint64_t> w = v;
+              w[at] = bad;
+              write(w);
+              EXPECT_THROW(
+                  kernels::index_gather<T>(req, n, iw, base.data(), extent, o),
+                  ContractError)
+                  << where << " at=" << at << " index=" << bad;
+            }
           }
         }
       }
@@ -517,9 +532,11 @@ void check_run_gather() {
   }
 }
 
-TEST(SimdKernels, RunGatherStopsAtFirstOutsideRank) {
-  check_run_gather<std::int64_t>();
-  check_run_gather<std::int32_t>();
+TEST(SimdKernels, IndexGatherMatchesDefinitionAndRejectsOutOfRange) {
+  check_index_gather<std::int64_t>();
+  check_index_gather<std::int32_t>();
+  check_index_gather<std::int16_t>();
+  check_index_gather<std::int8_t>();
 }
 
 TEST(SimdKernels, PrefixInRangeStopsAtFirstOutsideValue) {

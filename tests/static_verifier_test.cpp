@@ -15,7 +15,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,8 +77,8 @@ const std::vector<coll::PrsAlgorithm> kPrsKnobs = {
 const std::vector<coll::M2MSchedule> kM2MKnobs = {
     coll::M2MSchedule::kLinearPermutation, coll::M2MSchedule::kNaive};
 // The paper's int64 wire and the narrowest proven one.
-const std::vector<coll::PrsWidth> kWidths = {coll::PrsWidth::k64,
-                                             coll::PrsWidth::kAuto};
+const std::vector<coll::WireWidth> kWidths = {coll::WireWidth::k64,
+                                             coll::WireWidth::kAuto};
 
 std::string case_name(const GridCase& gc, int scheme, int prs, int m2m) {
   return std::string(gc.name) + " scheme=" + std::to_string(scheme) +
@@ -161,6 +163,59 @@ TEST(StaticVerifier, PinnedResultLayoutVerifies) {
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
+// The M2M bounds price every index field at the plan's width: the pinned
+// result (or vector) layout's index_wire_bytes, else, for an unpinned PACK
+// result, that of a ceil(N/P)-element share.
+TEST(StaticVerifier, M2MBoundsPriceIndexFieldsAtThePlanWidth) {
+  auto machine = make_machine(8);
+  const auto d = dist::Distribution::block_cyclic(dist::Shape({4096}),
+                                                  dist::ProcessGrid({8}), 8);
+  const std::size_t li = 512;  // every rank's mask extent, = ceil(N/P)
+  auto pack_bound = [&](PackScheme scheme, coll::WireWidth width,
+                        std::optional<dist::Distribution> rd) {
+    PackOptions opt;
+    opt.scheme = scheme;
+    opt.wire_width = width;
+    const auto plan = plan::compile_pack_plan(machine, d, sizeof(double), opt,
+                                              std::move(rd));
+    return st::pack_m2m_bounds(plan)[0][1];
+  };
+  // Unpinned: shares of ceil(4096 / 8) = 512 need two-byte indices.
+  EXPECT_EQ(pack_bound(PackScheme::kCompactStorage, coll::WireWidth::kAuto,
+                       std::nullopt),
+            li * (2 + 8));
+  EXPECT_EQ(pack_bound(PackScheme::kCompactMessage, coll::WireWidth::kAuto,
+                       std::nullopt),
+            li * (2 * 2 + 8));
+  EXPECT_EQ(pack_bound(PackScheme::kSimpleStorage, coll::WireWidth::k64,
+                       std::nullopt),
+            li * (8 + 8));
+  EXPECT_EQ(pack_bound(PackScheme::kCompactMessage, coll::WireWidth::k64,
+                       std::nullopt),
+            li * (2 * 8 + 8));
+  // Pinned: 8 shares of 25 fit one byte, and cap the bound at 25 elements.
+  const auto rd = dist::Distribution::block1d(200, 8);
+  EXPECT_EQ(pack_bound(PackScheme::kCompactStorage, coll::WireWidth::kAuto,
+                       rd),
+            std::size_t{25} * (1 + 8));
+  EXPECT_EQ(pack_bound(PackScheme::kCompactMessage, coll::WireWidth::k64, rd),
+            std::size_t{25} * (2 * 8 + 8));
+
+  // UNPACK requests: one index field per requested rank, at most the
+  // owner's share; V's shares of 300 need two bytes.
+  const auto vd = dist::Distribution::block1d(2400, 8);
+  for (const coll::WireWidth width : kWidths) {
+    UnpackOptions opt;
+    opt.wire_width = width;
+    const auto plan =
+        plan::compile_unpack_plan(machine, d, vd, sizeof(double), opt);
+    const std::size_t iw = width == coll::WireWidth::k64 ? 8 : 2;
+    EXPECT_EQ(st::unpack_request_bounds(plan)[0][1], std::size_t{300} * iw);
+    EXPECT_EQ(st::unpack_reply_bounds(plan)[1][0], std::size_t{300} * 8);
+    EXPECT_TRUE(st::verify_plan(plan, machine.cost()).ok());
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Mutation matrix: 0 escapes across all defect classes and plan shapes.
 
@@ -170,21 +225,21 @@ TEST(StaticVerifier, MutationHarnessHasNoEscapes) {
       st::Defect::kDuplicatedTag,     st::Defect::kForeignTag,
       st::Defect::kCyclicDependency,  st::Defect::kUnderchargedRound,
       st::Defect::kMisroutedRecv,     st::Defect::kOversizedPayload,
-      st::Defect::kMisstatedWidth,
+      st::Defect::kMisstatedWidth,     st::Defect::kMisstatedIndexWidth,
   };
-  int seeded_total = 0;
+  std::map<st::Defect, int> seeded;
   for (const GridCase& gc : grid_cases()) {
     auto machine = make_machine(gc.p);
     for (PackScheme scheme : kPackSchemes) {
       for (coll::PrsAlgorithm prs :
            {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit}) {
-        for (const coll::PrsWidth width : kWidths) {
+        for (const coll::WireWidth width : kWidths) {
           for (coll::M2MSchedule m2m : kM2MKnobs) {
             PackOptions opt;
             opt.scheme = scheme;
             opt.prs = prs;
             opt.schedule = m2m;
-            opt.prs_width = width;
+            opt.wire_width = width;
             const plan::PackPlan plan = plan::compile_pack_plan(
                 machine, gc.dist, sizeof(double), opt);
             const st::ExpandedPlan pristine =
@@ -195,7 +250,7 @@ TEST(StaticVerifier, MutationHarnessHasNoEscapes) {
             for (st::Defect defect : defects) {
               st::ExpandedPlan mutated = pristine;
               if (!st::seed_defect(mutated.schedule, defect)) continue;
-              ++seeded_total;
+              ++seeded[defect];
               const st::VerifyReport report = st::verify_schedule(
                   mutated.schedule, mutated.expectations);
               const std::string want = st::expected_rule(defect);
@@ -213,7 +268,9 @@ TEST(StaticVerifier, MutationHarnessHasNoEscapes) {
     }
   }
   // Every defect class must have found at least one seeding site overall.
-  EXPECT_GE(seeded_total, static_cast<int>(defects.size()));
+  for (st::Defect defect : defects) {
+    EXPECT_GT(seeded[defect], 0) << st::defect_name(defect) << " never seeded";
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -235,13 +292,13 @@ TEST(StaticVerifier, PackTraceMatchesExpansion) {
 
     for (PackScheme scheme : kPackSchemes) {
       for (coll::PrsAlgorithm prs : kPrsKnobs) {
-        for (const coll::PrsWidth width : kWidths) {
+        for (const coll::WireWidth width : kWidths) {
           for (coll::M2MSchedule m2m : kM2MKnobs) {
             PackOptions opt;
             opt.scheme = scheme;
             opt.prs = prs;
             opt.schedule = m2m;
-            opt.prs_width = width;
+            opt.wire_width = width;
             const plan::PackPlan plan = plan::compile_pack_plan(
                 machine, gc.dist, sizeof(double), opt);
             const st::ExpandedPlan expanded =
@@ -317,13 +374,13 @@ TEST(StaticVerifier, UnpackTraceMatchesExpansion) {
 
     for (UnpackScheme scheme : kUnpackSchemes) {
       for (coll::PrsAlgorithm prs : kPrsKnobs) {
-        for (const coll::PrsWidth width : kWidths) {
+        for (const coll::WireWidth width : kWidths) {
           for (coll::M2MSchedule m2m : kM2MKnobs) {
             UnpackOptions opt;
             opt.scheme = scheme;
             opt.prs = prs;
             opt.schedule = m2m;
-            opt.prs_width = width;
+            opt.wire_width = width;
             const plan::UnpackPlan plan = plan::compile_unpack_plan(
                 machine, gc.dist, vd, sizeof(double), opt);
             const st::ExpandedPlan expanded =

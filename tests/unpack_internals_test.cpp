@@ -43,19 +43,30 @@ TEST(UnpackInternals, RequestAndReplyBytesMatchFormula) {
   const int p = 8;
   UnpackFixture s = make_setup(p, 512, 8, 0.5);
   auto machine = make_machine(p);
-  auto result = unpack(machine, s.v, s.m, s.f);
-  // Requests: one int64 rank per true element; replies: one int64 value.
-  std::int64_t sent = 0, recv = 0, served = 0, packed = 0;
-  for (const auto& c : result.counters) {
-    sent += c.bytes_sent;
-    recv += c.bytes_recv;
-    served += c.recv_elems;
-    packed += c.packed;
+  // Requests: one index per true element, 8 bytes on the paper's wire and
+  // 1 under kAuto (V's shares hold 32 or so entries); replies: one int64
+  // value.
+  for (const coll::WireWidth width :
+       {coll::WireWidth::k64, coll::WireWidth::kAuto}) {
+    UnpackOptions opt;
+    opt.wire_width = width;
+    auto result = unpack(machine, s.v, s.m, s.f, opt);
+    const std::int64_t iw = width == coll::WireWidth::k64 ? 8 : 1;
+    EXPECT_EQ(static_cast<std::int64_t>(
+                  index_wire_bytes(s.v.dist().dim(0), width)),
+              iw);
+    std::int64_t sent = 0, recv = 0, served = 0, packed = 0;
+    for (const auto& c : result.counters) {
+      sent += c.bytes_sent;
+      recv += c.bytes_recv;
+      served += c.recv_elems;
+      packed += c.packed;
+    }
+    EXPECT_EQ(packed, s.size);
+    EXPECT_EQ(served, s.size);     // every request answered
+    EXPECT_EQ(sent, iw * s.size);  // request stream
+    EXPECT_EQ(recv, 8 * s.size);   // value stream
   }
-  EXPECT_EQ(packed, s.size);
-  EXPECT_EQ(served, s.size);       // every request answered
-  EXPECT_EQ(sent, 8 * s.size);     // request stream
-  EXPECT_EQ(recv, 8 * s.size);     // value stream
 }
 
 TEST(UnpackInternals, TrafficIsRoughlyTwicePack) {
@@ -75,9 +86,11 @@ TEST(UnpackInternals, TrafficIsRoughlyTwicePack) {
   const auto unpack_bytes = um.trace().bytes_in(sim::Category::kM2M) +
                             um.trace().self_bytes();
 
-  // PACK ships (rank, value) = 16B per element in one phase; UNPACK ships
-  // 8B requests + 8B replies = the same bytes but across two phases (twice
-  // the start-up rounds).  Volumes match; message counts roughly double.
+  // PACK ships (index, value) = iw + 8 bytes per element in one phase;
+  // UNPACK ships iw-byte requests + 8-byte replies = the same bytes but
+  // across two phases (twice the start-up rounds), iw being the index
+  // width of the same block1d(count) layout on both sides.  Volumes match;
+  // message counts roughly double.
   EXPECT_EQ(unpack_bytes, pack_bytes);
   EXPECT_GE(um.trace().messages_in(sim::Category::kM2M),
             pm.trace().messages_in(sim::Category::kM2M));

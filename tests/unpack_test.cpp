@@ -218,7 +218,10 @@ TEST(Unpack, RequestPastVectorExtentThrows) {
 // implementation of the local phases: total message and byte counts, the
 // modeled time, an FNV-1a digest over every many-to-many payload (plus the
 // self traffic), and a digest of the result.  A rewrite of the local phases
-// may change how the payloads are composed, never what they contain.
+// may change how the payloads are composed, never what they contain.  (The
+// payload digests were re-recorded once, when requests changed from global
+// ranks to the owners' local indices; on the int64 wire every count and
+// time stayed as recorded.)
 
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
   const auto* p = static_cast<const unsigned char*>(data);
@@ -264,8 +267,8 @@ std::string pin_row(const WirePin& w) {
   return os.str();
 }
 
-// The paper's int64 PRS wire (prs_width = k64), recorded before narrow
-// widths existed, and the default narrowest-proven wire (kAuto).
+// The paper's int64 wire (wire_width = k64), recorded before narrow widths
+// existed, and the default narrowest-proven wire (kAuto).
 const std::vector<WirePin> kWirePins = {
 #include "unpack_wire_pins.inc"
 };
@@ -297,7 +300,7 @@ std::vector<PinLayout> pin_layouts() {
 
 WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
                           UnpackScheme scheme, double density,
-                          sim::ExecPolicy policy, coll::PrsWidth width) {
+                          sim::ExecPolicy policy, coll::WireWidth width) {
   int p = 1;
   for (int x : layout.procs) p *= x;
   // Pinned: fault-free traffic under the given policy, whatever the env.
@@ -328,7 +331,7 @@ WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
   auto v = dist::DistArray<std::int32_t>::scatter(vdist, vhost);
   UnpackOptions opt;
   opt.scheme = scheme;
-  opt.prs_width = width;
+  opt.wire_width = width;
   const auto result = unpack(machine, v, m, f, opt).result.gather();
   machine.remove_observer(&wire);
   EXPECT_EQ(result, serial_unpack<std::int32_t>(vhost, gm, fhost));
@@ -349,7 +352,7 @@ WirePin run_pinned_unpack(const PinLayout& layout, int v_block,
                        kFnvOffset)};
 }
 
-void check_wire_pins(sim::ExecPolicy policy, coll::PrsWidth width,
+void check_wire_pins(sim::ExecPolicy policy, coll::WireWidth width,
                      const std::vector<WirePin>& pins) {
   std::vector<WirePin> actual;
   for (const PinLayout& layout : pin_layouts()) {
@@ -372,22 +375,22 @@ void check_wire_pins(sim::ExecPolicy policy, coll::PrsWidth width,
 }
 
 TEST(UnpackWirePin, SequentialMatchesRecordedWire) {
-  check_wire_pins(sim::ExecPolicy::sequential(), coll::PrsWidth::k64,
+  check_wire_pins(sim::ExecPolicy::sequential(), coll::WireWidth::k64,
                   kWirePins);
 }
 
 TEST(UnpackWirePin, ThreadedMatchesRecordedWire) {
-  check_wire_pins(sim::ExecPolicy::threaded(4), coll::PrsWidth::k64,
+  check_wire_pins(sim::ExecPolicy::threaded(4), coll::WireWidth::k64,
                   kWirePins);
 }
 
 TEST(UnpackWirePin, SequentialNarrowMatchesRecordedWire) {
-  check_wire_pins(sim::ExecPolicy::sequential(), coll::PrsWidth::kAuto,
+  check_wire_pins(sim::ExecPolicy::sequential(), coll::WireWidth::kAuto,
                   kNarrowWirePins);
 }
 
 TEST(UnpackWirePin, ThreadedNarrowMatchesRecordedWire) {
-  check_wire_pins(sim::ExecPolicy::threaded(4), coll::PrsWidth::kAuto,
+  check_wire_pins(sim::ExecPolicy::threaded(4), coll::WireWidth::kAuto,
                   kNarrowWirePins);
 }
 

@@ -108,7 +108,7 @@ void run_mutations(Tally& tally, const st::ExpandedPlan& pristine) {
       st::Defect::kDuplicatedTag,    st::Defect::kForeignTag,
       st::Defect::kCyclicDependency, st::Defect::kUnderchargedRound,
       st::Defect::kMisroutedRecv,    st::Defect::kOversizedPayload,
-      st::Defect::kMisstatedWidth,
+      st::Defect::kMisstatedWidth,   st::Defect::kMisstatedIndexWidth,
   };
   for (st::Defect defect : defects) {
     st::ExpandedPlan mutated = pristine;
@@ -158,8 +158,8 @@ int main(int argc, char** argv) {
       pup::coll::PrsAlgorithm::kDirect, pup::coll::PrsAlgorithm::kSplit,
       pup::coll::PrsAlgorithm::kControlNetwork,
       pup::coll::PrsAlgorithm::kAuto};
-  const pup::coll::PrsWidth widths[] = {pup::coll::PrsWidth::k64,
-                                        pup::coll::PrsWidth::kAuto};
+  const pup::coll::WireWidth widths[] = {pup::coll::WireWidth::k64,
+                                        pup::coll::WireWidth::kAuto};
   const pup::coll::M2MSchedule m2m_knobs[] = {
       pup::coll::M2MSchedule::kLinearPermutation,
       pup::coll::M2MSchedule::kNaive};
@@ -174,13 +174,13 @@ int main(int argc, char** argv) {
     for (const auto& d : distributions_for(p)) {
       for (pup::PackScheme scheme : pack_schemes) {
         for (pup::coll::PrsAlgorithm prs : prs_knobs) {
-          for (pup::coll::PrsWidth width : widths) {
+          for (pup::coll::WireWidth width : widths) {
             for (pup::coll::M2MSchedule m2m : m2m_knobs) {
               pup::PackOptions opt;
               opt.scheme = scheme;
               opt.prs = prs;
               opt.schedule = m2m;
-              opt.prs_width = width;
+              opt.wire_width = width;
               const pup::plan::PackPlan plan = pup::plan::compile_pack_plan(
                   machine, d, sizeof(double), opt);
               for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
@@ -202,13 +202,13 @@ int main(int argc, char** argv) {
           d.global().size() / 2 + 1, p);
       for (pup::UnpackScheme scheme : unpack_schemes) {
         for (pup::coll::PrsAlgorithm prs : prs_knobs) {
-          for (pup::coll::PrsWidth width : widths) {
+          for (pup::coll::WireWidth width : widths) {
             for (pup::coll::M2MSchedule m2m : m2m_knobs) {
               pup::UnpackOptions opt;
               opt.scheme = scheme;
               opt.prs = prs;
               opt.schedule = m2m;
-              opt.prs_width = width;
+              opt.wire_width = width;
               const pup::plan::UnpackPlan plan =
                   pup::plan::compile_unpack_plan(machine, d, vd,
                                                  sizeof(double), opt);
