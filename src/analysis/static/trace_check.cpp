@@ -188,8 +188,10 @@ TraceCheckResult check_trace(const ScheduleRecorder& recorder,
     const std::string where = whereos.str();
 
     // Charge-only blocks (control-network PRS) run outside any collective
-    // scope; their charges land in the outside-collective bucket.
-    if (ir.rounds.empty()) {
+    // scope; their charges land in the outside-collective bucket.  A block
+    // with no rounds is not one of them: a one-member many-to-many opens
+    // its scope and runs zero rounds.
+    if (!ir.direct_charges.empty()) {
       for (const RankCharge& c : ir.direct_charges) {
         expected_outside[c.rank] += c.us;
       }

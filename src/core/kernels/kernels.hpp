@@ -45,8 +45,8 @@
 //
 // Selection: set_path() pins a path; by default ("auto") kernels take the
 // best vector path.  The library never reads the environment: the entry
-// points that honour PUP_SIMD (the test main, example_quickstart) turn
-// PUP_SIMD=off into set_path(kScalar).  Every kernel computes exact
+// point that honours PUP_SIMD (example_quickstart) turns PUP_SIMD=off
+// into set_path(kScalar).  Every kernel computes exact
 // integer (or memcpy'd) results, so the choice can never change a payload
 // byte, a modeled charge, or a trace digest -- only the real wall clock
 // charged to local computation.  tests/simd_kernels_test.cpp holds

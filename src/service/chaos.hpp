@@ -27,7 +27,7 @@
 //   4. the server survives to a clean shutdown.
 //
 // tests/chaos_soak_test.cpp sweeps seeds x fault schedules x pool sizes
-// (ctest -L chaos); tools/chaos_soak drives arbitrary seed ranges from the
+// (ctest -R chaos_soak); tools/chaos_soak drives arbitrary seed ranges from the
 // command line for long soaks.
 #pragma once
 

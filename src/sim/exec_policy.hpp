@@ -4,8 +4,8 @@
 // other, the historical default) or on a persistent thread pool that
 // executes the per-rank bodies concurrently.  The policy is chosen per
 // machine through MachineOptions::exec (sim/machine.hpp); the library
-// never reads it from the environment.  Test and bench binaries that honour
-// PUP_THREADS translate it at their entry point (support::Env::read).
+// never reads it from the environment.  example_quickstart, which honours
+// PUP_THREADS, translates it at its entry point (support::Env::read).
 //
 // Threading is a pure wall-clock optimization: every *modeled* quantity
 // (message payloads, tau + mu*m charges, trace digests) is identical under

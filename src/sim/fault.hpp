@@ -35,8 +35,8 @@
 //
 // A machine injects faults only once a plan is installed with
 // Machine::set_fault_plan(FaultPlan::parse(spec)); the library never reads
-// the environment, but the test main and example_quickstart accept the
-// same spec in PUP_FAULTS (support::Env::read).  Syntax, '|'-separated
+// the environment, but example_quickstart accepts the same spec in
+// PUP_FAULTS (support::Env::read).  Syntax, '|'-separated
 // rules of whitespace- or comma-separated key=value fields, first matching
 // probability rule wins:
 //

@@ -4,9 +4,9 @@
 // Server is configured by its caller (sim::MachineOptions,
 // Machine::set_fault_plan, Runtime::recovery(), Server::Options,
 // kernels::set_path).  Env::read() is the one place the variables are
-// parsed, and only process entry points call it -- the shared test main
-// and example_quickstart -- once, at startup, before any thread exists
-// (std::getenv is not guaranteed thread-safe).
+// parsed, and only a process entry point calls it -- example_quickstart
+// -- once, at startup, before any thread exists (std::getenv is not
+// guaranteed thread-safe).  Test binaries read no environment.
 //
 //   PUP_THREADS   local-phase pool size, an integer in 1..1024
 //   PUP_FAULTS    a fault plan in the sim/fault.hpp grammar

@@ -1,4 +1,4 @@
-// Chaos soak (ctest -L chaos): seeded random workloads x random mixed
+// Chaos soak (ctest -R chaos_soak): seeded random workloads x random mixed
 // fault schedules x deadlines x cancels, sequential and on a 4-thread
 // local-phase pool (so TSan races cancellation and watchdog trips against
 // concurrent rank bodies).  Each seed runs the full harness contract

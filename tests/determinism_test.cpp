@@ -21,7 +21,6 @@
 #include "core/api.hpp"
 #include "plan/resilient.hpp"
 #include "sim/fault.hpp"
-#include "support/env.hpp"
 #include "support/rng.hpp"
 #include "test_support.hpp"
 
@@ -30,7 +29,8 @@ namespace {
 
 const sim::CostModel kCost{10.0, 0.05};
 
-/// kCost plus the startup PUP_THREADS (the *_threaded registration).
+/// kCost on sequential local phases; the threaded parity tests below pin
+/// their own pools.
 sim::MachineOptions opts() { return test::test_options(kCost); }
 
 TEST(Determinism, PackReplaysIdentically) {
@@ -305,17 +305,6 @@ TEST(Determinism, RecorderStacksWithProtocolValidator) {
   EXPECT_EQ(digest.messages, validator.stats().posts);
   validator.finish();
   EXPECT_TRUE(validator.ok()) << validator.report();
-}
-
-TEST(TestConfig, EnvReachesHelperMachines) {
-  // Re-reads the process environment and checks that the test main passed
-  // it on: a helper machine is threaded exactly when PUP_THREADS asks for
-  // a pool and carries a fault plan exactly when PUP_FAULTS is set, so a
-  // re-run registration cannot silently lose its configuration.
-  const support::Env env = support::Env::read();
-  auto machine = test::make_machine(4);
-  EXPECT_EQ(machine.exec().is_threaded(), env.threads.value_or(1) > 1);
-  EXPECT_EQ(machine.fault_plan() != nullptr, env.faults.has_value());
 }
 
 }  // namespace

@@ -1,30 +1,34 @@
 // Cross-cutting integration tests: determinism of the simulation, topology
-// and schedule variants, large machines, deep ranks, and non-scalar element
-// types -- all verified end-to-end against the serial oracle.
+// variants, a 256-processor machine and a rank-5 array -- all verified
+// end-to-end against the serial oracle, on a clean network and under a
+// seeded fault plan that the reliable layer recovers.  Schedule and PRS
+// variants, 64 processors and 16-byte elements are axes of the seeded
+// draw (fuzz_oracle_test.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
 
 #include "core/api.hpp"
-#include "support/env.hpp"
+#include "sim/fault.hpp"
 #include "test_support.hpp"
 
 namespace pup {
 namespace {
 
-struct Particle {
-  double x;
-  std::int32_t id;
-  std::int32_t flags;
+const char* const kFaultSpec =
+    "seed=1234 drop=0.05 dup=0.03 delay=0.04 ticks=2 trunc=0.03";
 
-  bool operator==(const Particle&) const = default;
+/// GetParam(): whether the machines carry the seeded fault plan.
+class Integration : public ::testing::TestWithParam<bool> {
+ protected:
+  /// Installs the fault plan on a faulted instance's machine.
+  void on_network(sim::Machine& machine) const {
+    if (GetParam()) machine.set_fault_plan(sim::FaultPlan::parse(kFaultSpec));
+  }
 };
-static_assert(std::is_trivially_copyable_v<Particle>);
 
-using test::make_machine;
-
-TEST(Integration, SimulationIsBitwiseDeterministic) {
+TEST_P(Integration, SimulationIsBitwiseDeterministic) {
   // Two independent machines running the same PACK must agree on modeled
   // communication time, message counts, traffic, and results exactly.
   auto run = [](sim::Machine& machine) {
@@ -36,7 +40,9 @@ TEST(Integration, SimulationIsBitwiseDeterministic) {
     auto m = dist::DistArray<mask_t>::scatter(d, random_mask(256, 0.5, 77));
     return pack(machine, a, m);
   };
-  auto m1 = make_machine(8), m2 = make_machine(8);
+  auto m1 = test::make_machine(8), m2 = test::make_machine(8);
+  on_network(m1);
+  on_network(m2);
   auto r1 = run(m1);
   auto r2 = run(m2);
   EXPECT_EQ(r1.vector.gather(), r2.vector.gather());
@@ -52,7 +58,7 @@ TEST(Integration, SimulationIsBitwiseDeterministic) {
   }
 }
 
-TEST(Integration, TopologyChangesCostNotResults) {
+TEST_P(Integration, TopologyChangesCostNotResults) {
   auto d = dist::Distribution::block_cyclic(dist::Shape({128}),
                                             dist::ProcessGrid({16}), 2);
   std::vector<int> data(128);
@@ -69,7 +75,8 @@ TEST(Integration, TopologyChangesCostNotResults) {
                        : kind == sim::TopologyKind::kHypercube
                            ? sim::Topology::hypercube(16)
                            : sim::Topology::mesh2d(16);
-    auto machine = make_machine(16, options);
+    auto machine = test::make_machine(16, options);
+    on_network(machine);
     auto a = dist::DistArray<int>::scatter(d, data);
     auto m = dist::DistArray<mask_t>::scatter(d, gm);
     auto result = pack(machine, a, m);
@@ -84,51 +91,10 @@ TEST(Integration, TopologyChangesCostNotResults) {
   }
 }
 
-TEST(Integration, SchedulesAndPrsVariantsAgreeOnData) {
-  auto d = dist::Distribution::block_cyclic(dist::Shape({16, 16}),
-                                            dist::ProcessGrid({4, 4}), 2);
-  std::vector<double> data(256);
-  std::iota(data.begin(), data.end(), 0.5);
-  auto gm = random_mask(256, 0.6, 13);
-  auto machine = make_machine(16);
-  auto a = dist::DistArray<double>::scatter(d, data);
-  auto m = dist::DistArray<mask_t>::scatter(d, gm);
-
-  std::vector<double> reference;
-  for (auto sched :
-       {coll::M2MSchedule::kLinearPermutation, coll::M2MSchedule::kNaive}) {
-    for (auto prs : {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit,
-                     coll::PrsAlgorithm::kAuto}) {
-      PackOptions opt;
-      opt.schedule = sched;
-      opt.prs = prs;
-      auto result = pack(machine, a, m, opt);
-      if (reference.empty()) {
-        reference = result.vector.gather();
-      } else {
-        EXPECT_EQ(result.vector.gather(), reference);
-      }
-    }
-  }
-}
-
-TEST(Integration, LargeMachine64Procs) {
-  const int p = 64;
-  auto machine = make_machine(p);
-  auto d = dist::Distribution::block_cyclic(dist::Shape({4096}),
-                                            dist::ProcessGrid({p}), 8);
-  std::vector<std::int64_t> data(4096);
-  std::iota(data.begin(), data.end(), 0);
-  auto gm = random_mask(4096, 0.4, 17);
-  auto a = dist::DistArray<std::int64_t>::scatter(d, data);
-  auto m = dist::DistArray<mask_t>::scatter(d, gm);
-  auto result = pack(machine, a, m);
-  EXPECT_EQ(result.vector.gather(), serial_pack<std::int64_t>(data, gm));
-}
-
-TEST(Integration, Machine256ProcsTwoDimensional) {
+TEST_P(Integration, Machine256ProcsTwoDimensional) {
   const int p = 256;
-  auto machine = make_machine(p);
+  auto machine = test::make_machine(p);
+  on_network(machine);
   auto d = dist::Distribution::block_cyclic(dist::Shape({64, 64}),
                                             dist::ProcessGrid({16, 16}), 2);
   std::vector<std::int64_t> data(4096);
@@ -140,8 +106,9 @@ TEST(Integration, Machine256ProcsTwoDimensional) {
   EXPECT_EQ(result.vector.gather(), serial_pack<std::int64_t>(data, gm));
 }
 
-TEST(Integration, Rank5Array) {
-  auto machine = make_machine(8);
+TEST_P(Integration, Rank5Array) {
+  auto machine = test::make_machine(8);
+  on_network(machine);
   auto d = dist::Distribution(dist::Shape({4, 4, 2, 2, 4}),
                               dist::ProcessGrid({2, 2, 1, 1, 2}),
                               {1, 2, 2, 1, 2});
@@ -160,27 +127,9 @@ TEST(Integration, Rank5Array) {
   }
 }
 
-TEST(Integration, StructElementType) {
-  auto machine = make_machine(4);
-  auto d = dist::Distribution::block_cyclic(dist::Shape({64}),
-                                            dist::ProcessGrid({4}), 4);
-  std::vector<Particle> data(64);
-  for (int i = 0; i < 64; ++i) {
-    data[static_cast<std::size_t>(i)] = Particle{0.5 * i, i, i % 7};
-  }
-  auto gm = random_mask(64, 0.5, 31);
-  auto a = dist::DistArray<Particle>::scatter(d, data);
-  auto m = dist::DistArray<mask_t>::scatter(d, gm);
-  auto packed = pack(machine, a, m);
-  EXPECT_EQ(packed.vector.gather(), serial_pack<Particle>(data, gm));
-
-  // Round trip through UNPACK.
-  auto restored = unpack(machine, packed.vector, m, a);
-  EXPECT_EQ(restored.result.gather(), data);
-}
-
-TEST(Integration, RepeatedOperationsLeaveMachineClean) {
-  auto machine = make_machine(4);
+TEST_P(Integration, RepeatedOperationsLeaveMachineClean) {
+  auto machine = test::make_machine(4);
+  on_network(machine);
   auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                             dist::ProcessGrid({4}), 2);
   std::vector<int> data(32, 1);
@@ -194,9 +143,10 @@ TEST(Integration, RepeatedOperationsLeaveMachineClean) {
   }
 }
 
-TEST(Integration, SingleProcessorMachineDegenerates) {
+TEST_P(Integration, SingleProcessorMachineDegenerates) {
   // P=1: no communication at all, still correct.
-  auto machine = make_machine(1);
+  auto machine = test::make_machine(1);
+  on_network(machine);
   auto d = dist::Distribution::block_cyclic(dist::Shape({32}),
                                             dist::ProcessGrid({1}), 4);
   std::vector<int> data(32);
@@ -209,16 +159,10 @@ TEST(Integration, SingleProcessorMachineDegenerates) {
   EXPECT_EQ(machine.trace().messages(), 0);
 }
 
-TEST(TestConfig, EnvReachesHelperMachines) {
-  // Re-reads the process environment and checks that the test main passed
-  // it on: a helper machine is threaded exactly when PUP_THREADS asks for
-  // a pool and carries a fault plan exactly when PUP_FAULTS is set, so a
-  // re-run registration cannot silently lose its configuration.
-  const support::Env env = support::Env::read();
-  auto machine = test::make_machine(4);
-  EXPECT_EQ(machine.exec().is_threaded(), env.threads.value_or(1) > 1);
-  EXPECT_EQ(machine.fault_plan() != nullptr, env.faults.has_value());
-}
+INSTANTIATE_TEST_SUITE_P(Network, Integration, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Faulted" : "Clean";
+                         });
 
 }  // namespace
 }  // namespace pup

@@ -1,10 +1,12 @@
 // Tests for the preliminary cyclic-to-block redistribution PACK paths
-// (Red1: selected data, Red2: whole arrays).
+// (Red1: selected data, Red2: whole arrays), on a clean network and under
+// a seeded fault plan that the reliable layer recovers.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
 #include "core/api.hpp"
+#include "sim/fault.hpp"
 #include "test_support.hpp"
 
 namespace pup {
@@ -18,14 +20,19 @@ struct Case {
   double density;
 };
 
+/// The last parameter: whether the machine carries this fault plan.
+const char* const kFaultSpec =
+    "seed=1234 drop=0.05 dup=0.03 delay=0.04 ticks=2 trunc=0.03";
+
 class RedSweep : public ::testing::TestWithParam<
-                     std::tuple<Case, RedistributionScheme>> {};
+                     std::tuple<Case, RedistributionScheme, bool>> {};
 
 TEST_P(RedSweep, MatchesDirectPack) {
-  const auto& [c, scheme] = GetParam();
+  const auto& [c, scheme, faulted] = GetParam();
   int p = 1;
   for (int x : c.procs) p *= x;
   auto machine = make_machine(p);
+  if (faulted) machine.set_fault_plan(sim::FaultPlan::parse(kFaultSpec));
   auto d = dist::Distribution::cyclic(dist::Shape(c.extents),
                                       dist::ProcessGrid(c.procs));
   const auto n = d.global().size();
@@ -51,7 +58,8 @@ INSTANTIATE_TEST_SUITE_P(
                           Case{{16, 16}, {4, 4}, 0.7},
                           Case{{60}, {5}, 0.4}),
         ::testing::Values(RedistributionScheme::kSelectedData,
-                          RedistributionScheme::kWholeArrays)));
+                          RedistributionScheme::kWholeArrays),
+        ::testing::Bool()));
 
 TEST(PackRedistribution, WorksFromBlockCyclicToo) {
   // Not only pure-cyclic inputs benefit; any distribution is accepted.

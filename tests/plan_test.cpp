@@ -6,8 +6,8 @@
 //     redistribution;
 //   * pack_batch is element-identical to B independent packs while
 //     charging at most half the PRS startups for B >= 4;
-//   * batched execution is digest-deterministic (also re-registered under
-//     PUP_THREADS=4 by tests/CMakeLists.txt).
+//   * batched execution is digest-deterministic (fuzz_oracle_test also
+//     runs pack_batch on 2-4 threads against a sequential digest).
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -19,7 +19,7 @@ namespace {
 using analysis::ProtocolValidator;
 using analysis::ValidatorOptions;
 
-test::TestMachine make_machine(int p) {
+sim::Machine make_machine(int p) {
   return test::make_machine(p, test::test_options({10.0, 0.05}));
 }
 

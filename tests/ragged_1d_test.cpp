@@ -2,7 +2,8 @@
 // arrays whose extent is not divisible by P*W (the paper assumes
 // divisibility; block-cyclic layouts only ever have a partial *last* tile,
 // which keeps the ranking machinery uniform).  This is what lets the
-// result of one PACK be packed again directly.
+// result of one PACK be packed again directly.  Ragged UNPACK and ragged
+// full masks are axes of the seeded draw (fuzz_oracle_test.cpp).
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -57,28 +58,6 @@ INSTANTIATE_TEST_SUITE_P(
                           PackScheme::kCompactStorage,
                           PackScheme::kCompactMessage)));
 
-TEST(Ragged1D, UnpackMatchesOracle) {
-  auto machine = make_machine(4);
-  auto d = dist::Distribution::block_cyclic(dist::Shape({19}),
-                                            dist::ProcessGrid({4}), 2);
-  auto gm = random_mask(19, 0.5, 99);
-  const auto count = count_true(gm);
-  std::vector<int> vhost(static_cast<std::size_t>(count));
-  std::iota(vhost.begin(), vhost.end(), 10);
-  std::vector<int> fhost(19, -1);
-  auto m = dist::DistArray<mask_t>::scatter(d, gm);
-  auto f = dist::DistArray<int>::scatter(d, fhost);
-  auto v = dist::DistArray<int>::scatter(dist::Distribution::block1d(count, 4),
-                                         vhost);
-  for (UnpackScheme scheme :
-       {UnpackScheme::kSimpleStorage, UnpackScheme::kCompactStorage}) {
-    UnpackOptions opt;
-    opt.scheme = scheme;
-    auto result = unpack(machine, v, m, f, opt);
-    EXPECT_EQ(result.result.gather(), serial_unpack<int>(vhost, gm, fhost));
-  }
-}
-
 TEST(Ragged1D, PackedVectorCanBePackedAgain) {
   // The motivating use: repeated compaction without capacity tricks.
   auto machine = make_machine(8);
@@ -117,20 +96,6 @@ TEST(Ragged1D, MultiDimensionalRaggedStillRejected) {
   dist::DistArray<mask_t> m(d);
   dist::DistArray<int> a(d);
   EXPECT_THROW(pack(machine, a, m), ContractError);
-}
-
-TEST(Ragged1D, AllTrueRaggedIsARedistribution) {
-  auto machine = make_machine(4);
-  auto d = dist::Distribution::block_cyclic(dist::Shape({14}),
-                                            dist::ProcessGrid({4}), 2);
-  std::vector<int> data(14);
-  std::iota(data.begin(), data.end(), 0);
-  std::vector<mask_t> ones(14, 1);
-  auto a = dist::DistArray<int>::scatter(d, data);
-  auto m = dist::DistArray<mask_t>::scatter(d, ones);
-  auto result = pack(machine, a, m);
-  EXPECT_EQ(result.size, 14);
-  EXPECT_EQ(result.vector.gather(), data);
 }
 
 }  // namespace

@@ -396,7 +396,7 @@ TEST(Ranking, WriteOnceW1MatchesReference) {
                                       kernels::Path::kGeneric};
   if (kernels::native_available()) paths.push_back(kernels::Path::kNative);
   struct PathGuard {
-    ~PathGuard() { kernels::set_path(test::startup_path()); }
+    ~PathGuard() { kernels::set_path(std::nullopt); }
   } restore;
 
   for (const Layout& l : layouts) {
@@ -508,7 +508,7 @@ TEST(Ranking, DeferredSubstepsMatchSerialRanks) {
                                       kernels::Path::kGeneric};
   if (kernels::native_available()) paths.push_back(kernels::Path::kNative);
   struct PathGuard {
-    ~PathGuard() { kernels::set_path(test::startup_path()); }
+    ~PathGuard() { kernels::set_path(std::nullopt); }
   } restore;
 
   for (const Layout& l : layouts) {

@@ -22,7 +22,6 @@
 #include "service/server.hpp"
 #include "sim/fault.hpp"
 #include "support/rng.hpp"
-#include "test_support.hpp"
 
 namespace pup {
 namespace {
@@ -92,7 +91,6 @@ void run_scenario(std::uint64_t seed, bool drain_first) {
   Server::Options opt;
   opt.nprocs = kProcs;
   opt.cost = sim::CostModel{10.0, 0.1};
-  opt.threads = test::env_threads();
   opt.start_paused = true;
   opt.window_us = rng.next_below(2) == 0 ? 0.0 : 300.0;
   opt.max_batch = 1 + rng.next_below(4);

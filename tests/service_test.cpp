@@ -72,7 +72,6 @@ Server::Options base_options() {
   Server::Options opt;
   opt.nprocs = kProcs;
   opt.cost = sim::CostModel{10.0, 0.1};
-  opt.threads = test::env_threads();
   opt.start_paused = true;
   return opt;
 }

@@ -32,7 +32,7 @@ using kernels::Path;
 class ForceGuard {
  public:
   explicit ForceGuard(std::optional<Path> p) { kernels::set_path(p); }
-  ~ForceGuard() { kernels::set_path(test::startup_path()); }
+  ~ForceGuard() { kernels::set_path(std::nullopt); }
 };
 
 std::vector<Path> vector_paths() {

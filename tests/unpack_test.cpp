@@ -1,5 +1,6 @@
-// UNPACK tests: oracle equivalence across schemes, round-trip laws with
-// PACK, field-array semantics, and failure injection.
+// UNPACK tests: round-trip laws with PACK, field-array semantics, wire
+// pins, and failure injection.  Oracle equivalence across layouts and
+// schemes is an axis of the seeded draw (fuzz_oracle_test.cpp).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,60 +20,6 @@ namespace pup {
 namespace {
 
 using test::make_machine;
-
-struct Case {
-  std::vector<dist::index_t> extents;
-  std::vector<int> procs;
-  std::vector<dist::index_t> blocks;
-  double density;
-};
-
-class UnpackSweep
-    : public ::testing::TestWithParam<std::tuple<Case, UnpackScheme>> {};
-
-TEST_P(UnpackSweep, MatchesOracle) {
-  const auto& [c, scheme] = GetParam();
-  int p = 1;
-  for (int x : c.procs) p *= x;
-  auto machine = make_machine(p);
-  auto d = dist::Distribution(dist::Shape(c.extents),
-                              dist::ProcessGrid(c.procs), c.blocks);
-  const auto n = d.global().size();
-  auto gm = random_mask(n, c.density, 0xfeed);
-  const auto count = count_true(gm);
-
-  std::vector<std::int64_t> vhost(static_cast<std::size_t>(count));
-  std::iota(vhost.begin(), vhost.end(), 500);
-  std::vector<std::int64_t> fhost(static_cast<std::size_t>(n));
-  std::iota(fhost.begin(), fhost.end(), -1000);
-
-  auto m = dist::DistArray<mask_t>::scatter(d, gm);
-  auto f = dist::DistArray<std::int64_t>::scatter(d, fhost);
-  auto v = dist::DistArray<std::int64_t>::scatter(
-      dist::Distribution::block1d(count, p), vhost);
-
-  UnpackOptions opt;
-  opt.scheme = scheme;
-  auto result = unpack(machine, v, m, f, opt);
-  EXPECT_EQ(result.size, count);
-  EXPECT_EQ(result.result.gather(),
-            serial_unpack<std::int64_t>(vhost, gm, fhost));
-  EXPECT_TRUE(machine.mailboxes_empty());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, UnpackSweep,
-    ::testing::Combine(
-        ::testing::Values(Case{{32}, {4}, {1}, 0.5},
-                          Case{{32}, {4}, {2}, 0.5},
-                          Case{{32}, {4}, {8}, 0.3},
-                          Case{{96}, {3}, {8}, 0.7},
-                          Case{{64}, {1}, {64}, 0.5},
-                          Case{{8, 8}, {2, 2}, {2, 2}, 0.5},
-                          Case{{16, 8}, {4, 2}, {1, 2}, 0.2},
-                          Case{{8, 4, 4}, {2, 2, 2}, {2, 1, 1}, 0.6}),
-        ::testing::Values(UnpackScheme::kSimpleStorage,
-                          UnpackScheme::kCompactStorage)));
 
 TEST(Unpack, FieldSuppliesFalsePositions) {
   auto machine = make_machine(2);

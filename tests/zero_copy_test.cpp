@@ -17,10 +17,6 @@
 namespace pup {
 namespace {
 
-// These assertions hold only on clean networks: fault-injected duplicates
-// and reliable-layer retained copies are intentional copy sites.
-bool clean_network() { return !test::startup_env().faults.has_value(); }
-
 struct Fixtures {
   dist::DistArray<std::int64_t> array;
   dist::DistArray<mask_t> mask;
@@ -40,7 +36,6 @@ Fixtures make_fixtures(int p, dist::index_t n) {
 }
 
 TEST(ZeroCopy, PackPerformsNoPayloadCopies) {
-  if (!clean_network()) GTEST_SKIP() << "PUP_FAULTS plan installed";
   const int p = 8;
   auto machine = test::make_machine(p);
   auto fx = make_fixtures(p, 1 << 12);
@@ -60,7 +55,6 @@ TEST(ZeroCopy, PackPerformsNoPayloadCopies) {
 }
 
 TEST(ZeroCopy, UnpackPerformsNoPayloadCopies) {
-  if (!clean_network()) GTEST_SKIP() << "PUP_FAULTS plan installed";
   const int p = 8;
   auto machine = test::make_machine(p);
   auto fx = make_fixtures(p, 1 << 12);
@@ -74,7 +68,6 @@ TEST(ZeroCopy, UnpackPerformsNoPayloadCopies) {
 }
 
 TEST(ZeroCopy, ArenaRecyclesPayloadCapacityAcrossRounds) {
-  if (!clean_network()) GTEST_SKIP() << "PUP_FAULTS plan installed";
   const int p = 4;
   auto machine = test::make_machine(p);
   auto fx = make_fixtures(p, 1 << 12);

@@ -75,7 +75,7 @@ contract decision the compiler cannot see):
 
 10. env-edge: the library never reads the process environment.  Under
    src/, only src/support/env.* -- the strict PUP_* reader that process
-   entry points (the test main, examples, benches) call once at startup --
+   entry points (example_quickstart) call once at startup --
    may include support/env.hpp or call getenv; everything else takes its
    configuration from its caller (MachineOptions, set_fault_plan,
    Server::Options, kernels::set_path).

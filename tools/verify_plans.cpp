@@ -13,11 +13,16 @@
 // --budget enforces a mailbox budget (bytes) on every plan instead of the
 // default report-only accounting.  --mutations additionally runs the
 // mutation harness over each pack plan (every seedable defect class must be
-// caught; an escape fails the sweep).  --verbose prints every issue.
+// caught; an escape fails the sweep).  --verbose prints every issue.  Every
+// count must be a positive integer: anything else prints "bad value for
+// <flag>" and exits 2.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "analysis/static/expand.hpp"
@@ -44,17 +49,30 @@ struct Tally {
   int escapes = 0;
 };
 
-std::vector<int> parse_procs(const char* arg) {
+/// Parses a whole token as a positive integer; nullopt on anything else
+/// (empty, trailing characters, zero, negative, out of range).
+template <typename T>
+std::optional<T> parse_positive(std::string_view token) {
+  T value{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end || value <= 0) return std::nullopt;
+  return value;
+}
+
+/// Comma-separated processor counts, each a positive integer.
+std::optional<std::vector<int>> parse_procs(std::string_view arg) {
   std::vector<int> out;
-  std::string s(arg);
   std::size_t pos = 0;
-  while (pos < s.size()) {
-    std::size_t comma = s.find(',', pos);
-    if (comma == std::string::npos) comma = s.size();
-    out.push_back(std::atoi(s.substr(pos, comma - pos).c_str()));
+  for (;;) {
+    std::size_t comma = arg.find(',', pos);
+    if (comma == std::string_view::npos) comma = arg.size();
+    const auto p = parse_positive<int>(arg.substr(pos, comma - pos));
+    if (!p) return std::nullopt;
+    out.push_back(*p);
+    if (comma == arg.size()) return out;
     pos = comma + 1;
   }
-  return out;
 }
 
 /// Largest divisor of p that is at most sqrt(p); 1 for primes.
@@ -128,15 +146,24 @@ void run_mutations(Tally& tally, const st::ExpandedPlan& pristine) {
   }
 }
 
+int bad_value(const char* flag) {
+  std::fprintf(stderr, "bad value for %s\n", flag);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Sweep sweep;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--procs") == 0 && i + 1 < argc) {
-      sweep.procs = parse_procs(argv[++i]);
+      const auto procs = parse_procs(argv[++i]);
+      if (!procs) return bad_value("--procs");
+      sweep.procs = *procs;
     } else if (std::strcmp(argv[i], "--budget") == 0 && i + 1 < argc) {
-      sweep.budget = static_cast<std::size_t>(std::atoll(argv[++i]));
+      const auto budget = parse_positive<std::size_t>(argv[++i]);
+      if (!budget) return bad_value("--budget");
+      sweep.budget = *budget;
     } else if (std::strcmp(argv[i], "--mutations") == 0) {
       sweep.mutations = true;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
