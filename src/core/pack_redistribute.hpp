@@ -49,9 +49,9 @@ PackResult<T> pack_with_redistribution(sim::Machine& machine,
 
   if (scheme == RedistributionScheme::kWholeArrays) {
     dist::redistribute(machine, array, tmp_a, dist::RedistMode::kDetectBothSides,
-                       options.schedule, sim::Category::kRedist);
+                       options.schedule);
     dist::redistribute(machine, mask, tmp_m, dist::RedistMode::kDetectBothSides,
-                       options.schedule, sim::Category::kRedist);
+                       options.schedule);
   } else {
     // Selected-data redistribution: communication detection keeps only true
     // elements; the combined global index travels with each value.

@@ -29,7 +29,7 @@ namespace detail {
 template <typename T>
 void shift_into(sim::Machine& machine, const dist::DistArray<T>& array,
                 int dim, dist::index_t shift, bool wrap,
-                dist::DistArray<T>& out, coll::M2MSchedule schedule) {
+                dist::DistArray<T>& out) {
   const dist::Distribution& d = array.dist();
   const int P = machine.nprocs();
   PUP_REQUIRE(d.nprocs() == P, "shift: grid size != machine size");
@@ -72,9 +72,8 @@ void shift_into(sim::Machine& machine, const dist::DistArray<T>& array,
     }
   });
 
-  coll::ByteBuffers recv = coll::alltoallv(machine, coll::Group::world(P),
-                                           std::move(send), schedule,
-                                           sim::Category::kM2M);
+  coll::ByteBuffers recv =
+      coll::alltoallv(machine, coll::Group::world(P), std::move(send));
 
   machine.local_phase([&](int rank) {
     auto dst = out.local(rank);
@@ -94,29 +93,25 @@ void shift_into(sim::Machine& machine, const dist::DistArray<T>& array,
 /// CSHIFT(ARRAY, SHIFT, DIM): circular shift; result(..., i, ...) =
 /// array(..., i + shift, ...) with wraparound.  Negative shifts allowed.
 template <typename T>
-dist::DistArray<T> cshift(
-    sim::Machine& machine, const dist::DistArray<T>& array, int dim,
-    dist::index_t shift,
-    coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation) {
+dist::DistArray<T> cshift(sim::Machine& machine,
+                          const dist::DistArray<T>& array, int dim,
+                          dist::index_t shift) {
   dist::DistArray<T> out(array.dist());
-  detail::shift_into(machine, array, dim, shift, /*wrap=*/true, out,
-                     schedule);
+  detail::shift_into(machine, array, dim, shift, /*wrap=*/true, out);
   return out;
 }
 
 /// EOSHIFT(ARRAY, SHIFT, BOUNDARY, DIM): end-off shift; vacated positions
 /// take `boundary`.
 template <typename T>
-dist::DistArray<T> eoshift(
-    sim::Machine& machine, const dist::DistArray<T>& array, int dim,
-    dist::index_t shift, const T& boundary,
-    coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation) {
+dist::DistArray<T> eoshift(sim::Machine& machine,
+                           const dist::DistArray<T>& array, int dim,
+                           dist::index_t shift, const T& boundary) {
   dist::DistArray<T> out(array.dist());
   machine.local_phase([&](int rank) {
     for (auto& v : out.local(rank)) v = boundary;
   });
-  detail::shift_into(machine, array, dim, shift, /*wrap=*/false, out,
-                     schedule);
+  detail::shift_into(machine, array, dim, shift, /*wrap=*/false, out);
   return out;
 }
 

@@ -28,8 +28,7 @@ template <typename T>
 dist::DistArray<T> permute_dims(
     sim::Machine& machine, const dist::DistArray<T>& array,
     std::span<const int> perm,
-    std::optional<dist::Distribution> result_dist = std::nullopt,
-    coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation) {
+    std::optional<dist::Distribution> result_dist = std::nullopt) {
   const dist::Distribution& d = array.dist();
   const int P = machine.nprocs();
   const int rank = d.rank();
@@ -60,6 +59,10 @@ dist::DistArray<T> permute_dims(
                                      dist::ProcessGrid(std::move(procs)),
                                      std::move(blocks));
   } else {
+    PUP_REQUIRE(result_dist->rank() == rank,
+                "permute_dims: result layout has rank "
+                    << result_dist->rank() << ", the source has rank "
+                    << rank);
     for (int k = 0; k < rank; ++k) {
       PUP_REQUIRE(result_dist->global().extent(k) ==
                       d.global().extent(perm[static_cast<std::size_t>(k)]),
@@ -97,9 +100,8 @@ dist::DistArray<T> permute_dims(
     }
   });
 
-  coll::ByteBuffers recv = coll::alltoallv(machine, coll::Group::world(P),
-                                           std::move(send), schedule,
-                                           sim::Category::kM2M);
+  coll::ByteBuffers recv =
+      coll::alltoallv(machine, coll::Group::world(P), std::move(send));
 
   machine.local_phase([&](int rnk) {
     auto dst = out.local(rnk);
@@ -119,12 +121,10 @@ dist::DistArray<T> permute_dims(
 template <typename T>
 dist::DistArray<T> transpose(
     sim::Machine& machine, const dist::DistArray<T>& matrix,
-    std::optional<dist::Distribution> result_dist = std::nullopt,
-    coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation) {
+    std::optional<dist::Distribution> result_dist = std::nullopt) {
   PUP_REQUIRE(matrix.dist().rank() == 2, "TRANSPOSE requires a rank-2 array");
   const int perm[] = {1, 0};
-  return permute_dims(machine, matrix, perm, std::move(result_dist),
-                      schedule);
+  return permute_dims(machine, matrix, perm, std::move(result_dist));
 }
 
 }  // namespace pup

@@ -42,10 +42,10 @@ enum class RedistMode {
 /// Moves the contents of `src` into `dst` (same global shape, any two
 /// block-cyclic distributions over the same machine).
 template <typename T>
-void redistribute(sim::Machine& machine, const DistArray<T>& src,
-                  DistArray<T>& dst, RedistMode mode = RedistMode::kWithIndices,
-                  coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation,
-                  sim::Category cat = sim::Category::kRedist) {
+void redistribute(
+    sim::Machine& machine, const DistArray<T>& src, DistArray<T>& dst,
+    RedistMode mode = RedistMode::kWithIndices,
+    coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation) {
   const Distribution& sd = src.dist();
   const Distribution& dd = dst.dist();
   PUP_REQUIRE(sd.global() == dd.global(),
@@ -83,7 +83,8 @@ void redistribute(sim::Machine& machine, const DistArray<T>& src,
   });
 
   coll::ByteBuffers recv = coll::alltoallv(machine, coll::Group::world(P),
-                                           std::move(send), schedule, cat);
+                                           std::move(send), schedule,
+                                           sim::Category::kRedist);
 
   // Receive-side placement.
   if (mode == RedistMode::kWithIndices) {

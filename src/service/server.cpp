@@ -43,6 +43,19 @@ std::size_t unpack_bytes(const dist::Distribution& mask_dist,
              sizeof(Element);
 }
 
+/// The response of an admitted request resolved before dispatch: its whole
+/// latency was queue wait.
+Response unexecuted(Clock::time_point submitted, Status status,
+                    RejectReason reason, std::string message) {
+  Response resp;
+  resp.status = status;
+  resp.reason = reason;
+  resp.message = std::move(message);
+  resp.queue_us = us_between(submitted, Clock::now());
+  resp.latency_us = resp.queue_us;
+  return resp;
+}
+
 }  // namespace
 
 Server::Server(Options options)
@@ -89,44 +102,89 @@ void Server::register_array(const Tenant& tenant, const std::string& name,
       std::make_shared<const dist::DistArray<Element>>(std::move(array));
 }
 
-Server::Submission Server::reject_locked(TenantState* tenant,
-                                         RejectReason r,
-                                         std::string message,
-                                         std::promise<Response> promise) {
-  ++stats_.rejected;
-  if (tenant != nullptr) {
-    switch (r) {
-      case RejectReason::kInFlightQuota: ++tenant->stats.rejected_quota; break;
-      case RejectReason::kByteBudget: ++tenant->stats.rejected_bytes; break;
-      default: ++tenant->stats.rejected_other; break;
-    }
-  }
-  Response resp;
-  resp.status = Status::kRejected;
-  resp.reason = r;
-  resp.message = std::move(message);
+template <typename Step>
+Server::Submission Server::admit(const Tenant& name, const std::string& array,
+                                 bool auto_scheme, double deadline_us,
+                                 Step step) {
+  std::promise<Response> promise;
   Submission s;
-  s.id = 0;
   s.response = promise.get_future();
-  promise.set_value(std::move(resp));
-  return s;
-}
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.submitted;
+  const auto tit = tenants_.find(name);
+  TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
+  if (tenant != nullptr) ++tenant->stats.submitted;
+  const auto refuse = [&](RejectReason r, std::string message) {
+    ++stats_.rejected;
+    if (tenant != nullptr) {
+      switch (r) {
+        case RejectReason::kInFlightQuota:
+          ++tenant->stats.rejected_quota;
+          break;
+        case RejectReason::kByteBudget: ++tenant->stats.rejected_bytes; break;
+        default: ++tenant->stats.rejected_other; break;
+      }
+    }
+    Response resp;
+    resp.status = Status::kRejected;
+    resp.reason = r;
+    resp.message = std::move(message);
+    promise.set_value(std::move(resp));
+    return std::move(s);
+  };
+  if (stopping_) {
+    return refuse(RejectReason::kShutdown, "server is shutting down");
+  }
+  if (tenant == nullptr) {
+    return refuse(RejectReason::kUnknownTenant,
+                  "unknown tenant \"" + name + "\"");
+  }
+  const auto ait = tenant->arrays.find(array);
+  if (ait == tenant->arrays.end()) {
+    return refuse(RejectReason::kUnknownArray, "tenant \"" + name +
+                                                   "\" has no array \"" +
+                                                   array + "\"");
+  }
+  if (auto_scheme) {
+    return refuse(RejectReason::kBadRequest,
+                  "service requests require a concrete scheme");
+  }
+  if (deadline_us < 0.0) {
+    return refuse(RejectReason::kBadRequest, "deadline_us must be >= 0");
+  }
+  Pending p;
+  p.array = ait->second;
+  if (std::string bad = step(p); !bad.empty()) {
+    return refuse(RejectReason::kBadRequest, std::move(bad));
+  }
+  if (tenant->inflight >= tenant->quota) {
+    return refuse(RejectReason::kInFlightQuota,
+                  "tenant \"" + name + "\" has " +
+                      std::to_string(tenant->inflight) +
+                      " requests in flight (quota " +
+                      std::to_string(tenant->quota) + ")");
+  }
+  if (stats_.bytes_in_flight + p.admitted_bytes > options_.byte_budget) {
+    return refuse(RejectReason::kByteBudget,
+                  "admitting " + std::to_string(p.admitted_bytes) +
+                      " bytes would exceed the byte budget");
+  }
 
-Server::Submission Server::admit_locked(TenantState& tenant, Pending pending,
-                                        std::promise<Response> promise) {
   ++stats_.admitted;
-  ++tenant.stats.admitted;
-  ++tenant.inflight;
-  stats_.bytes_in_flight += pending.admitted_bytes;
+  ++tenant->stats.admitted;
+  ++tenant->inflight;
+  stats_.bytes_in_flight += p.admitted_bytes;
   stats_.peak_bytes_in_flight =
       std::max(stats_.peak_bytes_in_flight, stats_.bytes_in_flight);
-  Submission s;
-  s.response = promise.get_future();
-  pending.promise = std::move(promise);
-  pending.id = next_id_++;
-  s.id = pending.id;
-  queued_bytes_ += pending.admitted_bytes;
-  queue_.push_back(std::move(pending));
+  p.id = next_id_++;
+  s.id = p.id;
+  p.tenant = name;
+  p.priority = tenant->priority;
+  p.submitted = Clock::now();
+  p.deadline = deadline_from(p.submitted, deadline_us);
+  p.promise = std::move(promise);
+  queued_bytes_ += p.admitted_bytes;
+  queue_.push_back(std::move(p));
   // The arrival may push the pressure signal over the line; the newcomer
   // competes on the same priority/deadline/age terms as everything queued
   // and may itself be the victim (its future then resolves kOverload).
@@ -135,32 +193,97 @@ Server::Submission Server::admit_locked(TenantState& tenant, Pending pending,
   return s;
 }
 
-void Server::resolve_unexecuted_locked(Pending p, Status status,
-                                       RejectReason r, std::string message) {
-  const auto tit = tenants_.find(p.tenant);
-  TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-  if (tenant != nullptr) {
-    --tenant->inflight;
-    switch (status) {
-      case Status::kCancelled: ++tenant->stats.cancelled; break;
-      case Status::kDeadlineExceeded: ++tenant->stats.deadline_misses; break;
-      default: ++tenant->stats.shed; break;
-    }
-  }
+Server::Submission Server::submit_tracked(PackRequest request) {
+  return admit(request.tenant, request.array,
+               request.scheme == PackScheme::kAuto, request.deadline_us,
+               [&](Pending& p) -> std::string {
+                 const dist::Distribution& d = p.array->dist();
+                 if (!(request.mask.dist() == d)) {
+                   return "mask layout does not match array \"" +
+                          request.array + "\"";
+                 }
+                 p.op = Op::kPack;
+                 p.mask = std::move(request.mask);
+                 p.pack_scheme = request.scheme;
+                 PackOptions opt;
+                 opt.scheme = request.scheme;
+                 p.fuse_key = plan::pack_plan_key(d, sizeof(Element), opt,
+                                                  std::nullopt);
+                 p.admitted_bytes = pack_bytes(d);
+                 return {};
+               });
+}
+
+Server::Submission Server::submit_tracked(UnpackRequest request) {
+  return admit(
+      request.tenant, request.field, request.scheme == UnpackScheme::kAuto,
+      request.deadline_us, [&](Pending& p) -> std::string {
+        const dist::Distribution& d = p.array->dist();
+        if (!(request.mask.dist() == d) ||
+            request.vector.dist().global().rank() != 1) {
+          return "mask must match field \"" + request.field +
+                 "\" and the vector must be rank-one";
+        }
+        p.op = Op::kUnpack;
+        p.mask = std::move(request.mask);
+        p.vector = std::move(request.vector);
+        p.unpack_scheme = request.scheme;
+        if (options_.watchdog_factor > 0.0) {
+          // Unpacks never fuse, but the watchdog baseline is keyed by plan.
+          UnpackOptions opt;
+          opt.scheme = request.scheme;
+          p.fuse_key = plan::unpack_plan_key(d, p.vector.dist(),
+                                             sizeof(Element), opt);
+        }
+        p.admitted_bytes = unpack_bytes(d, p.vector.dist());
+        return {};
+      });
+}
+
+Server::Pending Server::take_locked(std::deque<Pending>::iterator& it) {
+  Pending p = std::move(*it);
+  queued_bytes_ -= p.admitted_bytes;
+  it = queue_.erase(it);
+  return p;
+}
+
+void Server::resolve_locked(Pending& p, Response resp) {
+  TenantState& tenant = tenants_.at(p.tenant);
+  --tenant.inflight;
   stats_.bytes_in_flight -= p.admitted_bytes;
-  switch (status) {
-    case Status::kCancelled: ++stats_.cancelled; break;
-    case Status::kDeadlineExceeded: ++stats_.deadline_misses; break;
-    default: ++stats_.shed; break;
-  }
   cancel_requested_.erase(p.id);
-  Response resp;
-  resp.status = status;
-  resp.reason = r;
-  resp.message = std::move(message);
-  const auto now = Clock::now();
-  resp.queue_us = us_between(p.submitted, now);
-  resp.latency_us = resp.queue_us;
+  const auto count = [&](std::int64_t TenantStats::*t,
+                         std::int64_t ServerStats::*g) {
+    ++(tenant.stats.*t);
+    ++(stats_.*g);
+  };
+  switch (resp.status) {
+    case Status::kOk:
+      count(&TenantStats::completed, &ServerStats::completed);
+      ++(resp.cache_hit ? tenant.stats.cache_hits
+                        : tenant.stats.cache_misses);
+      if (resp.fused) {
+        count(&TenantStats::fused, &ServerStats::fused_requests);
+      } else {
+        ++tenant.stats.singleton;
+      }
+      break;
+    case Status::kFailed:
+      count(&TenantStats::failed, &ServerStats::failed);
+      break;
+    case Status::kRejected:  // shed: overload eviction or queued at shutdown
+      count(&TenantStats::shed, &ServerStats::shed);
+      break;
+    case Status::kCancelled:
+      count(&TenantStats::cancelled, &ServerStats::cancelled);
+      break;
+    case Status::kDeadlineExceeded:
+      count(&TenantStats::deadline_misses, &ServerStats::deadline_misses);
+      break;
+    case Status::kWatchdogTimeout:
+      count(&TenantStats::watchdog_trips, &ServerStats::watchdog_trips);
+      break;
+  }
   p.promise.set_value(std::move(resp));
 }
 
@@ -168,12 +291,10 @@ void Server::shed_expired_locked() {
   const auto now = Clock::now();
   for (auto it = queue_.begin(); it != queue_.end();) {
     if (it->has_deadline() && now >= it->deadline) {
-      Pending p = std::move(*it);
-      it = queue_.erase(it);
-      queued_bytes_ -= p.admitted_bytes;
-      resolve_unexecuted_locked(std::move(p), Status::kDeadlineExceeded,
-                                RejectReason::kShutdown,
-                                "deadline expired before dispatch");
+      Pending p = take_locked(it);
+      resolve_locked(p, unexecuted(p.submitted, Status::kDeadlineExceeded,
+                                   RejectReason::kShutdown,
+                                   "deadline expired before dispatch"));
     } else {
       ++it;
     }
@@ -200,12 +321,10 @@ void Server::shed_overload_locked() {
     for (auto it = std::next(queue_.begin()); it != queue_.end(); ++it) {
       if (worse(*it, *victim)) victim = it;
     }
-    Pending p = std::move(*victim);
-    queue_.erase(victim);
-    queued_bytes_ -= p.admitted_bytes;
-    resolve_unexecuted_locked(
-        std::move(p), Status::kRejected, RejectReason::kOverload,
-        "shed by overload control (queue pressure over budget)");
+    Pending p = take_locked(victim);
+    resolve_locked(
+        p, unexecuted(p.submitted, Status::kRejected, RejectReason::kOverload,
+                      "shed by overload control (queue pressure over budget)"));
   }
   if (queue_.empty() && !executing_) idle_cv_.notify_all();
 }
@@ -232,164 +351,14 @@ void Server::note_queue_wait_locked(double wait_us) {
   }
 }
 
-Server::Submission Server::submit_tracked(PackRequest request) {
-  std::promise<Response> promise;
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.submitted;
-  const auto tit = tenants_.find(request.tenant);
-  TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-  if (tenant != nullptr) ++tenant->stats.submitted;
-  if (stopping_) {
-    return reject_locked(tenant, RejectReason::kShutdown,
-                         "server is shutting down", std::move(promise));
-  }
-  if (tenant == nullptr) {
-    return reject_locked(nullptr, RejectReason::kUnknownTenant,
-                         "unknown tenant \"" + request.tenant + "\"",
-                         std::move(promise));
-  }
-  const auto ait = tenant->arrays.find(request.array);
-  if (ait == tenant->arrays.end()) {
-    return reject_locked(tenant, RejectReason::kUnknownArray,
-                         "tenant \"" + request.tenant +
-                             "\" has no array \"" + request.array + "\"",
-                         std::move(promise));
-  }
-  if (request.scheme == PackScheme::kAuto) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "service requests require a concrete scheme",
-                         std::move(promise));
-  }
-  if (request.deadline_us < 0.0) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "deadline_us must be >= 0", std::move(promise));
-  }
-  if (!(request.mask.dist() == ait->second->dist())) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "mask layout does not match array \"" +
-                             request.array + "\"",
-                         std::move(promise));
-  }
-  if (tenant->inflight >= tenant->quota) {
-    return reject_locked(tenant, RejectReason::kInFlightQuota,
-                         "tenant \"" + request.tenant + "\" has " +
-                             std::to_string(tenant->inflight) +
-                             " requests in flight (quota " +
-                             std::to_string(tenant->quota) + ")",
-                         std::move(promise));
-  }
-  const std::size_t bytes = pack_bytes(ait->second->dist());
-  if (stats_.bytes_in_flight + bytes > options_.byte_budget) {
-    return reject_locked(tenant, RejectReason::kByteBudget,
-                         "admitting " + std::to_string(bytes) +
-                             " bytes would exceed the byte budget",
-                         std::move(promise));
-  }
-
-  Pending p;
-  p.op = Op::kPack;
-  p.tenant = request.tenant;
-  p.priority = tenant->priority;
-  p.array = ait->second;
-  p.mask = std::move(request.mask);
-  p.pack_scheme = request.scheme;
-  PackOptions opt;
-  opt.scheme = request.scheme;
-  p.fuse_key = plan::pack_plan_key(ait->second->dist(), sizeof(Element), opt,
-                                   std::nullopt);
-  p.admitted_bytes = bytes;
-  p.submitted = Clock::now();
-  p.deadline = deadline_from(p.submitted, request.deadline_us);
-  return admit_locked(*tenant, std::move(p), std::move(promise));
-}
-
-Server::Submission Server::submit_tracked(UnpackRequest request) {
-  std::promise<Response> promise;
-  const std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.submitted;
-  const auto tit = tenants_.find(request.tenant);
-  TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-  if (tenant != nullptr) ++tenant->stats.submitted;
-  if (stopping_) {
-    return reject_locked(tenant, RejectReason::kShutdown,
-                         "server is shutting down", std::move(promise));
-  }
-  if (tenant == nullptr) {
-    return reject_locked(nullptr, RejectReason::kUnknownTenant,
-                         "unknown tenant \"" + request.tenant + "\"",
-                         std::move(promise));
-  }
-  const auto ait = tenant->arrays.find(request.field);
-  if (ait == tenant->arrays.end()) {
-    return reject_locked(tenant, RejectReason::kUnknownArray,
-                         "tenant \"" + request.tenant +
-                             "\" has no array \"" + request.field + "\"",
-                         std::move(promise));
-  }
-  if (request.scheme == UnpackScheme::kAuto) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "service requests require a concrete scheme",
-                         std::move(promise));
-  }
-  if (request.deadline_us < 0.0) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "deadline_us must be >= 0", std::move(promise));
-  }
-  if (!(request.mask.dist() == ait->second->dist()) ||
-      request.vector.dist().global().rank() != 1) {
-    return reject_locked(tenant, RejectReason::kBadRequest,
-                         "mask must match field \"" + request.field +
-                             "\" and the vector must be rank-one",
-                         std::move(promise));
-  }
-  if (tenant->inflight >= tenant->quota) {
-    return reject_locked(tenant, RejectReason::kInFlightQuota,
-                         "tenant \"" + request.tenant + "\" has " +
-                             std::to_string(tenant->inflight) +
-                             " requests in flight (quota " +
-                             std::to_string(tenant->quota) + ")",
-                         std::move(promise));
-  }
-  const std::size_t bytes =
-      unpack_bytes(ait->second->dist(), request.vector.dist());
-  if (stats_.bytes_in_flight + bytes > options_.byte_budget) {
-    return reject_locked(tenant, RejectReason::kByteBudget,
-                         "admitting " + std::to_string(bytes) +
-                             " bytes would exceed the byte budget",
-                         std::move(promise));
-  }
-
-  Pending p;
-  p.op = Op::kUnpack;
-  p.tenant = request.tenant;
-  p.priority = tenant->priority;
-  p.array = ait->second;
-  p.mask = std::move(request.mask);
-  p.vector = std::move(request.vector);
-  p.unpack_scheme = request.scheme;
-  if (options_.watchdog_factor > 0.0) {
-    // Unpacks never fuse, but the watchdog baseline is keyed by plan.
-    UnpackOptions opt;
-    opt.scheme = request.scheme;
-    p.fuse_key = plan::unpack_plan_key(ait->second->dist(),
-                                       p.vector.dist(), sizeof(Element), opt);
-  }
-  p.admitted_bytes = bytes;
-  p.submitted = Clock::now();
-  p.deadline = deadline_from(p.submitted, request.deadline_us);
-  return admit_locked(*tenant, std::move(p), std::move(promise));
-}
-
 bool Server::cancel(std::uint64_t id) {
   const std::lock_guard<std::mutex> lock(mu_);
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->id != id) continue;
-    Pending p = std::move(*it);
-    queue_.erase(it);
-    queued_bytes_ -= p.admitted_bytes;
-    resolve_unexecuted_locked(std::move(p), Status::kCancelled,
-                              RejectReason::kShutdown,
-                              "cancelled while queued");
+    Pending p = take_locked(it);
+    resolve_locked(p, unexecuted(p.submitted, Status::kCancelled,
+                                 RejectReason::kShutdown,
+                                 "cancelled while queued"));
     if (queue_.empty() && !executing_) idle_cv_.notify_all();
     return true;
   }
@@ -430,13 +399,11 @@ void Server::shutdown() {
     // Rejected{kShutdown} right here -- even while paused -- so no promise
     // can block or leak.  The batch already executing (if any) finishes on
     // the scheduler thread before it observes stop_.
-    while (!queue_.empty()) {
-      Pending p = std::move(queue_.front());
-      queue_.pop_front();
-      queued_bytes_ -= p.admitted_bytes;
-      resolve_unexecuted_locked(
-          std::move(p), Status::kRejected, RejectReason::kShutdown,
-          "server shut down before the request was dispatched");
+    for (auto it = queue_.begin(); it != queue_.end();) {
+      Pending p = take_locked(it);
+      resolve_locked(
+          p, unexecuted(p.submitted, Status::kRejected, RejectReason::kShutdown,
+                        "server shut down before the request was dispatched"));
     }
     idle_cv_.notify_all();
     work_cv_.notify_all();
@@ -461,9 +428,7 @@ void Server::collect_fusable_locked(std::vector<Pending>& batch) {
   for (auto it = queue_.begin();
        it != queue_.end() && batch.size() < options_.max_batch;) {
     if (it->op == Op::kPack && it->fuse_key == batch.front().fuse_key) {
-      queued_bytes_ -= it->admitted_bytes;
-      batch.push_back(std::move(*it));
-      it = queue_.erase(it);
+      batch.push_back(take_locked(it));
     } else {
       ++it;
     }
@@ -486,11 +451,9 @@ void Server::scheduler_main() {
     }
     executing_ = true;
     std::vector<Pending> batch;
-    queued_bytes_ -= queue_.front().admitted_bytes;
-    note_queue_wait_locked(
-        us_between(queue_.front().submitted, Clock::now()));
-    batch.push_back(std::move(queue_.front()));
-    queue_.pop_front();
+    auto front = queue_.begin();
+    note_queue_wait_locked(us_between(front->submitted, Clock::now()));
+    batch.push_back(take_locked(front));
     // Brown-out collapses the window: under sustained queue-wait pressure,
     // draining FIFO beats waiting to fuse.
     const double window_us = brownout_ ? 0.0 : options_.window_us;
@@ -639,66 +602,39 @@ void Server::execute(std::vector<Pending> batch) {
     const std::lock_guard<std::mutex> lock(mu_);
     active_token_ = nullptr;
     active_ids_.clear();
+    const auto finish = [&](Pending& p, Response resp) {
+      resp.queue_us = us_between(p.submitted, dispatch);
+      resp.exec_us = us_between(dispatch, done);
+      resp.latency_us = us_between(p.submitted, done);
+      resolve_locked(p, std::move(resp));
+    };
 
     if (trip != sim::StopCause::kNone) {
-      Status status = Status::kCancelled;
-      std::vector<Pending> tripped;
-      std::vector<Pending> keep;
       const auto now = Clock::now();
+      const auto hit = [&](const Pending& p) {
+        switch (trip) {
+          case sim::StopCause::kCancelled:
+            return cancel_requested_.count(p.id) > 0;
+          case sim::StopCause::kDeadline:
+            return p.has_deadline() && now >= p.deadline;
+          default:
+            return true;  // watchdog: the whole dispatch is the victim
+        }
+      };
+      // A trip that hits no member cannot happen for deadline (monotonic
+      // clock) or cancel (the requested id is a batch member); if one did,
+      // resolving the whole batch keeps the loop terminating.
+      const bool any_hit = std::any_of(batch.begin(), batch.end(), hit);
+      Response resp;
+      resp.status =
+          trip == sim::StopCause::kDeadline   ? Status::kDeadlineExceeded
+          : trip == sim::StopCause::kWatchdog ? Status::kWatchdogTimeout
+                                              : Status::kCancelled;
+      resp.message = error;
+      std::vector<Pending> keep;
       for (Pending& p : batch) {
-        bool hit = true;  // watchdog: the whole dispatch is the victim
-        if (trip == sim::StopCause::kCancelled) {
-          hit = cancel_requested_.count(p.id) > 0;
-        } else if (trip == sim::StopCause::kDeadline) {
-          hit = p.has_deadline() && now >= p.deadline;
-        }
-        (hit ? tripped : keep).push_back(std::move(p));
-      }
-      if (tripped.empty()) {
-        // Cannot happen for deadline (monotonic clock) or cancel (the
-        // requested id is a batch member); keep the loop terminating
-        // regardless.
-        tripped = std::move(keep);
-        keep.clear();
-      }
-      switch (trip) {
-        case sim::StopCause::kDeadline:
-          status = Status::kDeadlineExceeded;
-          break;
-        case sim::StopCause::kWatchdog:
-          status = Status::kWatchdogTimeout;
-          break;
-        default:
-          status = Status::kCancelled;
-          break;
-      }
-      for (Pending& p : tripped) {
-        cancel_requested_.erase(p.id);
-        const auto tit = tenants_.find(p.tenant);
-        TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-        if (tenant != nullptr) {
-          --tenant->inflight;
-          switch (status) {
-            case Status::kCancelled: ++tenant->stats.cancelled; break;
-            case Status::kDeadlineExceeded:
-              ++tenant->stats.deadline_misses;
-              break;
-            default: ++tenant->stats.watchdog_trips; break;
-          }
-        }
-        stats_.bytes_in_flight -= p.admitted_bytes;
-        switch (status) {
-          case Status::kCancelled: ++stats_.cancelled; break;
-          case Status::kDeadlineExceeded: ++stats_.deadline_misses; break;
-          default: ++stats_.watchdog_trips; break;
-        }
-        Response resp;
-        resp.status = status;
-        resp.message = error;
-        resp.queue_us = us_between(p.submitted, dispatch);
-        resp.exec_us = us_between(dispatch, done);
-        resp.latency_us = us_between(p.submitted, done);
-        p.promise.set_value(std::move(resp));
+        if (any_hit && !hit(p)) keep.push_back(std::move(p));
+        else finish(p, resp);
       }
       batch = std::move(keep);
       continue;
@@ -711,29 +647,7 @@ void Server::execute(std::vector<Pending> batch) {
       baseline_us_[batch.front().fuse_key] =
           (modeled_exit - modeled_entry) / static_cast<double>(n);
     }
-    const bool fused = n > 1;
     for (std::size_t i = 0; i < n; ++i) {
-      Pending& p = batch[i];
-      cancel_requested_.erase(p.id);
-      const auto tit = tenants_.find(p.tenant);
-      TenantState* tenant = tit == tenants_.end() ? nullptr : &tit->second;
-      if (tenant != nullptr) {
-        --tenant->inflight;
-        if (failed) {
-          ++tenant->stats.failed;
-        } else {
-          ++tenant->stats.completed;
-          if (cache_hit) ++tenant->stats.cache_hits;
-          else ++tenant->stats.cache_misses;
-          if (fused) ++tenant->stats.fused;
-          else ++tenant->stats.singleton;
-        }
-      }
-      stats_.bytes_in_flight -= p.admitted_bytes;
-      if (failed) ++stats_.failed;
-      else ++stats_.completed;
-      if (fused) ++stats_.fused_requests;
-
       Response resp;
       if (failed) {
         resp.status = Status::kFailed;
@@ -742,14 +656,11 @@ void Server::execute(std::vector<Pending> batch) {
         resp.status = Status::kOk;
         resp.digest = digests[i];
         resp.selected = selected[i];
-        resp.fused = fused;
+        resp.fused = n > 1;
         resp.batch_size = n;
         resp.cache_hit = cache_hit;
       }
-      resp.queue_us = us_between(p.submitted, dispatch);
-      resp.exec_us = us_between(dispatch, done);
-      resp.latency_us = us_between(p.submitted, done);
-      p.promise.set_value(std::move(resp));
+      finish(batch[i], std::move(resp));
     }
     break;
   }

@@ -294,19 +294,26 @@ class Server {
         arrays;
   };
 
-  /// Admission tail shared by both submit overloads.  Caller holds mu_.
-  Submission reject_locked(TenantState* tenant, RejectReason r,
-                           std::string message,
-                           std::promise<Response> promise);
-  Submission admit_locked(TenantState& tenant, Pending pending,
-                          std::promise<Response> promise);
+  /// The one admission routine behind both submit_tracked overloads.
+  /// Under mu_ it counts the submission and runs every admission check in
+  /// order; `step` is the per-kind part: it checks the request's layouts
+  /// against p.array (returning a kBadRequest message, or empty when they
+  /// fit) and fills the Pending fields that differ between kinds,
+  /// admitted_bytes included.  A refused request's future resolves here.
+  template <typename Step>
+  Submission admit(const Tenant& tenant, const std::string& array,
+                   bool auto_scheme, double deadline_us, Step step);
 
-  /// Terminal resolution of an *admitted but never executed* request:
-  /// unwinds quota/byte accounting, buckets the typed outcome (shed /
-  /// cancelled / deadline-miss), and fulfills the promise.  Caller holds
-  /// mu_; queue_/queued_bytes_ maintenance stays with the caller.
-  void resolve_unexecuted_locked(Pending p, Status status, RejectReason r,
-                                 std::string message);
+  /// Pops the queued request at `it`, unwinds its queued_bytes_, and
+  /// advances `it` to the next request (deque::erase invalidates every
+  /// iterator).  Caller holds mu_.
+  Pending take_locked(std::deque<Pending>::iterator& it);
+
+  /// The one terminal resolution of an admitted request, executed or not:
+  /// unwinds its quota, byte and cancel bookkeeping, files resp.status
+  /// into its tenant's and the server's buckets, and fulfills the promise.
+  /// Caller holds mu_.
+  void resolve_locked(Pending& p, Response resp);
 
   /// Resolves every queued request whose deadline already passed (typed
   /// kDeadlineExceeded, zero machine time).  Caller holds mu_.

@@ -164,22 +164,21 @@ struct Response {
   double latency_us = 0.0;    ///< submit -> completion
 };
 
-/// Per-tenant accounting, readable at any time via Server::tenant_stats.
-/// Cache hits/misses count the shared PlanCache lookups made on this
-/// tenant's behalf (a fused batch's single lookup is attributed to every
-/// participating tenant -- each of their requests was served by it).
-/// Per-tenant (and, mirrored below, whole-server) accounting.  Every
-/// admitted request resolves into exactly one terminal bucket, so at
-/// quiescence the balance holds exactly:
+/// Per-tenant accounting, readable at any time via Server::tenant_stats;
+/// ServerStats below mirrors it for the whole server.  Every admitted
+/// request resolves into exactly one terminal bucket, so at quiescence the
+/// balance holds exactly:
 ///
 ///   admitted == completed + failed + shed + cancelled
 ///               + deadline_misses + watchdog_trips
 ///
 /// and the byte budget unwinds to bytes_in_flight == 0 -- the invariants
-/// the accounting property test and the chaos-soak harness assert.
-/// `rejected_*` counts never-admitted submissions (admission refused the
-/// request before it touched the queue); `shed` counts admitted requests
-/// terminated *without execution* by overload eviction or shutdown.
+/// the accounting test and the chaos-soak harness assert.  `rejected_*`
+/// counts never-admitted submissions (admission refused the request before
+/// it touched the queue); `shed` counts admitted requests terminated
+/// *without execution* by overload eviction or shutdown.  The cache and
+/// fusion counts cover completed requests only; a fused batch's single
+/// shared PlanCache lookup counts once for every request it served.
 struct TenantStats {
   std::int64_t submitted = 0;
   std::int64_t admitted = 0;
@@ -214,7 +213,8 @@ struct ServerStats {
   std::int64_t brownouts = 0;        ///< brown-out engagements (window
                                      ///< collapsed under queue-wait p95)
   std::int64_t batches = 0;          ///< execution dispatches
-  std::int64_t fused_requests = 0;   ///< requests served in batches >= 2
+  std::int64_t fused_requests = 0;   ///< completed requests served in
+                                     ///< batches >= 2
   std::size_t bytes_in_flight = 0;   ///< admitted-but-incomplete payload
   std::size_t peak_bytes_in_flight = 0;
 };

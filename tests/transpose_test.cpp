@@ -79,6 +79,22 @@ TEST(Transpose, ExplicitResultDistribution) {
   EXPECT_EQ(t.dist().dim(0).block(), 2);
 }
 
+TEST(PermuteDims, ResultLayoutOfAnotherRankThrows) {
+  auto machine = make_machine(4);
+  auto d = dist::Distribution::block_cyclic(dist::Shape({4, 4}),
+                                            dist::ProcessGrid({2, 2}), 1);
+  dist::DistArray<int> a(d);
+  const int perm[] = {1, 0};
+  // Higher rank: the leading extents and the process count both match.
+  auto higher = dist::Distribution::block(dist::Shape({4, 4, 1}),
+                                          dist::ProcessGrid({2, 2, 1}));
+  EXPECT_THROW(permute_dims(machine, a, perm, higher), ContractError);
+  // Lower rank: the one extent and the process count both match.
+  auto lower =
+      dist::Distribution::block(dist::Shape({4}), dist::ProcessGrid({4}));
+  EXPECT_THROW(permute_dims(machine, a, perm, lower), ContractError);
+}
+
 TEST(Transpose, RequiresRank2) {
   auto machine = make_machine(2);
   auto d = dist::Distribution::block_cyclic(dist::Shape({8}),
