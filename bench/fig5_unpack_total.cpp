@@ -31,7 +31,7 @@ void sweep(Harness& h, const std::string& title,
       std::vector<Case> cases;
       for (UnpackScheme scheme :
            {UnpackScheme::kSimpleStorage, UnpackScheme::kCompactStorage}) {
-        UnpackOptions opt = paper_wire(UnpackOptions{});
+        UnpackOptions opt = paper_options(UnpackOptions{});
         opt.scheme = scheme;
         cases.push_back(
             {title + " " + d.label() + " W=" + std::to_string(w) + " " +

@@ -260,12 +260,17 @@ struct Result {
   }
 };
 
-/// The paper's implementation sends every PRS base rank as int64, so the
-/// paper-figure benches pin the k64 wire: their modeled numbers stay
+/// The paper's implementation sends every PRS base rank as int64 and picks
+/// the PRS algorithm by its size rule, so the paper-figure benches pin both
+/// (the k64 wire, and kPaperRule in place of the default kAuto; a case
+/// that names a concrete algorithm keeps it): their modeled numbers stay
 /// comparable with the paper's tables (EXPERIMENTS.md).
 template <typename Options>
-Options paper_wire(Options opt) {
+Options paper_options(Options opt) {
   opt.wire_width = coll::WireWidth::k64;
+  if (opt.prs == coll::PrsAlgorithm::kAuto) {
+    opt.prs = coll::PrsAlgorithm::kPaperRule;
+  }
   return opt;
 }
 
@@ -277,10 +282,10 @@ struct Case {
 };
 
 /// A case running one PACK of `wl` on `m` with `opt`, on the paper's
-/// int64 PRS wire.
+/// int64 PRS wire and PRS rule.
 inline Case pack_case(std::string name, sim::Machine& m, const Workload& wl,
                       PackOptions opt) {
-  opt = paper_wire(opt);
+  opt = paper_options(opt);
   return {std::move(name), &m,
           [&m, &wl, opt] { (void)pack(m, wl.array, wl.mask, opt); }};
 }

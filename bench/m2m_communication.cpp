@@ -47,7 +47,7 @@ void message_volume_by_scheme(Harness& h) {
          {PackScheme::kSimpleStorage, PackScheme::kCompactStorage,
           PackScheme::kCompactMessage}) {
       sim::Machine m(p);
-      PackOptions opt = paper_wire(PackOptions{});
+      PackOptions opt = paper_options(PackOptions{});
       opt.scheme = scheme;
       PackResult<Element> result;
       h.run("volume " + d.label() + " " + scheme_label(scheme), m,

@@ -1,10 +1,13 @@
 // Section 7, "Vector Prefix-Reduction-Sum": modeled time of the direct and
 // split algorithms as a function of group size and vector length, plus the
-// selection the AUTO rule makes.
+// selections of kAuto (the lower predicted charge at the cm5 parameters and
+// the int64 wire) and of the paper's size rule (kPaperRule).
 //
 // Expected shape: time falls as block size grows (the ranking's PRS vector
 // length is proportional to the tile count); split beats direct once the
-// vector outgrows the group; direct wins for small groups/short vectors.
+// vector is long enough to amortize its 2(G-1) start-ups, far later than
+// the paper's rule (M >= G > 4) switches; direct wins for small groups and
+// short vectors.
 #include <cstdint>
 
 #include "coll/prefix_reduction_sum.hpp"
@@ -39,13 +42,19 @@ std::array<double, 2> prs_ms(Harness& h, const std::string& tag, int p,
 void vector_length_sweep(Harness& h, int p) {
   TextTable table = h.table("prefix-reduction-sum, P=" + std::to_string(p) +
                             " -- time (ms) vs vector length");
-  table.header({"M", "direct", "split", "auto picks"});
+  table.header({"M", "direct", "split", "auto picks", "paper picks"});
+  auto name = [p](coll::PrsAlgorithm rule, std::size_t m_len) {
+    return coll::resolve_prs(rule, p, m_len, sizeof(std::int64_t),
+                             sim::CostModel::cm5()) ==
+                   coll::PrsAlgorithm::kDirect
+               ? "direct"
+               : "split";
+  };
   for (std::size_t m_len : {1u, 4u, 16u, 64u, 256u, 1024u, 4096u, 16384u}) {
     const auto [d, s] = prs_ms(h, "length", p, m_len);
-    const auto pick = coll::resolve_prs(coll::PrsAlgorithm::kAuto, p, m_len);
     table.row({std::to_string(m_len), TextTable::num(d, 4),
-               TextTable::num(s, 4),
-               pick == coll::PrsAlgorithm::kDirect ? "direct" : "split"});
+               TextTable::num(s, 4), name(coll::PrsAlgorithm::kAuto, m_len),
+               name(coll::PrsAlgorithm::kPaperRule, m_len)});
   }
   table.print(std::cout);
 }

@@ -33,13 +33,13 @@ void run_case(Harness& h, const std::string& title,
               [&] {
                 (void)pack_with_redistribution(
                     m, wl.array, wl.mask, RedistributionScheme::kSelectedData,
-                    paper_wire(PackOptions{}));
+                    paper_options(PackOptions{}));
               }},
              {name + "Red.2", &m,
               [&] {
                 (void)pack_with_redistribution(
                     m, wl.array, wl.mask, RedistributionScheme::kWholeArrays,
-                    paper_wire(PackOptions{}));
+                    paper_options(PackOptions{}));
               }},
          })) {
       row.push_back(TextTable::num(r.ms(Col::kTotal), 3));

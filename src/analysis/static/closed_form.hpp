@@ -3,9 +3,12 @@
 // The verifier's cost-conformance check needs a second, independent
 // derivation of what each rank must pay: the IR expansion (expand.hpp)
 // enumerates rounds and transfers by mirroring the collective
-// implementations, while these functions compute the same totals from the
+// implementations, while the closed forms compute the same totals from the
 // paper's algebra -- message counts and tau + mu*m sums as a function of
-// the group size G and the vector length alone, never by walking rounds.
+// the group size G and the payload sizes alone, never by walking rounds.
+// The PRS prediction lives with the collective (coll::predict_prs), where
+// the ranking's schedule compiler also resolves kAuto with it; the
+// many-to-many one is here.
 // A schedule change that silently inflates (or undercharges) a round makes
 // the two derivations disagree and fails verification instead of a bench.
 //
@@ -16,7 +19,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "coll/alltoallv.hpp"
@@ -24,37 +26,6 @@
 #include "sim/cost_model.hpp"
 
 namespace pup::analysis::statics {
-
-/// Predicted totals for one group member (indexed by group position).
-struct MemberCost {
-  std::int64_t posts = 0;     ///< messages this member puts on the wire
-  std::int64_t recvs = 0;     ///< messages this member takes off the wire
-  std::size_t bytes_out = 0;  ///< payload bytes posted
-  std::size_t bytes_in = 0;   ///< payload bytes received
-  double charge_us = 0.0;     ///< modeled time the member must be charged
-};
-
-/// Closed-form prediction for one combined prefix-reduction-sum over a
-/// group of G members whose per-member vector holds `vec_len` elements of
-/// `elem_size` bytes (element granularity matters: the split algorithm's
-/// chunk boundaries are exact integer divisions of the element count).
-/// `alg` must be concrete (the plan compiler resolves kAuto).
-///
-///   direct, G power of two: log2(G) full-duplex exchange rounds, each
-///     tau + mu*(vec_len*elem_size) per member.
-///   direct, G otherwise: dissemination exscan (ceil(log2 G) rounds, member
-///     idx sends iff idx+o < G and receives iff idx-o >= 0, each one-way
-///     message charging both endpoints) plus a binomial total-broadcast
-///     rooted at the last member.
-///   split: two linear-permutation phases of G-1 rounds over M/G chunks
-///     (exact integer chunk boundaries); phase 2 payloads carry prefix and
-///     total, hence the factor of two.
-///   control network: zero messages; tau + mu*(vec_len*elem_size) streamed
-///     per member.
-std::vector<MemberCost> predict_prs(coll::PrsAlgorithm alg, int G,
-                                    std::size_t vec_len,
-                                    std::size_t elem_size,
-                                    const sim::CostModel& cost);
 
 /// Closed-form *upper-bound* prediction for a many-to-many personalized
 /// exchange with per-pair payload bounds `bound[i][j]` (group-position
@@ -64,7 +35,7 @@ std::vector<MemberCost> predict_prs(coll::PrsAlgorithm alg, int G,
 ///     (i-r) mod G; a round charges max of the two one-way times.
 ///   naive: every nonempty (i, j) message charges tau + mu*m to both
 ///     endpoints, serialized.
-std::vector<MemberCost> predict_m2m(
+std::vector<coll::MemberCost> predict_m2m(
     coll::M2MSchedule schedule,
     const std::vector<std::vector<std::size_t>>& bound,
     const sim::CostModel& cost);

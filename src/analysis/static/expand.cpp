@@ -207,14 +207,15 @@ void expand_prs(ExpandedPlan& out, const coll::Group& g,
                 std::size_t wire_bytes, const sim::CostModel& cost) {
   const int G = g.size();
   if (G <= 1) return;  // the implementation returns before any scope
-  PUP_CHECK(alg != coll::PrsAlgorithm::kAuto,
+  PUP_CHECK(alg != coll::PrsAlgorithm::kAuto &&
+                alg != coll::PrsAlgorithm::kPaperRule,
             "compiled plans carry concrete PRS algorithms");
   const std::size_t vec_bytes = vec_len * wire_bytes;
 
   BlockExpectation exp;
   exp.exact = true;
   exp.ranks = group_ranks(g);
-  exp.expected = predict_prs(alg, G, vec_len, wire_bytes, cost);
+  exp.expected = coll::predict_prs(alg, G, vec_len, wire_bytes, cost);
 
   switch (alg) {
     case coll::PrsAlgorithm::kDirect:
@@ -240,6 +241,7 @@ void expand_prs(ExpandedPlan& out, const coll::Group& g,
           expand_prs_control(g, vec_bytes, cost));
       break;
     case coll::PrsAlgorithm::kAuto:
+    case coll::PrsAlgorithm::kPaperRule:
       PUP_CHECK(false, "unreachable");
   }
   out.expectations.push_back(std::move(exp));

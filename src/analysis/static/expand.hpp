@@ -6,8 +6,9 @@
 // charge_exchange/charge_oneway accounting -- but reads only the plan (and
 // the static per-pair payload bounds), never a mask.  Honesty of the mirror
 // is enforced twice: the verifier proves the expansion's totals equal the
-// independent closed forms (closed_form.hpp), and the dynamic trace
-// cross-check (trace_check.hpp) replays a real execution against it.
+// independent closed forms (coll::predict_prs, closed_form.hpp), and the
+// dynamic trace cross-check (trace_check.hpp) replays a real execution
+// against it.
 //
 // Alongside the IR, expansion emits one BlockExpectation per collective:
 // the closed-form per-member prediction the verifier must reproduce from
@@ -40,7 +41,7 @@ struct BlockExpectation {
   std::vector<std::size_t> blocks;  ///< indices into CommSchedule::blocks
   bool exact = true;
   std::vector<int> ranks;
-  std::vector<MemberCost> expected;
+  std::vector<coll::MemberCost> expected;
 };
 
 struct ExpandedPlan {

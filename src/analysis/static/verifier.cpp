@@ -231,7 +231,7 @@ void check_conformance(VerifyReport& report, const CommSchedule& schedule,
             "expectation ranks/predictions size mismatch");
   for (std::size_t k = 0; k < exp.ranks.size(); ++k) {
     const int rank = exp.ranks[k];
-    const MemberCost& want = exp.expected[k];
+    const coll::MemberCost& want = exp.expected[k];
     const IrTotals& got = totals[rank];
     std::ostringstream os;
     bool bad = false;
@@ -314,14 +314,60 @@ VerifyReport verify_plan(const plan::PackPlan& plan,
                          const sim::CostModel& cost, std::size_t batch,
                          const VerifyOptions& options) {
   const ExpandedPlan expanded = expand_pack_plan(plan, cost, batch);
-  return verify_schedule(expanded.schedule, expanded.expectations, options);
+  VerifyReport report =
+      verify_schedule(expanded.schedule, expanded.expectations, options);
+  check_prs_picks(report, plan.schedule, plan.options.prs, cost);
+  return report;
 }
 
 VerifyReport verify_plan(const plan::UnpackPlan& plan,
                          const sim::CostModel& cost,
                          const VerifyOptions& options) {
   const ExpandedPlan expanded = expand_unpack_plan(plan, cost);
-  return verify_schedule(expanded.schedule, expanded.expectations, options);
+  VerifyReport report =
+      verify_schedule(expanded.schedule, expanded.expectations, options);
+  check_prs_picks(report, plan.schedule, plan.options.prs, cost);
+  return report;
+}
+
+void check_prs_picks(VerifyReport& report, const RankingSchedule& sched,
+                     coll::PrsAlgorithm requested,
+                     const sim::CostModel& cost) {
+  using coll::PrsAlgorithm;
+  if (requested != PrsAlgorithm::kAuto &&
+      requested != PrsAlgorithm::kPaperRule) {
+    return;
+  }
+  for (std::size_t i = 0; i < sched.steps.size(); ++i) {
+    const RankingStep& step = sched.steps[i];
+    const int G = step.groups.empty() ? 1 : step.groups.front().size();
+    const auto M = static_cast<std::size_t>(step.level_size);
+    const double direct_us =
+        coll::predict_prs_us(PrsAlgorithm::kDirect, G, M, step.wire_bytes,
+                             cost);
+    const double split_us = coll::predict_prs_us(PrsAlgorithm::kSplit, G, M,
+                                                 step.wire_bytes, cost);
+    const PrsAlgorithm want =
+        requested == PrsAlgorithm::kAuto
+            ? (split_us < direct_us ? PrsAlgorithm::kSplit
+                                    : PrsAlgorithm::kDirect)
+            : (G > 4 && M >= static_cast<std::size_t>(G)
+                   ? PrsAlgorithm::kSplit
+                   : PrsAlgorithm::kDirect);
+    if (step.prs == want) continue;
+    auto name = [](PrsAlgorithm a) {
+      return a == PrsAlgorithm::kDirect  ? "direct"
+             : a == PrsAlgorithm::kSplit ? "split"
+                                         : "a non-candidate algorithm";
+    };
+    std::ostringstream os;
+    os << (requested == PrsAlgorithm::kAuto ? "kAuto" : "kPaperRule")
+       << " resolved to " << name(step.prs) << " for G=" << G << ", M=" << M
+       << ", " << step.wire_bytes << "-byte wire, where " << name(want)
+       << " is required (predicted busiest-member charge: direct "
+       << direct_us << "us, split " << split_us << "us)";
+    issue(report, "prs-pick", "ranking step " + std::to_string(i), os.str());
+  }
 }
 
 void require_verified(const VerifyReport& report, const char* what) {

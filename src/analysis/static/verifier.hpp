@@ -12,11 +12,16 @@
 //      every receive with a post in the *same* round, every blocking
 //      receive has a statically reachable matching post;
 //   3. cost conformance -- the per-rank tau + mu*m totals accumulated from
-//      the IR equal the closed-form predictions (closed_form.hpp) derived
-//      independently from the paper's algebra: message counts, byte
-//      volumes, and charges must all agree;
+//      the IR equal the closed-form predictions (coll::predict_prs,
+//      closed_form.hpp) derived independently from the paper's algebra:
+//      message counts, byte volumes, and charges must all agree;
 //   4. mailbox bounds -- the peak per-rank in-flight bytes over any round
 //      are computed and reported, and optionally checked against a budget.
+//
+// verify_plan adds a fifth, on the compiled plan itself: every ranking
+// step of a kAuto plan runs the PRS algorithm with the lower predicted
+// busiest-member charge (direct on a tie), and every step of a kPaperRule
+// plan the paper's size rule.
 //
 // The verifier is pure: it consumes the IR (and expectations) and returns
 // a report; it never touches a Machine.  The dynamic ProtocolValidator
@@ -50,7 +55,7 @@ struct VerifyOptions {
 
 /// One verification failure.  `rule` is the proof obligation that failed
 /// ("comm-matching", "tag-discipline", "round-discipline", "deadlock",
-/// "cost-conformance", "mailbox-budget", "structure").
+/// "cost-conformance", "mailbox-budget", "structure", "prs-pick").
 struct VerifyIssue {
   std::string rule;
   std::string detail;
@@ -85,15 +90,25 @@ VerifyReport verify_schedule(const CommSchedule& schedule,
                              const VerifyOptions& options = {});
 
 /// Expands and verifies a compiled PACK plan (executed with `batch` fused
-/// requests).
+/// requests), and checks its ranking steps' PRS picks under `cost`.
 VerifyReport verify_plan(const plan::PackPlan& plan,
                          const sim::CostModel& cost, std::size_t batch = 1,
                          const VerifyOptions& options = {});
 
-/// Expands and verifies a compiled UNPACK plan.
+/// Expands and verifies a compiled UNPACK plan, PRS picks included.
 VerifyReport verify_plan(const plan::UnpackPlan& plan,
                          const sim::CostModel& cost,
                          const VerifyOptions& options = {});
+
+/// Appends a "prs-pick" issue for every ranking step of `sched` (compiled
+/// from a `requested` PRS knob under `cost`) whose algorithm is not the
+/// one the closed forms require: under kAuto whichever of direct and split
+/// has the lower busiest-member charge at the step's group size,
+/// single-request vector length and wire width (direct on a tie); under
+/// kPaperRule the paper's size rule.  Concrete requests pass through.
+void check_prs_picks(VerifyReport& report, const RankingSchedule& sched,
+                     coll::PrsAlgorithm requested,
+                     const sim::CostModel& cost);
 
 /// Aborts (PUP_CHECK) with the report's issues when verification fails;
 /// the debug-build hook ResilientExecutor uses.

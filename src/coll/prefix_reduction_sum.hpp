@@ -22,8 +22,13 @@
 //    term is what matters for large vectors, which is why the paper's
 //    selection rule prefers SPLIT once the vector outgrows the group.
 //
-//  * AUTO -- the paper's rule (Section 7): DIRECT iff G <= 4 or M < G,
-//    SPLIT otherwise.
+//  * AUTO -- whichever of DIRECT and SPLIT the closed-form charges
+//    (predict_prs) price lower for the busiest member at the call's group
+//    size, vector length, wire width and cost model; ties go to DIRECT.
+//
+//  * PAPER_RULE -- the paper's rule (Section 7): DIRECT iff G <= 4 or
+//    M < G, SPLIT otherwise.  Under the CM-5 parameters it picks SPLIT
+//    for vectors far shorter than the length where SPLIT starts to pay.
 //
 // Every algorithm takes a wire width: the bytes per vector entry on the
 // wire.  The default, sizeof(T), is the plain vector.  The ranking runs
@@ -36,6 +41,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -44,6 +50,7 @@
 #include "coll/p2p.hpp"
 #include "coll/reliable.hpp"
 #include "coll/scan.hpp"
+#include "sim/cost_model.hpp"
 #include "sim/instrumentation.hpp"
 #include "sim/machine.hpp"
 
@@ -57,7 +64,10 @@ enum class PrsAlgorithm {
   /// with no software rounds.  Opt-in (never chosen by kAuto); models the
   /// paper's 1-D implementation, which used the CM-5 global operations.
   kControlNetwork,
+  /// The cheaper of kDirect and kSplit by predicted modeled charge.
   kAuto,
+  /// The paper's size rule: kDirect iff G <= 4 or M < G.
+  kPaperRule,
 };
 
 /// Wire width of the integer fields PACK/UNPACK send: the ranking's PRS
@@ -72,15 +82,59 @@ enum class WireWidth {
   k64,
 };
 
-/// The paper's algorithm-selection rule.
-inline PrsAlgorithm resolve_prs(PrsAlgorithm alg, int group_size,
-                                std::size_t vector_len) {
-  if (alg != PrsAlgorithm::kAuto) return alg;
-  if (group_size <= 4 || vector_len < static_cast<std::size_t>(group_size)) {
-    return PrsAlgorithm::kDirect;
-  }
-  return PrsAlgorithm::kSplit;
-}
+/// Predicted totals for one group member (indexed by group position).
+struct MemberCost {
+  std::int64_t posts = 0;     ///< messages this member puts on the wire
+  std::int64_t recvs = 0;     ///< messages this member takes off the wire
+  std::size_t bytes_out = 0;  ///< payload bytes posted
+  std::size_t bytes_in = 0;   ///< payload bytes received
+  double charge_us = 0.0;     ///< modeled time the member must be charged
+};
+
+/// Full-duplex exchange charge on the virtual crossbar: the max of the two
+/// one-way times, zero terms dropped, zero when nothing moves (what
+/// charge_exchange charges when every pair is equidistant).
+double exchange_us(std::size_t sent, std::size_t recv,
+                   const sim::CostModel& cost);
+
+/// Closed-form prediction for one combined prefix-reduction-sum over a
+/// group of G members whose per-member vector holds `vec_len` entries of
+/// `elem_size` bytes on the wire (entry granularity matters: the split
+/// algorithm's chunk boundaries are exact integer divisions of the entry
+/// count).  `alg` must be concrete.  Message counts and tau + mu*m sums
+/// follow from G and the vector length alone, never by walking rounds:
+///
+///   direct, G power of two: log2(G) full-duplex exchange rounds, each
+///     tau + mu*(vec_len*elem_size) per member.
+///   direct, G otherwise: dissemination exscan (ceil(log2 G) rounds, member
+///     idx sends iff idx+o < G and receives iff idx-o >= 0, each one-way
+///     message charging both endpoints) plus a binomial total-broadcast
+///     rooted at the last member.
+///   split: two linear-permutation phases of G-1 rounds over M/G chunks
+///     (exact integer chunk boundaries); phase 2 payloads carry prefix and
+///     total, hence the factor of two.
+///   control network: zero messages; tau + mu*(vec_len*elem_size) streamed
+///     per member.
+///
+/// All formulas assume the virtual crossbar of the paper's two-level model
+/// (every pair equidistant); see sim/cost_model.hpp.
+std::vector<MemberCost> predict_prs(PrsAlgorithm alg, int G,
+                                    std::size_t vec_len,
+                                    std::size_t elem_size,
+                                    const sim::CostModel& cost);
+
+/// The busiest member's predicted charge (predict_prs), in microseconds.
+double predict_prs_us(PrsAlgorithm alg, int G, std::size_t vec_len,
+                      std::size_t elem_size, const sim::CostModel& cost);
+
+/// Resolves `alg` to the algorithm a call over `group_size` members with
+/// `vector_len` entries of `wire_bytes` runs.  Concrete algorithms pass
+/// through; kPaperRule applies the paper's size rule; kAuto picks split
+/// only when its busiest member's predicted charge under `cost` is
+/// strictly below direct's.
+PrsAlgorithm resolve_prs(PrsAlgorithm alg, int group_size,
+                         std::size_t vector_len, std::size_t wire_bytes,
+                         const sim::CostModel& cost);
 
 namespace detail {
 
@@ -384,11 +438,11 @@ void prs_split(sim::Machine& m, const Group& g,
 
 /// Fused exclusive-prefix + reduction.  `prefix` is indexed by machine rank
 /// and holds V_i on entry, F_i on return; `total` receives R in every
-/// member.  Returns the algorithm actually used (after AUTO resolution).
-/// The vectors may use any allocator (the ranking passes
-/// support::UninitVector).  Payloads carry `wire_bytes` per entry: an
-/// int64 vector may go narrower (1, 2 or 4) when every entry, prefix and
-/// total fits; a payload entry that does not throws ContractError.
+/// member.  Returns the algorithm actually used (resolve_prs under the
+/// machine's cost model).  The vectors may use any allocator (the ranking
+/// passes support::UninitVector).  Payloads carry `wire_bytes` per entry:
+/// an int64 vector may go narrower (1, 2 or 4) when every entry, prefix
+/// and total fits; a payload entry that does not throws ContractError.
 template <typename T, typename A>
 PrsAlgorithm prefix_reduction_sum(sim::Machine& m, const Group& g,
                                   PrsAlgorithm alg,
@@ -412,7 +466,7 @@ PrsAlgorithm prefix_reduction_sum(sim::Machine& m, const Group& g,
     return PrsAlgorithm::kDirect;
   }
 
-  const PrsAlgorithm chosen = resolve_prs(alg, G, M);
+  const PrsAlgorithm chosen = resolve_prs(alg, G, M, wire_bytes, m.cost());
   switch (chosen) {
     case PrsAlgorithm::kDirect:
       if (detail::is_pow2(G)) {
@@ -428,6 +482,7 @@ PrsAlgorithm prefix_reduction_sum(sim::Machine& m, const Group& g,
       detail::prs_control_network(m, g, prefix, total, cat, wire_bytes);
       break;
     case PrsAlgorithm::kAuto:
+    case PrsAlgorithm::kPaperRule:
       PUP_CHECK(false, "AUTO must have been resolved");
   }
   return chosen;

@@ -235,8 +235,9 @@ PackResult<T> pack_execute(sim::Machine& machine,
         }
         if (n == 0) continue;
         // Slice scan (Section 6.1): method 1 stops once all n selected
-        // elements of the slice have been collected; method 2 always scans
-        // the full slice (kept for the paper's scanning-method comparison).
+        // elements of the slice have been collected (kept for the paper's
+        // scanning-method comparison); method 2, the default, always scans
+        // the full slice.
         // The gather kernels clip to the ragged slice extent; stop-early
         // (method 1) additionally exits once all n elements are found.
         // slice_vals is W_0-sized, satisfying the kernels' speculative-

@@ -93,7 +93,8 @@ std::size_t index_wire_bytes(std::int64_t largest_extent,
 RankingSchedule compile_ranking_schedule(const dist::Distribution& dist,
                                          int nprocs,
                                          coll::PrsAlgorithm prs,
-                                         coll::WireWidth width) {
+                                         coll::WireWidth width,
+                                         const sim::CostModel& cost) {
   PUP_REQUIRE(dist.nprocs() == nprocs,
               "distribution grid size " << dist.nprocs()
                                         << " != machine size " << nprocs);
@@ -150,14 +151,16 @@ RankingSchedule compile_ranking_schedule(const dist::Distribution& dist,
     for (const auto& ranks : dist.grid().groups_along(i)) {
       step.groups.emplace_back(ranks);
     }
-    // Resolve the PRS algorithm now, with the single-request vector length,
-    // so a batched execution runs the exact round structure the unbatched
-    // path would (fusing B requests must not flip the direct/split choice).
-    step.prs = coll::resolve_prs(prs, dist.grid().extent(i),
-                                 static_cast<std::size_t>(step.level_size));
     step.wire_bytes = width == coll::WireWidth::k64
                           ? sizeof(std::int64_t)
                           : wire_bytes_for(level_bound(dist, i));
+    // Resolve the PRS algorithm now, with the single-request vector length
+    // at the step's wire width, so a batched execution runs the exact round
+    // structure the unbatched path would (fusing B requests must not flip
+    // the direct/split choice).
+    step.prs = coll::resolve_prs(prs, dist.grid().extent(i),
+                                 static_cast<std::size_t>(step.level_size),
+                                 step.wire_bytes, cost);
   }
   s.slices = s.steps[0].level_size;  // C = T_0 * prod_{k>=1} L_k
   g_schedules_compiled.fetch_add(1, std::memory_order_relaxed);
@@ -457,7 +460,8 @@ RankingResult rank_mask(sim::Machine& machine,
                         const dist::DistArray<mask_t>& mask,
                         const RankingOptions& options) {
   const RankingSchedule sched = compile_ranking_schedule(
-      mask.dist(), machine.nprocs(), options.prs, options.wire_width);
+      mask.dist(), machine.nprocs(), options.prs, options.wire_width,
+      machine.cost());
   const dist::DistArray<mask_t>* one = &mask;
   std::vector<RankingResult> results = rank_masks(
       machine, sched, std::span<const dist::DistArray<mask_t>* const>(&one, 1),

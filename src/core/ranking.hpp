@@ -34,6 +34,7 @@
 #include "coll/prefix_reduction_sum.hpp"
 #include "core/mask.hpp"
 #include "dist/dist_array.hpp"
+#include "sim/cost_model.hpp"
 #include "sim/machine.hpp"
 #include "support/check.hpp"
 #include "support/uninit.hpp"
@@ -61,9 +62,9 @@ struct RankingStep {
   /// PRS groups: one per line of the processor grid along dimension i,
   /// ordered by the coordinate along i.
   std::vector<coll::Group> groups;
-  /// The PRS algorithm, resolved at compile time from the group size P_i
-  /// and level_size (never kAuto), so every execution and every batched
-  /// request runs the same schedule.
+  /// The PRS algorithm, resolved at compile time from the group size P_i,
+  /// level_size and wire_bytes (never kAuto or kPaperRule), so every
+  /// execution and every batched request runs the same schedule.
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kDirect;
   /// Bytes per PS_i/RS_i entry on the wire: 1, 2, 4 or 8, resolved at
   /// compile time.  Every entry, prefix and total of the level's PRS
@@ -93,11 +94,14 @@ struct RankingSchedule {
 /// Validates the distribution's divisibility/int32 contracts and hoists all
 /// mask-independent ranking state.  This is the *only* place geometry is
 /// (re)computed; ranking_schedules_compiled() counts its invocations so
-/// tests can assert that a plan-cache hit recompiles nothing.
+/// tests can assert that a plan-cache hit recompiles nothing.  Each step's
+/// PRS algorithm is resolved under `cost`, the cost model of the machine
+/// that will run the schedule (coll::resolve_prs).
 RankingSchedule compile_ranking_schedule(
     const dist::Distribution& dist, int nprocs,
     coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto,
-    coll::WireWidth width = coll::WireWidth::kAuto);
+    coll::WireWidth width = coll::WireWidth::kAuto,
+    const sim::CostModel& cost = sim::CostModel::cm5());
 
 /// The bound B_i on every entry of level i's PRS (its input counts, the
 /// prefixes and the totals): P_i * W_i * prod_{k<i} N_k elements, the size

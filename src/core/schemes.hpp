@@ -27,8 +27,10 @@ enum class UnpackScheme {
 
 /// Slice-scanning policy of the compact schemes' composition scan
 /// (paper, Section 6.1): stop as soon as the slice's counted elements have
-/// been collected (method 1, the paper's choice) or always scan the whole
-/// slice (method 2, kept for the ablation the paper reports).
+/// been collected (method 1, the paper's choice, kept for the ablation the
+/// paper reports) or always scan the whole slice (method 2, the default:
+/// its branch-free kernel measured 1.4-1.8x faster in every cell of
+/// bench/ablation_schedules).  Modeled time does not depend on it.
 enum class SliceScan {
   kStopEarly,
   kFullSlice,
@@ -38,7 +40,7 @@ struct PackOptions {
   PackScheme scheme = PackScheme::kCompactMessage;
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto;
   coll::M2MSchedule schedule = coll::M2MSchedule::kLinearPermutation;
-  SliceScan slice_scan = SliceScan::kStopEarly;
+  SliceScan slice_scan = SliceScan::kFullSlice;
   /// Wire width of the ranking's PRS entries and of the redistribution
   /// stage's index fields (index_wire_bytes of the result layout).
   coll::WireWidth wire_width = coll::WireWidth::kAuto;

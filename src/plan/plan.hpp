@@ -33,8 +33,9 @@ namespace pup::plan {
 
 /// Cache key: a flat, order-deterministic encoding of everything a compiled
 /// plan depends on -- operation kind, global extents, grid extents, block
-/// sizes, element width, scheme, and the PRS/M2M algorithm knobs.  Two
-/// plans with equal keys are interchangeable.
+/// sizes, element width, scheme, the PRS/M2M algorithm knobs, and the
+/// machine's cost model (tau, mu), under which kAuto resolves each PRS.
+/// Two plans with equal keys are interchangeable.
 struct PlanKey {
   std::vector<std::int64_t> words;
   friend bool operator==(const PlanKey&, const PlanKey&) = default;
@@ -43,11 +44,13 @@ struct PlanKey {
 
 PlanKey pack_plan_key(const dist::Distribution& dist, int elem_width,
                       const PackOptions& options,
-                      const std::optional<dist::Distribution>& result_dist);
+                      const std::optional<dist::Distribution>& result_dist,
+                      const sim::CostModel& cost);
 
 PlanKey unpack_plan_key(const dist::Distribution& mask_dist,
                         const dist::Distribution& vector_dist, int elem_width,
-                        const UnpackOptions& options);
+                        const UnpackOptions& options,
+                        const sim::CostModel& cost);
 
 /// An immutable compiled PACK plan.  `schedule` carries the hoisted ranking
 /// structure; `options.scheme` is always concrete.

@@ -42,7 +42,8 @@ std::shared_ptr<const PackPlan> PlanCache::pack_plan(
     sim::Machine& machine, const dist::Distribution& dist, int elem_width,
     const PackOptions& options,
     std::optional<dist::Distribution> result_dist) {
-  const PlanKey key = pack_plan_key(dist, elem_width, options, result_dist);
+  const PlanKey key =
+      pack_plan_key(dist, elem_width, options, result_dist, machine.cost());
   const std::lock_guard<std::mutex> lock(mu_);
   if (Entry* hit = touch(machine, key)) {
     PUP_CHECK(hit->pack != nullptr, "plan kind mismatch for equal keys");
@@ -62,7 +63,8 @@ std::shared_ptr<const UnpackPlan> PlanCache::unpack_plan(
     const dist::Distribution& vector_dist, int elem_width,
     const UnpackOptions& options) {
   const PlanKey key =
-      unpack_plan_key(mask_dist, vector_dist, elem_width, options);
+      unpack_plan_key(mask_dist, vector_dist, elem_width, options,
+                      machine.cost());
   const std::lock_guard<std::mutex> lock(mu_);
   if (Entry* hit = touch(machine, key)) {
     PUP_CHECK(hit->unpack != nullptr, "plan kind mismatch for equal keys");

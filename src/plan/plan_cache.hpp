@@ -1,7 +1,9 @@
 // LRU cache of compiled PACK/UNPACK plans.
 //
 // Keyed by PlanKey (distribution signature, grid, block sizes, element
-// width, scheme, PRS/M2M algorithm).  A hit returns the cached immutable
+// width, scheme, PRS/M2M algorithm, and the machine's cost model, so two
+// machines sharing a cache never get each other's cost-resolved PRS
+// picks).  A hit returns the cached immutable
 // plan (shared_ptr, so in-flight executions survive eviction and
 // invalidation); a miss compiles and inserts, evicting the least recently
 // used entry beyond capacity.  Cache events are surfaced to the machine's

@@ -208,7 +208,8 @@ Server::Submission Server::submit_tracked(PackRequest request) {
                  PackOptions opt;
                  opt.scheme = request.scheme;
                  p.fuse_key = plan::pack_plan_key(d, sizeof(Element), opt,
-                                                  std::nullopt);
+                                                  std::nullopt,
+                                                  machine_.cost());
                  p.admitted_bytes = pack_bytes(d);
                  return {};
                });
@@ -233,7 +234,8 @@ Server::Submission Server::submit_tracked(UnpackRequest request) {
           UnpackOptions opt;
           opt.scheme = request.scheme;
           p.fuse_key = plan::unpack_plan_key(d, p.vector.dist(),
-                                             sizeof(Element), opt);
+                                             sizeof(Element), opt,
+                                             machine_.cost());
         }
         p.admitted_bytes = unpack_bytes(d, p.vector.dist());
         return {};

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "coll/broadcast.hpp"
 #include "coll/prefix_reduction_sum.hpp"
@@ -132,7 +133,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(PrsAlgorithm::kDirect,
                                          PrsAlgorithm::kSplit,
                                          PrsAlgorithm::kControlNetwork,
-                                         PrsAlgorithm::kAuto)));
+                                         PrsAlgorithm::kAuto,
+                                         PrsAlgorithm::kPaperRule)));
 
 TEST(Prs, ControlNetworkCostIsIndependentOfGroupSize) {
   // The CM-5 control-network model: one streaming pass per member, no
@@ -176,12 +178,90 @@ TEST(Prs, DirectAndSplitAgreeOnSubgroups) {
   EXPECT_EQ(pre_d[0], in[0]);
 }
 
-TEST(Prs, AutoSelectionRule) {
-  // The paper's rule: direct iff G <= 4 or M < G.
-  EXPECT_EQ(resolve_prs(PrsAlgorithm::kAuto, 4, 1000), PrsAlgorithm::kDirect);
-  EXPECT_EQ(resolve_prs(PrsAlgorithm::kAuto, 16, 8), PrsAlgorithm::kDirect);
-  EXPECT_EQ(resolve_prs(PrsAlgorithm::kAuto, 16, 1000), PrsAlgorithm::kSplit);
-  EXPECT_EQ(resolve_prs(PrsAlgorithm::kSplit, 2, 1), PrsAlgorithm::kSplit);
+TEST(Prs, PaperRuleReproducesTheSizeRule) {
+  // The paper's rule, exactly: direct iff G <= 4 or M < G, at any wire
+  // width and cost model.
+  const sim::CostModel cost = sim::CostModel::cm5();
+  EXPECT_EQ(resolve_prs(PrsAlgorithm::kPaperRule, 4, 1000, 8, cost),
+            PrsAlgorithm::kDirect);
+  EXPECT_EQ(resolve_prs(PrsAlgorithm::kPaperRule, 16, 8, 8, cost),
+            PrsAlgorithm::kDirect);
+  EXPECT_EQ(resolve_prs(PrsAlgorithm::kPaperRule, 16, 1000, 8, cost),
+            PrsAlgorithm::kSplit);
+  for (int G : {1, 2, 3, 4, 5, 8, 16, 64}) {
+    for (std::size_t M : {0u, 1u, 4u, 5u, 7u, 8u, 63u, 64u, 100000u}) {
+      for (std::size_t wire : {1u, 8u}) {
+        const PrsAlgorithm want =
+            G <= 4 || M < static_cast<std::size_t>(G) ? PrsAlgorithm::kDirect
+                                                      : PrsAlgorithm::kSplit;
+        EXPECT_EQ(resolve_prs(PrsAlgorithm::kPaperRule, G, M, wire, cost),
+                  want)
+            << "G=" << G << " M=" << M << " wire=" << wire;
+      }
+    }
+  }
+}
+
+TEST(Prs, ConcreteAlgorithmsPassThrough) {
+  const sim::CostModel cost = sim::CostModel::cm5();
+  for (PrsAlgorithm alg : {PrsAlgorithm::kDirect, PrsAlgorithm::kSplit,
+                           PrsAlgorithm::kControlNetwork}) {
+    EXPECT_EQ(resolve_prs(alg, 2, 1, 8, cost), alg);
+    EXPECT_EQ(resolve_prs(alg, 64, 1 << 20, 1, cost), alg);
+  }
+}
+
+TEST(Prs, AutoNeverPicksTheDearerAlgorithm) {
+  // kAuto's pick is never predicted dearer (busiest member) than either
+  // candidate, and a tie goes to direct -- under two cost models, across
+  // group sizes, vector lengths on both sides of M = G, and every wire
+  // width.
+  for (const sim::CostModel cost :
+       {sim::CostModel::cm5(), sim::CostModel{10.0, 0.1}}) {
+    for (int G : {1, 2, 3, 4, 5, 8, 16, 64, 256}) {
+      std::vector<std::size_t> lengths = {0, 1,
+                                          static_cast<std::size_t>(G - 1),
+                                          static_cast<std::size_t>(G)};
+      for (std::size_t M = 16; M <= 16384; M *= 4) lengths.push_back(M);
+      for (std::size_t M : lengths) {
+        for (std::size_t wire : {1u, 2u, 4u, 8u}) {
+          const PrsAlgorithm pick =
+              resolve_prs(PrsAlgorithm::kAuto, G, M, wire, cost);
+          const double direct =
+              predict_prs_us(PrsAlgorithm::kDirect, G, M, wire, cost);
+          const double split =
+              predict_prs_us(PrsAlgorithm::kSplit, G, M, wire, cost);
+          const double picked = predict_prs_us(pick, G, M, wire, cost);
+          const std::string where = "G=" + std::to_string(G) +
+                                    " M=" + std::to_string(M) +
+                                    " wire=" + std::to_string(wire);
+          EXPECT_LE(picked, direct) << where;
+          EXPECT_LE(picked, split) << where;
+          if (direct == split) {
+            EXPECT_EQ(pick, PrsAlgorithm::kDirect) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Prs, AutoKeepsDirectWhereThePaperRuleSplits) {
+  // The cm5 charges at G = 8 with a 2-byte wire: direct costs 304 us per
+  // member at M = 64 and 350 us at M = 128, split 1244 and 1285 us, yet
+  // the paper's rule (M >= G > 4) splits both.  Split pays off only once
+  // the vector is long enough to amortize its 2(G-1) start-ups.
+  const sim::CostModel cost = sim::CostModel::cm5();
+  for (std::size_t M : {64u, 128u}) {
+    EXPECT_EQ(resolve_prs(PrsAlgorithm::kAuto, 8, M, 2, cost),
+              PrsAlgorithm::kDirect);
+    EXPECT_EQ(resolve_prs(PrsAlgorithm::kPaperRule, 8, M, 2, cost),
+              PrsAlgorithm::kSplit);
+  }
+  EXPECT_DOUBLE_EQ(predict_prs_us(PrsAlgorithm::kDirect, 8, 128, 2, cost),
+                   3 * cost.message_us(256));
+  EXPECT_EQ(resolve_prs(PrsAlgorithm::kAuto, 8, 1 << 20, 8, cost),
+            PrsAlgorithm::kSplit);
 }
 
 TEST(Prs, DirectPow2MessageCount) {

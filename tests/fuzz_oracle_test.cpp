@@ -118,7 +118,8 @@ std::string describe(const Config& c) {
   const char* masks[] = {"empty", "full", "random", "LT", "dense prefix"};
   const char* pack_schemes[] = {"SSS", "CSS", "CMS", "auto"};
   const char* unpack_schemes[] = {"SSS", "CSS", "auto"};
-  const char* prs[] = {"direct", "split", "control-network", "auto"};
+  const char* prs[] = {"direct", "split", "control-network", "auto",
+                       "paper-rule"};
   const char* faults[] = {"none", "lossy", "lossy+kill"};
   const char* entries[] = {"one-shot", "plan cache", "pack_batch", "Runtime"};
   std::ostringstream os;
@@ -205,7 +206,7 @@ Config draw(int seed) {
   c.pack_opt.prs = c.unpack_opt.prs =
       pick(rng, {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit,
                  coll::PrsAlgorithm::kControlNetwork,
-                 coll::PrsAlgorithm::kAuto});
+                 coll::PrsAlgorithm::kAuto, coll::PrsAlgorithm::kPaperRule});
   c.pack_opt.schedule = c.unpack_opt.schedule = pick(
       rng, {coll::M2MSchedule::kLinearPermutation, coll::M2MSchedule::kNaive});
   c.pack_opt.wire_width = c.unpack_opt.wire_width =

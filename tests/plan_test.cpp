@@ -157,6 +157,42 @@ TEST(PlanCache, HitSkipsRecompilationAndIsCounted) {
   EXPECT_EQ(cache.stats().misses, 2);
 }
 
+TEST(PlanCache, MachinesWithDifferentCostModelsDoNotSharePlans) {
+  // kAuto resolves each PRS under the compiling machine's cost model: a
+  // 1024-entry PRS over 8 members is direct under cm5 and split when
+  // start-ups are nearly free.  A cache shared by the two machines must
+  // hand each its own pick.
+  const int P = 8;
+  auto cm5 = make_machine(P, test::test_options(sim::CostModel::cm5()));
+  auto cheap = make_machine(P, test::test_options(sim::CostModel{0.01, 1.0}));
+  PackWorkload wl = make_workload(8192, P, 1, 0.5, 0xc057);
+  PackOptions opt;
+  opt.scheme = PackScheme::kCompactStorage;
+
+  plan::PlanCache cache(4);
+  auto a = cache.pack_plan(cm5, wl.d, sizeof(std::int64_t), opt);
+  auto b = cache.pack_plan(cheap, wl.d, sizeof(std::int64_t), opt);
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(a->schedule.steps[0].prs, coll::PrsAlgorithm::kDirect);
+  EXPECT_EQ(b->schedule.steps[0].prs, coll::PrsAlgorithm::kSplit);
+
+  UnpackOptions uopt;
+  const auto vd = dist::Distribution::block1d(4096, P);
+  auto ua = cache.unpack_plan(cm5, wl.d, vd, sizeof(std::int64_t), uopt);
+  auto ub = cache.unpack_plan(cheap, wl.d, vd, sizeof(std::int64_t), uopt);
+  EXPECT_EQ(cache.stats().misses, 4);
+  EXPECT_EQ(ua->schedule.steps[0].prs, coll::PrsAlgorithm::kDirect);
+  EXPECT_EQ(ub->schedule.steps[0].prs, coll::PrsAlgorithm::kSplit);
+
+  // Each machine still hits its own entry, and runs it correctly.
+  EXPECT_EQ(cache.pack_plan(cheap, wl.d, sizeof(std::int64_t), opt).get(),
+            b.get());
+  EXPECT_EQ(plan::pack_with_plan(cheap, *b, wl.array, wl.mask)
+                .vector.gather(),
+            serial_pack<std::int64_t>(wl.data, wl.gm));
+}
+
 TEST(PlanCache, CacheEventsReachMachineObserver) {
   // The hit/miss lookups are point events (on_event); only the compile on
   // a miss is a phase, so the validator's phase counter sees plan.compile

@@ -69,11 +69,13 @@ const std::vector<PackScheme> kPackSchemes = {PackScheme::kSimpleStorage,
                                               PackScheme::kCompactMessage};
 const std::vector<UnpackScheme> kUnpackSchemes = {
     UnpackScheme::kSimpleStorage, UnpackScheme::kCompactStorage};
-// kAuto included: the plan compiler resolves it per dimension, so the sweep
-// also covers whatever the selection rule picks.
+// kAuto and kPaperRule included: the plan compiler resolves them per
+// dimension, so the sweep also covers whatever either rule picks (and
+// verify_plan checks the picks).
 const std::vector<coll::PrsAlgorithm> kPrsKnobs = {
     coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit,
-    coll::PrsAlgorithm::kControlNetwork, coll::PrsAlgorithm::kAuto};
+    coll::PrsAlgorithm::kControlNetwork, coll::PrsAlgorithm::kAuto,
+    coll::PrsAlgorithm::kPaperRule};
 const std::vector<coll::M2MSchedule> kM2MKnobs = {
     coll::M2MSchedule::kLinearPermutation, coll::M2MSchedule::kNaive};
 // The paper's int64 wire and the narrowest proven one.
@@ -441,13 +443,54 @@ TEST(StaticVerifier, MailboxPeakReportedAndBudgetEnforced) {
 }
 
 // ---------------------------------------------------------------------------
+// PRS picks: a resolved step that is not the rule's pick is reported.
+
+bool has_rule(const st::VerifyReport& report, const std::string& rule) {
+  return std::any_of(report.issues.begin(), report.issues.end(),
+                     [&](const st::VerifyIssue& i) { return i.rule == rule; });
+}
+
+TEST(StaticVerifier, DearerPrsPickIsReported) {
+  // P = 8, cyclic: one 1024-entry PRS on a 1-byte wire per PACK.  Under
+  // cm5 direct charges 627 us per member against split's 1527; the
+  // paper's rule splits.
+  auto machine = make_machine(8, test::test_options(sim::CostModel::cm5()));
+  const auto d = dist::Distribution::block_cyclic(dist::Shape({8192}),
+                                                  dist::ProcessGrid({8}), 1);
+  PackOptions opt;
+  opt.scheme = PackScheme::kCompactStorage;
+  plan::PackPlan plan =
+      plan::compile_pack_plan(machine, d, sizeof(double), opt);
+  ASSERT_EQ(plan.schedule.steps[0].prs, coll::PrsAlgorithm::kDirect);
+  EXPECT_TRUE(st::verify_plan(plan, machine.cost()).ok());
+
+  // Forced to the dearer algorithm, the schedule itself still conforms to
+  // its closed forms; only the pick check can see the waste.
+  plan.schedule.steps[0].prs = coll::PrsAlgorithm::kSplit;
+  const st::VerifyReport dearer = st::verify_plan(plan, machine.cost());
+  EXPECT_TRUE(has_rule(dearer, "prs-pick")) << dearer.summary();
+  EXPECT_FALSE(has_rule(dearer, "cost-conformance")) << dearer.summary();
+
+  // The paper's rule is held to its own pick, in UNPACK plans too.
+  UnpackOptions uopt;
+  uopt.prs = coll::PrsAlgorithm::kPaperRule;
+  plan::UnpackPlan uplan = plan::compile_unpack_plan(
+      machine, d, dist::Distribution::block1d(4096, 8), sizeof(double),
+      uopt);
+  ASSERT_EQ(uplan.schedule.steps[0].prs, coll::PrsAlgorithm::kSplit);
+  EXPECT_TRUE(st::verify_plan(uplan, machine.cost()).ok());
+  uplan.schedule.steps[0].prs = coll::PrsAlgorithm::kDirect;
+  EXPECT_TRUE(has_rule(st::verify_plan(uplan, machine.cost()), "prs-pick"));
+}
+
+// ---------------------------------------------------------------------------
 // Closed forms: spot-check the algebra against hand computations.
 
 TEST(StaticVerifier, ClosedFormDirectPow2) {
   const sim::CostModel cost{10.0, 0.1};
   // G = 8, 16 int64 words: 3 rounds of tau + mu*128 per member.
   const auto costs =
-      st::predict_prs(coll::PrsAlgorithm::kDirect, 8, 16, 8, cost);
+      coll::predict_prs(coll::PrsAlgorithm::kDirect, 8, 16, 8, cost);
   ASSERT_EQ(costs.size(), 8u);
   for (const auto& mc : costs) {
     EXPECT_EQ(mc.posts, 3);
@@ -462,7 +505,7 @@ TEST(StaticVerifier, ClosedFormSplitConservesBytes) {
   for (int G : {3, 4, 7, 8}) {
     for (std::size_t M : {std::size_t{5}, std::size_t{64}}) {
       const auto costs =
-          st::predict_prs(coll::PrsAlgorithm::kSplit, G, M, 8, cost);
+          coll::predict_prs(coll::PrsAlgorithm::kSplit, G, M, 8, cost);
       std::size_t out = 0;
       std::size_t in = 0;
       for (const auto& mc : costs) {
@@ -491,7 +534,7 @@ TEST(StaticVerifier, ClosedFormGroupOfOneIsFree) {
   for (coll::PrsAlgorithm alg :
        {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit,
         coll::PrsAlgorithm::kControlNetwork}) {
-    const auto costs = st::predict_prs(alg, 1, 64, 8, cost);
+    const auto costs = coll::predict_prs(alg, 1, 64, 8, cost);
     ASSERT_EQ(costs.size(), 1u);
     EXPECT_EQ(costs[0].posts, 0);
     EXPECT_DOUBLE_EQ(costs[0].charge_us, 0.0);

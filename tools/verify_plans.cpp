@@ -3,7 +3,8 @@
 // For each processor count (default 4, 6, 8, 16), a 1-D and (when p is
 // composite) a 2-D block-cyclic distribution is built and every
 // (scheme x PRS knob x PRS wire width x M2M knob x batch) pack plan plus
-// every unpack plan is compiled and fed to analysis::statics::verify_plan().
+// every unpack plan is compiled and fed to analysis::statics::verify_plan()'s
+// checks: the schedule proofs and the PRS picks of kAuto and kPaperRule.
 // One line is printed per plan with its verdict, round/post counts and peak
 // per-rank in-flight bytes; any failed proof makes the exit status nonzero.
 //
@@ -184,7 +185,7 @@ int main(int argc, char** argv) {
   const pup::coll::PrsAlgorithm prs_knobs[] = {
       pup::coll::PrsAlgorithm::kDirect, pup::coll::PrsAlgorithm::kSplit,
       pup::coll::PrsAlgorithm::kControlNetwork,
-      pup::coll::PrsAlgorithm::kAuto};
+      pup::coll::PrsAlgorithm::kAuto, pup::coll::PrsAlgorithm::kPaperRule};
   const pup::coll::WireWidth widths[] = {pup::coll::WireWidth::k64,
                                         pup::coll::WireWidth::kAuto};
   const pup::coll::M2MSchedule m2m_knobs[] = {
@@ -213,8 +214,10 @@ int main(int argc, char** argv) {
               for (std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
                 const st::ExpandedPlan expanded =
                     st::expand_pack_plan(plan, machine.cost(), batch);
-                const st::VerifyReport report = st::verify_schedule(
+                st::VerifyReport report = st::verify_schedule(
                     expanded.schedule, expanded.expectations, options);
+                st::check_prs_picks(report, plan.schedule, opt.prs,
+                                    machine.cost());
                 report_plan(sweep, tally, "pack",
                             expanded.schedule.origin, report);
                 if (sweep.mutations && batch == 1) {
@@ -241,8 +244,10 @@ int main(int argc, char** argv) {
                                                  sizeof(double), opt);
               const st::ExpandedPlan expanded =
                   st::expand_unpack_plan(plan, machine.cost());
-              const st::VerifyReport report = st::verify_schedule(
+              st::VerifyReport report = st::verify_schedule(
                   expanded.schedule, expanded.expectations, options);
+              st::check_prs_picks(report, plan.schedule, opt.prs,
+                                  machine.cost());
               report_plan(sweep, tally, "unpack",
                           expanded.schedule.origin, report);
             }
