@@ -7,10 +7,10 @@
 // PACK (compact message scheme).  Two preliminary schemes:
 //
 //  * Redistribution of selected data (Red1): only elements with a true mask
-//    move, each shipped as a (combined global index, value) pair.  The
-//    receiver rebuilds a temporary input array and a temporary mask
-//    (initialized to false, set true per received element).  Attractive at
-//    low densities.
+//    move, routed by dist::route_elements as (block-layout local index,
+//    value) pairs.  The receiver rebuilds a temporary input array and a
+//    temporary mask (initialized to false, set true per received element).
+//    Attractive at low densities.
 //
 //  * Redistribution of whole arrays (Red2): the input array and the mask
 //    are both redistributed in full, with communication detection performed
@@ -23,7 +23,9 @@
 // 6.3).
 #pragma once
 
-#include "coll/alltoallv.hpp"
+#include <algorithm>
+#include <span>
+
 #include "core/pack.hpp"
 #include "dist/redistribute.hpp"
 
@@ -40,7 +42,6 @@ PackResult<T> pack_with_redistribution(sim::Machine& machine,
                                        const PackOptions& options = {}) {
   PUP_REQUIRE(array.dist() == mask.dist(),
               "PACK: mask must be conformable with and aligned to the array");
-  const int P = machine.nprocs();
   const dist::Distribution target =
       dist::Distribution::block(mask.dist().global(), mask.dist().grid());
 
@@ -54,55 +55,20 @@ PackResult<T> pack_with_redistribution(sim::Machine& machine,
                        options.schedule);
   } else {
     // Selected-data redistribution: communication detection keeps only true
-    // elements; the combined global index travels with each value.
-    const dist::Shape& shape = mask.dist().global();
-    const int d = shape.rank();
-    const dist::PlacementMap to_block(target);
-    coll::ByteBuffers send(static_cast<std::size_t>(P));
-    for (auto& row : send) row.resize(static_cast<std::size_t>(P));
-    machine.local_phase([&](int rank) {
-      std::vector<ByteWriter> writers(static_cast<std::size_t>(P));
-      const auto avals = array.local(rank);
-      const auto mvals = mask.local(rank);
-      dist::for_each_local_fast(
-          mask.dist(), rank,
-          [&](dist::index_t l, std::span<const dist::index_t> gidx) {
-            if (!mvals[static_cast<std::size_t>(l)]) return;
-            const int owner = to_block.owner(gidx);
-            auto& w = writers[static_cast<std::size_t>(owner)];
-            dist::index_t glin = 0;
-            for (int k = 0; k < d; ++k) {
-              glin += gidx[static_cast<std::size_t>(k)] * shape.stride(k);
-            }
-            w.put<std::int64_t>(glin);
-            w.put<T>(avals[static_cast<std::size_t>(l)]);
-          });
-      for (int p = 0; p < P; ++p) {
-        send[static_cast<std::size_t>(rank)][static_cast<std::size_t>(p)] =
-            writers[static_cast<std::size_t>(p)].take();
-      }
-    });
-    coll::ByteBuffers recv =
-        coll::alltoallv(machine, coll::Group::world(P), std::move(send),
-                        options.schedule, sim::Category::kRedist);
-    machine.local_phase([&](int rank) {
-      auto avals = tmp_a.local(rank);
-      auto mvals = tmp_m.local(rank);
-      std::vector<dist::index_t> gidx(static_cast<std::size_t>(d));
-      for (int p = 0; p < P; ++p) {
-        ByteReader r(recv[static_cast<std::size_t>(rank)]
-                         [static_cast<std::size_t>(p)]);
-        while (!r.done()) {
-          const auto g = r.get<std::int64_t>();
-          const auto v = r.get<T>();
-          shape.multi(g, gidx);
-          PUP_DCHECK(to_block.owner(gidx) == rank, "misrouted element");
-          const auto l = to_block.local_linear(gidx, rank);
-          avals[static_cast<std::size_t>(l)] = v;
-          mvals[static_cast<std::size_t>(l)] = 1;
-        }
-      }
-    });
+    // elements, and each travels with its local index on the block layout.
+    dist::route_elements(
+        machine, array, target,
+        [&](int rank, dist::index_t l, std::span<const dist::index_t> gidx,
+            std::span<dist::index_t> out) {
+          if (!mask.local(rank)[static_cast<std::size_t>(l)]) return false;
+          std::copy(gidx.begin(), gidx.end(), out.begin());
+          return true;
+        },
+        [&](int rank, dist::index_t l, const T& v) {
+          tmp_a.local(rank)[static_cast<std::size_t>(l)] = v;
+          tmp_m.local(rank)[static_cast<std::size_t>(l)] = 1;
+        },
+        options.schedule, sim::Category::kRedist);
   }
 
   PackOptions inner = options;

@@ -3,20 +3,20 @@
 //
 // result(..., i, ...) = array(..., i + shift, ...) along the chosen
 // dimension, circularly for CSHIFT; EOSHIFT drops elements shifted past the
-// edge and fills vacated positions with a boundary value.  Each processor
-// performs send-side communication detection with the same table-driven
-// machinery as the redistribution library and ships (destination local
-// index, value) pairs in one many-to-many exchange; moves that stay on a
+// edge and fills vacated positions with a boundary value.  The data moves
+// through dist::route_elements, the redistribution library's element
+// router: send-side communication detection and (destination local index,
+// value) pairs in one many-to-many exchange; moves that stay on a
 // processor bypass the network.  These intrinsics round out the runtime's
 // communication-bearing family alongside PACK/UNPACK.
 #pragma once
 
-#include "coll/alltoallv.hpp"
-#include "coll/group.hpp"
+#include <algorithm>
+#include <span>
+
 #include "dist/dist_array.hpp"
-#include "dist/placement_map.hpp"
+#include "dist/redistribute.hpp"
 #include "sim/machine.hpp"
-#include "support/bytes.hpp"
 #include "support/check.hpp"
 
 namespace pup {
@@ -31,61 +31,30 @@ void shift_into(sim::Machine& machine, const dist::DistArray<T>& array,
                 int dim, dist::index_t shift, bool wrap,
                 dist::DistArray<T>& out) {
   const dist::Distribution& d = array.dist();
-  const int P = machine.nprocs();
-  PUP_REQUIRE(d.nprocs() == P, "shift: grid size != machine size");
   PUP_REQUIRE(dim >= 0 && dim < d.rank(),
               "shift: dimension " << dim << " out of range for rank "
                                   << d.rank());
   const dist::index_t n = d.global().extent(dim);
 
-  const dist::PlacementMap map(d);
-  coll::ByteBuffers send(static_cast<std::size_t>(P));
-  for (auto& row : send) row.resize(static_cast<std::size_t>(P));
-
-  machine.local_phase([&](int rank) {
-    std::vector<ByteWriter> writers(static_cast<std::size_t>(P));
-    const auto vals = array.local(rank);
-    std::vector<dist::index_t> dst_idx(static_cast<std::size_t>(d.rank()));
-    dist::for_each_local_fast(
-        d, rank, [&](dist::index_t l, std::span<const dist::index_t> gidx) {
-          // Element at coordinate c is read by destination c - shift.
-          dist::index_t c = gidx[static_cast<std::size_t>(dim)] - shift;
-          if (wrap) {
-            c %= n;
-            if (c < 0) c += n;
-          } else if (c < 0 || c >= n) {
-            return;  // shifted off the edge
-          }
-          for (int k = 0; k < d.rank(); ++k) {
-            dst_idx[static_cast<std::size_t>(k)] =
-                gidx[static_cast<std::size_t>(k)];
-          }
-          dst_idx[static_cast<std::size_t>(dim)] = c;
-          const int owner = map.owner(dst_idx);
-          auto& w = writers[static_cast<std::size_t>(owner)];
-          w.put<std::int64_t>(map.local_linear(dst_idx, owner));
-          w.put<T>(vals[static_cast<std::size_t>(l)]);
-        });
-    for (int p = 0; p < P; ++p) {
-      send[static_cast<std::size_t>(rank)][static_cast<std::size_t>(p)] =
-          writers[static_cast<std::size_t>(p)].take();
-    }
-  });
-
-  coll::ByteBuffers recv =
-      coll::alltoallv(machine, coll::Group::world(P), std::move(send));
-
-  machine.local_phase([&](int rank) {
-    auto dst = out.local(rank);
-    for (int p = 0; p < P; ++p) {
-      ByteReader r(recv[static_cast<std::size_t>(rank)]
-                       [static_cast<std::size_t>(p)]);
-      while (!r.done()) {
-        const auto l = r.get<std::int64_t>();
-        dst[static_cast<std::size_t>(l)] = r.get<T>();
-      }
-    }
-  });
+  dist::route_elements(
+      machine, array, d,
+      [&](int, dist::index_t, std::span<const dist::index_t> gidx,
+          std::span<dist::index_t> dst_idx) {
+        // Element at coordinate c is read by destination c - shift.
+        dist::index_t c = gidx[static_cast<std::size_t>(dim)] - shift;
+        if (wrap) {
+          c %= n;
+          if (c < 0) c += n;
+        } else if (c < 0 || c >= n) {
+          return false;  // shifted off the edge
+        }
+        std::copy(gidx.begin(), gidx.end(), dst_idx.begin());
+        dst_idx[static_cast<std::size_t>(dim)] = c;
+        return true;
+      },
+      [&](int rank, dist::index_t l, const T& v) {
+        out.local(rank)[static_cast<std::size_t>(l)] = v;
+      });
 }
 
 }  // namespace detail

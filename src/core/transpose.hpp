@@ -5,19 +5,17 @@
 // g' with g'[k] = g[perm[k]].  The destination distribution defaults to the
 // source distribution with its per-dimension maps permuted the same way, so
 // TRANSPOSE of a (BLOCK, CYCLIC) matrix is (CYCLIC, BLOCK) on the
-// transposed grid -- the HPF rule.  Data movement is one many-to-many
-// exchange with table-driven detection, like the shift intrinsics.
+// transposed grid -- the HPF rule.  Data movement is one dist::route_elements
+// exchange, like the shift intrinsics.
 #pragma once
 
-#include <numeric>
 #include <optional>
+#include <span>
+#include <vector>
 
-#include "coll/alltoallv.hpp"
-#include "coll/group.hpp"
 #include "dist/dist_array.hpp"
-#include "dist/placement_map.hpp"
+#include "dist/redistribute.hpp"
 #include "sim/machine.hpp"
-#include "support/bytes.hpp"
 #include "support/check.hpp"
 
 namespace pup {
@@ -30,9 +28,7 @@ dist::DistArray<T> permute_dims(
     std::span<const int> perm,
     std::optional<dist::Distribution> result_dist = std::nullopt) {
   const dist::Distribution& d = array.dist();
-  const int P = machine.nprocs();
   const int rank = d.rank();
-  PUP_REQUIRE(d.nprocs() == P, "permute_dims: grid size != machine size");
   PUP_REQUIRE(static_cast<int>(perm.size()) == rank,
               "permute_dims: permutation rank mismatch");
   {
@@ -70,50 +66,22 @@ dist::DistArray<T> permute_dims(
                   "source shape on dimension "
                       << k);
     }
-    PUP_REQUIRE(result_dist->nprocs() == P,
-                "permute_dims: result grid size != machine size");
   }
 
   dist::DistArray<T> out(*result_dist);
-  const dist::PlacementMap map(*result_dist);
-  coll::ByteBuffers send(static_cast<std::size_t>(P));
-  for (auto& row : send) row.resize(static_cast<std::size_t>(P));
-
-  machine.local_phase([&](int rnk) {
-    std::vector<ByteWriter> writers(static_cast<std::size_t>(P));
-    const auto vals = array.local(rnk);
-    std::vector<dist::index_t> dst_idx(static_cast<std::size_t>(rank));
-    dist::for_each_local_fast(
-        d, rnk, [&](dist::index_t l, std::span<const dist::index_t> gidx) {
-          for (int k = 0; k < rank; ++k) {
-            dst_idx[static_cast<std::size_t>(k)] =
-                gidx[static_cast<std::size_t>(perm[static_cast<std::size_t>(k)])];
-          }
-          const int owner = map.owner(dst_idx);
-          auto& w = writers[static_cast<std::size_t>(owner)];
-          w.put<std::int64_t>(map.local_linear(dst_idx, owner));
-          w.put<T>(vals[static_cast<std::size_t>(l)]);
-        });
-    for (int p = 0; p < P; ++p) {
-      send[static_cast<std::size_t>(rnk)][static_cast<std::size_t>(p)] =
-          writers[static_cast<std::size_t>(p)].take();
-    }
-  });
-
-  coll::ByteBuffers recv =
-      coll::alltoallv(machine, coll::Group::world(P), std::move(send));
-
-  machine.local_phase([&](int rnk) {
-    auto dst = out.local(rnk);
-    for (int p = 0; p < P; ++p) {
-      ByteReader r(recv[static_cast<std::size_t>(rnk)]
-                       [static_cast<std::size_t>(p)]);
-      while (!r.done()) {
-        const auto l = r.get<std::int64_t>();
-        dst[static_cast<std::size_t>(l)] = r.get<T>();
-      }
-    }
-  });
+  dist::route_elements(
+      machine, array, *result_dist,
+      [&](int, dist::index_t, std::span<const dist::index_t> gidx,
+          std::span<dist::index_t> dst_idx) {
+        for (int k = 0; k < rank; ++k) {
+          dst_idx[static_cast<std::size_t>(k)] =
+              gidx[static_cast<std::size_t>(perm[static_cast<std::size_t>(k)])];
+        }
+        return true;
+      },
+      [&](int rnk, dist::index_t l, const T& v) {
+        out.local(rnk)[static_cast<std::size_t>(l)] = v;
+      });
   return out;
 }
 

@@ -24,7 +24,7 @@ namespace pup::dist {
 
 class PlacementMap {
  public:
-  explicit PlacementMap(const Distribution& dst) : dst_(&dst) {
+  explicit PlacementMap(const Distribution& dst) {
     const int d = dst.rank();
     owner_coord_.resize(static_cast<std::size_t>(d));
     local_idx_.resize(static_cast<std::size_t>(d));
@@ -54,8 +54,6 @@ class PlacementMap {
     }
   }
 
-  const Distribution& dst() const { return *dst_; }
-
   /// Destination rank of a global multi-index.
   int owner(std::span<const index_t> gidx) const {
     index_t r = 0;
@@ -79,7 +77,6 @@ class PlacementMap {
   }
 
  private:
-  const Distribution* dst_;
   std::vector<std::vector<int>> owner_coord_;
   std::vector<std::vector<index_t>> local_idx_;
   std::vector<index_t> grid_stride_;

@@ -1,7 +1,11 @@
 // Tests for the generic block-cyclic redistribution library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "dist/redistribute.hpp"
 #include "sim/machine.hpp"
@@ -100,6 +104,42 @@ TEST(Redistribute, ShapeMismatchThrows) {
   DistArray<int> a(Distribution::block1d(8, 2));
   DistArray<int> b(Distribution::block1d(9, 2));
   EXPECT_THROW(redistribute(machine, a, b), pup::ContractError);
+}
+
+TEST(RouteElements, PlaceRejectsIndicesOutsideTheLocalExtent) {
+  // Corrupt payloads: an index at or past the receiver's extent of 10, a
+  // negative index, or a pair cut short throws ContractError instead of
+  // writing out of bounds (the sanitizer jobs would report such a write).
+  std::vector<std::int64_t> local(10, -1);
+  auto pair = [](std::int64_t l) {
+    ByteWriter w;
+    w.put<std::int64_t>(l);
+    w.put<std::int64_t>(5);
+    return w.take();
+  };
+  auto place = [&](const std::vector<std::byte>& payload) {
+    detail::place_routed<std::int64_t>(
+        payload, static_cast<index_t>(local.size()),
+        [&](index_t l, std::int64_t v) {
+          local[static_cast<std::size_t>(l)] = v;
+        });
+  };
+  EXPECT_NO_THROW(place(pair(9)));
+  EXPECT_EQ(local[9], 5);
+  EXPECT_NO_THROW(place({}));
+  for (const std::int64_t bad :
+       {std::int64_t{10}, std::int64_t{-1},
+        std::numeric_limits<std::int64_t>::max(),
+        std::numeric_limits<std::int64_t>::min()}) {
+    EXPECT_THROW(place(pair(bad)), pup::ContractError) << bad;
+  }
+  auto truncated = pair(3);
+  truncated.pop_back();
+  EXPECT_THROW(place(truncated), pup::ContractError);
+  truncated.resize(4);
+  EXPECT_THROW(place(truncated), pup::ContractError);
+  EXPECT_EQ(local[3], -1);
+  EXPECT_EQ(std::count(local.begin(), local.end(), -1), 9);
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // verify_plans: sweep the plan space and statically verify every schedule.
 //
-// For each processor count (default 4, 6, 8, 16), a 1-D and (when p is
-// composite) a 2-D block-cyclic distribution is built and every
+// For each processor count (default 4, 6, 8, 16), two 1-D block-cyclic
+// distributions (one of them cyclic) and, when p is composite, a 2-D one
+// are built, and every
 // (scheme x PRS knob x PRS wire width x M2M knob x batch) pack plan plus
 // every unpack plan is compiled and fed to analysis::statics::verify_plan()'s
 // checks: the schedule proofs and the PRS picks of kAuto and kPaperRule.
 // One line is printed per plan with its verdict, round/post counts and peak
 // per-rank in-flight bytes; any failed proof makes the exit status nonzero.
+// The summary line also counts the kAuto PRS steps that resolved to split,
+// so a sweep that never exercises a split pick shows it.
 //
 //   verify_plans [--procs 4,6,8,16] [--budget BYTES] [--mutations]
 //                [--verbose]
@@ -48,6 +51,7 @@ struct Tally {
   int failed = 0;
   int mutants = 0;
   int escapes = 0;
+  int auto_splits = 0;  ///< kAuto ranking steps that resolved to split
 };
 
 /// Parses a whole token as a positive integer; nullopt on anything else
@@ -92,6 +96,12 @@ std::vector<pup::dist::Distribution> distributions_for(int p) {
   std::vector<Distribution> out;
   out.push_back(Distribution::block_cyclic(
       Shape({static_cast<pup::dist::index_t>(64 * p)}), ProcessGrid({p}), 8));
+  // Cyclic, W = 1: an 8192-entry level-0 PRS, long enough that kAuto picks
+  // split under the sweep's cost model (at p = 5, 6, 8, 12, 16, 32 and 64;
+  // p = 4 stays direct).
+  out.push_back(Distribution::block_cyclic(
+      Shape({static_cast<pup::dist::index_t>(8192 * p)}), ProcessGrid({p}),
+      1));
   const int a = split_factor(p);
   if (a > 1) {
     const int b = p / a;
@@ -110,8 +120,15 @@ void print_issues(const st::VerifyReport& report) {
 }
 
 void report_plan(const Sweep& sweep, Tally& tally, const char* kind,
-                 const std::string& origin, const st::VerifyReport& report) {
+                 const std::string& origin, const st::VerifyReport& report,
+                 const pup::RankingSchedule& ranking,
+                 pup::coll::PrsAlgorithm requested) {
   ++tally.plans;
+  if (requested == pup::coll::PrsAlgorithm::kAuto) {
+    for (const pup::RankingStep& step : ranking.steps) {
+      if (step.prs == pup::coll::PrsAlgorithm::kSplit) ++tally.auto_splits;
+    }
+  }
   if (!report.ok()) ++tally.failed;
   std::printf("%-4s %-6s %-70s rounds=%-4zu posts=%-5zu peak=%zuB\n",
               report.ok() ? "ok" : "FAIL", kind, origin.c_str(),
@@ -218,8 +235,8 @@ int main(int argc, char** argv) {
                     expanded.schedule, expanded.expectations, options);
                 st::check_prs_picks(report, plan.schedule, opt.prs,
                                     machine.cost());
-                report_plan(sweep, tally, "pack",
-                            expanded.schedule.origin, report);
+                report_plan(sweep, tally, "pack", expanded.schedule.origin,
+                            report, plan.schedule, opt.prs);
                 if (sweep.mutations && batch == 1) {
                   run_mutations(tally, expanded);
                 }
@@ -248,8 +265,8 @@ int main(int argc, char** argv) {
                   expanded.schedule, expanded.expectations, options);
               st::check_prs_picks(report, plan.schedule, opt.prs,
                                   machine.cost());
-              report_plan(sweep, tally, "unpack",
-                          expanded.schedule.origin, report);
+              report_plan(sweep, tally, "unpack", expanded.schedule.origin,
+                          report, plan.schedule, opt.prs);
             }
           }
         }
@@ -257,7 +274,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::printf("\n%d plan(s) verified, %d failed", tally.plans, tally.failed);
+  std::printf("\n%d plan(s) verified, %d failed; %d kAuto PRS step(s) "
+              "resolved to split",
+              tally.plans, tally.failed, tally.auto_splits);
   if (sweep.mutations) {
     std::printf("; %d mutant(s) seeded, %d escaped", tally.mutants,
                 tally.escapes);
