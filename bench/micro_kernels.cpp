@@ -1,8 +1,8 @@
 // google-benchmark microbenches of the hot local kernels: initial mask
-// scan (counting and W_0 = 1 widening), the ranking's segment totals and
-// final-step fold (plain, and fused with the W_0 = 1 gather), the PRS wire
-// (checked compose, widening copy, and the payload fold into one or two
-// destinations at 1, 2, 4 and 8 bytes per entry), CMS run encode/decode,
+// scan (counting, and the W_0 = 1 flags), the ranking's segment totals,
+// final-step fold (plain, and fused with the W_0 = 1 gather) and PRS
+// payload fold into one or two destinations, each on base ranks of 1, 2
+// or 8 bytes, UNPACK's checked request compose, CMS run encode/decode,
 // UNPACK's reply gather and merged placement, message composition per
 // scheme, and the serial reference, on a single virtual processor's data
 // sizes.
@@ -59,83 +59,103 @@ void BM_MaskScan(benchmark::State& state) {
 }
 BENCHMARK(BM_MaskScan)->ArgsProduct({{1 << 12, 1 << 16}, {0, 2, 1}});
 
+// The base-rank kernels' third argument: the width of their entries.
+std::size_t rank_width(const benchmark::State& state) {
+  return static_cast<std::size_t>(state.range(2));
+}
+
 // The ranking's per-level passes on one step-0 base-rank array of the
-// 512 x 512 cyclic CSS unpack (16384 entries, 128-entry segments): the
-// intermediate step's segment totals, and the final step's fold of the
-// segmented exclusive prefix plus the per-segment addend into PS_i.
+// 512 x 512 cyclic CSS unpack (16384 entries, 128-entry segments) at the
+// width of the third argument (1 is that level 0's, 2 the service mix's
+// level 0's, 8 the paper's int64 base ranks): the intermediate step's
+// segment totals, and the final step's fold of PS_i plus the segmented
+// exclusive prefix and the per-segment addend into int64 ranks.
 void BM_SegmentSums(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::int64_t> rs(n, 1);
-  std::vector<std::int64_t> sums(n / 128);
-  PathGuard guard(state.range(1));
-  for (auto _ : state) {
-    kernels::segment_sums(rs.data(), n, 128, sums.data());
-    benchmark::DoNotOptimize(sums.data());
-    benchmark::ClobberMemory();
-  }
+  kernels::with_base_rank(rank_width(state), [&](auto zero) {
+    using U = decltype(zero);
+    std::vector<U> rs(n, 1);
+    std::vector<std::int64_t> sums(n / 128);
+    PathGuard guard(state.range(1));
+    for (auto _ : state) {
+      kernels::segment_sums(rs.data(), n, 128, sums.data());
+      benchmark::DoNotOptimize(sums.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(kernels::path_name(kernels::active_path()));
+  });
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_SegmentSums)->ArgsProduct({{1 << 14}, {0, 2, 1}});
+BENCHMARK(BM_SegmentSums)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 8}});
 
 void BM_SegmentedPrefixFold(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  // All zeros: ps accumulates across iterations, so any other input would
-  // grow without bound (signed overflow on the scalar path), and the cost
-  // of an integer prefix does not depend on the values.
-  std::vector<std::int64_t> rs(n, 0);
-  std::vector<std::int64_t> ps(n, 0);
-  std::vector<std::int64_t> add(n / 128, 0);
-  PathGuard guard(state.range(1));
-  for (auto _ : state) {
-    kernels::segmented_prefix_fold(rs.data(), ps.data(), n, 128, add.data());
-    benchmark::DoNotOptimize(ps.data());
-    benchmark::ClobberMemory();
-  }
+  kernels::with_base_rank(rank_width(state), [&](auto zero) {
+    using U = decltype(zero);
+    std::vector<U> rs(n, 1);
+    std::vector<U> ps(n, 2);
+    std::vector<std::int64_t> add(n / 128, 3);
+    std::vector<std::int64_t> out(n);
+    PathGuard guard(state.range(1));
+    for (auto _ : state) {
+      kernels::segmented_prefix_fold(rs.data(), ps.data(), n, 128, add.data(),
+                                     out.data());
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(kernels::path_name(kernels::active_path()));
+  });
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_SegmentedPrefixFold)->ArgsProduct({{1 << 14}, {0, 2, 1}});
+BENCHMARK(BM_SegmentedPrefixFold)
+    ->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 8}});
 
 // The same fold at level 0 of a W_0 = 1 counting scan, fused with the
 // gather under a 50% mask: only the selected slots' ranks are stored.
 void BM_SegmentedPrefixFoldGather(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto mask = random_mask(static_cast<dist::index_t>(n), 0.5, 8);
-  std::vector<std::int64_t> rs(n, 1);
-  std::vector<std::int64_t> ps(n, 2);
-  std::vector<std::int64_t> add(n / 128, 3);
-  std::vector<std::int64_t> out(n);
-  PathGuard guard(state.range(1));
-  for (auto _ : state) {
-    const std::size_t k = kernels::segmented_prefix_fold_gather(
-        rs.data(), ps.data(), n, 128, add.data(), mask.data(), out.data());
-    benchmark::DoNotOptimize(k);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
+  kernels::with_base_rank(rank_width(state), [&](auto zero) {
+    using U = decltype(zero);
+    std::vector<U> rs(n, 1);
+    std::vector<U> ps(n, 2);
+    std::vector<std::int64_t> add(n / 128, 3);
+    std::vector<std::int64_t> out(n);
+    PathGuard guard(state.range(1));
+    for (auto _ : state) {
+      const std::size_t k = kernels::segmented_prefix_fold_gather(
+          rs.data(), ps.data(), n, 128, add.data(), mask.data(), out.data());
+      benchmark::DoNotOptimize(k);
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(kernels::path_name(kernels::active_path()));
+  });
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_SegmentedPrefixFoldGather)->ArgsProduct({{1 << 14}, {0, 2, 1}});
+BENCHMARK(BM_SegmentedPrefixFoldGather)
+    ->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 8}});
 
-// W_0 = 1 initial scan: PS_0 in one widening pass.
-void BM_MaskWiden(benchmark::State& state) {
+// W_0 = 1 initial scan: PS_0 as the mask's 0/1 flags at level 0's width.
+void BM_MaskFlags(benchmark::State& state) {
   const auto n = static_cast<dist::index_t>(state.range(0));
   auto mask = random_mask(n, 0.5, 1);
-  std::vector<std::int64_t> ps(static_cast<std::size_t>(n));
-  PathGuard guard(state.range(1));
-  for (auto _ : state) {
-    const std::int64_t k =
-        kernels::mask_widen(mask.data(), mask.size(), ps.data());
-    benchmark::DoNotOptimize(k);
-    benchmark::DoNotOptimize(ps.data());
-    benchmark::ClobberMemory();
-  }
+  kernels::with_base_rank(rank_width(state), [&](auto zero) {
+    using U = decltype(zero);
+    std::vector<U> ps(static_cast<std::size_t>(n));
+    PathGuard guard(state.range(1));
+    for (auto _ : state) {
+      const std::int64_t k =
+          kernels::mask_flags(mask.data(), mask.size(), ps.data());
+      benchmark::DoNotOptimize(k);
+      benchmark::DoNotOptimize(ps.data());
+      benchmark::ClobberMemory();
+    }
+    state.SetLabel(kernels::path_name(kernels::active_path()));
+  });
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_MaskWiden)->ArgsProduct({{1 << 14}, {0, 2, 1}});
+BENCHMARK(BM_MaskFlags)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 8}});
 
 // UNPACK's CSS placement: one rank's 16384 int64 slots of the 512 x 512
 // cyclic unpack, each written once from the value stream or the field.
@@ -191,12 +211,9 @@ void BM_IndexGather(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexGather)->ArgsProduct({{0, 2, 1}, {2, 8}});
 
-// The PRS wire at `width` bytes per entry (third argument) on the level-0
-// vector of the 512 x 512 cyclic CSS unpack (16384 entries): the checked
-// narrowing compose of a payload, the widening copy of the split's return
-// halves, and a PRS round's fold of a received payload into the total
-// (and, with the fourth argument 1, into the prefix too), read one byte
-// off alignment.  Width 8 is the int64 wire.
+// UNPACK's request compose at `width` bytes per entry (third argument) on
+// 16384 local indices: the checked narrowing into a payload one byte off
+// alignment.  Width 8 is the int64 wire.
 void BM_WireNarrow(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto width = static_cast<std::size_t>(state.range(2));
@@ -216,47 +233,36 @@ void BM_WireNarrow(benchmark::State& state) {
 }
 BENCHMARK(BM_WireNarrow)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}});
 
-void BM_WireWiden(benchmark::State& state) {
+// A PRS round's fold of a received payload of base ranks at the width of
+// the third argument into the total (and, with the fourth argument 1,
+// into the prefix too), read one byte off alignment: the level-0 vector
+// of the 512 x 512 cyclic CSS unpack (16384 entries).
+void BM_RankFold(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto width = static_cast<std::size_t>(state.range(2));
-  std::vector<std::byte> payload(n * width + 1);
-  std::vector<std::int64_t> out(n);
-  PathGuard guard(state.range(1));
-  for (auto _ : state) {
-    kernels::widen_from_bytes(out.data(), payload.data() + 1, n, width);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(kernels::path_name(kernels::active_path()));
-}
-BENCHMARK(BM_WireWiden)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}});
-
-void BM_WireFold(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto width = static_cast<std::size_t>(state.range(2));
-  // Zero bytes, so the in-place sums cannot overflow across iterations.
-  std::vector<std::byte> payload(n * width + 1);
-  const std::byte* src = payload.data() + 1;
-  std::vector<std::int64_t> tot(n, 0);
-  std::vector<std::int64_t> pre(n, 0);
   const bool both = state.range(3) != 0;
-  PathGuard guard(state.range(1));
-  for (auto _ : state) {
-    if (both) {
-      kernels::add_from_bytes(tot.data(), pre.data(), src, n, width);
-    } else {
-      kernels::add_from_bytes(tot.data(), src, n, width);
+  kernels::with_base_rank(rank_width(state), [&](auto zero) {
+    using U = decltype(zero);
+    // Zero bytes, so the in-place sums cannot overflow across iterations.
+    std::vector<std::byte> payload(n * sizeof(U) + 1);
+    const std::byte* src = payload.data() + 1;
+    std::vector<U> tot(n, 0);
+    std::vector<U> pre(n, 0);
+    PathGuard guard(state.range(1));
+    for (auto _ : state) {
+      if (both) {
+        kernels::add_from_bytes(tot.data(), pre.data(), src, n);
+      } else {
+        kernels::add_from_bytes(tot.data(), src, n);
+      }
+      benchmark::DoNotOptimize(tot.data());
+      benchmark::DoNotOptimize(pre.data());
+      benchmark::ClobberMemory();
     }
-    benchmark::DoNotOptimize(tot.data());
-    benchmark::DoNotOptimize(pre.data());
-    benchmark::ClobberMemory();
-  }
+    state.SetLabel(kernels::path_name(kernels::active_path()));
+  });
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-  state.SetLabel(kernels::path_name(kernels::active_path()));
 }
-BENCHMARK(BM_WireFold)
-    ->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}, {0, 1}});
+BENCHMARK(BM_RankFold)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 8}, {0, 1}});
 
 // CMS run-length encode: gather a slice's selected values into a compact
 // run payload.  Density 0.5 is the paper's standard working point; the
@@ -440,6 +446,89 @@ void die(const char* what) {
   std::abort();
 }
 
+// The base-rank kernels at width U on the gate's mask and n: the scalar
+// reference against the definitions, then every vector path against it.
+template <typename U>
+void verify_rank_parity(const std::vector<kernels::Path>& paths,
+                        const std::vector<mask_t>& mask) {
+  const std::size_t n = mask.size();
+  std::vector<U> values(n);
+  for (std::size_t e = 0; e < n; ++e) values[e] = static_cast<U>(e % 97 + 7);
+  // A payload one byte off alignment, for the unaligned folds.
+  std::vector<std::byte> payload(n * sizeof(U) + 1);
+  if (n > 0) std::memcpy(payload.data() + 1, values.data(), n * sizeof(U));
+  kernels::set_path(kernels::Path::kScalar);
+  std::vector<U> ref_flags(n);
+  const std::int64_t ref_count =
+      kernels::mask_flags(mask.data(), n, ref_flags.data());
+  // Segments of 5, the last one partial unless 5 divides n.
+  const std::size_t segs = (n + 4) / 5;
+  std::vector<std::int64_t> ref_sums(segs);
+  kernels::segment_sums(values.data(), n, 5, ref_sums.data());
+  const std::vector<std::int64_t> addends(ref_sums.rbegin(), ref_sums.rend());
+  std::vector<std::int64_t> ref_fold(n);
+  kernels::segmented_prefix_fold(values.data(), values.data(), n, 5,
+                                 addends.data(), ref_fold.data());
+  std::vector<std::int64_t> ref_fg(n, -1);
+  ref_fg.resize(kernels::segmented_prefix_fold_gather(
+      values.data(), values.data(), n, 5, addends.data(), mask.data(),
+      ref_fg.data()));
+  std::vector<U> ref_a = values;
+  std::vector<U> ref_b(n, 3);
+  kernels::add_from_bytes(ref_a.data(), ref_b.data(), payload.data() + 1, n);
+  // The reference against the definitions: the flags are the mask, the
+  // totals cover every value once, a segment's first slot gains only its
+  // addend, the fused gather keeps the fold's selected slots, and the
+  // fold adds the payload once.
+  if (ref_count != count_true(mask)) die("scalar mask_flags count is wrong");
+  std::int64_t total = 0;
+  std::vector<std::int64_t> fold_sel;
+  for (std::size_t e = 0; e < n; ++e) {
+    if (ref_flags[e] != (mask[e] != 0 ? 1 : 0)) {
+      die("scalar mask_flags is wrong");
+    }
+    total += static_cast<std::int64_t>(values[e]);
+    if (e % 5 == 0 &&
+        ref_fold[e] != static_cast<std::int64_t>(values[e]) + addends[e / 5]) {
+      die("scalar segmented_prefix_fold is wrong");
+    }
+    if (mask[e] != 0) fold_sel.push_back(ref_fold[e]);
+    if (ref_a[e] != static_cast<U>(2 * values[e]) ||
+        ref_b[e] != static_cast<U>(values[e] + 3)) {
+      die("scalar add_from_bytes is wrong");
+    }
+  }
+  if (std::accumulate(ref_sums.begin(), ref_sums.end(), std::int64_t{0}) !=
+      total) {
+    die("scalar segment_sums is wrong");
+  }
+  if (ref_fg != fold_sel) die("scalar segmented_prefix_fold_gather is wrong");
+  for (const kernels::Path path : paths) {
+    kernels::set_path(path);
+    std::vector<U> flags(n, 9);
+    if (kernels::mask_flags(mask.data(), n, flags.data()) != ref_count ||
+        flags != ref_flags) {
+      die("mask_flags mismatch");
+    }
+    std::vector<std::int64_t> sums(segs, -1);
+    kernels::segment_sums(values.data(), n, 5, sums.data());
+    if (sums != ref_sums) die("segment_sums mismatch");
+    std::vector<std::int64_t> fold(n, -1);
+    kernels::segmented_prefix_fold(values.data(), values.data(), n, 5,
+                                   addends.data(), fold.data());
+    if (fold != ref_fold) die("segmented_prefix_fold mismatch");
+    std::vector<std::int64_t> fg(n, -1);
+    fg.resize(kernels::segmented_prefix_fold_gather(
+        values.data(), values.data(), n, 5, addends.data(), mask.data(),
+        fg.data()));
+    if (fg != ref_fg) die("segmented_prefix_fold_gather mismatch");
+    std::vector<U> a = values;
+    std::vector<U> b(n, 3);
+    kernels::add_from_bytes(a.data(), b.data(), payload.data() + 1, n);
+    if (a != ref_a || b != ref_b) die("add_from_bytes mismatch");
+  }
+}
+
 void verify_kernel_parity() {
   std::vector<kernels::Path> paths = {kernels::Path::kGeneric};
   if (kernels::native_available()) paths.push_back(kernels::Path::kNative);
@@ -449,53 +538,17 @@ void verify_kernel_parity() {
     for (const std::size_t n : kLens) {
       const auto mask =
           random_mask(static_cast<dist::index_t>(n), density, 99);
+      verify_rank_parity<std::uint8_t>(paths, mask);
+      verify_rank_parity<std::uint16_t>(paths, mask);
+      verify_rank_parity<std::uint32_t>(paths, mask);
+      verify_rank_parity<std::int64_t>(paths, mask);
       std::vector<std::int64_t> values(n);
       std::iota(values.begin(), values.end(), 7);
-      // A payload one byte off alignment, for the unaligned folds.
-      std::vector<std::byte> payload(n * sizeof(std::int64_t) + 1);
-      if (n > 0) {
-        std::memcpy(payload.data() + 1, values.data(),
-                    n * sizeof(std::int64_t));
-      }
       kernels::set_path(kernels::Path::kScalar);
       const std::int64_t ref_count = kernels::mask_count(mask.data(), n);
       std::vector<std::int64_t> ref_out(n, -1);
       const std::size_t ref_k = kernels::mask_gather<std::int64_t>(
           mask.data(), values.data(), n, ref_out.data());
-      std::vector<std::int64_t> ref_ps(n);
-      kernels::mask_widen(mask.data(), n, ref_ps.data());
-      // Segments of 5, the last one partial unless 5 divides n.
-      const std::size_t segs = (n + 4) / 5;
-      std::vector<std::int64_t> ref_sums(segs);
-      kernels::segment_sums(values.data(), n, 5, ref_sums.data());
-      const std::vector<std::int64_t> addends(ref_sums.rbegin(),
-                                              ref_sums.rend());
-      std::vector<std::int64_t> ref_fold = values;
-      kernels::segmented_prefix_fold(values.data(), ref_fold.data(), n, 5,
-                                     addends.data());
-      // The reference against the definitions: the totals cover every
-      // value once, and a segment's first slot gains only its addend.
-      if (std::accumulate(ref_sums.begin(), ref_sums.end(), std::int64_t{0}) !=
-          std::accumulate(values.begin(), values.end(), std::int64_t{0})) {
-        die("scalar segment_sums is wrong");
-      }
-      for (std::size_t e = 0; e < n; e += 5) {
-        if (ref_fold[e] != values[e] + addends[e / 5]) {
-          die("scalar segmented_prefix_fold is wrong");
-        }
-      }
-      // The fused fold-and-gather keeps the fold's selected slots.
-      std::vector<std::int64_t> ref_fold_sel(n);
-      const std::size_t ref_fold_k = kernels::mask_gather<std::int64_t>(
-          mask.data(), ref_fold.data(), n, ref_fold_sel.data());
-      ref_fold_sel.resize(ref_fold_k);
-      std::vector<std::int64_t> ref_fg(n, -1);
-      ref_fg.resize(kernels::segmented_prefix_fold_gather(
-          values.data(), values.data(), n, 5, addends.data(), mask.data(),
-          ref_fg.data()));
-      if (ref_fg != ref_fold_sel) {
-        die("scalar segmented_prefix_fold_gather is wrong");
-      }
       // The stream holds exactly the selected count, so an over-read is an
       // ASan finding.
       const std::vector<std::int64_t> stream(values.begin(),
@@ -534,52 +587,29 @@ void verify_kernel_parity() {
           request.data() + 1, n, 2, base.data(), base.size(),
           reinterpret_cast<std::byte*>(ref_reply.data()));
       if (ref_reply != base) die("scalar index_gather is wrong");
-      std::vector<std::int64_t> ref_a = values;
-      std::vector<std::int64_t> ref_b(n, 3);
-      kernels::add_from_bytes(ref_a.data(), ref_b.data(),
-                              payload.data() + 1, n, 8);
-      // The narrow wire: values mod 256 fit every width; each width's
-      // payload sits one byte off alignment and must widen back exactly.
+      // The request compose at every narrow width: values mod 256 fit
+      // each; each width's payload sits one byte off alignment.
       std::vector<std::int64_t> small(n);
       for (std::size_t e = 0; e < n; ++e) small[e] = values[e] % 256;
       const std::size_t kWidths[] = {1, 2, 4};
       std::vector<std::vector<std::byte>> ref_wire;
-      std::vector<std::vector<std::int64_t>> ref_wire_a;
       for (const std::size_t w : kWidths) {
         ref_wire.emplace_back(n * w + 1);
         kernels::narrow_to_bytes(small.data(), n, w,
                                  ref_wire.back().data() + 1);
-        std::vector<std::int64_t> back(n, -1);
-        kernels::widen_from_bytes(back.data(), ref_wire.back().data() + 1, n,
-                                  w);
-        if (back != small) die("scalar narrow/widen round trip is wrong");
-        ref_wire_a.push_back(values);
-        kernels::add_from_bytes(ref_wire_a.back().data(),
-                                ref_wire.back().data() + 1, n, w);
+        for (std::size_t e = 0; e < n; ++e) {
+          std::uint64_t back = 0;
+          std::memcpy(&back, ref_wire.back().data() + 1 + e * w, w);
+          if (back != static_cast<std::uint64_t>(small[e])) {
+            die("scalar narrow_to_bytes is wrong");
+          }
+        }
       }
       for (const kernels::Path path : paths) {
         kernels::set_path(path);
         if (kernels::mask_count(mask.data(), n) != ref_count) {
           die("mask_count mismatch");
         }
-        std::vector<std::int64_t> ps(n, -1);
-        if (kernels::mask_widen(mask.data(), n, ps.data()) != ref_count ||
-            ps != ref_ps) {
-          die("mask_widen mismatch");
-        }
-        std::vector<std::int64_t> sums(segs, -1);
-        kernels::segment_sums(values.data(), n, 5, sums.data());
-        if (sums != ref_sums) die("segment_sums mismatch");
-        std::vector<std::int64_t> fold = values;
-        kernels::segmented_prefix_fold(values.data(), fold.data(), n, 5,
-                                       addends.data());
-        if (fold != ref_fold) die("segmented_prefix_fold mismatch");
-        // In place, as the ranking runs it.
-        std::vector<std::int64_t> fg = values;
-        fg.resize(kernels::segmented_prefix_fold_gather(
-            values.data(), fg.data(), n, 5, addends.data(), mask.data(),
-            fg.data()));
-        if (fg != ref_fg) die("segmented_prefix_fold_gather mismatch");
         std::vector<std::byte> req(n * 2 + 1);
         kernels::narrow_to_bytes(values.data(), n, 2, req.data() + 1, -7);
         if (req != request) die("narrow_to_bytes (biased) mismatch");
@@ -599,25 +629,11 @@ void verify_kernel_parity() {
             ref_run) {
           die("prefix_in_range mismatch");
         }
-        std::vector<std::int64_t> a = values;
-        std::vector<std::int64_t> b(n, 3);
-        kernels::add_from_bytes(a.data(), b.data(), payload.data() + 1, n, 8);
-        if (a != ref_a || b != ref_b) die("add_from_bytes mismatch");
         for (std::size_t wi = 0; wi < 3; ++wi) {
           const std::size_t w = kWidths[wi];
           std::vector<std::byte> wire(n * w + 1);
           kernels::narrow_to_bytes(small.data(), n, w, wire.data() + 1);
           if (wire != ref_wire[wi]) die("narrow_to_bytes mismatch");
-          std::vector<std::int64_t> back(n, -1);
-          kernels::widen_from_bytes(back.data(), wire.data() + 1, n, w);
-          if (back != small) die("widen_from_bytes mismatch");
-          std::vector<std::int64_t> wa = values;
-          std::vector<std::int64_t> wb = values;
-          kernels::add_from_bytes(wa.data(), wb.data(), wire.data() + 1, n,
-                                  w);
-          if (wa != ref_wire_a[wi] || wb != ref_wire_a[wi]) {
-            die("add_from_bytes (narrow wire) mismatch");
-          }
         }
         std::vector<std::int64_t> out(n, -2);
         const std::size_t k = kernels::mask_gather<std::int64_t>(

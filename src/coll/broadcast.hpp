@@ -15,14 +15,11 @@
 namespace pup::coll {
 
 /// Broadcasts bufs[g.rank_at(root_index)] to every group member.  `bufs` is
-/// indexed by machine rank; only group members' entries are touched.  The
-/// vector travels at `wire_bytes` per entry (require_wire).
+/// indexed by machine rank; only group members' entries are touched.
 template <typename T, typename A>
 void broadcast(sim::Machine& m, const Group& g, int root_index,
                std::vector<std::vector<T, A>>& bufs,
-               sim::Category cat = sim::Category::kPrs,
-               std::size_t wire_bytes = sizeof(T)) {
-  require_wire<T>(wire_bytes);
+               sim::Category cat = sim::Category::kPrs) {
   const int G = g.size();
   PUP_REQUIRE(root_index >= 0 && root_index < G, "root index out of range");
   if (G == 1) return;
@@ -43,8 +40,8 @@ void broadcast(sim::Machine& m, const Group& g, int root_index,
         const int dst_idx = idx_of(rel + mask);
         const int src = g.rank_at(idx);
         const int dst = g.rank_at(dst_idx);
-        auto payload = compose_payload<T>(
-            bufs[static_cast<std::size_t>(src)], wire_bytes);
+        auto payload =
+            sim::to_payload<T>(bufs[static_cast<std::size_t>(src)]);
         charge_oneway(m, src, dst, payload.size(), cat);
         rpost(m, sim::Message{src, dst, kTag, std::move(payload)}, cat);
       }
@@ -55,8 +52,7 @@ void broadcast(sim::Machine& m, const Group& g, int root_index,
         const int src = g.rank_at(idx_of(rel - mask));
         const int dst = g.rank_at(idx);
         auto msg = rrecv(m, dst, src, kTag, cat);
-        read_wire_payload<T>(msg.payload, wire_bytes,
-                             bufs[static_cast<std::size_t>(dst)]);
+        sim::read_payload<T>(msg.payload, bufs[static_cast<std::size_t>(dst)]);
       }
     }
   }

@@ -11,7 +11,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -42,92 +41,22 @@ inline void charge_exchange(sim::Machine& m, int rank, int peer_out,
   m.charge(rank, cat, out_us > in_us ? out_us : in_us);
 }
 
-/// Checks that a collective over T may travel at `wire_bytes` per entry:
-/// sizeof(T) always; 1, 2 or 4 only for int64 vectors (the ranking's base
-/// ranks, narrowed by kernels::narrow_to_bytes).
+/// Element-wise acc[j] += V[j], where V is the vector of `n` entries of T
+/// at `src`: a received payload read where it lies (no decode copy), or a
+/// vector's own bytes.  A non-null `acc2` is updated in the same pass.
+/// Base-rank vectors -- every ranking PRS, at its level's width -- go
+/// through kernels::add_from_bytes, whose add is checked below int64: a
+/// sum that outgrows the element throws ContractError instead of
+/// wrapping.  Other element types memcpy one element at a time.
 template <typename T>
-void require_wire(std::size_t wire_bytes) {
-  PUP_REQUIRE(wire_bytes == sizeof(T) ||
-                  (std::is_same_v<T, std::int64_t> &&
-                   (wire_bytes == 1 || wire_bytes == 2 || wire_bytes == 4)),
-              "a " << sizeof(T) << "-byte collective vector cannot travel at "
-                   << wire_bytes << " bytes per entry");
-}
-
-/// Writes `values` onto the wire at `wire_bytes` per entry, into `out`
-/// (room for values.size() * wire_bytes bytes): a copy at the element's
-/// own width; narrower, the checked narrowing compose, which throws
-/// ContractError rather than truncate an entry that does not fit.
-template <typename T>
-void narrow_into(std::span<const T> values, std::size_t wire_bytes,
-                 std::byte* out) {
-  if (wire_bytes == sizeof(T)) {
-    if (!values.empty()) std::memcpy(out, values.data(), values.size_bytes());
-    return;
-  }
-  if constexpr (std::is_same_v<T, std::int64_t>) {
-    kernels::narrow_to_bytes(values.data(), values.size(), wire_bytes, out);
-  } else {
-    PUP_CHECK(false, "only int64 vectors narrow onto the wire");
-  }
-}
-
-/// The payload of `values` at `wire_bytes` per entry (sim::to_payload at
-/// the element's own width).
-template <typename T>
-std::vector<std::byte> compose_payload(std::span<const T> values,
-                                       std::size_t wire_bytes) {
-  if (wire_bytes == sizeof(T)) return sim::to_payload<T>(values);
-  std::vector<std::byte> payload(values.size() * wire_bytes);
-  narrow_into<T>(values, wire_bytes, payload.data());
-  return payload;
-}
-
-/// out[j] = the j-th of `n` entries at `wire_bytes` each from `src`: a
-/// copy at the element's own width, a widening copy narrower.
-template <typename T>
-void widen_into(const std::byte* src, std::size_t n, std::size_t wire_bytes,
-                T* out) {
-  if (wire_bytes == sizeof(T)) {
-    if (n != 0) std::memcpy(out, src, n * sizeof(T));
-    return;
-  }
-  if constexpr (std::is_same_v<T, std::int64_t>) {
-    kernels::widen_from_bytes(out, src, n, wire_bytes);
-  }
-}
-
-/// Decodes a received payload of `wire_bytes`-byte entries into `out`,
-/// resized to the entry count (sim::read_payload at any wire width).
-template <typename T, typename A>
-void read_wire_payload(std::span<const std::byte> bytes,
-                       std::size_t wire_bytes, std::vector<T, A>& out) {
-  PUP_CHECK(bytes.size() % wire_bytes == 0,
-            "payload of " << bytes.size() << " bytes is not a multiple of "
-                          << wire_bytes);
-  out.resize(bytes.size() / wire_bytes);
-  widen_into<T>(bytes.data(), out.size(), wire_bytes, out.data());
-}
-
-/// Element-wise acc[j] += V[j], where V is the vector of `n` entries of
-/// `wire_bytes` each carried by a received payload, read where it lies (no
-/// decode copy).  A non-null `acc2` is updated in the same pass.  int64
-/// vectors -- every ranking PRS -- go through kernels::add_from_bytes at
-/// the wire width; other element types memcpy one element at a time.
-template <typename T>
-void fold_payload(const std::vector<std::byte>& payload, std::size_t n,
-                  T* acc, T* acc2 = nullptr,
-                  std::size_t wire_bytes = sizeof(T)) {
+void fold_entries(const std::byte* src, std::size_t n, T* acc,
+                  T* acc2 = nullptr) {
   static_assert(std::is_trivially_copyable_v<T>);
-  PUP_CHECK(payload.size() == n * wire_bytes,
-            "collective payload of " << payload.size() << " bytes, expected "
-                                     << n * wire_bytes);
-  const std::byte* src = payload.data();
-  if constexpr (std::is_same_v<T, std::int64_t>) {
+  if constexpr (kernels::BaseRank<T>) {
     if (acc2 != nullptr) {
-      kernels::add_from_bytes(acc, acc2, src, n, wire_bytes);
+      kernels::add_from_bytes(acc, acc2, src, n);
     } else {
-      kernels::add_from_bytes(acc, src, n, wire_bytes);
+      kernels::add_from_bytes(acc, src, n);
     }
   } else {
     for (std::size_t j = 0; j < n; ++j) {
@@ -137,6 +66,16 @@ void fold_payload(const std::vector<std::byte>& payload, std::size_t n,
       if (acc2 != nullptr) acc2[j] += v;
     }
   }
+}
+
+/// fold_entries over a received payload, which must hold exactly n entries.
+template <typename T>
+void fold_payload(const std::vector<std::byte>& payload, std::size_t n,
+                  T* acc, T* acc2 = nullptr) {
+  PUP_CHECK(payload.size() == n * sizeof(T),
+            "collective payload of " << payload.size() << " bytes, expected "
+                                     << n * sizeof(T));
+  fold_entries<T>(payload.data(), n, acc, acc2);
 }
 
 }  // namespace pup::coll

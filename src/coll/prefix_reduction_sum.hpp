@@ -30,18 +30,20 @@
 //    M < G, SPLIT otherwise.  Under the CM-5 parameters it picks SPLIT
 //    for vectors far shorter than the length where SPLIT starts to pay.
 //
-// Every algorithm takes a wire width: the bytes per vector entry on the
-// wire.  The default, sizeof(T), is the plain vector.  The ranking runs
-// its int64 base ranks at the narrowest width its schedule proves enough
-// (RankingStep::wire_bytes): payloads are composed by a checked narrowing
-// kernel and consumed by widening ones, while prefixes, totals and
-// accumulators stay int64 in memory, and every charge is priced at the
-// wire width.
+// Every algorithm sends its entries at the element's own width, so a
+// payload is the vector's bytes and every charge is priced at sizeof(T).
+// The ranking runs each level on base ranks stored at the narrowest width
+// its schedule proves enough (RankingStep::wire_bytes: uint8, uint16,
+// uint32 or int64), the same in memory and on the wire; their sums --
+// every fold, the split's local prefixes, the control network's running
+// total -- are checked adds (fold_entries), so a misstated width throws
+// ContractError in every algorithm instead of wrapping.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -144,8 +146,8 @@ constexpr bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 template <typename T, typename A>
 void prs_direct_pow2(sim::Machine& m, const Group& g,
                      std::vector<std::vector<T, A>>& prefix,
-                     std::vector<std::vector<T, A>>& total, sim::Category cat,
-                     std::size_t wire_bytes) {
+                     std::vector<std::vector<T, A>>& total,
+                     sim::Category cat) {
   const int G = g.size();
   // Seed: total accumulates the subcube sum, starting from the input
   // (moved, not copied); prefix the in-subcube lower-rank sum.  Prefixes
@@ -171,8 +173,7 @@ void prs_direct_pow2(sim::Machine& m, const Group& g,
         const int partner = idx ^ mask;
         const int src = g.rank_at(idx);
         const int dst = g.rank_at(partner);
-        auto payload = compose_payload<T>(
-            tot[static_cast<std::size_t>(src)], wire_bytes);
+        auto payload = sim::to_payload<T>(tot[static_cast<std::size_t>(src)]);
         rpost(m, sim::Message{src, dst, kTag, std::move(payload)}, cat);
       }
       for (int idx = 0; idx < G; ++idx) {
@@ -182,7 +183,7 @@ void prs_direct_pow2(sim::Machine& m, const Group& g,
         auto msg = rrecv(m, rank, peer, kTag, cat);
         charge_exchange(m, rank, peer, peer,
                         tot[static_cast<std::size_t>(rank)].size() *
-                            wire_bytes,
+                            sizeof(T),
                         msg.payload.size(), cat);
         m.timed(rank, cat, [&] {
           auto& t = tot[static_cast<std::size_t>(rank)];
@@ -196,9 +197,9 @@ void prs_direct_pow2(sim::Machine& m, const Group& g,
                                : nullptr;
           const bool first = p != nullptr && (idx & (mask - 1)) == 0;
           fold_payload<T>(msg.payload, t.size(), t.data(),
-                          first ? nullptr : p, wire_bytes);
-          if (first) {
-            widen_into<T>(msg.payload.data(), t.size(), wire_bytes, p);
+                          first ? nullptr : p);
+          if (first && !t.empty()) {
+            std::memcpy(p, msg.payload.data(), t.size() * sizeof(T));
           }
         });
       }
@@ -223,10 +224,10 @@ template <typename T, typename A>
 void prs_direct_general(sim::Machine& m, const Group& g,
                         std::vector<std::vector<T, A>>& prefix,
                         std::vector<std::vector<T, A>>& total,
-                        sim::Category cat, std::size_t wire_bytes) {
+                        sim::Category cat) {
   const int G = g.size();
   std::vector<std::vector<T, A>> inclusive;
-  exscan_sum(m, g, prefix, &inclusive, cat, wire_bytes);
+  exscan_sum(m, g, prefix, &inclusive, cat);
   // The last member's inclusive prefix is the reduction; broadcast it.
   const int last = g.rank_at(G - 1);
   for (int i = 0; i < G; ++i) {
@@ -235,34 +236,32 @@ void prs_direct_general(sim::Machine& m, const Group& g,
   }
   total[static_cast<std::size_t>(last)] =
       std::move(inclusive[static_cast<std::size_t>(last)]);
-  broadcast(m, g, /*root_index=*/G - 1, total, cat, wire_bytes);
+  broadcast(m, g, /*root_index=*/G - 1, total, cat);
 }
 
 /// Control-network model: the combine hardware streams every member's
 /// vector through the network once; each member is busy for tau + mu*M and
-/// no point-to-point messages exist.  Results are computed directly; the
-/// stream is priced at `wire_bytes` per entry.
+/// no point-to-point messages exist.  Results are computed directly: each
+/// member's input is swapped with the running total, which then adds it.
 template <typename T, typename A>
 void prs_control_network(sim::Machine& m, const Group& g,
                          std::vector<std::vector<T, A>>& prefix,
                          std::vector<std::vector<T, A>>& total,
-                         sim::Category cat, std::size_t wire_bytes) {
+                         sim::Category cat) {
   const int G = g.size();
   const std::size_t M = prefix[static_cast<std::size_t>(g.rank_at(0))].size();
   // Model cost: one streaming pass of the vector per member.
   for (int i = 0; i < G; ++i) {
-    m.charge(g.rank_at(i), cat, m.cost().message_us(M * wire_bytes));
+    m.charge(g.rank_at(i), cat, m.cost().message_us(M * sizeof(T)));
   }
   std::vector<T, A> running(M, T{});
   for (int i = 0; i < G; ++i) {
     const int r = g.rank_at(i);
     m.timed(r, cat, [&] {
       auto& pre = prefix[static_cast<std::size_t>(r)];
-      for (std::size_t j = 0; j < M; ++j) {
-        const T v = pre[j];
-        pre[j] = running[j];
-        running[j] += v;
-      }
+      std::swap_ranges(pre.begin(), pre.end(), running.begin());
+      fold_entries<T>(reinterpret_cast<const std::byte*>(pre.data()), M,
+                      running.data());
     });
   }
   for (int i = 0; i < G; ++i) {
@@ -274,8 +273,7 @@ void prs_control_network(sim::Machine& m, const Group& g,
 template <typename T, typename A>
 void prs_split(sim::Machine& m, const Group& g,
                std::vector<std::vector<T, A>>& prefix,
-               std::vector<std::vector<T, A>>& total, sim::Category cat,
-               std::size_t wire_bytes) {
+               std::vector<std::vector<T, A>>& total, sim::Category cat) {
   const int G = g.size();
   const std::size_t M = prefix[static_cast<std::size_t>(g.rank_at(0))].size();
   auto chunk_lo = [&](int c) { return (M * static_cast<std::size_t>(c)) / static_cast<std::size_t>(G); };
@@ -305,17 +303,15 @@ void prs_split(sim::Machine& m, const Group& g,
         const auto& own = prefix[static_cast<std::size_t>(src)];
         rpost(m,
               sim::Message{src, dst, kTagGather,
-                           compose_payload<T>(
-                               std::span<const T>(own.data() + chunk_lo(c),
-                                                  chunk_len(c)),
-                               wire_bytes)},
+                           sim::to_payload<T>(std::span<const T>(
+                               own.data() + chunk_lo(c), chunk_len(c)))},
               cat);
       }
       for (int i = 0; i < G; ++i) {
         const int c = (i + r) % G;          // chunk I sent this round
         const int from = (i - r + G) % G;   // member whose chunk-i data arrives
-        const std::size_t sent = chunk_len(c) * wire_bytes;
-        const std::size_t recv = chunk_len(i) * wire_bytes;
+        const std::size_t sent = chunk_len(c) * sizeof(T);
+        const std::size_t recv = chunk_len(i) * sizeof(T);
         const int rank = g.rank_at(i);
         charge_exchange(m, rank, g.rank_at(c), g.rank_at(from), sent, recv,
                         cat);
@@ -347,11 +343,12 @@ void prs_split(sim::Machine& m, const Group& g,
         if (i == c) {
           const T* own =
               prefix[static_cast<std::size_t>(rank)].data() + chunk_lo(c);
-          for (std::size_t j = 0; j < running.size(); ++j) running[j] += own[j];
+          fold_entries<T>(reinterpret_cast<const std::byte*>(own),
+                          running.size(), running.data());
         } else {
           fold_payload<T>(
               rows[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)],
-              running.size(), running.data(), nullptr, wire_bytes);
+              running.size(), running.data());
         }
       }
       chunk_total[static_cast<std::size_t>(c)] = std::move(running);
@@ -376,10 +373,10 @@ void prs_split(sim::Machine& m, const Group& g,
         const std::span<const T> pre(
             pre_rows[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)]);
         const std::span<const T> tot(chunk_total[static_cast<std::size_t>(c)]);
-        std::vector<std::byte> payload((pre.size() + tot.size()) * wire_bytes);
-        narrow_into<T>(pre, wire_bytes, payload.data());
-        narrow_into<T>(tot, wire_bytes,
-                       payload.data() + pre.size() * wire_bytes);
+        std::vector<std::byte> payload(pre.size_bytes() + tot.size_bytes());
+        std::memcpy(payload.data(), pre.data(), pre.size_bytes());
+        std::memcpy(payload.data() + pre.size_bytes(), tot.data(),
+                    tot.size_bytes());
         rpost(m, sim::Message{src, dst, kTagReturn, std::move(payload)}, cat);
       }
       for (int i = 0; i < G; ++i) {
@@ -387,28 +384,28 @@ void prs_split(sim::Machine& m, const Group& g,
         // the receiver of chunk c_in = (i-r)%G.  Payloads carry prefix+total,
         // hence the factor of two.
         const int c_in = (i - r + G) % G;
-        const std::size_t out_bytes = chunk_len(i) * 2 * wire_bytes;
-        const std::size_t in_bytes = chunk_len(c_in) * 2 * wire_bytes;
+        const std::size_t out_bytes = chunk_len(i) * 2 * sizeof(T);
+        const std::size_t in_bytes = chunk_len(c_in) * 2 * sizeof(T);
         const int rank = g.rank_at(i);
         charge_exchange(m, rank, g.rank_at((i + r) % G), g.rank_at(c_in),
                         out_bytes, in_bytes, cat);
         if (chunk_len(c_in) > 0) {
           auto msg = rrecv(m, rank, g.rank_at(c_in), kTagReturn, cat);
           m.timed(rank, cat, [&] {
-            // Both halves copy (widen) straight into place.
+            // Both halves copy straight into place.
             const std::size_t len = chunk_len(c_in);
-            const std::size_t len_bytes = len * wire_bytes;
+            const std::size_t len_bytes = len * sizeof(T);
             PUP_CHECK(msg.payload.size() == 2 * len_bytes,
                       "PRS return payload of " << msg.payload.size()
                                                << " bytes, expected "
                                                << 2 * len_bytes);
             const std::byte* data = msg.payload.data();
-            widen_into<T>(data, len, wire_bytes,
-                          prefix[static_cast<std::size_t>(rank)].data() +
-                              chunk_lo(c_in));
-            widen_into<T>(data + len_bytes, len, wire_bytes,
-                          total[static_cast<std::size_t>(rank)].data() +
-                              chunk_lo(c_in));
+            std::memcpy(prefix[static_cast<std::size_t>(rank)].data() +
+                            chunk_lo(c_in),
+                        data, len_bytes);
+            std::memcpy(total[static_cast<std::size_t>(rank)].data() +
+                            chunk_lo(c_in),
+                        data + len_bytes, len_bytes);
           });
         }
       }
@@ -440,17 +437,15 @@ void prs_split(sim::Machine& m, const Group& g,
 /// and holds V_i on entry, F_i on return; `total` receives R in every
 /// member.  Returns the algorithm actually used (resolve_prs under the
 /// machine's cost model).  The vectors may use any allocator (the ranking
-/// passes support::UninitVector).  Payloads carry `wire_bytes` per entry:
-/// an int64 vector may go narrower (1, 2 or 4) when every entry, prefix
-/// and total fits; a payload entry that does not throws ContractError.
+/// passes support::UninitVector).  Payloads carry sizeof(T) bytes per
+/// entry.  For a base-rank element type (kernels::BaseRank) every sum is
+/// checked: a prefix or total that outgrows T throws ContractError.
 template <typename T, typename A>
 PrsAlgorithm prefix_reduction_sum(sim::Machine& m, const Group& g,
                                   PrsAlgorithm alg,
                                   std::vector<std::vector<T, A>>& prefix,
                                   std::vector<std::vector<T, A>>& total,
-                                  sim::Category cat = sim::Category::kPrs,
-                                  std::size_t wire_bytes = sizeof(T)) {
-  require_wire<T>(wire_bytes);
+                                  sim::Category cat = sim::Category::kPrs) {
   const int G = g.size();
   const std::size_t M = prefix[static_cast<std::size_t>(g.rank_at(0))].size();
   for (int i = 0; i < G; ++i) {
@@ -466,20 +461,20 @@ PrsAlgorithm prefix_reduction_sum(sim::Machine& m, const Group& g,
     return PrsAlgorithm::kDirect;
   }
 
-  const PrsAlgorithm chosen = resolve_prs(alg, G, M, wire_bytes, m.cost());
+  const PrsAlgorithm chosen = resolve_prs(alg, G, M, sizeof(T), m.cost());
   switch (chosen) {
     case PrsAlgorithm::kDirect:
       if (detail::is_pow2(G)) {
-        detail::prs_direct_pow2(m, g, prefix, total, cat, wire_bytes);
+        detail::prs_direct_pow2(m, g, prefix, total, cat);
       } else {
-        detail::prs_direct_general(m, g, prefix, total, cat, wire_bytes);
+        detail::prs_direct_general(m, g, prefix, total, cat);
       }
       break;
     case PrsAlgorithm::kSplit:
-      detail::prs_split(m, g, prefix, total, cat, wire_bytes);
+      detail::prs_split(m, g, prefix, total, cat);
       break;
     case PrsAlgorithm::kControlNetwork:
-      detail::prs_control_network(m, g, prefix, total, cat, wire_bytes);
+      detail::prs_control_network(m, g, prefix, total, cat);
       break;
     case PrsAlgorithm::kAuto:
     case PrsAlgorithm::kPaperRule:

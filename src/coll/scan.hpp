@@ -20,15 +20,13 @@ namespace pup::coll {
 /// Exclusive prefix sum: on return member i's buffer holds
 /// F_i[j] = sum_{k<i} V_k[j]; member 0 holds zeros.  When `inclusive_out`
 /// is non-null, member i's inclusive prefix (sum_{k<=i}) is stored there as
-/// well (indexed by machine rank).  The running vectors travel at
-/// `wire_bytes` per entry (require_wire).
+/// well (indexed by machine rank).  Running sums of base-rank vectors are
+/// checked (fold_entries): one that outgrows T throws ContractError.
 template <typename T, typename A>
 void exscan_sum(sim::Machine& m, const Group& g,
                 std::vector<std::vector<T, A>>& bufs,
                 std::vector<std::vector<T, A>>* inclusive_out = nullptr,
-                sim::Category cat = sim::Category::kPrs,
-                std::size_t wire_bytes = sizeof(T)) {
-  require_wire<T>(wire_bytes);
+                sim::Category cat = sim::Category::kPrs) {
   const int G = g.size();
   const std::size_t M = bufs[static_cast<std::size_t>(g.rank_at(0))].size();
   for (int i = 1; i < G; ++i) {
@@ -52,8 +50,8 @@ void exscan_sum(sim::Machine& m, const Group& g,
       if (idx + offset < G) {
         const int src = g.rank_at(idx);
         const int dst = g.rank_at(idx + offset);
-        auto payload = compose_payload<T>(
-            inc[static_cast<std::size_t>(src)], wire_bytes);
+        auto payload =
+            sim::to_payload<T>(inc[static_cast<std::size_t>(src)]);
         charge_oneway(m, src, dst, payload.size(), cat);
         rpost(m, sim::Message{src, dst, kTag, std::move(payload)}, cat);
       }
@@ -65,8 +63,7 @@ void exscan_sum(sim::Machine& m, const Group& g,
         auto msg = rrecv(m, dst, src, kTag, cat);
         m.timed(dst, cat, [&] {
           auto& acc = inc[static_cast<std::size_t>(dst)];
-          fold_payload<T>(msg.payload, acc.size(), acc.data(), nullptr,
-                          wire_bytes);
+          fold_payload<T>(msg.payload, acc.size(), acc.data());
         });
       }
     }
@@ -80,7 +77,9 @@ void exscan_sum(sim::Machine& m, const Group& g,
     m.timed(r, cat, [&] {
       auto& own = bufs[static_cast<std::size_t>(r)];
       const auto& in = inc[static_cast<std::size_t>(r)];
-      for (std::size_t j = 0; j < own.size(); ++j) own[j] = in[j] - own[j];
+      for (std::size_t j = 0; j < own.size(); ++j) {
+        own[j] = static_cast<T>(in[j] - own[j]);
+      }
     });
   }
   if (inclusive_out != nullptr) *inclusive_out = std::move(inc);

@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <bit>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 
 // One portable source, compiled for the baseline ISA, and one dispatch
@@ -118,6 +120,48 @@ inline void store_wire(std::byte* out, std::size_t e, std::size_t width,
   std::memcpy(out + e * width, &v, width);
 }
 
+// --- base ranks -------------------------------------------------------------
+
+// The e-th entry of an unaligned stream of U.
+template <typename U>
+inline U load_entry(const std::byte* src, std::size_t e) {
+  U v;
+  std::memcpy(&v, src + e * sizeof(U), sizeof(U));
+  return v;
+}
+
+// A checked add wrapped somewhere in [0, n): name the first entry whose
+// sum is below its addend, which an unsigned add leaves only when it
+// wraps.  Out of line, off the fold loops' hot path.
+template <typename U>
+[[noreturn, gnu::cold, gnu::noinline]] void rank_overflow(
+    const U* dst, const U* dst2, const std::byte* src, std::size_t n) {
+  std::size_t e = 0;
+  auto wrapped = [&](std::size_t i) {
+    const U v = load_entry<U>(src, i);
+    return dst[i] < v || (dst2 != nullptr && dst2[i] < v);
+  };
+  while (e < n && !wrapped(e)) ++e;
+  PUP_REQUIRE(false, "base-rank sum at entry "
+                         << e << " does not fit the " << sizeof(U)
+                         << "-byte wire width");
+  __builtin_unreachable();
+}
+
+// The scalar reference fold: each sum checked (below int64) as it is
+// stored, so the first one that wraps throws.
+template <typename U, bool kTwo>
+void add_entries(U* dst, U* dst2, const std::byte* src, std::size_t n) {
+  for (std::size_t e = 0; e < n; ++e) {
+    const U v = load_entry<U>(src, e);
+    bool over = __builtin_add_overflow(dst[e], v, &dst[e]);
+    if constexpr (kTwo) over |= __builtin_add_overflow(dst2[e], v, &dst2[e]);
+    if (std::is_unsigned_v<U> && over) {
+      rank_overflow<U>(dst, kTwo ? dst2 : nullptr, src, e + 1);
+    }
+  }
+}
+
 }  // namespace
 
 // --- scalar reference implementations -------------------------------------
@@ -130,18 +174,19 @@ std::int64_t mask_count(const std::uint8_t* mask, std::size_t n) {
   return c;
 }
 
-std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
-                        std::int64_t* ps) {
+template <BaseRank U>
+std::int64_t mask_flags(const std::uint8_t* mask, std::size_t n, U* ps) {
   std::int64_t c = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t v = (mask[i] != 0);
+    const U v = mask[i] != 0;
     ps[i] = v;
     c += v;
   }
   return c;
 }
 
-void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
+template <BaseRank U>
+void segment_sums(const U* rs, std::size_t n, std::size_t seg_len,
                   std::int64_t* sums) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
@@ -154,22 +199,23 @@ void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
 
 // The definition, element by element: the segment's running exclusive
 // prefix plus the segment's addend.
-void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
-                           std::size_t n, std::size_t seg_len,
-                           const std::int64_t* seg_add) {
+template <BaseRank U>
+void segmented_prefix_fold(const U* rs, const U* ps, std::size_t n,
+                           std::size_t seg_len, const std::int64_t* seg_add,
+                           std::int64_t* out) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
     std::int64_t running = 0;
     for (std::size_t e = s; e < end; ++e) {
-      ps[e] += running + seg_add[g];
+      out[e] = static_cast<std::int64_t>(ps[e]) + running + seg_add[g];
       running += rs[e];
     }
   }
 }
 
-std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
-                                         const std::int64_t* ps,
+template <BaseRank U>
+std::size_t segmented_prefix_fold_gather(const U* rs, const U* ps,
                                          std::size_t n, std::size_t seg_len,
                                          const std::int64_t* seg_add,
                                          const std::uint8_t* mask,
@@ -180,12 +226,23 @@ std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
     std::int64_t running = 0;
     for (std::size_t e = s; e < end; ++e) {
-      const std::int64_t v = ps[e] + running + seg_add[g];
+      const std::int64_t v =
+          static_cast<std::int64_t>(ps[e]) + running + seg_add[g];
       if (mask[e] != 0) out[k++] = v;
       running += rs[e];
     }
   }
   return k;
+}
+
+template <BaseRank U>
+void add_from_bytes(U* dst, const std::byte* src, std::size_t n) {
+  add_entries<U, false>(dst, nullptr, src, n);
+}
+
+template <BaseRank U>
+void add_from_bytes(U* dst, U* dst2, const std::byte* src, std::size_t n) {
+  add_entries<U, true>(dst, dst2, src, n);
 }
 
 // The definitions entry by entry: each value is checked before it is
@@ -199,32 +256,6 @@ void narrow_to_bytes(const std::int64_t* src, std::size_t n,
       wire_overflow(src, n, width, bias);
     }
     store_wire(out, e, width, v);
-  }
-}
-
-void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                      std::size_t width) {
-  require_wire_width(width);
-  for (std::size_t e = 0; e < n; ++e) {
-    dst[e] = static_cast<std::int64_t>(load_wire(src, e, width));
-  }
-}
-
-void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                    std::size_t width) {
-  require_wire_width(width);
-  for (std::size_t e = 0; e < n; ++e) {
-    dst[e] += static_cast<std::int64_t>(load_wire(src, e, width));
-  }
-}
-
-void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n, std::size_t width) {
-  require_wire_width(width);
-  for (std::size_t e = 0; e < n; ++e) {
-    const auto v = static_cast<std::int64_t>(load_wire(src, e, width));
-    dst[e] += v;
-    dst2[e] += v;
   }
 }
 
@@ -320,10 +351,12 @@ std::int64_t mask_count_generic(const std::uint8_t* mask, std::size_t n) {
 // breaks the chain -- four rotated partial sums per step.  Exact integer
 // adds, so any association gives the reference's values; the running sum
 // starts at the segment's addend, so each prefix value is already the
-// amount to add into ps.
-void segmented_prefix_fold_unrolled(const std::int64_t* rs, std::int64_t* ps,
-                                    std::size_t n, std::size_t seg_len,
-                                    const std::int64_t* seg_add) {
+// amount to add to ps.
+template <typename U>
+void segmented_prefix_fold_unrolled(const U* rs, const U* ps, std::size_t n,
+                                    std::size_t seg_len,
+                                    const std::int64_t* seg_add,
+                                    std::int64_t* out) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
@@ -337,22 +370,23 @@ void segmented_prefix_fold_unrolled(const std::int64_t* rs, std::int64_t* ps,
       const std::int64_t p1 = running + v0;
       const std::int64_t p2 = p1 + v1;
       const std::int64_t p3 = p2 + v2;
-      ps[e] += running;
-      ps[e + 1] += p1;
-      ps[e + 2] += p2;
-      ps[e + 3] += p3;
+      out[e] = ps[e] + running;
+      out[e + 1] = ps[e + 1] + p1;
+      out[e + 2] = ps[e + 2] + p2;
+      out[e + 3] = ps[e + 3] + p3;
       running += v0 + v1 + v2 + v3;
     }
     for (; e < end; ++e) {
-      ps[e] += running;
+      out[e] = ps[e] + running;
       running += rs[e];
     }
   }
 }
 
 // Four independent partial sums per segment, combined at its end.
-void segment_sums_unrolled(const std::int64_t* rs, std::size_t n,
-                           std::size_t seg_len, std::int64_t* sums) {
+template <typename U>
+void segment_sums_unrolled(const U* rs, std::size_t n, std::size_t seg_len,
+                           std::int64_t* sums) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
@@ -393,8 +427,8 @@ std::size_t prefix_in_range_generic(const std::int64_t* v, std::size_t n,
 // Wire entries of W bytes (1, 2, 4 or 8), eight bytes of wire per step:
 // the compose packs 8/W entries into one word and ORs every value into one
 // accumulator, checked once at the end (an entry that does not fit sets a
-// bit at or above 8 W); the widening loads unpack one word.  Width 8 is
-// the plain int64 wire: a copy, and no check.
+// bit at or above 8 W).  Width 8 is the plain int64 wire: a copy, and no
+// check.
 template <std::size_t W>
 constexpr std::uint64_t kWireMask =
     W == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * W)) - 1;
@@ -433,53 +467,53 @@ void narrow_generic(const std::int64_t* src, std::size_t n, std::int64_t bias,
   }
 }
 
-// kAdd: dst (and, kTwo, dst2) += the entries; else dst = the entries.
-// A step covers whole words and at least four entries, and the entry
-// stores are written out in the loop bodies (no helper): that is what lets
-// the compiler fold a step into vector operations.  dst, dst2 and src
-// never overlap (the kernel contract), which __restrict hands to the
-// compiler: the two-destination fold vectorizes, and no step reloads src
-// after a store.
-template <std::size_t W, bool kAdd, bool kTwo>
-void widen_generic(std::int64_t* __restrict dst,
-                   std::int64_t* __restrict dst2,
-                   const std::byte* __restrict src, std::size_t n) {
-  constexpr std::size_t kPer = 8 / W;
-  constexpr std::size_t kStep = kPer > 4 ? kPer : 4;
+// The payload fold, sixteen bytes of entries per step in a portable vector
+// (GCC/Clang vector extensions: SSE2 at the baseline ISA, VEX-encoded in
+// the AVX2 rebuild).  Below int64 a lane's sum wrapped exactly when it is
+// below the entry added; the compare masks are OR-ed into one flag vector,
+// tested once at the end.
+template <typename U, bool kTwo>
+void add_generic(U* __restrict dst, U* __restrict dst2,
+                 const std::byte* __restrict src, std::size_t n) {
+  using V [[gnu::vector_size(16)]] = U;
+  constexpr std::size_t kPer = sizeof(V) / sizeof(U);
+  constexpr bool kChecked = std::is_unsigned_v<U>;
+  V wrapped = {};
+  auto add_step = [&](U* d, const V& v) {
+    V x;
+    std::memcpy(&x, d, sizeof(V));
+    x += v;
+    std::memcpy(d, &x, sizeof(V));
+    if constexpr (kChecked) wrapped |= reinterpret_cast<V>(x < v);
+  };
   std::size_t e = 0;
-  for (; e + kStep <= n; e += kStep) {
-    for (std::size_t k = 0; k < kStep; ++k) {
-      const std::uint64_t word = load_u64(src + (e + k - k % kPer) * W);
-      const auto x = static_cast<std::int64_t>(
-          (word >> (8 * W * (k % kPer))) & kWireMask<W>);
-      if constexpr (kAdd) {
-        dst[e + k] += x;
-        if constexpr (kTwo) dst2[e + k] += x;
-      } else {
-        dst[e + k] = x;
-      }
-    }
+  for (; e + kPer <= n; e += kPer) {
+    V v;
+    std::memcpy(&v, src + e * sizeof(U), sizeof(V));
+    add_step(dst + e, v);
+    if constexpr (kTwo) add_step(dst2 + e, v);
   }
+  bool bad = false;
   for (; e < n; ++e) {
-    std::uint64_t v = 0;
-    std::memcpy(&v, src + e * W, W);  // zero-extended (little-endian)
-    const auto x = static_cast<std::int64_t>(v);
-    if constexpr (kAdd) {
-      dst[e] += x;
-      if constexpr (kTwo) dst2[e] += x;
-    } else {
-      dst[e] = x;
+    const U v = load_entry<U>(src, e);
+    dst[e] = static_cast<U>(dst[e] + v);
+    bad |= kChecked && dst[e] < v;
+    if constexpr (kTwo) {
+      dst2[e] = static_cast<U>(dst2[e] + v);
+      bad |= kChecked && dst2[e] < v;
     }
   }
+  for (std::size_t k = 0; k < kPer; ++k) bad |= wrapped[k] != 0;
+  if (bad) rank_overflow<U>(dst, kTwo ? dst2 : nullptr, src, n);
 }
 
 // The unrolled fold with a branchless compaction: each folded value is
-// stored at out[k] and k advances by its mask flag.  A step computes all
-// four values before it stores any, and k never passes the element being
-// read, so folding in place over ps never clobbers a value still unread.
+// stored at out[k] and k advances by its mask flag, so no store lands past
+// out[k] for the final count k.
+template <typename U>
 std::size_t segmented_prefix_fold_gather_unrolled(
-    const std::int64_t* rs, const std::int64_t* ps, std::size_t n,
-    std::size_t seg_len, const std::int64_t* seg_add, const std::uint8_t* mask,
+    const U* rs, const U* ps, std::size_t n, std::size_t seg_len,
+    const std::int64_t* seg_add, const std::uint8_t* mask,
     std::int64_t* out) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   std::size_t k = 0;
@@ -650,30 +684,22 @@ void index_gather_generic(const std::byte* index, std::size_t n,
 
 // --- dispatch tables ------------------------------------------------------
 
-// SWAR widening: eight mask bytes become eight 0/1 flags per word, then
-// eight int64 stores with no data-dependent branch.  Built for AVX2 the
-// compiler turns it into vector code that the plain loop does not get
-// (the native table's mask_widen); at the baseline ISA it is slower than
-// the plain loop.
-std::int64_t mask_widen_swar(const std::uint8_t* mask, std::size_t n,
-                             std::int64_t* ps) {
+// SWAR flags at uint8: eight mask bytes become eight 0/1 bytes per word,
+// stored whole.  Wider entries take the scalar reference's loop: storing a
+// word's flags one entry at a time measured slower than it at the baseline
+// ISA.
+std::int64_t mask_flags_swar(const std::uint8_t* mask, std::size_t n,
+                             std::uint8_t* ps) {
   std::int64_t count = 0;
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     // 0x01 in each byte whose mask byte is nonzero.
     const std::uint64_t flags =
         (~zero_byte_flags(load_u64(mask + i)) & kHigh) >> 7;
-    for (unsigned b = 0; b < 8; ++b) {
-      ps[i + b] = static_cast<std::int64_t>((flags >> (8 * b)) & 1);
-    }
+    std::memcpy(ps + i, &flags, sizeof(flags));
     count += sum_bytes(flags);
   }
-  for (; i < n; ++i) {
-    const std::int64_t v = (mask[i] != 0);
-    ps[i] = v;
-    count += v;
-  }
-  return count;
+  return count + scalar::mask_flags(mask + i, n - i, ps + i);
 }
 
 // Width-specialized kernels take one slot per width of 1, 2, 4, 8 and 16
@@ -682,35 +708,37 @@ std::int64_t mask_widen_swar(const std::uint8_t* mask, std::size_t n,
 constexpr std::size_t kSlots = 5;
 constexpr std::size_t kWireSlots = 4;
 
-// The kernels of one Path.  A null slot -- every width slot of the scalar
-// table, and any width without a slot -- runs the scalar reference.  The
-// wire folds share one signature; the copy and the one-destination fold
-// ignore dst2.
-struct Table {
-  using WireFold = void (*)(std::int64_t*, std::int64_t*, const std::byte*,
-                            std::size_t);
+// The base-rank kernels at one width.  The two folds share one signature;
+// the one-destination fold ignores dst2.
+template <typename U>
+struct RankKernels {
+  using Fold = void (*)(U*, U*, const std::byte*, std::size_t);
 
-  std::int64_t (*mask_count)(const std::uint8_t*, std::size_t);
-  std::int64_t (*mask_widen)(const std::uint8_t*, std::size_t,
-                             std::int64_t*);
-  void (*segment_sums)(const std::int64_t*, std::size_t, std::size_t,
-                       std::int64_t*);
-  void (*segmented_prefix_fold)(const std::int64_t*, std::int64_t*,
-                                std::size_t, std::size_t,
-                                const std::int64_t*);
-  std::size_t (*segmented_prefix_fold_gather)(const std::int64_t*,
-                                              const std::int64_t*,
-                                              std::size_t, std::size_t,
+  std::int64_t (*mask_flags)(const std::uint8_t*, std::size_t, U*);
+  void (*segment_sums)(const U*, std::size_t, std::size_t, std::int64_t*);
+  void (*segmented_prefix_fold)(const U*, const U*, std::size_t, std::size_t,
+                                const std::int64_t*, std::int64_t*);
+  std::size_t (*segmented_prefix_fold_gather)(const U*, const U*, std::size_t,
+                                              std::size_t,
                                               const std::int64_t*,
                                               const std::uint8_t*,
                                               std::int64_t*);
+  Fold add;
+  Fold add2;
+};
+
+// The kernels of one Path.  A null slot -- every width slot of the scalar
+// table, and any width without a slot -- runs the scalar reference.  The
+// base-rank kernels are filled in every table.
+struct Table {
+  std::int64_t (*mask_count)(const std::uint8_t*, std::size_t);
   std::size_t (*prefix_in_range)(const std::int64_t*, std::size_t,
                                   std::int64_t, std::int64_t);
+  std::tuple<RankKernels<std::uint8_t>, RankKernels<std::uint16_t>,
+             RankKernels<std::uint32_t>, RankKernels<std::int64_t>>
+      ranks = {};
   void (*narrow[kWireSlots])(const std::int64_t*, std::size_t, std::int64_t,
                              std::byte*) = {};
-  WireFold widen[kWireSlots] = {};
-  WireFold add[kWireSlots] = {};
-  WireFold add2[kWireSlots] = {};
   std::size_t (*gather[kSlots])(const std::uint8_t*, const std::byte*,
                                 std::size_t, std::byte*) = {};
   std::size_t (*gather_first_n[kSlots])(const std::uint8_t*,
@@ -733,13 +761,23 @@ F at_width(F const (&slots)[N], std::size_t width) {
              : nullptr;
 }
 
+template <typename U>
+constexpr RankKernels<U> scalar_ranks() {
+  return {
+      .mask_flags = scalar::mask_flags<U>,
+      .segment_sums = scalar::segment_sums<U>,
+      .segmented_prefix_fold = scalar::segmented_prefix_fold<U>,
+      .segmented_prefix_fold_gather = scalar::segmented_prefix_fold_gather<U>,
+      .add = add_entries<U, false>,
+      .add2 = add_entries<U, true>,
+  };
+}
+
 constexpr Table kScalarTable = {
     .mask_count = scalar::mask_count,
-    .mask_widen = scalar::mask_widen,
-    .segment_sums = scalar::segment_sums,
-    .segmented_prefix_fold = scalar::segmented_prefix_fold,
-    .segmented_prefix_fold_gather = scalar::segmented_prefix_fold_gather,
     .prefix_in_range = scalar::prefix_in_range,
+    .ranks = {scalar_ranks<std::uint8_t>(), scalar_ranks<std::uint16_t>(),
+              scalar_ranks<std::uint32_t>(), scalar_ranks<std::int64_t>()},
 };
 
 // A build of function F: Baseline is F itself; a native section supplies
@@ -758,19 +796,32 @@ constexpr void index_gather_row(Table& t, std::index_sequence<S...>) {
    ...);
 }
 
+// The generic base-rank source at width U, every kernel built by Build.
+template <template <auto> class Build, typename U>
+constexpr RankKernels<U> generic_ranks() {
+  RankKernels<U> r = {
+      .mask_flags = Build<scalar::mask_flags<U>>::run,
+      .segment_sums = Build<segment_sums_unrolled<U>>::run,
+      .segmented_prefix_fold = Build<segmented_prefix_fold_unrolled<U>>::run,
+      .segmented_prefix_fold_gather =
+          Build<segmented_prefix_fold_gather_unrolled<U>>::run,
+      .add = Build<add_generic<U, false>>::run,
+      .add2 = Build<add_generic<U, true>>::run,
+  };
+  if constexpr (sizeof(U) == 1) r.mask_flags = Build<mask_flags_swar>::run;
+  return r;
+}
+
 // The generic source, every kernel of it built by Build.
 template <template <auto> class Build>
 constexpr Table generic_table() {
   Table t = {
       .mask_count = Build<mask_count_generic>::run,
-      // The reference loop: at the baseline ISA it beats the SWAR word
-      // form (EXPERIMENTS.md, "Kernel dispatch").
-      .mask_widen = Build<scalar::mask_widen>::run,
-      .segment_sums = Build<segment_sums_unrolled>::run,
-      .segmented_prefix_fold = Build<segmented_prefix_fold_unrolled>::run,
-      .segmented_prefix_fold_gather =
-          Build<segmented_prefix_fold_gather_unrolled>::run,
       .prefix_in_range = Build<prefix_in_range_generic>::run,
+      .ranks = {generic_ranks<Build, std::uint8_t>(),
+                generic_ranks<Build, std::uint16_t>(),
+                generic_ranks<Build, std::uint32_t>(),
+                generic_ranks<Build, std::int64_t>()},
   };
   [&]<std::size_t... S>(std::index_sequence<S...>) {
     ((t.gather[S] = Build<gather_generic<std::size_t{1} << S>>::run), ...);
@@ -781,13 +832,6 @@ constexpr Table generic_table() {
   }(std::make_index_sequence<kSlots>{});
   [&]<std::size_t... S>(std::index_sequence<S...>) {
     ((t.narrow[S] = Build<narrow_generic<std::size_t{1} << S>>::run), ...);
-    ((t.widen[S] =
-          Build<widen_generic<std::size_t{1} << S, false, false>>::run),
-     ...);
-    ((t.add[S] = Build<widen_generic<std::size_t{1} << S, true, false>>::run),
-     ...);
-    ((t.add2[S] = Build<widen_generic<std::size_t{1} << S, true, true>>::run),
-     ...);
     (index_gather_row<Build, S>(t, std::make_index_sequence<kSlots>{}), ...);
   }(std::make_index_sequence<kWireSlots>{});
   return t;
@@ -914,49 +958,111 @@ template <std::size_t W>
               0x0f));
 }
 
+// Four base ranks from p, zero-extended into the int64 lanes: one 4-, 8-
+// or 16-byte load and one widening move below int64.
+template <typename U>
+[[gnu::target("avx2")]] inline __m256i load4(const U* p) {
+  if constexpr (sizeof(U) == 1) {
+    std::uint32_t x;
+    std::memcpy(&x, p, sizeof(x));
+    return _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(static_cast<int>(x)));
+  } else if constexpr (sizeof(U) == 2) {
+    return _mm256_cvtepu16_epi64(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  } else if constexpr (sizeof(U) == 4) {
+    return _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  } else {
+    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+  }
+}
+
+// W_0 = 1 flags, 32 mask bytes per step: one compare against zero, its
+// movemask counted, and the 0/1 bytes stored whole at uint8; at int64 each
+// run of four mask bytes is zero-extended and compared per lane.  (uint16
+// and uint32 take the generic rebuild: level 0 reaches them only with
+// P_0 > 255.)
+template <typename U>
+[[gnu::target("avx2")]] std::int64_t mask_flags(const std::uint8_t* mask,
+                                                std::size_t n, U* ps) {
+  const __m256i zero = _mm256_setzero_si256();
+  std::int64_t count = 0;
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(mask + i));
+    const __m256i eqz = _mm256_cmpeq_epi8(v, zero);
+    count += 32 - std::popcount(
+                      static_cast<std::uint32_t>(_mm256_movemask_epi8(eqz)));
+    if constexpr (sizeof(U) == 1) {
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(ps + i),
+                          _mm256_andnot_si256(eqz, _mm256_set1_epi8(1)));
+    } else {
+      static_assert(sizeof(U) == 8, "uint16/uint32 flags are not built here");
+      for (std::size_t j = 0; j < 32; j += 4) {
+        const __m256i w = load4(mask + i + j);
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(ps + i + j),
+            _mm256_andnot_si256(_mm256_cmpeq_epi64(w, zero),
+                                _mm256_set1_epi64x(1)));
+      }
+    }
+  }
+  return count + scalar::mask_flags(mask + i, n - i, ps + i);
+}
+
 // The inclusive scan minus the input for the exclusive prefix, plus the
 // carried running sum, which starts at the segment's addend.  The
 // loop-carried chain is one add per block of four.
+template <typename U>
 [[gnu::target("avx2")]] void segmented_prefix_fold(
-    const std::int64_t* rs, std::int64_t* ps, std::size_t n,
-    std::size_t seg_len, const std::int64_t* seg_add) {
+    const U* rs, const U* ps, std::size_t n, std::size_t seg_len,
+    const std::int64_t* seg_add, std::int64_t* out) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
     __m256i running = _mm256_set1_epi64x(seg_add[g]);
     std::size_t e = s;
     for (; e + 4 <= end; e += 4) {
-      const __m256i x =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rs + e));
+      const __m256i x = load4(rs + e);
       const __m256i inc = inclusive_scan4(x);
       const __m256i excl =
           _mm256_add_epi64(_mm256_sub_epi64(inc, x), running);
-      auto* p = reinterpret_cast<__m256i*>(ps + e);
-      _mm256_storeu_si256(p, _mm256_add_epi64(_mm256_loadu_si256(p), excl));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + e),
+                          _mm256_add_epi64(load4(ps + e), excl));
       running = _mm256_add_epi64(
           running, _mm256_permute4x64_epi64(inc, _MM_SHUFFLE(3, 3, 3, 3)));
     }
     std::int64_t carry = _mm256_extract_epi64(running, 0);
     for (; e < end; ++e) {
-      ps[e] += carry;
+      out[e] = static_cast<std::int64_t>(ps[e]) + carry;
       carry += rs[e];
     }
   }
 }
 
-// Four lanes of partial sums per segment, reduced at its end.
-[[gnu::target("avx2")]] void segment_sums(const std::int64_t* rs,
-                                          std::size_t n, std::size_t seg_len,
+// Four lanes of partial sums per segment, reduced at its end.  uint8
+// entries are summed 32 per step first: a sum of absolute differences
+// against zero adds each run of eight bytes into one int64 lane.
+template <typename U>
+[[gnu::target("avx2")]] void segment_sums(const U* rs, std::size_t n,
+                                          std::size_t seg_len,
                                           std::int64_t* sums) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  const __m256i zero = _mm256_setzero_si256();
   for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
     __m256i acc = _mm256_setzero_si256();
     std::size_t e = s;
-    for (; e + 4 <= end; e += 4) {
-      acc = _mm256_add_epi64(
-          acc, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rs + e)));
+    if constexpr (sizeof(U) == 1) {
+      for (; e + 32 <= end; e += 32) {
+        acc = _mm256_add_epi64(
+            acc, _mm256_sad_epu8(_mm256_loadu_si256(
+                                     reinterpret_cast<const __m256i*>(rs + e)),
+                                 zero));
+      }
     }
+    for (; e + 4 <= end; e += 4) acc = _mm256_add_epi64(acc, load4(rs + e));
     const __m128i half = _mm_add_epi64(_mm256_castsi256_si128(acc),
                                        _mm256_extracti128_si256(acc, 1));
     std::int64_t total =
@@ -1057,13 +1163,58 @@ template <std::size_t W>
   return k;
 }
 
+// Left-pack table for 4-byte elements: for an 8-lane selection byte, the
+// _mm256_permutevar8x32_epi32 indices that move the selected lanes, in
+// order, to the front (the unused tail lanes repeat lane 0).
+struct LeftPack32 {
+  alignas(32) std::uint32_t idx[256][8] = {};
+  constexpr LeftPack32() {
+    for (unsigned sel = 0; sel < 256; ++sel) {
+      unsigned o = 0;
+      for (unsigned lane = 0; lane < 8; ++lane) {
+        if (((sel >> lane) & 1U) != 0) idx[sel][o++] = lane;
+      }
+    }
+  }
+};
+constexpr LeftPack32 kLeftPack32{};
+
+// Eight uint8 or uint16 entries zero-extended into 32-bit lanes.
+template <typename U>
+[[gnu::target("avx2")]] inline __m256i load8(const U* p) {
+  static_assert(sizeof(U) <= 2);
+  if constexpr (sizeof(U) == 1) {
+    return _mm256_cvtepu8_epi32(
+        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
+  } else {
+    return _mm256_cvtepu16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+  }
+}
+
+// An in-register inclusive scan of eight 32-bit lanes: two shift-adds
+// within each 128-bit half, then the low half's total into the high half.
+[[gnu::target("avx2")]] inline __m256i inclusive_scan8(__m256i x) {
+  x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
+  x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
+  const __m256i low_total = _mm256_permutevar8x32_epi32(
+      x, _mm256_setr_epi32(0, 0, 0, 0, 3, 3, 3, 3));
+  return _mm256_add_epi32(
+      x, _mm256_blend_epi32(_mm256_setzero_si256(), low_total, 0xf0));
+}
+
 // segmented_prefix_fold's four-lane fold, then a left-pack of the selected
 // lanes (the 4-byte mask word widened to a lane-selection nibble) stored
-// whole at out + k.  k never exceeds the block's first element, so the
-// speculative store stays inside the block just read and inside n.
+// whole at out + k.  uint8 and uint16 entries go eight lanes per step
+// first: PS_i[e] plus the in-step exclusive prefix is exact in 32 bits (at
+// most 8 * 65535), so those lanes are left-packed as 32-bit values, then
+// widened and offset by the int64 running sum.  A step stores at most
+// eight lanes from out + k, k the count so far, so the speculative stores
+// stay inside min(n, final count + kGatherSlack).
+template <typename U>
 [[gnu::target("avx2")]] std::size_t segmented_prefix_fold_gather(
-    const std::int64_t* rs, const std::int64_t* ps, std::size_t n,
-    std::size_t seg_len, const std::int64_t* seg_add, const std::uint8_t* mask,
+    const U* rs, const U* ps, std::size_t n, std::size_t seg_len,
+    const std::int64_t* seg_add, const std::uint8_t* mask,
     std::int64_t* out) {
   PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
   const __m256i zero = _mm256_setzero_si256();
@@ -1072,13 +1223,44 @@ template <std::size_t W>
     const std::size_t end = s + seg_len < n ? s + seg_len : n;
     __m256i running = _mm256_set1_epi64x(seg_add[g]);
     std::size_t e = s;
+    if constexpr (sizeof(U) <= 2) {
+      const __m256i last = _mm256_set1_epi32(7);
+      for (; e + 8 <= end; e += 8) {
+        const __m256i x = load8(rs + e);
+        const __m256i inc = inclusive_scan8(x);
+        const __m256i part =
+            _mm256_add_epi32(load8(ps + e), _mm256_sub_epi32(inc, x));
+        std::int64_t m;
+        std::memcpy(&m, mask + e, sizeof(m));
+        const auto sel = static_cast<unsigned>(
+            ~_mm_movemask_epi8(_mm_cmpeq_epi8(_mm_cvtsi64_si128(m),
+                                              _mm_setzero_si128())) &
+            0xff);
+        const __m256i packed = _mm256_permutevar8x32_epi32(
+            part, _mm256_load_si256(reinterpret_cast<const __m256i*>(
+                      kLeftPack32.idx[sel])));
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(out + k),
+            _mm256_add_epi64(
+                _mm256_cvtepu32_epi64(_mm256_castsi256_si128(packed)),
+                running));
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i*>(out + k + 4),
+            _mm256_add_epi64(
+                _mm256_cvtepu32_epi64(_mm256_extracti128_si256(packed, 1)),
+                running));
+        k += static_cast<std::size_t>(std::popcount(sel));
+        // The step's total, lane 7, zero-extended into every int64 lane.
+        running = _mm256_add_epi64(
+            running,
+            _mm256_srli_epi64(_mm256_permutevar8x32_epi32(inc, last), 32));
+      }
+    }
     for (; e + 4 <= end; e += 4) {
-      const __m256i x =
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(rs + e));
+      const __m256i x = load4(rs + e);
       const __m256i inc = inclusive_scan4(x);
       const __m256i folded = _mm256_add_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ps + e)),
-          _mm256_add_epi64(_mm256_sub_epi64(inc, x), running));
+          load4(ps + e), _mm256_add_epi64(_mm256_sub_epi64(inc, x), running));
       std::uint32_t m;
       std::memcpy(&m, mask + e, sizeof(m));
       const __m256i unselected = _mm256_cmpeq_epi64(
@@ -1096,7 +1278,7 @@ template <std::size_t W>
     }
     std::int64_t carry = _mm256_extract_epi64(running, 0);
     for (; e < end; ++e) {
-      out[k] = ps[e] + carry;
+      out[k] = static_cast<std::int64_t>(ps[e]) + carry;
       k += mask[e] != 0;
       carry += rs[e];
     }
@@ -1198,25 +1380,36 @@ template <std::size_t W>
   return k;
 }
 
+// The base-rank kernels at width U: the generic source rebuilt for AVX2
+// (the payload folds), with the hand-written flags, scans and sums above.
+template <typename U>
+constexpr RankKernels<U> avx2_ranks() {
+  RankKernels<U> r = generic_ranks<Build, U>();
+  if constexpr (sizeof(U) == 1 || sizeof(U) == 8) {
+    r.mask_flags = mask_flags<U>;
+  }
+  r.segment_sums = segment_sums<U>;
+  r.segmented_prefix_fold = segmented_prefix_fold<U>;
+  r.segmented_prefix_fold_gather = segmented_prefix_fold_gather<U>;
+  return r;
+}
+
 // The generic source rebuilt for AVX2, with the hand-written bodies above
-// in the slots where they measured faster.  Two more slots differ from a
+// in the slots where they measured faster.  One more slot differs from a
 // plain rebuild of the generic table (EXPERIMENTS.md, "Kernel dispatch"):
-// mask_widen is the SWAR form rebuilt for AVX2, three times faster than
-// the plain loop rebuilt; the indexed gather keeps its baseline build,
-// which measured faster than its AVX2 rebuild.
+// the indexed gather keeps its baseline build, which measured faster than
+// its AVX2 rebuild.
 constexpr Table make_table() {
   Table t = generic_table<Build>();
-  t.mask_widen = Build<mask_widen_swar>::run;
   for (std::size_t i = 0; i < kWireSlots; ++i) {
     for (std::size_t j = 0; j < kSlots; ++j) {
       t.index_gather[i][j] = kGenericTable.index_gather[i][j];
     }
   }
   t.mask_count = mask_count;
-  t.segment_sums = segment_sums;
-  t.segmented_prefix_fold = segmented_prefix_fold;
-  t.segmented_prefix_fold_gather = segmented_prefix_fold_gather;
   t.prefix_in_range = prefix_in_range;
+  t.ranks = {avx2_ranks<std::uint8_t>(), avx2_ranks<std::uint16_t>(),
+             avx2_ranks<std::uint32_t>(), avx2_ranks<std::int64_t>()};
   t.narrow[0] = narrow<1>;
   t.narrow[1] = narrow<2>;
   t.narrow[2] = narrow<4>;
@@ -1321,6 +1514,11 @@ const Table* table_of(Path p) {
   return t != nullptr ? *t : *resolve_active();
 }
 
+template <typename U>
+[[gnu::always_inline]] inline const RankKernels<U>& ranks() {
+  return std::get<RankKernels<U>>(active().ranks);
+}
+
 }  // namespace
 
 const char* path_name(Path p) {
@@ -1358,30 +1556,42 @@ std::int64_t mask_count(const std::uint8_t* mask, std::size_t n) {
   return active().mask_count(mask, n);
 }
 
-std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
-                        std::int64_t* ps) {
-  return active().mask_widen(mask, n, ps);
+template <BaseRank U>
+std::int64_t mask_flags(const std::uint8_t* mask, std::size_t n, U* ps) {
+  return ranks<U>().mask_flags(mask, n, ps);
 }
 
-void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
+template <BaseRank U>
+void segment_sums(const U* rs, std::size_t n, std::size_t seg_len,
                   std::int64_t* sums) {
-  active().segment_sums(rs, n, seg_len, sums);
+  ranks<U>().segment_sums(rs, n, seg_len, sums);
 }
 
-void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
-                           std::size_t n, std::size_t seg_len,
-                           const std::int64_t* seg_add) {
-  active().segmented_prefix_fold(rs, ps, n, seg_len, seg_add);
+template <BaseRank U>
+void segmented_prefix_fold(const U* rs, const U* ps, std::size_t n,
+                           std::size_t seg_len, const std::int64_t* seg_add,
+                           std::int64_t* out) {
+  ranks<U>().segmented_prefix_fold(rs, ps, n, seg_len, seg_add, out);
 }
 
-std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
-                                         const std::int64_t* ps,
+template <BaseRank U>
+std::size_t segmented_prefix_fold_gather(const U* rs, const U* ps,
                                          std::size_t n, std::size_t seg_len,
                                          const std::int64_t* seg_add,
                                          const std::uint8_t* mask,
                                          std::int64_t* out) {
-  return active().segmented_prefix_fold_gather(rs, ps, n, seg_len, seg_add,
-                                               mask, out);
+  return ranks<U>().segmented_prefix_fold_gather(rs, ps, n, seg_len, seg_add,
+                                                 mask, out);
+}
+
+template <BaseRank U>
+void add_from_bytes(U* dst, const std::byte* src, std::size_t n) {
+  ranks<U>().add(dst, nullptr, src, n);
+}
+
+template <BaseRank U>
+void add_from_bytes(U* dst, U* dst2, const std::byte* src, std::size_t n) {
+  ranks<U>().add2(dst, dst2, src, n);
 }
 
 std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
@@ -1397,33 +1607,6 @@ void narrow_to_bytes(const std::int64_t* src, std::size_t n,
     return f(src, n, bias, out);
   }
   scalar::narrow_to_bytes(src, n, width, out, bias);
-}
-
-void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                      std::size_t width) {
-  require_wire_width(width);
-  if (const auto f = at_width(active().widen, width)) {
-    return f(dst, nullptr, src, n);
-  }
-  scalar::widen_from_bytes(dst, src, n, width);
-}
-
-void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                    std::size_t width) {
-  require_wire_width(width);
-  if (const auto f = at_width(active().add, width)) {
-    return f(dst, nullptr, src, n);
-  }
-  scalar::add_from_bytes(dst, src, n, width);
-}
-
-void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n, std::size_t width) {
-  require_wire_width(width);
-  if (const auto f = at_width(active().add2, width)) {
-    return f(dst, dst2, src, n);
-  }
-  scalar::add_from_bytes(dst, dst2, src, n, width);
 }
 
 namespace detail {
@@ -1470,3 +1653,28 @@ void index_gather_bytes(const std::byte* index, std::size_t n,
 }  // namespace detail
 
 }  // namespace pup::kernels
+
+// The four base-rank widths of every width-templated kernel, reference and
+// dispatched.
+#define PUP_BASE_RANK_KERNELS(NS, U)                                         \
+  template std::int64_t NS mask_flags<U>(const std::uint8_t*, std::size_t,  \
+                                         U*);                               \
+  template void NS segment_sums<U>(const U*, std::size_t, std::size_t,      \
+                                   std::int64_t*);                          \
+  template void NS segmented_prefix_fold<U>(const U*, const U*, std::size_t, \
+                                            std::size_t, const std::int64_t*, \
+                                            std::int64_t*);                 \
+  template std::size_t NS segmented_prefix_fold_gather<U>(                  \
+      const U*, const U*, std::size_t, std::size_t, const std::int64_t*,    \
+      const std::uint8_t*, std::int64_t*);                                  \
+  template void NS add_from_bytes<U>(U*, const std::byte*, std::size_t);    \
+  template void NS add_from_bytes<U>(U*, U*, const std::byte*, std::size_t);
+#define PUP_BASE_RANK_KERNELS_BOTH(U)                                        \
+  PUP_BASE_RANK_KERNELS(pup::kernels::, U)                                  \
+  PUP_BASE_RANK_KERNELS(pup::kernels::scalar::, U)
+PUP_BASE_RANK_KERNELS_BOTH(std::uint8_t)
+PUP_BASE_RANK_KERNELS_BOTH(std::uint16_t)
+PUP_BASE_RANK_KERNELS_BOTH(std::uint32_t)
+PUP_BASE_RANK_KERNELS_BOTH(std::int64_t)
+#undef PUP_BASE_RANK_KERNELS_BOTH
+#undef PUP_BASE_RANK_KERNELS

@@ -3,22 +3,22 @@
 // The paper's comparative claims rest on *measured local computation*
 // (Figs. 3-5), and a handful of loop shapes dominate it:
 //
-//   * mask_count / mask_widen -- the initial ranking scan: a slice's
-//     selected count, or (W_0 = 1) PS_0 written in one widening pass;
+//   * mask_count / mask_flags -- the initial ranking scan: a slice's
+//     selected count, or (W_0 = 1) PS_0 written as the mask's 0/1 flags;
 //   * segment_sums / segmented_prefix_fold -- ranking substeps 2.2-2.4 over
-//     the PS_i/RS_i base-rank arrays: an intermediate step needs only the
-//     segment totals of RS_i (the seeds of level i+1), and the final step
-//     folds the segmented exclusive prefix of RS_i and the finished
-//     level-(i+1) ranks into PS_i in one pass;
+//     the PS_i/RS_i base-rank arrays, each read at its level's width: an
+//     intermediate step needs only the segment totals of RS_i (the seeds
+//     of level i+1), and the final step folds the segmented exclusive
+//     prefix of RS_i and the finished level-(i+1) ranks into PS_i in one
+//     pass, writing the int64 ranks;
 //   * segmented_prefix_fold_gather -- that final fold at level 0 of a
 //     W_0 = 1 counting scan, fused with the gather of PS_f under the mask:
-//     only the selected elements' ranks are kept, compacted in place;
-//   * narrow_to_bytes / widen_from_bytes / add_from_bytes -- integer
-//     fields at a wire width of 1, 2, 4 or 8 bytes: a checked narrowing
-//     compose (the PRS base ranks, and UNPACK's requests shifted to the
-//     owner's local indices), a widening copy, and the PRS rounds' fold of
-//     a received payload, read where it lies (unaligned loads from the
-//     message bytes);
+//     only the selected elements' ranks are kept, compacted;
+//   * add_from_bytes -- a PRS round's fold of a received payload of base
+//     ranks into one or two accumulators of the same width, read where it
+//     lies (unaligned loads from the message bytes), checked below int64;
+//   * narrow_to_bytes -- UNPACK's requests (and the ranking's level seeds)
+//     narrowed from int64 onto a 1-, 2-, 4- or 8-byte wire, checked;
 //   * prefix_in_range -- UNPACK's request runs: how far a scan-ordered
 //     rank list stays inside one V block;
 //   * index_gather -- UNPACK's replies: an owner answers a request stream
@@ -57,6 +57,7 @@
 // distributions, or plans -- callers hand them raw spans.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -97,54 +98,104 @@ void set_path(std::optional<Path> p);
 /// initial ranking scan and the COUNT reduction.
 std::int64_t mask_count(const std::uint8_t* mask, std::size_t n);
 
-/// W_0 = 1 initial scan in one widening pass: ps[i] = (mask[i] != 0) for
-/// i < n; returns the number of nonzero bytes.  Every output slot in
-/// [0, n) is written, so ps needs no clearing first; any nonzero mask byte
-/// counts as one.  (A W_0 = 1 slice's count is its mask byte, so no count
-/// array is written.)
-std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
-                        std::int64_t* ps);
-
-// --- segmented prefix sums ------------------------------------------------
+// --- base ranks -------------------------------------------------------------
 //
-// Both kernels cut [0, n) into seg_len-aligned segments, seg_len >= 1; a
+// The ranking keeps each level's PS_i/RS_i at the width its schedule proves
+// (RankingStep::wire_bytes), the same in memory and on the wire: uint8,
+// uint16 or uint32, or int64 where nothing narrower is proven (the paper's
+// int64 wire).  Each kernel below is instantiated for exactly these four
+// types; the ranks a fold produces are int64.
+
+template <typename U>
+concept BaseRank =
+    std::same_as<U, std::uint8_t> || std::same_as<U, std::uint16_t> ||
+    std::same_as<U, std::uint32_t> || std::same_as<U, std::int64_t>;
+
+/// Calls f(U{}) with U the base rank of `width` bytes: uint8, uint16,
+/// uint32 for 1, 2, 4, int64 for 8.  Throws ContractError for any other
+/// width.
+template <typename F>
+decltype(auto) with_base_rank(std::size_t width, F&& f) {
+  switch (width) {
+    case 1:
+      return f(std::uint8_t{});
+    case 2:
+      return f(std::uint16_t{});
+    case 4:
+      return f(std::uint32_t{});
+    default:
+      break;
+  }
+  PUP_REQUIRE(width == sizeof(std::int64_t),
+              "base-rank width must be 1, 2, 4 or 8 bytes, not " << width);
+  return f(std::int64_t{});
+}
+
+/// W_0 = 1 initial scan: ps[i] = (mask[i] != 0) for i < n; returns the
+/// number of nonzero bytes.  Every output slot in [0, n) is written, so ps
+/// needs no clearing first; any nonzero mask byte counts as one.  (A
+/// W_0 = 1 slice's count is its mask byte, so no count array is written.)
+template <BaseRank U>
+std::int64_t mask_flags(const std::uint8_t* mask, std::size_t n, U* ps);
+
+// Both folds cut [0, n) into seg_len-aligned segments, seg_len >= 1; a
 // final partial segment (seg_len not dividing n) is handled -- no
-// lane-width or divisibility assumption.  Neither writes rs.
+// lane-width or divisibility assumption.  Neither writes rs or ps.
 
 /// sums[g] = the sum of rs over segment g, for every g < ceil(n / seg_len).
-void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
+template <BaseRank U>
+void segment_sums(const U* rs, std::size_t n, std::size_t seg_len,
                   std::int64_t* sums);
 
-/// ps[e] += exscan_seg(rs)[e] + seg_add[e / seg_len], where exscan_seg(rs)[e]
-/// is the sum of rs over the elements of e's segment before e.  seg_add
-/// holds ceil(n / seg_len) per-segment addends.  ps must not overlap rs or
-/// seg_add.
-void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
-                           std::size_t n, std::size_t seg_len,
-                           const std::int64_t* seg_add);
+/// out[e] = ps[e] + exscan_seg(rs)[e] + seg_add[e / seg_len], where
+/// exscan_seg(rs)[e] is the sum of rs over the elements of e's segment
+/// before e.  seg_add holds ceil(n / seg_len) per-segment addends.  out
+/// must not overlap rs, ps or seg_add.
+template <BaseRank U>
+void segmented_prefix_fold(const U* rs, const U* ps, std::size_t n,
+                           std::size_t seg_len, const std::int64_t* seg_add,
+                           std::int64_t* out);
+
+/// Entries past the selected count that segmented_prefix_fold_gather may
+/// store speculatively: one eight-lane step of the vector paths.
+inline constexpr std::size_t kGatherSlack = 8;
 
 /// segmented_prefix_fold fused with a gather under a mask: the folded
-/// value ps[e] + exscan_seg(rs)[e] + seg_add[e / seg_len] of each e < n
-/// with mask[e] != 0 is written, in order, to out[0, k); returns k.  out
-/// needs room for n values (the vector paths store speculatively) and may
-/// be ps itself: the k-th write never passes the element being read.  out
-/// must not overlap rs or seg_add.
-std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
-                                         const std::int64_t* ps,
+/// value of each e < n with mask[e] != 0 is written, in order, to
+/// out[0, k); returns k.  out needs room for min(n, k + kGatherSlack)
+/// values and must not overlap rs, ps or seg_add.
+template <BaseRank U>
+std::size_t segmented_prefix_fold_gather(const U* rs, const U* ps,
                                          std::size_t n, std::size_t seg_len,
                                          const std::int64_t* seg_add,
                                          const std::uint8_t* mask,
                                          std::int64_t* out);
 
-// --- wire entries ---------------------------------------------------------
+/// dst[e] += the e-th sizeof(U)-byte entry of src, for e < n: a PRS round
+/// folds a received payload where it lies.  src carries no alignment
+/// guarantee and never overlaps dst.  Below int64 the add is checked: a sum
+/// that does not fit U (a schedule that misstates the level's width)
+/// throws ContractError, naming the entry and the width, instead of
+/// wrapping; dst's contents are then unspecified.  int64 sums are
+/// unchecked: counts of elements never approach 2^63.
+template <BaseRank U>
+void add_from_bytes(U* dst, const std::byte* src, std::size_t n);
+
+/// add_from_bytes into two destinations in one pass over src: the PRS
+/// round that joins a lower partner's subcube updates both the prefix and
+/// the total.  dst and dst2 must not overlap.
+template <BaseRank U>
+void add_from_bytes(U* dst, U* dst2, const std::byte* src, std::size_t n);
+
+// --- narrow wire entries ----------------------------------------------------
 //
-// A ranking PRS ships its int64 base ranks, and UNPACK its requests, as
-// `width`-byte unsigned integers, width in {1, 2, 4}, when the layout
-// proves every entry fits, and as int64 otherwise (width 8, the plain
-// int64 wire: signed values pass unchanged).  Entries are stored in host
-// byte order.  src/out carry no alignment guarantee (payloads are byte
-// vectors), so every path loads and stores them unaligned; a payload never
-// overlaps the int64 vectors it is composed from or folded into.
+// UNPACK ships its requests, and the ranking narrows each level's int64
+// segment totals into the next level's base ranks, as `width`-byte
+// unsigned integers, width in {1, 2, 4}, when the layout proves every
+// entry fits, and as int64 otherwise (width 8: signed values pass
+// unchanged).  Entries are stored in host byte order.  out carries no
+// alignment guarantee (a payload is a byte vector), so every path stores
+// unaligned.
 
 /// Writes src[e] + bias as the e-th width-byte entry of out, for e < n.
 /// Below width 8, throws ContractError when any src[e] + bias is negative
@@ -153,21 +204,6 @@ std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
 void narrow_to_bytes(const std::int64_t* src, std::size_t n,
                      std::size_t width, std::byte* out,
                      std::int64_t bias = 0);
-
-/// dst[e] = the e-th width-byte entry of src, zero-extended, for e < n.
-void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                      std::size_t width);
-
-/// dst[e] += the e-th width-byte entry of src (zero-extended), for e < n:
-/// folds a received message payload where it lies.
-void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                    std::size_t width);
-
-/// add_from_bytes into two destinations in one pass over src: the PRS
-/// round that joins a lower partner's subcube updates both the prefix and
-/// the total.  dst and dst2 must not overlap.
-void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n, std::size_t width);
 
 // --- request runs ---------------------------------------------------------
 
@@ -184,28 +220,28 @@ std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
 namespace scalar {
 
 std::int64_t mask_count(const std::uint8_t* mask, std::size_t n);
-std::int64_t mask_widen(const std::uint8_t* mask, std::size_t n,
-                        std::int64_t* ps);
-void segment_sums(const std::int64_t* rs, std::size_t n, std::size_t seg_len,
+template <BaseRank U>
+std::int64_t mask_flags(const std::uint8_t* mask, std::size_t n, U* ps);
+template <BaseRank U>
+void segment_sums(const U* rs, std::size_t n, std::size_t seg_len,
                   std::int64_t* sums);
-void segmented_prefix_fold(const std::int64_t* rs, std::int64_t* ps,
-                           std::size_t n, std::size_t seg_len,
-                           const std::int64_t* seg_add);
-std::size_t segmented_prefix_fold_gather(const std::int64_t* rs,
-                                         const std::int64_t* ps,
+template <BaseRank U>
+void segmented_prefix_fold(const U* rs, const U* ps, std::size_t n,
+                           std::size_t seg_len, const std::int64_t* seg_add,
+                           std::int64_t* out);
+template <BaseRank U>
+std::size_t segmented_prefix_fold_gather(const U* rs, const U* ps,
                                          std::size_t n, std::size_t seg_len,
                                          const std::int64_t* seg_add,
                                          const std::uint8_t* mask,
                                          std::int64_t* out);
+template <BaseRank U>
+void add_from_bytes(U* dst, const std::byte* src, std::size_t n);
+template <BaseRank U>
+void add_from_bytes(U* dst, U* dst2, const std::byte* src, std::size_t n);
 void narrow_to_bytes(const std::int64_t* src, std::size_t n,
                      std::size_t width, std::byte* out,
                      std::int64_t bias = 0);
-void widen_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                      std::size_t width);
-void add_from_bytes(std::int64_t* dst, const std::byte* src, std::size_t n,
-                    std::size_t width);
-void add_from_bytes(std::int64_t* dst, std::int64_t* dst2,
-                    const std::byte* src, std::size_t n, std::size_t width);
 std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
                             std::int64_t lo, std::int64_t hi);
 

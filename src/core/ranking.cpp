@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
+#include <limits>
 #include <utility>
+#include <variant>
 
 #include "core/kernels/kernels.hpp"
 #include "sim/instrumentation.hpp"
@@ -20,32 +23,200 @@ constexpr dist::index_t kNarrowSlice = 32;
 
 /// A base-rank array.  Allocated without a zero-fill: every buffer that is
 /// resize()d is written in full before it is read.
-using BaseRanks = support::UninitVector<std::int64_t>;
+template <typename U>
+using Ranks = support::UninitVector<U>;
 
-/// Per-processor working state: the 2d base-rank arrays.
-struct Workspace {
-  std::vector<BaseRanks> ps;  // ps[i], size level_size(i)
-  std::vector<BaseRanks> rs;  // as the PRS left them until the final step
-  std::int64_t size = 0;      // step d-1, substep 3
+/// One level's base-rank arrays, at the width its schedule step proves
+/// (RankingStep::wire_bytes): the same entries in memory and on the wire.
+template <typename U>
+struct Level {
+  Ranks<U> ps;  // PS_i, size level_size(i)
+  Ranks<U> rs;  // RS_i, as the PRS left it until the final step
 };
+using AnyLevel = std::variant<Level<std::uint8_t>, Level<std::uint16_t>,
+                              Level<std::uint32_t>, Level<std::int64_t>>;
+
+/// Per-processor working state.
+struct Workspace {
+  std::vector<AnyLevel> levels;  // levels[i]: PS_i/RS_i at step i's width
+  /// int64 scratch of each level i >= 1: first the segment totals of
+  /// RS_{i-1} that seed PS_i, then level i's folded base ranks, the
+  /// per-segment addends of level i-1's fold.
+  std::vector<Ranks<std::int64_t>> folded;
+  std::int64_t size = 0;  // step d-1, substep 3
+};
+
+/// The initial scan over slices (Section 5.2): writes PS_0, the slice
+/// counts at level 0's width, and the processor's counts, records and
+/// selected total.
+template <typename U>
+void scan_slices(const RankingSchedule& sched, std::span<const mask_t> local,
+                 bool record_infos, Ranks<U>& ps0, ProcRanking& out) {
+  const int d = sched.d;
+  const dist::index_t W0 = sched.W[0];
+  const dist::index_t C = sched.slices;
+  const auto n_local = static_cast<dist::index_t>(local.size());
+  // A slice's count is at most W_0, which level 0's bound covers; only a
+  // schedule that misstates the width gets here with a wider slice.
+  PUP_REQUIRE(static_cast<std::uint64_t>(W0) <= std::numeric_limits<U>::max(),
+              "a slice of " << W0 << " elements does not fit the "
+                            << sizeof(U) << "-byte wire width of level 0");
+
+  // Slice s covers local storage [s*W_0, s*W_0 + W_0), clipped to the
+  // local extent: under the ragged 1-D extension only the last tile is
+  // partial, so the final slices may be short or empty.  In the divisible
+  // case every slice has width W_0.
+  auto slice_width = [&](dist::index_t s) -> dist::index_t {
+    const dist::index_t remaining = n_local - s * W0;
+    if (remaining <= 0) return 0;
+    return remaining < W0 ? remaining : W0;
+  };
+
+  if (!record_infos && W0 == 1) {
+    // W_0 = 1: PS_0 is mask[s] != 0, written once as flags of level 0's
+    // width into storage that was not zero-filled; a slice's count is its
+    // mask byte, so no count array is kept.  Under the ragged 1-D
+    // extension the slices past the local extent hold no element: they
+    // are written as zeros here, since no fill did.
+    PUP_DCHECK(n_local <= C, "more local elements than slices");
+    ps0.resize(static_cast<std::size_t>(C));
+    out.packed = kernels::mask_flags(
+        local.data(), static_cast<std::size_t>(n_local), ps0.data());
+    std::fill(ps0.begin() + n_local, ps0.end(), U{0});
+    return;
+  }
+
+  // Counts are kept only for slices wider than one element.
+  const bool keep_counts = W0 != 1;
+  ps0.assign(static_cast<std::size_t>(C), 0);
+  if (keep_counts) out.counts.assign(static_cast<std::size_t>(C), 0);
+  if (!record_infos) {
+    // Counting-only scan.  Narrow slices are counted inline in one pass --
+    // a kernel call per slice would cost more than the slice -- and wide
+    // slices go to mask_count.
+    std::int32_t* counts = out.counts.data();
+    std::int64_t packed = 0;
+    for (dist::index_t s = 0; s < C; ++s) {
+      const dist::index_t width = slice_width(s);
+      if (width == 0) continue;  // a ragged tail slice counts zero
+      const mask_t* slice = local.data() + s * W0;
+      std::int64_t cnt = 0;
+      if (W0 < kNarrowSlice) {
+        for (dist::index_t off = 0; off < width; ++off) {
+          cnt += (slice[off] != 0);
+        }
+      } else {
+        cnt = kernels::mask_count(slice, static_cast<std::size_t>(width));
+      }
+      ps0[static_cast<std::size_t>(s)] = static_cast<U>(cnt);
+      counts[s] = checked_slice_count(cnt);
+      packed += cnt;
+    }
+    out.packed = packed;
+    return;
+  }
+
+  // Slice-coordinate odometer: a slice s decomposes as
+  // (t_0, c_1, ..., c_{d-1}) with the tile index fastest-varying; the
+  // simple storage scheme records one local index per dimension.
+  std::vector<std::int32_t> coords(static_cast<std::size_t>(d), 0);
+
+  for (dist::index_t s = 0; s < C; ++s) {
+    const dist::index_t base = s * W0;
+    std::int64_t cnt = 0;
+    const dist::index_t width = slice_width(s);
+    for (dist::index_t off = 0; off < width; ++off) {
+      if (local[static_cast<std::size_t>(base + off)]) {
+        // Record layout: [l_0, ..., l_{d-1}, tile_0, init_rank].
+        out.info_words.push_back(
+            static_cast<std::int32_t>(coords[0] * W0 + off));
+        for (int k = 1; k < d; ++k) {
+          out.info_words.push_back(coords[static_cast<std::size_t>(k)]);
+        }
+        out.info_words.push_back(coords[0]);  // tile number on dim 0
+        out.info_words.push_back(checked_slice_count(cnt));
+        ++cnt;
+      }
+    }
+    ps0[static_cast<std::size_t>(s)] = static_cast<U>(cnt);
+    if (keep_counts) {
+      out.counts[static_cast<std::size_t>(s)] = checked_slice_count(cnt);
+    }
+    out.packed += cnt;
+    // Advance the slice odometer: t_0 runs over [0, T_0), then c_k over
+    // [0, L_k).
+    for (int k = 0; k < d; ++k) {
+      auto& v = coords[static_cast<std::size_t>(k)];
+      const dist::index_t limit =
+          (k == 0) ? sched.T[0] : sched.L[static_cast<std::size_t>(k)];
+      if (++v < limit) break;
+      v = 0;
+    }
+  }
+}
+
+/// The initial scan into PS_0 at level 0's width.
+void initial_scan(const RankingSchedule& sched, std::span<const mask_t> local,
+                  bool record_infos, AnyLevel& level0, ProcRanking& out) {
+  kernels::with_base_rank(sched.steps[0].wire_bytes, [&](auto zero) {
+    using U = decltype(zero);
+    scan_slices<U>(sched, local, record_infos, level0.emplace<Level<U>>().ps,
+                   out);
+  });
+}
+
+/// Seeds PS_{i+1} with the segment totals of RS_i, narrowed (checked) to
+/// level i+1's width.
+void seed_level(std::size_t width, const Ranks<std::int64_t>& sums,
+                AnyLevel& next) {
+  kernels::with_base_rank(width, [&](auto zero) {
+    using U = decltype(zero);
+    auto& ps = next.emplace<Level<U>>().ps;
+    ps.resize(sums.size());
+    kernels::narrow_to_bytes(sums.data(), sums.size(), sizeof(U),
+                             reinterpret_cast<std::byte*>(ps.data()));
+  });
+}
+
+/// The deferred substeps 2.2-2.4 of one level, written as int64 ranks:
+/// out[e] = PS_i[e] + exscan_seg(RS_i)[e] + seg_add[e / seg_len].
+void fold_level(const AnyLevel& level, dist::index_t seg_len,
+                const std::int64_t* seg_add, Ranks<std::int64_t>& out) {
+  std::visit(
+      [&](const auto& lv) {
+        out.resize(lv.ps.size());
+        kernels::segmented_prefix_fold(lv.rs.data(), lv.ps.data(),
+                                       lv.ps.size(),
+                                       static_cast<std::size_t>(seg_len),
+                                       seg_add, out.data());
+      },
+      level);
+}
 
 /// Level 0's fold when a W_0 = 1 counting scan compacts PS_f: slice s is
 /// local element s, so the fold keeps only the selected elements' ranks,
-/// written in place over PS_0 in scan order.  Under the ragged 1-D
-/// extension the slices past the local extent hold no element and are
-/// not folded at all.
-void fold_gather_level0(Workspace& w, std::span<const mask_t> local,
+/// in scan order.  Under the ragged 1-D extension the slices past the
+/// local extent hold no element and are not folded at all.
+void fold_gather_level0(const AnyLevel& level0, std::span<const mask_t> local,
                         dist::index_t seg_len, const std::int64_t* seg_add,
-                        std::int64_t packed) {
-  auto& ps = w.ps[0];
-  PUP_DCHECK(local.size() <= ps.size(), "more local elements than slices");
-  const std::size_t k = kernels::segmented_prefix_fold_gather(
-      w.rs[0].data(), ps.data(), local.size(),
-      static_cast<std::size_t>(seg_len), seg_add, local.data(), ps.data());
-  PUP_CHECK(static_cast<std::int64_t>(k) == packed,
-            "PS_f gathered " << k << " ranks for " << packed
-                             << " selected elements");
-  ps.resize(k);
+                        std::int64_t packed, Ranks<std::int64_t>& ps_f) {
+  std::visit(
+      [&](const auto& lv) {
+        PUP_DCHECK(local.size() <= lv.ps.size(),
+                   "more local elements than slices");
+        // Room for the selected ranks plus the kernel's speculative stores.
+        ps_f.resize(std::min(local.size(), static_cast<std::size_t>(packed) +
+                                               kernels::kGatherSlack));
+        const std::size_t k = kernels::segmented_prefix_fold_gather(
+            lv.rs.data(), lv.ps.data(), local.size(),
+            static_cast<std::size_t>(seg_len), seg_add, local.data(),
+            ps_f.data());
+        PUP_CHECK(static_cast<std::int64_t>(k) == packed,
+                  "PS_f gathered " << k << " ranks for " << packed
+                                   << " selected elements");
+        ps_f.resize(k);
+      },
+      level0);
 }
 
 }  // namespace
@@ -205,110 +376,12 @@ std::vector<RankingResult> rank_masks(
     sim::PhaseScope initial_phase(machine, "ranking.initial");
     machine.local_phase([&](int rank) {
       for (std::size_t b = 0; b < B; ++b) {
-        const dist::DistArray<mask_t>& mask = *masks[b];
         auto& w = ws[b][static_cast<std::size_t>(rank)];
         auto& out = results[b].procs[static_cast<std::size_t>(rank)];
-        w.ps.resize(static_cast<std::size_t>(d));
-        w.rs.resize(static_cast<std::size_t>(d));
-
-        const std::span<const mask_t> local = mask.local(rank);
-        const dist::index_t W0 = sched.W[0];
-        const dist::index_t C = sched.slices;
-        const auto n_local = static_cast<dist::index_t>(local.size());
-
-        // Slice s covers local storage [s*W_0, s*W_0 + W_0), clipped to the
-        // local extent: under the ragged 1-D extension only the last tile
-        // is partial, so the final slices may be short or empty.  In the
-        // divisible case every slice has width W_0.
-        auto slice_width = [&](dist::index_t s) -> dist::index_t {
-          const dist::index_t remaining = n_local - s * W0;
-          if (remaining <= 0) return 0;
-          return remaining < W0 ? remaining : W0;
-        };
-
-        if (compact_w1) {
-          // W_0 = 1: PS_0 is mask[s] != 0, written once by one widening
-          // pass into storage that was not zero-filled; a slice's count is
-          // its mask byte, so no count array is kept.  Under the ragged 1-D
-          // extension the slices past the local extent hold no element:
-          // they are written as zeros here, since no fill did.
-          PUP_DCHECK(n_local <= C, "more local elements than slices");
-          auto& ps0 = w.ps[0];
-          ps0.resize(static_cast<std::size_t>(C));
-          out.packed = kernels::mask_widen(
-              local.data(), static_cast<std::size_t>(n_local), ps0.data());
-          std::fill(ps0.begin() + n_local, ps0.end(), 0);
-          continue;
-        }
-
-        // Counts are kept only for slices wider than one element.
-        const bool keep_counts = W0 != 1;
-        w.ps[0].assign(static_cast<std::size_t>(C), 0);
-        if (keep_counts) out.counts.assign(static_cast<std::size_t>(C), 0);
-        if (!record_infos) {
-          // Counting-only scan.  Narrow slices are counted inline in one
-          // pass -- a kernel call per slice would cost more than the slice
-          // -- and wide slices go to mask_count.
-          std::int64_t* ps0 = w.ps[0].data();
-          std::int32_t* counts = out.counts.data();
-          std::int64_t packed = 0;
-          for (dist::index_t s = 0; s < C; ++s) {
-            const dist::index_t width = slice_width(s);
-            if (width == 0) continue;  // a ragged tail slice counts zero
-            const mask_t* slice = local.data() + s * W0;
-            std::int64_t cnt = 0;
-            if (W0 < kNarrowSlice) {
-              for (dist::index_t off = 0; off < width; ++off) {
-                cnt += (slice[off] != 0);
-              }
-            } else {
-              cnt = kernels::mask_count(slice, static_cast<std::size_t>(width));
-            }
-            ps0[s] = cnt;
-            counts[s] = checked_slice_count(cnt);
-            packed += cnt;
-          }
-          out.packed = packed;
-          continue;
-        }
-
-        // Slice-coordinate odometer: a slice s decomposes as
-        // (t_0, c_1, ..., c_{d-1}) with the tile index fastest-varying; the
-        // simple storage scheme records one local index per dimension.
-        std::vector<std::int32_t> coords(static_cast<std::size_t>(d), 0);
-
-        for (dist::index_t s = 0; s < C; ++s) {
-          const dist::index_t base = s * W0;
-          std::int64_t cnt = 0;
-          const dist::index_t width = slice_width(s);
-          for (dist::index_t off = 0; off < width; ++off) {
-            if (local[static_cast<std::size_t>(base + off)]) {
-              // Record layout: [l_0, ..., l_{d-1}, tile_0, init_rank].
-              out.info_words.push_back(
-                  static_cast<std::int32_t>(coords[0] * W0 + off));
-              for (int k = 1; k < d; ++k) {
-                out.info_words.push_back(coords[static_cast<std::size_t>(k)]);
-              }
-              out.info_words.push_back(coords[0]);  // tile number on dim 0
-              out.info_words.push_back(checked_slice_count(cnt));
-              ++cnt;
-            }
-          }
-          w.ps[0][static_cast<std::size_t>(s)] = cnt;
-          if (keep_counts) {
-            out.counts[static_cast<std::size_t>(s)] = checked_slice_count(cnt);
-          }
-          out.packed += cnt;
-          // Advance the slice odometer: t_0 runs over [0, T_0), then c_k
-          // over [0, L_k).
-          for (int k = 0; k < d; ++k) {
-            auto& v = coords[static_cast<std::size_t>(k)];
-            const dist::index_t limit =
-                (k == 0) ? sched.T[0] : sched.L[static_cast<std::size_t>(k)];
-            if (++v < limit) break;
-            v = 0;
-          }
-        }
+        w.levels.resize(static_cast<std::size_t>(d));
+        w.folded.resize(static_cast<std::size_t>(d));
+        initial_scan(sched, masks[b]->local(rank), record_infos,
+                     w.levels[0], out);
       }
     });
   }
@@ -317,69 +390,69 @@ std::vector<RankingResult> rank_masks(
   for (int i = 0; i < d; ++i) {
     const RankingStep& step = sched.steps[static_cast<std::size_t>(i)];
     const dist::index_t size_i = step.level_size;
+    const auto ui = static_cast<std::size_t>(i);
 
-    // Substep 1: vector prefix-reduction-sum along grid dimension i.  The
-    // B requests' PS_i payloads are concatenated per rank so each group
-    // runs *one* PRS of length B*size_i: int64 element-wise sums commute
-    // with concatenation, and with B == 1 this is the plain move-in/move-
-    // out of the unbatched algorithm.
-    std::vector<BaseRanks> prefix_bufs(static_cast<std::size_t>(P));
-    std::vector<BaseRanks> total_bufs(static_cast<std::size_t>(P));
-    // Batched copies presize and bulk-copy: UninitVector's insert and
-    // assign(first, last) construct element by element.
-    const auto len = static_cast<std::size_t>(size_i);
-    for (int rank = 0; rank < P; ++rank) {
-      auto& buf = prefix_bufs[static_cast<std::size_t>(rank)];
-      if (B == 1) {
-        buf = std::move(ws[0][static_cast<std::size_t>(rank)]
-                            .ps[static_cast<std::size_t>(i)]);
-      } else {
-        buf.resize(B * len);
-        for (std::size_t b = 0; b < B; ++b) {
-          const auto& ps =
-              ws[b][static_cast<std::size_t>(rank)].ps[static_cast<std::size_t>(i)];
-          std::copy(ps.begin(), ps.end(),
-                    buf.begin() + static_cast<std::ptrdiff_t>(b * len));
+    // Substep 1: vector prefix-reduction-sum along grid dimension i, on
+    // the level's base ranks at its width.  The B requests' PS_i payloads
+    // are concatenated per rank so each group runs *one* PRS of length
+    // B*size_i: element-wise sums commute with concatenation, and with
+    // B == 1 this is the plain move-in/move-out of the unbatched
+    // algorithm.  A sum past the proven bound (a wrong schedule width)
+    // throws from the PRS's checked adds, naming the entry and the width.
+    kernels::with_base_rank(step.wire_bytes, [&](auto zero) {
+      using U = decltype(zero);
+      auto level = [&](std::size_t b, int rank) -> Level<U>& {
+        return std::get<Level<U>>(
+            ws[b][static_cast<std::size_t>(rank)].levels[ui]);
+      };
+      std::vector<Ranks<U>> prefix_bufs(static_cast<std::size_t>(P));
+      std::vector<Ranks<U>> total_bufs(static_cast<std::size_t>(P));
+      // Batched copies presize and bulk-copy: UninitVector's insert and
+      // assign(first, last) construct element by element.
+      const auto len = static_cast<std::size_t>(size_i);
+      for (int rank = 0; rank < P; ++rank) {
+        auto& buf = prefix_bufs[static_cast<std::size_t>(rank)];
+        if (B == 1) {
+          buf = std::move(level(0, rank).ps);
+        } else {
+          buf.resize(B * len);
+          for (std::size_t b = 0; b < B; ++b) {
+            const auto& ps = level(b, rank).ps;
+            std::copy(ps.begin(), ps.end(),
+                      buf.begin() + static_cast<std::ptrdiff_t>(b * len));
+          }
         }
       }
-    }
-    // A payload entry past the proven bound (a wrong schedule width)
-    // throws from the narrowing compose, naming the entry and the width.
-    for (const coll::Group& group : step.groups) {
-      coll::prefix_reduction_sum(machine, group, step.prs, prefix_bufs,
-                                 total_bufs, sim::Category::kPrs,
-                                 step.wire_bytes);
-    }
-    for (int rank = 0; rank < P; ++rank) {
-      auto& prefix = prefix_bufs[static_cast<std::size_t>(rank)];
-      auto& total = total_bufs[static_cast<std::size_t>(rank)];
-      if (B == 1) {
-        auto& w = ws[0][static_cast<std::size_t>(rank)];
-        w.ps[static_cast<std::size_t>(i)] = std::move(prefix);
-        w.rs[static_cast<std::size_t>(i)] = std::move(total);
-      } else {
-        for (std::size_t b = 0; b < B; ++b) {
-          auto& w = ws[b][static_cast<std::size_t>(rank)];
-          const auto at = static_cast<std::ptrdiff_t>(b * len);
-          const auto end = at + static_cast<std::ptrdiff_t>(len);
-          auto& ps = w.ps[static_cast<std::size_t>(i)];
-          auto& rs = w.rs[static_cast<std::size_t>(i)];
-          ps.resize(len);
-          rs.resize(len);
-          std::copy(prefix.begin() + at, prefix.begin() + end, ps.begin());
-          std::copy(total.begin() + at, total.begin() + end, rs.begin());
+      for (const coll::Group& group : step.groups) {
+        coll::prefix_reduction_sum(machine, group, step.prs, prefix_bufs,
+                                   total_bufs, sim::Category::kPrs);
+      }
+      for (int rank = 0; rank < P; ++rank) {
+        auto& prefix = prefix_bufs[static_cast<std::size_t>(rank)];
+        auto& total = total_bufs[static_cast<std::size_t>(rank)];
+        if (B == 1) {
+          level(0, rank).ps = std::move(prefix);
+          level(0, rank).rs = std::move(total);
+        } else {
+          for (std::size_t b = 0; b < B; ++b) {
+            const auto at = static_cast<std::ptrdiff_t>(b * len);
+            const auto end = at + static_cast<std::ptrdiff_t>(len);
+            auto& lv = level(b, rank);
+            lv.ps.resize(len);
+            lv.rs.resize(len);
+            std::copy(prefix.begin() + at, prefix.begin() + end,
+                      lv.ps.begin());
+            std::copy(total.begin() + at, total.begin() + end, lv.rs.begin());
+          }
         }
       }
-    }
+    });
 
     // Substeps 2 and 3: local prefix machinery.
     machine.local_phase([&](int rank) {
       for (std::size_t b = 0; b < B; ++b) {
         auto& w = ws[b][static_cast<std::size_t>(rank)];
-        auto& ps = w.ps[static_cast<std::size_t>(i)];
-        const auto& rs = w.rs[static_cast<std::size_t>(i)];
-        PUP_DCHECK(static_cast<dist::index_t>(ps.size()) == size_i,
-                   "PS_i size mismatch");
+        auto& out = results[b].procs[static_cast<std::size_t>(rank)];
 
         // Substeps 2.1-2.4 and 3, deferred.  A segment spans one block of
         // dimension i+1 (W_{i+1} rows of T_i tile entries), and the next
@@ -392,25 +465,35 @@ std::vector<RankingResult> rank_masks(
         // level 0's fold, which compact_w1 fuses with the gather).
         const dist::index_t seg_len = step.seg_len;
         PUP_DCHECK(size_i % seg_len == 0, "segment length must tile RS_i");
+        const std::int64_t no_addend = 0;
+        std::visit(
+            [&](const auto& lv) {
+              PUP_DCHECK(static_cast<dist::index_t>(lv.ps.size()) == size_i,
+                         "PS_i size mismatch");
+              if (i != d - 1) {
+                auto& seeds = w.folded[ui + 1];
+                seeds.resize(static_cast<std::size_t>(size_i / seg_len));
+                kernels::segment_sums(lv.rs.data(),
+                                      static_cast<std::size_t>(size_i),
+                                      static_cast<std::size_t>(seg_len),
+                                      seeds.data());
+              } else {
+                kernels::segment_sums(lv.rs.data(),
+                                      static_cast<std::size_t>(size_i),
+                                      static_cast<std::size_t>(size_i),
+                                      &w.size);
+              }
+            },
+            w.levels[ui]);
         if (i != d - 1) {
-          auto& ps_next = w.ps[static_cast<std::size_t>(i + 1)];
-          ps_next.resize(static_cast<std::size_t>(size_i / seg_len));
-          kernels::segment_sums(rs.data(), static_cast<std::size_t>(size_i),
-                                static_cast<std::size_t>(seg_len),
-                                ps_next.data());
+          seed_level(sched.steps[ui + 1].wire_bytes, w.folded[ui + 1],
+                     w.levels[ui + 1]);
+        } else if (i == 0 && compact_w1) {
+          fold_gather_level0(w.levels[0], masks[b]->local(rank), size_i,
+                             &no_addend, out.packed, out.ps_f);
         } else {
-          const std::int64_t no_addend = 0;
-          kernels::segment_sums(rs.data(), static_cast<std::size_t>(size_i),
-                                static_cast<std::size_t>(size_i), &w.size);
-          if (i == 0 && compact_w1) {
-            fold_gather_level0(w, masks[b]->local(rank), size_i, &no_addend,
-                               results[b].procs[static_cast<std::size_t>(rank)]
-                                   .packed);
-          } else {
-            kernels::segmented_prefix_fold(
-                rs.data(), ps.data(), static_cast<std::size_t>(size_i),
-                static_cast<std::size_t>(size_i), &no_addend);
-          }
+          fold_level(w.levels[ui], size_i, &no_addend,
+                     i == 0 ? out.ps_f : w.folded[ui]);
         }
       }
     });
@@ -428,10 +511,12 @@ std::vector<RankingResult> rank_masks(
   // ----- Final step: fold the base-rank arrays into PS_f (Section 5.4) ----
   // Level by level from the top, each in one pass: the deferred substeps
   // 2.2-2.4 (the segmented exclusive prefix of RS_i) plus the finished
-  // PS_{i+1} entry of the segment.  Element e = t + T_i*(c + L_{i+1}*r)
-  // lies in segment e / (W_{i+1}*T_i) = c / W_{i+1} + T_{i+1}*r, which is
-  // exactly the level-(i+1) slot its base rank is offset by.  Level 0 of
-  // a W_0 = 1 counting scan folds and gathers under the mask in one pass.
+  // level-(i+1) rank of the segment, written as int64 ranks (into the
+  // level's scratch, and at level 0 into PS_f).  Element
+  // e = t + T_i*(c + L_{i+1}*r) lies in segment e / (W_{i+1}*T_i) =
+  // c / W_{i+1} + T_{i+1}*r, which is exactly the level-(i+1) slot its
+  // base rank is offset by.  Level 0 of a W_0 = 1 counting scan folds and
+  // gathers under the mask in one pass.
   sim::PhaseScope final_phase(machine, "ranking.final");
   machine.local_phase([&](int rank) {
     for (std::size_t b = 0; b < B; ++b) {
@@ -439,17 +524,16 @@ std::vector<RankingResult> rank_masks(
       auto& out = results[b].procs[static_cast<std::size_t>(rank)];
       for (int i = d - 2; i >= 0; --i) {
         const auto ui = static_cast<std::size_t>(i);
+        const std::int64_t* seg_add = w.folded[ui + 1].data();
         if (i == 0 && compact_w1) {
-          fold_gather_level0(w, masks[b]->local(rank), sched.steps[0].seg_len,
-                             w.ps[1].data(), out.packed);
-          continue;
+          fold_gather_level0(w.levels[0], masks[b]->local(rank),
+                             sched.steps[0].seg_len, seg_add, out.packed,
+                             out.ps_f);
+        } else {
+          fold_level(w.levels[ui], sched.steps[ui].seg_len, seg_add,
+                     i == 0 ? out.ps_f : w.folded[ui]);
         }
-        kernels::segmented_prefix_fold(
-            w.rs[ui].data(), w.ps[ui].data(), w.ps[ui].size(),
-            static_cast<std::size_t>(sched.steps[ui].seg_len),
-            w.ps[ui + 1].data());
       }
-      out.ps_f = std::move(w.ps[0]);
     }
   });
 

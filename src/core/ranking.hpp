@@ -43,8 +43,9 @@ namespace pup {
 
 struct RankingOptions {
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kAuto;
-  /// Wire width of the PRS payloads: the narrowest each level proves
-  /// (kAuto), or int64 throughout as in the paper (k64).
+  /// Width of each level's base ranks, in memory and on the PRS wire: the
+  /// narrowest each level proves (kAuto), or int64 throughout as in the
+  /// paper (k64).
   coll::WireWidth wire_width = coll::WireWidth::kAuto;
   /// Record per-element info during the initial scan (the simple storage
   /// scheme).  The compact schemes leave this off and pay a second scan.
@@ -66,11 +67,12 @@ struct RankingStep {
   /// level_size and wire_bytes (never kAuto or kPaperRule), so every
   /// execution and every batched request runs the same schedule.
   coll::PrsAlgorithm prs = coll::PrsAlgorithm::kDirect;
-  /// Bytes per PS_i/RS_i entry on the wire: 1, 2, 4 or 8, resolved at
-  /// compile time.  Every entry, prefix and total of the level's PRS
-  /// counts elements of one sub-block and is at most
-  /// level_bound(dist, i); kAuto picks the narrowest unsigned width that
-  /// holds it, k64 always 8.
+  /// Bytes per PS_i/RS_i entry, in memory and on the wire: 1, 2, 4 or 8
+  /// (uint8, uint16, uint32 or int64 base ranks), resolved at compile
+  /// time.  Every entry, prefix and total of the level's PRS counts
+  /// elements of one sub-block and is at most level_bound(dist, i); kAuto
+  /// picks the narrowest unsigned width that holds it, k64 always 8.  A
+  /// width too narrow for the level's sums throws ContractError.
   std::size_t wire_bytes = sizeof(std::int64_t);
 };
 
@@ -220,7 +222,7 @@ RankingResult rank_mask(sim::Machine& machine,
 /// fusing the d PRS rounds of the B requests into one widened vector
 /// prefix-reduction-sum per dimension (the B per-rank PS_i payloads are
 /// concatenated, so each round pays one tau startup instead of B).  The
-/// int64 element-wise sums commute with concatenation, so results[b] is
+/// element-wise sums commute with concatenation, so results[b] is
 /// element-identical to rank_mask(masks[b]).  With B == 1 the emitted
 /// messages, phases, and charges are bit-identical to rank_mask.
 std::vector<RankingResult> rank_masks(

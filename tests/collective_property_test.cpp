@@ -276,8 +276,9 @@ TEST_P(CollectiveProperty, BroadcastMatchesSerial) {
 }
 
 TEST_P(CollectiveProperty, NonInt64VectorsFoldElementByElement) {
-  // Only int64 vectors take the add_from_bytes kernel; every other element
-  // type is memcpy'd out of the payload one element at a time.
+  // Only base-rank vectors (uint8, uint16, uint32, int64) take the
+  // add_from_bytes kernel; every other element type is memcpy'd out of the
+  // payload one element at a time.
   const bool faulted = GetParam();
   for (const int g : {4, 5}) {
     const Group group = reversed_group(g);

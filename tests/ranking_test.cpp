@@ -68,7 +68,11 @@ void check_ranking(const dist::DistArray<mask_t>& mask,
       std::int32_t found = 0;
       for (dist::index_t off = 0; off < W0; ++off) {
         const dist::index_t l = s * W0 + off;
-        if (!local[static_cast<std::size_t>(l)]) continue;
+        // A ragged 1-D array's last slices may lie past the local extent.
+        if (static_cast<std::size_t>(l) >= local.size() ||
+            !local[static_cast<std::size_t>(l)]) {
+          continue;
+        }
         const std::int64_t r =
             W0 == 1 ? pr.ps_f[static_cast<std::size_t>(packed_seen)]
                     : pr.ps_f[static_cast<std::size_t>(s)] + found;
@@ -574,6 +578,10 @@ std::vector<WidthLayout> width_layouts() {
       {"1d P0W0=256", {512}, {4}, {64}, {2}},
       {"1d P0W0=65535", {65535}, {3}, {21845}, {2}},
       {"1d P0W0=65536", {65536}, {4}, {16384}, {4}},
+      // W_0 = 1 on both sides of the u8/u16 boundary: the compact W_0 = 1
+      // gather at level-0 widths 1 and 2 (N = 512 is ragged on 255).
+      {"1d W0=1 P0=255", {512}, {255}, {1}, {1}},
+      {"1d W0=1 P0=256", {512}, {256}, {1}, {2}},
       // B_1 = P_1 W_1 N_0 = 3 * 17 * 5 = 255 and 4 * 8 * 8 = 256.
       {"2d B1=255", {5, 102}, {5, 3}, {1, 17}, {1, 1}},
       {"2d B1=256", {8, 64}, {2, 4}, {4, 8}, {1, 2}},
@@ -727,18 +735,18 @@ TEST(RankingWireWidth, NarrowWireCutsPrsBytes) {
 }
 
 TEST(RankingWireWidth, OutOfRangePayloadThrowsInsteadOfTruncating) {
-  // A PRS whose running sums outgrow its wire width throws before any
-  // truncated entry reaches the wire: 200 fits u8, the 400 of the second
-  // direct round (and the split's returned prefixes) do not.
+  // A PRS whose running sums outgrow its element width throws instead of
+  // wrapping: 200 fits u8, the 400 of the first direct round (and the
+  // split's and the control network's running sums) do not.
   for (const coll::PrsAlgorithm alg :
-       {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit}) {
+       {coll::PrsAlgorithm::kDirect, coll::PrsAlgorithm::kSplit,
+        coll::PrsAlgorithm::kControlNetwork}) {
     auto machine = make_machine(4);
-    std::vector<std::vector<std::int64_t>> prefix(
-        4, std::vector<std::int64_t>(8, 200));
-    std::vector<std::vector<std::int64_t>> total;
+    std::vector<std::vector<std::uint8_t>> prefix(
+        4, std::vector<std::uint8_t>(8, 200));
+    std::vector<std::vector<std::uint8_t>> total;
     EXPECT_THROW(coll::prefix_reduction_sum(machine, coll::Group::world(4),
-                                            alg, prefix, total,
-                                            sim::Category::kPrs, 1),
+                                            alg, prefix, total),
                  ContractError);
   }
   // A schedule that misstates a level's width fails naming the width: the
@@ -759,6 +767,60 @@ TEST(RankingWireWidth, OutOfRangePayloadThrowsInsteadOfTruncating) {
     EXPECT_NE(std::string(e.what()).find("does not fit the 1-byte wire"),
               std::string::npos)
         << e.what();
+  }
+}
+
+TEST(RankingWireWidth, MisstatedWidthThrowsInEveryAlgorithm) {
+  // Base ranks live at the schedule's width in memory too, so a misstated
+  // width must be caught by every PRS algorithm's adds -- the direct
+  // rounds (recursive doubling, and the exscan of a non-power-of-two
+  // group), the split's local prefixes and the control network's running
+  // total -- and at a level >= 1, never wrapped into wrong ranks.
+  struct Case {
+    std::string name;
+    std::vector<dist::index_t> extents;
+    std::vector<int> procs;
+    std::vector<dist::index_t> blocks;
+    coll::PrsAlgorithm prs;
+    std::size_t level;  ///< the level whose width is misstated as 1 byte
+  };
+  const std::vector<Case> cases = {
+      {"direct", {1024}, {4}, {128}, coll::PrsAlgorithm::kDirect, 0},
+      {"direct, G = 3", {768}, {3}, {128}, coll::PrsAlgorithm::kDirect, 0},
+      {"split", {1024}, {4}, {128}, coll::PrsAlgorithm::kSplit, 0},
+      {"control network", {1024}, {4}, {128},
+       coll::PrsAlgorithm::kControlNetwork, 0},
+      // B_1 = 4 * 8 * 8 = 256: seeds of 64 fit u8, their sums do not.
+      {"level 1 sums", {8, 64}, {2, 4}, {4, 8}, coll::PrsAlgorithm::kDirect,
+       1},
+      {"level 1 split", {8, 64}, {2, 4}, {4, 8}, coll::PrsAlgorithm::kSplit,
+       1},
+      // Seeds of W_1 * N_0 = 16 * 32 = 512 do not fit u8 themselves.
+      {"level 1 seeds", {32, 64}, {2, 2}, {16, 16},
+       coll::PrsAlgorithm::kDirect, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    int p = 1;
+    for (const int x : c.procs) p *= x;
+    const dist::Distribution d(dist::Shape(c.extents),
+                               dist::ProcessGrid(c.procs), c.blocks);
+    RankingSchedule sched = compile_ranking_schedule(d, p, c.prs);
+    ASSERT_GT(sched.steps[c.level].wire_bytes, 1U);
+    sched.steps[c.level].wire_bytes = 1;
+    const auto mask = dist::DistArray<mask_t>::scatter(
+        d, std::vector<mask_t>(static_cast<std::size_t>(d.global().size()),
+                               1));
+    const dist::DistArray<mask_t>* one = &mask;
+    auto machine = make_machine(p);
+    try {
+      (void)rank_masks(machine, sched, {&one, 1});
+      ADD_FAILURE() << "sums past 255 ran on a u8 level";
+    } catch (const ContractError& e) {
+      EXPECT_NE(std::string(e.what()).find("does not fit the 1-byte wire"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -240,24 +240,16 @@ std::vector<std::int64_t> wire_values(std::size_t n, std::size_t width,
   return v;
 }
 
-TEST(SimdKernels, WireNarrowAndWidenMatchReferenceAtEveryOffset) {
-  // The PRS wire: compose at width 1, 2, 4 and 8 (the int64 wire, signed
-  // entries), then the widening copy and the one- and two-destination
-  // folds, from a byte stream at every offset 0..7 of an aligned buffer
-  // (so a path that reinterprets it as int64_t* performs misaligned loads,
-  // a UBSan finding in the sanitizer job).  Every path must produce the
-  // scalar reference's bytes and sums.
+TEST(SimdKernels, WireNarrowMatchesReferenceAtEveryOffset) {
+  // UNPACK's requests and the ranking's level seeds: the checked compose
+  // at width 1, 2, 4 and 8 (the int64 wire, signed entries), plain and
+  // biased, into a byte stream at every offset 0..7 of an aligned buffer
+  // (so a path that reinterprets it as int64_t* performs misaligned
+  // stores, a UBSan finding in the sanitizer job).  Every path must
+  // produce the scalar reference's bytes.
   for (const std::size_t width : {1, 2, 4, 8}) {
     for (const std::size_t n : fold_lengths()) {
       const auto values = wire_values(n, width, 5);
-      const auto dst0 = mixed_values(n, 11);
-      const auto dst20 = mixed_values(n, 19);
-      std::vector<std::int64_t> expect = dst0;
-      std::vector<std::int64_t> expect2 = dst20;
-      for (std::size_t e = 0; e < n; ++e) {
-        expect[e] += values[e];
-        expect2[e] += values[e];
-      }
       std::vector<std::byte> ref(n * width);
       {
         ForceGuard force(Path::kScalar);
@@ -283,17 +275,6 @@ TEST(SimdKernels, WireNarrowAndWidenMatchReferenceAtEveryOffset) {
           kernels::narrow_to_bytes(shifted.data(), n, width, wire, kBias);
           ASSERT_TRUE(n == 0 || std::memcmp(wire, ref.data(), n * width) == 0)
               << what << " (biased)";
-          std::vector<std::int64_t> copy(n, -1);
-          kernels::widen_from_bytes(copy.data(), wire, n, width);
-          ASSERT_EQ(copy, values) << what;
-          std::vector<std::int64_t> one = dst0;
-          kernels::add_from_bytes(one.data(), wire, n, width);
-          ASSERT_EQ(one, expect) << what;
-          std::vector<std::int64_t> a = dst0;
-          std::vector<std::int64_t> b = dst20;
-          kernels::add_from_bytes(a.data(), b.data(), wire, n, width);
-          ASSERT_EQ(a, expect) << what << " (two dst)";
-          ASSERT_EQ(b, expect2) << what << " (two dst)";
         }
       }
     }
@@ -336,134 +317,315 @@ TEST(SimdKernels, WireNarrowThrowsOnAnyOutOfRangeEntry) {
                ContractError);
 }
 
-TEST(SimdKernels, MaskWidenMatchesReferenceAtEveryOffset) {
-  // Mask bytes are 0, 1, 2 and 255: any nonzero byte widens to one.  The
-  // outputs are pre-filled with garbage, so a slot the kernel skips shows.
-  const std::uint8_t kBytes[] = {0, 1, 2, 255};
-  for (const double density : kDensities) {
-    for (const std::size_t n : fold_lengths()) {
-      const auto sel = random_mask(static_cast<dist::index_t>(n), density, 9);
-      std::vector<std::uint8_t> storage(n + 8);
-      std::vector<std::int64_t> want_ps(n);
-      std::int64_t want = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        want_ps[i] = sel[i] != 0 ? 1 : 0;
-        want += want_ps[i];
-      }
-      for (std::size_t offset = 0; offset < 8; ++offset) {
-        std::uint8_t* mask = storage.data() + offset;
-        for (std::size_t i = 0; i < n; ++i) {
-          mask[i] = sel[i] == 0 ? 0 : kBytes[1 + (i * 7 + offset) % 3];
-        }
-        for (const Path path : all_paths()) {
-          ForceGuard force(path);
-          std::vector<std::int64_t> ps(n, -7);
-          ASSERT_EQ(kernels::mask_widen(mask, n, ps.data()), want)
-              << kernels::path_name(path) << " n=" << n << " d=" << density;
-          ASSERT_EQ(ps, want_ps) << kernels::path_name(path) << " n=" << n
-                                 << " offset=" << offset;
-        }
-      }
-    }
-  }
-}
+// --- base-rank kernels -------------------------------------------------------
+//
+// Every width-templated kernel at each base-rank width (uint8, uint16,
+// uint32, int64), n = 0..67 (every remainder of every lane count, plus
+// full blocks) and one level-0 array of the benchmark's CSS unpack, each
+// input at offsets 0..7 -- bytes for the mask and payload streams,
+// entries for the typed arrays -- and each path against the scalar
+// reference (itself checked against the definition).
 
-/// Segment lengths: 1, 3 and 128 (the benchmark's step-0 segment), a few
-/// around the lane width, and one segment over the whole array.  Lengths
+template <typename U>
+class BaseRankKernels : public ::testing::Test {};
+
+struct BaseRankName {
+  template <typename U>
+  static std::string GetName(int) {
+    return (std::is_signed_v<U> ? "i" : "u") + std::to_string(8 * sizeof(U));
+  }
+};
+
+using BaseRankTypes =
+    ::testing::Types<std::uint8_t, std::uint16_t, std::uint32_t, std::int64_t>;
+TYPED_TEST_SUITE(BaseRankKernels, BaseRankTypes, BaseRankName);
+
+/// Segment lengths: 1, 3, 64 and 128 (the benchmark's step-0 segment), a
+/// few around the lane width, and one segment over the whole array.  Lengths
 /// not divisible by a segment length end in a partial segment.
 std::vector<std::size_t> segment_lengths(std::size_t n) {
   return {1, 3, 4, 5, 64, 128, n == 0 ? std::size_t{1} : n};
 }
 
-TEST(SimdKernels, SegmentSumsMatchDefinition) {
-  for (const std::size_t n : fold_lengths()) {
-    for (const std::size_t seg : segment_lengths(n)) {
-      const auto rs = mixed_values(n, 5);
-      const std::size_t segs = (n + seg - 1) / seg;
-      std::vector<std::int64_t> want(segs, 0);
-      for (std::size_t e = 0; e < n; ++e) want[e / seg] += rs[e];
-      for (const Path path : all_paths()) {
-        ForceGuard force(path);
-        // One slot past the last segment: it must stay untouched.
-        std::vector<std::int64_t> sums(segs + 1, -9);
-        kernels::segment_sums(rs.data(), n, seg, sums.data());
-        ASSERT_EQ(sums.back(), -9) << kernels::path_name(path);
-        sums.pop_back();
-        ASSERT_EQ(sums, want)
-            << kernels::path_name(path) << " n=" << n << " seg=" << seg;
-      }
-    }
+/// n base ranks below a quarter of U's range, so any two of them add
+/// without wrapping (int64: below 2^40, so a whole array's int64 sum does
+/// not overflow either), written at `offset` entries into storage that the
+/// caller keeps alive.
+template <typename U>
+U* rank_values(std::vector<U>& storage, std::size_t n, std::size_t offset,
+               std::uint64_t salt) {
+  const std::uint64_t top =
+      sizeof(U) == 8 ? std::uint64_t{1} << 40
+                     : (std::uint64_t{1} << (8 * sizeof(U) - 2));
+  storage.assign(n + 8, U{0});
+  U* v = storage.data() + offset;
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<U>(((i + salt) * 0x9e3779b97f4a7c15ULL) % top);
   }
+  if (n > 1) v[n - 1] = static_cast<U>(top - 1);
+  return v;
 }
 
-TEST(SimdKernels, SegmentedPrefixFoldMatchesDefinition) {
-  // ps[e] += (sum of rs over e's segment before e) + seg_add[e / seg]; rs
-  // and seg_add are read only.
-  for (const std::size_t n : fold_lengths()) {
-    for (const std::size_t seg : segment_lengths(n)) {
-      const auto rs = mixed_values(n, 5);
-      const auto ps0 = mixed_values(n, 23);
-      const auto add = mixed_values((n + seg - 1) / seg, 41);
-      std::vector<std::int64_t> want = ps0;
-      for (std::size_t s = 0; s < n; s += seg) {
-        std::int64_t running = 0;
-        for (std::size_t e = s; e < std::min(n, s + seg); ++e) {
-          want[e] += running + add[s / seg];
-          running += rs[e];
-        }
-      }
-      for (const Path path : all_paths()) {
-        ForceGuard force(path);
-        std::vector<std::int64_t> ps = ps0;
-        kernels::segmented_prefix_fold(rs.data(), ps.data(), n, seg,
-                                       add.data());
-        ASSERT_EQ(ps, want)
-            << kernels::path_name(path) << " n=" << n << " seg=" << seg;
-        ASSERT_EQ(rs, mixed_values(n, 5)) << kernels::path_name(path);
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, SegmentedPrefixFoldGatherMatchesDefinition) {
-  // The folded value of segmented_prefix_fold, kept only where the mask is
-  // set, compacted in order; in place over ps and out of place into a
-  // garbage-filled buffer.  rs and seg_add are read only.
-  for (const double density : {0.0, 0.5, 1.0}) {
+TYPED_TEST(BaseRankKernels, MaskFlagsMatchReferenceAtEveryOffset) {
+  // Mask bytes are 0, 1, 2 and 255: any nonzero byte is one flag.  The
+  // outputs are pre-filled with garbage, so a slot the kernel skips shows.
+  using U = TypeParam;
+  const std::uint8_t kBytes[] = {1, 2, 255};
+  for (const double density : kDensities) {
     for (const std::size_t n : fold_lengths()) {
-      const auto mask = random_mask(static_cast<dist::index_t>(n), density,
-                                    static_cast<std::uint64_t>(n) + 3);
-      for (const std::size_t seg : segment_lengths(n)) {
-        const auto rs = mixed_values(n, 5);
-        const auto ps0 = mixed_values(n, 23);
-        const auto add = mixed_values((n + seg - 1) / seg, 41);
-        std::vector<std::int64_t> want;
-        for (std::size_t s = 0; s < n; s += seg) {
-          std::int64_t running = 0;
-          for (std::size_t e = s; e < std::min(n, s + seg); ++e) {
-            if (mask[e] != 0) want.push_back(ps0[e] + running + add[s / seg]);
-            running += rs[e];
-          }
+      const auto sel = random_mask(static_cast<dist::index_t>(n), density, 9);
+      std::vector<std::uint8_t> storage(n + 8);
+      std::vector<U> want(n);
+      ASSERT_EQ(kernels::scalar::mask_flags<U>(sel.data(), n, want.data()),
+                count_true(sel))
+          << "n=" << n;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(want[i], sel[i] != 0 ? 1 : 0);
+      }
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        std::uint8_t* mask = storage.data() + offset;
+        for (std::size_t i = 0; i < n; ++i) {
+          mask[i] = sel[i] == 0 ? 0 : kBytes[(i * 7 + offset) % 3];
         }
         for (const Path path : all_paths()) {
           ForceGuard force(path);
-          const std::string what = std::string(kernels::path_name(path)) +
-                                   " n=" + std::to_string(n) +
-                                   " seg=" + std::to_string(seg) +
-                                   " d=" + std::to_string(density);
-          std::vector<std::int64_t> out(n, -77);
-          const std::size_t k = kernels::segmented_prefix_fold_gather(
-              rs.data(), ps0.data(), n, seg, add.data(), mask.data(),
-              out.data());
-          out.resize(k);
-          ASSERT_EQ(out, want) << what << " (out of place)";
-          std::vector<std::int64_t> ps = ps0;
-          ps.resize(kernels::segmented_prefix_fold_gather(
-              rs.data(), ps.data(), n, seg, add.data(), mask.data(),
-              ps.data()));
-          ASSERT_EQ(ps, want) << what << " (in place)";
-          ASSERT_EQ(rs, mixed_values(n, 5)) << what;
+          std::vector<U> out(n + 8, static_cast<U>(7));
+          ASSERT_EQ(kernels::mask_flags<U>(mask, n, out.data() + offset),
+                    count_true(sel))
+              << kernels::path_name(path) << " n=" << n << " d=" << density;
+          ASSERT_TRUE(std::equal(want.begin(), want.end(),
+                                 out.begin() + static_cast<long>(offset)))
+              << kernels::path_name(path) << " n=" << n
+              << " offset=" << offset;
         }
+      }
+    }
+  }
+}
+
+TYPED_TEST(BaseRankKernels, SegmentSumsMatchReference) {
+  using U = TypeParam;
+  for (const std::size_t n : fold_lengths()) {
+    for (const std::size_t seg : segment_lengths(n)) {
+      std::vector<U> rs_store;
+      const U* rs0 = rank_values<U>(rs_store, n, 0, 5);
+      const std::size_t segs = (n + seg - 1) / seg;
+      std::vector<std::int64_t> want(segs, 0);
+      for (std::size_t e = 0; e < n; ++e) {
+        want[e / seg] += static_cast<std::int64_t>(rs0[e]);
+      }
+      std::vector<std::int64_t> ref(segs + 1, -9);
+      kernels::scalar::segment_sums<U>(rs0, n, seg, ref.data());
+      ASSERT_EQ(ref.back(), -9);
+      ref.pop_back();
+      ASSERT_EQ(ref, want) << "n=" << n << " seg=" << seg;
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        std::vector<U> store;
+        const U* rs = rank_values<U>(store, n, offset, 5);
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          // One slot past the last segment: it must stay untouched.
+          std::vector<std::int64_t> sums(segs + 1, -9);
+          kernels::segment_sums<U>(rs, n, seg, sums.data());
+          ASSERT_EQ(sums.back(), -9) << kernels::path_name(path);
+          sums.pop_back();
+          ASSERT_EQ(sums, ref) << kernels::path_name(path) << " n=" << n
+                               << " seg=" << seg << " offset=" << offset;
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(BaseRankKernels, SegmentedPrefixFoldMatchesReference) {
+  // out[e] = ps[e] + (sum of rs over e's segment before e) +
+  // seg_add[e / seg]; rs, ps and seg_add are read only.
+  using U = TypeParam;
+  for (const std::size_t n : fold_lengths()) {
+    for (const std::size_t seg : segment_lengths(n)) {
+      const auto add = mixed_values((n + seg - 1) / seg, 41);
+      std::vector<U> rs_store, ps_store;
+      const U* rs0 = rank_values<U>(rs_store, n, 0, 5);
+      const U* ps0 = rank_values<U>(ps_store, n, 0, 23);
+      std::vector<std::int64_t> want(n);
+      for (std::size_t s = 0; s < n; s += seg) {
+        std::int64_t running = 0;
+        for (std::size_t e = s; e < std::min(n, s + seg); ++e) {
+          want[e] = static_cast<std::int64_t>(ps0[e]) + running + add[s / seg];
+          running += static_cast<std::int64_t>(rs0[e]);
+        }
+      }
+      std::vector<std::int64_t> ref(n, -3);
+      kernels::scalar::segmented_prefix_fold<U>(rs0, ps0, n, seg, add.data(),
+                                                ref.data());
+      ASSERT_EQ(ref, want) << "n=" << n << " seg=" << seg;
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        std::vector<U> rs_at, ps_at;
+        const U* rs = rank_values<U>(rs_at, n, offset, 5);
+        const U* ps = rank_values<U>(ps_at, n, 7 - offset, 23);
+        const std::vector<U> rs_before = rs_at;
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          std::vector<std::int64_t> out(n + 8, -77);
+          kernels::segmented_prefix_fold<U>(rs, ps, n, seg, add.data(),
+                                            out.data() + offset);
+          ASSERT_TRUE(std::equal(ref.begin(), ref.end(),
+                                 out.begin() + static_cast<long>(offset)))
+              << kernels::path_name(path) << " n=" << n << " seg=" << seg
+              << " offset=" << offset;
+          ASSERT_EQ(rs_at, rs_before) << kernels::path_name(path);
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(BaseRankKernels, SegmentedPrefixFoldGatherMatchesReference) {
+  // The folded value of segmented_prefix_fold, kept only where the mask is
+  // set, compacted in order into a garbage-filled buffer.
+  using U = TypeParam;
+  for (const double density : {0.0, 0.5, 1.0}) {
+    for (const std::size_t n : fold_lengths()) {
+      const auto sel = random_mask(static_cast<dist::index_t>(n), density,
+                                   static_cast<std::uint64_t>(n) + 3);
+      for (const std::size_t seg : segment_lengths(n)) {
+        const auto add = mixed_values((n + seg - 1) / seg, 41);
+        std::vector<U> rs_store, ps_store;
+        const U* rs0 = rank_values<U>(rs_store, n, 0, 5);
+        const U* ps0 = rank_values<U>(ps_store, n, 0, 23);
+        std::vector<std::int64_t> folded(n);
+        kernels::scalar::segmented_prefix_fold<U>(rs0, ps0, n, seg,
+                                                  add.data(), folded.data());
+        std::vector<std::int64_t> want;
+        for (std::size_t e = 0; e < n; ++e) {
+          if (sel[e] != 0) want.push_back(folded[e]);
+        }
+        std::vector<std::int64_t> ref(n, -5);
+        ref.resize(kernels::scalar::segmented_prefix_fold_gather<U>(
+            rs0, ps0, n, seg, add.data(), sel.data(), ref.data()));
+        ASSERT_EQ(ref, want) << "n=" << n << " seg=" << seg;
+        for (std::size_t offset = 0; offset < 8; ++offset) {
+          std::vector<U> rs_at, ps_at;
+          const U* rs = rank_values<U>(rs_at, n, offset, 5);
+          const U* ps = rank_values<U>(ps_at, n, 7 - offset, 23);
+          std::vector<std::uint8_t> mask_store(n + 8);
+          std::uint8_t* mask = mask_store.data() + offset;
+          std::copy(sel.begin(), sel.end(), mask);
+          for (const Path path : all_paths()) {
+            ForceGuard force(path);
+            const std::string what = std::string(kernels::path_name(path)) +
+                                     " n=" + std::to_string(n) +
+                                     " seg=" + std::to_string(seg) +
+                                     " d=" + std::to_string(density) +
+                                     " offset=" + std::to_string(offset);
+            // Exactly the room the contract asks for: the selected count
+            // plus the slack (an overrun is an ASan finding).
+            std::vector<std::int64_t> out(
+                std::min(n, ref.size() + kernels::kGatherSlack), -77);
+            out.resize(kernels::segmented_prefix_fold_gather<U>(
+                rs, ps, n, seg, add.data(), mask, out.data()));
+            ASSERT_EQ(out, ref) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TYPED_TEST(BaseRankKernels, AddFromBytesMatchesReferenceAtEveryOffset) {
+  // A PRS round's fold of a received payload, one byte stream at every
+  // offset 0..7 of an aligned buffer (a path that reinterprets it as U*
+  // performs misaligned loads, a UBSan finding in the sanitizer job), into
+  // one destination and into two in one pass.
+  using U = TypeParam;
+  for (const std::size_t n : fold_lengths()) {
+    std::vector<U> src_store, dst_store, dst2_store;
+    const U* values = rank_values<U>(src_store, n, 0, 5);
+    const U* dst0 = rank_values<U>(dst_store, n, 0, 11);
+    const U* dst20 = rank_values<U>(dst2_store, n, 0, 19);
+    std::vector<U> want(dst0, dst0 + n);
+    std::vector<U> want2(dst20, dst20 + n);
+    for (std::size_t e = 0; e < n; ++e) {
+      want[e] = static_cast<U>(want[e] + values[e]);
+      want2[e] = static_cast<U>(want2[e] + values[e]);
+    }
+    std::vector<std::byte> bytes(n * sizeof(U) + 8);
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      std::byte* src = bytes.data() + offset;
+      if (n != 0) std::memcpy(src, values, n * sizeof(U));
+      std::vector<U> ref(dst0, dst0 + n);
+      std::vector<U> ref2(dst20, dst20 + n);
+      kernels::scalar::add_from_bytes<U>(ref.data(), src, n);
+      ASSERT_EQ(ref, want) << "n=" << n;
+      ref = std::vector<U>(dst0, dst0 + n);
+      kernels::scalar::add_from_bytes<U>(ref.data(), ref2.data(), src, n);
+      ASSERT_EQ(ref, want);
+      ASSERT_EQ(ref2, want2);
+      for (const Path path : all_paths()) {
+        ForceGuard force(path);
+        const std::string what = std::string(kernels::path_name(path)) +
+                                 " n=" + std::to_string(n) +
+                                 " offset=" + std::to_string(offset);
+        std::vector<U> one(dst0, dst0 + n);
+        kernels::add_from_bytes<U>(one.data(), src, n);
+        ASSERT_EQ(one, ref) << what;
+        std::vector<U> a(dst0, dst0 + n);
+        std::vector<U> b(dst20, dst20 + n);
+        kernels::add_from_bytes<U>(a.data(), b.data(), src, n);
+        ASSERT_EQ(a, ref) << what << " (two dst)";
+        ASSERT_EQ(b, ref2) << what << " (two dst)";
+      }
+    }
+  }
+}
+
+TYPED_TEST(BaseRankKernels, CheckedAddThrowsOnOverflow) {
+  // Below int64 one sum past U's range -- U's largest value plus one --
+  // at every position of a 37-entry vector (every lane of a vector step
+  // and of the tail), in the first destination or only in the second:
+  // every path throws rather than wrap, naming the width.  At int64 the
+  // add is unchecked.
+  using U = TypeParam;
+  if constexpr (std::is_signed_v<U>) {
+    GTEST_SKIP() << "int64 sums are unchecked";
+  } else {
+    constexpr std::size_t n = 37;
+    std::vector<U> store;
+    const U* values = rank_values<U>(store, n, 0, 3);
+    std::vector<std::byte> bytes(n * sizeof(U) + 1);
+    for (std::size_t at = 0; at < n; ++at) {
+      std::vector<U> v(values, values + n);
+      v[at] = 1;
+      std::memcpy(bytes.data() + 1, v.data(), n * sizeof(U));
+      const std::byte* src = bytes.data() + 1;
+      std::vector<U> full(n, 0);
+      full[at] = std::numeric_limits<U>::max();
+      const std::vector<U> zeros(n, 0);
+      for (const Path path : all_paths()) {
+        ForceGuard force(path);
+        const std::string what =
+            std::string(kernels::path_name(path)) + " at=" + std::to_string(at);
+        std::vector<U> a = full;
+        try {
+          kernels::add_from_bytes<U>(a.data(), src, n);
+          ADD_FAILURE() << what << ": the wrapped sum was stored";
+        } catch (const ContractError& e) {
+          const std::string msg = e.what();
+          EXPECT_NE(msg.find("does not fit the " +
+                             std::to_string(sizeof(U)) + "-byte wire"),
+                    std::string::npos)
+              << what << ": " << msg;
+        }
+        a = full;
+        std::vector<U> b = zeros;
+        EXPECT_THROW(kernels::add_from_bytes<U>(a.data(), b.data(), src, n),
+                     ContractError)
+            << what << " (first of two)";
+        a = zeros;
+        b = full;
+        EXPECT_THROW(kernels::add_from_bytes<U>(a.data(), b.data(), src, n),
+                     ContractError)
+            << what << " (second of two)";
       }
     }
   }
