@@ -2,7 +2,8 @@
 // scan (counting, and the W_0 = 1 flags), the ranking's segment totals,
 // final-step fold (plain, and fused with the W_0 = 1 gather) and PRS
 // payload fold into one or two destinations, each on base ranks of 1, 2
-// or 8 bytes, UNPACK's checked request compose, CMS run encode/decode,
+// or 8 bytes, a direct PRS round's compose, fold and copy packed at 1-8
+// bits, UNPACK's checked request compose, CMS run encode/decode,
 // UNPACK's reply gather and merged placement, message composition per
 // scheme, and the serial reference, on a single virtual processor's data
 // sizes.
@@ -108,7 +109,7 @@ void BM_SegmentedPrefixFold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_SegmentedPrefixFold)
-    ->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 8}});
+    ->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}});
 
 // The same fold at level 0 of a W_0 = 1 counting scan, fused with the
 // gather under a 50% mask: only the selected slots' ranks are stored.
@@ -234,9 +235,10 @@ void BM_WireNarrow(benchmark::State& state) {
 BENCHMARK(BM_WireNarrow)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}});
 
 // A PRS round's fold of a received payload of base ranks at the width of
-// the third argument into the total (and, with the fourth argument 1,
-// into the prefix too), read one byte off alignment: the level-0 vector
-// of the 512 x 512 cyclic CSS unpack (16384 entries).
+// the third argument (and at that width on the wire) into the total (and,
+// with the fourth argument 1, into the prefix too), read one byte off
+// alignment: the level-0 vector of the 512 x 512 cyclic CSS unpack (16384
+// entries).
 void BM_RankFold(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const bool both = state.range(3) != 0;
@@ -249,11 +251,8 @@ void BM_RankFold(benchmark::State& state) {
     std::vector<U> pre(n, 0);
     PathGuard guard(state.range(1));
     for (auto _ : state) {
-      if (both) {
-        kernels::add_from_bytes(tot.data(), pre.data(), src, n);
-      } else {
-        kernels::add_from_bytes(tot.data(), src, n);
-      }
+      kernels::add_packed<U>(tot.data(), both ? pre.data() : nullptr, src,
+                             n, 8 * sizeof(U));
       benchmark::DoNotOptimize(tot.data());
       benchmark::DoNotOptimize(pre.data());
       benchmark::ClobberMemory();
@@ -263,6 +262,61 @@ void BM_RankFold(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_RankFold)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 8}, {0, 1}});
+
+// A direct PRS round of uint8 base ranks packed at the third argument's
+// bits (1 and 2 are the gated layout's level-0 rounds, 8 an unpacked
+// round): the compose of one member's payload, one byte off alignment.
+void BM_PackRound(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto bits = static_cast<unsigned>(state.range(2));
+  std::vector<std::uint8_t> tot(n);
+  for (std::size_t e = 0; e < n; ++e) {
+    tot[e] = static_cast<std::uint8_t>((e * 7 + e / 3) % (1U << bits));
+  }
+  std::vector<std::byte> payload(kernels::packed_bytes(n, bits) + 1);
+  PathGuard guard(state.range(1));
+  for (auto _ : state) {
+    kernels::pack_bits(tot.data(), n, bits, payload.data() + 1);
+    benchmark::DoNotOptimize(payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetLabel(kernels::path_name(kernels::active_path()));
+}
+BENCHMARK(BM_PackRound)->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}});
+
+// The receive side of that round: the fold of the packed payload into the
+// total (and, with the fourth argument 1, the prefix too), and the first
+// round's unpacking copy into the prefix (fourth argument 2).
+void BM_PackedFold(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto bits = static_cast<unsigned>(state.range(2));
+  // Zero bytes, so the in-place sums cannot overflow across iterations.
+  std::vector<std::byte> payload(kernels::packed_bytes(n, bits) + 1);
+  const std::byte* src = payload.data() + 1;
+  std::vector<std::uint8_t> tot(n, 0);
+  std::vector<std::uint8_t> pre(n, 0);
+  PathGuard guard(state.range(1));
+  for (auto _ : state) {
+    switch (state.range(3)) {
+      case 0:
+        kernels::add_packed<std::uint8_t>(tot.data(), nullptr, src, n, bits);
+        break;
+      case 1:
+        kernels::add_packed(tot.data(), pre.data(), src, n, bits);
+        break;
+      default:
+        kernels::unpack_bits(src, n, bits, pre.data());
+    }
+    benchmark::DoNotOptimize(tot.data());
+    benchmark::DoNotOptimize(pre.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  state.SetLabel(kernels::path_name(kernels::active_path()));
+}
+BENCHMARK(BM_PackedFold)
+    ->ArgsProduct({{1 << 14}, {0, 2, 1}, {1, 2, 4, 8}, {0, 1, 2}});
 
 // CMS run-length encode: gather a slice's selected values into a compact
 // run payload.  Density 0.5 is the paper's standard working point; the
@@ -454,9 +508,6 @@ void verify_rank_parity(const std::vector<kernels::Path>& paths,
   const std::size_t n = mask.size();
   std::vector<U> values(n);
   for (std::size_t e = 0; e < n; ++e) values[e] = static_cast<U>(e % 97 + 7);
-  // A payload one byte off alignment, for the unaligned folds.
-  std::vector<std::byte> payload(n * sizeof(U) + 1);
-  if (n > 0) std::memcpy(payload.data() + 1, values.data(), n * sizeof(U));
   kernels::set_path(kernels::Path::kScalar);
   std::vector<U> ref_flags(n);
   const std::int64_t ref_count =
@@ -473,13 +524,42 @@ void verify_rank_parity(const std::vector<kernels::Path>& paths,
   ref_fg.resize(kernels::segmented_prefix_fold_gather(
       values.data(), values.data(), n, 5, addends.data(), mask.data(),
       ref_fg.data()));
-  std::vector<U> ref_a = values;
-  std::vector<U> ref_b(n, 3);
-  kernels::add_from_bytes(ref_a.data(), ref_b.data(), payload.data() + 1, n);
+  // The PRS rounds at every width up to U's, each on the values reduced
+  // to fit it: packed one byte off alignment, unpacked, and folded into
+  // two destinations.
+  std::vector<unsigned> widths;
+  for (unsigned bits = 1; bits <= 8 * sizeof(U); bits *= 2) {
+    widths.push_back(bits);
+  }
+  auto fitted = [&](unsigned bits) {
+    std::vector<U> v = values;
+    if (bits < 8 * sizeof(U)) {
+      for (U& x : v) x = static_cast<U>(x % (U{1} << bits));
+    }
+    return v;
+  };
+  std::vector<std::vector<std::byte>> ref_packed;
+  for (const unsigned bits : widths) {
+    const std::vector<U> v = fitted(bits);
+    ref_packed.emplace_back(kernels::packed_bytes(n, bits) + 1);
+    kernels::pack_bits(v.data(), n, bits, ref_packed.back().data() + 1);
+    std::vector<U> back(n);
+    kernels::unpack_bits(ref_packed.back().data() + 1, n, bits, back.data());
+    std::vector<U> a = values;
+    std::vector<U> b(n, 3);
+    kernels::add_packed(a.data(), b.data(), ref_packed.back().data() + 1, n,
+                        bits);
+    for (std::size_t e = 0; e < n; ++e) {
+      if (a[e] != static_cast<U>(values[e] + v[e]) ||
+          b[e] != static_cast<U>(v[e] + 3)) {
+        die("scalar add_packed is wrong");
+      }
+    }
+    if (back != v) die("scalar pack_bits/unpack_bits do not round-trip");
+  }
   // The reference against the definitions: the flags are the mask, the
   // totals cover every value once, a segment's first slot gains only its
-  // addend, the fused gather keeps the fold's selected slots, and the
-  // fold adds the payload once.
+  // addend, and the fused gather keeps the fold's selected slots.
   if (ref_count != count_true(mask)) die("scalar mask_flags count is wrong");
   std::int64_t total = 0;
   std::vector<std::int64_t> fold_sel;
@@ -493,10 +573,6 @@ void verify_rank_parity(const std::vector<kernels::Path>& paths,
       die("scalar segmented_prefix_fold is wrong");
     }
     if (mask[e] != 0) fold_sel.push_back(ref_fold[e]);
-    if (ref_a[e] != static_cast<U>(2 * values[e]) ||
-        ref_b[e] != static_cast<U>(values[e] + 3)) {
-      die("scalar add_from_bytes is wrong");
-    }
   }
   if (std::accumulate(ref_sums.begin(), ref_sums.end(), std::int64_t{0}) !=
       total) {
@@ -522,10 +598,25 @@ void verify_rank_parity(const std::vector<kernels::Path>& paths,
         values.data(), values.data(), n, 5, addends.data(), mask.data(),
         fg.data()));
     if (fg != ref_fg) die("segmented_prefix_fold_gather mismatch");
-    std::vector<U> a = values;
-    std::vector<U> b(n, 3);
-    kernels::add_from_bytes(a.data(), b.data(), payload.data() + 1, n);
-    if (a != ref_a || b != ref_b) die("add_from_bytes mismatch");
+    for (std::size_t w = 0; w < widths.size(); ++w) {
+      const unsigned bits = widths[w];
+      const std::vector<U> v = fitted(bits);
+      std::vector<std::byte> packed(ref_packed[w].size(), std::byte{0x5c});
+      packed[0] = ref_packed[w][0];
+      kernels::pack_bits(v.data(), n, bits, packed.data() + 1);
+      if (packed != ref_packed[w]) die("pack_bits mismatch");
+      std::vector<U> back(n, 9);
+      kernels::unpack_bits(packed.data() + 1, n, bits, back.data());
+      if (back != v) die("unpack_bits mismatch");
+      std::vector<U> a2 = values;
+      std::vector<U> b2(n, 3);
+      kernels::add_packed(a2.data(), b2.data(), packed.data() + 1, n, bits);
+      std::vector<U> want_a = values;
+      for (std::size_t e = 0; e < n; ++e) {
+        want_a[e] = static_cast<U>(values[e] + v[e]);
+      }
+      if (a2 != want_a) die("add_packed mismatch");
+    }
   }
 }
 

@@ -98,11 +98,13 @@ struct BlockIR {
   /// Ranks participating in this block (used for cost aggregation).
   std::vector<int> ranks;
   /// Bounded (many-to-many) blocks: the wire bytes each element's bound
-  /// prices, and how many of them are index fields; 0 elsewhere.  The
-  /// verifier never reads them; the mutation harness re-prices index
-  /// fields with them.
+  /// prices, and how many of them are index fields.  Power-of-two direct
+  /// PRS blocks: the vector's entries and their level width in
+  /// elem_bytes.  0 elsewhere.  The verifier never reads them;
+  /// the mutation harness re-prices transfers with them.
   std::size_t elem_bytes = 0;
   std::size_t index_bytes = 0;
+  std::size_t entries = 0;
 };
 
 /// The full symbolic schedule of one plan execution.

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "coll/group.hpp"
+#include "core/kernels/kernels.hpp"
 #include "support/check.hpp"
 
 namespace pup::analysis::statics {
@@ -45,14 +46,24 @@ void add_charge(RoundIR& round, int rank, double us) {
   if (us > 0.0) round.charges.push_back({rank, us});
 }
 
-BlockIR expand_prs_direct_pow2(const coll::Group& g, std::size_t vec_bytes,
+BlockIR expand_prs_direct_pow2(const coll::Group& g, std::size_t vec_len,
+                               std::size_t wire_bytes,
+                               std::span<const std::uint8_t> round_bits,
                                const sim::CostModel& cost) {
   const int G = g.size();
   BlockIR block;
   block.name = "prs.direct";
   block.tags = {kTagPrsDirect};
   block.ranks = group_ranks(g);
-  for (int mask = 1; mask < G; mask <<= 1) {
+  block.entries = vec_len;
+  block.elem_bytes = wire_bytes;
+  for (int mask = 1, k = 0; mask < G; mask <<= 1, ++k) {
+    // Round k moves the vector at its own width, when the step has one.
+    const std::size_t vec_bytes =
+        round_bits.empty()
+            ? vec_len * wire_bytes
+            : kernels::packed_bytes(vec_len,
+                                    round_bits[static_cast<std::size_t>(k)]);
     RoundIR round;
     for (int idx = 0; idx < G; ++idx) {
       // Every member posts its accumulator to its hypercube partner, even
@@ -200,11 +211,14 @@ BlockIR expand_prs_control(const coll::Group& g, std::size_t vec_bytes,
   return block;
 }
 
-/// Appends the block(s) of one PRS call, `wire_bytes` per vector entry,
-/// plus their (spanning) expectation.
+/// Appends the block(s) of one PRS call, `wire_bytes` per vector entry
+/// (the power-of-two direct's rounds at `round_bits` when given), plus
+/// their (spanning) expectation.
 void expand_prs(ExpandedPlan& out, const coll::Group& g,
                 coll::PrsAlgorithm alg, std::size_t vec_len,
-                std::size_t wire_bytes, const sim::CostModel& cost) {
+                std::size_t wire_bytes,
+                std::span<const std::uint8_t> round_bits,
+                const sim::CostModel& cost) {
   const int G = g.size();
   if (G <= 1) return;  // the implementation returns before any scope
   PUP_CHECK(alg != coll::PrsAlgorithm::kAuto &&
@@ -215,14 +229,15 @@ void expand_prs(ExpandedPlan& out, const coll::Group& g,
   BlockExpectation exp;
   exp.exact = true;
   exp.ranks = group_ranks(g);
-  exp.expected = coll::predict_prs(alg, G, vec_len, wire_bytes, cost);
+  exp.expected =
+      coll::predict_prs(alg, G, vec_len, wire_bytes, cost, round_bits);
 
   switch (alg) {
     case coll::PrsAlgorithm::kDirect:
       if ((G & (G - 1)) == 0) {
         exp.blocks.push_back(out.schedule.blocks.size());
-        out.schedule.blocks.push_back(
-            expand_prs_direct_pow2(g, vec_bytes, cost));
+        out.schedule.blocks.push_back(expand_prs_direct_pow2(
+            g, vec_len, wire_bytes, round_bits, cost));
       } else {
         exp.blocks.push_back(out.schedule.blocks.size());
         out.schedule.blocks.push_back(expand_exscan(g, vec_bytes, cost));
@@ -248,14 +263,16 @@ void expand_prs(ExpandedPlan& out, const coll::Group& g,
 }
 
 /// Appends the ranking stage: per dimension step, one PRS per grid group at
-/// the step's wire width, with the B requests' payloads concatenated.
+/// the step's wire (and direct round) widths, with the B requests'
+/// payloads concatenated.
 void expand_ranking(ExpandedPlan& out, const RankingSchedule& sched,
                     std::size_t batch, const sim::CostModel& cost) {
   for (const RankingStep& step : sched.steps) {
     const std::size_t vec_len =
         batch * static_cast<std::size_t>(step.level_size);
     for (const coll::Group& group : step.groups) {
-      expand_prs(out, group, step.prs, vec_len, step.wire_bytes, cost);
+      expand_prs(out, group, step.prs, vec_len, step.wire_bytes,
+                 step.round_bits, cost);
     }
   }
 }

@@ -36,6 +36,7 @@ const char* expected_rule(Defect defect) {
     case Defect::kUnderchargedRound:
     case Defect::kMisstatedWidth:
     case Defect::kMisstatedIndexWidth:
+    case Defect::kRoundAtLevelWidth:
       return "cost-conformance";
   }
   return "?";
@@ -53,6 +54,7 @@ const char* defect_name(Defect defect) {
     case Defect::kOversizedPayload: return "oversized-payload";
     case Defect::kMisstatedWidth: return "misstated-width";
     case Defect::kMisstatedIndexWidth: return "misstated-index-width";
+    case Defect::kRoundAtLevelWidth: return "round-at-level-width";
   }
   return "?";
 }
@@ -187,6 +189,26 @@ bool seed_defect(CommSchedule& schedule, Defect defect) {
           for (Xfer& x : round.recvs) widen(x);
         }
         if (moved) return true;
+      }
+      return false;
+    }
+    case Defect::kRoundAtLevelWidth: {
+      // The first direct PRS round sent below its level's width, lowered
+      // as if it were not packed: each of its transfers grows to the
+      // vector at the level width on both sides, so matching still holds
+      // and only the closed form, priced per round, can tell.
+      for (BlockIR& block : schedule.blocks) {
+        if (block.name != "prs.direct") continue;
+        const std::size_t level = block.entries * block.elem_bytes;
+        for (RoundIR& round : block.rounds) {
+          const bool packed =
+              std::any_of(round.posts.begin(), round.posts.end(),
+                          [&](const Xfer& x) { return x.bytes < level; });
+          if (!packed) continue;
+          for (Xfer& x : round.posts) x.bytes = level;
+          for (Xfer& x : round.recvs) x.bytes = level;
+          return true;
+        }
       }
       return false;
     }

@@ -6,8 +6,9 @@
 // Mutations edit the IR only; they never touch a plan or a machine.  Each
 // defect corresponds to a class of schedule-construction bugs the verifier
 // exists to catch (dropped post, duplicated frame, tag leak, dependency
-// cycle, undercharged round, misrouted receive, mailbox blow-up, a PRS or
-// a redistribution's index fields lowered at the wrong wire width).
+// cycle, undercharged round, misrouted receive, mailbox blow-up, a PRS, a
+// direct PRS round or a redistribution's index fields lowered at the
+// wrong wire width).
 // lint: allow-no-preconditions -- deliberately produces invalid schedules;
 // the verifier is the validation.
 #pragma once
@@ -30,6 +31,8 @@ enum class Defect {
   kMisstatedWidth,    ///< price one PRS block's entries at twice their width
   kMisstatedIndexWidth,  ///< price one M2M block's index fields at twice
                          ///< their width
+  kRoundAtLevelWidth,  ///< price one packed direct PRS round at its level's
+                       ///< width
 };
 
 /// The rule (VerifyIssue::rule) the verifier must report for a defect.

@@ -344,7 +344,7 @@ void check_prs_picks(VerifyReport& report, const RankingSchedule& sched,
     const auto M = static_cast<std::size_t>(step.level_size);
     const double direct_us =
         coll::predict_prs_us(PrsAlgorithm::kDirect, G, M, step.wire_bytes,
-                             cost);
+                             cost, step.round_bits);
     const double split_us = coll::predict_prs_us(PrsAlgorithm::kSplit, G, M,
                                                  step.wire_bytes, cost);
     const PrsAlgorithm want =

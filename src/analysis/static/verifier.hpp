@@ -104,7 +104,8 @@ VerifyReport verify_plan(const plan::UnpackPlan& plan,
 /// from a `requested` PRS knob under `cost`) whose algorithm is not the
 /// one the closed forms require: under kAuto whichever of direct and split
 /// has the lower busiest-member charge at the step's group size,
-/// single-request vector length and wire width (direct on a tie); under
+/// single-request vector length, wire width and direct round widths
+/// (direct on a tie); under
 /// kPaperRule the paper's size rule.  Concrete requests pass through.
 void check_prs_picks(VerifyReport& report, const RankingSchedule& sched,
                      coll::PrsAlgorithm requested,

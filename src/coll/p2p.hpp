@@ -45,19 +45,15 @@ inline void charge_exchange(sim::Machine& m, int rank, int peer_out,
 /// at `src`: a received payload read where it lies (no decode copy), or a
 /// vector's own bytes.  A non-null `acc2` is updated in the same pass.
 /// Base-rank vectors -- every ranking PRS, at its level's width -- go
-/// through kernels::add_from_bytes, whose add is checked below int64: a
-/// sum that outgrows the element throws ContractError instead of
-/// wrapping.  Other element types memcpy one element at a time.
+/// through kernels::add_packed at T's own width, whose add is checked
+/// below int64: a sum that outgrows the element throws ContractError
+/// instead of wrapping.  Other element types memcpy one element at a time.
 template <typename T>
 void fold_entries(const std::byte* src, std::size_t n, T* acc,
                   T* acc2 = nullptr) {
   static_assert(std::is_trivially_copyable_v<T>);
   if constexpr (kernels::BaseRank<T>) {
-    if (acc2 != nullptr) {
-      kernels::add_from_bytes(acc, acc2, src, n);
-    } else {
-      kernels::add_from_bytes(acc, src, n);
-    }
+    kernels::add_packed<T>(acc, acc2, src, n, 8 * sizeof(T));
   } else {
     for (std::size_t j = 0; j < n; ++j) {
       T v;

@@ -1,23 +1,42 @@
 #include "coll/prefix_reduction_sum.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <limits>
 
 #include "support/check.hpp"
 
 namespace pup::coll {
 namespace {
 
-std::vector<MemberCost> predict_direct_pow2(int G, std::size_t vec_bytes,
-                                            const sim::CostModel& cost) {
+std::vector<MemberCost> predict_direct_pow2(
+    int G, std::size_t vec_len, std::size_t elem_size,
+    std::span<const std::uint8_t> round_bits, const sim::CostModel& cost) {
   std::vector<MemberCost> out(static_cast<std::size_t>(G));
-  int rounds = 0;
-  for (int mask = 1; mask < G; mask <<= 1) ++rounds;
+  const int rounds = std::countr_zero(static_cast<unsigned>(G));
+  PUP_REQUIRE(round_bits.empty() ||
+                  round_bits.size() == static_cast<std::size_t>(rounds),
+              round_bits.size() << " round widths for a " << rounds
+                                << "-round direct PRS");
+  // Every member moves the same bytes in each round: round k's vector at
+  // its width.
+  std::size_t bytes = 0;
+  double charge_us = 0.0;
+  for (int k = 0; k < rounds; ++k) {
+    const std::size_t round_bytes =
+        round_bits.empty()
+            ? vec_len * elem_size
+            : kernels::packed_bytes(vec_len,
+                                    round_bits[static_cast<std::size_t>(k)]);
+    bytes += round_bytes;
+    charge_us += exchange_us(round_bytes, round_bytes, cost);
+  }
   for (auto& mc : out) {
     mc.posts = rounds;
     mc.recvs = rounds;
-    mc.bytes_out = static_cast<std::size_t>(rounds) * vec_bytes;
-    mc.bytes_in = mc.bytes_out;
-    mc.charge_us = rounds * exchange_us(vec_bytes, vec_bytes, cost);
+    mc.bytes_out = bytes;
+    mc.bytes_in = bytes;
+    mc.charge_us = charge_us;
   }
   return out;
 }
@@ -123,16 +142,37 @@ double exchange_us(std::size_t sent, std::size_t recv,
   return std::max(out_us, in_us);
 }
 
+std::vector<std::uint8_t> direct_round_bits(int G,
+                                           std::int64_t member_bound) {
+  PUP_REQUIRE(member_bound >= 0,
+              "a member bound is a count, not " << member_bound);
+  std::vector<std::uint8_t> bits;
+  if (G < 2 || (G & (G - 1)) != 0) return bits;
+  for (std::int64_t members = 1; members < G; members *= 2) {
+    std::int64_t bound = 0;
+    if (__builtin_mul_overflow(members, member_bound, &bound)) {
+      bound = std::numeric_limits<std::int64_t>::max();
+    }
+    std::uint8_t b = 1;
+    while (b < 64 && (static_cast<std::uint64_t>(bound) >> b) != 0) b *= 2;
+    bits.push_back(b);
+  }
+  return bits;
+}
+
 std::vector<MemberCost> predict_prs(PrsAlgorithm alg, int G,
                                     std::size_t vec_len,
                                     std::size_t elem_size,
-                                    const sim::CostModel& cost) {
+                                    const sim::CostModel& cost,
+                                    std::span<const std::uint8_t> round_bits) {
   PUP_CHECK(G >= 1, "group must be non-empty");
   if (G == 1) return {MemberCost{}};
   const std::size_t vec_bytes = vec_len * elem_size;
   switch (alg) {
     case PrsAlgorithm::kDirect:
-      if ((G & (G - 1)) == 0) return predict_direct_pow2(G, vec_bytes, cost);
+      if ((G & (G - 1)) == 0) {
+        return predict_direct_pow2(G, vec_len, elem_size, round_bits, cost);
+      }
       return predict_direct_general(G, vec_bytes, cost);
     case PrsAlgorithm::kSplit:
       return predict_split(G, vec_len, elem_size, cost);
@@ -150,9 +190,11 @@ std::vector<MemberCost> predict_prs(PrsAlgorithm alg, int G,
 }
 
 double predict_prs_us(PrsAlgorithm alg, int G, std::size_t vec_len,
-                      std::size_t elem_size, const sim::CostModel& cost) {
+                      std::size_t elem_size, const sim::CostModel& cost,
+                      std::span<const std::uint8_t> round_bits) {
   double busiest = 0.0;
-  for (const MemberCost& mc : predict_prs(alg, G, vec_len, elem_size, cost)) {
+  for (const MemberCost& mc :
+       predict_prs(alg, G, vec_len, elem_size, cost, round_bits)) {
     busiest = std::max(busiest, mc.charge_us);
   }
   return busiest;
@@ -160,13 +202,14 @@ double predict_prs_us(PrsAlgorithm alg, int G, std::size_t vec_len,
 
 PrsAlgorithm resolve_prs(PrsAlgorithm alg, int group_size,
                          std::size_t vector_len, std::size_t wire_bytes,
-                         const sim::CostModel& cost) {
+                         const sim::CostModel& cost,
+                         std::span<const std::uint8_t> round_bits) {
   switch (alg) {
     case PrsAlgorithm::kAuto:
       return predict_prs_us(PrsAlgorithm::kSplit, group_size, vector_len,
                             wire_bytes, cost) <
                      predict_prs_us(PrsAlgorithm::kDirect, group_size,
-                                    vector_len, wire_bytes, cost)
+                                    vector_len, wire_bytes, cost, round_bits)
                  ? PrsAlgorithm::kSplit
                  : PrsAlgorithm::kDirect;
     case PrsAlgorithm::kPaperRule:

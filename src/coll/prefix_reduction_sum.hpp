@@ -30,17 +30,22 @@
 //    M < G, SPLIT otherwise.  Under the CM-5 parameters it picks SPLIT
 //    for vectors far shorter than the length where SPLIT starts to pay.
 //
-// Every algorithm sends its entries at the element's own width, so a
-// payload is the vector's bytes and every charge is priced at sizeof(T).
 // The ranking runs each level on base ranks stored at the narrowest width
 // its schedule proves enough (RankingStep::wire_bytes: uint8, uint16,
-// uint32 or int64), the same in memory and on the wire; their sums --
-// every fold, the split's local prefixes, the control network's running
-// total -- are checked adds (fold_entries), so a misstated width throws
-// ContractError in every algorithm instead of wrapping.
+// uint32 or int64); their sums -- every fold, the split's local prefixes,
+// the control network's running total -- are checked adds (fold_entries),
+// so a misstated width throws ContractError in every algorithm instead of
+// wrapping.  Split, the control network and the non-power-of-two direct
+// send their entries at the element's own width, so a payload is the
+// vector's bytes.  The power-of-two direct may instead send each round at
+// its own width (round_bits, from direct_round_bits): round k carries
+// subcube totals of 2^k members, which the schedule bounds more tightly
+// than the level, packed down to 1, 2 or 4 bits per entry where the bound
+// allows.  Every charge is priced at the bytes actually sent.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -99,6 +104,13 @@ struct MemberCost {
 double exchange_us(std::size_t sent, std::size_t recv,
                    const sim::CostModel& cost);
 
+/// Bits per entry of each round of a direct PRS over a power-of-two group
+/// whose members' entries are at most `member_bound`: round k (mask 2^k)
+/// sends subcube totals of at most 2^k * member_bound, at the narrowest of
+/// 1, 2, 4, 8, 16, 32 or 64 bits that holds them.  Empty unless G is a
+/// power of two above 1.
+std::vector<std::uint8_t> direct_round_bits(int G, std::int64_t member_bound);
+
 /// Closed-form prediction for one combined prefix-reduction-sum over a
 /// group of G members whose per-member vector holds `vec_len` entries of
 /// `elem_size` bytes on the wire (entry granularity matters: the split
@@ -106,8 +118,9 @@ double exchange_us(std::size_t sent, std::size_t recv,
 /// count).  `alg` must be concrete.  Message counts and tau + mu*m sums
 /// follow from G and the vector length alone, never by walking rounds:
 ///
-///   direct, G power of two: log2(G) full-duplex exchange rounds, each
-///     tau + mu*(vec_len*elem_size) per member.
+///   direct, G power of two: log2(G) full-duplex exchange rounds, round k
+///     tau + mu*(vec_len*elem_size) per member, or, given `round_bits`,
+///     tau + mu*packed_bytes(vec_len, round_bits[k]).
 ///   direct, G otherwise: dissemination exscan (ceil(log2 G) rounds, member
 ///     idx sends iff idx+o < G and receives iff idx-o >= 0, each one-way
 ///     message charging both endpoints) plus a binomial total-broadcast
@@ -120,34 +133,53 @@ double exchange_us(std::size_t sent, std::size_t recv,
 ///
 /// All formulas assume the virtual crossbar of the paper's two-level model
 /// (every pair equidistant); see sim/cost_model.hpp.
-std::vector<MemberCost> predict_prs(PrsAlgorithm alg, int G,
-                                    std::size_t vec_len,
-                                    std::size_t elem_size,
-                                    const sim::CostModel& cost);
+std::vector<MemberCost> predict_prs(
+    PrsAlgorithm alg, int G, std::size_t vec_len, std::size_t elem_size,
+    const sim::CostModel& cost, std::span<const std::uint8_t> round_bits = {});
 
 /// The busiest member's predicted charge (predict_prs), in microseconds.
 double predict_prs_us(PrsAlgorithm alg, int G, std::size_t vec_len,
-                      std::size_t elem_size, const sim::CostModel& cost);
+                      std::size_t elem_size, const sim::CostModel& cost,
+                      std::span<const std::uint8_t> round_bits = {});
 
 /// Resolves `alg` to the algorithm a call over `group_size` members with
-/// `vector_len` entries of `wire_bytes` runs.  Concrete algorithms pass
-/// through; kPaperRule applies the paper's size rule; kAuto picks split
-/// only when its busiest member's predicted charge under `cost` is
-/// strictly below direct's.
+/// `vector_len` entries of `wire_bytes` runs, its direct rounds at
+/// `round_bits` when given.  Concrete algorithms pass through; kPaperRule
+/// applies the paper's size rule; kAuto picks split only when its busiest
+/// member's predicted charge under `cost` is strictly below direct's.
 PrsAlgorithm resolve_prs(PrsAlgorithm alg, int group_size,
                          std::size_t vector_len, std::size_t wire_bytes,
-                         const sim::CostModel& cost);
+                         const sim::CostModel& cost,
+                         std::span<const std::uint8_t> round_bits = {});
 
 namespace detail {
 
 constexpr bool is_pow2(int v) { return v > 0 && (v & (v - 1)) == 0; }
 
+/// A direct round's payload: the accumulator's n entries at `bits` bits.
+/// Only base ranks pack below their own width.
+template <typename T>
+std::vector<std::byte> compose_round(const T* acc, std::size_t n,
+                                     unsigned bits) {
+  if constexpr (kernels::BaseRank<T>) {
+    if (bits != 8 * sizeof(T)) {  // a width past T's throws in pack_bits
+      std::vector<std::byte> payload(kernels::packed_bytes(n, bits));
+      kernels::pack_bits<T>(acc, n, bits, payload.data());
+      return payload;
+    }
+  }
+  return sim::to_payload<T>(std::span<const T>(acc, n));
+}
+
 /// Recursive-doubling fused exscan+allreduce; requires power-of-two G.
+/// Round k sends its entries at round_bits[k] bits, or at T's width when
+/// round_bits is empty.
 template <typename T, typename A>
 void prs_direct_pow2(sim::Machine& m, const Group& g,
                      std::vector<std::vector<T, A>>& prefix,
                      std::vector<std::vector<T, A>>& total,
-                     sim::Category cat) {
+                     sim::Category cat,
+                     std::span<const std::uint8_t> round_bits) {
   const int G = g.size();
   // Seed: total accumulates the subcube sum, starting from the input
   // (moved, not copied); prefix the in-subcube lower-rank sum.  Prefixes
@@ -166,40 +198,64 @@ void prs_direct_pow2(sim::Machine& m, const Group& g,
   constexpr int kTag = 0xdc1;
   sim::CollectiveScope scope(m, "prs.direct", {kTag},
                              sim::RoundDiscipline::kMaxOneExchange);
-  for (int mask = 1; mask < G; mask <<= 1) {
+  const std::size_t rounds = static_cast<std::size_t>(std::countr_zero(
+      static_cast<unsigned>(G)));
+  PUP_REQUIRE(round_bits.empty() || round_bits.size() == rounds,
+              round_bits.size() << " round widths for a " << rounds
+                                << "-round direct PRS");
+  for (int mask = 1, r = 0; mask < G; mask <<= 1, ++r) {
+    const unsigned bits =
+        round_bits.empty() ? 8 * sizeof(T)
+                           : round_bits[static_cast<std::size_t>(r)];
     {
       sim::RoundScope round(m);
       for (int idx = 0; idx < G; ++idx) {
         const int partner = idx ^ mask;
         const int src = g.rank_at(idx);
         const int dst = g.rank_at(partner);
-        auto payload = sim::to_payload<T>(tot[static_cast<std::size_t>(src)]);
-        rpost(m, sim::Message{src, dst, kTag, std::move(payload)}, cat);
+        const auto& t = tot[static_cast<std::size_t>(src)];
+        rpost(m,
+              sim::Message{src, dst, kTag,
+                           compose_round<T>(t.data(), t.size(), bits)},
+              cat);
       }
       for (int idx = 0; idx < G; ++idx) {
         const int partner = idx ^ mask;
         const int rank = g.rank_at(idx);
         const int peer = g.rank_at(partner);
         auto msg = rrecv(m, rank, peer, kTag, cat);
+        auto& t = tot[static_cast<std::size_t>(rank)];
         charge_exchange(m, rank, peer, peer,
-                        tot[static_cast<std::size_t>(rank)].size() *
-                            sizeof(T),
+                        kernels::packed_bytes(t.size(), bits),
                         msg.payload.size(), cat);
         m.timed(rank, cat, [&] {
-          auto& t = tot[static_cast<std::size_t>(rank)];
           // When the partner's whole subcube ranks below us it joins the
           // prefix too: added in the same pass over the payload, or, if it
-          // is the first (mask is idx's lowest set bit), bulk-copied in
-          // after the fold.  The copy measured faster than storing into the
+          // is the first (mask is idx's lowest set bit), copied in after
+          // the fold.  The copy measured faster than storing into the
           // unwritten prefix from the fold's pass, which stalls on its
           // uncached lines.
           T* p = partner < idx ? prefix[static_cast<std::size_t>(rank)].data()
                                : nullptr;
           const bool first = p != nullptr && (idx & (mask - 1)) == 0;
-          fold_payload<T>(msg.payload, t.size(), t.data(),
-                          first ? nullptr : p);
-          if (first && !t.empty()) {
-            std::memcpy(p, msg.payload.data(), t.size() * sizeof(T));
+          T* also = first ? nullptr : p;
+          if constexpr (kernels::BaseRank<T>) {
+            PUP_CHECK(msg.payload.size() ==
+                          kernels::packed_bytes(t.size(), bits),
+                      "PRS round payload of " << msg.payload.size()
+                                              << " bytes, expected "
+                                              << kernels::packed_bytes(
+                                                     t.size(), bits));
+            kernels::add_packed<T>(t.data(), also, msg.payload.data(),
+                                   t.size(), bits);
+            if (first) {
+              kernels::unpack_bits<T>(msg.payload.data(), t.size(), bits, p);
+            }
+          } else {
+            fold_payload<T>(msg.payload, t.size(), t.data(), also);
+            if (first && !t.empty()) {
+              std::memcpy(p, msg.payload.data(), t.size() * sizeof(T));
+            }
           }
         });
       }
@@ -438,14 +494,19 @@ void prs_split(sim::Machine& m, const Group& g,
 /// member.  Returns the algorithm actually used (resolve_prs under the
 /// machine's cost model).  The vectors may use any allocator (the ranking
 /// passes support::UninitVector).  Payloads carry sizeof(T) bytes per
-/// entry.  For a base-rank element type (kernels::BaseRank) every sum is
-/// checked: a prefix or total that outgrows T throws ContractError.
+/// entry, except that a power-of-two direct run with `round_bits`
+/// (log2(G) widths, from direct_round_bits; base ranks only) packs round
+/// k's entries at round_bits[k] bits: an entry that does not fit its
+/// round throws ContractError.  For a base-rank element type
+/// (kernels::BaseRank) every sum is checked: a prefix or total that
+/// outgrows T throws ContractError.
 template <typename T, typename A>
-PrsAlgorithm prefix_reduction_sum(sim::Machine& m, const Group& g,
-                                  PrsAlgorithm alg,
-                                  std::vector<std::vector<T, A>>& prefix,
-                                  std::vector<std::vector<T, A>>& total,
-                                  sim::Category cat = sim::Category::kPrs) {
+PrsAlgorithm prefix_reduction_sum(
+    sim::Machine& m, const Group& g, PrsAlgorithm alg,
+    std::vector<std::vector<T, A>>& prefix,
+    std::vector<std::vector<T, A>>& total,
+    sim::Category cat = sim::Category::kPrs,
+    std::span<const std::uint8_t> round_bits = {}) {
   const int G = g.size();
   const std::size_t M = prefix[static_cast<std::size_t>(g.rank_at(0))].size();
   for (int i = 0; i < G; ++i) {
@@ -461,11 +522,14 @@ PrsAlgorithm prefix_reduction_sum(sim::Machine& m, const Group& g,
     return PrsAlgorithm::kDirect;
   }
 
-  const PrsAlgorithm chosen = resolve_prs(alg, G, M, sizeof(T), m.cost());
+  PUP_REQUIRE(round_bits.empty() || kernels::BaseRank<T>,
+              "only base ranks pack a PRS round below their width");
+  const PrsAlgorithm chosen =
+      resolve_prs(alg, G, M, sizeof(T), m.cost(), round_bits);
   switch (chosen) {
     case PrsAlgorithm::kDirect:
       if (detail::is_pow2(G)) {
-        detail::prs_direct_pow2(m, g, prefix, total, cat);
+        detail::prs_direct_pow2(m, g, prefix, total, cat, round_bits);
       } else {
         detail::prs_direct_general(m, g, prefix, total, cat);
       }

@@ -17,7 +17,8 @@
 //     the paper's collectives are globally scheduled, so a standalone ack
 //     frame would add a tau startup per message and break the "reliability
 //     is free when the network is clean" property that
-//     bench/fault_overhead.cpp asserts.
+//     ReliableTransport.ZeroFaultPathIsDigestIdenticalToBaseline
+//     (tests/reliable_transport_test.cpp) asserts.
 //   * Bounded retry with exponential backoff.  A receiver that cannot
 //     produce the next expected frame charges itself a timeout
 //     (timeout_factor * tau, doubling per attempt), posts a NAK

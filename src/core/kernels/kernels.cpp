@@ -148,8 +148,62 @@ template <typename U>
   __builtin_unreachable();
 }
 
-// The scalar reference fold: each sum checked (below int64) as it is
-// stored, so the first one that wraps throws.
+// --- packed PRS rounds -------------------------------------------------------
+
+// Round widths take one slot each, log2 of the bits: 1, 2, 4, 8, 16, 32
+// and 64 bits; U's row stops at 8 sizeof(U).
+constexpr std::size_t kRoundSlots = 7;
+template <typename U>
+constexpr std::size_t kRoundSlotsOf = std::countr_zero(8 * sizeof(U)) + 1;
+
+void require_round_bits(unsigned bits, std::size_t elem_bytes) {
+  PUP_REQUIRE(bits != 0 && (bits & (bits - 1)) == 0 && bits <= 64,
+              "a PRS round width must be 1, 2, 4, 8, 16, 32 or 64 bits, not "
+                  << bits);
+  PUP_REQUIRE(bits <= 8 * elem_bytes,
+              "a " << bits << "-bit PRS round does not fit the " << elem_bytes
+                   << "-byte wire width");
+}
+
+template <typename U>
+inline bool fits_round(U v, unsigned bits) {
+  return bits >= 64 || (static_cast<std::uint64_t>(v) >> bits) == 0;
+}
+
+// An entry of src[0, n) does not fit its round: name the first.  Out of
+// line, off the pack loops' hot path.
+template <typename U>
+[[noreturn, gnu::cold, gnu::noinline]] void round_overflow(const U* src,
+                                                           std::size_t n,
+                                                           unsigned bits) {
+  std::size_t e = 0;
+  while (e < n && fits_round(src[e], bits)) ++e;
+  PUP_REQUIRE(false, "PRS entry "
+                         << (e < n ? static_cast<std::int64_t>(src[e]) : 0)
+                         << " at index " << e << " does not fit its " << bits
+                         << "-bit round");
+  __builtin_unreachable();
+}
+
+[[noreturn, gnu::cold, gnu::noinline]] void packed_sum_overflow(
+    std::size_t e, std::size_t elem_bytes) {
+  PUP_REQUIRE(false, "base-rank sum at entry " << e << " does not fit the "
+                                               << elem_bytes
+                                               << "-byte wire width");
+  __builtin_unreachable();
+}
+
+// The e-th bits-bit entry of a packed stream.
+inline std::uint64_t load_packed(const std::byte* src, std::size_t e,
+                                 unsigned bits) {
+  if (bits >= 8) return load_wire(src, e, bits / 8);
+  const std::size_t bit = e * bits;
+  return (std::to_integer<std::uint64_t>(src[bit / 8]) >> (bit % 8)) &
+         ((std::uint64_t{1} << bits) - 1);
+}
+
+// The scalar reference fold at U's own width: each sum checked (below
+// int64) as it is stored, so the first one that wraps throws.
 template <typename U, bool kTwo>
 void add_entries(U* dst, U* dst2, const std::byte* src, std::size_t n) {
   for (std::size_t e = 0; e < n; ++e) {
@@ -236,13 +290,43 @@ std::size_t segmented_prefix_fold_gather(const U* rs, const U* ps,
 }
 
 template <BaseRank U>
-void add_from_bytes(U* dst, const std::byte* src, std::size_t n) {
-  add_entries<U, false>(dst, nullptr, src, n);
+void pack_bits(const U* src, std::size_t n, unsigned bits, std::byte* out) {
+  require_round_bits(bits, sizeof(U));
+  if (bits < 8 && n != 0) std::memset(out, 0, packed_bytes(n, bits));
+  for (std::size_t e = 0; e < n; ++e) {
+    if (!fits_round(src[e], bits)) round_overflow(src, n, bits);
+    const auto v = static_cast<std::uint64_t>(src[e]);
+    if (bits >= 8) {
+      store_wire(out, e, bits / 8, v);
+    } else {
+      const std::size_t bit = e * bits;
+      out[bit / 8] |= static_cast<std::byte>(v << (bit % 8));
+    }
+  }
 }
 
 template <BaseRank U>
-void add_from_bytes(U* dst, U* dst2, const std::byte* src, std::size_t n) {
-  add_entries<U, true>(dst, dst2, src, n);
+void unpack_bits(const std::byte* src, std::size_t n, unsigned bits, U* out) {
+  require_round_bits(bits, sizeof(U));
+  for (std::size_t e = 0; e < n; ++e) {
+    out[e] = static_cast<U>(load_packed(src, e, bits));
+  }
+}
+
+template <BaseRank U>
+void add_packed(U* dst, U* dst2, const std::byte* src, std::size_t n,
+                unsigned bits) {
+  require_round_bits(bits, sizeof(U));
+  if (bits == 8 * sizeof(U)) {
+    if (dst2 != nullptr) return add_entries<U, true>(dst, dst2, src, n);
+    return add_entries<U, false>(dst, nullptr, src, n);
+  }
+  for (std::size_t e = 0; e < n; ++e) {
+    const auto v = static_cast<U>(load_packed(src, e, bits));
+    bool over = __builtin_add_overflow(dst[e], v, &dst[e]);
+    if (dst2 != nullptr) over |= __builtin_add_overflow(dst2[e], v, &dst2[e]);
+    if (std::is_unsigned_v<U> && over) packed_sum_overflow(e, sizeof(U));
+  }
 }
 
 // The definitions entry by entry: each value is checked before it is
@@ -682,6 +766,164 @@ void index_gather_generic(const std::byte* index, std::size_t n,
   }
 }
 
+// --- packed PRS rounds -------------------------------------------------------
+//
+// Below a byte, eight entries of B bits are one B-byte word: SWAR moves
+// them between their packed bits and one byte each (uint8 base ranks, or
+// the low bytes of wider ones).  Whole-byte widths below U narrow or widen
+// entry by entry; at U's own width the payload is U's bytes.
+
+// Eight B-bit entries, the low 8 B bits of x, one per byte.
+template <unsigned B>
+inline std::uint64_t spread8(std::uint64_t x) {
+  if constexpr (B == 1) {
+    // Byte k keeps bit k of the replicated byte; nonzero bytes become 1.
+    x = ((x & 0xff) * 0x0101010101010101ULL) & 0x8040201008040201ULL;
+    return (~zero_byte_flags(x) & kHigh) >> 7;
+  } else if constexpr (B == 2) {
+    x &= 0xffff;
+    x = (x | x << 24) & 0x000000ff000000ffULL;
+    x = (x | x << 12) & 0x000f000f000f000fULL;
+    return (x | x << 6) & 0x0303030303030303ULL;
+  } else {
+    static_assert(B == 4);
+    x &= 0xffffffffULL;
+    x = (x | x << 16) & 0x0000ffff0000ffffULL;
+    x = (x | x << 8) & 0x00ff00ff00ff00ffULL;
+    return (x | x << 4) & 0x0f0f0f0f0f0f0f0fULL;
+  }
+}
+
+// The inverse: eight bytes, each below 2^B, packed into the low 8 B bits.
+template <unsigned B>
+inline std::uint64_t pack8(std::uint64_t x) {
+  if constexpr (B == 1) {
+    return (x * 0x0102040810204080ULL) >> 56;
+  } else if constexpr (B == 2) {
+    x = (x | x >> 6) & 0x000f000f000f000fULL;
+    x = (x | x >> 12) & 0x000000ff000000ffULL;
+    return (x | x >> 24) & 0xffff;
+  } else {
+    static_assert(B == 4);
+    x = (x | x >> 4) & 0x00ff00ff00ff00ffULL;
+    x = (x | x >> 8) & 0x0000ffff0000ffffULL;
+    return (x | x >> 16) & 0xffffffffULL;
+  }
+}
+
+// Eight entries' low bytes, one per byte of the result; `seen` collects
+// the OR of the whole entries for the range check.
+template <typename U>
+inline std::uint64_t low_bytes8(const U* p, std::size_t count,
+                                std::uint64_t& seen) {
+  std::uint64_t x = 0;
+  if constexpr (sizeof(U) == 1) {
+    if (count == 8) {
+      x = load_u64(p);
+      seen |= x;
+      return x;
+    }
+  }
+  for (std::size_t k = 0; k < count; ++k) {
+    const auto v = static_cast<std::uint64_t>(p[k]);
+    seen |= v;
+    x |= (v & 0xff) << (8 * k);
+  }
+  return x;
+}
+
+template <typename U, unsigned B>
+void pack_generic(const U* src, std::size_t n, std::byte* out) {
+  if constexpr (B == 8 * sizeof(U)) {
+    if (n != 0) std::memcpy(out, src, n * sizeof(U));
+  } else if constexpr (B >= 8) {
+    std::uint64_t seen = 0;
+    for (std::size_t e = 0; e < n; ++e) {
+      const auto v = static_cast<std::uint64_t>(src[e]);
+      seen |= v;
+      std::memcpy(out + e * (B / 8), &v, B / 8);
+    }
+    if ((seen >> B) != 0) round_overflow(src, n, B);
+  } else {
+    std::uint64_t seen = 0;
+    std::size_t e = 0;
+    for (; e + 8 <= n; e += 8) {
+      const std::uint64_t w = pack8<B>(low_bytes8(src + e, 8, seen));
+      std::memcpy(out + e * B / 8, &w, B);
+    }
+    if (e < n) {
+      const std::uint64_t w = pack8<B>(low_bytes8(src + e, n - e, seen));
+      std::memcpy(out + e * B / 8, &w, packed_bytes(n - e, B));
+    }
+    // uint8 gathers eight entries per word of seen; wider U one.
+    constexpr std::uint64_t kFits =
+        sizeof(U) == 1 ? 0x0101010101010101ULL * ((1U << B) - 1)
+                       : (1U << B) - 1;
+    if ((seen & ~kFits) != 0) round_overflow(src, n, B);
+  }
+}
+
+template <typename U, unsigned B>
+void unpack_generic(const std::byte* src, std::size_t n, U* out) {
+  if constexpr (B == 8 * sizeof(U)) {
+    if (n != 0) std::memcpy(out, src, n * sizeof(U));
+  } else if constexpr (B >= 8) {
+    for (std::size_t e = 0; e < n; ++e) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, src + e * (B / 8), B / 8);
+      out[e] = static_cast<U>(v);
+    }
+  } else {
+    std::size_t e = 0;
+    for (; e + 8 <= n; e += 8) {
+      std::uint64_t x = 0;
+      std::memcpy(&x, src + e * B / 8, B);
+      const std::uint64_t y = spread8<B>(x);
+      if constexpr (sizeof(U) == 1) {
+        std::memcpy(out + e, &y, 8);
+      } else {
+        for (std::size_t k = 0; k < 8; ++k) {
+          out[e + k] = static_cast<U>((y >> (8 * k)) & 0xff);
+        }
+      }
+    }
+    if (e < n) {
+      std::uint64_t x = 0;
+      std::memcpy(&x, src + e * B / 8, packed_bytes(n - e, B));
+      const std::uint64_t y = spread8<B>(x);
+      for (std::size_t k = 0; e + k < n; ++k) {
+        out[e + k] = static_cast<U>((y >> (8 * k)) & 0xff);
+      }
+    }
+  }
+}
+
+// Below U's width the payload is unpacked a chunk at a time into a stack
+// buffer that the checked vector fold then adds where it lies.
+template <typename U, unsigned B>
+void add_packed_generic(U* dst, U* dst2, const std::byte* src,
+                        std::size_t n) {
+  auto add = [&](U* d, U* d2, const std::byte* s, std::size_t m) {
+    if (d2 != nullptr) {
+      add_generic<U, true>(d, d2, s, m);
+    } else {
+      add_generic<U, false>(d, nullptr, s, m);
+    }
+  };
+  if constexpr (B == 8 * sizeof(U)) {
+    add(dst, dst2, src, n);
+  } else {
+    constexpr std::size_t kChunk = 256;
+    U tmp[kChunk];
+    for (std::size_t e = 0; e < n; e += kChunk) {
+      const std::size_t m = n - e < kChunk ? n - e : kChunk;
+      unpack_generic<U, B>(src + e * B / 8, m, tmp);
+      add(dst + e, dst2 == nullptr ? nullptr : dst2 + e,
+          reinterpret_cast<const std::byte*>(tmp), m);
+    }
+  }
+}
+
 // --- dispatch tables ------------------------------------------------------
 
 // SWAR flags at uint8: eight mask bytes become eight 0/1 bytes per word,
@@ -708,12 +950,9 @@ std::int64_t mask_flags_swar(const std::uint8_t* mask, std::size_t n,
 constexpr std::size_t kSlots = 5;
 constexpr std::size_t kWireSlots = 4;
 
-// The base-rank kernels at one width.  The two folds share one signature;
-// the one-destination fold ignores dst2.
+// The base-rank kernels at one width.
 template <typename U>
 struct RankKernels {
-  using Fold = void (*)(U*, U*, const std::byte*, std::size_t);
-
   std::int64_t (*mask_flags)(const std::uint8_t*, std::size_t, U*);
   void (*segment_sums)(const U*, std::size_t, std::size_t, std::int64_t*);
   void (*segmented_prefix_fold)(const U*, const U*, std::size_t, std::size_t,
@@ -723,8 +962,12 @@ struct RankKernels {
                                               const std::int64_t*,
                                               const std::uint8_t*,
                                               std::int64_t*);
-  Fold add;
-  Fold add2;
+  // The PRS rounds, one slot per round width up to U's (kRoundSlotsOf<U>);
+  // the fold's dst2 may be null.
+  void (*pack[kRoundSlots])(const U*, std::size_t, std::byte*) = {};
+  void (*unpack[kRoundSlots])(const std::byte*, std::size_t, U*) = {};
+  void (*add_packed[kRoundSlots])(U*, U*, const std::byte*,
+                                  std::size_t) = {};
 };
 
 // The kernels of one Path.  A null slot -- every width slot of the scalar
@@ -768,8 +1011,6 @@ constexpr RankKernels<U> scalar_ranks() {
       .segment_sums = scalar::segment_sums<U>,
       .segmented_prefix_fold = scalar::segmented_prefix_fold<U>,
       .segmented_prefix_fold_gather = scalar::segmented_prefix_fold_gather<U>,
-      .add = add_entries<U, false>,
-      .add2 = add_entries<U, true>,
   };
 }
 
@@ -805,10 +1046,13 @@ constexpr RankKernels<U> generic_ranks() {
       .segmented_prefix_fold = Build<segmented_prefix_fold_unrolled<U>>::run,
       .segmented_prefix_fold_gather =
           Build<segmented_prefix_fold_gather_unrolled<U>>::run,
-      .add = Build<add_generic<U, false>>::run,
-      .add2 = Build<add_generic<U, true>>::run,
   };
   if constexpr (sizeof(U) == 1) r.mask_flags = Build<mask_flags_swar>::run;
+  [&]<std::size_t... S>(std::index_sequence<S...>) {
+    ((r.pack[S] = Build<pack_generic<U, 1U << S>>::run), ...);
+    ((r.unpack[S] = Build<unpack_generic<U, 1U << S>>::run), ...);
+    ((r.add_packed[S] = Build<add_packed_generic<U, 1U << S>>::run), ...);
+  }(std::make_index_sequence<kRoundSlotsOf<U>>{});
   return r;
 }
 
@@ -1203,6 +1447,47 @@ template <typename U>
       x, _mm256_blend_epi32(_mm256_setzero_si256(), low_total, 0xf0));
 }
 
+// segmented_prefix_fold eight lanes per step for uint8 and uint16 entries:
+// PS_i[e] plus the in-step exclusive prefix is exact in 32 bits (at most
+// 8 * 65535), so the step is scanned in 32-bit lanes and only widened to
+// int64, and offset by the running sum, as it is stored.
+template <typename U>
+[[gnu::target("avx2")]] void segmented_prefix_fold8(
+    const U* rs, const U* ps, std::size_t n, std::size_t seg_len,
+    const std::int64_t* seg_add, std::int64_t* out) {
+  PUP_REQUIRE(seg_len >= 1, "segment length must be positive");
+  const __m256i last = _mm256_set1_epi32(7);
+  for (std::size_t s = 0, g = 0; s < n; s += seg_len, ++g) {
+    const std::size_t end = s + seg_len < n ? s + seg_len : n;
+    __m256i running = _mm256_set1_epi64x(seg_add[g]);
+    std::size_t e = s;
+    for (; e + 8 <= end; e += 8) {
+      const __m256i x = load8(rs + e);
+      const __m256i inc = inclusive_scan8(x);
+      const __m256i part =
+          _mm256_add_epi32(load8(ps + e), _mm256_sub_epi32(inc, x));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(out + e),
+          _mm256_add_epi64(_mm256_cvtepu32_epi64(_mm256_castsi256_si128(part)),
+                           running));
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(out + e + 4),
+          _mm256_add_epi64(
+              _mm256_cvtepu32_epi64(_mm256_extracti128_si256(part, 1)),
+              running));
+      // The step's total, lane 7, zero-extended into every int64 lane.
+      running = _mm256_add_epi64(
+          running,
+          _mm256_srli_epi64(_mm256_permutevar8x32_epi32(inc, last), 32));
+    }
+    std::int64_t carry = _mm256_extract_epi64(running, 0);
+    for (; e < end; ++e) {
+      out[e] = static_cast<std::int64_t>(ps[e]) + carry;
+      carry += rs[e];
+    }
+  }
+}
+
 // segmented_prefix_fold's four-lane fold, then a left-pack of the selected
 // lanes (the 4-byte mask word widened to a lane-selection nibble) stored
 // whole at out + k.  uint8 and uint16 entries go eight lanes per step
@@ -1380,16 +1665,154 @@ template <std::size_t W>
   return k;
 }
 
+// The pack and fold of uint8 base ranks at B = 1 or 2 bits (a W_0 = 1
+// level's two rounds on four members), 32 entries (4 B payload bytes) per
+// step; wider rounds, and the first round's copy, take the generic source
+// rebuilt for AVX2, which measured as fast end to end.  The pack checks
+// every entry once, by OR-ing them into one vector whose bits at and
+// above B must stay clear; the fold's add wrapped exactly where the
+// saturating add differs.  Tails shorter than a step go entry by entry.
+
+// Lane k of the result holds entry k of the 32 packed at src.
+template <unsigned B>
+[[gnu::target("avx2")]] inline __m256i spread32(const std::byte* src) {
+  if constexpr (B == 1) {
+    // Byte k/8 of the word into lane k, which keeps bit k % 8.
+    std::uint32_t w;
+    std::memcpy(&w, src, sizeof(w));
+    const __m256i rep = _mm256_shuffle_epi8(
+        _mm256_set1_epi32(static_cast<int>(w)),
+        _mm256_setr_epi8(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2,
+                         2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3));
+    return _mm256_min_epu8(
+        _mm256_and_si256(rep, _mm256_set1_epi64x(0x8040201008040201LL)),
+        _mm256_set1_epi8(1));
+  } else {
+    static_assert(B == 2);
+    // Byte k/4 into lane k, which keeps its field k % 4; a nibble lookup
+    // shifts the field down (0-3 stay, 4/8/12 become 1/2/3), from the low
+    // nibble for fields 0-1 and the high one for fields 2-3.
+    std::uint64_t q;
+    std::memcpy(&q, src, sizeof(q));
+    const __m256i rep = _mm256_shuffle_epi8(
+        _mm256_set1_epi64x(static_cast<long long>(q)),
+        _mm256_setr_epi8(0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4,
+                         4, 4, 5, 5, 5, 5, 6, 6, 6, 6, 7, 7, 7, 7));
+    const __m256i field = _mm256_and_si256(
+        rep, _mm256_set1_epi32(static_cast<int>(0xc0300c03U)));
+    const __m256i lut = _mm256_setr_epi8(0, 1, 2, 3, 1, 0, 0, 0, 2, 0, 0, 0,
+                                         3, 0, 0, 0, 0, 1, 2, 3, 1, 0, 0, 0,
+                                         2, 0, 0, 0, 3, 0, 0, 0);
+    const __m256i nib = _mm256_set1_epi8(0x0f);
+    return _mm256_or_si256(
+        _mm256_shuffle_epi8(lut, _mm256_and_si256(field, nib)),
+        _mm256_shuffle_epi8(
+            lut, _mm256_and_si256(_mm256_srli_epi16(field, 4), nib)));
+  }
+}
+
+template <unsigned B>
+[[gnu::target("avx2")]] void pack_u8(const std::uint8_t* src, std::size_t n,
+                                     std::byte* out) {
+  __m256i seen = _mm256_setzero_si256();
+  std::size_t e = 0;
+  for (; e + 32 <= n; e += 32) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + e));
+    seen = _mm256_or_si256(seen, v);
+    std::byte* to = out + e * B / 8;
+    if constexpr (B == 1) {
+      // Each flag to its byte's top bit, and one movemask packs them.
+      const auto bits = static_cast<std::uint32_t>(
+          _mm256_movemask_epi8(_mm256_slli_epi16(v, 7)));
+      std::memcpy(to, &bits, sizeof(bits));
+    } else {
+      static_assert(B == 2);
+      // Pairs, then pairs of pairs, into one byte per dword.
+      const __m256i quads = _mm256_madd_epi16(
+          _mm256_maddubs_epi16(v, _mm256_set1_epi16(0x0401)),
+          _mm256_set1_epi32(0x00100001));
+      const __m256i bytes = _mm256_shuffle_epi8(
+          quads, _mm256_setr_epi8(0, 4, 8, 12, -1, -1, -1, -1, -1, -1, -1, -1,
+                                  -1, -1, -1, -1, 0, 4, 8, 12, -1, -1, -1, -1,
+                                  -1, -1, -1, -1, -1, -1, -1, -1));
+      const auto lo = static_cast<std::uint32_t>(_mm256_cvtsi256_si32(bytes));
+      const auto hi =
+          static_cast<std::uint32_t>(_mm256_extract_epi32(bytes, 4));
+      std::memcpy(to, &lo, sizeof(lo));
+      std::memcpy(to + 4, &hi, sizeof(hi));
+    }
+  }
+  const auto high = static_cast<char>(0xff << B);
+  bool bad = _mm256_testz_si256(seen, _mm256_set1_epi8(high)) == 0;
+  if (e < n) {
+    std::byte* tail = out + e * B / 8;
+    std::memset(tail, 0, packed_bytes(n - e, B));
+    for (std::size_t k = e; k < n; ++k) {
+      bad |= (src[k] >> B) != 0;
+      const std::size_t bit = (k - e) * B;
+      tail[bit / 8] |=
+          static_cast<std::byte>((src[k] & ((1U << B) - 1)) << (bit % 8));
+    }
+  }
+  if (bad) round_overflow(src, n, B);
+}
+
+// d[0, 32) += v, the lanes that wrapped flagged in `wrapped`.
+[[gnu::target("avx2")]] inline void add32(std::uint8_t* d, __m256i v,
+                                          __m256i& wrapped) {
+  const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d));
+  const __m256i sum = _mm256_add_epi8(x, v);
+  wrapped =
+      _mm256_or_si256(wrapped, _mm256_xor_si256(sum, _mm256_adds_epu8(x, v)));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(d), sum);
+}
+
+template <unsigned B>
+[[gnu::target("avx2")]] void add_packed_u8(std::uint8_t* dst,
+                                           std::uint8_t* dst2,
+                                           const std::byte* src,
+                                           std::size_t n) {
+  __m256i wrapped = _mm256_setzero_si256();
+  std::size_t e = 0;
+  for (; e + 32 <= n; e += 32) {
+    const __m256i v = spread32<B>(src + e * B / 8);
+    add32(dst + e, v, wrapped);
+    if (dst2 != nullptr) add32(dst2 + e, v, wrapped);
+  }
+  if (_mm256_testz_si256(wrapped, wrapped) == 0) {
+    packed_sum_overflow(e, sizeof(std::uint8_t));
+  }
+  if (e < n) {
+    add_packed_generic<std::uint8_t, B>(
+        dst + e, dst2 == nullptr ? nullptr : dst2 + e, src + e * B / 8,
+        n - e);
+  }
+}
+
 // The base-rank kernels at width U: the generic source rebuilt for AVX2
-// (the payload folds), with the hand-written flags, scans and sums above.
+// (the payload folds and packed rounds), with the hand-written flags,
+// scans and sums above.
 template <typename U>
 constexpr RankKernels<U> avx2_ranks() {
   RankKernels<U> r = generic_ranks<Build, U>();
+  if constexpr (sizeof(U) == 1) {
+    [&]<std::size_t... S>(std::index_sequence<S...>) {
+      ((r.pack[S] = pack_u8<1U << S>), ...);
+      ((r.add_packed[S] = add_packed_u8<1U << S>), ...);
+    }(std::make_index_sequence<2>{});
+  }
   if constexpr (sizeof(U) == 1 || sizeof(U) == 8) {
     r.mask_flags = mask_flags<U>;
   }
   r.segment_sums = segment_sums<U>;
-  r.segmented_prefix_fold = segmented_prefix_fold<U>;
+  // uint8 and uint16 scan eight 32-bit lanes; uint32 and int64 four int64
+  // lanes, which measured faster there than the generic rebuild.
+  if constexpr (sizeof(U) <= 2) {
+    r.segmented_prefix_fold = segmented_prefix_fold8<U>;
+  } else {
+    r.segmented_prefix_fold = segmented_prefix_fold<U>;
+  }
   r.segmented_prefix_fold_gather = segmented_prefix_fold_gather<U>;
   return r;
 }
@@ -1585,13 +2008,31 @@ std::size_t segmented_prefix_fold_gather(const U* rs, const U* ps,
 }
 
 template <BaseRank U>
-void add_from_bytes(U* dst, const std::byte* src, std::size_t n) {
-  ranks<U>().add(dst, nullptr, src, n);
+void pack_bits(const U* src, std::size_t n, unsigned bits, std::byte* out) {
+  require_round_bits(bits, sizeof(U));
+  if (const auto f = ranks<U>().pack[std::countr_zero(bits)]) {
+    return f(src, n, out);
+  }
+  scalar::pack_bits(src, n, bits, out);
 }
 
 template <BaseRank U>
-void add_from_bytes(U* dst, U* dst2, const std::byte* src, std::size_t n) {
-  ranks<U>().add2(dst, dst2, src, n);
+void unpack_bits(const std::byte* src, std::size_t n, unsigned bits, U* out) {
+  require_round_bits(bits, sizeof(U));
+  if (const auto f = ranks<U>().unpack[std::countr_zero(bits)]) {
+    return f(src, n, out);
+  }
+  scalar::unpack_bits(src, n, bits, out);
+}
+
+template <BaseRank U>
+void add_packed(U* dst, U* dst2, const std::byte* src, std::size_t n,
+                unsigned bits) {
+  require_round_bits(bits, sizeof(U));
+  if (const auto f = ranks<U>().add_packed[std::countr_zero(bits)]) {
+    return f(dst, dst2, src, n);
+  }
+  scalar::add_packed(dst, dst2, src, n, bits);
 }
 
 std::size_t prefix_in_range(const std::int64_t* v, std::size_t n,
@@ -1667,8 +2108,11 @@ void index_gather_bytes(const std::byte* index, std::size_t n,
   template std::size_t NS segmented_prefix_fold_gather<U>(                  \
       const U*, const U*, std::size_t, std::size_t, const std::int64_t*,    \
       const std::uint8_t*, std::int64_t*);                                  \
-  template void NS add_from_bytes<U>(U*, const std::byte*, std::size_t);    \
-  template void NS add_from_bytes<U>(U*, U*, const std::byte*, std::size_t);
+  template void NS pack_bits<U>(const U*, std::size_t, unsigned, std::byte*); \
+  template void NS unpack_bits<U>(const std::byte*, std::size_t, unsigned,  \
+                                  U*);                                      \
+  template void NS add_packed<U>(U*, U*, const std::byte*, std::size_t,     \
+                                 unsigned);
 #define PUP_BASE_RANK_KERNELS_BOTH(U)                                        \
   PUP_BASE_RANK_KERNELS(pup::kernels::, U)                                  \
   PUP_BASE_RANK_KERNELS(pup::kernels::scalar::, U)

@@ -14,9 +14,12 @@
 //   * segmented_prefix_fold_gather -- that final fold at level 0 of a
 //     W_0 = 1 counting scan, fused with the gather of PS_f under the mask:
 //     only the selected elements' ranks are kept, compacted;
-//   * add_from_bytes -- a PRS round's fold of a received payload of base
-//     ranks into one or two accumulators of the same width, read where it
-//     lies (unaligned loads from the message bytes), checked below int64;
+//   * add_packed -- a PRS round's fold of a received payload of base
+//     ranks into one or two accumulators, read where it lies (unaligned
+//     loads from the message bytes), checked below int64: entries at the
+//     accumulator's own width, or packed down to the round's bits;
+//   * pack_bits / unpack_bits -- a direct PRS round sent at its own bit
+//     width: the checked compose, and the first round's copy;
 //   * narrow_to_bytes -- UNPACK's requests (and the ranking's level seeds)
 //     narrowed from int64 onto a 1-, 2-, 4- or 8-byte wire, checked;
 //   * prefix_in_range -- UNPACK's request runs: how far a scan-ordered
@@ -171,21 +174,47 @@ std::size_t segmented_prefix_fold_gather(const U* rs, const U* ps,
                                          const std::uint8_t* mask,
                                          std::int64_t* out);
 
-/// dst[e] += the e-th sizeof(U)-byte entry of src, for e < n: a PRS round
-/// folds a received payload where it lies.  src carries no alignment
-/// guarantee and never overlaps dst.  Below int64 the add is checked: a sum
-/// that does not fit U (a schedule that misstates the level's width)
-/// throws ContractError, naming the entry and the width, instead of
-/// wrapping; dst's contents are then unspecified.  int64 sums are
-/// unchecked: counts of elements never approach 2^63.
-template <BaseRank U>
-void add_from_bytes(U* dst, const std::byte* src, std::size_t n);
+// --- packed PRS rounds -------------------------------------------------------
+//
+// A direct PRS round sends subcube totals, which its schedule bounds more
+// tightly than the level: it packs each entry at the round's own width,
+// `bits` in {1, 2, 4, 8, 16, 32, 64} and at most 8 sizeof(U).  Entry e
+// occupies bits [e bits, (e + 1) bits) of the payload, least significant
+// first (a byte entry is its value's low bytes, little-endian); the unused
+// bits of a final partial byte are zero.  A width outside the set, or
+// wider than U, throws ContractError.
 
-/// add_from_bytes into two destinations in one pass over src: the PRS
-/// round that joins a lower partner's subcube updates both the prefix and
-/// the total.  dst and dst2 must not overlap.
+/// Payload bytes of n entries packed at `bits` bits each.
+constexpr std::size_t packed_bytes(std::size_t n, unsigned bits) {
+  return (n * bits + 7) / 8;
+}
+
+/// Packs src[0, n) at `bits` bits into out (packed_bytes(n, bits) bytes,
+/// no alignment guarantee).  An entry that does not fit its round -- at or
+/// past 2^bits, or negative -- throws ContractError, naming the entry and
+/// the width; out's contents are then unspecified.
 template <BaseRank U>
-void add_from_bytes(U* dst, U* dst2, const std::byte* src, std::size_t n);
+void pack_bits(const U* src, std::size_t n, unsigned bits, std::byte* out);
+
+/// out[e] = the e-th `bits`-bit entry of src, for e < n: the first round's
+/// copy of a lower partner's payload into the prefix.
+template <BaseRank U>
+void unpack_bits(const std::byte* src, std::size_t n, unsigned bits, U* out);
+
+/// dst[e] (and dst2[e] when dst2 is not null) += the e-th `bits`-bit entry
+/// of src, for e < n: a PRS round folds a received payload where it lies,
+/// the round that joins a lower partner's subcube into both the prefix
+/// and the total.  At bits = 8 sizeof(U) the payload is U's own bytes, as
+/// every PRS but the packed direct rounds sends it.  src carries no
+/// alignment guarantee and overlaps neither destination; dst and dst2 do
+/// not overlap.  Below int64 the add is checked: a sum that does not fit
+/// U (a schedule that misstates the level's width) throws ContractError,
+/// naming the width, instead of wrapping; the destinations' contents are
+/// then unspecified.  int64 sums are unchecked: counts of elements never
+/// approach 2^63.
+template <BaseRank U>
+void add_packed(U* dst, U* dst2, const std::byte* src, std::size_t n,
+                unsigned bits);
 
 // --- narrow wire entries ----------------------------------------------------
 //
@@ -235,10 +264,6 @@ std::size_t segmented_prefix_fold_gather(const U* rs, const U* ps,
                                          const std::int64_t* seg_add,
                                          const std::uint8_t* mask,
                                          std::int64_t* out);
-template <BaseRank U>
-void add_from_bytes(U* dst, const std::byte* src, std::size_t n);
-template <BaseRank U>
-void add_from_bytes(U* dst, U* dst2, const std::byte* src, std::size_t n);
 void narrow_to_bytes(const std::int64_t* src, std::size_t n,
                      std::size_t width, std::byte* out,
                      std::int64_t bias = 0);
@@ -269,6 +294,15 @@ std::size_t merge(const std::uint8_t* mask, const std::byte* src,
 void index_gather(const std::byte* index, std::size_t n,
                   std::size_t index_width, const std::byte* base,
                   std::size_t extent, std::size_t width, std::byte* out);
+
+/// Reference packed-round kernels, entry by entry.
+template <BaseRank U>
+void pack_bits(const U* src, std::size_t n, unsigned bits, std::byte* out);
+template <BaseRank U>
+void unpack_bits(const std::byte* src, std::size_t n, unsigned bits, U* out);
+template <BaseRank U>
+void add_packed(U* dst, U* dst2, const std::byte* src, std::size_t n,
+                unsigned bits);
 
 /// Reference run decode: one bounds check + one element copy per element,
 /// mirroring the historical per-element ByteReader::get<T> loop (the

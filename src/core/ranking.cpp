@@ -322,16 +322,23 @@ RankingSchedule compile_ranking_schedule(const dist::Distribution& dist,
     for (const auto& ranks : dist.grid().groups_along(i)) {
       step.groups.emplace_back(ranks);
     }
-    step.wire_bytes = width == coll::WireWidth::k64
-                          ? sizeof(std::int64_t)
-                          : wire_bytes_for(level_bound(dist, i));
+    const int G = dist.grid().extent(i);
+    if (width == coll::WireWidth::k64) {
+      step.wire_bytes = sizeof(std::int64_t);
+    } else {
+      // B_i = P_i * b_i, b_i the bound on one member's entries (B_i
+      // saturates only far past any count, where every round is 64 bits).
+      const std::int64_t bound = level_bound(dist, i);
+      step.wire_bytes = wire_bytes_for(bound);
+      step.round_bits = coll::direct_round_bits(G, bound / G);
+    }
     // Resolve the PRS algorithm now, with the single-request vector length
-    // at the step's wire width, so a batched execution runs the exact round
-    // structure the unbatched path would (fusing B requests must not flip
-    // the direct/split choice).
-    step.prs = coll::resolve_prs(prs, dist.grid().extent(i),
+    // at the step's wire and round widths, so a batched execution runs the
+    // exact round structure the unbatched path would (fusing B requests
+    // must not flip the direct/split choice).
+    step.prs = coll::resolve_prs(prs, G,
                                  static_cast<std::size_t>(step.level_size),
-                                 step.wire_bytes, cost);
+                                 step.wire_bytes, cost, step.round_bits);
   }
   s.slices = s.steps[0].level_size;  // C = T_0 * prod_{k>=1} L_k
   g_schedules_compiled.fetch_add(1, std::memory_order_relaxed);
@@ -425,7 +432,8 @@ std::vector<RankingResult> rank_masks(
       }
       for (const coll::Group& group : step.groups) {
         coll::prefix_reduction_sum(machine, group, step.prs, prefix_bufs,
-                                   total_bufs, sim::Category::kPrs);
+                                   total_bufs, sim::Category::kPrs,
+                                   step.round_bits);
       }
       for (int rank = 0; rank < P; ++rank) {
         auto& prefix = prefix_bufs[static_cast<std::size_t>(rank)];

@@ -74,6 +74,13 @@ struct RankingStep {
   /// picks the narrowest unsigned width that holds it, k64 always 8.  A
   /// width too narrow for the level's sums throws ContractError.
   std::size_t wire_bytes = sizeof(std::int64_t);
+  /// Under WireWidth::kAuto with a power-of-two P_i > 1, the bits per
+  /// entry of each direct PRS round (coll::direct_round_bits): round k's
+  /// subcube totals are at most 2^k * level_bound(dist, i) / P_i.  The
+  /// direct algorithm sends round k at round_bits[k]; split and the
+  /// control network ignore them.  Empty otherwise: every round at
+  /// wire_bytes, as the paper's int64 wire (k64) sends it.
+  std::vector<std::uint8_t> round_bits;
 };
 
 /// Everything about the ranking algorithm that depends only on the mask's

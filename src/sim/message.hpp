@@ -38,7 +38,7 @@ struct Message {
   // the sender (to_payload, or a ByteWriter) and every hand-off after that
   // -- post, mailbox enqueue, epoch bookkeeping, receive -- moves it.  The
   // receiver consumes the bytes where they lie: folds read them in place
-  // (kernels::add_from_bytes), and decodes copy each element once, straight
+  // (kernels::add_packed), and decodes copy each element once, straight
   // into its destination (read_payload, ByteReader).  Copies are legal
   // only at the explicitly intentional sites (fault-injected duplicates,
   // epoch checkpoints, the reliable layer's retained_copies), all of which
@@ -137,7 +137,7 @@ std::vector<std::byte> to_payload(std::span<const T> values) {
 /// Copies a payload of whole T elements straight into `out`, resized to
 /// the element count: the receive side's one copy, with no intermediate
 /// vector.  Collectives that only fold a payload read it where it lies
-/// instead (kernels::add_from_bytes).
+/// instead (kernels::add_packed).
 template <typename T, typename A>
 void read_payload(std::span<const std::byte> bytes, std::vector<T, A>& out) {
   static_assert(std::is_trivially_copyable_v<T>,

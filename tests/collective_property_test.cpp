@@ -277,7 +277,7 @@ TEST_P(CollectiveProperty, BroadcastMatchesSerial) {
 
 TEST_P(CollectiveProperty, NonInt64VectorsFoldElementByElement) {
   // Only base-rank vectors (uint8, uint16, uint32, int64) take the
-  // add_from_bytes kernel; every other element type is memcpy'd out of the
+  // add_packed kernel; every other element type is memcpy'd out of the
   // payload one element at a time.
   const bool faulted = GetParam();
   for (const int g : {4, 5}) {

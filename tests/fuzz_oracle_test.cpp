@@ -11,6 +11,8 @@
 //   * a reference run of the same requests as a compiled plan on a
 //     sequential, fault-free machine on the automatic kernel path, proved
 //     by verify_plan and aligned with the proof by check_trace;
+//   * on the reference run, the ranking sends no more bytes than it would
+//     on the paper's int64 wire;
 //   * equal DigestRecorder digests for the two runs, since thread count,
 //     kernel path, entry point and a rollback must not change them.  Faults
 //     the reliable layer absorbs add traffic, so a faulted draw that never
@@ -280,6 +282,19 @@ struct PostCounter final : sim::MachineObserver {
   std::vector<std::int64_t> posts;
 };
 
+/// Bytes a plan's ranking stage puts on the wire: every block but the
+/// redistribution's many-to-many ones.
+std::size_t prs_bytes(const st::ExpandedPlan& e) {
+  std::size_t bytes = 0;
+  for (const st::BlockIR& block : e.schedule.blocks) {
+    if (block.name.starts_with("alltoallv")) continue;
+    for (const st::RoundIR& round : block.rounds) {
+      for (const st::Xfer& x : round.posts) bytes += x.bytes;
+    }
+  }
+  return bytes;
+}
+
 /// Pins a kernel path for one run, then returns to the automatic one.
 struct PathScope {
   explicit PathScope(std::optional<kernels::Path> p) { kernels::set_path(p); }
@@ -386,11 +401,24 @@ Reference run_reference(const Draw<T>& in) {
   std::vector<std::vector<T>> results;
   st::ExpandedPlan expanded;
   st::VerifyReport report;
+  // The ranking's bytes on either wire: packed rounds never send more than
+  // the paper's int64 wire.
+  std::size_t prs_at[2] = {};
   if (c.pack) {
     const auto plan = plan::compile_pack_plan(machine, in.d, sizeof(T),
                                               in.pack_opt, in.result_dist());
     report = st::verify_plan(plan, machine.cost(), in.masks.size());
     expanded = st::expand_pack_plan(plan, machine.cost(), in.masks.size());
+    for (const coll::WireWidth width :
+         {coll::WireWidth::kAuto, coll::WireWidth::k64}) {
+      PackOptions opt = in.pack_opt;
+      opt.wire_width = width;
+      prs_at[width == coll::WireWidth::k64] =
+          prs_bytes(st::expand_pack_plan(
+              plan::compile_pack_plan(machine, in.d, sizeof(T), opt,
+                                      in.result_dist()),
+              machine.cost(), in.masks.size()));
+    }
     for (auto& r : plan::pack_batch<T>(machine, plan, pointers(in.mask_arrays),
                                        pointers(in.arrays))) {
       results.push_back(r.vector.gather());
@@ -400,10 +428,19 @@ Reference run_reference(const Draw<T>& in) {
                                                 sizeof(T), in.unpack_opt);
     report = st::verify_plan(plan, machine.cost());
     expanded = st::expand_unpack_plan(plan, machine.cost());
+    for (const coll::WireWidth width :
+         {coll::WireWidth::kAuto, coll::WireWidth::k64}) {
+      UnpackOptions opt = in.unpack_opt;
+      opt.wire_width = width;
+      prs_at[width == coll::WireWidth::k64] = prs_bytes(st::expand_unpack_plan(
+          plan::compile_unpack_plan(machine, in.d, *in.vd, sizeof(T), opt),
+          machine.cost()));
+    }
     results.push_back(plan::unpack_with_plan<T>(machine, plan, in.vector,
                                                 in.mask_arrays[0], in.field)
                           .result.gather());
   }
+  EXPECT_LE(prs_at[0], prs_at[1]) << "ranking bytes, narrow vs int64 wire";
   machine.remove_observer(&schedule);
   machine.remove_observer(&counter);
   EXPECT_TRUE(report.ok()) << report.summary();

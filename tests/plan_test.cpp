@@ -159,13 +159,14 @@ TEST(PlanCache, HitSkipsRecompilationAndIsCounted) {
 
 TEST(PlanCache, MachinesWithDifferentCostModelsDoNotSharePlans) {
   // kAuto resolves each PRS under the compiling machine's cost model: a
-  // 1024-entry PRS over 8 members is direct under cm5 and split when
-  // start-ups are nearly free.  A cache shared by the two machines must
-  // hand each its own pick.
+  // 256-entry PRS over 8 members with blocks of 16 (rounds of one byte
+  // per entry, 768 bytes in all, against split's 672) is direct under cm5
+  // and split when start-ups are nearly free.  A cache shared by the two
+  // machines must hand each its own pick.
   const int P = 8;
   auto cm5 = make_machine(P, test::test_options(sim::CostModel::cm5()));
   auto cheap = make_machine(P, test::test_options(sim::CostModel{0.01, 1.0}));
-  PackWorkload wl = make_workload(8192, P, 1, 0.5, 0xc057);
+  PackWorkload wl = make_workload(32768, P, 16, 0.5, 0xc057);
   PackOptions opt;
   opt.scheme = PackScheme::kCompactStorage;
 

@@ -731,7 +731,10 @@ TEST(RankingWireWidth, NarrowWireCutsPrsBytes) {
   const std::int64_t level0 = 16 * 2 * 256;
   const std::int64_t level1 = 16 * 2 * 16;
   EXPECT_EQ(bytes[0], (level0 + level1) * 8);
-  EXPECT_EQ(bytes[1], level0 * 1 + level1 * 2);
+  // Each direct round at its own width: level 0's members hold 0/1 flags
+  // (b_0 = 1), so its rounds send 1-bit flags and then 2-bit sums; level
+  // 1's (b_1 = 64) sums of at most 64 and 128 take one byte, not two.
+  EXPECT_EQ(bytes[1], 16 * (256 / 8 + 256 / 4) + level1 * 1);
 }
 
 TEST(RankingWireWidth, OutOfRangePayloadThrowsInsteadOfTruncating) {

@@ -532,48 +532,96 @@ TYPED_TEST(BaseRankKernels, SegmentedPrefixFoldGatherMatchesReference) {
   }
 }
 
-TYPED_TEST(BaseRankKernels, AddFromBytesMatchesReferenceAtEveryOffset) {
-  // A PRS round's fold of a received payload, one byte stream at every
-  // offset 0..7 of an aligned buffer (a path that reinterprets it as U*
-  // performs misaligned loads, a UBSan finding in the sanitizer job), into
-  // one destination and into two in one pass.
-  using U = TypeParam;
-  for (const std::size_t n : fold_lengths()) {
-    std::vector<U> src_store, dst_store, dst2_store;
-    const U* values = rank_values<U>(src_store, n, 0, 5);
-    const U* dst0 = rank_values<U>(dst_store, n, 0, 11);
-    const U* dst20 = rank_values<U>(dst2_store, n, 0, 19);
-    std::vector<U> want(dst0, dst0 + n);
-    std::vector<U> want2(dst20, dst20 + n);
-    for (std::size_t e = 0; e < n; ++e) {
-      want[e] = static_cast<U>(want[e] + values[e]);
-      want2[e] = static_cast<U>(want2[e] + values[e]);
+/// The round widths a PRS of base ranks U may pack at: 1 bit up to U's.
+template <typename U>
+std::vector<unsigned> round_widths() {
+  std::vector<unsigned> out;
+  for (unsigned bits = 1; bits <= 8 * sizeof(U); bits *= 2) out.push_back(bits);
+  return out;
+}
+
+/// n values that fit a `bits`-bit round (below 2^40 at 64 bits), every
+/// one of them at most `cap`, with the round's largest value among them.
+template <typename U>
+std::vector<U> round_values(std::size_t n, unsigned bits, std::uint64_t cap,
+                            std::uint64_t salt) {
+  const std::uint64_t top = bits >= 40 ? std::uint64_t{1} << 40
+                                       : std::uint64_t{1} << bits;
+  const std::uint64_t limit = std::min(top - 1, cap);
+  std::vector<U> v(n);
+  for (std::size_t e = 0; e < n; ++e) {
+    v[e] = static_cast<U>(((e + salt) * 0x9e3779b97f4a7c15ULL) % (limit + 1));
+  }
+  if (n > 2) v[n / 2] = static_cast<U>(limit);
+  return v;
+}
+
+/// The definition of a packed payload: entry e's bit j at payload bit
+/// e bits + j.
+template <typename U>
+std::vector<std::byte> packed_definition(const std::vector<U>& v,
+                                         unsigned bits) {
+  std::vector<std::byte> out(kernels::packed_bytes(v.size(), bits));
+  for (std::size_t e = 0; e < v.size(); ++e) {
+    const auto x = static_cast<std::uint64_t>(v[e]);
+    for (unsigned j = 0; j < bits; ++j) {
+      if (((x >> j) & 1) == 0) continue;
+      const std::size_t bit = e * bits + j;
+      out[bit / 8] |= static_cast<std::byte>(1U << (bit % 8));
     }
-    std::vector<std::byte> bytes(n * sizeof(U) + 8);
-    for (std::size_t offset = 0; offset < 8; ++offset) {
-      std::byte* src = bytes.data() + offset;
-      if (n != 0) std::memcpy(src, values, n * sizeof(U));
-      std::vector<U> ref(dst0, dst0 + n);
-      std::vector<U> ref2(dst20, dst20 + n);
-      kernels::scalar::add_from_bytes<U>(ref.data(), src, n);
-      ASSERT_EQ(ref, want) << "n=" << n;
-      ref = std::vector<U>(dst0, dst0 + n);
-      kernels::scalar::add_from_bytes<U>(ref.data(), ref2.data(), src, n);
-      ASSERT_EQ(ref, want);
-      ASSERT_EQ(ref2, want2);
-      for (const Path path : all_paths()) {
-        ForceGuard force(path);
-        const std::string what = std::string(kernels::path_name(path)) +
-                                 " n=" + std::to_string(n) +
-                                 " offset=" + std::to_string(offset);
-        std::vector<U> one(dst0, dst0 + n);
-        kernels::add_from_bytes<U>(one.data(), src, n);
-        ASSERT_EQ(one, ref) << what;
-        std::vector<U> a(dst0, dst0 + n);
-        std::vector<U> b(dst20, dst20 + n);
-        kernels::add_from_bytes<U>(a.data(), b.data(), src, n);
-        ASSERT_EQ(a, ref) << what << " (two dst)";
-        ASSERT_EQ(b, ref2) << what << " (two dst)";
+  }
+  return out;
+}
+
+TYPED_TEST(BaseRankKernels, PackedRoundsMatchDefinitionAtEveryOffset) {
+  // A PRS round at every width up to U's -- U's own, as every PRS sends
+  // it, and the packed direct rounds' narrower ones -- n = 0..67 and 16384
+  // entries, its payload at every offset 0..7 of an aligned buffer (a path
+  // that reinterprets it as U* performs misaligned loads, a UBSan finding
+  // in the sanitizer job): packing gives the definition's bytes, unpacking
+  // gives the entries back, and the fold adds them into one destination or
+  // two -- every path, reference included.
+  using U = TypeParam;
+  const std::uint64_t half =
+      sizeof(U) == 8 ? std::uint64_t{1} << 40
+                     : std::uint64_t{std::numeric_limits<U>::max()} / 2;
+  for (const unsigned bits : round_widths<U>()) {
+    for (const std::size_t n : fold_lengths()) {
+      const auto values = round_values<U>(n, bits, half, bits + n);
+      const auto want = packed_definition(values, bits);
+      const auto dst0 = round_values<U>(n, 64, half, 3);
+      const auto dst20 = round_values<U>(n, 64, half, 17);
+      std::vector<U> sum(n), sum2(n);
+      for (std::size_t e = 0; e < n; ++e) {
+        sum[e] = static_cast<U>(dst0[e] + values[e]);
+        sum2[e] = static_cast<U>(dst20[e] + values[e]);
+      }
+      std::vector<std::byte> storage(want.size() + 8);
+      for (std::size_t offset = 0; offset < 8; ++offset) {
+        std::byte* wire = storage.data() + offset;
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          const std::string what = std::string(kernels::path_name(path)) +
+                                   " bits=" + std::to_string(bits) +
+                                   " n=" + std::to_string(n) +
+                                   " offset=" + std::to_string(offset);
+          std::fill(storage.begin(), storage.end(), std::byte{0x5c});
+          kernels::pack_bits<U>(values.data(), n, bits, wire);
+          ASSERT_TRUE(std::equal(want.begin(), want.end(), wire)) << what;
+          std::vector<U> back(n + 1, static_cast<U>(7));
+          kernels::unpack_bits<U>(wire, n, bits, back.data());
+          ASSERT_TRUE(std::equal(values.begin(), values.end(), back.begin()))
+              << what;
+          ASSERT_EQ(back[n], static_cast<U>(7)) << what << " (past n)";
+          std::vector<U> a = dst0;
+          kernels::add_packed<U>(a.data(), nullptr, wire, n, bits);
+          ASSERT_EQ(a, sum) << what;
+          a = dst0;
+          std::vector<U> b = dst20;
+          kernels::add_packed<U>(a.data(), b.data(), wire, n, bits);
+          ASSERT_EQ(a, sum) << what << " (two dst)";
+          ASSERT_EQ(b, sum2) << what << " (two dst)";
+        }
       }
     }
   }
@@ -582,52 +630,93 @@ TYPED_TEST(BaseRankKernels, AddFromBytesMatchesReferenceAtEveryOffset) {
 TYPED_TEST(BaseRankKernels, CheckedAddThrowsOnOverflow) {
   // Below int64 one sum past U's range -- U's largest value plus one --
   // at every position of a 37-entry vector (every lane of a vector step
-  // and of the tail), in the first destination or only in the second:
-  // every path throws rather than wrap, naming the width.  At int64 the
-  // add is unchecked.
+  // and of the tail), in the first destination or only in the second, for
+  // a payload of ones at every round width: every path throws rather than
+  // wrap, naming the width.  At int64 the add is unchecked.
   using U = TypeParam;
   if constexpr (std::is_signed_v<U>) {
     GTEST_SKIP() << "int64 sums are unchecked";
   } else {
     constexpr std::size_t n = 37;
-    std::vector<U> store;
-    const U* values = rank_values<U>(store, n, 0, 3);
-    std::vector<std::byte> bytes(n * sizeof(U) + 1);
-    for (std::size_t at = 0; at < n; ++at) {
-      std::vector<U> v(values, values + n);
-      v[at] = 1;
-      std::memcpy(bytes.data() + 1, v.data(), n * sizeof(U));
+    const std::vector<U> ones(n, 1);
+    for (const unsigned bits : round_widths<U>()) {
+      const auto packed = packed_definition(ones, bits);
+      std::vector<std::byte> bytes(packed.size() + 1);
+      std::copy(packed.begin(), packed.end(), bytes.begin() + 1);
       const std::byte* src = bytes.data() + 1;
-      std::vector<U> full(n, 0);
-      full[at] = std::numeric_limits<U>::max();
-      const std::vector<U> zeros(n, 0);
-      for (const Path path : all_paths()) {
-        ForceGuard force(path);
-        const std::string what =
-            std::string(kernels::path_name(path)) + " at=" + std::to_string(at);
-        std::vector<U> a = full;
-        try {
-          kernels::add_from_bytes<U>(a.data(), src, n);
-          ADD_FAILURE() << what << ": the wrapped sum was stored";
-        } catch (const ContractError& e) {
-          const std::string msg = e.what();
-          EXPECT_NE(msg.find("does not fit the " +
-                             std::to_string(sizeof(U)) + "-byte wire"),
-                    std::string::npos)
-              << what << ": " << msg;
+      for (std::size_t at = 0; at < n; ++at) {
+        std::vector<U> full(n, 0);
+        full[at] = std::numeric_limits<U>::max();
+        const std::vector<U> zeros(n, 0);
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          const std::string what = std::string(kernels::path_name(path)) +
+                                   " bits=" + std::to_string(bits) +
+                                   " at=" + std::to_string(at);
+          std::vector<U> a = full;
+          try {
+            kernels::add_packed<U>(a.data(), nullptr, src, n, bits);
+            ADD_FAILURE() << what << ": the wrapped sum was stored";
+          } catch (const ContractError& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("does not fit the " +
+                               std::to_string(sizeof(U)) + "-byte wire"),
+                      std::string::npos)
+                << what << ": " << msg;
+          }
+          a = full;
+          std::vector<U> b = zeros;
+          EXPECT_THROW(kernels::add_packed<U>(a.data(), b.data(), src, n,
+                                              bits),
+                       ContractError)
+              << what << " (first of two)";
+          a = zeros;
+          b = full;
+          EXPECT_THROW(kernels::add_packed<U>(a.data(), b.data(), src, n,
+                                              bits),
+                       ContractError)
+              << what << " (second of two)";
         }
-        a = full;
-        std::vector<U> b = zeros;
-        EXPECT_THROW(kernels::add_from_bytes<U>(a.data(), b.data(), src, n),
-                     ContractError)
-            << what << " (first of two)";
-        a = zeros;
-        b = full;
-        EXPECT_THROW(kernels::add_from_bytes<U>(a.data(), b.data(), src, n),
-                     ContractError)
-            << what << " (second of two)";
       }
     }
+  }
+}
+
+TYPED_TEST(BaseRankKernels, PackedRoundsThrowOnWhatDoesNotFit) {
+  // An entry one past its round (2^bits, or -1 at int64) at every position
+  // of a 37-entry vector: every path throws rather than truncate it, and
+  // so does a round width outside the set or wider than U.
+  using U = TypeParam;
+  constexpr std::size_t n = 37;
+  std::vector<std::byte> wire(8 * n);
+  for (const unsigned bits : round_widths<U>()) {
+    std::vector<U> bad_values = {};
+    if (bits < 8 * sizeof(U)) {
+      bad_values.push_back(static_cast<U>(std::uint64_t{1} << bits));
+    }
+    if constexpr (std::is_signed_v<U>) bad_values.push_back(U{-1});
+    for (const U bad : bad_values) {
+      if (bits == 64) continue;  // the int64 wire carries any value
+      for (std::size_t at = 0; at < n; ++at) {
+        auto values = round_values<U>(n, bits, ~std::uint64_t{0}, 5);
+        values[at] = bad;
+        for (const Path path : all_paths()) {
+          ForceGuard force(path);
+          EXPECT_THROW(kernels::pack_bits<U>(values.data(), n, bits,
+                                             wire.data()),
+                       ContractError)
+              << kernels::path_name(path) << " bits=" << bits
+              << " at=" << at;
+        }
+      }
+    }
+  }
+  const U one = 1;
+  for (const unsigned bits :
+       {0U, 3U, 128U, static_cast<unsigned>(16 * sizeof(U))}) {
+    EXPECT_THROW(kernels::pack_bits<U>(&one, 1, bits, wire.data()),
+                 ContractError)
+        << "bits=" << bits;
   }
 }
 

@@ -18,6 +18,7 @@
 #include <map>
 #include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -228,8 +229,30 @@ TEST(StaticVerifier, MutationHarnessHasNoEscapes) {
       st::Defect::kCyclicDependency,  st::Defect::kUnderchargedRound,
       st::Defect::kMisroutedRecv,     st::Defect::kOversizedPayload,
       st::Defect::kMisstatedWidth,     st::Defect::kMisstatedIndexWidth,
+      st::Defect::kRoundAtLevelWidth,
   };
   std::map<st::Defect, int> seeded;
+  auto check_mutants = [&](const st::ExpandedPlan& pristine,
+                           const char* grid) {
+    ASSERT_TRUE(
+        st::verify_schedule(pristine.schedule, pristine.expectations).ok())
+        << pristine.schedule.origin;
+    for (st::Defect defect : defects) {
+      st::ExpandedPlan mutated = pristine;
+      if (!st::seed_defect(mutated.schedule, defect)) continue;
+      ++seeded[defect];
+      const st::VerifyReport report =
+          st::verify_schedule(mutated.schedule, mutated.expectations);
+      const std::string want = st::expected_rule(defect);
+      const bool caught = std::any_of(
+          report.issues.begin(), report.issues.end(),
+          [&](const st::VerifyIssue& i) { return i.rule == want; });
+      EXPECT_TRUE(caught) << st::defect_name(defect) << " escaped on "
+                          << grid << " (" << pristine.schedule.origin
+                          << "); expected rule \"" << want
+                          << "\", report: " << report.summary();
+    }
+  };
   for (const GridCase& gc : grid_cases()) {
     auto machine = make_machine(gc.p);
     for (PackScheme scheme : kPackSchemes) {
@@ -244,29 +267,21 @@ TEST(StaticVerifier, MutationHarnessHasNoEscapes) {
             opt.wire_width = width;
             const plan::PackPlan plan = plan::compile_pack_plan(
                 machine, gc.dist, sizeof(double), opt);
-            const st::ExpandedPlan pristine =
-                st::expand_pack_plan(plan, machine.cost());
-            ASSERT_TRUE(st::verify_schedule(pristine.schedule,
-                                            pristine.expectations)
-                            .ok());
-            for (st::Defect defect : defects) {
-              st::ExpandedPlan mutated = pristine;
-              if (!st::seed_defect(mutated.schedule, defect)) continue;
-              ++seeded[defect];
-              const st::VerifyReport report = st::verify_schedule(
-                  mutated.schedule, mutated.expectations);
-              const std::string want = st::expected_rule(defect);
-              const bool caught = std::any_of(
-                  report.issues.begin(), report.issues.end(),
-                  [&](const st::VerifyIssue& i) { return i.rule == want; });
-              EXPECT_TRUE(caught)
-                  << st::defect_name(defect) << " escaped on " << gc.name
-                  << " (" << pristine.schedule.origin << "); expected rule \""
-                  << want << "\", report: " << report.summary();
-            }
+            check_mutants(st::expand_pack_plan(plan, machine.cost()),
+                          gc.name);
           }
         }
       }
+    }
+    // UNPACK plans: V's shares of 512 take two-byte request indices on the
+    // narrow wire, so index-width mutants seed there too.
+    const auto vd = dist::Distribution::block1d(512 * gc.p, gc.p);
+    for (const coll::WireWidth width : kWidths) {
+      UnpackOptions opt;
+      opt.wire_width = width;
+      const plan::UnpackPlan plan = plan::compile_unpack_plan(
+          machine, gc.dist, vd, sizeof(double), opt);
+      check_mutants(st::expand_unpack_plan(plan, machine.cost()), gc.name);
     }
   }
   // Every defect class must have found at least one seeding site overall.
@@ -452,8 +467,8 @@ bool has_rule(const st::VerifyReport& report, const std::string& rule) {
 
 TEST(StaticVerifier, DearerPrsPickIsReported) {
   // P = 8, cyclic: one 1024-entry PRS on a 1-byte wire per PACK.  Under
-  // cm5 direct charges 627 us per member against split's 1527; the
-  // paper's rule splits.
+  // cm5 direct, whose rounds send 1-, 2- and 4-bit sums, charges 366 us
+  // per member against split's 1527; the paper's rule splits.
   auto machine = make_machine(8, test::test_options(sim::CostModel::cm5()));
   const auto d = dist::Distribution::block_cyclic(dist::Shape({8192}),
                                                   dist::ProcessGrid({8}), 1);
@@ -481,6 +496,59 @@ TEST(StaticVerifier, DearerPrsPickIsReported) {
   EXPECT_TRUE(st::verify_plan(uplan, machine.cost()).ok());
   uplan.schedule.steps[0].prs = coll::PrsAlgorithm::kDirect;
   EXPECT_TRUE(has_rule(st::verify_plan(uplan, machine.cost()), "prs-pick"));
+}
+
+// Each direct round is priced at the width its subcube totals need: on a
+// 64x64 cyclic layout over 4x4, level 0's 256 entries are 0/1 flags, so
+// its two rounds send 1-bit flags and then 2-bit sums; level 1's members
+// count at most 64 elements each, so its rounds send one byte where the
+// level needs two.  The paper's int64 wire sends every round at 8 bytes.
+TEST(StaticVerifier, PrsDirectRoundsPriceAtTheirRoundWidth) {
+  auto machine = make_machine(16, test::test_options(sim::CostModel::cm5()));
+  const auto d = dist::Distribution::block_cyclic(
+      dist::Shape({64, 64}), dist::ProcessGrid({4, 4}), 1);
+  const auto vd = dist::Distribution::block1d(2048, 16);
+  auto first_direct = [](const st::ExpandedPlan& e) -> const st::BlockIR& {
+    for (const st::BlockIR& block : e.schedule.blocks) {
+      if (block.name == "prs.direct") return block;
+    }
+    throw std::runtime_error("no direct PRS block");
+  };
+  for (const coll::WireWidth width : kWidths) {
+    UnpackOptions opt;
+    opt.wire_width = width;
+    const plan::UnpackPlan plan =
+        plan::compile_unpack_plan(machine, d, vd, sizeof(double), opt);
+    const bool narrow = width == coll::WireWidth::kAuto;
+    const RankingStep& level0 = plan.schedule.steps[0];
+    ASSERT_EQ(level0.prs, coll::PrsAlgorithm::kDirect);
+    using Bits = std::vector<std::uint8_t>;
+    EXPECT_EQ(level0.round_bits, narrow ? Bits({1, 2}) : Bits());
+    EXPECT_EQ(plan.schedule.steps[1].round_bits,
+              narrow ? Bits({8, 8}) : Bits());
+    EXPECT_EQ(plan.schedule.steps[1].wire_bytes, narrow ? 2U : 8U);
+
+    const st::ExpandedPlan expanded =
+        st::expand_unpack_plan(plan, machine.cost());
+    const st::BlockIR& block = first_direct(expanded);
+    ASSERT_EQ(block.rounds.size(), 2U);
+    const std::size_t want[2] = {narrow ? 256U / 8 : 256U * 8,
+                                 narrow ? 256U / 4 : 256U * 8};
+    for (std::size_t r = 0; r < 2; ++r) {
+      for (const st::Xfer& x : block.rounds[r].posts) {
+        EXPECT_EQ(x.bytes, want[r]) << "round " << r;
+      }
+    }
+    // The closed form prices the same rounds, and the pick sees them.
+    const auto predicted = coll::predict_prs(
+        coll::PrsAlgorithm::kDirect, 4, 256, level0.wire_bytes,
+        machine.cost(), level0.round_bits);
+    EXPECT_EQ(predicted[0].bytes_out, want[0] + want[1]);
+    EXPECT_DOUBLE_EQ(predicted[0].charge_us,
+                     machine.cost().message_us(want[0]) +
+                         machine.cost().message_us(want[1]));
+    EXPECT_TRUE(st::verify_plan(plan, machine.cost()).ok());
+  }
 }
 
 // ---------------------------------------------------------------------------

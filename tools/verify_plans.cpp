@@ -1,6 +1,6 @@
 // verify_plans: sweep the plan space and statically verify every schedule.
 //
-// For each processor count (default 4, 6, 8, 16), two 1-D block-cyclic
+// For each processor count (default 4, 6, 8, 16), three 1-D block-cyclic
 // distributions (one of them cyclic) and, when p is composite, a 2-D one
 // are built, and every
 // (scheme x PRS knob x PRS wire width x M2M knob x batch) pack plan plus
@@ -9,15 +9,17 @@
 // One line is printed per plan with its verdict, round/post counts and peak
 // per-rank in-flight bytes; any failed proof makes the exit status nonzero.
 // The summary line also counts the kAuto PRS steps that resolved to split,
-// so a sweep that never exercises a split pick shows it.
+// in all and on the narrow wire, so a sweep that never exercises a split
+// pick shows it.
 //
 //   verify_plans [--procs 4,6,8,16] [--budget BYTES] [--mutations]
 //                [--verbose]
 //
 // --budget enforces a mailbox budget (bytes) on every plan instead of the
 // default report-only accounting.  --mutations additionally runs the
-// mutation harness over each pack plan (every seedable defect class must be
-// caught; an escape fails the sweep).  --verbose prints every issue.  Every
+// mutation harness over each unbatched pack plan and each unpack plan
+// (every seedable defect class must be caught; an escape fails the
+// sweep).  --verbose prints every issue.  Every
 // count must be a positive integer: anything else prints "bad value for
 // <flag>" and exits 2.
 #include <charconv>
@@ -52,6 +54,7 @@ struct Tally {
   int mutants = 0;
   int escapes = 0;
   int auto_splits = 0;  ///< kAuto ranking steps that resolved to split
+  int narrow_splits = 0;  ///< ... of them on the narrow wire (kAuto)
 };
 
 /// Parses a whole token as a positive integer; nullopt on anything else
@@ -97,11 +100,19 @@ std::vector<pup::dist::Distribution> distributions_for(int p) {
   out.push_back(Distribution::block_cyclic(
       Shape({static_cast<pup::dist::index_t>(64 * p)}), ProcessGrid({p}), 8));
   // Cyclic, W = 1: an 8192-entry level-0 PRS, long enough that kAuto picks
-  // split under the sweep's cost model (at p = 5, 6, 8, 12, 16, 32 and 64;
-  // p = 4 stays direct).
+  // split under the sweep's cost model on the paper's int64 wire (at p = 5,
+  // 6, 8, 12, 16, 32 and 64; p = 4 stays direct).  On the narrow wire its
+  // direct rounds carry 1-, 2- and 4-bit sums, and kAuto stays direct
+  // wherever p is a power of two.
   out.push_back(Distribution::block_cyclic(
       Shape({static_cast<pup::dist::index_t>(8192 * p)}), ProcessGrid({p}),
       1));
+  // W = 256: a 2048-entry level-0 PRS whose direct rounds all need 16 bits,
+  // so kAuto picks split on the narrow wire too (at p = 5, 6, 8, 12, 16, 32
+  // and 64; p = 4 stays direct).
+  out.push_back(Distribution::block_cyclic(
+      Shape({static_cast<pup::dist::index_t>(2048 * 256 * p)}),
+      ProcessGrid({p}), 256));
   const int a = split_factor(p);
   if (a > 1) {
     const int b = p / a;
@@ -122,11 +133,14 @@ void print_issues(const st::VerifyReport& report) {
 void report_plan(const Sweep& sweep, Tally& tally, const char* kind,
                  const std::string& origin, const st::VerifyReport& report,
                  const pup::RankingSchedule& ranking,
-                 pup::coll::PrsAlgorithm requested) {
+                 pup::coll::PrsAlgorithm requested,
+                 pup::coll::WireWidth width) {
   ++tally.plans;
   if (requested == pup::coll::PrsAlgorithm::kAuto) {
     for (const pup::RankingStep& step : ranking.steps) {
-      if (step.prs == pup::coll::PrsAlgorithm::kSplit) ++tally.auto_splits;
+      if (step.prs != pup::coll::PrsAlgorithm::kSplit) continue;
+      ++tally.auto_splits;
+      if (width == pup::coll::WireWidth::kAuto) ++tally.narrow_splits;
     }
   }
   if (!report.ok()) ++tally.failed;
@@ -145,6 +159,7 @@ void run_mutations(Tally& tally, const st::ExpandedPlan& pristine) {
       st::Defect::kCyclicDependency, st::Defect::kUnderchargedRound,
       st::Defect::kMisroutedRecv,    st::Defect::kOversizedPayload,
       st::Defect::kMisstatedWidth,   st::Defect::kMisstatedIndexWidth,
+      st::Defect::kRoundAtLevelWidth,
   };
   for (st::Defect defect : defects) {
     st::ExpandedPlan mutated = pristine;
@@ -236,7 +251,7 @@ int main(int argc, char** argv) {
                 st::check_prs_picks(report, plan.schedule, opt.prs,
                                     machine.cost());
                 report_plan(sweep, tally, "pack", expanded.schedule.origin,
-                            report, plan.schedule, opt.prs);
+                            report, plan.schedule, opt.prs, width);
                 if (sweep.mutations && batch == 1) {
                   run_mutations(tally, expanded);
                 }
@@ -266,7 +281,8 @@ int main(int argc, char** argv) {
               st::check_prs_picks(report, plan.schedule, opt.prs,
                                   machine.cost());
               report_plan(sweep, tally, "unpack", expanded.schedule.origin,
-                          report, plan.schedule, opt.prs);
+                          report, plan.schedule, opt.prs, width);
+              if (sweep.mutations) run_mutations(tally, expanded);
             }
           }
         }
@@ -275,8 +291,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n%d plan(s) verified, %d failed; %d kAuto PRS step(s) "
-              "resolved to split",
-              tally.plans, tally.failed, tally.auto_splits);
+              "resolved to split (%d on the narrow wire)",
+              tally.plans, tally.failed, tally.auto_splits,
+              tally.narrow_splits);
   if (sweep.mutations) {
     std::printf("; %d mutant(s) seeded, %d escaped", tally.mutants,
                 tally.escapes);
